@@ -17,7 +17,7 @@ use vstream_capture::Trace;
 use vstream_sim::{SimDuration, SimTime};
 
 /// Parameters of the cycle detector.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AnalysisConfig {
     /// An idle gap longer than this ends an ON period.
     pub idle_threshold: SimDuration,

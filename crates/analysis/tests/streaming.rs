@@ -4,10 +4,10 @@
 //! [`PacketSink`] tap produces exactly the result of the column scan it
 //! replaces. These tests feed randomized captures — the same seeds and
 //! traffic shapes as the capture crate's columnar lock-step suite — through
-//! every fold twice: once replayed from the live [`Trace`] (the batch path
-//! and the streaming cache-miss path share this packet sequence) and once
-//! replayed from the [`PackedTrace`] columns (the streaming cache-hit path),
-//! and compare both against the trace scans. A divergence in any fold, in
+//! every fold twice: once replayed from the [`Trace`] (the packet sequence
+//! the engine's live tap emits) and once replayed from the [`PackedTrace`]
+//! columns (a second, independent replay source), and compare both against
+//! the trace scans. A divergence in any fold, in
 //! the tap replay, or in the packed replay fails against the independent
 //! oracle rather than against its own mirror.
 
@@ -310,8 +310,8 @@ fn randomized_folds_match_column_scans() {
     }
 }
 
-/// The cache-hit path replays packed columns, never a live trace: the folds
-/// must see the identical packet stream either way.
+/// A packed capture replays its columns without unpacking a trace: the
+/// folds must see the identical packet stream either way.
 #[test]
 fn randomized_folds_match_through_packed_replay() {
     for seed in 0..6 {

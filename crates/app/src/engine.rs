@@ -304,7 +304,7 @@ impl Engine {
     /// `cfg.sources` superposed Pareto-ON / exponential-OFF sources. Each
     /// source's randomness comes from `derive_seed(seed, [tag, index])`, so
     /// the aggregate is a pure function of `(cfg, seed)` — identical across
-    /// `--jobs` counts, streaming mode, and cache replay — and the engine's
+    /// `--jobs` counts and cache on/off — and the engine's
     /// main RNG (packet loss, strategy jitter) is untouched.
     ///
     /// # Panics
@@ -570,9 +570,9 @@ impl Engine {
     /// Like [`Engine::run`], but additionally streams every tapped packet
     /// into `sink`, in capture order, as the session executes. With
     /// `keep_trace = false` the engine never materialises a [`Trace`] at
-    /// all — the sink is the only consumer — which is the O(flows)
-    /// streaming mode of the figure drivers; with `keep_trace = true` the
-    /// retained trace and the sink see identical packet streams.
+    /// all — the sink is the only consumer — which is how the figure
+    /// drivers run, in O(flows) analysis memory; with `keep_trace = true`
+    /// the retained trace and the sink see identical packet streams.
     pub fn run_observed<L: SessionLogic, S: PacketSink + ?Sized>(
         &mut self,
         logic: &mut L,

@@ -34,12 +34,22 @@ fn paced_spec(seed: u64) -> SessionSpec {
     )
 }
 
+/// The paced 8-session fan-out the `parallel`, `query` and `tracing` groups
+/// share, so their rows are comparable.
+fn paced_fanout() -> Vec<SessionSpec> {
+    (0..8u64)
+        .map(|i| SessionSpec {
+            video: Video::new(i, 1_000_000, SimDuration::from_secs(2400)),
+            ..paced_spec(0x5E55 + i)
+        })
+        .collect()
+}
+
 fn bench_sessions(c: &mut Criterion) {
     let mut g = c.benchmark_group("sessions");
     g.sample_size(10).measurement_time(Duration::from_secs(20)).warm_up_time(Duration::from_secs(1));
     // One scratch per bench, reused across iterations — the same shape as a
-    // `run_many` worker running sessions back to back, which is how every
-    // figure driver executes these.
+    // batch worker running sessions back to back.
     g.bench_function("bulk_120s_video", |b| {
         let spec = bulk_spec(1);
         let mut scratch = SessionScratch::new();
@@ -108,8 +118,9 @@ fn bench_analysis(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pack/unpack of the retained-trace format the session cache stores: the
-/// same paced capture the analysis benches scan, through a full
+/// Pack/unpack of the `PackedTrace` format (off the production path since
+/// the session cache stores replies; kept while `benchmark/driver` probes
+/// it): the same paced capture the analysis benches scan, through a full
 /// compress/decompress cycle. The bytes-per-record line printed after the
 /// group is the figure DESIGN.md quotes for the packed format.
 fn bench_pack(c: &mut Criterion) {
@@ -144,24 +155,13 @@ fn bench_pack(c: &mut Criterion) {
 }
 
 /// Batch throughput of the parallel session executor: the same 8-session
-/// fan-out serially and across all cores. The jobs-N row should beat jobs-1
-/// by roughly the core count (the acceptance floor is 2x at `--jobs 4`),
-/// while the per-worker sessions/s reported after the group isolates
-/// intra-session gains (scratch reuse, queue backend) from parallelism.
+/// fan-out serially and across all cores, traces retained. The jobs-N row
+/// should beat jobs-1 by roughly the core count (the acceptance floor is 2x
+/// at `--jobs 4`), while the per-worker sessions/s reported after the group
+/// isolates intra-session gains (scratch reuse, queue backend) from
+/// parallelism.
 fn bench_sessions_per_sec(c: &mut Criterion) {
-    const SESSIONS: u64 = 8;
-    let specs: Vec<SessionSpec> = (0..SESSIONS)
-        .map(|i| {
-            SessionSpec::new(
-                Client::Firefox,
-                Container::Flash,
-                Video::new(i, 1_000_000, SimDuration::from_secs(2400)),
-                NetworkProfile::Research,
-                0x5E55 + i,
-                SimDuration::from_secs(180),
-            )
-        })
-        .collect();
+    let specs = paced_fanout();
     let all = vstream::default_jobs();
     let mut cases: Vec<(String, usize)> = vec![("run_many_8_sessions_jobs1".to_string(), 1)];
     if all > 1 {
@@ -183,7 +183,7 @@ fn bench_sessions_per_sec(c: &mut Criterion) {
     for (name, jobs) in &cases {
         let full = format!("parallel/{name}");
         if let Some(r) = c.results().iter().find(|r| r.name == full) {
-            let total = SESSIONS as f64 / (r.median_ns / 1e9);
+            let total = specs.len() as f64 / (r.median_ns / 1e9);
             println!(
                 "{full:<45} thrpt: {total:.2} sessions/s across {jobs} worker(s) \
                  = {:.2} sessions/s/worker",
@@ -193,101 +193,63 @@ fn bench_sessions_per_sec(c: &mut Criterion) {
     }
 }
 
-/// The streaming query path against the batch path, over the same paced
-/// 8-session fan-out as the `parallel` group and the fold set the
-/// steady-state figures use (ON/OFF + phases). Both modes produce identical
-/// replies; the rows measure what trace-free execution costs (or saves) in
-/// wall clock. The peak-memory lines printed after the group are the
-/// `peak_trace_bytes` / `peak_flowstate_bytes` comparison DESIGN.md quotes.
-fn bench_streaming_query(c: &mut Criterion) {
-    use vstream::{query_many_jobs, set_streaming, SessionQuery};
+/// The figure drivers' path over the same fan-out and the fold set the
+/// steady-state figures use (ON/OFF + phases): folds on the live tap, no
+/// trace. Against `parallel/run_many_8_sessions_*` the row shows what not
+/// recording a trace saves; the peak-memory line printed after the group is
+/// the `peak_trace_bytes` / `peak_flowstate_bytes` pair DESIGN.md quotes.
+fn bench_query(c: &mut Criterion) {
+    use vstream::{query_many_jobs, SessionQuery};
     use vstream_obs::{collector, Gauge};
 
-    const SESSIONS: u64 = 8;
-    let specs: Vec<SessionSpec> = (0..SESSIONS)
-        .map(|i| {
-            SessionSpec::new(
-                Client::Firefox,
-                Container::Flash,
-                Video::new(i, 1_000_000, SimDuration::from_secs(2400)),
-                NetworkProfile::Research,
-                0x5E55 + i,
-                SimDuration::from_secs(180),
-            )
-        })
-        .collect();
+    let specs = paced_fanout();
     let query = SessionQuery::default().onoff().phases();
     let jobs = vstream::default_jobs();
-    {
-        let mut g = c.benchmark_group("streaming");
-        g.sample_size(10).measurement_time(Duration::from_secs(20)).warm_up_time(Duration::from_secs(1));
-        g.bench_function("query_8_sessions_batch", |b| {
-            set_streaming(false);
-            b.iter(|| black_box(query_many_jobs(black_box(&specs), jobs, &query)))
-        });
-        g.bench_function("query_8_sessions_streaming", |b| {
-            set_streaming(true);
-            b.iter(|| black_box(query_many_jobs(black_box(&specs), jobs, &query)));
-            set_streaming(false);
-        });
-        g.finish();
-    }
-    // Peak-memory report: one metered pass per mode. `wall = true` keeps the
-    // execution-dependent gauges the byte-comparable ledgers zero out.
-    for streaming in [false, true] {
-        collector::install(true);
-        set_streaming(streaming);
-        black_box(query_many_jobs(&specs, jobs, &query));
-        set_streaming(false);
-        let ledger = collector::take().expect("collector installed");
-        println!(
-            "streaming/peak_bytes[{}]: trace={} flowstate={}",
-            if streaming { "streaming" } else { "batch" },
-            ledger.totals.gauge(Gauge::PeakTraceBytes),
-            ledger.totals.gauge(Gauge::PeakFlowstateBytes),
-        );
-    }
+    let mut g = c.benchmark_group("query");
+    g.sample_size(10).measurement_time(Duration::from_secs(20)).warm_up_time(Duration::from_secs(1));
+    g.bench_function("query_8_sessions", |b| {
+        b.iter(|| black_box(query_many_jobs(black_box(&specs), jobs, &query)))
+    });
+    g.finish();
+    // `wall = true` keeps the execution-dependent gauges the byte-comparable
+    // ledgers zero out.
+    collector::install(true);
+    black_box(query_many_jobs(&specs, jobs, &query));
+    let ledger = collector::take().expect("collector installed");
+    println!(
+        "query/peak_bytes: trace={} flowstate={}",
+        ledger.totals.gauge(Gauge::PeakTraceBytes),
+        ledger.totals.gauge(Gauge::PeakFlowstateBytes),
+    );
 }
 
-/// Flight-recorder overhead on the paced 8-session fan-out (the same specs
-/// as the `parallel` group). The `off` row prices the disabled switch — one
-/// relaxed atomic load per emission site — and must sit within noise of the
-/// pr7-post `parallel/run_many_8_sessions_jobs1` numbers. The `on` row
-/// prices full ring recording: every cwnd sample, queue event, and player
-/// transition lands in the per-session ring. Dumps are anomaly-only and
-/// these healthy sessions trip no predicate, so no file I/O pollutes the
-/// measurement.
+/// Flight-recorder overhead on the paced 8-session fan-out, through the
+/// figure drivers' path. The `off` row prices the disabled switch — one
+/// relaxed atomic load per emission site — and must sit within noise of
+/// `query/query_8_sessions` at one worker. The `on` row prices full ring
+/// recording: every cwnd sample, queue event, and player transition lands
+/// in the per-session ring. Dumps are anomaly-only and these healthy
+/// sessions trip no predicate, so no file I/O pollutes the measurement.
 fn bench_tracing(c: &mut Criterion) {
-    use vstream::flight;
+    use vstream::{flight, query_many_jobs, SessionQuery};
     use vstream_obs::trace;
 
-    const SESSIONS: u64 = 8;
-    let specs: Vec<SessionSpec> = (0..SESSIONS)
-        .map(|i| {
-            SessionSpec::new(
-                Client::Firefox,
-                Container::Flash,
-                Video::new(i, 1_000_000, SimDuration::from_secs(2400)),
-                NetworkProfile::Research,
-                0x5E55 + i,
-                SimDuration::from_secs(180),
-            )
-        })
-        .collect();
+    let specs = paced_fanout();
+    let query = SessionQuery::default().onoff().phases();
     let mut g = c.benchmark_group("tracing");
     g.sample_size(10).measurement_time(Duration::from_secs(30)).warm_up_time(Duration::from_secs(2));
-    g.bench_function("run_many_8_sessions_trace_off", |b| {
+    g.bench_function("query_8_sessions_trace_off", |b| {
         trace::set_enabled(false);
-        b.iter(|| black_box(run_many_jobs(black_box(&specs), 1)))
+        b.iter(|| black_box(query_many_jobs(black_box(&specs), 1, &query)))
     });
-    g.bench_function("run_many_8_sessions_trace_on", |b| {
+    g.bench_function("query_8_sessions_trace_on", |b| {
         flight::install(flight::TraceConfig {
             dir: std::env::temp_dir().join("vstream-bench-traces"),
             anomalies_only: true,
             ring_cap: flight::DEFAULT_RING,
         })
         .expect("create temp trace dir");
-        b.iter(|| black_box(run_many_jobs(black_box(&specs), 1)));
+        b.iter(|| black_box(query_many_jobs(black_box(&specs), 1, &query)));
         flight::uninstall();
     });
     g.finish();
@@ -308,8 +270,7 @@ fn bench_abr(c: &mut Criterion) {
             NetworkProfile::Home,
             seed,
             SimDuration::from_secs(180),
-        )
-        .shared();
+        );
         match cross {
             Some(c) => spec.with_lrd_cross(c),
             None => spec,
@@ -373,7 +334,7 @@ criterion_group!(
     bench_analysis,
     bench_pack,
     bench_sessions_per_sec,
-    bench_streaming_query,
+    bench_query,
     bench_tracing,
     bench_abr,
     bench_fluid_model

@@ -10,7 +10,6 @@
 //! repro all --metrics-summary     # print the ledger as human tables
 //! repro all --progress            # per-figure timing lines on stderr
 //! repro all --no-cache            # re-simulate duplicate sessions
-//! repro all --streaming           # fold packets live, retain no traces
 //! repro fig4 --trace-dir traces/  # dump per-session flight-recorder files
 //! repro all --trace-dir traces/ --trace-anomalies   # anomalous sessions only
 //! repro campaign --viewers 1000000 --progress       # hybrid capacity plan
@@ -23,19 +22,14 @@
 //! (`VSTREAM_WALL=off`), and enabling it never changes the figures —
 //! instrumentation is output-neutral by construction.
 //!
-//! Sessions are memoized across figures by the `vstream::cache` session
-//! cache (on by default; sessions are pure functions of their spec, so the
-//! figures are byte-identical either way — `scripts/check_determinism.sh`
-//! holds this). `--no-cache` is the escape hatch that trades the wall-clock
-//! win back for the memory the cache retains.
-//!
-//! `--streaming` switches the figure drivers to the `vstream::query`
-//! streaming mode: analysis folds ride the engine's live packet tap and no
-//! session retains a packet trace (cache misses keep one transiently, only
-//! to pack it). Figures are byte-identical with the flag on or off — both
-//! modes compute through the same folds — so the flag only trades where
-//! peak memory goes (`peak_trace_bytes` vs `peak_flowstate_bytes` in the
-//! ledger).
+//! Every figure driver resolves its sessions through `vstream::query`:
+//! analysis folds ride the engine's live packet tap, so no session retains
+//! a packet trace (`peak_trace_bytes` reads 0 in the ledger; the fold state
+//! is `peak_flowstate_bytes`). The finished replies — kilobytes each — are
+//! memoized across figures by the `vstream::cache` session cache (on by
+//! default; sessions are pure functions of their spec, so the figures are
+//! byte-identical either way — `scripts/check_determinism.sh` holds this).
+//! `--no-cache` re-simulates every duplicate instead.
 //!
 //! `--trace-dir` turns the `vstream::flight` recorder on: each simulated
 //! session records structured events (TCP state/cwnd, queue drops, player
@@ -48,8 +42,7 @@
 //!
 //! With `--csv`, the run also writes `qoe_sessions.csv` into the CSV tree:
 //! one QoE row (startup delay, stalls, stall ratio, block cadence) per
-//! spec-driven session, in deterministic figure/spec order on every
-//! execution mode.
+//! spec-driven session, in deterministic figure/spec order.
 //!
 //! `repro campaign` is the hybrid fluid/packet capacity planner
 //! (`vstream::campaign`): a deterministic packet-level shard calibrates the
@@ -130,7 +123,6 @@ fn main() {
             "--metrics-summary" => opts.metrics_summary = true,
             "--progress" => opts.progress = true,
             "--no-cache" => opts.no_cache = true,
-            "--streaming" => vstream::set_streaming(true),
             "--trace-dir" => {
                 let dir: String = take_value(&mut args, "--trace-dir");
                 opts.trace_dir = Some(PathBuf::from(dir));
@@ -151,6 +143,10 @@ fn main() {
             "--help" | "-h" => {
                 print_usage();
                 return;
+            }
+            flag if flag.starts_with("--") => {
+                eprintln!("error: unknown flag {flag:?} (try --help)");
+                std::process::exit(2);
             }
             other => selected.push(other.to_string()),
         }
@@ -334,7 +330,7 @@ const ALL_IDS: [&str; 22] = [
 fn print_usage() {
     println!(
         "usage: repro [ids...|all] [--seed N] [--n N] [--jobs N] [--csv DIR] \
-         [--metrics PATH] [--metrics-summary] [--progress] [--no-cache] [--streaming] \
+         [--metrics PATH] [--metrics-summary] [--progress] [--no-cache] \
          [--trace-dir DIR] [--trace-anomalies] [--trace-cap N]"
     );
     println!(

@@ -3,45 +3,48 @@
 //! Every figure and table in the reproduction is computed from sessions
 //! drawn out of the same (client, container, video, profile) cell pool, and
 //! a session is a *pure function* of its [`SessionSpec`] — two equal specs
-//! produce bit-identical outcomes. The cache exploits exactly that purity:
-//! it is a content-addressed, per-run store keyed on the full spec
-//! identity, so the first figure driver to request a cell runs the engine
-//! and every later driver gets the completed
-//! [`CellOutcome`](crate::session::CellOutcome) back without re-simulating.
+//! produce bit-identical packet streams, so equal specs asked the same
+//! [`SessionQuery`] produce bit-identical replies. The cache exploits
+//! exactly that purity: it is a content-addressed, per-run store keyed on
+//! the full spec identity *and* the query, so the first figure driver to ask
+//! a cell runs the engine and every later driver asking the same question
+//! gets the finished [`SessionReply`] back without re-simulating.
 //!
-//! Lifecycle: the cache is **invalidation-free**. A spec can never go
+//! What is stored is the **reply, not the capture**: a few kilobytes of
+//! cycles, phases and endpoint statistics per session instead of a packet
+//! trace. A miss inserts the reply it just computed (nothing is packed,
+//! no trace ever existed); a hit clones it (nothing is unpacked or
+//! replayed). The price is that a *different* query on the same spec is a
+//! miss — drivers that sample the same cells therefore share one query
+//! (`figures::cell_query`). The `cache_bytes_retained` counter reports the
+//! retained footprint.
+//!
+//! Lifecycle: the cache is **invalidation-free**. An entry can never go
 //! stale — its key *is* the complete input of the computation — so there is
 //! no eviction, no TTL, and no dirty tracking; [`install`] starts an empty
 //! store and [`uninstall`] drops it, bracketing one `repro` run.
 //!
-//! Retention is **selective and compressed**. Only specs marked
+//! Retention is **selective**. Only specs marked
 //! [`shared`](SessionSpec::shared) — the cross-figure cell stream of
 //! `figures::cell_specs` — enter the store; one-off sessions (Table 1's
-//! bespoke videos, the ablation harnesses) would retain memory that no
-//! later driver ever reads. And a retained trace is stored as a
-//! delta-compressed [`PackedTrace`] (~30× smaller than raw records), not as
-//! live column pages: freshly faulted memory is far more expensive than
-//! the arithmetic that rebuilds a trace's columns from deltas, so
-//! packing is what turns the cache from a memory-bound loss into a
-//! wall-clock win. The `cache_bytes_retained` counter reports the packed
-//! footprint.
+//! bespoke videos) would retain memory that no later driver ever reads.
+//! Trace-retaining runs ([`SessionSpec::run`]) never consult the cache.
 //!
-//! Alongside each outcome the store keeps the session's exact metrics
-//! delta (see `SessionSpec::obtain` in `session.rs`), so a cache hit can
+//! Alongside each reply the store keeps the session's exact metrics delta
+//! (see `SessionSpec::obtain_reply` in `session.rs`), so a cache hit can
 //! replay the skipped engine run into the observability ledger and a
 //! metered run produces the same totals with the cache on or off.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use vstream_capture::{PackedTrace, PacketSink};
 use vstream_obs::Metrics;
-use vstream_sim::SimDuration;
-use vstream_tcp::EndpointStats;
-use vstream_workload::StrategyLogic;
 
-use crate::session::{CellOutcome, SessionSpec};
+use crate::query::{SessionQuery, SessionReply};
+use crate::session::SessionSpec;
 
 /// The content address of a session: every field of [`SessionSpec`] that
 /// feeds the simulation, flattened to integers. Equal keys ⇒ bit-identical
@@ -49,92 +52,40 @@ use crate::session::{CellOutcome, SessionSpec};
 /// key — it changes where the result lives, never what it is.)
 pub type SessionKey = [u64; 14];
 
-/// A completed session in retained form: the packed trace plus the small
-/// outcome fields kept raw.
-pub struct PackedCell {
-    trace: PackedTrace,
-    logic: StrategyLogic,
-    connections: usize,
-    connection_stats: Vec<(EndpointStats, EndpointStats)>,
-    base_rtt: SimDuration,
-}
-
-impl PackedCell {
-    /// Reconstructs the outcome exactly as the engine produced it. The
-    /// returned value is freshly allocated and owned by the caller — cache
-    /// hits decode into transient memory that dies with the requesting
-    /// driver, keeping the store's resident set at the packed size.
-    fn unpack(&self) -> CellOutcome {
-        CellOutcome {
-            trace: self.trace.unpack(),
-            logic: self.logic.clone(),
-            connections: self.connections,
-            connection_stats: self.connection_stats.clone(),
-            base_rtt: self.base_rtt,
-        }
-    }
-}
-
-/// One completed session retained by the cache.
-pub struct CachedCell {
-    /// The packed result (`None` for inapplicable Table 1 cells).
-    packed: Option<PackedCell>,
+/// One answered question retained by the cache.
+pub(crate) struct CachedReply {
+    /// The reply (`None` for inapplicable Table 1 cells).
+    pub(crate) reply: Option<SessionReply>,
     /// The metrics the session recorded while it ran, replayed into the
     /// requesting worker's registry on every hit.
-    pub metrics: Metrics,
-    /// Approximate bytes this cell retains (packed trace dominates).
-    pub bytes: u64,
-}
-
-impl CachedCell {
-    /// Decodes the retained session back into a fresh [`CellOutcome`].
-    pub fn unpack_outcome(&self) -> Option<CellOutcome> {
-        self.packed.as_ref().map(PackedCell::unpack)
-    }
-
-    /// Replays the retained capture through `sink` packet by packet, never
-    /// materialising a [`Trace`](vstream_capture::Trace) — the streaming
-    /// figure drivers' cache-hit path. Returns `false` for inapplicable
-    /// cells (nothing retained, nothing replayed).
-    pub fn replay_into(&self, sink: &mut dyn PacketSink) -> bool {
-        match &self.packed {
-            Some(p) => {
-                p.trace.replay(sink);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The retained non-trace outcome fields:
-    /// `(logic, connections, connection_stats, base_rtt)`.
-    pub(crate) fn parts(
-        &self,
-    ) -> Option<(StrategyLogic, usize, Vec<(EndpointStats, EndpointStats)>, SimDuration)> {
-        self.packed
-            .as_ref()
-            .map(|p| (p.logic.clone(), p.connections, p.connection_stats.clone(), p.base_rtt))
-    }
+    pub(crate) metrics: Metrics,
+    /// Approximate bytes this entry retains.
+    pub(crate) bytes: u64,
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-fn store() -> &'static Mutex<HashMap<SessionKey, Arc<CachedCell>>> {
-    static STORE: OnceLock<Mutex<HashMap<SessionKey, Arc<CachedCell>>>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(HashMap::new()))
+type Store = HashMap<(SessionKey, SessionQuery), Arc<CachedReply>>;
+
+fn store() -> MutexGuard<'static, Store> {
+    static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
+    STORE
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("a worker panicked while holding the session cache")
 }
 
 /// Activates the cache with an empty store. Call once at the start of a
-/// run; sessions executed while active are retained until [`uninstall`].
+/// run; replies computed while active are retained until [`uninstall`].
 pub fn install() {
-    store().lock().expect("session cache poisoned").clear();
+    store().clear();
     ACTIVE.store(true, Ordering::Release);
 }
 
 /// Deactivates the cache and drops everything it retained.
 pub fn uninstall() {
     ACTIVE.store(false, Ordering::Release);
-    store().lock().expect("session cache poisoned").clear();
+    store().clear();
 }
 
 /// True while the cache is installed. A single relaxed-ish atomic load —
@@ -143,19 +94,14 @@ pub fn is_active() -> bool {
     ACTIVE.load(Ordering::Acquire)
 }
 
-/// Number of distinct specs currently retained.
+/// Number of distinct (spec, query) entries currently retained.
 pub fn len() -> usize {
-    store().lock().expect("session cache poisoned").len()
+    store().len()
 }
 
-/// Total packed bytes currently retained.
+/// Total bytes currently retained.
 pub fn bytes_retained() -> u64 {
-    store()
-        .lock()
-        .expect("session cache poisoned")
-        .values()
-        .map(|c| c.bytes)
-        .sum()
+    store().values().map(|c| c.bytes).sum()
 }
 
 /// The content address of `spec`.
@@ -186,53 +132,32 @@ pub fn key_of(spec: &SessionSpec) -> SessionKey {
     ]
 }
 
-/// The cell stored under `key`, if any.
-pub(crate) fn lookup(key: &SessionKey) -> Option<Arc<CachedCell>> {
-    store().lock().expect("session cache poisoned").get(key).cloned()
+/// The reply stored for `query` asked of the spec behind `key`, if any.
+pub(crate) fn lookup(key: &SessionKey, query: &SessionQuery) -> Option<Arc<CachedReply>> {
+    store().get(&(*key, query.clone())).cloned()
 }
 
-/// Packs and stores a completed session under `key`; the outcome itself is
-/// left with the caller. Returns the retained cell and whether this call
-/// inserted it — on a concurrent double-miss the first insert wins (both
-/// computed bit-identical outcomes, so which copy is retained cannot
+/// Stores a finished reply. Returns the retained entry and whether this
+/// call inserted it — on a concurrent double-miss the first insert wins
+/// (both computed bit-identical replies, so which copy is retained cannot
 /// matter) and only the winner accounts its bytes.
 pub(crate) fn insert(
     key: SessionKey,
-    outcome: &Option<CellOutcome>,
+    query: &SessionQuery,
+    reply: Option<SessionReply>,
     metrics: Metrics,
-) -> (Arc<CachedCell>, bool) {
-    let packed = outcome.as_ref().map(|o| PackedCell {
-        trace: PackedTrace::pack(&o.trace),
-        logic: o.logic.clone(),
-        connections: o.connections,
-        connection_stats: o.connection_stats.clone(),
-        base_rtt: o.base_rtt,
-    });
-    let bytes = approx_bytes(&packed);
-    let cell = Arc::new(CachedCell {
-        packed,
-        metrics,
-        bytes,
-    });
-    let mut map = store().lock().expect("session cache poisoned");
-    match map.entry(key) {
-        std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(cell.clone());
-            (cell, true)
-        }
-    }
-}
-
-fn approx_bytes(packed: &Option<PackedCell>) -> u64 {
-    let fixed = std::mem::size_of::<CachedCell>() as u64;
-    match packed {
-        None => fixed,
-        Some(p) => {
-            fixed
-                + p.trace.packed_bytes() as u64
-                + (p.connection_stats.len()
-                    * std::mem::size_of::<(EndpointStats, EndpointStats)>()) as u64
+) -> (Arc<CachedReply>, bool) {
+    let bytes =
+        (size_of::<CachedReply>() + reply.as_ref().map_or(0, SessionReply::heap_bytes)) as u64;
+    match store().entry((key, query.clone())) {
+        Entry::Occupied(e) => (e.get().clone(), false),
+        Entry::Vacant(e) => {
+            let cell = Arc::new(CachedReply {
+                reply,
+                metrics,
+                bytes,
+            });
+            (e.insert(cell).clone(), true)
         }
     }
 }

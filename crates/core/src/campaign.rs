@@ -613,12 +613,8 @@ fn compute_shard(
     query: &SessionQuery,
 ) -> Reduction {
     let specs: Vec<SessionSpec> = (start..end).map(|i| spec.session_spec(i)).collect();
-    let lites: Vec<Option<SessionLite>> = batch_resolve(
-        &specs,
-        jobs,
-        |s, scratch| s.obtain_reply(scratch, query),
-        |_, reply: &SessionReply| SessionLite::of(reply),
-    );
+    let lites: Vec<Option<SessionLite>> =
+        batch_resolve(&specs, jobs, query, |_, reply| SessionLite::of(reply));
     let mut r = Reduction::new(spec.horizon_bins());
     for (j, lite) in lites.into_iter().enumerate() {
         let lite = lite.expect("campaign cells are always applicable");

@@ -5,8 +5,8 @@ use vstream_analysis::Cdf;
 use vstream_net::NetworkProfile;
 use vstream_workload::{Client, Container, Dataset};
 
-use crate::figures::cell_specs;
-use crate::query::{query_many, SessionQuery};
+use crate::figures::{cell_query, cell_specs};
+use crate::query::query_many;
 use crate::report::{FigureData, Series};
 use crate::session::SessionSpec;
 
@@ -25,9 +25,8 @@ fn steady_state_samples(
     seed: u64,
     n: usize,
 ) -> (Vec<f64>, Vec<f64>) {
-    let query = SessionQuery::default().onoff().phases();
     let specs: Vec<SessionSpec> = cell_specs(client, container, dataset, profile, seed, n);
-    let per_session = query_many(&specs, &query);
+    let per_session = query_many(&specs, &cell_query());
     let mut blocks = Vec::new();
     let mut ratios = Vec::new();
     for (i, reply) in per_session.into_iter().enumerate() {
@@ -164,7 +163,6 @@ pub fn fig6b_long_blocks(seed: u64, n: usize) -> FigureData {
 /// Fig. 7(b): iPad mean block size vs encoding rate — the block grows with
 /// the rate.
 pub fn fig7b_ipad_block_vs_rate(seed: u64, n: usize) -> FigureData {
-    let query = SessionQuery::default().onoff();
     let specs: Vec<SessionSpec> = cell_specs(
         Client::Ipad,
         Container::Html5,
@@ -173,7 +171,7 @@ pub fn fig7b_ipad_block_vs_rate(seed: u64, n: usize) -> FigureData {
         seed,
         n,
     );
-    let mut points: Vec<(f64, f64)> = query_many(&specs, &query)
+    let mut points: Vec<(f64, f64)> = query_many(&specs, &cell_query())
         .into_iter()
         .enumerate()
         .filter_map(|(i, reply)| {

@@ -4,8 +4,8 @@ use vstream_analysis::{pearson_correlation, Cdf, SessionPhases};
 use vstream_net::NetworkProfile;
 use vstream_workload::{Client, Container, Dataset};
 
-use crate::figures::cell_specs;
-use crate::query::{query_many, SessionQuery};
+use crate::figures::{cell_query, cell_specs};
+use crate::query::query_many;
 use crate::report::{FigureData, Series};
 use crate::session::SessionSpec;
 
@@ -24,9 +24,8 @@ fn phase_samples(
     seed: u64,
     n: usize,
 ) -> Vec<(f64, SessionPhases)> {
-    let query = SessionQuery::default().phases();
     let specs: Vec<SessionSpec> = cell_specs(client, container, dataset, profile, seed, n);
-    query_many(&specs, &query)
+    query_many(&specs, &cell_query())
         .into_iter()
         .enumerate()
         .filter_map(|(i, reply)| {
@@ -114,7 +113,7 @@ pub fn fig3b_html5_buffering(seed: u64, n: usize) -> (FigureData, f64) {
 /// Fig. 11: Netflix buffering amounts — PC (Academic and Home) and iPad
 /// (Academic) in (a), Android (Academic) in (b).
 pub fn fig11_netflix_buffering(seed: u64, n: usize) -> (FigureData, FigureData) {
-    let query = SessionQuery::default().phases();
+    let query = cell_query();
     let buffering_cdf = |client: Client, profile: NetworkProfile| -> Vec<(f64, f64)> {
         let specs: Vec<SessionSpec> =
             cell_specs(client, Container::Silverlight, Dataset::NetPc, profile, seed, n);

@@ -23,9 +23,8 @@
 //!   observer would reconstruct from per-connection byte totals alone.
 //!
 //! Everything resolves through [`query_many`], so the sweep is one parallel
-//! batch and the numbers are byte-identical across `--jobs`, `--streaming`
-//! on/off, and cache on/off (the cross-traffic shape is part of the session
-//! cache key).
+//! batch and the numbers are byte-identical across `--jobs` and cache
+//! on/off (the cross-traffic shape is part of the session cache key).
 
 use vstream_app::strategies::AbrConfig;
 use vstream_net::{LrdCrossConfig, NetworkProfile};

@@ -11,10 +11,11 @@
 //! 4. higher moments of the aggregate traffic (the §6.1 footnote that the
 //!    strategy-independence result extends beyond the variance).
 
-use vstream_analysis::{classify, AnalysisConfig, Cdf, OnOffAnalysis, SessionPhases};
+use vstream_analysis::{classify_analysis, AnalysisConfig, AnalysisFold, Cdf, ThroughputFold};
 use vstream_app::engine::Engine;
 use vstream_app::strategies::{ServerPacedConfig, ServerPacedLogic};
 use vstream_app::{CrossTraffic, SessionLogic, Video};
+use vstream_capture::NullSink;
 use vstream_model::{FluidSim, FluidStrategy, PopulationModel};
 use vstream_net::{DuplexPath, LinkConfig, LossModel, NetworkProfile};
 use vstream_sim::{derive_seed, par_indexed, SimDuration, SimRng};
@@ -91,7 +92,7 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
             mean_burst_bytes: 1_200_000,
         });
         let mut logic = ServerPacedLogic::new(cfg, video);
-        eng.run(&mut logic);
+        eng.run_observed(&mut logic, &mut NullSink, false);
         let stall_secs = logic.player.stats().stall_time.as_secs_f64();
         crate::figures::retire_engine(eng);
         stall_secs
@@ -222,7 +223,7 @@ fn bulk_transfer_time(seed: u64, loss: LossModel, sack: bool, congestion: CcAlgo
             .with_sack(sack)
             .with_congestion(congestion),
     };
-    eng.run(&mut logic);
+    eng.run_observed(&mut logic, &mut NullSink, false);
     crate::figures::retire_engine(eng);
     logic.done_at.unwrap_or(600.0)
 }
@@ -256,18 +257,19 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
                 .with_recv_buffer(4 << 20)
                 .with_congestion(algo),
         };
-        eng.run(&mut logic);
-        let analysis = OnOffAnalysis::from_trace(eng.trace(), &cfg);
-        let blocks = analysis.steady_state_block_sizes();
+        let mut fold = AnalysisFold::new(cfg.clone()).with_phases();
+        eng.run_observed(&mut logic, &mut fold, false);
+        crate::figures::retire_engine(eng);
+        let analysis = fold.finish();
+        let blocks = analysis.onoff.steady_state_block_sizes();
         let median_block = if blocks.is_empty() {
             0.0
         } else {
             Cdf::new(blocks.iter().map(|&b| b as f64).collect()).median()
         };
-        let phases = SessionPhases::from_trace(eng.trace(), &cfg);
+        let phases = analysis.phases.expect("phases requested");
         let k = phases.accumulation_ratio(1e6).unwrap_or(f64::NAN);
-        let strategy = classify(eng.trace(), &cfg);
-        crate::figures::retire_engine(eng);
+        let strategy = classify_analysis(&analysis.onoff, &cfg);
         vec![
             name.to_string(),
             format!("{:.0}", median_block / 1e3),
@@ -381,14 +383,14 @@ pub fn ext_aggregate_packet_level(seed: u64, n_sessions: usize, window_secs: f64
                 SimDuration::from_secs_f64(l + 60.0),
             );
             let mut logic = BulkLogic::new(video);
-            eng.run(&mut logic);
-            let series: Vec<(f64, f64)> = eng
-                .trace()
-                .throughput_timeline(bin)
+            let mut fold = ThroughputFold::new(bin);
+            eng.run_observed(&mut logic, &mut fold, false);
+            crate::figures::retire_engine(eng);
+            let series: Vec<(f64, f64)> = fold
+                .finish()
                 .into_iter()
                 .map(|(t, bps)| (t.as_secs_f64(), bps))
                 .collect();
-            crate::figures::retire_engine(eng);
             (offset, series)
         });
 

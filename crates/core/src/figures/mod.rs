@@ -34,6 +34,7 @@ use vstream_net::NetworkProfile;
 use vstream_sim::{derive_seed, SimDuration, SimTime};
 use vstream_workload::{Client, Container, Dataset};
 
+use crate::query::SessionQuery;
 use crate::session::SessionSpec;
 
 /// The paper's capture duration per video (§4.2).
@@ -81,6 +82,16 @@ pub(crate) fn cell_specs(
             .shared()
         })
         .collect()
+}
+
+/// The one question every driver asks of a [`cell_specs`] sample: cycles
+/// and phases. The [session cache](crate::cache) keys on the query as well
+/// as the spec, so a driver asking for a subset would miss on cells another
+/// figure already resolved; asking for both costs nothing extra, since the
+/// analysis fold runs one cycle detector and closes into both answers
+/// whichever is requested.
+pub(crate) fn cell_query() -> SessionQuery {
+    SessionQuery::default().onoff().phases()
 }
 
 /// Downsamples a cumulative byte series to megabyte points on a time grid,

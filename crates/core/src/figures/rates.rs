@@ -1,7 +1,7 @@
 //! Fig. 8 (bulk download rate vs encoding rate) and Fig. 9 (the ack-clock
 //! test).
 
-use vstream_analysis::{first_rtt_bytes, pearson_correlation, AnalysisConfig, Cdf};
+use vstream_analysis::{pearson_correlation, AnalysisConfig, AnalysisFold, Cdf};
 use vstream_net::NetworkProfile;
 use vstream_sim::derive_seed;
 use vstream_workload::{Client, Container, Dataset};
@@ -158,9 +158,10 @@ pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
             inner: ServerPacedLogic::new(ServerPacedConfig::default(), long_video(1, 1_000_000)),
             idle_reset,
         };
-        eng.run(&mut logic);
-        let samples = first_rtt_bytes(eng.trace(), &cfg, eng.base_rtt());
+        let mut fold = AnalysisFold::new(cfg.clone()).with_ack_clock(eng.base_rtt());
+        eng.run_observed(&mut logic, &mut fold, false);
         crate::figures::retire_engine(eng);
+        let samples = fold.finish().first_rtt_bytes.expect("ack clock requested");
         let kb: Vec<f64> = samples.iter().map(|&b| b as f64 / 1e3).collect();
         if kb.is_empty() {
             return 0.0;

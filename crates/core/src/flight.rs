@@ -15,11 +15,10 @@
 //! File names are derived from the session's identity (client, container,
 //! profile, video, seed, capture, watch time), never from execution
 //! context, and a session's event stream is a pure function of its spec —
-//! so the dump *set and bytes* are deterministic across `--jobs`, cache
-//! on/off, and `--streaming` on/off. Cache hits replay packed packets
-//! without re-running the engine, so they record no events and never
-//! rewrite a file (the miss that populated the cell already dumped the
-//! identical bytes).
+//! so the dump *set and bytes* are deterministic across `--jobs` and cache
+//! on/off. Cache hits clone a stored reply without re-running the engine,
+//! so they record no events and never rewrite a file (the miss that
+//! populated the entry already dumped the identical bytes).
 //!
 //! With `--trace-anomalies` only sessions tripping [`is_anomalous`] are
 //! written: a completed stall beyond [`ANOMALY_STALL_NS`] or at least

@@ -44,13 +44,15 @@
 //!
 //! The [`figures`] module regenerates every figure and table of the paper's
 //! evaluation, fanning each figure's independent sessions out across cores
-//! through [`session::run_many`] (see `--jobs` on the `repro` binary; output
-//! is byte-identical for any worker count). Because figures revisit the
-//! same (client, container, video, profile) cells, the [`cache`] module
-//! memoizes completed sessions across figures within a run — sessions are
-//! pure functions of their spec, so cached output is byte-identical too
-//! (see `--no-cache`). The `vstream-bench` crate wraps the figures in
-//! benchmarks and the `repro` binary.
+//! through [`query::query_many`] (see `--jobs` on the `repro` binary; output
+//! is byte-identical for any worker count): analysis folds ride each
+//! session's live packet tap, so no figure retains a packet trace. Because
+//! figures revisit the same (client, container, video, profile) cells, the
+//! [`cache`] module memoizes finished replies across figures within a run —
+//! sessions are pure functions of their spec, so cached output is
+//! byte-identical too (see `--no-cache`). [`session::run_many`] is the
+//! trace-retaining twin for consumers of raw packets. The `vstream-bench`
+//! crate wraps the figures in benchmarks and the `repro` binary.
 
 pub mod cache;
 pub mod campaign;
@@ -66,10 +68,7 @@ pub use campaign::{
     run_campaign, CampaignOptions, CampaignReport, CampaignSpec, CampaignStrategy,
 };
 pub use qoe::{QoeRow, QoeSummary};
-pub use query::{
-    query_many, query_many_jobs, set_streaming, streaming_enabled, SessionAnswer, SessionQuery,
-    SessionReply,
-};
+pub use query::{query_many, query_many_jobs, SessionAnswer, SessionQuery, SessionReply};
 pub use session::{
     default_jobs, map_many, run_cell, run_many, run_many_jobs, set_default_jobs, CellOutcome,
     SessionScratch, SessionSpec,
@@ -77,9 +76,7 @@ pub use session::{
 
 /// The most common imports for driving experiments.
 pub mod prelude {
-    pub use crate::query::{
-        query_many, query_many_jobs, set_streaming, SessionQuery, SessionReply,
-    };
+    pub use crate::query::{query_many, query_many_jobs, SessionQuery, SessionReply};
     pub use crate::report::{FigureData, Series, TableData};
     pub use crate::session::{
         map_many, run_cell, run_many, run_many_jobs, set_default_jobs, CellOutcome,

@@ -7,10 +7,10 @@
 //! figure and spec identity.
 //!
 //! Determinism is the design constraint. A row is a pure function of the
-//! session's [`SessionSpec`] and its post-run [`StrategyLogic`] — the one
-//! resolver product that survives **every** resolution path (batch replay,
-//! streaming tap, cache hit, cache miss), so the table is byte-identical
-//! across `--jobs`, cache on/off, and `--streaming` on/off. Rows are
+//! session's [`SessionSpec`] and its post-run [`StrategyLogic`], which
+//! every [`SessionReply`](crate::query::SessionReply) carries whether it
+//! was just computed or cloned from the cache, so the table is
+//! byte-identical across `--jobs` and cache on/off. Rows are
 //! computed inside the batch fan-out but pushed to the collector in
 //! ascending spec order after the scatter, so worker completion order
 //! never shows. All numeric formatting is integer-only (microsecond-based

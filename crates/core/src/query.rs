@@ -3,26 +3,23 @@
 //! A [`SessionQuery`] names the reductions a driver needs — download
 //! series, receive-window series, ON/OFF analysis, phase decomposition,
 //! ack-clock samples, capture totals — and [`query_many`] resolves a batch
-//! of specs into [`SessionReply`]s carrying exactly those features. Both
-//! execution modes compute every feature through the same incremental fold
-//! operators ([`vstream_analysis::fold`]):
+//! of specs into [`SessionReply`]s carrying exactly those features.
 //!
-//! * **batch** (default): sessions retain their [`Trace`] as before and the
-//!   capture is replayed through the composite fold after the run;
-//! * **streaming** ([`set_streaming`], the `repro` binary's `--streaming`):
-//!   the fold rides the engine's live packet tap
-//!   ([`Engine::run_observed`](vstream_app::engine::Engine::run_observed)),
-//!   and no `Trace` is materialised at all for uncached sessions — cache
-//!   misses fold on the fly (keeping the trace transiently, only to pack
-//!   it), and cache hits replay the packed columns through the same sink.
+//! There is one resolution path: the query's incremental folds
+//! ([`vstream_analysis::fold`]) ride the engine's live packet tap
+//! ([`Engine::run_observed`](vstream_app::engine::Engine::run_observed))
+//! and the session never materialises a [`Trace`](vstream_capture::Trace).
+//! Peak analysis memory is O(flows + figure points) fold state (the
+//! `peak_flowstate_bytes` ledger gauge; `peak_trace_bytes` reads 0), and a
+//! finished reply is small enough for the [session cache](crate::cache) to
+//! retain as it is, keyed by the spec *and* the query.
 //!
-//! Because the folds are shared, a figure's output is byte-identical across
-//! the two modes by construction (`scripts/ci.sh` diffs the full CSV trees
-//! to hold this); the modes differ only in peak memory — O(packets) trace
-//! columns versus O(flows + figure points) fold state, the
-//! `peak_trace_bytes` / `peak_flowstate_bytes` ledger gauges.
+//! Callers that need raw packets (pcap export, trace inspection) use
+//! [`SessionSpec::run`] instead; [`reply_from_outcome`] replays such a
+//! retained trace through the same folds and is the oracle the test suites
+//! hold the live tap against.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::mem::size_of_val;
 
 use vstream_analysis::{
     AnalysisConfig, AnalysisFold, CaptureTotals, DownloadFold, OnOffAnalysis, SessionPhases,
@@ -30,31 +27,17 @@ use vstream_analysis::{
 };
 use vstream_app::PlayerStats;
 use vstream_capture::{ConnectionSummary, PacketSink, TapPacket};
-use vstream_obs::{Gauge, Metrics};
 use vstream_sim::{SimDuration, SimTime};
 use vstream_tcp::EndpointStats;
 use vstream_workload::StrategyLogic;
 
 use crate::session::{default_jobs, CellOutcome, SessionSpec};
 
-/// Whether batch resolution streams sessions through live folds instead of
-/// retaining traces. Results do not depend on this flag — only peak memory
-/// does (the determinism suite diffs both settings).
-static STREAMING: AtomicBool = AtomicBool::new(false);
-
-/// Switches the figure drivers between trace-retaining batch mode (`false`,
-/// the default) and trace-free streaming mode (`true`).
-pub fn set_streaming(on: bool) {
-    STREAMING.store(on, Ordering::Relaxed);
-}
-
-/// True while streaming mode is on.
-pub fn streaming_enabled() -> bool {
-    STREAMING.load(Ordering::Relaxed)
-}
-
 /// The features a figure driver wants from each session.
-#[derive(Clone, Debug)]
+///
+/// Every field is an integer or a flag, so equality is exact and the query
+/// is (half of) the [session cache](crate::cache)'s key.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct SessionQuery {
     /// Downsampled cumulative-download series at this grid step.
     pub download_step: Option<SimDuration>,
@@ -77,9 +60,7 @@ pub struct SessionQuery {
     /// Unlike every other feature this is not a packet fold: QoE is an
     /// application-layer reduction of the player's unconditional
     /// statistics ([`crate::qoe::QoeSummary::of`]), filled at reply
-    /// assembly from the session's strategy logic. It rides the same
-    /// every-path plumbing (batch replay, streaming tap, cache hit/miss),
-    /// so the answer is byte-identical across modes all the same.
+    /// assembly from the session's strategy logic.
     pub qoe: bool,
     /// Wire-side bitrate-switch estimate against this segment ladder (the
     /// `ext-qoe` table's cross-check of the client's own switch counter).
@@ -91,30 +72,12 @@ pub struct SessionQuery {
 /// Parameters of the wire-side switch-rate estimate: the ABR client's
 /// segment ladder and playback length, which [`SwitchRateFold`] needs to
 /// classify connections to rungs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SwitchRateQuery {
     /// Available encoding rates in bits per second, ascending.
     pub ladder: Vec<u64>,
     /// Playback milliseconds per segment.
     pub segment_ms: u64,
-}
-
-impl Default for SessionQuery {
-    fn default() -> Self {
-        SessionQuery {
-            download_step: None,
-            window_conn: None,
-            throughput_bin: None,
-            onoff: false,
-            phases: false,
-            ack_clock: false,
-            summaries: false,
-            totals: false,
-            qoe: false,
-            switch_rate: None,
-            config: AnalysisConfig::default(),
-        }
-    }
 }
 
 impl SessionQuery {
@@ -240,11 +203,40 @@ impl SessionReply {
     pub fn player_stats(&self) -> PlayerStats {
         self.logic.player().stats()
     }
-}
 
-impl crate::session::HasLogic for SessionReply {
-    fn strategy_logic(&self) -> &StrategyLogic {
-        &self.logic
+    /// Approximate heap bytes behind the reply: the feature vectors and
+    /// the per-connection statistics (what the session cache accounts per
+    /// entry, on top of the entry itself).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn heap<T>(v: &Option<Vec<T>>) -> usize {
+            v.as_deref().map_or(0, size_of_val)
+        }
+        let a = &self.answer;
+        heap(&a.download_mb)
+            + heap(&a.window_series)
+            + heap(&a.throughput)
+            + heap(&a.first_rtt_bytes)
+            + heap(&a.summaries)
+            + a.onoff.as_ref().map_or(0, |o| {
+                size_of_val(&o.cycles[..]) + size_of_val(&o.off_periods[..])
+            })
+            + size_of_val(&self.connection_stats[..])
+    }
+
+    /// Closes `fold` over a finished session: the fold's answer (plus the
+    /// QoE summary when `query` asks) and the outcome's non-trace fields.
+    pub(crate) fn assemble(fold: CompositeFold, query: &SessionQuery, out: CellOutcome) -> Self {
+        let mut answer = fold.finish();
+        if query.qoe {
+            answer.qoe = Some(crate::qoe::QoeSummary::of(&out.logic));
+        }
+        SessionReply {
+            answer,
+            logic: out.logic,
+            connections: out.connections,
+            connection_stats: out.connection_stats,
+            base_rtt: out.base_rtt,
+        }
     }
 }
 
@@ -254,9 +246,13 @@ pub(crate) struct CompositeFold {
     window: Option<WindowFold>,
     throughput: Option<ThroughputFold>,
     analysis: Option<AnalysisFold>,
+    /// Whether the answer carries the cycle analysis itself (the analysis
+    /// fold also runs for phases or ack-clock alone).
+    onoff: bool,
     summaries: Option<SummariesFold>,
     totals: Option<TotalsFold>,
-    switch_rate: Option<SwitchRateFold>,
+    /// The fold with the ladder it classifies against at `finish`.
+    switch_rate: Option<(SwitchRateFold, SwitchRateQuery)>,
 }
 
 impl CompositeFold {
@@ -278,9 +274,13 @@ impl CompositeFold {
             window: query.window_conn.map(WindowFold::new),
             throughput: query.throughput_bin.map(ThroughputFold::new),
             analysis,
+            onoff: query.onoff,
             summaries: query.summaries.then(SummariesFold::new),
             totals: query.totals.then(TotalsFold::new),
-            switch_rate: query.switch_rate.as_ref().map(|_| SwitchRateFold::new()),
+            switch_rate: query
+                .switch_rate
+                .as_ref()
+                .map(|q| (SwitchRateFold::new(), q.clone())),
         }
     }
 
@@ -293,14 +293,16 @@ impl CompositeFold {
             + self.analysis.as_ref().map_or(0, AnalysisFold::approx_bytes)
             + self.summaries.as_ref().map_or(0, SummariesFold::approx_bytes)
             + self.totals.as_ref().map_or(0, TotalsFold::approx_bytes)
-            + self.switch_rate.as_ref().map_or(0, SwitchRateFold::approx_bytes)
+            + self.switch_rate.as_ref().map_or(0, |(f, _)| f.approx_bytes())
     }
 
-    /// Closes every fold into the answer.
-    pub(crate) fn finish(self, query: &SessionQuery) -> SessionAnswer {
+    /// Closes every fold into the answer. `qoe` stays `None`: it is not a
+    /// packet fold — [`SessionReply::assemble`] fills it from the session's
+    /// strategy logic when the query asks.
+    fn finish(self) -> SessionAnswer {
         let analysis = self.analysis.map(AnalysisFold::finish);
         let (onoff, phases, first_rtt_bytes) = match analysis {
-            Some(a) => (query.onoff.then_some(a.onoff), a.phases, a.first_rtt_bytes),
+            Some(a) => (self.onoff.then_some(a.onoff), a.phases, a.first_rtt_bytes),
             None => (None, None, None),
         };
         SessionAnswer {
@@ -312,16 +314,10 @@ impl CompositeFold {
             first_rtt_bytes,
             summaries: self.summaries.map(SummariesFold::finish),
             totals: self.totals.map(TotalsFold::finish),
-            // Not a packet fold — the reply assembler fills it from the
-            // session's strategy logic when the query asks.
             qoe: None,
-            switch_counts: self.switch_rate.map(|f| {
-                let q = query
-                    .switch_rate
-                    .as_ref()
-                    .expect("the fold exists only when the query asked");
-                f.finish(&q.ladder, q.segment_ms)
-            }),
+            switch_counts: self
+                .switch_rate
+                .map(|(f, q)| f.finish(&q.ladder, q.segment_ms)),
         }
     }
 }
@@ -346,44 +342,28 @@ impl PacketSink for CompositeFold {
         if let Some(f) = &mut self.totals {
             f.packet(p);
         }
-        if let Some(f) = &mut self.switch_rate {
+        if let Some((f, _)) = &mut self.switch_rate {
             f.packet(p);
         }
     }
 }
 
-/// Folds a completed batch-mode outcome into a reply by replaying its
-/// retained trace through the same composite fold the streaming mode runs
-/// live — the construction that makes the two modes byte-identical.
-pub(crate) fn reply_from_outcome(
-    out: &CellOutcome,
-    query: &SessionQuery,
-    metrics: &mut Metrics,
-) -> SessionReply {
+/// The oracle the test suites hold [`query_many`] against: replays the
+/// trace a [`SessionSpec::run`] retained through the same folds the
+/// production path runs on the live tap. Nothing in the figure drivers
+/// calls this — the live tap never has a trace to replay.
+pub fn reply_from_outcome(out: CellOutcome, query: &SessionQuery) -> SessionReply {
     let mut fold = CompositeFold::new(query, out.base_rtt);
     out.trace.replay(&mut fold);
-    metrics.gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
-    let mut answer = fold.finish(query);
-    if query.qoe {
-        answer.qoe = Some(crate::qoe::QoeSummary::of(&out.logic));
-    }
-    SessionReply {
-        answer,
-        logic: out.logic.clone(),
-        connections: out.connections,
-        connection_stats: out.connection_stats.clone(),
-        base_rtt: out.base_rtt,
-    }
+    SessionReply::assemble(fold, query, out)
 }
 
 /// Resolves every spec into the queried features, up to
 /// [`default_jobs`](crate::session::default_jobs) sessions in parallel,
 /// ordered by spec index. `None` marks inapplicable Table 1 cells.
 ///
-/// This is [`run_many`](crate::session::run_many) with the trace factored
-/// out: the reply carries features and the small outcome fields only, so
-/// peak memory per worker is the fold state (streaming mode) or one
-/// transient trace (batch mode), never one trace per session.
+/// The reply carries features and the small outcome fields only, so peak
+/// memory per worker is the fold state, never a trace.
 pub fn query_many(specs: &[SessionSpec], query: &SessionQuery) -> Vec<Option<SessionReply>> {
     query_many_jobs(specs, default_jobs(), query)
 }
@@ -394,10 +374,5 @@ pub fn query_many_jobs(
     jobs: usize,
     query: &SessionQuery,
 ) -> Vec<Option<SessionReply>> {
-    crate::session::batch_resolve(
-        specs,
-        jobs,
-        |spec, scratch| spec.obtain_reply(scratch, query),
-        |_, reply: &SessionReply| reply.clone(),
-    )
+    crate::session::batch_resolve(specs, jobs, query, |_, reply| reply.clone())
 }

@@ -2,13 +2,20 @@
 //! parallel batch.
 //!
 //! Each session is an independent single-threaded deterministic simulation
-//! fully described by a [`SessionSpec`]. The batch entry points
-//! ([`run_many`], [`map_many`]) fan a slice of specs out across a worker
-//! pool and return results **ordered by spec index**, so the output of a
-//! batch is byte-identical for any worker count. The invariant callers must
-//! hold up in exchange: a spec's `seed` must be a function of the session's
-//! identity (use [`vstream_sim::derive_seed`]), never drawn from a shared
-//! RNG while iterating.
+//! fully described by a [`SessionSpec`]. The batch entry points fan a slice
+//! of specs out across a worker pool and return results **ordered by spec
+//! index**, so the output of a batch is byte-identical for any worker count.
+//! The invariant callers must hold up in exchange: a spec's `seed` must be a
+//! function of the session's identity (use [`vstream_sim::derive_seed`]),
+//! never drawn from a shared RNG while iterating.
+//!
+//! Two families of entry points. [`query_many`](crate::query::query_many)
+//! (through [`batch_resolve`]) is what the figure drivers use: analysis
+//! folds on the live packet tap, no trace, replies memoized by the
+//! [session cache](crate::cache). [`SessionSpec::run`], [`run_many`] and
+//! [`map_many`] retain the packet [`Trace`] for consumers of raw packets
+//! (pcap export, trace inspection, test oracles); they always simulate and
+//! never touch the cache.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,7 +32,7 @@ use vstream_tcp::EndpointStats;
 use vstream_workload::{logic_for, Client, Container, StrategyLogic};
 
 use crate::cache;
-use crate::query::{self, CompositeFold, SessionQuery, SessionReply};
+use crate::query::{CompositeFold, SessionQuery, SessionReply};
 use crate::{flight, qoe};
 
 /// Worker count used by the figure/table drivers; `0` selects the host's
@@ -67,11 +74,11 @@ pub struct SessionSpec {
     /// downlink for the whole session (the `ext-qoe` load sweeps). Part of
     /// the cache key: the aggregate changes every packet arrival time.
     pub cross: Option<LrdCrossConfig>,
-    /// Opts this spec into [session cache](crate::cache) retention. Set by
-    /// [`SessionSpec::shared`] for the cross-figure cell stream
-    /// (`figures::cell_specs`); one-off sessions leave it false so the
-    /// cache never retains memory no later driver reads. Not part of the
-    /// cache key — it changes where the result lives, never what it is.
+    /// Opts this spec's query replies into [session cache](crate::cache)
+    /// retention. Set by [`SessionSpec::shared`] for the cross-figure cell
+    /// stream (`figures::cell_specs`); one-off sessions leave it false so
+    /// the cache never retains memory no later driver reads. Not part of
+    /// the cache key — it changes where the result lives, never what it is.
     pub shared: bool,
 }
 
@@ -114,16 +121,18 @@ impl SessionSpec {
     }
 
     /// Marks the session as shared across figure drivers: while the
-    /// [session cache](crate::cache) is installed, its outcome is retained
-    /// (packed) after the first run and later requests decode it instead of
-    /// re-simulating.
+    /// [session cache](crate::cache) is installed, the reply to each query
+    /// asked of it is retained and a later identical request clones it
+    /// instead of re-simulating.
     pub fn shared(mut self) -> Self {
         self.shared = true;
         self
     }
 
-    /// Runs the session. `None` for inapplicable Table 1 cells (mobile
-    /// clients have no Flash).
+    /// Runs the session, retaining its packet trace. `None` for
+    /// inapplicable Table 1 cells (mobile clients have no Flash). Always
+    /// simulates: the [session cache](crate::cache) stores query replies,
+    /// not traces.
     pub fn run(&self) -> Option<CellOutcome> {
         let mut scratch = self.fresh_scratch();
         let out = self.run_with_scratch(&mut scratch);
@@ -135,229 +144,156 @@ impl SessionSpec {
     /// [`SessionScratch`] so back-to-back sessions skip their warm-up
     /// allocations. The outcome is bit-identical to [`SessionSpec::run`] —
     /// scratch carries capacity, never state.
-    ///
-    /// While the [session cache](crate::cache) is installed and the spec is
-    /// [`shared`](SessionSpec::shared), the engine runs only on the first
-    /// request for this spec; later requests decode the retained packed
-    /// copy (sessions are pure functions of their spec, so the decode is
-    /// bit-identical to a re-run).
     pub fn run_with_scratch(&self, scratch: &mut SessionScratch) -> Option<CellOutcome> {
-        self.obtain(scratch).0
+        self.simulate(scratch, None)
     }
 
-    /// The engine path: always simulates, never consults the cache.
+    /// The engine path. With a `tap`, every emitted packet is pushed into
+    /// it as the simulation runs, the session never allocates trace columns
+    /// and the returned outcome carries an empty [`Trace`]; without one the
+    /// capture is retained.
     ///
-    /// This (and its streamed twin below) is where the flight recorder
-    /// brackets a session: a fresh per-session event ring before the
-    /// engine, a dump decision after. Cache hits never reach here, so they
-    /// record no events and never rewrite a dump — the miss that populated
-    /// the cell already wrote the identical bytes.
-    fn run_uncached(&self, scratch: &mut SessionScratch) -> Option<CellOutcome> {
-        let logic = logic_for(self.client, self.container, self.video)?;
-        let bracket = flight::session_begin();
-        let out = finish(
-            self.profile,
-            self.seed,
-            self.capture,
-            logic,
-            self.watch_time,
-            self.cross,
-            scratch,
-            None,
-        );
-        if bracket {
-            flight::session_end(self, &out);
-        }
-        Some(out)
-    }
-
-    /// The engine path with a live packet tap: every emitted packet is
-    /// pushed into `sink` as the simulation runs. With `keep_trace` off the
-    /// session never allocates trace columns and the returned outcome
-    /// carries an empty [`Trace`]; with it on, the capture is retained *in
-    /// addition* to being streamed (the cache-miss path, which still needs
-    /// the trace to pack).
-    fn run_uncached_streamed(
+    /// This is where the flight recorder brackets a session: a fresh
+    /// per-session event ring before the engine, a dump decision after.
+    /// Cache hits never reach here, so they record no events and never
+    /// rewrite a dump — the miss that populated the entry already wrote the
+    /// identical bytes.
+    fn simulate(
         &self,
         scratch: &mut SessionScratch,
-        sink: &mut dyn PacketSink,
-        keep_trace: bool,
+        tap: Option<&mut dyn PacketSink>,
     ) -> Option<CellOutcome> {
         let logic = logic_for(self.client, self.container, self.video)?;
         let bracket = flight::session_begin();
-        let out = finish(
-            self.profile,
+        let mut eng = Engine::with_scratch(
+            self.profile.build_path(),
             self.seed,
             self.capture,
-            logic,
-            self.watch_time,
-            self.cross,
-            scratch,
-            Some((sink, keep_trace)),
+            std::mem::take(scratch),
         );
+        if let Some(cfg) = self.cross {
+            eng.set_lrd_cross_traffic(cfg, self.seed);
+        }
+        let logic = match self.watch_time {
+            Some(w) => {
+                let mut wrapped = InterruptAfter::new(logic, w);
+                match tap {
+                    Some(sink) => eng.run_observed(&mut wrapped, sink, false),
+                    None => eng.run(&mut wrapped),
+                }
+                wrapped.inner
+            }
+            None => {
+                let mut logic = logic;
+                match tap {
+                    Some(sink) => eng.run_observed(&mut logic, sink, false),
+                    None => eng.run(&mut logic),
+                }
+                logic
+            }
+        };
+        let connections = eng.connection_count();
+        let connection_stats = (0..connections).map(|c| eng.connection_stats(c)).collect();
+        let base_rtt = eng.base_rtt();
+        // Per-profile attribution must read the queue before `into_parts`
+        // consumes the engine; the engine-level harvest happens inside it.
+        let obs_active = collector::is_active();
+        let (events_scheduled, wheel_spills) = if obs_active {
+            let q = eng.queue_stats();
+            (q.scheduled, q.spill_pushes)
+        } else {
+            (0, 0)
+        };
+        let (trace, recycled) = eng.into_parts();
+        *scratch = recycled;
+        if obs_active {
+            let m = scratch.metrics_mut();
+            let p = m.profile_mut(self.profile as usize);
+            p.sessions += 1;
+            p.events_scheduled += events_scheduled;
+            p.wheel_spills += wheel_spills;
+            let stats = logic.player().stats();
+            m.add(Counter::AppPlayerStalls, stats.stalls as u64);
+            m.merge_hist(HistId::AppStallMs, &stats.stall_hist);
+            if let Some(delay) = stats.startup_delay {
+                m.add(Counter::AppPlaybackStarted, 1);
+                m.record(HistId::AppStartupDelayMs, delay.as_nanos() / 1_000_000);
+            }
+            m.gauge_max(Gauge::AppPeakBufferBytes, stats.peak_buffer_bytes);
+            m.add(Counter::AppBlocks, logic.blocks());
+        }
+        let out = CellOutcome {
+            trace,
+            logic,
+            connections,
+            connection_stats,
+            base_rtt,
+        };
         if bracket {
             flight::session_end(self, &out);
         }
         Some(out)
     }
 
-    /// Resolves the session: the outcome, plus the retained cache cell when
-    /// this spec is cacheable (active cache and [`shared`](Self::shared)).
-    /// The engine runs exactly once per distinct cacheable spec per run; a
-    /// **miss** hands back the engine's own outcome (no copy — the retained
-    /// form is packed separately) and a **hit** decodes the packed copy
-    /// into fresh transient memory.
+    /// Resolves the session straight to the features `query` asks for: the
+    /// query's composite fold rides the engine's live packet tap, no trace
+    /// is ever allocated, and peak analysis state is the fold itself
+    /// (recorded under [`Gauge::PeakFlowstateBytes`]).
+    ///
+    /// When the spec is cacheable (active cache and
+    /// [`shared`](Self::shared)) the reply is memoized under
+    /// `(spec, query)`, so the engine runs once per distinct question per
+    /// run: a **miss** stores a copy of the reply it computed and a **hit**
+    /// clones the stored one. The retained entry is handed back so
+    /// [`batch_resolve`] can replay its metrics for in-batch duplicates.
     ///
     /// Metrics bookkeeping keeps a metered ledger independent of the cache
     /// configuration. On a miss, the engine run is bracketed by two
     /// registry takes so the session's exact metrics delta is captured and
-    /// stored with the cell; the taken registries are merged straight back
+    /// stored with the reply; the taken registries are merged straight back
     /// (merge is commutative, counters sum, gauges max), so the worker's
     /// registry ends up exactly as if nothing had been taken. On a hit,
     /// the stored delta is merged in as if the engine had run. The
     /// `cache_*` counters themselves are [`Counter::EXECUTION_DEPENDENT`],
     /// so byte-comparable ledgers (`VSTREAM_WALL=off`) zero them and
     /// cache-on vs `--no-cache` runs serialize identically.
-    fn obtain(
-        &self,
-        scratch: &mut SessionScratch,
-    ) -> (Option<CellOutcome>, Option<Arc<cache::CachedCell>>) {
-        if !cache::is_active() || !self.shared {
-            return (self.run_uncached(scratch), None);
-        }
-        let key = cache::key_of(self);
-        if let Some(cell) = cache::lookup(&key) {
-            let m = scratch.metrics_mut();
-            m.merge(&cell.metrics);
-            m.add(Counter::CacheHits, 1);
-            return (cell.unpack_outcome(), Some(cell));
-        }
-        let before = scratch.metrics_mut().take();
-        let out = self.run_uncached(scratch);
-        let delta = scratch.metrics_mut().take();
-        let m = scratch.metrics_mut();
-        m.merge(&before);
-        m.merge(&delta);
-        m.add(Counter::CacheMisses, 1);
-        let (cell, inserted) = cache::insert(key, &out, delta);
-        if inserted {
-            m.add(Counter::CacheBytesRetained, cell.bytes);
-        }
-        (out, Some(cell))
-    }
-
-    /// Resolves the session straight to the features a
-    /// [`SessionQuery`](crate::query::SessionQuery) asks for, never handing
-    /// a trace to the caller.
-    ///
-    /// In batch mode this is [`SessionSpec::obtain`] followed by a replay of
-    /// the retained trace through the query's composite fold. In streaming
-    /// mode ([`query::set_streaming`]) the fold rides the engine's live
-    /// packet tap instead:
-    ///
-    /// * **uncached** specs run with `keep_trace = false` — no trace columns
-    ///   are ever allocated, peak state is the fold itself;
-    /// * a cache **hit** replays the packed columns through a fresh fold
-    ///   without decoding them into a `Trace`;
-    /// * a cache **miss** streams the live tap into the fold while also
-    ///   retaining the trace, which exists only long enough to be packed
-    ///   into the store.
-    ///
-    /// Every path pushes the identical packet sequence through the identical
-    /// fold, so the reply is bit-equal across batch/streaming and across
-    /// cache hit/miss. The fold's peak footprint is recorded under
-    /// [`Gauge::PeakFlowstateBytes`] — outside the cache-miss metrics
-    /// bracket, so hits re-record their own (identical) value instead of
-    /// inheriting a stored one.
     pub(crate) fn obtain_reply(
         &self,
         scratch: &mut SessionScratch,
         query: &SessionQuery,
-    ) -> (Option<SessionReply>, Option<Arc<cache::CachedCell>>) {
-        if !query::streaming_enabled() {
-            let (out, cell) = self.obtain(scratch);
-            let reply =
-                out.map(|o| query::reply_from_outcome(&o, query, scratch.metrics_mut()));
-            return (reply, cell);
-        }
-        if !cache::is_active() || !self.shared {
-            let mut fold = CompositeFold::new(query, self.fold_rtt(query));
-            let out = self.run_uncached_streamed(scratch, &mut fold, false);
-            scratch
-                .metrics_mut()
-                .gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
-            let reply = out.map(|o| {
-                let mut answer = fold.finish(query);
-                if query.qoe {
-                    answer.qoe = Some(qoe::QoeSummary::of(&o.logic));
-                }
-                SessionReply {
-                    answer,
-                    logic: o.logic,
-                    connections: o.connections,
-                    connection_stats: o.connection_stats,
-                    base_rtt: o.base_rtt,
-                }
-            });
-            return (reply, None);
-        }
-        let key = cache::key_of(self);
-        if let Some(cell) = cache::lookup(&key) {
+    ) -> (Option<SessionReply>, Option<Arc<cache::CachedReply>>) {
+        let key = (cache::is_active() && self.shared).then(|| cache::key_of(self));
+        if let Some(cell) = key.as_ref().and_then(|k| cache::lookup(k, query)) {
             let m = scratch.metrics_mut();
             m.merge(&cell.metrics);
             m.add(Counter::CacheHits, 1);
-            let reply = cell.parts().map(|(logic, connections, connection_stats, base_rtt)| {
-                let mut fold = CompositeFold::new(query, base_rtt);
-                cell.replay_into(&mut fold);
-                scratch
-                    .metrics_mut()
-                    .gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
-                let mut answer = fold.finish(query);
-                if query.qoe {
-                    answer.qoe = Some(qoe::QoeSummary::of(&logic));
-                }
-                SessionReply {
-                    answer,
-                    logic,
-                    connections,
-                    connection_stats,
-                    base_rtt,
-                }
-            });
-            return (reply, Some(cell));
+            return (cell.reply.clone(), Some(cell));
         }
-        let before = scratch.metrics_mut().take();
+        let bracket = key.map(|k| (k, scratch.metrics_mut().take()));
         let mut fold = CompositeFold::new(query, self.fold_rtt(query));
-        let out = self.run_uncached_streamed(scratch, &mut fold, true);
+        let out = self.simulate(scratch, Some(&mut fold));
+        scratch
+            .metrics_mut()
+            .gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
+        let reply = out.map(|o| SessionReply::assemble(fold, query, o));
+        let Some((key, before)) = bracket else {
+            return (reply, None);
+        };
         let delta = scratch.metrics_mut().take();
         let m = scratch.metrics_mut();
         m.merge(&before);
         m.merge(&delta);
         m.add(Counter::CacheMisses, 1);
-        let (cell, inserted) = cache::insert(key, &out, delta);
+        let (cell, inserted) = cache::insert(key, query, reply.clone(), delta);
         if inserted {
             m.add(Counter::CacheBytesRetained, cell.bytes);
         }
-        m.gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
-        let reply = out.map(|o| {
-            let mut answer = fold.finish(query);
-            if query.qoe {
-                answer.qoe = Some(qoe::QoeSummary::of(&o.logic));
-            }
-            SessionReply {
-                answer,
-                logic: o.logic,
-                connections: o.connections,
-                connection_stats: o.connection_stats,
-                base_rtt: o.base_rtt,
-            }
-        });
         (reply, Some(cell))
     }
 
     /// The RTT the ack-clock fold is parameterised with. Reads the path
-    /// description directly (not a completed engine), so streaming sessions
-    /// can build their fold before the run; equals
+    /// description directly (not a completed engine), so the fold can be
+    /// built before the run; equals
     /// [`Engine::base_rtt`](vstream_app::engine::Engine) by construction.
     fn fold_rtt(&self, query: &SessionQuery) -> SimDuration {
         if query.ack_clock {
@@ -378,7 +314,7 @@ impl SessionSpec {
 }
 
 /// Runs every spec, up to [`default_jobs`] sessions in parallel, and returns
-/// the outcomes ordered by spec index.
+/// the outcomes — traces included — ordered by spec index.
 pub fn run_many(specs: &[SessionSpec]) -> Vec<Option<CellOutcome>> {
     run_many_jobs(specs, default_jobs())
 }
@@ -390,84 +326,68 @@ pub fn run_many(specs: &[SessionSpec]) -> Vec<Option<CellOutcome>> {
 /// warm-up allocations. Scratch reuse never changes results — the
 /// jobs-invariance test below and `scripts/check_determinism.sh` hold this.
 pub fn run_many_jobs(specs: &[SessionSpec], jobs: usize) -> Vec<Option<CellOutcome>> {
-    batch_cached(specs, jobs, |_, out| out.clone())
+    batch_run(specs, jobs, |_, out| out)
 }
 
 /// Runs every spec and reduces each outcome to `f(index, &outcome)` **inside
 /// the worker**, so a session's packet trace is dropped before the next
 /// session on that worker starts. Prefer this over [`run_many`] for large
 /// batches: it keeps peak memory at one trace per worker instead of one per
-/// session (the [session cache](crate::cache) retains only the *packed*
-/// form of shared specs, so this promise survives with the cache on).
+/// session.
 pub fn map_many<T, F>(specs: &[SessionSpec], f: F) -> Vec<Option<T>>
 where
     T: Send,
     F: Fn(usize, &CellOutcome) -> T + Sync,
 {
-    batch_cached(specs, default_jobs(), f)
+    batch_run(specs, default_jobs(), |i, out| f(i, &out))
 }
 
-/// The shared batch path: dedup before dispatch, reduce in-worker.
+/// The trace-retaining batch path: every spec simulates on a worker's
+/// scratch and is reduced in-worker.
+fn batch_run<T, F>(specs: &[SessionSpec], jobs: usize, f: F) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(usize, CellOutcome) -> T + Sync,
+{
+    exec::par_indexed_with_finish(
+        specs.len(),
+        jobs,
+        || batch_scratch(specs),
+        |scratch, i| specs[i].run_with_scratch(scratch).map(|out| f(i, out)),
+        |mut scratch| scratch.flush_metrics(),
+    )
+}
+
+/// The query batch path: dedup before dispatch, reduce in-worker.
 ///
 /// Duplicate cacheable specs within the batch are computed once —
 /// [`exec::dedup_by_key`] picks each distinct spec's first occurrence as
 /// its *leader*, only the leaders fan out across the worker pool (each
-/// resolving through [`SessionSpec::obtain`], so cross-figure hits
+/// resolving through [`SessionSpec::obtain_reply`], so cross-figure hits
 /// short-circuit too), and the worker that resolves a leader immediately
-/// reduces every duplicate's `f` against the same outcome, replaying the
-/// cell's metrics delta per duplicate exactly like any other cache hit.
+/// reduces every duplicate's `f` against the same reply, replaying the
+/// entry's metrics delta per duplicate exactly like any other cache hit.
 /// Non-shared specs get per-index sentinel keys, so they never dedup and
-/// follow the plain uncached path inside [`SessionSpec::obtain`].
+/// follow the plain uncached path inside [`SessionSpec::obtain_reply`].
 ///
 /// Results are scattered back by original index and each index sees the
-/// same outcome it would have computed itself, so output is bit-identical
+/// same reply it would have computed itself, so output is bit-identical
 /// to the uncached path at any worker count. Peak memory stays at one
-/// live outcome per worker.
-fn batch_cached<T, F>(specs: &[SessionSpec], jobs: usize, f: F) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize, &CellOutcome) -> T + Sync,
-{
-    batch_resolve(specs, jobs, |spec, scratch| spec.obtain(scratch), f)
-}
-
-/// Access to the post-run strategy logic, implemented by every resolver
-/// product flowing through [`batch_resolve`] ([`CellOutcome`] and
-/// [`SessionReply`]). This is the hook the [QoE table](crate::qoe) rides:
-/// the batch layer derives one row per applicable session from whatever
-/// the resolver produced, on every resolution path alike.
-pub(crate) trait HasLogic {
-    fn strategy_logic(&self) -> &StrategyLogic;
-}
-
-impl HasLogic for CellOutcome {
-    fn strategy_logic(&self) -> &StrategyLogic {
-        &self.logic
-    }
-}
-
-/// [`batch_cached`] with the per-leader resolution step abstracted out, so
-/// [`query_many`](crate::query::query_many) reuses the dedup/fan-out/metric
-/// replay machinery with [`SessionSpec::obtain_reply`] as the resolver. The
-/// resolver returns the leader's value plus the retained cache cell (when
-/// cacheable), whose stored metrics delta is replayed once per duplicate.
+/// live reply per worker.
 ///
 /// When the [QoE collector](crate::qoe) is installed, each worker also
 /// derives a [`qoe::QoeRow`] per applicable member during the fan-out; the
 /// rows are scattered back by index and pushed to the collector in
 /// ascending spec order, so the table never sees worker interleaving.
-pub(crate) fn batch_resolve<R, T, G, F>(
+pub(crate) fn batch_resolve<T, F>(
     specs: &[SessionSpec],
     jobs: usize,
-    resolve: G,
+    query: &SessionQuery,
     f: F,
 ) -> Vec<Option<T>>
 where
-    R: HasLogic,
     T: Send,
-    G: Fn(&SessionSpec, &mut SessionScratch) -> (Option<R>, Option<Arc<cache::CachedCell>>)
-        + Sync,
-    F: Fn(usize, &R) -> T + Sync,
+    F: Fn(usize, &SessionReply) -> T + Sync,
 {
     let cacheable = cache::is_active();
     let keys: Vec<cache::SessionKey> = specs
@@ -499,7 +419,7 @@ where
             || batch_scratch(specs),
             |scratch, u| {
                 let leader = leaders[u];
-                let (out, cell) = resolve(&specs[leader], scratch);
+                let (out, cell) = specs[leader].obtain_reply(scratch, query);
                 members[u]
                     .iter()
                     .map(|&i| {
@@ -511,8 +431,7 @@ where
                             }
                         }
                         let row = if collect_qoe {
-                            out.as_ref()
-                                .map(|o| qoe::QoeRow::of(&specs[i], o.strategy_logic()))
+                            out.as_ref().map(|o| qoe::QoeRow::of(&specs[i], &o.logic))
                         } else {
                             None
                         };
@@ -552,10 +471,6 @@ fn batch_scratch(specs: &[SessionSpec]) -> SessionScratch {
 }
 
 /// Everything measured from one simulated streaming session.
-///
-/// `Clone` exists for [`run_many`]'s batch fan-out: a deduped outcome is
-/// cloned to each duplicate index, which must be indistinguishable from
-/// having re-run the (pure) session.
 #[derive(Clone)]
 pub struct CellOutcome {
     /// The packet capture taken at the client.
@@ -613,82 +528,6 @@ pub fn run_cell_interrupted(
     SessionSpec::new(client, container, video, profile, seed, capture)
         .interrupted(watch_time)
         .run()
-}
-
-fn finish(
-    profile: NetworkProfile,
-    seed: u64,
-    capture: SimDuration,
-    logic: StrategyLogic,
-    watch_time: Option<SimDuration>,
-    cross: Option<LrdCrossConfig>,
-    scratch: &mut SessionScratch,
-    tap: Option<(&mut dyn PacketSink, bool)>,
-) -> CellOutcome {
-    let mut eng = Engine::with_scratch(
-        profile.build_path(),
-        seed,
-        capture,
-        std::mem::take(scratch),
-    );
-    if let Some(cfg) = cross {
-        eng.set_lrd_cross_traffic(cfg, seed);
-    }
-    let logic = match watch_time {
-        Some(w) => {
-            let mut wrapped = InterruptAfter::new(logic, w);
-            match tap {
-                Some((sink, keep)) => eng.run_observed(&mut wrapped, sink, keep),
-                None => eng.run(&mut wrapped),
-            }
-            wrapped.inner
-        }
-        None => {
-            let mut logic = logic;
-            match tap {
-                Some((sink, keep)) => eng.run_observed(&mut logic, sink, keep),
-                None => eng.run(&mut logic),
-            }
-            logic
-        }
-    };
-    let connections = eng.connection_count();
-    let connection_stats = (0..connections).map(|c| eng.connection_stats(c)).collect();
-    let base_rtt = eng.base_rtt();
-    // Per-profile attribution must read the queue before `into_parts`
-    // consumes the engine; the engine-level harvest happens inside it.
-    let obs_active = collector::is_active();
-    let (events_scheduled, wheel_spills) = if obs_active {
-        let q = eng.queue_stats();
-        (q.scheduled, q.spill_pushes)
-    } else {
-        (0, 0)
-    };
-    let (trace, recycled) = eng.into_parts();
-    *scratch = recycled;
-    if obs_active {
-        let m = scratch.metrics_mut();
-        let p = m.profile_mut(profile as usize);
-        p.sessions += 1;
-        p.events_scheduled += events_scheduled;
-        p.wheel_spills += wheel_spills;
-        let stats = logic.player().stats();
-        m.add(Counter::AppPlayerStalls, stats.stalls as u64);
-        m.merge_hist(HistId::AppStallMs, &stats.stall_hist);
-        if let Some(delay) = stats.startup_delay {
-            m.add(Counter::AppPlaybackStarted, 1);
-            m.record(HistId::AppStartupDelayMs, delay.as_nanos() / 1_000_000);
-        }
-        m.gauge_max(Gauge::AppPeakBufferBytes, stats.peak_buffer_bytes);
-        m.add(Counter::AppBlocks, logic.blocks());
-    }
-    CellOutcome {
-        trace,
-        logic,
-        connections,
-        connection_stats,
-        base_rtt,
-    }
 }
 
 #[cfg(test)]

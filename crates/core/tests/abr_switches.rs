@@ -5,19 +5,19 @@
 //! per (seed, shape):
 //!
 //! * the wire-side switch estimate a query computes equals the column-scan
-//!   oracle ([`switch_counts_of`] over the retained trace's connection
+//!   oracle ([`switch_counts_of`] over a retained trace's connection
 //!   summaries) — the fold never sees the trace, the oracle never sees the
 //!   packet stream;
-//! * all four resolution paths — batch, streaming live-tap, streaming
-//!   cache-miss, streaming cache-hit (packed-column replay) — return
-//!   byte-equal switch counts and QoE summaries;
+//! * every source of a reply — the retained trace replayed through the
+//!   folds, the live tap, a cache miss, a cache hit — returns byte-equal
+//!   switch counts and QoE summaries;
 //! * the QoE reply's `switches` equals the client logic's own counter (the
 //!   ground truth the flight-recorder suite ties to emitted events).
 //!
-//! One `#[test]`, deliberately: the streaming flag and the session cache
-//! are process globals.
+//! One `#[test]`, deliberately: the session cache is a process global.
 
 use vstream::prelude::*;
+use vstream::query::reply_from_outcome;
 use vstream::{cache, query_many_jobs, run_many_jobs, SessionQuery};
 use vstream_analysis::switch_counts_of;
 use vstream_net::LrdCrossConfig;
@@ -81,45 +81,45 @@ fn switch_fold_matches_oracle_on_every_path() {
         .map(|shape| (0..SEEDS).map(|seed| spec_for(seed, shape)).collect())
         .collect();
 
+    // Switches seen across the half-loaded group.
+    let mut loaded = 0;
     for (si, (shape, specs)) in shapes.iter().zip(&spec_groups).enumerate() {
         let query = SessionQuery::default()
             .qoe()
             .switch_rate(shape.ladder.clone(), shape.segment_ms);
 
-        // Column-scan oracle from full outcomes (traces retained).
-        vstream::set_streaming(false);
+        // Full outcomes (traces retained) for the two oracles.
         let outcomes = run_many_jobs(specs, 2);
-
-        // Path 1: batch query (trace replayed through the fold).
-        let batch = query_many_jobs(specs, 2, &query);
-        // Path 2: streaming live-tap, no cache, no trace ever built.
-        vstream::set_streaming(true);
-        let streamed = query_many_jobs(specs, 2, &query);
-        // Paths 3 + 4: cache miss (live tap + pack), then hit (packed
-        // replay).
+        // The production path: live tap with no cache, then a cache miss
+        // (live tap, reply stored) and a hit (stored reply cloned).
+        let live = query_many_jobs(specs, 2, &query);
         cache::install();
         let miss = query_many_jobs(specs, 2, &query);
         let hit = query_many_jobs(specs, 2, &query);
         cache::uninstall();
-        vstream::set_streaming(false);
 
-        for seed in 0..SEEDS as usize {
+        for (seed, out) in outcomes.into_iter().enumerate() {
             let ctx = format!("shape {si} seed {seed}");
-            let out = outcomes[seed].as_ref().expect("Dash over HTML5 applies");
+            let out = out.expect("Dash over HTML5 applies");
             let oracle = switch_counts_of(
                 &out.trace.connection_summaries(),
                 &shape.ladder,
                 shape.segment_ms,
             );
             let truth = out.logic.switches();
+            if si == 1 {
+                loaded += truth;
+            }
+            // The same trace, replayed through the folds.
+            let replayed = Some(reply_from_outcome(out, &query));
 
-            for (path, replies) in [
-                ("batch", &batch),
-                ("streaming", &streamed),
-                ("cache-miss", &miss),
-                ("cache-hit", &hit),
+            for (path, reply) in [
+                ("trace replay", &replayed),
+                ("live tap", &live[seed]),
+                ("cache-miss", &miss[seed]),
+                ("cache-hit", &hit[seed]),
             ] {
-                let reply = replies[seed].as_ref().expect("Dash over HTML5 applies");
+                let reply = reply.as_ref().expect("Dash over HTML5 applies");
                 assert_eq!(
                     reply.answer.switch_counts,
                     Some(oracle),
@@ -136,10 +136,5 @@ fn switch_fold_matches_oracle_on_every_path() {
 
     // At least one (seed, shape) pair in the loaded groups must have
     // switched — otherwise the suite never exercised a rung change.
-    vstream::set_streaming(false);
-    let loaded: u64 = spec_groups[1]
-        .iter()
-        .filter_map(|s| s.run().map(|o| o.logic.switches()))
-        .sum();
     assert!(loaded > 0, "no switches across the half-loaded group");
 }

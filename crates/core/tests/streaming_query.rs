@@ -1,17 +1,21 @@
-//! End-to-end streaming/batch equivalence for the query layer.
+//! End-to-end equivalence for the query layer: the live-tap resolution path
+//! against its oracle, and the session cache against no cache.
 //!
-//! One test, deliberately: both the streaming flag and the session cache
-//! are process globals, so the four execution paths of
-//! `SessionSpec::obtain_reply` — batch, streaming-uncached, streaming
-//! cache-miss, streaming cache-hit (packed-column replay) — are driven in
-//! sequence from a single `#[test]` and their replies compared field by
-//! field. This is the session-level form of the fold-vs-oracle suite in
-//! `vstream-analysis`: the folds are proven against the column scans there;
-//! here the claim is that every path through the session layer feeds those
-//! folds the same packet stream.
+//! One test, deliberately: the session cache and the metrics collector are
+//! process globals, so the sources of a reply — oracle (a retained trace
+//! replayed through the folds), live tap, cache miss, cache hit — are driven
+//! in sequence from a single `#[test]` and compared field by field. This is
+//! the session-level form of the fold-vs-oracle suite in `vstream-analysis`:
+//! the folds are proven against the column scans there; here the claim is
+//! that the production path feeds those folds the packet stream a retained
+//! capture would have held, and that the cache hands back what was computed.
 
+use std::sync::Barrier;
+
+use vstream::obs::{collector, Counter, Gauge};
 use vstream::prelude::*;
-use vstream::{cache, query_many_jobs, set_streaming, SessionQuery, SessionReply};
+use vstream::query::reply_from_outcome;
+use vstream::{cache, query_many_jobs, SessionQuery, SessionReply};
 
 /// A small shared cell: short captures keep the test fast, several seeds
 /// exercise the dedup/leader machinery, pacing produces real ON/OFF cycles.
@@ -97,36 +101,75 @@ fn streaming_paths_match_batch_replies() {
     let specs = specs();
     let query = full_query();
 
-    // Reference: batch mode (trace retained, replayed through the folds).
-    set_streaming(false);
-    let batch = query_many_jobs(&specs, 2, &query);
+    // Oracle: retain each session's trace, replay it through the folds.
+    let oracle: Vec<Option<SessionReply>> = run_many_jobs(&specs, 2)
+        .into_iter()
+        .map(|out| out.map(|o| reply_from_outcome(o, &query)))
+        .collect();
     assert!(
-        batch.iter().all(Option::is_some),
+        oracle.iter().all(Option::is_some),
         "every session applies in this cell"
     );
     assert!(
-        batch[0].as_ref().unwrap().answer.totals.unwrap().packets > 0,
+        oracle[0].as_ref().unwrap().answer.totals.unwrap().packets > 0,
         "sessions produce traffic"
     );
 
-    // Path 2: streaming without a cache — live tap, no trace ever built.
-    set_streaming(true);
-    let streamed = query_many_jobs(&specs, 2, &query);
-    assert_replies_eq(&batch, &streamed, "streaming uncached vs batch");
+    // The production path without a cache — live tap, no trace ever built.
+    // A wall-mode ledger keeps the execution-dependent gauges that show it.
+    collector::install(true);
+    let live = query_many_jobs(&specs, 2, &query);
+    let ledger = collector::take().expect("collector installed above");
+    assert_replies_eq(&oracle, &live, "live tap vs oracle");
+    assert_eq!(
+        ledger.totals.gauge(Gauge::PeakTraceBytes),
+        0,
+        "a query must never materialise a trace"
+    );
+    assert!(ledger.totals.gauge(Gauge::PeakFlowstateBytes) > 0);
 
-    // Paths 3 and 4: streaming with the cache installed. The first pass
-    // misses (live tap + transient trace packed into the cell); the second
-    // pass hits and replays the packed columns through a fresh fold.
+    // With the cache installed: the first pass misses (live tap, the reply
+    // is stored), the second pass hits (the stored reply is cloned).
     cache::install();
     let miss = query_many_jobs(&specs, 2, &query);
     let hit = query_many_jobs(&specs, 2, &query);
-    // A batch-mode pass over the same warm cache unpacks the cell's columns
-    // instead of re-simulating — the fifth source of the same packet stream.
-    set_streaming(false);
-    let batch_hit = query_many_jobs(&specs, 2, &query);
+    assert_eq!(cache::len(), specs.len());
     cache::uninstall();
+    assert_replies_eq(&oracle, &miss, "cache miss vs oracle");
+    assert_replies_eq(&oracle, &hit, "cache hit vs oracle");
 
-    assert_replies_eq(&batch, &miss, "streaming cache-miss vs batch");
-    assert_replies_eq(&batch, &hit, "streaming cache-hit (packed replay) vs batch");
-    assert_replies_eq(&batch, &batch_hit, "batch cache-hit vs batch");
+    // Two batches racing for the same question. Whichever way the race
+    // goes — both miss (the first insert wins, the loser's copy is dropped)
+    // or one finishes first and the other hits — exactly one entry is
+    // retained, its bytes are charged once, and both callers see the same
+    // reply. The barrier lines the two lookups up against a session that
+    // takes ~10^5 times longer than a lookup, so the double miss is the
+    // interleaving this actually runs.
+    collector::install(true);
+    cache::install();
+    let one = &specs[..1];
+    let barrier = Barrier::new(2);
+    let race = || {
+        barrier.wait();
+        query_many_jobs(one, 1, &query)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let other = s.spawn(race);
+        (race(), other.join().expect("racing batch panicked"))
+    });
+    let ledger = collector::take().expect("collector installed above");
+    assert_replies_eq(&a, &b, "racing batches");
+    assert_replies_eq(&oracle[..1], &a, "racing batch vs oracle");
+    assert_eq!(cache::len(), 1);
+    let (misses, hits) = (
+        ledger.totals.counter(Counter::CacheMisses),
+        ledger.totals.counter(Counter::CacheHits),
+    );
+    assert!(misses >= 1 && misses + hits == 2, "{misses} misses, {hits} hits");
+    assert_eq!(
+        ledger.totals.counter(Counter::CacheBytesRetained),
+        cache::bytes_retained(),
+        "only the insert that won may charge its bytes"
+    );
+    cache::uninstall();
 }

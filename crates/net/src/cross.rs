@@ -12,8 +12,8 @@
 //! machines live in the session engine, which owns the event queue.
 //!
 //! All fields are integers so the config can be embedded verbatim in
-//! session cache keys — determinism across `--jobs`, `--streaming`, and
-//! cache replay requires the key to pin every behaviour-affecting bit.
+//! session cache keys — determinism across `--jobs` and cache hits
+//! requires the key to pin every behaviour-affecting bit.
 
 /// An aggregate of identical heavy-tailed on/off sources on the downlink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

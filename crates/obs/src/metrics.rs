@@ -267,9 +267,10 @@ impl Counter {
 impl Gauge {
     /// Gauges that measure the *execution* rather than the simulation: peak
     /// trace residency depends on scratch reuse (worker layout) and on
-    /// whether the run retains traces at all (`--streaming`), and fold-state
-    /// residency exists only in streaming mode. The collector zeroes them
-    /// alongside wall time when byte-comparable ledgers are requested.
+    /// whether the caller retains traces at all (queries never do), and
+    /// fold-state residency is recorded only by queries. The collector
+    /// zeroes them alongside wall time when byte-comparable ledgers are
+    /// requested.
     pub const EXECUTION_DEPENDENT: [Gauge; 2] = [Gauge::PeakTraceBytes, Gauge::PeakFlowstateBytes];
 }
 

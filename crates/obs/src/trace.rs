@@ -20,7 +20,7 @@
 //!    then touches thread-local state.
 //! 3. **Determinism.** Events carry simulation time, never wall time, and
 //!    a session's event stream is a pure function of its spec — so trace
-//!    dumps are byte-identical across `--jobs`, cache, and `--streaming`.
+//!    dumps are byte-identical across `--jobs` and cache on/off.
 //!
 //! The recorder lives in a thread-local slot rather than inside the
 //! engine because the emitting layers (`sim`, `net`, `tcp`) sit *below*

@@ -2,28 +2,23 @@
 # Verifies the executor's and session cache's core invariant: `repro`
 # emits byte-identical CSVs — and, with wall-clock timing disabled, a
 # byte-identical metrics ledger — for any --jobs value, with the session
-# cache on or off, with --streaming on or off, and with --trace-dir on or
-# off. Runs the full suite seven times (serial, a multi-worker pool,
-# --no-cache, streaming mode at both worker counts, and two traced
-# passes) and diffs the output trees and ledgers, then runs campaign mode
-# (the sharded, resumable hybrid executor) at both worker counts and
-# diffs its tables and stdout the same way.
+# cache on or off, and with --trace-dir on or off. Runs the full suite four
+# times (serial, a multi-worker pool, --no-cache, and a traced pass) and
+# diffs the output trees and ledgers, then runs campaign mode (the sharded,
+# resumable hybrid executor) at both worker counts and diffs its tables and
+# stdout the same way.
 #
 # The second pass uses max(nproc, 8) workers: even on a single-core host
 # this exercises the threaded executor path (8 OS threads racing over the
 # work queue), which is the path the determinism invariant protects. The
-# third pass re-simulates every session instead of reading the cache,
-# which is the path the purity invariant protects. The streaming passes
-# compute every figure through live packet-tap folds with no retained
-# traces, which is the path the streaming/batch equivalence contract
-# (DESIGN.md §11) protects — at both worker counts, so fold dispatch is
-# shown to be execution-order-free too. The traced passes (DESIGN.md §12)
-# hold two things at once: the flight recorder never perturbs any output
-# (CSV trees, QoE table, stdout, ledger all byte-match pass 1), and the
-# dump files themselves are deterministic — pass 6 runs batch at --jobs 1,
-# pass 7 streaming at --jobs N, and their trace directories must be
-# byte-identical file for file. A small --trace-cap bounds dump volume;
-# ring truncation is itself deterministic (last N events).
+# third pass re-simulates every session instead of cloning cached replies,
+# which is the path the purity invariant protects. The traced pass
+# (DESIGN.md §12) holds two things at once: the flight recorder never
+# perturbs any output (CSV tree, QoE table, stdout, ledger all byte-match
+# pass 1), and the dump files themselves are deterministic — pass 1 also
+# dumps, at --jobs 1, and pass 4 at --jobs N must reproduce its trace
+# directory file for file. A small --trace-cap bounds dump volume; ring
+# truncation is itself deterministic (last N events).
 #
 # Usage: [JOBS=N] scripts/check_determinism.sh [repro-args...]
 #   e.g. scripts/check_determinism.sh --seed 7 --n 4
@@ -39,8 +34,9 @@ if [ "$jobs_n" -lt 8 ]; then jobs_n=8; fi
 
 cargo build --release --offline --bin repro
 
-echo "==> pass 1: --jobs 1"
+echo "==> pass 1: --jobs 1 --trace-dir"
 VSTREAM_WALL=off target/release/repro all --jobs 1 --csv "$out/jobs1" \
+    --trace-dir "$out/tr1" --trace-cap 1024 \
     --metrics "$out/jobs1.metrics.json" "$@" > "$out/jobs1.txt"
 echo "==> pass 2: --jobs $jobs_n"
 VSTREAM_WALL=off target/release/repro all --jobs "$jobs_n" --csv "$out/jobsN" \
@@ -50,70 +46,38 @@ echo "==> pass 3: --no-cache"
 VSTREAM_WALL=off target/release/repro all --jobs "$jobs_n" --no-cache --csv "$out/nocache" \
     --metrics "$out/nocache.metrics.json" "$@" > "$out/nocache.txt"
 
-echo "==> pass 4: --streaming --jobs 1"
-VSTREAM_WALL=off target/release/repro all --jobs 1 --streaming --csv "$out/stream1" \
-    --metrics "$out/stream1.metrics.json" "$@" > "$out/stream1.txt"
-
-echo "==> pass 5: --streaming --jobs $jobs_n"
-VSTREAM_WALL=off target/release/repro all --jobs "$jobs_n" --streaming --csv "$out/streamN" \
-    --metrics "$out/streamN.metrics.json" "$@" > "$out/streamN.txt"
-
-echo "==> pass 6: --trace-dir --jobs 1"
-VSTREAM_WALL=off target/release/repro all --jobs 1 --csv "$out/trace1" \
-    --trace-dir "$out/tr1" --trace-cap 1024 \
-    --metrics "$out/trace1.metrics.json" "$@" > "$out/trace1.txt"
-
-echo "==> pass 7: --trace-dir --streaming --jobs $jobs_n"
-VSTREAM_WALL=off target/release/repro all --jobs "$jobs_n" --streaming --csv "$out/traceN" \
+echo "==> pass 4: --trace-dir --jobs $jobs_n"
+VSTREAM_WALL=off target/release/repro all --jobs "$jobs_n" --csv "$out/traceN" \
     --trace-dir "$out/trN" --trace-cap 1024 \
     --metrics "$out/traceN.metrics.json" "$@" > "$out/traceN.txt"
 
 # Campaign mode has its own executor (sharded, resumable) on top of the
 # same session layer, so its worker-count invariance is checked separately
 # from the figure suite.
-echo "==> pass 8: campaign --jobs 1"
+echo "==> pass 5: campaign --jobs 1"
 VSTREAM_WALL=off target/release/repro campaign --viewers 10000 --jobs 1 \
     --csv "$out/camp1" > "$out/camp1.txt"
-echo "==> pass 9: campaign --jobs $jobs_n"
+echo "==> pass 6: campaign --jobs $jobs_n"
 VSTREAM_WALL=off target/release/repro campaign --viewers 10000 --jobs "$jobs_n" \
     --csv "$out/campN" > "$out/campN.txt"
 
-diff -r "$out/jobs1" "$out/jobsN"
-diff -r "$out/jobs1" "$out/nocache"
-diff -r "$out/jobs1" "$out/stream1"
-diff -r "$out/jobs1" "$out/streamN"
-diff -r "$out/jobs1" "$out/trace1"
-diff -r "$out/jobs1" "$out/traceN"
-# The dump files must themselves be deterministic: batch serial vs
-# streaming multi-worker must produce the same file set with the same
-# bytes.
+for variant in jobsN nocache traceN; do
+    diff -r "$out/jobs1" "$out/$variant"
+    # The stdout reports embed the csv paths; compare them with the paths
+    # normalised away.
+    diff <(sed "s|$out/jobs1|CSV|" "$out/jobs1.txt") \
+         <(sed "s|$out/$variant|CSV|" "$out/$variant.txt")
+    # The telemetry ledger must be jobs-, cache-, and tracing-invariant too
+    # (wall timing is off, so every remaining quantity is a pure function of
+    # the session set; the cache_* counters and peak_*_bytes gauges are
+    # execution-dependent and zeroed).
+    diff "$out/jobs1.metrics.json" "$out/$variant.metrics.json"
+done
+# The dump files must themselves be deterministic: serial vs multi-worker
+# must produce the same file set with the same bytes.
 diff -r "$out/tr1" "$out/trN"
 diff -r "$out/camp1" "$out/campN"
 diff <(sed "s|$out/camp1|CSV|" "$out/camp1.txt") \
      <(sed "s|$out/campN|CSV|" "$out/campN.txt")
-# The stdout reports embed the csv paths; compare them with the paths
-# normalised away.
-diff <(sed "s|$out/jobs1|CSV|" "$out/jobs1.txt") \
-     <(sed "s|$out/jobsN|CSV|" "$out/jobsN.txt")
-diff <(sed "s|$out/jobs1|CSV|" "$out/jobs1.txt") \
-     <(sed "s|$out/nocache|CSV|" "$out/nocache.txt")
-diff <(sed "s|$out/jobs1|CSV|" "$out/jobs1.txt") \
-     <(sed "s|$out/stream1|CSV|" "$out/stream1.txt")
-diff <(sed "s|$out/jobs1|CSV|" "$out/jobs1.txt") \
-     <(sed "s|$out/streamN|CSV|" "$out/streamN.txt")
-diff <(sed "s|$out/jobs1|CSV|" "$out/jobs1.txt") \
-     <(sed "s|$out/trace1|CSV|" "$out/trace1.txt")
-diff <(sed "s|$out/jobs1|CSV|" "$out/jobs1.txt") \
-     <(sed "s|$out/traceN|CSV|" "$out/traceN.txt")
-# The telemetry ledger must be jobs-, cache-, and mode-invariant too (wall
-# timing is off, so every remaining quantity is a pure function of the
-# session set; the cache_* counters and peak_*_bytes gauges are
-# execution-dependent and zeroed).
-diff "$out/jobs1.metrics.json" "$out/jobsN.metrics.json"
-diff "$out/jobs1.metrics.json" "$out/nocache.metrics.json"
-diff "$out/jobs1.metrics.json" "$out/stream1.metrics.json"
-diff "$out/jobs1.metrics.json" "$out/streamN.metrics.json"
-diff "$out/jobs1.metrics.json" "$out/trace1.metrics.json"
-diff "$out/jobs1.metrics.json" "$out/traceN.metrics.json"
 
-echo "OK: output and metrics ledger are byte-identical across --jobs 1, --jobs $jobs_n, --no-cache, --streaming, and --trace-dir (and the trace dumps and campaign mode are deterministic too)"
+echo "OK: output and metrics ledger are byte-identical across --jobs 1, --jobs $jobs_n, --no-cache, and --trace-dir (and the trace dumps and campaign mode are deterministic too)"

@@ -9,15 +9,14 @@
 #   3. metrics neutrality: a figure slice rendered with and without
 #      --metrics must produce byte-identical CSVs, and the ledger must be
 #      well-formed JSON carrying its schema_version key
-#   3b. streaming equality: the same figure slice rendered with
-#      --streaming (live packet-tap folds, no retained traces) must be
-#      byte-identical to the batch rendering, and its metered ledger must
-#      show the streaming memory inversion — zero peak_trace_bytes with
-#      the cache off, nonzero peak_flowstate_bytes
+#   3b. default-run memory and the committed results: a plain metered
+#      `repro all` must retain no packet trace anywhere (zero
+#      peak_trace_bytes, nonzero peak_flowstate_bytes in the wall-mode
+#      ledger) and must reproduce the committed results/ tree byte for byte
 #   3e. ext-qoe determinism: the DASH/LRD load sweep (adaptive client plus
 #       seeded cross-traffic aggregate) byte-identical across --jobs 1/8 ×
-#       cache on/off × --streaming on/off — the newest figure gets the
-#       same invariant the Table 1 suite has, spelled out pairwise
+#       cache on/off — the newest figure gets the same invariant the
+#       Table 1 suite has, spelled out pairwise
 #   3c. trace neutrality: the same slice rendered with --trace-dir must
 #      leave figures, the QoE table, and the wall-off ledger byte-identical
 #      while producing dump files, and every emitted Chrome trace JSON must
@@ -29,7 +28,7 @@
 #   4. the packed-format roundtrip suite in release mode: the columnar
 #      AoS-vs-SoA equivalence and pack/unpack exactness tests, compiled
 #      with release assertions so the checked truncation/corruption paths
-#      in PackedTrace::unpack are exercised exactly as production runs them
+#      in PackedTrace::unpack are exercised as an optimized build runs them
 #   5. a quick-mode pass over every benchmark, so a change that breaks a
 #      bench harness (or makes a substrate pathologically slow) fails CI
 #      rather than the next person's perf run
@@ -59,26 +58,23 @@ diff -r "$obs_out/plain" "$obs_out/metered"
 python3 -m json.tool "$obs_out/metrics.json" > /dev/null
 grep -q '"schema_version"' "$obs_out/metrics.json"
 
-echo "==> streaming equality: --streaming must not change the figures"
-target/release/repro fig2 fig4 --streaming --csv "$obs_out/streaming" > /dev/null
-diff -r "$obs_out/plain" "$obs_out/streaming"
-# With the cache off no streaming session retains a trace at all, so the
+echo "==> default run: no retained trace, and results/ is what the code produces"
+# No session of a default run retains a trace — figure drivers fold on the
+# live tap and the ablation harnesses run with keep_trace off — so the
 # wall-mode ledger must report peak_trace_bytes = 0 while the fold state
 # that replaced it registers as nonzero peak_flowstate_bytes.
-target/release/repro fig2 fig4 --streaming --no-cache --csv "$obs_out/streaming-nc" \
-    --metrics "$obs_out/streaming.metrics.json" > /dev/null
-diff -r "$obs_out/plain" "$obs_out/streaming-nc"
-grep -q '"peak_trace_bytes":0[,}]' "$obs_out/streaming.metrics.json"
-grep -qE '"peak_flowstate_bytes":[1-9]' "$obs_out/streaming.metrics.json"
+target/release/repro all --csv "$obs_out/all" --metrics "$obs_out/all.metrics.json" > /dev/null
+grep -q '"peak_trace_bytes":0[,}]' "$obs_out/all.metrics.json"
+grep -qE '"peak_flowstate_bytes":[1-9]' "$obs_out/all.metrics.json"
+# The committed tree is `repro all --seed 2026 --csv results` (the default
+# seed); regenerate it in the same change as any output-moving edit.
+diff -r results "$obs_out/all"
 
-echo "==> ext-qoe determinism: byte-identical across --jobs, cache, and --streaming"
+echo "==> ext-qoe determinism: byte-identical across --jobs and cache"
 target/release/repro ext-qoe --jobs 1 --csv "$obs_out/extqoe-ref" > "$obs_out/extqoe-ref.txt"
 target/release/repro ext-qoe --jobs 8 --csv "$obs_out/extqoe-j8" > /dev/null
 target/release/repro ext-qoe --jobs 8 --no-cache --csv "$obs_out/extqoe-nc" > /dev/null
-target/release/repro ext-qoe --jobs 8 --streaming --csv "$obs_out/extqoe-st" > /dev/null
-target/release/repro ext-qoe --jobs 1 --streaming --no-cache --csv "$obs_out/extqoe-stnc" \
-    > /dev/null
-for variant in extqoe-j8 extqoe-nc extqoe-st extqoe-stnc; do
+for variant in extqoe-j8 extqoe-nc; do
     diff -r "$obs_out/extqoe-ref" "$obs_out/$variant"
 done
 # The sweep must produce both artifacts: the stall-ratio curve and the
@@ -128,4 +124,4 @@ cargo test --offline --release --quiet -p vstream-capture
 echo "==> bench smoke (quick mode, no JSON ledger)"
 cargo bench --offline -p vstream-bench --bench substrates -- --quick
 
-echo "OK: build, tests, determinism, metrics neutrality, streaming equality, trace neutrality, campaign smoke, roundtrip, and bench smoke all passed"
+echo "OK: build, tests, determinism, metrics neutrality, default-run memory and results/, trace neutrality, campaign smoke, roundtrip, and bench smoke all passed"

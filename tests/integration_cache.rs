@@ -1,13 +1,18 @@
 //! The session cache's hard invariants, end to end:
 //!
-//! 1. **Single execution** — two drivers requesting the same shared
-//!    [`SessionSpec`] trigger exactly one engine run; the second gets the
-//!    retained (packed) copy back, decoded bit-identically.
+//! 1. **Single execution** — two drivers asking the same query of the same
+//!    shared [`SessionSpec`] trigger exactly one engine run; the second gets
+//!    the retained reply back, bit-identical. A *different* query on the
+//!    same spec is a miss with its own answer, never a wrong one.
 //! 2. **Transparency** — figure output is byte-identical with the cache
 //!    installed or not, serial or parallel. The cache may skip work; it
 //!    must never change results.
-//! 3. **Selectivity** — only specs marked `shared()` are retained;
-//!    one-off sessions leave no footprint in the store or the counters.
+//! 3. **Selectivity** — only specs marked `shared()` are retained, and only
+//!    query replies: one-off sessions and trace-retaining runs leave no
+//!    footprint in the store or the counters.
+//! 4. **Cross-figure reuse at kilobyte cost** — the full `repro all` driver
+//!    order shares 76 of its 278 cell requests, in a store of a few
+//!    megabytes.
 //!
 //! The cache and collector are process-global, so everything runs from one
 //! `#[test]`. Metered passes install the collector with wall timing *on*:
@@ -40,56 +45,84 @@ fn figure_suite(jobs: usize) -> Vec<String> {
     vec![fig3a.to_csv(), fig4a.to_csv(), fig4b.to_csv()]
 }
 
+/// Whether two replies carry the same features, field for field (the `Debug`
+/// form prints every one, floats included, at full precision).
+fn same_answer(a: &SessionReply, b: &SessionReply) -> bool {
+    format!("{:?}", a.answer) == format!("{:?}", b.answer)
+}
+
+/// Every driver of `repro all` that samples the shared cell stream, in the
+/// binary's order and at its default seed and sample clamps (the other
+/// drivers build one-off specs and never reach the store).
+fn repro_all_cell_drivers() {
+    let (seed, n) = (2026, 12);
+    f::fig3a_flash_buffering(seed, n);
+    f::fig3b_html5_buffering(seed, n);
+    f::fig4_flash_steady_state(seed, n);
+    f::fig5_html5_steady_state(seed, n);
+    f::fig6b_long_blocks(seed, n.min(8));
+    f::fig7b_ipad_block_vs_rate(seed, n);
+    f::fig11_netflix_buffering(seed, n.min(6));
+    f::fig12_netflix_blocks(seed, n.min(4));
+    f::ext_qoe_load_sweep(seed, n.min(6));
+}
+
 #[test]
 fn cache_is_transparent_selective_and_single_execution() {
-    // --- 1. Same shared spec requested twice: one engine run, identical
-    // outcomes. The ledger distinguishes the paths (1 miss + 1 hit) while
-    // its session counts stay replay-equalized by design.
+    // --- 1. Same shared spec asked the same question twice: one engine
+    // run, identical replies. The ledger distinguishes the paths (1 miss +
+    // 1 hit) while its session counts stay replay-equalized by design.
     collector::install(true);
     cache::install();
-    let s = spec(301).shared();
-    let first = s.run().expect("valid cell");
-    let second = s.run().expect("valid cell");
-    assert_eq!(first.trace, second.trace);
-    assert_eq!(first.trace.connections(), second.trace.connections());
+    let s = [spec(301).shared()];
+    let cycles = SessionQuery::default().onoff().phases();
+    let ask = |q: &SessionQuery| query_many_jobs(&s, 1, q).remove(0).expect("valid cell");
+    let (first, second) = (ask(&cycles), ask(&cycles));
+    assert!(same_answer(&first, &second));
     assert_eq!(first.logic.read_total(), second.logic.read_total());
-    assert_eq!(first.connections, second.connections);
     assert_eq!(first.connection_stats, second.connection_stats);
-    assert_eq!(first.base_rtt, second.base_rtt);
     assert_eq!(cache::len(), 1);
-    assert!(cache::bytes_retained() > 0);
-    // Packed retention: the store must hold far less than the live trace
-    // (~120 bytes/record raw; the packed form targets ~20×).
-    let raw = first.trace.len() as u64 * 120;
-    assert!(
-        cache::bytes_retained() * 4 < raw,
-        "retained {} bytes for a {} byte raw trace — packing ineffective",
-        cache::bytes_retained(),
-        raw
+    // A reply is kilobytes; a packet capture of this session is megabytes.
+    assert!((1..64 << 10).contains(&cache::bytes_retained()));
+    // A different question about the same session is a miss that gets its
+    // own answer, not the first question's.
+    let totals = ask(&SessionQuery::default().totals());
+    assert!(totals.answer.onoff.is_none() && totals.answer.phases.is_none());
+    assert_eq!(
+        totals.answer.totals.expect("totals queried").total_downloaded,
+        first.answer.phases.as_ref().expect("phases queried").total_bytes,
     );
+    assert_eq!(cache::len(), 2);
+    // Trace-retaining runs always simulate and leave the store alone.
+    let traced = s[0].run().expect("valid cell");
+    assert_eq!(traced.logic.read_total(), first.logic.read_total());
+    assert_eq!(cache::len(), 2);
     let ledger = collector::take().expect("metered run");
     assert_eq!(
         ledger.totals.counter(Counter::CacheMisses),
-        1,
-        "engine must run exactly once for a repeated shared spec"
+        2,
+        "engine must run exactly once per distinct question"
     );
     assert_eq!(ledger.totals.counter(Counter::CacheHits), 1);
-    assert!(ledger.totals.counter(Counter::CacheBytesRetained) > 0);
+    assert_eq!(
+        ledger.totals.counter(Counter::CacheBytesRetained),
+        cache::bytes_retained()
+    );
     assert_eq!(
         ledger.totals.counter(Counter::SimSessions),
-        2,
+        4,
         "hits replay the session's metrics delta, keeping ledgers cache-independent"
     );
     cache::uninstall();
 
     // --- 2. In-batch dedup: duplicate shared specs compute once, and every
-    // index still sees its own outcome.
+    // index still sees its own reply.
     collector::install(true);
     cache::install();
     let batch = vec![spec(302).shared(), spec(303).shared(), spec(302).shared()];
-    let outs = run_many_jobs(&batch, 2);
-    let t = |i: usize| &outs[i].as_ref().expect("valid cell").trace;
-    assert_eq!(t(0), t(2), "duplicate indices must agree");
+    let outs = query_many_jobs(&batch, 2, &cycles);
+    let t = |i: usize| outs[i].as_ref().expect("valid cell");
+    assert!(same_answer(t(0), t(2)), "duplicate indices must agree");
     let ledger = collector::take().expect("metered run");
     assert_eq!(ledger.totals.counter(Counter::CacheMisses), 2);
     assert_eq!(ledger.totals.counter(Counter::CacheHits), 1);
@@ -101,10 +134,9 @@ fn cache_is_transparent_selective_and_single_execution() {
     collector::install(true);
     cache::install();
     let plain = vec![spec(304), spec(304)];
-    let outs = run_many_jobs(&plain, 1);
-    assert_eq!(
-        outs[0].as_ref().expect("valid").trace,
-        outs[1].as_ref().expect("valid").trace,
+    let outs = query_many_jobs(&plain, 1, &cycles);
+    assert!(
+        same_answer(outs[0].as_ref().expect("valid"), outs[1].as_ref().expect("valid")),
         "purity holds with or without the cache"
     );
     let ledger = collector::take().expect("metered run");
@@ -135,4 +167,22 @@ fn cache_is_transparent_selective_and_single_execution() {
 
     assert_eq!(baseline, cached_serial, "cache-on output differs from cache-off");
     assert_eq!(baseline, cached_parallel, "cached parallel output differs");
+
+    // --- 5. The whole suite's cell traffic: every driver asks the shared
+    // cell query, so the 76 cross-figure requests hit under the exact
+    // (spec, query) key, and what 202 sessions leave behind is replies, not
+    // captures (the packed-trace store this replaced held 69 MB here).
+    set_default_jobs(1);
+    collector::install(true);
+    cache::install();
+    repro_all_cell_drivers();
+    let ledger = collector::take().expect("metered run");
+    set_default_jobs(0);
+    assert_eq!(ledger.totals.counter(Counter::CacheHits), 76);
+    assert_eq!(ledger.totals.counter(Counter::CacheMisses), 202);
+    assert_eq!(cache::len(), 202);
+    let retained = ledger.totals.counter(Counter::CacheBytesRetained);
+    assert_eq!(retained, cache::bytes_retained());
+    assert!(retained < 6 << 20, "{retained} bytes retained");
+    cache::uninstall();
 }
