@@ -125,13 +125,18 @@ impl SessionScratch {
     /// A fresh scratch whose first trace is pre-sized for `capacity` packet
     /// records (e.g. from `NetworkProfile::expected_capture_packets`,
     /// clamped to something sane — line rate over 180 s is millions of
-    /// records).
+    /// records). The event queue is pre-sized for 1024 pending events.
     pub fn with_trace_capacity(capacity: usize) -> Self {
         SessionScratch {
-            // A streaming session keeps a few thousand in-flight
-            // packet/timer events at its busiest; pre-sizing avoids the
-            // first several queue regrowths on the hot path.
-            queue: EventQueue::with_capacity(4096),
+            // Sessions peak at 723–1087 pending packet/timer events (the
+            // `sim.queue_peak_len` gauge over the benchmark workloads and
+            // `repro all`). 1024 slots cover all but the busiest: a 120 KiB
+            // event slab plus 28 KiB of keys and free list. A scratch is
+            // built per worker per batch, so each allocation stays below
+            // glibc's 128 KiB mmap threshold (no map/fault/unmap per batch);
+            // a session that peaks higher doubles the slab once and the
+            // scratch keeps it.
+            queue: EventQueue::with_capacity(1024),
             seg_buf: Vec::with_capacity(64),
             trace_capacity: capacity,
             metrics: Metrics::new(),
@@ -808,18 +813,17 @@ impl Engine {
     /// re-sync of the untouched side is always a no-op — skipping it halves
     /// the per-event timer bookkeeping without changing any schedule.
     fn sync_tick_side(&mut self, conn: usize, side: Side) {
-        let now = self.now();
+        let c = &mut self.conns[conn];
         let (slot, deadline) = match side {
-            Side::Client => (0, self.conns[conn].client.next_timer()),
-            Side::Server => (1, self.conns[conn].server.next_timer()),
+            Side::Client => (0, c.client.next_timer()),
+            Side::Server => (1, c.server.next_timer()),
         };
-        if let Some(d) = deadline {
-            let at = d.max(now);
-            let stored = self.conns[conn].tick_scheduled[slot];
-            if stored.is_none_or(|s| at < s) {
-                self.queue.schedule(at, Event::TcpTick { conn, side });
-                self.conns[conn].tick_scheduled[slot] = Some(at);
-            }
+        let Some(d) = deadline else { return };
+        let at = d.max(self.queue.now());
+        let stored = &mut c.tick_scheduled[slot];
+        if stored.is_none_or(|s| at < s) {
+            *stored = Some(at);
+            self.queue.schedule(at, Event::TcpTick { conn, side });
         }
     }
 }

@@ -158,7 +158,7 @@ fn bench_pack(c: &mut Criterion) {
 /// fan-out serially and across all cores, traces retained. The jobs-N row
 /// should beat jobs-1 by roughly the core count (the acceptance floor is 2x
 /// at `--jobs 4`), while the per-worker sessions/s reported after the group
-/// isolates intra-session gains (scratch reuse, queue backend) from
+/// isolates intra-session gains (scratch reuse, event queue) from
 /// parallelism.
 fn bench_sessions_per_sec(c: &mut Criterion) {
     let specs = paced_fanout();
@@ -179,7 +179,7 @@ fn bench_sessions_per_sec(c: &mut Criterion) {
         g.finish();
     }
     // Throughput report: sessions/s per worker is the number scratch-reuse
-    // and queue-backend work moves; the total is what parallelism moves.
+    // and event-queue work moves; the total is what parallelism moves.
     for (name, jobs) in &cases {
         let full = format!("parallel/{name}");
         if let Some(r) = c.results().iter().find(|r| r.name == full) {

@@ -34,6 +34,6 @@ pub mod rng;
 pub mod time;
 
 pub use exec::{dedup_by_key, default_jobs, par_indexed, par_indexed_with, par_map, ShardPlan};
-pub use queue::{default_backend, set_default_backend, EventQueue, QueueBackend, QueueStats};
+pub use queue::{EventQueue, QueueStats};
 pub use rng::{derive_seed, SimRng};
 pub use time::{SimDuration, SimTime};

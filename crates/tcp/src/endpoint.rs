@@ -22,10 +22,10 @@ use vstream_sim::{SimDuration, SimTime};
 use crate::cc::NewAckOutcome;
 use crate::congestion::Congestion;
 use crate::config::TcpConfig;
+use crate::rangeset::RangeSet;
 use crate::reassembly::ReceiveBuffer;
 use crate::rtt::RttEstimator;
 use crate::segment::Segment;
-use std::collections::BTreeMap;
 
 /// Which side of the connection this endpoint is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,18 +128,14 @@ pub struct Endpoint {
     /// slot).
     fin_sent: bool,
     /// Sender-side SACK scoreboard: byte ranges the peer reported holding
-    /// out of order (disjoint, above `snd_una`).
-    sacked: BTreeMap<u64, u64>,
-    /// Total bytes in `sacked`.
-    sacked_bytes: u64,
+    /// out of order (above `snd_una`).
+    sacked: RangeSet,
     /// Next hole to repair during SACK-based recovery; monotone within one
     /// recovery episode so no hole is retransmitted twice per episode.
     hole_next: u64,
     /// Ranges retransmitted and not yet known delivered; the retransmission
     /// component of the RFC 6675 pipe estimate.
-    retx_pending: BTreeMap<u64, u64>,
-    /// Total bytes in `retx_pending`.
-    retx_pending_bytes: u64,
+    retx_pending: RangeSet,
     /// End of the highest range the peer has reported holding out of order.
     /// Everything between `snd_una` and this point is either SACKed or lost,
     /// so it does not count toward the pipe.
@@ -205,11 +201,9 @@ impl Endpoint {
             snd_wl: 0,
             fin_queued: false,
             fin_sent: false,
-            sacked: BTreeMap::new(),
-            sacked_bytes: 0,
+            sacked: RangeSet::new(),
             hole_next: 0,
-            retx_pending: BTreeMap::new(),
-            retx_pending_bytes: 0,
+            retx_pending: RangeSet::new(),
             peer_sack_highest: 0,
             cc,
             rtt,
@@ -329,8 +323,8 @@ impl Endpoint {
             self.cc.cwnd(),
             self.cc.ssthresh(),
             self.cc.in_recovery(),
-            self.sacked_bytes,
-            self.retx_pending_bytes,
+            self.sacked.bytes(),
+            self.retx_pending.bytes(),
             self.peer_sack_highest,
             self.recovery_quota,
         )
@@ -509,10 +503,16 @@ impl Endpoint {
 
     /// Earliest pending timer deadline, if any.
     pub fn next_timer(&self) -> Option<SimTime> {
-        [self.rto_deadline, self.persist_deadline, self.delack_deadline]
-            .into_iter()
-            .flatten()
-            .min()
+        // Called after every event the endpoint handles: two compares, no
+        // array or iterator to build.
+        fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+            match (a, b) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, None) => a,
+                (None, b) => b,
+            }
+        }
+        earlier(earlier(self.rto_deadline, self.persist_deadline), self.delack_deadline)
     }
 
     /// Fires whichever timers have expired at `now`.
@@ -552,10 +552,8 @@ impl Endpoint {
             let flight_before = self.snd_nxt - self.snd_una;
             let cwnd_limited = flight_before + self.cfg.mss as u64 >= self.cc.cwnd();
             self.snd_una = ack_no;
-            self.scoreboard_prune();
-            if !self.retx_pending.is_empty() {
-                self.retx_pending_remove(0, ack_no);
-            }
+            self.sacked.prune_below(ack_no);
+            self.retx_pending.prune_below(ack_no);
             // PRR slow-start reduction bound: each ACK permits sending one
             // segment more than it delivered, so a collapsed flight can
             // regrow exponentially instead of locking at one segment per
@@ -657,9 +655,9 @@ impl Endpoint {
                 continue;
             }
             self.trace_ev(now, EventKind::TcpSackEdge, start, end);
-            self.scoreboard_insert(start, end);
+            self.sacked.insert_merged(start, end);
             // A SACKed retransmission has left the network.
-            self.retx_pending_remove(start, end);
+            self.retx_pending.remove_span(start, end);
         }
     }
 
@@ -670,7 +668,7 @@ impl Endpoint {
     /// remains is the un-SACKed tail plus outstanding retransmissions.
     fn pipe(&self) -> u64 {
         let tail_from = self.peer_sack_highest.max(self.snd_una);
-        self.snd_nxt.saturating_sub(tail_from) + self.retx_pending_bytes
+        self.snd_nxt.saturating_sub(tail_from) + self.retx_pending.bytes()
     }
 
     /// Bytes counted against the congestion window when deciding to send.
@@ -680,94 +678,6 @@ impl Endpoint {
         } else {
             self.snd_nxt - self.snd_una
         }
-    }
-
-    fn retx_pending_insert(&mut self, start: u64, end: u64) {
-        debug_assert!(start < end);
-        // Ranges never overlap (hole_next is monotone per episode), so a
-        // plain insert suffices.
-        self.retx_pending.insert(start, end);
-        self.retx_pending_bytes += end - start;
-    }
-
-    /// Removes `[start, end)` overlap from the pending-retransmission set.
-    fn retx_pending_remove(&mut self, start: u64, end: u64) {
-        let overlapping: Vec<u64> = self
-            .retx_pending
-            .range(..end)
-            .rev()
-            .take_while(|(_, &e)| e > start)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.retx_pending.remove(&s).expect("key just observed");
-            self.retx_pending_bytes -= e - s;
-            // Re-insert the non-overlapping remainders, if any.
-            if s < start {
-                self.retx_pending.insert(s, start);
-                self.retx_pending_bytes += start - s;
-            }
-            if e > end {
-                self.retx_pending.insert(end, e);
-                self.retx_pending_bytes += e - end;
-            }
-        }
-    }
-
-    fn scoreboard_insert(&mut self, mut start: u64, mut end: u64) {
-        let overlapping: Vec<u64> = self
-            .sacked
-            .range(..=end)
-            .rev()
-            .take_while(|(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.sacked.remove(&s).expect("key just observed");
-            self.sacked_bytes -= e - s;
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.sacked.insert(start, end);
-        self.sacked_bytes += end - start;
-    }
-
-    /// Drops scoreboard ranges at or below the new cumulative ACK.
-    fn scoreboard_prune(&mut self) {
-        while let Some((&s, &e)) = self.sacked.first_key_value() {
-            if e <= self.snd_una {
-                self.sacked.remove(&s);
-                self.sacked_bytes -= e - s;
-            } else if s < self.snd_una {
-                self.sacked.remove(&s);
-                self.sacked_bytes -= e - s;
-                self.sacked.insert(self.snd_una, e);
-                self.sacked_bytes += e - self.snd_una;
-                break;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// If `seq` falls inside a SACK-covered range, returns that range's end
-    /// (the peer already has these bytes; skip them).
-    fn sacked_range_end(&self, seq: u64) -> Option<u64> {
-        self.sacked
-            .range(..=seq)
-            .next_back()
-            .filter(|(_, &e)| e > seq)
-            .map(|(_, &e)| e)
-    }
-
-    /// If `seq` falls inside a repair that is still in flight, returns that
-    /// range's end (retransmitting it again would be pure duplication).
-    fn retx_pending_range_end(&self, seq: u64) -> Option<u64> {
-        self.retx_pending
-            .range(..=seq)
-            .next_back()
-            .filter(|(_, &e)| e > seq)
-            .map(|(_, &e)| e)
     }
 
     /// Retransmits scoreboard holes during fast recovery, pipe-limited.
@@ -786,9 +696,9 @@ impl Endpoint {
             }
             // Skip over ranges the peer holds and repairs still in flight.
             loop {
-                if let Some(end) = self.sacked_range_end(self.hole_next) {
+                if let Some(end) = self.sacked.covering_end(self.hole_next) {
                     self.hole_next = end;
-                } else if let Some(end) = self.retx_pending_range_end(self.hole_next) {
+                } else if let Some(end) = self.retx_pending.covering_end(self.hole_next) {
                     self.hole_next = end;
                 } else {
                     break;
@@ -802,14 +712,14 @@ impl Endpoint {
             // data). Beyond the last known range nothing is known yet — the
             // SACK rotation will reveal it within a round trip, and guessing
             // would spuriously retransmit delivered data.
-            let hole_end = match self.sacked.range(self.hole_next..).next() {
-                Some((&s, _)) => s.min(self.write_offset),
+            let hole_end = match self.sacked.next_start_from(self.hole_next) {
+                Some(s) => s.min(self.write_offset),
                 None => break,
             };
             // Do not extend a repair over a pending one.
-            let hole_end = match self.retx_pending.range(self.hole_next + 1..hole_end).next() {
-                Some((&s, _)) => s,
-                None => hole_end,
+            let hole_end = match self.retx_pending.next_start_from(self.hole_next + 1) {
+                Some(s) if s < hole_end => s,
+                _ => hole_end,
             };
             let len = (self.cfg.mss as u64).min(hole_end - self.hole_next) as u32;
             if len == 0 {
@@ -821,7 +731,9 @@ impl Endpoint {
             self.stats.retx_bytes += len as u64;
             self.rtt_probe = None;
             self.last_data_sent = Some(now);
-            self.retx_pending_insert(self.hole_next, self.hole_next + len as u64);
+            // `hole_next` was just walked past every pending repair and
+            // `hole_end` stops short of the next, so this never overlaps.
+            self.retx_pending.insert_merged(self.hole_next, self.hole_next + len as u64);
             self.hole_next += len as u64;
             self.recovery_quota -= 1;
             out.push(seg);
@@ -881,7 +793,7 @@ impl Endpoint {
                 // When resending after a rewind, skip ranges the peer
                 // already holds (scoreboard survives the timeout, RFC 6675).
                 if self.snd_nxt < self.snd_high {
-                    if let Some(end) = self.sacked_range_end(self.snd_nxt) {
+                    if let Some(end) = self.sacked.covering_end(self.snd_nxt) {
                         self.snd_nxt = end.min(self.write_offset);
                         continue;
                     }
@@ -983,8 +895,7 @@ impl Endpoint {
         self.stats.retx_segments += 1;
         self.stats.retx_bytes += len as u64;
         if len > 0 {
-            self.retx_pending_remove(seq, seq + len as u64);
-            self.retx_pending_insert(seq, seq + len as u64);
+            self.retx_pending.insert_merged(seq, seq + len as u64);
         }
         self.rtt_probe = None;
         self.last_data_sent = Some(now);
@@ -1021,7 +932,6 @@ impl Endpoint {
         self.rtt.back_off();
         self.cc.on_timeout(self.snd_nxt - self.snd_una);
         self.retx_pending.clear();
-        self.retx_pending_bytes = 0;
         self.rewind_to_una();
         self.arm_rto(now);
         self.pump_into(now, out);

@@ -37,6 +37,7 @@ pub mod config;
 pub mod congestion;
 pub mod cubic;
 pub mod endpoint;
+mod rangeset;
 pub mod reassembly;
 pub mod rtt;
 pub mod segment;

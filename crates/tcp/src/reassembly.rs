@@ -10,7 +10,8 @@
 //! [`ReceiveBuffer::read`] lets the buffer fill, which drives the advertised
 //! window to zero and silences the sender (Fig. 2b).
 
-use std::collections::BTreeMap;
+use crate::rangeset::RangeSet;
+use crate::segment::SackBlocks;
 
 /// Reassembly buffer and window accounting for one direction of a
 /// connection.
@@ -22,11 +23,8 @@ pub struct ReceiveBuffer {
     unread: u64,
     /// Total buffer capacity in bytes.
     capacity: u64,
-    /// Out-of-order ranges, keyed by start offset; disjoint, non-adjacent,
-    /// and all strictly above `rcv_nxt`.
-    ooo: BTreeMap<u64, u64>,
-    /// Total bytes held in `ooo`.
-    ooo_bytes: u64,
+    /// Out-of-order ranges, all strictly above `rcv_nxt`.
+    ooo: RangeSet,
     /// Sequence offset of the peer's FIN, once seen.
     fin_seq: Option<u64>,
     /// True once `rcv_nxt` has consumed the FIN.
@@ -51,8 +49,7 @@ impl ReceiveBuffer {
             rcv_nxt: 0,
             unread: 0,
             capacity,
-            ooo: BTreeMap::new(),
-            ooo_bytes: 0,
+            ooo: RangeSet::new(),
             fin_seq: None,
             fin_reached: false,
             last_insert: None,
@@ -73,7 +70,7 @@ impl ReceiveBuffer {
 
     /// Currently advertised receive window in bytes.
     pub fn window(&self) -> u64 {
-        self.capacity.saturating_sub(self.unread + self.ooo_bytes)
+        self.capacity.saturating_sub(self.unread + self.ooo.bytes())
     }
 
     /// Bytes available for the application to read.
@@ -99,23 +96,41 @@ impl ReceiveBuffer {
     /// a correct peer never sends it, but a zero-window probe probes exactly
     /// this path.
     pub fn on_data(&mut self, seq: u64, len: u32) -> u64 {
-        if len == 0 {
+        let Some((start, end)) = self.clip(seq, len) else {
             return 0;
+        };
+        if self.ooo.is_empty() && start == self.rcv_nxt {
+            // In order with nothing held back — almost every data segment
+            // of a session: the bytes go straight to the application and
+            // the interval set is never touched.
+            // `last_insert` always names a stored range, so it is already
+            // `None` here.
+            debug_assert!(self.last_insert.is_none());
+            self.rcv_nxt = end;
+            self.unread += end - start;
+            self.check_fin();
+            return end - start;
         }
-        let mut start = seq;
-        let mut end = seq + len as u64;
+        self.store_and_deliver(start, end)
+    }
 
+    /// [`Self::on_data`] with every segment sent down the general path: the
+    /// reference the in-order fast path is compared against.
+    #[cfg(test)]
+    fn on_data_general(&mut self, seq: u64, len: u32) -> u64 {
+        match self.clip(seq, len) {
+            Some((start, end)) => self.store_and_deliver(start, end),
+            None => 0,
+        }
+    }
+
+    /// The part of `[seq, seq + len)` that is new and inside the window.
+    fn clip(&self, seq: u64, len: u32) -> Option<(u64, u64)> {
         // Clip below: already-received bytes.
-        start = start.max(self.rcv_nxt);
+        let start = seq.max(self.rcv_nxt);
         // Clip above: the window right edge promised to the peer.
-        let right_edge = self.rcv_nxt + self.window();
-        end = end.min(right_edge);
-        if start >= end {
-            return 0;
-        }
-
-        self.insert_range(start, end);
-        self.deliver_in_order()
+        let end = (seq + len as u64).min(self.rcv_nxt + self.window());
+        (start < end).then_some((start, end))
     }
 
     /// Records the peer's FIN at stream offset `seq` (one past the last data
@@ -132,36 +147,29 @@ impl ReceiveBuffer {
     /// The first (lowest) out-of-order ranges held, for the SACK option of
     /// outgoing ACKs. The lowest ranges are reported because they are the
     /// ones adjacent to the holes the sender must repair first.
-    pub fn sack_blocks(&mut self) -> crate::segment::SackBlocks {
-        let mut blocks = crate::segment::SackBlocks::default();
-        if self.ooo.is_empty() {
-            return blocks;
-        }
+    pub fn sack_blocks(&mut self) -> SackBlocks {
+        let mut blocks = SackBlocks::default();
         // First block: the range containing the most recent insertion
         // (RFC 2018 §4), so the sender learns about fresh arrivals at once.
-        let first = self
+        let recent = self
             .last_insert
-            .and_then(|s| self.ooo.get(&s).map(|&e| (s, e)))
-            .or_else(|| self.ooo.first_key_value().map(|(&s, &e)| (s, e)));
-        let first_start = match first {
-            Some((s, e)) => {
-                blocks.push(s, e);
-                s
-            }
-            None => u64::MAX,
+            .and_then(|s| self.ooo.starting_from(s).first().copied().filter(|r| r.0 == s));
+        let Some((first_start, first_end)) = recent.or_else(|| self.ooo.first()) else {
+            return blocks;
         };
+        blocks.push(first_start, first_end);
         // Remaining slots: rotate through the other ranges so that a burst
         // of ACKs communicates the complete out-of-order map.
         let mut cursor = self.sack_rotate;
         for _ in 0..2 {
             let next = self
                 .ooo
-                .range(cursor..)
-                .find(|(&s, _)| s != first_start)
-                .or_else(|| self.ooo.iter().find(|(&s, _)| s != first_start))
-                .map(|(&s, &e)| (s, e));
+                .starting_from(cursor)
+                .iter()
+                .chain(self.ooo.as_slice())
+                .find(|r| r.0 != first_start);
             match next {
-                Some((s, e)) => {
+                Some(&(s, e)) => {
                     blocks.push(s, e);
                     cursor = s + 1;
                 }
@@ -169,7 +177,7 @@ impl ReceiveBuffer {
             }
         }
         self.sack_rotate = cursor;
-        if let Some((_, &e)) = self.ooo.last_key_value() {
+        if let Some((_, e)) = self.ooo.last() {
             blocks.set_highest_end(e);
         }
         blocks
@@ -183,38 +191,17 @@ impl ReceiveBuffer {
         n
     }
 
-    fn insert_range(&mut self, mut start: u64, mut end: u64) {
-        // Merge with any overlapping or adjacent stored ranges.
-        // Candidates: the last range starting at or before `end`, walking
-        // backwards while they still intersect.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .rev()
-            .take_while(|(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.ooo.remove(&s).expect("key just observed");
-            self.ooo_bytes -= e - s;
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.ooo.insert(start, end);
-        self.ooo_bytes += end - start;
-        self.last_insert = Some(start);
-    }
-
-    fn deliver_in_order(&mut self) -> u64 {
+    /// The general path of [`Self::on_data`]: stores the clipped range,
+    /// then releases whatever became contiguous with `rcv_nxt`.
+    fn store_and_deliver(&mut self, start: u64, end: u64) -> u64 {
+        self.last_insert = Some(self.ooo.insert_merged(start, end));
         let mut delivered = 0;
-        while let Some((&s, &e)) = self.ooo.first_key_value() {
-            if s > self.rcv_nxt {
-                break;
-            }
-            self.ooo.remove(&s);
-            self.ooo_bytes -= e - s;
+        // Stored ranges are non-adjacent, so at most the lowest one can
+        // have reached `rcv_nxt`.
+        if let Some((s, e)) = self.ooo.first().filter(|r| r.0 <= self.rcv_nxt) {
             debug_assert!(s == self.rcv_nxt, "stored range below rcv_nxt");
-            delivered += e - self.rcv_nxt;
+            self.ooo.remove_span(s, e);
+            delivered = e - self.rcv_nxt;
             self.rcv_nxt = e;
             if self.last_insert == Some(s) {
                 self.last_insert = None;
@@ -424,5 +411,115 @@ mod tests {
                 assert!(rb.available() + rb.window() <= rb.capacity(), "seed {seed}");
             }
         }
+    }
+
+    /// Everything an outgoing ACK is built from, plus the private SACK
+    /// bookkeeping that shapes the *next* ACK.
+    fn observable(rb: &mut ReceiveBuffer) -> impl PartialEq + std::fmt::Debug {
+        let blocks: Vec<(u64, u64)> = rb.sack_blocks().iter().collect();
+        (
+            (rb.ack_no(), rb.window(), rb.available(), rb.at_eof()),
+            (blocks, rb.sack_blocks().highest_end()),
+            (rb.last_insert, rb.sack_rotate, rb.ooo.as_slice().to_vec(), rb.ooo.bytes()),
+        )
+    }
+
+    /// The in-order fast path is an optimisation, not a behaviour: a buffer
+    /// fed through `on_data` and one fed through the general path must be
+    /// indistinguishable after every segment, read and FIN — on random
+    /// arrival orders with duplicates, a window small enough to clip,
+    /// zero-window probes, and the FIN arriving in and out of order.
+    #[test]
+    fn fast_path_matches_general_path_at_every_step() {
+        const MSS: u64 = 1460;
+        let mut fast_path_taken = 0u32;
+        let mut clipped = 0u32;
+        let mut probes_refused = 0u32;
+        for seed in 0..96u64 {
+            let mut rng = SimRng::new(0xFA57_0000 + seed);
+            // Small buffers clip and close the window; large ones let long
+            // in-order runs and deep out-of-order maps form.
+            let capacity = [3 * MSS + 700, 16 * MSS, 256 * MSS][rng.choose_index(3)];
+            let mut fast = ReceiveBuffer::new(capacity);
+            let mut general = ReceiveBuffer::new(capacity);
+            let stream_len = 60 * MSS + rng.uniform_u64(0, MSS);
+            let fin_early = rng.choose_index(4) == 0;
+            if fin_early {
+                assert_eq!(fast.on_fin(stream_len), general.on_fin(stream_len), "seed {seed}");
+            }
+            // The sender's view: next new byte, and a pool of segments
+            // "in the network" that arrive in a perturbed order.
+            let mut snd_nxt = 0u64;
+            let mut in_flight: Vec<(u64, u32)> = Vec::new();
+            for step in 0..2_000 {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.choose_index(10) {
+                    // Send: the next segment, possibly beyond the window.
+                    0..=2 if snd_nxt < stream_len => {
+                        let len = MSS.min(stream_len - snd_nxt);
+                        in_flight.push((snd_nxt, len as u32));
+                        snd_nxt += len;
+                    }
+                    // Deliver: usually the oldest in flight (in order),
+                    // sometimes a random one (reordering); sometimes the
+                    // segment stays in flight as well (duplicate).
+                    3..=6 if !in_flight.is_empty() => {
+                        let i = if rng.choose_index(5) == 0 { rng.choose_index(in_flight.len()) } else { 0 };
+                        let (seq, len) = in_flight[i];
+                        if rng.choose_index(6) != 0 {
+                            in_flight.remove(i);
+                        }
+                        let seg_end = seq + len as u64;
+                        let brings_next_byte = seq <= fast.rcv_nxt && fast.rcv_nxt < seg_end;
+                        if fast.ooo.is_empty() && brings_next_byte && fast.window() > 0 {
+                            fast_path_taken += 1;
+                        }
+                        if seg_end > fast.rcv_nxt + fast.window() {
+                            clipped += 1;
+                        }
+                        assert_eq!(fast.on_data(seq, len), general.on_data_general(seq, len), "{ctx}");
+                        // Whatever was refused or clipped is sent again.
+                        let ack = fast.ack_no().min(stream_len);
+                        if ack < seq + len as u64 && !in_flight.iter().any(|s| s.0 <= ack && ack < s.0 + s.1 as u64) {
+                            let from = ack.max(seq);
+                            in_flight.push((from, (seq + len as u64 - from) as u32));
+                        }
+                    }
+                    // Application read of a random amount.
+                    7..=8 => {
+                        let max = rng.uniform_u64(0, 6 * MSS);
+                        assert_eq!(fast.read(max), general.read(max), "{ctx}");
+                    }
+                    // Zero-window probe: one byte past a closed window.
+                    _ => {
+                        if fast.window() == 0 && fast.rcv_nxt < stream_len {
+                            let seq = fast.rcv_nxt;
+                            assert_eq!(fast.on_data(seq, 1), 0, "{ctx}: probe accepted");
+                            assert_eq!(general.on_data_general(seq, 1), 0, "{ctx}");
+                            probes_refused += 1;
+                        }
+                    }
+                }
+                assert_eq!(observable(&mut fast), observable(&mut general), "{ctx}");
+            }
+            // Drain: deliver what is left in order, reading as we go, then
+            // the FIN in order.
+            while fast.rcv_nxt < stream_len {
+                let seq = fast.rcv_nxt;
+                let len = MSS.min(stream_len - seq) as u32;
+                assert_eq!(fast.on_data(seq, len), general.on_data_general(seq, len), "seed {seed} drain");
+                assert_eq!(fast.read(u64::MAX), general.read(u64::MAX), "seed {seed} drain");
+                assert_eq!(observable(&mut fast), observable(&mut general), "seed {seed} drain");
+            }
+            if !fin_early {
+                assert!(fast.on_fin(stream_len) && general.on_fin(stream_len), "seed {seed}: FIN in order");
+            }
+            assert_eq!(fast.ack_no(), stream_len + 1, "seed {seed}: FIN consumed its slot");
+            assert!(fast.at_eof() && general.at_eof(), "seed {seed}");
+            assert_eq!(observable(&mut fast), observable(&mut general), "seed {seed} end");
+        }
+        assert!(fast_path_taken > 2_000, "fast path barely exercised: {fast_path_taken}");
+        assert!(clipped > 1_000, "window clipping barely exercised: {clipped}");
+        assert!(probes_refused > 10, "zero-window probes barely exercised: {probes_refused}");
     }
 }

@@ -32,6 +32,11 @@
 #   5. a quick-mode pass over every benchmark, so a change that breaks a
 #      bench harness (or makes a substrate pathologically slow) fails CI
 #      rather than the next person's perf run
+#   6. the repo benchmark's own smoke check (benchmark/check.sh): its unit
+#      tests, then a scaled-down pass of every workload, end to end and
+#      traced. benchmark/driver builds against crates/* by path, so a
+#      public-API deletion it depends on fails here rather than at the next
+#      benchmark run
 #
 # Usage: scripts/ci.sh
 # Everything runs offline; no network access is required.
@@ -124,4 +129,7 @@ cargo test --offline --release --quiet -p vstream-capture
 echo "==> bench smoke (quick mode, no JSON ledger)"
 cargo bench --offline -p vstream-bench --bench substrates -- --quick
 
-echo "OK: build, tests, determinism, metrics neutrality, default-run memory and results/, trace neutrality, campaign smoke, roundtrip, and bench smoke all passed"
+echo "==> repo benchmark smoke (benchmark/check.sh: driver builds against crates/*, outputs repeat)"
+benchmark/check.sh
+
+echo "OK: build, tests, determinism, metrics neutrality, default-run memory and results/, trace neutrality, campaign smoke, roundtrip, bench smoke, and repo benchmark smoke all passed"
