@@ -160,6 +160,17 @@ fn main() {
         eprintln!("error: 'campaign' runs alone (it is a planner, not a figure)");
         std::process::exit(2);
     }
+    // Every id is checked before any figure runs, so a typo at the end of
+    // the list cannot cost the minutes the ids before it take.
+    let known = |id: &str| id == "all" || id == "campaign" || ALL_IDS.contains(&id);
+    if let Some(bad) = selected.iter().find(|id| !known(id)) {
+        eprintln!("error: unknown id {bad:?} (try --help)");
+        std::process::exit(2);
+    }
+    if opts.trace_dir.is_none() && (opts.trace_anomalies || opts.trace_cap.is_some()) {
+        eprintln!("error: --trace-anomalies and --trace-cap require --trace-dir");
+        std::process::exit(2);
+    }
     if selected.iter().any(|s| s == "all") {
         selected = ALL_IDS.iter().map(|s| s.to_string()).collect();
     }
@@ -431,7 +442,7 @@ fn run_one(id: &str, opts: &Options) {
             emit_fig(&fig, opts);
             emit_fig(&f::model_smoothing(), opts);
         }
-        other => eprintln!("unknown id {other:?} (try --help)"),
+        other => unreachable!("id {other:?} passed validation but has no driver"),
     }
 }
 

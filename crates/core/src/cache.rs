@@ -137,27 +137,28 @@ pub(crate) fn lookup(key: &SessionKey, query: &SessionQuery) -> Option<Arc<Cache
     store().get(&(*key, query.clone())).cloned()
 }
 
-/// Stores a finished reply. Returns the retained entry and whether this
-/// call inserted it — on a concurrent double-miss the first insert wins
-/// (both computed bit-identical replies, so which copy is retained cannot
-/// matter) and only the winner accounts its bytes.
+/// Stores a finished reply. Returns the bytes the entry retains when this
+/// call inserted it, `None` when the entry already existed — on a
+/// concurrent double-miss the first insert wins (both computed
+/// bit-identical replies, so which copy is retained cannot matter) and only
+/// the winner accounts its bytes.
 pub(crate) fn insert(
     key: SessionKey,
     query: &SessionQuery,
     reply: Option<SessionReply>,
     metrics: Metrics,
-) -> (Arc<CachedReply>, bool) {
+) -> Option<u64> {
     let bytes =
         (size_of::<CachedReply>() + reply.as_ref().map_or(0, SessionReply::heap_bytes)) as u64;
     match store().entry((key, query.clone())) {
-        Entry::Occupied(e) => (e.get().clone(), false),
+        Entry::Occupied(_) => None,
         Entry::Vacant(e) => {
-            let cell = Arc::new(CachedReply {
+            e.insert(Arc::new(CachedReply {
                 reply,
                 metrics,
                 bytes,
-            });
-            (e.insert(cell).clone(), true)
+            }));
+            Some(bytes)
         }
     }
 }

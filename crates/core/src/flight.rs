@@ -345,7 +345,7 @@ pub fn text_timeline(stem: &str, rec: &Recorder, out: &CellOutcome) -> String {
     s
 }
 
-#[cfg(all(test, not(vstream_obs_off)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use vstream_obs::trace::SIDE_NONE;

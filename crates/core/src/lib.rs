@@ -50,9 +50,9 @@
 //! figures revisit the same (client, container, video, profile) cells, the
 //! [`cache`] module memoizes finished replies across figures within a run —
 //! sessions are pure functions of their spec, so cached output is
-//! byte-identical too (see `--no-cache`). [`session::run_many`] is the
-//! trace-retaining twin for consumers of raw packets. The `vstream-bench`
-//! crate wraps the figures in benchmarks and the `repro` binary.
+//! byte-identical too (see `--no-cache`). [`SessionSpec::run`] is the
+//! trace-retaining single-session call for consumers of raw packets. The
+//! `vstream-bench` crate wraps the figures in the `repro` binary.
 
 pub mod cache;
 pub mod campaign;
@@ -70,8 +70,7 @@ pub use campaign::{
 pub use qoe::{QoeRow, QoeSummary};
 pub use query::{query_many, query_many_jobs, SessionAnswer, SessionQuery, SessionReply};
 pub use session::{
-    default_jobs, map_many, run_cell, run_many, run_many_jobs, set_default_jobs, CellOutcome,
-    SessionScratch, SessionSpec,
+    default_jobs, run_cell, set_default_jobs, CellOutcome, SessionScratch, SessionSpec,
 };
 
 /// The most common imports for driving experiments.
@@ -79,8 +78,7 @@ pub mod prelude {
     pub use crate::query::{query_many, query_many_jobs, SessionQuery, SessionReply};
     pub use crate::report::{FigureData, Series, TableData};
     pub use crate::session::{
-        map_many, run_cell, run_many, run_many_jobs, set_default_jobs, CellOutcome,
-        SessionScratch, SessionSpec,
+        run_cell, set_default_jobs, CellOutcome, SessionScratch, SessionSpec,
     };
     pub use vstream_analysis::{classify, AnalysisConfig, Cdf, SessionPhases, Strategy};
     pub use vstream_app::{Video, PlayerStats};

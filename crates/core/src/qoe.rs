@@ -34,8 +34,8 @@ use crate::session::SessionSpec;
 /// The QoE quantities reduced from one session, before identity/formatting.
 ///
 /// Everything is derived from unconditional [`vstream_app::PlayerStats`]
-/// fields and the strategy's block counter — never from the obs-gated
-/// stall histogram, which is empty under `--cfg vstream_obs_off`.
+/// fields and the strategy's block counter, never from the metrics
+/// registry's stall histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QoeSummary {
     /// Startup delay in microseconds, `None` when playback never started.

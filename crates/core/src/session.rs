@@ -9,16 +9,15 @@
 //! function of the session's identity (use [`vstream_sim::derive_seed`]),
 //! never drawn from a shared RNG while iterating.
 //!
-//! Two families of entry points. [`query_many`](crate::query::query_many)
-//! (through [`batch_resolve`]) is what the figure drivers use: analysis
-//! folds on the live packet tap, no trace, replies memoized by the
-//! [session cache](crate::cache). [`SessionSpec::run`], [`run_many`] and
-//! [`map_many`] retain the packet [`Trace`] for consumers of raw packets
-//! (pcap export, trace inspection, test oracles); they always simulate and
-//! never touch the cache.
+//! [`query_many`](crate::query::query_many) (through [`batch_resolve`]) is
+//! the one batch entrance and what the figure drivers use: analysis folds on
+//! the live packet tap, no trace, replies memoized by the
+//! [session cache](crate::cache). [`SessionSpec::run`] runs one session and
+//! retains its packet [`Trace`] for consumers of raw packets (pcap export,
+//! trace inspection, test oracles); it always simulates and never touches
+//! the cache.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use vstream_app::engine::Engine;
 pub use vstream_app::engine::SessionScratch;
@@ -135,23 +134,18 @@ impl SessionSpec {
     /// not traces.
     pub fn run(&self) -> Option<CellOutcome> {
         let mut scratch = self.fresh_scratch();
-        let out = self.run_with_scratch(&mut scratch);
+        let out = self.simulate(&mut scratch, None);
         scratch.flush_metrics();
         out
     }
 
-    /// Like [`SessionSpec::run`], but reusing (and replenishing) a worker's
-    /// [`SessionScratch`] so back-to-back sessions skip their warm-up
-    /// allocations. The outcome is bit-identical to [`SessionSpec::run`] —
-    /// scratch carries capacity, never state.
-    pub fn run_with_scratch(&self, scratch: &mut SessionScratch) -> Option<CellOutcome> {
-        self.simulate(scratch, None)
-    }
-
-    /// The engine path. With a `tap`, every emitted packet is pushed into
-    /// it as the simulation runs, the session never allocates trace columns
-    /// and the returned outcome carries an empty [`Trace`]; without one the
-    /// capture is retained.
+    /// The engine path. The worker's [`SessionScratch`] is taken for the
+    /// run and handed back replenished, so back-to-back sessions skip their
+    /// warm-up allocations — scratch carries capacity, never state. With a
+    /// `tap`, every emitted packet is pushed into it as the simulation
+    /// runs, the session never allocates trace columns and the returned
+    /// outcome carries an empty [`Trace`]; without one the capture is
+    /// retained.
     ///
     /// This is where the flight recorder brackets a session: a fresh
     /// per-session event ring before the engine, a dump decision after.
@@ -244,8 +238,7 @@ impl SessionSpec {
     /// [`shared`](Self::shared)) the reply is memoized under
     /// `(spec, query)`, so the engine runs once per distinct question per
     /// run: a **miss** stores a copy of the reply it computed and a **hit**
-    /// clones the stored one. The retained entry is handed back so
-    /// [`batch_resolve`] can replay its metrics for in-batch duplicates.
+    /// clones the stored one.
     ///
     /// Metrics bookkeeping keeps a metered ledger independent of the cache
     /// configuration. On a miss, the engine run is bracketed by two
@@ -261,13 +254,13 @@ impl SessionSpec {
         &self,
         scratch: &mut SessionScratch,
         query: &SessionQuery,
-    ) -> (Option<SessionReply>, Option<Arc<cache::CachedReply>>) {
+    ) -> Option<SessionReply> {
         let key = (cache::is_active() && self.shared).then(|| cache::key_of(self));
         if let Some(cell) = key.as_ref().and_then(|k| cache::lookup(k, query)) {
             let m = scratch.metrics_mut();
             m.merge(&cell.metrics);
             m.add(Counter::CacheHits, 1);
-            return (cell.reply.clone(), Some(cell));
+            return cell.reply.clone();
         }
         let bracket = key.map(|k| (k, scratch.metrics_mut().take()));
         let mut fold = CompositeFold::new(query, self.fold_rtt(query));
@@ -277,18 +270,17 @@ impl SessionSpec {
             .gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
         let reply = out.map(|o| SessionReply::assemble(fold, query, o));
         let Some((key, before)) = bracket else {
-            return (reply, None);
+            return reply;
         };
         let delta = scratch.metrics_mut().take();
         let m = scratch.metrics_mut();
         m.merge(&before);
         m.merge(&delta);
         m.add(Counter::CacheMisses, 1);
-        let (cell, inserted) = cache::insert(key, query, reply.clone(), delta);
-        if inserted {
-            m.add(Counter::CacheBytesRetained, cell.bytes);
+        if let Some(bytes) = cache::insert(key, query, reply.clone(), delta) {
+            m.add(Counter::CacheBytesRetained, bytes);
         }
-        (reply, Some(cell))
+        reply
     }
 
     /// The RTT the ack-clock fold is parameterised with. Reads the path
@@ -313,72 +305,23 @@ impl SessionSpec {
     }
 }
 
-/// Runs every spec, up to [`default_jobs`] sessions in parallel, and returns
-/// the outcomes — traces included — ordered by spec index.
-pub fn run_many(specs: &[SessionSpec]) -> Vec<Option<CellOutcome>> {
-    run_many_jobs(specs, default_jobs())
-}
-
-/// [`run_many`] with an explicit worker count.
+/// The batch path: fan every spec out across the worker pool and reduce
+/// each reply to `f(index, &reply)` **inside the worker**, so peak memory
+/// stays at one live reply per worker.
 ///
-/// Each worker keeps one [`SessionScratch`] alive across the sessions it
-/// runs, so only a worker's first session pays the queue/buffer/trace
-/// warm-up allocations. Scratch reuse never changes results — the
-/// jobs-invariance test below and `scripts/check_determinism.sh` hold this.
-pub fn run_many_jobs(specs: &[SessionSpec], jobs: usize) -> Vec<Option<CellOutcome>> {
-    batch_run(specs, jobs, |_, out| out)
-}
-
-/// Runs every spec and reduces each outcome to `f(index, &outcome)` **inside
-/// the worker**, so a session's packet trace is dropped before the next
-/// session on that worker starts. Prefer this over [`run_many`] for large
-/// batches: it keeps peak memory at one trace per worker instead of one per
-/// session.
-pub fn map_many<T, F>(specs: &[SessionSpec], f: F) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize, &CellOutcome) -> T + Sync,
-{
-    batch_run(specs, default_jobs(), |i, out| f(i, &out))
-}
-
-/// The trace-retaining batch path: every spec simulates on a worker's
-/// scratch and is reduced in-worker.
-fn batch_run<T, F>(specs: &[SessionSpec], jobs: usize, f: F) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize, CellOutcome) -> T + Sync,
-{
-    exec::par_indexed_with_finish(
-        specs.len(),
-        jobs,
-        || batch_scratch(specs),
-        |scratch, i| specs[i].run_with_scratch(scratch).map(|out| f(i, out)),
-        |mut scratch| scratch.flush_metrics(),
-    )
-}
-
-/// The query batch path: dedup before dispatch, reduce in-worker.
-///
-/// Duplicate cacheable specs within the batch are computed once —
-/// [`exec::dedup_by_key`] picks each distinct spec's first occurrence as
-/// its *leader*, only the leaders fan out across the worker pool (each
-/// resolving through [`SessionSpec::obtain_reply`], so cross-figure hits
-/// short-circuit too), and the worker that resolves a leader immediately
-/// reduces every duplicate's `f` against the same reply, replaying the
-/// entry's metrics delta per duplicate exactly like any other cache hit.
-/// Non-shared specs get per-index sentinel keys, so they never dedup and
-/// follow the plain uncached path inside [`SessionSpec::obtain_reply`].
-///
-/// Results are scattered back by original index and each index sees the
-/// same reply it would have computed itself, so output is bit-identical
-/// to the uncached path at any worker count. Peak memory stays at one
-/// live reply per worker.
+/// Each spec resolves through [`SessionSpec::obtain_reply`] on its worker's
+/// scratch, so shared specs hit (or fill) the session cache and the rest
+/// simulate uncached. A spec repeated within one batch takes the same road
+/// as one repeated across batches: the later occurrence hits the entry the
+/// earlier one stored, or — when two workers miss it at once — both
+/// simulate the identical reply and the first insert wins. Either way each
+/// index sees the reply it would have computed itself, so output is
+/// bit-identical to the uncached path at any worker count.
 ///
 /// When the [QoE collector](crate::qoe) is installed, each worker also
-/// derives a [`qoe::QoeRow`] per applicable member during the fan-out; the
-/// rows are scattered back by index and pushed to the collector in
-/// ascending spec order, so the table never sees worker interleaving.
+/// derives a [`qoe::QoeRow`] per applicable spec during the fan-out; the
+/// rows come back by index and are pushed to the collector in ascending
+/// spec order, so the table never sees worker interleaving.
 pub(crate) fn batch_resolve<T, F>(
     specs: &[SessionSpec],
     jobs: usize,
@@ -389,72 +332,26 @@ where
     T: Send,
     F: Fn(usize, &SessionReply) -> T + Sync,
 {
-    let cacheable = cache::is_active();
-    let keys: Vec<cache::SessionKey> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            if cacheable && s.shared {
-                cache::key_of(s)
-            } else {
-                // Sentinel: real keys start with a small client
-                // discriminant, so `u64::MAX` cannot collide.
-                let mut k = [0u64; 14];
-                k[0] = u64::MAX;
-                k[1] = i as u64;
-                k
-            }
-        })
-        .collect();
-    let (leaders, owner) = exec::dedup_by_key(&keys);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); leaders.len()];
-    for (i, &o) in owner.iter().enumerate() {
-        members[o].push(i);
-    }
     let collect_qoe = qoe::is_active();
-    let per_leader: Vec<Vec<(usize, Option<T>, Option<qoe::QoeRow>)>> =
+    let (results, rows): (Vec<Option<T>>, Vec<Option<qoe::QoeRow>>) =
         exec::par_indexed_with_finish(
-            leaders.len(),
+            specs.len(),
             jobs,
             || batch_scratch(specs),
-            |scratch, u| {
-                let leader = leaders[u];
-                let (out, cell) = specs[leader].obtain_reply(scratch, query);
-                members[u]
-                    .iter()
-                    .map(|&i| {
-                        if i != leader {
-                            if let Some(cell) = &cell {
-                                let m = scratch.metrics_mut();
-                                m.merge(&cell.metrics);
-                                m.add(Counter::CacheHits, 1);
-                            }
-                        }
-                        let row = if collect_qoe {
-                            out.as_ref().map(|o| qoe::QoeRow::of(&specs[i], &o.logic))
-                        } else {
-                            None
-                        };
-                        (i, out.as_ref().map(|o| f(i, o)), row)
-                    })
-                    .collect()
+            |scratch, i| {
+                let reply = specs[i].obtain_reply(scratch, query);
+                let reply = reply.as_ref();
+                let row = if collect_qoe {
+                    reply.map(|r| qoe::QoeRow::of(&specs[i], &r.logic))
+                } else {
+                    None
+                };
+                (reply.map(|r| f(i, r)), row)
             },
             |mut scratch| scratch.flush_metrics(),
-        );
-    let mut results: Vec<Option<T>> = Vec::with_capacity(specs.len());
-    results.resize_with(specs.len(), || None);
-    let mut rows: Vec<Option<qoe::QoeRow>> = Vec::new();
-    if collect_qoe {
-        rows.resize_with(specs.len(), || None);
-    }
-    for group in per_leader {
-        for (i, r, row) in group {
-            results[i] = r;
-            if collect_qoe {
-                rows[i] = row;
-            }
-        }
-    }
+        )
+        .into_iter()
+        .unzip();
     if collect_qoe {
         qoe::push_batch(rows);
     }
@@ -597,61 +494,64 @@ mod tests {
         assert!(cut.trace.duration() <= SimDuration::from_secs(3));
     }
 
-    #[test]
-    fn run_many_matches_run_cell_and_is_jobs_invariant() {
-        let specs: Vec<SessionSpec> = (0..4)
+    fn batch(client: Client, container: Container, seed0: u64, secs: u64) -> Vec<SessionSpec> {
+        (0..4)
             .map(|i| {
                 SessionSpec::new(
-                    Client::Firefox,
-                    Container::Html5,
+                    client,
+                    container,
                     video(),
                     NetworkProfile::Research,
-                    100 + i,
-                    SimDuration::from_secs(30),
+                    seed0 + i,
+                    SimDuration::from_secs(secs),
                 )
             })
-            .collect();
-        let digest = |outs: Vec<Option<CellOutcome>>| -> Vec<(usize, u64)> {
-            outs.iter()
-                .map(|o| {
-                    let o = o.as_ref().unwrap();
-                    (o.trace.len(), o.logic.read_total())
+            .collect()
+    }
+
+    /// What a trace-retaining single run of `spec` reports for the digest
+    /// the batch tests compare: downloaded bytes and application reads.
+    fn run_digest(spec: &SessionSpec) -> (u64, u64) {
+        let one = spec.run().unwrap();
+        (one.trace.total_downloaded(), one.logic.read_total())
+    }
+
+    #[test]
+    fn query_batch_matches_single_runs_and_is_jobs_invariant() {
+        let specs = batch(Client::Firefox, Container::Html5, 100, 30);
+        let query = SessionQuery::default().totals();
+        let digest = |jobs: usize| -> Vec<(u64, u64)> {
+            crate::query::query_many_jobs(&specs, jobs, &query)
+                .iter()
+                .map(|r| {
+                    let r = r.as_ref().unwrap();
+                    (r.answer.totals.unwrap().total_downloaded, r.logic.read_total())
                 })
                 .collect()
         };
-        let serial = digest(run_many_jobs(&specs, 1));
-        let parallel = digest(run_many_jobs(&specs, 4));
-        assert_eq!(serial, parallel);
+        let serial = digest(1);
+        assert_eq!(serial, digest(4));
         for (i, spec) in specs.iter().enumerate() {
-            let one = spec.run().unwrap();
-            assert_eq!((one.trace.len(), one.logic.read_total()), serial[i]);
+            assert_eq!(run_digest(spec), serial[i]);
         }
     }
 
     #[test]
-    fn map_many_reduces_in_worker_and_keeps_order() {
-        let specs: Vec<SessionSpec> = (0..3)
-            .map(|i| {
-                SessionSpec::new(
-                    Client::Firefox,
-                    Container::Flash,
-                    video(),
-                    NetworkProfile::Research,
-                    200 + i,
-                    SimDuration::from_secs(20),
-                )
-            })
-            .collect();
-        let lens = map_many(&specs, |i, out| (i, out.trace.len()));
-        for (i, item) in lens.iter().enumerate() {
-            let (idx, len) = item.unwrap();
+    fn batch_resolve_reduces_in_worker_and_keeps_order() {
+        let specs = batch(Client::Firefox, Container::Flash, 200, 20);
+        let query = SessionQuery::default().totals();
+        let reduced = batch_resolve(&specs, 3, &query, |i, reply| {
+            (i, reply.answer.totals.unwrap().total_downloaded)
+        });
+        for (i, item) in reduced.iter().enumerate() {
+            let (idx, downloaded) = item.unwrap();
             assert_eq!(idx, i);
-            assert_eq!(len, specs[i].run().unwrap().trace.len());
+            assert_eq!(downloaded, run_digest(&specs[i]).0);
         }
     }
 
     #[test]
-    fn run_many_preserves_inapplicable_cells_as_none() {
+    fn batch_preserves_inapplicable_cells_as_none() {
         let ok = SessionSpec::new(
             Client::Firefox,
             Container::Flash,
@@ -665,7 +565,7 @@ mod tests {
             client: Client::Android,
             ..ok
         };
-        let outs = run_many_jobs(&[ok, bad, ok], 3);
+        let outs = crate::query::query_many_jobs(&[ok, bad, ok], 3, &SessionQuery::default());
         assert!(outs[0].is_some());
         assert!(outs[1].is_none());
         assert!(outs[2].is_some());

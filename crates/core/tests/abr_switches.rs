@@ -18,7 +18,7 @@
 
 use vstream::prelude::*;
 use vstream::query::reply_from_outcome;
-use vstream::{cache, query_many_jobs, run_many_jobs, SessionQuery};
+use vstream::{cache, query_many_jobs, SessionQuery};
 use vstream_analysis::switch_counts_of;
 use vstream_net::LrdCrossConfig;
 use vstream_sim::derive_seed;
@@ -89,7 +89,7 @@ fn switch_fold_matches_oracle_on_every_path() {
             .switch_rate(shape.ladder.clone(), shape.segment_ms);
 
         // Full outcomes (traces retained) for the two oracles.
-        let outcomes = run_many_jobs(specs, 2);
+        let outcomes: Vec<_> = specs.iter().map(SessionSpec::run).collect();
         // The production path: live tap with no cache, then a cache miss
         // (live tap, reply stored) and a hit (stored reply cloned).
         let live = query_many_jobs(specs, 2, &query);

@@ -16,12 +16,9 @@
 //!   player statistics — the two QoE paths (events for dumps, stats for
 //!   `qoe_sessions.csv`) can never drift apart unnoticed.
 //!
-//! The whole binary is compiled out under `--cfg vstream_obs_off`: with
-//! recording stubbed to nothing there is no ring to test. Every test turns
-//! the global trace switch on and none ever turns it off, so the parallel
-//! test harness cannot race one test's sessions against another's toggle.
-
-#![cfg(not(vstream_obs_off))]
+//! Every test turns the global trace switch on and none ever turns it off,
+//! so the parallel test harness cannot race one test's sessions against
+//! another's toggle.
 
 use vstream::{qoe, SessionSpec};
 use vstream_app::Video;

@@ -18,7 +18,7 @@ use vstream::query::reply_from_outcome;
 use vstream::{cache, query_many_jobs, SessionQuery, SessionReply};
 
 /// A small shared cell: short captures keep the test fast, several seeds
-/// exercise the dedup/leader machinery, pacing produces real ON/OFF cycles.
+/// give the worker pool a real batch, pacing produces real ON/OFF cycles.
 fn specs() -> Vec<SessionSpec> {
     (0..4u64)
         .map(|i| {
@@ -102,9 +102,9 @@ fn streaming_paths_match_batch_replies() {
     let query = full_query();
 
     // Oracle: retain each session's trace, replay it through the folds.
-    let oracle: Vec<Option<SessionReply>> = run_many_jobs(&specs, 2)
-        .into_iter()
-        .map(|out| out.map(|o| reply_from_outcome(o, &query)))
+    let oracle: Vec<Option<SessionReply>> = specs
+        .iter()
+        .map(|spec| spec.run().map(|o| reply_from_outcome(o, &query)))
         .collect();
     assert!(
         oracle.iter().all(Option::is_some),

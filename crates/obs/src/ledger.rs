@@ -274,7 +274,7 @@ impl Ledger {
     }
 }
 
-#[cfg(all(test, not(vstream_obs_off)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{Counter, Gauge, HistId};

@@ -9,10 +9,8 @@
 //!
 //! 1. **Output neutrality.** Instrumentation is strictly passive: no
 //!    simulation decision ever reads a metric, so figures are
-//!    byte-identical with metrics enabled, disabled, or compiled out
-//!    (`RUSTFLAGS="--cfg vstream_obs_off"` turns every recording method
-//!    into an empty inline function). The neutrality test in
-//!    `crates/core/tests/metrics_neutrality.rs` holds this.
+//!    byte-identical with metrics enabled or disabled. The neutrality
+//!    test in `tests/integration_metrics.rs` holds this.
 //! 2. **Determinism.** Every recorded quantity is a pure function of the
 //!    simulated sessions, and every merge operation (sums for counters,
 //!    maxima for gauges, bucket-wise sums for histograms) is commutative

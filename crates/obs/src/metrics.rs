@@ -5,9 +5,7 @@
 //! table — cheap enough to live inside every worker's `SessionScratch` and
 //! to merge by simple slot-wise reduction. All mutation goes through three
 //! inlined methods ([`Metrics::add`], [`Metrics::gauge_max`],
-//! [`Metrics::record`]); compiling with `--cfg vstream_obs_off` turns those
-//! into empty functions, which is the "compiled out" leg of the
-//! output-neutrality invariant.
+//! [`Metrics::record`]).
 
 /// Number of log2 buckets: bucket 0 holds the value 0, bucket `k` holds
 /// `[2^(k-1), 2^k)`, and bucket 64 holds `[2^63, u64::MAX]`.
@@ -63,14 +61,9 @@ impl Hist {
     /// Records one observation.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        #[cfg(not(vstream_obs_off))]
-        {
-            self.buckets[Self::bucket_of(v)] += 1;
-            self.count += 1;
-            self.sum = self.sum.wrapping_add(v);
-        }
-        #[cfg(vstream_obs_off)]
-        let _ = v;
+        self.buckets[Self::bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
     }
 
     /// Number of observations.
@@ -330,26 +323,16 @@ impl Metrics {
     /// Adds `n` to a counter slot.
     #[inline]
     pub fn add(&mut self, c: Counter, n: u64) {
-        #[cfg(not(vstream_obs_off))]
-        {
-            self.counters[c as usize] += n;
-        }
-        #[cfg(vstream_obs_off)]
-        let _ = (c, n);
+        self.counters[c as usize] += n;
     }
 
     /// Raises a gauge slot to `v` if `v` is higher.
     #[inline]
     pub fn gauge_max(&mut self, g: Gauge, v: u64) {
-        #[cfg(not(vstream_obs_off))]
-        {
-            let slot = &mut self.gauges[g as usize];
-            if v > *slot {
-                *slot = v;
-            }
+        let slot = &mut self.gauges[g as usize];
+        if v > *slot {
+            *slot = v;
         }
-        #[cfg(vstream_obs_off)]
-        let _ = (g, v);
     }
 
     /// Records one observation into a histogram slot.
@@ -361,10 +344,7 @@ impl Metrics {
     /// Merges a pre-accumulated histogram into a slot (e.g. a per-endpoint
     /// cwnd histogram harvested at session end).
     pub fn merge_hist(&mut self, h: HistId, other: &Hist) {
-        #[cfg(not(vstream_obs_off))]
         self.hists[h as usize].merge(other);
-        #[cfg(vstream_obs_off)]
-        let _ = (h, other);
     }
 
     /// A counter's value.
@@ -447,7 +427,7 @@ impl Default for Metrics {
     }
 }
 
-#[cfg(all(test, not(vstream_obs_off)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

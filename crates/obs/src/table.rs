@@ -1,5 +1,4 @@
-//! A minimal fixed-width table renderer shared by `--metrics-summary` and
-//! the bench harness, so all human-facing summaries look the same.
+//! A minimal fixed-width table renderer for `--metrics-summary`.
 
 /// Renders `rows` under `headers` as a left-aligned, space-padded table
 /// with a dashed rule under the header. Rows shorter than the header are

@@ -13,8 +13,7 @@
 //!
 //! 1. **Output neutrality.** [`emit`] is strictly passive; nothing in the
 //!    simulation reads the recorder. Figure output is byte-identical with
-//!    tracing enabled, disabled, or compiled out (`--cfg vstream_obs_off`
-//!    empties every function here).
+//!    tracing enabled or disabled.
 //! 2. **One relaxed atomic load** is the entire cost of a disabled call
 //!    site: [`emit`] checks the global [`enabled`] switch first and only
 //!    then touches thread-local state.
@@ -239,10 +238,8 @@ impl Recorder {
 }
 
 /// Global tracing switch: one relaxed load guards every emission site.
-#[cfg(not(vstream_obs_off))]
 static TRACING: AtomicBool = AtomicBool::new(false);
 
-#[cfg(not(vstream_obs_off))]
 thread_local! {
     /// The flight recorder of the session currently running on this
     /// thread, if any. Sessions execute whole on one worker thread, so a
@@ -254,48 +251,27 @@ thread_local! {
 /// nothing until a thread brackets a session with [`begin_session`].
 #[inline]
 pub fn set_enabled(on: bool) {
-    #[cfg(not(vstream_obs_off))]
     TRACING.store(on, Ordering::Relaxed);
-    #[cfg(vstream_obs_off)]
-    let _ = on;
 }
 
 /// Whether tracing is globally enabled — the one-relaxed-load fast path.
-/// Always `false` when compiled out.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(not(vstream_obs_off))]
-    {
-        TRACING.load(Ordering::Relaxed)
-    }
-    #[cfg(vstream_obs_off)]
-    {
-        false
-    }
+    TRACING.load(Ordering::Relaxed)
 }
 
 /// Installs a fresh flight recorder (ring of `cap` events) for the
 /// session about to run on this thread. Replaces any previous recorder.
 #[inline]
 pub fn begin_session(cap: usize) {
-    #[cfg(not(vstream_obs_off))]
     RECORDER.with(|r| *r.borrow_mut() = Some(Recorder::new(cap)));
-    #[cfg(vstream_obs_off)]
-    let _ = cap;
 }
 
 /// Removes and returns this thread's recorder, ending the session
-/// bracket. `None` when no session was bracketed (or compiled out).
+/// bracket. `None` when no session was bracketed.
 #[inline]
 pub fn end_session() -> Option<Recorder> {
-    #[cfg(not(vstream_obs_off))]
-    {
-        RECORDER.with(|r| r.borrow_mut().take())
-    }
-    #[cfg(vstream_obs_off)]
-    {
-        None
-    }
+    RECORDER.with(|r| r.borrow_mut().take())
 }
 
 /// Records one event into the current session's flight recorder. A no-op
@@ -303,19 +279,14 @@ pub fn end_session() -> Option<Recorder> {
 /// the calling thread has no bracketed session.
 #[inline]
 pub fn emit(at_ns: u64, kind: EventKind, side: u8, conn: u16, a: u64, b: u64) {
-    #[cfg(not(vstream_obs_off))]
-    {
-        if !TRACING.load(Ordering::Relaxed) {
-            return;
-        }
-        RECORDER.with(|r| {
-            if let Some(rec) = r.borrow_mut().as_mut() {
-                rec.push(Event { at_ns, kind, side, conn, a, b });
-            }
-        });
+    if !TRACING.load(Ordering::Relaxed) {
+        return;
     }
-    #[cfg(vstream_obs_off)]
-    let _ = (at_ns, kind, side, conn, a, b);
+    RECORDER.with(|r| {
+        if let Some(rec) = r.borrow_mut().as_mut() {
+            rec.push(Event { at_ns, kind, side, conn, a, b });
+        }
+    });
 }
 
 /// Incremental QoE reduction over a session's event stream.
@@ -378,7 +349,7 @@ impl QoeFold {
     }
 }
 
-#[cfg(all(test, not(vstream_obs_off)))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

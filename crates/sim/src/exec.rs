@@ -22,8 +22,6 @@
 //! session (long video, lossy profile) does not stall the neighbours a
 //! static chunking would have assigned to the same worker.
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -50,49 +48,10 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = jobs.min(n).max(1);
-    if workers == 1 {
-        return (0..n).map(f).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let slots = Mutex::new(&mut slots);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Claim indices one at a time; buffer locally and flush in
-                // one lock acquisition so the mutex stays cold relative to
-                // the session work.
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local.push((i, f(i)));
-                }
-                if !local.is_empty() {
-                    let mut slots = slots.lock().expect("executor slots poisoned");
-                    for (i, value) in local {
-                        slots[i] = Some(value);
-                    }
-                }
-            });
-        }
-    });
-
-    slots
-        .into_inner()
-        .expect("executor slots poisoned")
-        .iter_mut()
-        .map(|slot| slot.take().expect("executor: missing result slot"))
-        .collect()
+    par_indexed_with_finish(n, jobs, || (), |(), i| f(i), |()| {})
 }
 
-/// [`par_indexed`] with per-worker scratch state.
+/// [`par_indexed`] with per-worker scratch state and a `finish` hook.
 ///
 /// Each worker thread calls `init()` once to build its private scratch
 /// value, then runs `f(&mut scratch, i)` for every index it claims. The
@@ -100,26 +59,12 @@ where
 /// allocations (event-queue storage, segment buffers, trace capacity)
 /// without any cross-thread sharing.
 ///
-/// The determinism contract is unchanged — but note it now also requires
-/// that `f`'s *output* not depend on the scratch's history, only its own
-/// index. Scratch may legitimately carry capacity hints and reusable
-/// buffers; it must never carry simulation state across calls. The serial
-/// path uses a single scratch for the whole batch, so any violation shows
-/// up as a `--jobs` dependence the determinism suite catches.
-///
-/// # Panics
-/// If `f` panics for any index, the panic is resurfaced on the calling
-/// thread after the scope joins.
-pub fn par_indexed_with<T, S, I, F>(n: usize, jobs: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    par_indexed_with_finish(n, jobs, init, f, |_scratch| {})
-}
-
-/// [`par_indexed_with`] plus a per-worker `finish` hook.
+/// The determinism contract additionally requires that `f`'s *output* not
+/// depend on the scratch's history, only its own index. Scratch may
+/// legitimately carry capacity hints and reusable buffers; it must never
+/// carry simulation state across calls. The serial path uses a single
+/// scratch for the whole batch, so any violation shows up as a `--jobs`
+/// dependence the determinism suite catches.
 ///
 /// After a worker exhausts the index space, `finish(scratch)` consumes its
 /// scratch value. The hook exists for end-of-batch bookkeeping that must
@@ -157,6 +102,9 @@ where
         for _ in 0..workers {
             scope.spawn(|| {
                 let mut scratch = init();
+                // Claim indices one at a time; buffer locally and flush in
+                // one lock acquisition so the mutex stays cold relative to
+                // the session work.
                 let mut local: Vec<(usize, T)> = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -182,31 +130,6 @@ where
         .iter_mut()
         .map(|slot| slot.take().expect("executor: missing result slot"))
         .collect()
-}
-
-/// The dedup-before-dispatch stage for batches whose work items are pure
-/// functions of a content key (e.g. memoized simulation sessions).
-///
-/// Given one key per work item, returns `(leaders, owner)` where `leaders`
-/// lists the index of each distinct key's **first occurrence**, in batch
-/// order, and `owner[i]` is the position within `leaders` of item `i`'s
-/// key. A caller dispatches only the leaders (e.g. through
-/// [`par_indexed_with`]) and fans each result back out to every duplicate
-/// through `owner` — so a batch with duplicates does the unique work once
-/// while the output stays ordered by original index, preserving the
-/// determinism contract at any worker count.
-pub fn dedup_by_key<K: Eq + Hash>(keys: &[K]) -> (Vec<usize>, Vec<usize>) {
-    let mut first: HashMap<&K, usize> = HashMap::with_capacity(keys.len());
-    let mut leaders = Vec::new();
-    let mut owner = Vec::with_capacity(keys.len());
-    for (i, k) in keys.iter().enumerate() {
-        let pos = *first.entry(k).or_insert_with(|| {
-            leaders.push(i);
-            leaders.len() - 1
-        });
-        owner.push(pos);
-    }
-    (leaders, owner)
 }
 
 /// A deterministic partition of `n` work items into fixed-size shards: the
@@ -250,19 +173,6 @@ impl ShardPlan {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.shards()).map(|k| self.bounds(k))
     }
-}
-
-/// Maps `f` over `items` in parallel, preserving input order in the output.
-///
-/// Convenience wrapper over [`par_indexed`] for callers that already hold a
-/// slice of per-session specs.
-pub fn par_map<I, T, F>(items: &[I], jobs: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    par_indexed(items.len(), jobs, |i| f(&items[i]))
 }
 
 #[cfg(test)]
@@ -314,13 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let items = vec!["a", "bb", "ccc", "dddd"];
-        let lens = par_map(&items, 4, |s| s.len());
-        assert_eq!(lens, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn non_copy_results_are_moved_intact() {
         let out = par_indexed(50, 4, |i| vec![i; i % 5]);
         for (i, v) in out.iter().enumerate() {
@@ -334,12 +237,18 @@ mod tests {
         let f = |i: usize| (i as u64).wrapping_mul(0xC2B2_AE35).rotate_left(7);
         let plain = par_indexed(123, 1, f);
         for jobs in [1, 2, 8] {
-            let with = par_indexed_with(123, jobs, Vec::<u64>::new, |buf, i| {
-                // Scratch is reused across indices on a worker...
-                buf.push(i as u64);
-                // ...but the output depends only on the index.
-                f(i)
-            });
+            let with = par_indexed_with_finish(
+                123,
+                jobs,
+                Vec::<u64>::new,
+                |buf, i| {
+                    // Scratch is reused across indices on a worker...
+                    buf.push(i as u64);
+                    // ...but the output depends only on the index.
+                    f(i)
+                },
+                |_| {},
+            );
             assert_eq!(with, plain, "jobs = {jobs}");
         }
     }
@@ -347,7 +256,7 @@ mod tests {
     #[test]
     fn scratch_init_runs_once_per_worker_serial() {
         let inits = AtomicU64::new(0);
-        let out = par_indexed_with(
+        let out = par_indexed_with_finish(
             10,
             1,
             || {
@@ -358,6 +267,7 @@ mod tests {
                 *s += 1;
                 (*s, i)
             },
+            |_| {},
         );
         assert_eq!(inits.load(Ordering::Relaxed), 1, "serial path shares one scratch");
         // The scratch accumulated across the whole batch.
@@ -393,28 +303,6 @@ mod tests {
             // The per-worker partial sums always total the full batch.
             assert_eq!(total.load(Ordering::Relaxed), (0..20u64).sum::<u64>(), "jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn dedup_by_key_groups_first_occurrences_in_order() {
-        let keys = ["a", "b", "a", "c", "b", "a"];
-        let (leaders, owner) = dedup_by_key(&keys);
-        assert_eq!(leaders, vec![0, 1, 3]);
-        assert_eq!(owner, vec![0, 1, 0, 2, 1, 0]);
-        // Round trip: every item's key equals its leader's key.
-        for (i, &o) in owner.iter().enumerate() {
-            assert_eq!(keys[i], keys[leaders[o]]);
-        }
-    }
-
-    #[test]
-    fn dedup_by_key_with_all_unique_and_all_equal() {
-        let unique = [1, 2, 3];
-        assert_eq!(dedup_by_key(&unique), (vec![0, 1, 2], vec![0, 1, 2]));
-        let equal = [9, 9, 9, 9];
-        assert_eq!(dedup_by_key(&equal), (vec![0], vec![0, 0, 0, 0]));
-        let empty: [u8; 0] = [];
-        assert_eq!(dedup_by_key(&empty), (Vec::new(), Vec::new()));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use exec::{dedup_by_key, default_jobs, par_indexed, par_indexed_with, par_map, ShardPlan};
+pub use exec::{default_jobs, par_indexed, ShardPlan};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::{derive_seed, SimRng};
 pub use time::{SimDuration, SimTime};

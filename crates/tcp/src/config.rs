@@ -2,7 +2,7 @@
 
 use vstream_sim::SimDuration;
 
-use crate::congestion::CcAlgorithm;
+use crate::cc::CcAlgorithm;
 
 /// Tunables of a TCP [`crate::Endpoint`].
 ///

@@ -19,8 +19,7 @@ use vstream_obs::trace::{self, EventKind, SIDE_CLIENT, SIDE_SERVER};
 use vstream_obs::Hist;
 use vstream_sim::{SimDuration, SimTime};
 
-use crate::cc::NewAckOutcome;
-use crate::congestion::Congestion;
+use crate::cc::{CongestionController, NewAckOutcome};
 use crate::config::TcpConfig;
 use crate::rangeset::RangeSet;
 use crate::reassembly::ReceiveBuffer;
@@ -141,7 +140,7 @@ pub struct Endpoint {
     /// so it does not count toward the pipe.
     peer_sack_highest: u64,
 
-    cc: Congestion,
+    cc: CongestionController,
     rtt: RttEstimator,
     /// Outstanding RTT measurement: (sequence that must be acked, send
     /// time). Cleared on any retransmission (Karn's algorithm).
@@ -182,7 +181,7 @@ impl Endpoint {
     /// [`State::Listen`] (server).
     pub fn new(role: Role, conn: u32, cfg: TcpConfig) -> Self {
         cfg.validate();
-        let mut cc = Congestion::new(cfg.congestion, cfg.mss, cfg.initial_cwnd_segments, cfg.max_cwnd);
+        let mut cc = CongestionController::new(cfg.congestion, cfg.mss, cfg.initial_cwnd_segments, cfg.max_cwnd);
         cc.set_sack_mode(cfg.sack);
         let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
         let rb = ReceiveBuffer::new(cfg.recv_buffer);
@@ -612,7 +611,7 @@ impl Endpoint {
             && self.snd_wnd > 0
         {
             // Duplicate ACK.
-            if self.cc.on_duplicate_ack(now, self.snd_nxt - self.snd_una, self.snd_nxt) {
+            if self.cc.on_duplicate_ack(self.snd_nxt - self.snd_una, self.snd_nxt) {
                 self.stats.fast_retransmits += 1;
                 self.trace_ev(now, EventKind::TcpFastRetx, self.snd_una, self.cc.cwnd());
                 out.push(self.retransmit_front(now));

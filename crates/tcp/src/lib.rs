@@ -34,18 +34,14 @@
 
 pub mod cc;
 pub mod config;
-pub mod congestion;
-pub mod cubic;
 pub mod endpoint;
 mod rangeset;
 pub mod reassembly;
 pub mod rtt;
 pub mod segment;
 
-pub use cc::CongestionController;
+pub use cc::{CcAlgorithm, CongestionController};
 pub use config::TcpConfig;
-pub use congestion::{CcAlgorithm, Congestion};
-pub use cubic::CubicController;
 pub use endpoint::{Endpoint, EndpointStats, Role, State};
 pub use reassembly::ReceiveBuffer;
 pub use rtt::RttEstimator;

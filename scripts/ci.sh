@@ -29,10 +29,7 @@
 #      AoS-vs-SoA equivalence and pack/unpack exactness tests, compiled
 #      with release assertions so the checked truncation/corruption paths
 #      in PackedTrace::unpack are exercised as an optimized build runs them
-#   5. a quick-mode pass over every benchmark, so a change that breaks a
-#      bench harness (or makes a substrate pathologically slow) fails CI
-#      rather than the next person's perf run
-#   6. the repo benchmark's own smoke check (benchmark/check.sh): its unit
+#   5. the repo benchmark's own smoke check (benchmark/check.sh): its unit
 #      tests, then a scaled-down pass of every workload, end to end and
 #      traced. benchmark/driver builds against crates/* by path, so a
 #      public-API deletion it depends on fails here rather than at the next
@@ -126,10 +123,7 @@ grep -q '^gate PASS$' "${ledger_dir[0]}/summary.txt"
 echo "==> packed-format roundtrip (release mode: checked unpack corruption paths)"
 cargo test --offline --release --quiet -p vstream-capture
 
-echo "==> bench smoke (quick mode, no JSON ledger)"
-cargo bench --offline -p vstream-bench --bench substrates -- --quick
-
 echo "==> repo benchmark smoke (benchmark/check.sh: driver builds against crates/*, outputs repeat)"
 benchmark/check.sh
 
-echo "OK: build, tests, determinism, metrics neutrality, default-run memory and results/, trace neutrality, campaign smoke, roundtrip, bench smoke, and repo benchmark smoke all passed"
+echo "OK: build, tests, determinism, metrics neutrality, default-run memory and results/, trace neutrality, campaign smoke, roundtrip, and repo benchmark smoke all passed"

@@ -1,8 +1,8 @@
 //! The session cache's hard invariants, end to end:
 //!
 //! 1. **Single execution** — two drivers asking the same query of the same
-//!    shared [`SessionSpec`] trigger exactly one engine run; the second gets
-//!    the retained reply back, bit-identical. A *different* query on the
+//!    shared [`SessionSpec`] one after the other trigger exactly one engine
+//!    run; the second gets the retained reply back, bit-identical. A *different* query on the
 //!    same spec is a miss with its own answer, never a wrong one.
 //! 2. **Transparency** — figure output is byte-identical with the cache
 //!    installed or not, serial or parallel. The cache may skip work; it
@@ -115,8 +115,12 @@ fn cache_is_transparent_selective_and_single_execution() {
     );
     cache::uninstall();
 
-    // --- 2. In-batch dedup: duplicate shared specs compute once, and every
-    // index still sees its own reply.
+    // --- 2. A spec repeated inside one batch goes through the cache like
+    // any other repeat: at two workers the later occurrence either hits the
+    // entry the earlier one stored or misses alongside it (the first insert
+    // wins). Both ways every index sees its own reply, one entry per
+    // distinct spec is retained and charged once, and the ledger counts
+    // three sessions.
     collector::install(true);
     cache::install();
     let batch = vec![spec(302).shared(), spec(303).shared(), spec(302).shared()];
@@ -124,9 +128,17 @@ fn cache_is_transparent_selective_and_single_execution() {
     let t = |i: usize| outs[i].as_ref().expect("valid cell");
     assert!(same_answer(t(0), t(2)), "duplicate indices must agree");
     let ledger = collector::take().expect("metered run");
-    assert_eq!(ledger.totals.counter(Counter::CacheMisses), 2);
-    assert_eq!(ledger.totals.counter(Counter::CacheHits), 1);
     assert_eq!(cache::len(), 2);
+    assert_eq!(
+        ledger.totals.counter(Counter::CacheHits) + ledger.totals.counter(Counter::CacheMisses),
+        3
+    );
+    assert_eq!(ledger.totals.counter(Counter::SimSessions), 3);
+    assert_eq!(
+        ledger.totals.counter(Counter::CacheBytesRetained),
+        cache::bytes_retained(),
+        "one charge per retained entry"
+    );
     cache::uninstall();
 
     // --- 3. Selectivity: non-shared specs bypass retention entirely, even

@@ -65,20 +65,30 @@ fn batch_results_do_not_depend_on_submission_order() {
     let perm = [4usize, 0, 5, 2, 1, 3];
     let permuted: Vec<SessionSpec> = perm.iter().map(|&i| specs[i]).collect();
 
-    let digest = |out: &CellOutcome| {
+    // Everything a reply carries that is cheap to compare: wire totals, the
+    // cycle analysis, connection and player state.
+    let query = SessionQuery::default().totals().onoff();
+    let digest = |r: &SessionReply| {
+        let totals = r.answer.totals.expect("totals queried");
         (
-            out.trace.len(),
-            out.trace.total_downloaded(),
-            out.connections,
-            out.player_stats().stalls,
+            totals.packets,
+            totals.total_downloaded,
+            r.answer.onoff.as_ref().expect("onoff queried").cycles.len(),
+            r.connections,
+            r.player_stats().stalls,
         )
     };
+    let reference: Vec<_> = query_many_jobs(&specs, 1, &query)
+        .iter()
+        .map(|r| digest(r.as_ref().expect("valid cell")))
+        .collect();
     for jobs in [1, 3, 8] {
-        let straight = run_many_jobs(&specs, jobs);
-        let shuffled = run_many_jobs(&permuted, jobs);
+        let straight = query_many_jobs(&specs, jobs, &query);
+        let shuffled = query_many_jobs(&permuted, jobs, &query);
         for (k, &i) in perm.iter().enumerate() {
             let a = straight[i].as_ref().expect("valid cell");
             let b = shuffled[k].as_ref().expect("valid cell");
+            assert_eq!(digest(a), reference[i], "session {i} differs at jobs = {jobs}");
             assert_eq!(
                 digest(a),
                 digest(b),
@@ -89,7 +99,7 @@ fn batch_results_do_not_depend_on_submission_order() {
 }
 
 #[test]
-fn map_many_agrees_with_serial_run() {
+fn query_batch_agrees_with_serial_run() {
     let specs: Vec<SessionSpec> = (0..4)
         .map(|i| {
             SessionSpec::new(
@@ -102,9 +112,10 @@ fn map_many_agrees_with_serial_run() {
             )
         })
         .collect();
-    let parallel = map_many(&specs, |_, out| out.trace.total_downloaded());
+    let parallel = query_many(&specs, &SessionQuery::default().totals());
     for (i, spec) in specs.iter().enumerate() {
+        let batch = parallel[i].as_ref().map(|r| r.answer.totals.expect("totals queried"));
         let serial = spec.run().map(|out| out.trace.total_downloaded());
-        assert_eq!(parallel[i], serial, "session {i}");
+        assert_eq!(batch.map(|t| t.total_downloaded), serial, "session {i}");
     }
 }
