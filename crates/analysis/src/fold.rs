@@ -63,34 +63,45 @@ pub struct FlowState {
     pub unique_bytes: u64,
 }
 
+/// Looks `conn` up in a per-flow table sorted by connection id, as
+/// `binary_search` does (`Err` carries the insertion point), trying the
+/// row of the previous hit first: packets arrive in long per-connection
+/// runs, so one compare answers almost every lookup and the search is the
+/// miss path.
+#[inline]
+fn find_flow<T>(table: &[T], last: usize, conn: u32, id: impl Fn(&T) -> u32) -> Result<usize, usize> {
+    match table.get(last) {
+        Some(row) if id(row) == conn => Ok(last),
+        _ => table.binary_search_by_key(&conn, id),
+    }
+}
+
 /// Sorted per-connection high-water marks: the unique-byte ("goodput")
 /// accounting shared by the download and phase folds.
 #[derive(Clone, Debug, Default)]
 struct FlowHighWater {
     conns: Vec<u32>,
     high: Vec<u64>,
+    /// Row of the previous packet's connection (see [`find_flow`]).
+    last: usize,
 }
 
 impl FlowHighWater {
     /// Advances `conn`'s high-water mark to `seq_end` and returns the newly
     /// covered byte count (0 for retransmissions/duplicates).
     fn advance(&mut self, conn: u32, seq_end: u64) -> u64 {
-        match self.conns.binary_search(&conn) {
-            Ok(i) => {
-                if seq_end > self.high[i] {
-                    let delta = seq_end - self.high[i];
-                    self.high[i] = seq_end;
-                    delta
-                } else {
-                    0
-                }
-            }
+        let i = match find_flow(&self.conns, self.last, conn, |&c| c) {
+            Ok(i) => i,
             Err(i) => {
                 self.conns.insert(i, conn);
-                self.high.insert(i, seq_end);
-                seq_end
+                self.high.insert(i, 0);
+                i
             }
-        }
+        };
+        self.last = i;
+        let delta = seq_end.saturating_sub(self.high[i]);
+        self.high[i] += delta;
+        delta
     }
 
     fn approx_bytes(&self) -> usize {
@@ -352,6 +363,8 @@ impl PacketSink for TotalsFold {
 pub struct SummariesFold {
     /// Sorted by connection id.
     flows: Vec<FlowState>,
+    /// Row of the previous packet's connection (see [`find_flow`]).
+    last: usize,
 }
 
 impl SummariesFold {
@@ -383,7 +396,7 @@ impl SummariesFold {
 
 impl PacketSink for SummariesFold {
     fn packet(&mut self, p: &TapPacket) {
-        let i = match self.flows.binary_search_by_key(&p.conn, |f| f.conn) {
+        let i = match find_flow(&self.flows, self.last, p.conn, |f| f.conn) {
             Ok(i) => i,
             Err(i) => {
                 self.flows.insert(
@@ -400,6 +413,7 @@ impl PacketSink for SummariesFold {
                 i
             }
         };
+        self.last = i;
         let f = &mut self.flows[i];
         f.last_seen = p.at;
         f.packets += 1;
@@ -834,6 +848,36 @@ mod tests {
         let mut fold = SummariesFold::new();
         feed(&t, &mut fold);
         assert_eq!(fold.finish(), t.connection_summaries());
+    }
+
+    /// The last-hit memo of the per-flow tables is only a shortcut: packets
+    /// alternating between connections whose ids arrive in no order (so
+    /// inserts land below, at and above the remembered row) fold to the
+    /// same totals and summaries as the column scans.
+    #[test]
+    fn flow_lookup_memo_survives_interleaved_and_unordered_connections() {
+        let mut t = Trace::new();
+        let mut now = SimTime::from_millis(1);
+        let mut seq = [0u64; 10];
+        for (step, conn) in [5u32, 5, 9, 5, 2, 2, 9, 0, 5, 0, 7, 2, 7, 7, 9].into_iter().enumerate() {
+            let payload = 500 + 100 * step as u32;
+            t.push(now, TapDirection::Incoming, seg(conn, seq[conn as usize], payload));
+            t.push(now, TapDirection::Outgoing, seg(conn, 0, 0));
+            seq[conn as usize] += payload as u64;
+            now += SimDuration::from_millis(3);
+        }
+        let (mut totals, mut summaries, mut switches) =
+            (TotalsFold::new(), SummariesFold::new(), SwitchRateFold::new());
+        feed(&t, &mut totals);
+        feed(&t, &mut summaries);
+        feed(&t, &mut switches);
+        assert_eq!(totals.finish().total_downloaded, t.total_downloaded());
+        assert_eq!(switches.flows.conns, [0, 2, 5, 7, 9]);
+        assert_eq!(
+            switches.flows.high,
+            t.connection_summaries().iter().map(|s| s.unique_bytes).collect::<Vec<_>>()
+        );
+        assert_eq!(summaries.finish(), t.connection_summaries());
     }
 
     #[test]

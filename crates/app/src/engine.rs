@@ -25,6 +25,11 @@ enum Side {
     Server,
 }
 
+/// [`EventQueue::schedule_fifo`] lane of each link direction: deliveries
+/// over one FIFO link are scheduled in non-decreasing time order.
+const DOWN_LANE: usize = 0;
+const UP_LANE: usize = 1;
+
 enum Event {
     DeliverToClient { conn: usize, seg: Segment },
     DeliverToServer { conn: usize, seg: Segment },
@@ -128,14 +133,16 @@ impl SessionScratch {
     /// records). The event queue is pre-sized for 1024 pending events.
     pub fn with_trace_capacity(capacity: usize) -> Self {
         SessionScratch {
-            // Sessions peak at 723–1087 pending packet/timer events (the
+            // Sessions peak at 723–1087 pending events (the
             // `sim.queue_peak_len` gauge over the benchmark workloads and
-            // `repro all`). 1024 slots cover all but the busiest: a 120 KiB
-            // event slab plus 28 KiB of keys and free list. A scratch is
-            // built per worker per batch, so each allocation stays below
-            // glibc's 128 KiB mmap threshold (no map/fault/unmap per batch);
-            // a session that peaks higher doubles the slab once and the
-            // scratch keeps it.
+            // `repro all`), all but a few tens of them packets in flight on
+            // the queue's two FIFO lanes. 1024 entries split over the lanes
+            // cover all but the busiest: two 68 KiB rings of 136-byte
+            // entries, plus 11 KiB for the 64-slot wheel that holds the
+            // timers. A scratch is built per worker per batch, so each
+            // allocation stays below glibc's 128 KiB mmap threshold (no
+            // map/fault/unmap per batch); a session that peaks higher
+            // doubles a lane once and the scratch keeps it.
             queue: EventQueue::with_capacity(1024),
             seg_buf: Vec::with_capacity(64),
             trace_capacity: capacity,
@@ -230,9 +237,10 @@ pub struct Engine {
     /// streaming session never pays for the columns; the hint also detects
     /// regrowth and survives [`Engine::into_parts`] when no trace was built.
     initial_trace_capacity: usize,
-    /// Staging row for packets between the tap and the streaming sink:
-    /// filled by [`Engine::tap`] while an event executes, drained to the
-    /// sink in capture order after each event.
+    /// Staging row for packets tapped where the streaming sink is out of
+    /// reach — inside a [`SessionLogic`] callback, which holds the engine
+    /// but not the sink: filled by [`Engine::tap_staged`], drained to the
+    /// sink in capture order when the callback's event ends.
     tap_buf: Vec<TapPacket>,
     /// True while [`Engine::run_observed`] is feeding a sink.
     tap_stream: bool,
@@ -405,6 +413,8 @@ impl Engine {
         m.add(Counter::SimWheelSpillPushes, q.spill_pushes);
         m.add(Counter::SimWheelSpillPromotions, q.spill_promotions);
         m.add(Counter::SimWheelAdvances, q.advances);
+        m.add(Counter::SimLanePushes, q.lane_pushes);
+        m.add(Counter::SimLaneFallbacks, q.lane_fallbacks);
         m.gauge_max(Gauge::SimQueuePeakLen, q.peak_len);
         m.record(HistId::SimSessionEvents, q.scheduled);
         m.merge_hist(HistId::SimWheelOccupancy, &q.occupancy);
@@ -621,11 +631,11 @@ impl Engine {
             };
             match ev {
                 Event::DeliverToClient { conn, seg } => {
-                    self.tap(t, TapDirection::Incoming, &seg);
+                    self.tap_direct(t, TapDirection::Incoming, &seg, sink);
                     let mut buf = std::mem::take(&mut self.seg_buf);
                     buf.clear();
                     self.conns[conn].client.on_segment_into(t, seg, &mut buf);
-                    self.transmit_from_client(conn, &mut buf);
+                    self.transmit_from_client_direct(conn, &mut buf, sink);
                     self.seg_buf = buf;
                     self.after_touch(conn, Side::Client, logic);
                 }
@@ -655,7 +665,7 @@ impl Engine {
                     match side {
                         Side::Client => {
                             self.conns[conn].client.on_timer_into(t, &mut buf);
-                            self.transmit_from_client(conn, &mut buf);
+                            self.transmit_from_client_direct(conn, &mut buf, sink);
                         }
                         Side::Server => {
                             self.conns[conn].server.on_timer_into(t, &mut buf);
@@ -685,9 +695,9 @@ impl Engine {
         panic!("session event-count safety valve tripped: runaway event loop");
     }
 
-    /// Feeds the packets an event staged via [`Engine::tap`] to the
-    /// streaming sink, preserving capture order. Empty (and free) outside
-    /// [`Engine::run_observed`].
+    /// Feeds the packets an event's logic callbacks staged via
+    /// [`Engine::tap_staged`] to the streaming sink, preserving capture
+    /// order. Empty (and free) outside [`Engine::run_observed`].
     #[inline]
     fn drain_tap<S: PacketSink + ?Sized>(&mut self, sink: &mut S) {
         for p in self.tap_buf.drain(..) {
@@ -696,19 +706,47 @@ impl Engine {
     }
 
     /// The capture tap: every segment crossing the client NIC lands here.
-    /// Records into the retained trace, stages for the streaming sink, or
-    /// both — the two consumers always see the same packet stream.
+    /// Records into the retained trace when one is kept and returns the
+    /// packet for the streaming sink — the two consumers always see the
+    /// same packet stream.
     #[inline]
-    fn tap(&mut self, at: SimTime, dir: TapDirection, seg: &Segment) {
+    fn tap(&mut self, at: SimTime, dir: TapDirection, seg: &Segment) -> TapPacket {
         self.packets_tapped += 1;
+        let p = TapPacket::new(at, dir, seg);
+        if self.keep_trace {
+            self.trace.record(&p);
+        }
+        p
+    }
+
+    /// [`Self::tap`] where the event loop holds the sink: the packet goes
+    /// straight to it.
+    #[inline]
+    fn tap_direct<S: PacketSink + ?Sized>(
+        &mut self,
+        at: SimTime,
+        dir: TapDirection,
+        seg: &Segment,
+        sink: &mut S,
+    ) {
+        // Within one event every direct tap (the delivered packet, the
+        // endpoint's immediate replies) happens before the first logic
+        // callback, and the staging row is drained when the event ends: a
+        // direct tap never overtakes a staged one, so capture order is the
+        // order of the tap calls.
+        debug_assert!(self.tap_buf.is_empty(), "direct tap behind staged packets");
+        let p = self.tap(at, dir, seg);
+        sink.packet(&p);
+    }
+
+    /// [`Self::tap`] inside a [`SessionLogic`] callback (`client_read`,
+    /// `open_connection`), where only the engine is in hand: the sink's
+    /// copy waits in `tap_buf` for [`Engine::drain_tap`].
+    #[inline]
+    fn tap_staged(&mut self, at: SimTime, dir: TapDirection, seg: &Segment) {
+        let p = self.tap(at, dir, seg);
         if self.tap_stream {
-            let p = TapPacket::new(at, dir, seg);
-            if self.keep_trace {
-                self.trace.record(&p);
-            }
             self.tap_buf.push(p);
-        } else if self.keep_trace {
-            self.trace.push(at, dir, *seg);
         }
     }
 
@@ -727,20 +765,42 @@ impl Engine {
         }
     }
 
-    /// Transmits client-origin segments: the tap records them (tcpdump sees
-    /// every outgoing packet), then they traverse the uplink. Drains `segs`
-    /// so the caller's buffer can be reused.
+    /// Transmits client-origin segments emitted inside a [`SessionLogic`]
+    /// callback: the tap records them (tcpdump sees every outgoing packet),
+    /// then they traverse the uplink. Drains `segs` so the caller's buffer
+    /// can be reused.
     fn transmit_from_client(&mut self, conn: usize, segs: &mut Vec<Segment>) {
         let now = self.now();
         for seg in segs.drain(..) {
-            self.tap(now, TapDirection::Outgoing, &seg);
-            if let Some(at) = self
-                .path
-                .send(Direction::Up, now, &seg, &mut self.rng)
-                .delivery_time()
-            {
-                self.queue.schedule(at, Event::DeliverToServer { conn, seg });
-            }
+            self.tap_staged(now, TapDirection::Outgoing, &seg);
+            self.send_up(conn, now, seg);
+        }
+    }
+
+    /// [`Self::transmit_from_client`] for segments the event loop itself
+    /// takes from the client endpoint, tapped straight into `sink`.
+    fn transmit_from_client_direct<S: PacketSink + ?Sized>(
+        &mut self,
+        conn: usize,
+        segs: &mut Vec<Segment>,
+        sink: &mut S,
+    ) {
+        let now = self.now();
+        for seg in segs.drain(..) {
+            self.tap_direct(now, TapDirection::Outgoing, &seg, sink);
+            self.send_up(conn, now, seg);
+        }
+    }
+
+    /// Offers one tapped client-origin segment to the uplink.
+    #[inline]
+    fn send_up(&mut self, conn: usize, now: SimTime, seg: Segment) {
+        if let Some(at) = self
+            .path
+            .send(Direction::Up, now, &seg, &mut self.rng)
+            .delivery_time()
+        {
+            self.queue.schedule_fifo(UP_LANE, at, Event::DeliverToServer { conn, seg });
         }
     }
 
@@ -755,7 +815,7 @@ impl Engine {
                 .send(Direction::Down, now, &seg, &mut self.rng)
                 .delivery_time()
             {
-                self.queue.schedule(at, Event::DeliverToClient { conn, seg });
+                self.queue.schedule_fifo(DOWN_LANE, at, Event::DeliverToClient { conn, seg });
             }
         }
     }
@@ -1077,19 +1137,47 @@ mod tests {
                 self.0.push(*p);
             }
         }
+        /// Drives both tap roads in one event: a receive buffer smaller
+        /// than two segments closes the window on every arrival, so each
+        /// read in `on_data_available` emits a window update from inside
+        /// the callback (staged) right behind the endpoint's own ACK
+        /// (direct), and `on_eof` opens a second connection whose SYN is
+        /// staged too.
+        struct SmallWindowLogic {
+            size: u64,
+            staged: usize,
+        }
+        impl SessionLogic for SmallWindowLogic {
+            fn on_start(&mut self, eng: &mut Engine) {
+                let cfg = TcpConfig::default();
+                eng.open_connection(cfg.clone().with_recv_buffer(2_000), cfg);
+            }
+            fn on_established(&mut self, eng: &mut Engine, conn: usize) {
+                eng.server_write(conn, self.size);
+                eng.server_close(conn);
+            }
+            fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
+                let before = eng.tap_buf.len();
+                eng.client_read(conn, u64::MAX);
+                self.staged += eng.tap_buf.len() - before;
+            }
+            fn on_eof(&mut self, eng: &mut Engine, _conn: usize) {
+                if eng.connection_count() == 1 {
+                    self.on_start(eng);
+                    self.staged += eng.tap_buf.len();
+                } else {
+                    eng.stop();
+                }
+            }
+        }
         // The Residence path has loss, so retransmissions and SACKs cross
         // the tap too.
-        let run = |streamed: bool, keep_trace: bool| {
+        fn capture<L: SessionLogic>(mut logic: L, streamed: bool, keep_trace: bool) -> (Vec<TapPacket>, usize, L) {
             let mut eng = Engine::new(
                 NetworkProfile::Residence.build_path(),
                 11,
                 SimDuration::from_secs(20),
             );
-            let mut logic = BulkLogic {
-                size: 1_500_000,
-                read_total: 0,
-                finished_at: None,
-            };
             let mut sink = Collect(Vec::new());
             if streamed {
                 eng.run_observed(&mut logic, &mut sink, keep_trace);
@@ -1097,17 +1185,29 @@ mod tests {
                 eng.run(&mut logic);
                 eng.trace().replay(&mut sink);
             }
-            (sink.0, eng.trace().len())
-        };
-        let (batch, batch_len) = run(false, true);
-        let (streamed, kept_len) = run(true, true);
-        let (streamed_no_trace, no_trace_len) = run(true, false);
-        assert!(!batch.is_empty());
-        assert_eq!(batch.len(), batch_len);
-        assert_eq!(batch, streamed, "live sink must see what the trace stores");
-        assert_eq!(batch, streamed_no_trace, "trace retention must not change the stream");
-        assert_eq!(kept_len, batch_len);
-        assert_eq!(no_trace_len, 0, "keep_trace=false must not materialise a trace");
+            (sink.0, eng.trace().len(), logic)
+        }
+        fn check<L: SessionLogic>(make: impl Fn() -> L) -> (Vec<TapPacket>, L) {
+            let (batch, batch_len, _) = capture(make(), false, true);
+            let (streamed, kept_len, logic) = capture(make(), true, true);
+            let (streamed_no_trace, no_trace_len, _) = capture(make(), true, false);
+            assert!(!batch.is_empty());
+            assert_eq!(batch.len(), batch_len);
+            assert_eq!(batch, streamed, "live sink must see what the trace stores");
+            assert_eq!(batch, streamed_no_trace, "trace retention must not change the stream");
+            assert_eq!(kept_len, batch_len);
+            assert_eq!(no_trace_len, 0, "keep_trace=false must not materialise a trace");
+            (streamed, logic)
+        }
+        check(|| BulkLogic {
+            size: 1_500_000,
+            read_total: 0,
+            finished_at: None,
+        });
+        let (packets, logic) = check(|| SmallWindowLogic { size: 60_000, staged: 0 });
+        assert!(logic.staged > 40, "window updates and the second SYN must take the staged road");
+        assert!(packets.iter().any(|p| p.conn == 1 && p.is_incoming_data()), "second connection carried data");
+        assert!(packets.iter().any(|p| p.flags & vstream_capture::FLAG_RETX != 0), "the lossy path retransmitted");
     }
 
     #[test]

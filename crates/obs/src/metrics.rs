@@ -152,6 +152,10 @@ slots! {
         SimWheelSpillPromotions => "sim_wheel_spill_promotions",
         /// Bucket openings (cursor advances) on the wheel.
         SimWheelAdvances => "sim_wheel_advances",
+        /// Events appended to a FIFO lane beside the wheel (packets in flight).
+        SimLanePushes => "sim_lane_pushes",
+        /// FIFO-lane pushes that arrived out of order and took the wheel instead.
+        SimLaneFallbacks => "sim_lane_fallbacks",
         /// Sessions built from a `SessionScratch` (fresh or recycled).
         SimScratchUses => "sim_scratch_uses",
         /// Sessions whose scratch had already run a session (allocation reuse).

@@ -37,12 +37,24 @@
 //! usual case — is an append. A 256-bit occupancy bitmap finds the next
 //! non-empty ring bucket with `trailing_zeros` instead of a ring walk.
 //!
+//! ## FIFO lanes
+//!
+//! Most events of a session are packets in flight on a FIFO link, whose
+//! delivery times are non-decreasing in the order they are sent. Such a
+//! stream is already sorted, so [`EventQueue::schedule_fifo`] appends it to
+//! one of two in-line `VecDeque` lanes instead of filing it into the wheel,
+//! and the pop side merges the two lane heads with the wheel's head by the
+//! same `(at, seq)` order — `seq` comes from the queue's one counter, so the
+//! pop sequence is exactly what scheduling everything on the wheel gives.
+//! The lane is a hint, not an obligation: a push earlier than its lane's
+//! tail goes to the wheel, which is still exact.
+//!
 //! A `BinaryHeap` future-event list with the same `(time, seq)` total order
-//! lives in this module's tests as the reference the wheel is driven against
-//! in lock-step.
+//! lives in this module's tests as the reference the wheel and the lanes are
+//! driven against in lock-step.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use vstream_obs::trace::{self, EventKind, SIDE_NONE};
 use vstream_obs::Hist;
@@ -68,6 +80,16 @@ const WHEEL_MASK: u64 = (WHEEL_BUCKETS as u64) - 1;
 /// Words in the ring-occupancy bitmap.
 const OCC_WORDS: usize = WHEEL_BUCKETS / 64;
 
+/// FIFO lanes beside the wheel: one per link direction of a session.
+const LANES: usize = 2;
+
+/// The wheel's index among the pop sources (the lanes are `0..LANES`).
+const WHEEL: usize = LANES;
+
+/// Pre-size of the wheel's slab and key stores. With packets on the lanes
+/// the wheel holds timers only, a few tens pending at the busiest.
+const WHEEL_PRESIZE: usize = 64;
+
 /// Passive telemetry accumulated by an [`EventQueue`] across its lifetime
 /// (cleared by [`EventQueue::reset`], so a recycled queue reports one
 /// session at a time).
@@ -78,8 +100,13 @@ const OCC_WORDS: usize = WHEEL_BUCKETS / 64;
 /// invariant of `vstream-obs`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Events pushed (schedule + try_schedule).
+    /// Events pushed (schedule + try_schedule + schedule_fifo).
     pub scheduled: u64,
+    /// `schedule_fifo` pushes appended to their lane.
+    pub lane_pushes: u64,
+    /// `schedule_fifo` pushes earlier than their lane's tail, filed into the
+    /// wheel instead.
+    pub lane_fallbacks: u64,
     /// Wheel pushes into a future in-window ring bucket.
     pub ring_pushes: u64,
     /// Wheel pushes beyond the horizon, into the spill heap.
@@ -129,7 +156,15 @@ fn bucket_of(at: SimTime) -> u64 {
 ///   their buckets.
 /// * `slab[key.slot]` is `Some` for every pending key and `None` for every
 ///   slot on the `free` list; the slab never grows while a slot is free, so
-///   its length is the peak number of simultaneously pending events.
+///   its length is the peak number of events pending on the wheel at once.
+/// * Each lane is ascending in `(at, seq)`: `schedule_fifo` appends only at
+///   or after the lane's tail time, and `seq` grows with every push.
+/// * `wheel_head` is the `(at, seq)` of the earliest key on the wheel
+///   (`None` when the wheel is empty), so the earliest pending event is the
+///   least of it and the two lane fronts.
+/// * `cursor <= bucket_of(now)`: the cursor moves only when a wheel event is
+///   popped, and `now` never goes back. Lane pops advance `now` alone, so a
+///   push at or after `now` never lands behind the cursor.
 pub struct EventQueue<E> {
     open: Vec<Key>,
     head: usize,
@@ -139,6 +174,8 @@ pub struct EventQueue<E> {
     cursor: u64,
     slab: Vec<Option<E>>,
     free: Vec<u32>,
+    wheel_head: Option<(SimTime, u64)>,
+    lanes: [VecDeque<(SimTime, u64, E)>; LANES],
     len: usize,
     next_seq: u64,
     now: SimTime,
@@ -155,24 +192,28 @@ impl<E> EventQueue<E> {
     ///
     /// A streaming session keeps a bounded working set of in-flight events
     /// (segments on the wire, timers, application wake-ups); sizing the
-    /// slab for that working set up front avoids the doubling reallocations
-    /// during the first seconds of simulated time.
+    /// storage for that working set up front avoids the doubling
+    /// reallocations during the first seconds of simulated time.
     pub fn with_capacity(capacity: usize) -> Self {
-        // The ring buckets start empty and grow on demand: pre-sizing all
-        // 256 would cost 256 allocations per fresh queue, while a reused
-        // queue (the common case — see `SessionScratch`) keeps whatever
-        // each bucket grew to. Only the slab, which every event passes
-        // through, and the two key stores that see traffic from the first
-        // event get capacity up front.
+        // The working set is packets in flight, which sit on the lanes:
+        // they share `capacity`. The wheel keeps timers only, so its slab
+        // and the two key stores that see traffic from the first event get
+        // a small fixed pre-size. The ring buckets start empty and grow on
+        // demand: pre-sizing all 256 would cost 256 allocations per fresh
+        // queue, while a reused queue (the common case — see
+        // `SessionScratch`) keeps whatever each bucket grew to.
+        let wheel = capacity.min(WHEEL_PRESIZE);
         EventQueue {
-            open: Vec::with_capacity(capacity / 2),
+            open: Vec::with_capacity(wheel),
             head: 0,
             buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; OCC_WORDS],
-            spill: BinaryHeap::with_capacity(capacity / 2),
+            spill: BinaryHeap::with_capacity(wheel),
             cursor: 0,
-            slab: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
+            slab: Vec::with_capacity(wheel),
+            free: Vec::with_capacity(wheel),
+            wheel_head: None,
+            lanes: std::array::from_fn(|_| VecDeque::with_capacity(capacity / LANES)),
             len: 0,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -192,15 +233,17 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events, lanes included.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Allocated capacity of the underlying storage, in entries: the event
-    /// slab plus the key stores (open bucket, ring buckets, spill heap).
+    /// Allocated capacity of the underlying storage, in entries: the lanes,
+    /// the wheel's event slab and its key stores (open bucket, ring
+    /// buckets, spill heap).
     pub fn capacity(&self) -> usize {
-        self.slab.capacity()
+        self.lanes.iter().map(VecDeque::capacity).sum::<usize>()
+            + self.slab.capacity()
             + self.open.capacity()
             + self.spill.capacity()
             + self.buckets.iter().map(Vec::capacity).sum::<usize>()
@@ -222,12 +265,42 @@ impl<E> EventQueue<E> {
     /// bucket index would underflow the wheel's cursor arithmetic,
     /// misfiling the event into the spill heap).
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        self.assert_not_past(at);
+        self.push_wheel(at, event);
+    }
+
+    #[inline]
+    fn assert_not_past(&self, at: SimTime) {
         assert!(
             at >= self.now,
             "schedule: event at {at} is in the past (now = {})",
             self.now
         );
-        self.push(at, event);
+    }
+
+    /// Schedules `event` at `at` on FIFO lane `lane` (0 or 1): the road for
+    /// a stream whose times are non-decreasing in push order, such as
+    /// deliveries over one FIFO link. Observably identical to
+    /// [`Self::schedule`] — same `(at, seq)` pop order, same clock — but an
+    /// append and a front pop instead of a trip through the wheel.
+    ///
+    /// The lane is a hint: a push earlier than the lane's tail is filed
+    /// into the wheel instead (counted in [`QueueStats::lane_fallbacks`]),
+    /// so the caller's monotonicity claim is never trusted for ordering.
+    ///
+    /// # Panics
+    /// Panics — in release builds too — if `at` is earlier than the current
+    /// simulated time (see [`Self::schedule`]), or if `lane` is not 0 or 1.
+    pub fn schedule_fifo(&mut self, lane: usize, at: SimTime, event: E) {
+        self.assert_not_past(at);
+        if self.lanes[lane].back().is_some_and(|&(tail, _, _)| at < tail) {
+            self.stats.lane_fallbacks += 1;
+            self.push_wheel(at, event);
+            return;
+        }
+        let seq = self.admit();
+        self.lanes[lane].push_back((at, seq, event));
+        self.stats.lane_pushes += 1;
     }
 
     /// Schedules `event` at `at`, returning the event back to the caller if
@@ -248,29 +321,40 @@ impl<E> EventQueue<E> {
             );
             return Err(event);
         }
-        self.push(at, event);
+        self.push_wheel(at, event);
         Ok(())
     }
 
+    /// Counts one more pending event and hands out its sequence number.
     #[inline]
-    fn push(&mut self, at: SimTime, event: E) {
+    fn admit(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.len += 1;
+        self.stats.scheduled += 1;
+        self.stats.peak_len = self.stats.peak_len.max(self.len as u64);
+        seq
+    }
+
+    #[inline]
+    fn push_wheel(&mut self, at: SimTime, event: E) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(event);
                 slot
             }
             None => {
-                // Every slot is occupied, so this push sets a new peak.
                 let slot = u32::try_from(self.slab.len()).expect("more than u32::MAX pending events");
                 self.slab.push(Some(event));
-                self.stats.peak_len = self.slab.len() as u64;
                 slot
             }
         };
-        let key = Key { at, seq: self.next_seq, slot };
-        self.next_seq += 1;
-        self.len += 1;
-        self.stats.scheduled += 1;
+        let key = Key { at, seq: self.admit(), slot };
+        // The new key has the highest seq so far, so it becomes the wheel's
+        // head only by being strictly earlier.
+        if self.wheel_head.is_none_or(|(head_at, _)| at < head_at) {
+            self.wheel_head = Some((at, key.seq));
+        }
 
         let b = bucket_of(at);
         debug_assert!(b >= self.cursor, "event scheduled behind the wheel cursor");
@@ -330,31 +414,54 @@ impl<E> EventQueue<E> {
         Some(self.cursor + ((idx as u64).wrapping_sub(self.cursor) & WHEEL_MASK))
     }
 
-    /// Time of the earliest pending event, if any. O(1) while the open
-    /// bucket is non-empty; otherwise one bitmap probe and a scan of the
-    /// next bucket.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    /// `(at, seq)` of the earliest key on the wheel, found without moving
+    /// the cursor. O(1) while the open bucket is non-empty; otherwise one
+    /// bitmap probe and a scan of the next bucket. Runs once per wheel pop
+    /// (the result is cached in `wheel_head`), not once per peek.
+    fn find_wheel_head(&self) -> Option<(SimTime, u64)> {
         if let Some(k) = self.open.get(self.head) {
-            return Some(k.at);
+            return Some((k.at, k.seq));
         }
-        if self.len == 0 {
+        if self.slab.len() == self.free.len() {
             return None;
         }
         match self.next_ring_bucket() {
-            Some(a) => self.buckets[(a & WHEEL_MASK) as usize].iter().map(|k| k.at).min(),
-            None => self.spill.peek().map(|k| k.0.at),
+            Some(a) => self.buckets[(a & WHEEL_MASK) as usize].iter().map(|k| (k.at, k.seq)).min(),
+            None => self.spill.peek().map(|k| (k.0.at, k.0.seq)),
         }
+    }
+
+    /// Which source — a lane or the wheel — holds the earliest pending
+    /// event by `(at, seq)`, and its time. Three compares, no side effects.
+    #[inline]
+    fn earliest(&self) -> Option<(usize, SimTime)> {
+        let mut best = self.wheel_head;
+        let mut src = WHEEL;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&(at, seq, _)) = lane.front() {
+                if best.is_none_or(|b| (at, seq) < b) {
+                    best = Some((at, seq));
+                    src = i;
+                }
+            }
+        }
+        best.map(|(at, _)| (src, at))
+    }
+
+    /// Time of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.earliest().map(|(_, at)| at)
     }
 
     /// Moves the cursor to the next non-empty bucket, migrates newly
     /// in-window spill keys, and sorts the opened bucket. Returns the number
     /// of spill keys promoted.
     fn advance(&mut self) -> u64 {
-        debug_assert!(self.head == self.open.len() && self.len > 0);
+        debug_assert!(self.head == self.open.len() && self.wheel_head.is_some());
         self.open.clear();
         self.head = 0;
         let a = self.next_ring_bucket().unwrap_or_else(|| {
-            bucket_of(self.spill.peek().expect("len > 0 with empty wheel").0.at)
+            bucket_of(self.spill.peek().expect("pending wheel key outside open, ring and spill").0.at)
         });
         self.cursor = a;
         let idx = (a & WHEEL_MASK) as usize;
@@ -387,25 +494,37 @@ impl<E> EventQueue<E> {
         promoted
     }
 
-    /// Pops the earliest pending event and advances the clock to its
-    /// timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
+    /// Takes the earliest pending event out of `src` (as named by
+    /// [`Self::earliest`]) and advances the clock to its timestamp.
+    #[inline]
+    fn take(&mut self, src: usize) -> (SimTime, E) {
+        self.len -= 1;
+        let (at, event) = if src == WHEEL {
+            self.take_wheel()
+        } else {
+            let (at, _, event) = self.lanes[src].pop_front().expect("earliest() named an empty lane");
+            (at, event)
+        };
+        debug_assert!(at >= self.now);
+        self.now = at;
+        (at, event)
+    }
+
+    /// The wheel's half of [`Self::take`]: the only place the cursor moves.
+    fn take_wheel(&mut self) -> (SimTime, E) {
         let promoted = if self.head == self.open.len() { self.advance() } else { 0 };
         let key = self.open[self.head];
         self.head += 1;
-        self.len -= 1;
         let event = self.slab[key.slot as usize].take().expect("pending key without an event");
         self.free.push(key.slot);
-        debug_assert!(key.at >= self.now);
-        self.now = key.at;
+        debug_assert_eq!(Some((key.at, key.seq)), self.wheel_head);
+        self.wheel_head = self.find_wheel_head();
         if promoted > 0 {
-            // Stamped at the (already-updated) clock so the flight
-            // recorder's event stream stays monotone.
+            // Stamped at the popped event's time (the clock the caller is
+            // about to see) so the flight recorder's event stream stays
+            // monotone.
             trace::emit(
-                self.now.as_nanos(),
+                key.at.as_nanos(),
                 EventKind::SimSpillPromote,
                 SIDE_NONE,
                 0,
@@ -413,7 +532,14 @@ impl<E> EventQueue<E> {
                 0,
             );
         }
-        Some((key.at, event))
+        (key.at, event)
+    }
+
+    /// Pops the earliest pending event and advances the clock to its
+    /// timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (src, _) = self.earliest()?;
+        Some(self.take(src))
     }
 
     /// Pops the earliest pending event if it fires at or before `limit`.
@@ -421,15 +547,15 @@ impl<E> EventQueue<E> {
     /// This is the session loop's fused peek-then-pop, with identical
     /// semantics to `peek_time() <= limit` followed by `pop()`.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        // Peek before advancing: the cursor may only move when an event is
-        // actually popped, otherwise `now` (still at the last popped time)
-        // could fall behind the cursor and a subsequent schedule would land
-        // behind the wheel. While the open bucket is non-empty — the steady
-        // state — the peek is a single O(1) read at the head index.
-        if self.peek_time()? > limit {
+        // Peek before taking: the cursor may only move when a wheel event
+        // is actually popped, otherwise `now` (still at the last popped
+        // time) could fall behind the cursor and a subsequent schedule
+        // would land behind the wheel.
+        let (src, at) = self.earliest()?;
+        if at > limit {
             return None;
         }
-        self.pop()
+        Some(self.take(src))
     }
 
     /// Discards all pending events without advancing the clock.
@@ -446,13 +572,17 @@ impl<E> EventQueue<E> {
         self.cursor = 0;
         self.slab.clear();
         self.free.clear();
+        self.wheel_head = None;
+        for lane in &mut self.lanes {
+            lane.clear();
+        }
         self.len = 0;
     }
 
     /// Rewinds the queue to its initial state — empty, clock at
     /// [`SimTime::ZERO`], sequence counter reset — while keeping its
-    /// allocations (slab and free list included), so one queue can be
-    /// reused across back-to-back sessions without reallocating.
+    /// allocations (lanes, slab and free list included), so one queue can
+    /// be reused across back-to-back sessions without reallocating.
     pub fn reset(&mut self) {
         self.clear();
         self.next_seq = 0;
@@ -481,6 +611,8 @@ mod tests {
         heap: BinaryHeap<HeapEntry<E>>,
         next_seq: u64,
         now: SimTime,
+        /// Most entries pending at once since construction or `reset`.
+        peak: usize,
     }
 
     struct HeapEntry<E> {
@@ -513,7 +645,7 @@ mod tests {
 
     impl<E> HeapQueue<E> {
         fn new() -> Self {
-            HeapQueue { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO }
+            HeapQueue { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO, peak: 0 }
         }
 
         fn try_schedule(&mut self, at: SimTime, event: E) -> Result<(), E> {
@@ -522,6 +654,7 @@ mod tests {
             }
             self.heap.push(HeapEntry { at, seq: self.next_seq, event });
             self.next_seq += 1;
+            self.peak = self.peak.max(self.heap.len());
             Ok(())
         }
 
@@ -544,6 +677,10 @@ mod tests {
                 return None;
             }
             self.pop()
+        }
+
+        fn clear(&mut self) {
+            self.heap.clear();
         }
 
         fn reset(&mut self) {
@@ -656,10 +793,22 @@ mod tests {
     #[test]
     fn with_capacity_pre_sizes() {
         let q: EventQueue<()> = EventQueue::with_capacity(1024);
-        assert!(q.slab.capacity() >= 1024, "slab holds the stated working set");
-        assert!(q.capacity() >= 1024 + q.open.capacity() + q.spill.capacity());
+        let lanes: usize = q.lanes.iter().map(VecDeque::capacity).sum();
+        assert!(lanes >= 1024, "the lanes hold the stated working set");
+        assert!(
+            (WHEEL_PRESIZE..1024).contains(&q.slab.capacity()),
+            "the wheel is sized for timers, not for packets"
+        );
+        assert_eq!(
+            q.capacity(),
+            lanes + q.slab.capacity() + q.open.capacity() + q.spill.capacity()
+        );
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::ZERO);
+        // Below the wheel's pre-size the request is taken literally, so an
+        // empty queue (`new`) allocates nothing but the ring headers.
+        let q: EventQueue<()> = EventQueue::with_capacity(0);
+        assert_eq!(q.capacity(), 0);
     }
 
     #[test]
@@ -943,6 +1092,169 @@ mod tests {
             // Drain both completely: the tails must match too.
             loop {
                 let (a, b) = (wheel.pop(), heap.pop());
+                assert_eq!(a, b, "seed {seed} drain");
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_and_wheel_merge_by_time_then_schedule_order() {
+        let mut q = EventQueue::new();
+        let t = |ms: u64| SimTime::from_millis(ms);
+        q.schedule_fifo(0, t(5), "lane0 first");
+        q.schedule(t(5), "wheel second");
+        q.schedule_fifo(1, t(5), "lane1 third");
+        q.schedule_fifo(1, t(9), "lane1 late");
+        q.schedule(t(1), "wheel early");
+        q.schedule_fifo(0, t(5), "lane0 fourth");
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.stats().peak_len, 6, "the peak counts lane entries too");
+        assert_eq!((q.stats().scheduled, q.stats().lane_pushes, q.stats().lane_fallbacks), (6, 4, 0));
+        assert_eq!(q.peek_time(), Some(t(1)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            ["wheel early", "lane0 first", "wheel second", "lane1 third", "lane0 fourth", "lane1 late"]
+        );
+        assert_eq!(q.now(), t(9));
+        assert_eq!(q.cursor, bucket_of(t(5)), "the cursor moved on wheel pops only");
+    }
+
+    #[test]
+    fn non_monotone_lane_push_falls_back_to_the_wheel() {
+        let mut q = EventQueue::new();
+        let t = |ms: u64| SimTime::from_millis(ms);
+        q.schedule_fifo(0, t(8), 'c');
+        q.schedule_fifo(0, t(3), 'a'); // earlier than the lane's tail
+        q.schedule_fifo(0, t(8), 'd'); // equal to the tail is in order
+        q.schedule_fifo(1, t(4), 'b'); // the other lane has its own tail
+        assert_eq!((q.stats().lane_pushes, q.stats().lane_fallbacks), (3, 1));
+        assert_eq!(q.lanes[0].len() + q.lanes[1].len(), 3);
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ['a', 'b', 'c', 'd']);
+        // A drained lane has no tail: any time from `now` on is in order.
+        q.schedule_fifo(0, t(8), 'e');
+        assert_eq!(q.stats().lane_fallbacks, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn scheduling_a_lane_event_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_fifo(0, SimTime::from_secs(2), ());
+        q.pop();
+        q.schedule_fifo(1, SimTime::from_secs(1), ());
+    }
+
+    /// `schedule_fifo` on the queue against plain `schedule` on the
+    /// reference heap, in lock-step: seeded interleavings over both lanes
+    /// and the wheel — equal-`at` ties across all three, a non-monotone
+    /// lane push per seed, `pop_before` limits on and just below a lane
+    /// head, `clear` and `reset` mid-stream — must observe identical
+    /// results at every step. Pop-sequence equality with the oracle is
+    /// equality with an all-wheel queue (`backends_are_observationally_identical`).
+    #[test]
+    fn lanes_are_observationally_identical_to_the_wheel() {
+        for seed in 0..48u64 {
+            let mut rng = SimRng::new(0x1A4E_0000 + seed);
+            let mut q = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            let mut label = 0u64;
+            let mut fallbacks = 0u64;
+            let forced_step = rng.choose_index(600);
+            for step in 0..600 {
+                let ctx = format!("seed {seed} step {step}");
+                // In-order time for a lane: at or after both its tail and now.
+                let tail = |q: &EventQueue<u64>, lane: usize| {
+                    q.lanes[lane].back().map_or(q.now(), |&(at, _, _)| at.max(q.now()))
+                };
+                if step == forced_step {
+                    let lane = rng.choose_index(LANES);
+                    let ahead = tail(&q, lane) + SimDuration::from_millis(5);
+                    for at in [ahead, q.now()] {
+                        q.schedule_fifo(lane, at, label);
+                        heap.schedule(at, label);
+                        label += 1;
+                    }
+                    fallbacks += 1;
+                }
+                match rng.choose_index(12) {
+                    0..=3 => {
+                        let lane = rng.choose_index(LANES);
+                        let off = match rng.choose_index(3) {
+                            0 => 0,
+                            1 => rng.uniform_u64(0, 2_000_000),
+                            _ => rng.uniform_u64(0, 400_000_000),
+                        };
+                        let at = tail(&q, lane) + SimDuration::from_nanos(off);
+                        q.schedule_fifo(lane, at, label);
+                        heap.schedule(at, label);
+                        label += 1;
+                    }
+                    4..=5 => {
+                        // Timers: near, at a lane head's instant, or spilled.
+                        let at = match rng.choose_index(3) {
+                            0 => q.now() + SimDuration::from_nanos(rng.uniform_u64(0, 300_000_000)),
+                            1 => q.lanes[rng.choose_index(LANES)].front().map_or(q.now(), |&(at, _, _)| at),
+                            _ => q.now() + SimDuration::from_nanos(rng.uniform_u64(0, 3_000_000_000)),
+                        };
+                        q.schedule(at, label);
+                        heap.schedule(at, label);
+                        label += 1;
+                    }
+                    6 => {
+                        // One instant on all three roads, in a random order.
+                        let at = tail(&q, 0).max(tail(&q, 1))
+                            + SimDuration::from_nanos(rng.uniform_u64(0, 2_000_000));
+                        let first = rng.choose_index(3);
+                        for k in 0..3 {
+                            match (first + k) % 3 {
+                                WHEEL => q.schedule(at, label),
+                                lane => q.schedule_fifo(lane, at, label),
+                            }
+                            heap.schedule(at, label);
+                            label += 1;
+                        }
+                    }
+                    7..=8 => {
+                        let peeked = q.peek_time();
+                        let popped = q.pop();
+                        assert_eq!(peeked, popped.map(|(at, _)| at), "{ctx}");
+                        assert_eq!(popped, heap.pop(), "{ctx}");
+                    }
+                    9..=10 => {
+                        let limit = match (rng.choose_index(3), q.lanes[rng.choose_index(LANES)].front()) {
+                            (0, Some(&(at, _, _))) => at,
+                            (1, Some(&(at, _, _))) if at > SimTime::ZERO => SimTime::from_nanos(at.as_nanos() - 1),
+                            _ => heap.now + SimDuration::from_nanos(rng.uniform_u64(0, 400_000_000)),
+                        };
+                        assert_eq!(q.pop_before(limit), heap.pop_before(limit), "{ctx}");
+                    }
+                    _ => match rng.choose_index(16) {
+                        0 => {
+                            q.reset();
+                            heap.reset();
+                            fallbacks = 0;
+                        }
+                        1 => {
+                            q.clear();
+                            heap.clear();
+                        }
+                        _ => assert_eq!(q.peek_time(), heap.peek_time(), "{ctx}"),
+                    },
+                }
+                assert_eq!(q.len(), heap.heap.len(), "{ctx}");
+                assert_eq!(q.now(), heap.now, "{ctx}");
+                assert_eq!(q.stats().scheduled, heap.next_seq, "{ctx}");
+                assert_eq!(q.stats().lane_fallbacks, fallbacks, "{ctx}");
+                assert_eq!(q.stats().peak_len, heap.peak as u64, "{ctx}");
+                assert!(q.cursor <= bucket_of(q.now()), "{ctx}: cursor ran ahead of the clock");
+            }
+            loop {
+                let (a, b) = (q.pop(), heap.pop());
                 assert_eq!(a, b, "seed {seed} drain");
                 if a.is_none() {
                     break;

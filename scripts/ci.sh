@@ -9,10 +9,12 @@
 #   3. metrics neutrality: a figure slice rendered with and without
 #      --metrics must produce byte-identical CSVs, and the ledger must be
 #      well-formed JSON carrying its schema_version key
-#   3b. default-run memory and the committed results: a plain metered
-#      `repro all` must retain no packet trace anywhere (zero
+#   3b. default-run memory, event roads and the committed results: a plain
+#      metered `repro all` must retain no packet trace anywhere (zero
 #      peak_trace_bytes, nonzero peak_flowstate_bytes in the wall-mode
-#      ledger) and must reproduce the committed results/ tree byte for byte
+#      ledger), must keep every packet delivery on the event queue's FIFO
+#      lanes (zero sim_lane_fallbacks) and must reproduce the committed
+#      results/ tree byte for byte
 #   3e. ext-qoe determinism: the DASH/LRD load sweep (adaptive client plus
 #       seeded cross-traffic aggregate) byte-identical across --jobs 1/8 ×
 #       cache on/off — the newest figure gets the same invariant the
@@ -68,6 +70,11 @@ echo "==> default run: no retained trace, and results/ is what the code produces
 target/release/repro all --csv "$obs_out/all" --metrics "$obs_out/all.metrics.json" > /dev/null
 grep -q '"peak_trace_bytes":0[,}]' "$obs_out/all.metrics.json"
 grep -qE '"peak_flowstate_bytes":[1-9]' "$obs_out/all.metrics.json"
+# Link deliveries are FIFO, so no packet may have been pushed off its lane
+# onto the wheel; a nonzero count means a link reordered (or a new caller
+# of schedule_fifo is not monotone) and the fast road silently narrowed.
+grep -q '"sim_lane_fallbacks":0[,}]' "$obs_out/all.metrics.json"
+grep -qE '"sim_lane_pushes":[1-9]' "$obs_out/all.metrics.json"
 # The committed tree is `repro all --seed 2026 --csv results` (the default
 # seed); regenerate it in the same change as any output-moving edit.
 diff -r results "$obs_out/all"

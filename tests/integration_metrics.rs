@@ -10,7 +10,7 @@
 //! The collector is process-global, so everything runs from one `#[test]`.
 
 use vstream::figures as f;
-use vstream::obs::{collector, ledger_json, Counter, HistId};
+use vstream::obs::{collector, ledger_json, Counter, Gauge, HistId, Metrics};
 use vstream::prelude::*;
 
 /// A small figure slice touching both steady-state strategies and the
@@ -29,6 +29,43 @@ fn figure_suite(jobs: usize) -> Vec<String> {
     out.push(fig2a.to_csv());
     out.push(fig2b.to_csv());
     out
+}
+
+/// One `ext-qoe` cell: a DASH session on the Home profile under a
+/// half-load LRD aggregate, so cross-traffic ticks share the queue with the
+/// packets and the adaptive client churns through connections.
+fn lrd_cell() {
+    let spec = SessionSpec::new(
+        Client::Dash,
+        Container::Html5,
+        Video::new(1, 1_000_000, SimDuration::from_secs(900)),
+        NetworkProfile::Home,
+        0xE07E,
+        SimDuration::from_secs(45),
+    )
+    .with_lrd_cross(LrdCrossConfig::for_load(NetworkProfile::Home.down_bps(), 500));
+    let replies = query_many(&[spec], &SessionQuery::default().qoe());
+    assert!(replies[0].is_some(), "Dash x Html5 is applicable");
+}
+
+/// Every packet delivery takes a FIFO lane of the event queue, none falls
+/// back to the wheel, and the queue's totals are the ones the same
+/// sessions produced with every event on the wheel (`all_wheel`: events
+/// scheduled, peak pending events, recorded at the commit before the lanes
+/// existed) — the lanes change the road, not the traffic.
+fn assert_lane_accounting(m: &Metrics, all_wheel: (u64, u64), what: &str) {
+    assert!(m.counter(Counter::NetPacketsDelivered) > 0, "{what}");
+    assert_eq!(
+        m.counter(Counter::SimLanePushes),
+        m.counter(Counter::NetPacketsDelivered),
+        "{what}: a delivered packet missed the lanes"
+    );
+    assert_eq!(m.counter(Counter::SimLaneFallbacks), 0, "{what}: a link reordered");
+    let (events, peak_len) = all_wheel;
+    assert_eq!(m.counter(Counter::SimEventsScheduled), events, "{what}");
+    assert_eq!(m.hist(HistId::SimSessionEvents).sum(), events, "{what}");
+    assert_eq!(m.hist(HistId::SimSessionEvents).count(), m.counter(Counter::SimSessions), "{what}");
+    assert_eq!(m.gauge(Gauge::SimQueuePeakLen), peak_len, "{what}");
 }
 
 #[test]
@@ -74,5 +111,15 @@ fn metrics_are_output_neutral_and_ledgers_jobs_invariant() {
         "wall timing must be zeroed when disabled"
     );
     assert!(json_serial.contains("\"schema_version\":"));
-    assert!(json_serial.contains("\"research\""), "per-profile slot missing");
+    for profile in ["research", "residence", "academic", "home"] {
+        assert!(json_serial.contains(&format!("\"{profile}\"")), "per-profile slot missing: {profile}");
+    }
+
+    // Lane accounting: over the figure slice, which streams on all four
+    // vantage points (fig4), then over one LRD cell on its own ledger.
+    assert_lane_accounting(m, (362_720, 722), "figure slice");
+    collector::install(false);
+    lrd_cell();
+    let ledger_lrd = collector::take().expect("ledger from the LRD cell");
+    assert_lane_accounting(&ledger_lrd.totals, (52_237, 233), "LRD ext-qoe cell");
 }
