@@ -54,13 +54,6 @@ pub struct Cycle {
     pub packets: u32,
 }
 
-impl Cycle {
-    /// Duration of the ON period.
-    pub fn on_duration(&self) -> SimDuration {
-        self.on_end.duration_since(self.on_start)
-    }
-}
-
 /// Result of segmenting a capture into ON/OFF cycles.
 #[derive(Clone, Debug, Default)]
 pub struct OnOffAnalysis {

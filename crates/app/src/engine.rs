@@ -138,7 +138,7 @@ impl SessionScratch {
             // `repro all`), all but a few tens of them packets in flight on
             // the queue's two FIFO lanes. 1024 entries split over the lanes
             // cover all but the busiest: two 68 KiB rings of 136-byte
-            // entries, plus 11 KiB for the 64-slot wheel that holds the
+            // entries, plus 8.5 KiB for the 64-entry heap that holds the
             // timers. A scratch is built per worker per batch, so each
             // allocation stays below glibc's 128 KiB mmap threshold (no
             // map/fault/unmap per batch); a session that peaks higher
@@ -242,8 +242,6 @@ pub struct Engine {
     /// but not the sink: filled by [`Engine::tap_staged`], drained to the
     /// sink in capture order when the callback's event ends.
     tap_buf: Vec<TapPacket>,
-    /// True while [`Engine::run_observed`] is feeding a sink.
-    tap_stream: bool,
     /// Whether tapped packets are retained in [`Engine::trace`]. Always true
     /// for [`Engine::run`]; streaming callers may turn the trace off
     /// entirely and fold on the fly.
@@ -282,7 +280,7 @@ impl Engine {
             queue,
             path,
             rng: SimRng::new(seed),
-            // Allocated lazily at run start (see `run_inner`): a streaming
+            // Allocated lazily at run start (see `run_observed`): a streaming
             // session that never retains a trace must not reserve columns.
             trace: Trace::with_capacity(0),
             conns: Vec::new(),
@@ -295,7 +293,6 @@ impl Engine {
             scratch_was_used: used,
             initial_trace_capacity: trace_capacity,
             tap_buf: Vec::new(),
-            tap_stream: false,
             keep_trace: true,
             packets_tapped: 0,
         }
@@ -361,11 +358,6 @@ impl Engine {
         &self.trace
     }
 
-    /// Consumes the engine, returning the capture.
-    pub fn into_trace(self) -> Trace {
-        self.into_parts().0
-    }
-
     /// Consumes the engine, returning the capture and a [`SessionScratch`]
     /// holding this session's allocations for the next one. The scratch's
     /// trace-capacity hint ratchets up to the largest capture seen, so a
@@ -409,15 +401,10 @@ impl Engine {
 
         let q: &QueueStats = self.queue.stats();
         m.add(Counter::SimEventsScheduled, q.scheduled);
-        m.add(Counter::SimWheelRingPushes, q.ring_pushes);
-        m.add(Counter::SimWheelSpillPushes, q.spill_pushes);
-        m.add(Counter::SimWheelSpillPromotions, q.spill_promotions);
-        m.add(Counter::SimWheelAdvances, q.advances);
         m.add(Counter::SimLanePushes, q.lane_pushes);
         m.add(Counter::SimLaneFallbacks, q.lane_fallbacks);
         m.gauge_max(Gauge::SimQueuePeakLen, q.peak_len);
         m.record(HistId::SimSessionEvents, q.scheduled);
-        m.merge_hist(HistId::SimWheelOccupancy, &q.occupancy);
 
         let down = self.path.link(Direction::Down).stats();
         let up = self.path.link(Direction::Up).stats();
@@ -451,7 +438,7 @@ impl Engine {
         }
     }
 
-    /// The event queue's accumulated telemetry (e.g. for per-profile spill
+    /// The event queue's accumulated telemetry (e.g. for per-profile event
     /// attribution before [`Engine::into_parts`]).
     pub fn queue_stats(&self) -> &QueueStats {
         self.queue.stats()
@@ -554,11 +541,6 @@ impl Engine {
         self.conns[conn].client.at_eof()
     }
 
-    /// True when everything the server wrote has been acknowledged.
-    pub fn server_all_acked(&self, conn: usize) -> bool {
-        self.conns[conn].server.all_acked()
-    }
-
     /// True once the connection is established end to end.
     pub fn is_established(&self, conn: usize) -> bool {
         self.conns[conn].client.is_established() && self.conns[conn].server.is_established()
@@ -577,9 +559,7 @@ impl Engine {
     /// Runs the session to completion: until the capture limit, an empty
     /// event queue, or [`Engine::stop`].
     pub fn run<L: SessionLogic>(&mut self, logic: &mut L) {
-        self.tap_stream = false;
-        self.keep_trace = true;
-        self.run_inner(logic, &mut NullSink);
+        self.run_observed(logic, &mut NullSink, true);
     }
 
     /// Like [`Engine::run`], but additionally streams every tapped packet
@@ -594,12 +574,7 @@ impl Engine {
         sink: &mut S,
         keep_trace: bool,
     ) {
-        self.tap_stream = true;
         self.keep_trace = keep_trace;
-        self.run_inner(logic, sink);
-    }
-
-    fn run_inner<L: SessionLogic, S: PacketSink + ?Sized>(&mut self, logic: &mut L, sink: &mut S) {
         // Deferred trace allocation: only a session that retains its
         // capture reserves the columns, and only once per session.
         if self.keep_trace && self.trace.capacity() == 0 && self.initial_trace_capacity > 0 {
@@ -697,7 +672,7 @@ impl Engine {
 
     /// Feeds the packets an event's logic callbacks staged via
     /// [`Engine::tap_staged`] to the streaming sink, preserving capture
-    /// order. Empty (and free) outside [`Engine::run_observed`].
+    /// order.
     #[inline]
     fn drain_tap<S: PacketSink + ?Sized>(&mut self, sink: &mut S) {
         for p in self.tap_buf.drain(..) {
@@ -745,9 +720,7 @@ impl Engine {
     #[inline]
     fn tap_staged(&mut self, at: SimTime, dir: TapDirection, seg: &Segment) {
         let p = self.tap(at, dir, seg);
-        if self.tap_stream {
-            self.tap_buf.push(p);
-        }
+        self.tap_buf.push(p);
     }
 
     fn after_touch<L: SessionLogic>(&mut self, conn: usize, side: Side, logic: &mut L) {

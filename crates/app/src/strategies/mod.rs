@@ -50,11 +50,6 @@ pub fn server_tcp() -> vstream_tcp::TcpConfig {
     cfg
 }
 
-/// Seconds needed to play `bytes` at the video's encoding rate.
-pub fn playback_time(video: &Video, bytes: u64) -> SimDuration {
-    rate_delay(bytes, video.encoding_bps)
-}
-
 /// Time to move (or play) `bytes` at `bps`, as exact integer tick math:
 /// `ns = bytes × 8e9 / bps` in u128, rounded to the nearest nanosecond.
 /// Every strategy pacing timer goes through this instead of

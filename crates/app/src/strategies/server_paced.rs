@@ -13,7 +13,7 @@ use vstream_tcp::TcpConfig;
 
 use crate::engine::{Engine, SessionLogic};
 use crate::player::Player;
-use crate::strategies::{playback_time, server_tcp, startup_threshold};
+use crate::strategies::{server_tcp, startup_threshold};
 use crate::video::Video;
 
 /// Parameters of the server-paced strategy.
@@ -126,16 +126,6 @@ impl SessionLogic for ServerPacedLogic {
         let n = eng.client_read(conn, u64::MAX);
         self.read_total += n;
         self.player.feed(eng.now(), n);
-    }
-}
-
-/// Extends [`ServerPacedLogic`] with its natural buffering-phase duration:
-/// how long the startup burst takes to play, which callers use when sizing
-/// capture windows.
-impl ServerPacedLogic {
-    /// Playback time of the startup burst.
-    pub fn buffering_playback(&self) -> SimDuration {
-        playback_time(&self.video, self.video.playback_bytes(self.cfg.buffer_playback_secs))
     }
 }
 

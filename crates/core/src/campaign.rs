@@ -614,7 +614,7 @@ fn compute_shard(
 ) -> Reduction {
     let specs: Vec<SessionSpec> = (start..end).map(|i| spec.session_spec(i)).collect();
     let lites: Vec<Option<SessionLite>> =
-        batch_resolve(&specs, jobs, query, |_, reply| SessionLite::of(reply));
+        batch_resolve(&specs, jobs, query, |_, reply| SessionLite::of(&reply));
     let mut r = Reduction::new(spec.horizon_bins());
     for (j, lite) in lites.into_iter().enumerate() {
         let lite = lite.expect("campaign cells are always applicable");

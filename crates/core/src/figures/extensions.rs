@@ -21,35 +21,8 @@ use vstream_net::{DuplexPath, LinkConfig, LossModel, NetworkProfile};
 use vstream_sim::{derive_seed, par_indexed, SimDuration, SimRng};
 use vstream_tcp::{CcAlgorithm, TcpConfig};
 
-use crate::figures::long_video;
+use crate::figures::{long_video, CustomPaced};
 use crate::report::{FigureData, Series, TableData};
-
-/// A server-paced session with a fully custom server TCP configuration
-/// (the library strategies fix theirs).
-struct CustomPaced {
-    inner: ServerPacedLogic,
-    server_cfg: TcpConfig,
-    client_cfg: TcpConfig,
-}
-
-impl SessionLogic for CustomPaced {
-    fn on_start(&mut self, eng: &mut Engine) {
-        let conn = eng.open_connection(self.client_cfg.clone(), self.server_cfg.clone());
-        debug_assert_eq!(conn, 0);
-    }
-    fn on_established(&mut self, eng: &mut Engine, conn: usize) {
-        self.inner.on_established(eng, conn);
-    }
-    fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
-        self.inner.on_data_available(eng, conn);
-    }
-    fn on_eof(&mut self, eng: &mut Engine, conn: usize) {
-        self.inner.on_eof(eng, conn);
-    }
-    fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
-        self.inner.on_app_timer(eng, id);
-    }
-}
 
 /// Extension 1: playback disruption vs accumulation ratio.
 ///
@@ -117,18 +90,12 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
 /// Extension 2: SACK vs NewReno-only recovery.
 ///
 /// Bulk-transfers 8 MB over a 10 Mbps path at several loss rates, with and
-/// without SACK, and reports the completion times. Without SACK, NewReno
-/// repairs one hole per round trip, so loss bursts inflate the transfer
-/// time dramatically.
+/// without SACK, and reports the completion times averaged over
+/// `RUNS` transfers per cell. Without SACK, NewReno repairs one hole per
+/// round trip, so loss bursts inflate the transfer time dramatically.
 pub fn ext_sack_ablation(seed: u64) -> TableData {
-    ext_sack_ablation_with_runs(seed, 8)
-}
-
-/// [`ext_sack_ablation`] with a configurable number of averaged runs per
-/// cell (the Criterion bench uses 1; the `repro` binary averages 8).
-pub fn ext_sack_ablation_with_runs(seed: u64, runs: u64) -> TableData {
+    const RUNS: usize = 8;
     let mut rows = Vec::new();
-    let runs = runs.max(1);
     // The window must be large (high BDP) for multi-hole windows to occur:
     // SACK's advantage is repairing many holes per round trip.
     let cases: [(&str, LossModel); 3] = [
@@ -141,14 +108,13 @@ pub fn ext_sack_ablation_with_runs(seed: u64, runs: u64) -> TableData {
     // Every (loss model, SACK, run) transfer is independent — each is
     // seeded by its run index alone (the SACK pairing intentionally reuses
     // the same seed), so the whole sweep runs as one parallel batch.
-    let per_cell = runs as usize;
     let totals = par_indexed(
-        cases.len() * 2 * per_cell,
+        cases.len() * 2 * RUNS,
         crate::session::default_jobs(),
         |j| {
-            let case = j / (2 * per_cell);
-            let sack = (j / per_cell) % 2 == 0;
-            let i = (j % per_cell) as u64;
+            let case = j / (2 * RUNS);
+            let sack = (j / RUNS) % 2 == 0;
+            let i = (j % RUNS) as u64;
             bulk_transfer_time(
                 seed.wrapping_add(i * 7919),
                 cases[case].1.clone(),
@@ -159,8 +125,8 @@ pub fn ext_sack_ablation_with_runs(seed: u64, runs: u64) -> TableData {
     );
     for (case, (label, _)) in cases.iter().enumerate() {
         let mean = |sack_slot: usize| -> f64 {
-            let start = (case * 2 + sack_slot) * per_cell;
-            totals[start..start + per_cell].iter().sum::<f64>() / runs as f64
+            let start = (case * 2 + sack_slot) * RUNS;
+            totals[start..start + RUNS].iter().sum::<f64>() / RUNS as f64
         };
         let (with_sack, without) = (mean(0), mean(1));
         rows.push(vec![

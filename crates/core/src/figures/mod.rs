@@ -23,15 +23,19 @@ mod traces;
 
 pub use blocks::{fig12_netflix_blocks, fig4_flash_steady_state, fig5_html5_steady_state, fig6b_long_blocks, fig7b_ipad_block_vs_rate};
 pub use buffering::{fig11_netflix_buffering, fig3a_flash_buffering, fig3b_html5_buffering};
-pub use extensions::{ext_aggregate_packet_level, ext_congestion_ablation, ext_sack_ablation, ext_sack_ablation_with_runs, ext_stall_vs_accumulation, ext_third_moment};
+pub use extensions::{ext_aggregate_packet_level, ext_congestion_ablation, ext_sack_ablation, ext_stall_vs_accumulation, ext_third_moment};
 pub use ext_qoe::ext_qoe_load_sweep;
 pub use model::{model_aggregate_moments, model_interruption_waste, model_smoothing};
 pub use rates::{fig8_bulk_rates, fig9_ack_clock, fig9_idle_reset_ablation};
 pub use tables::{table1_strategy_matrix, table2_strategy_comparison};
 pub use traces::{fig10_netflix_traces, fig1_phases, fig2_short_onoff, fig6a_long_onoff, fig7a_ipad_traces};
 
+use vstream_app::engine::Engine;
+use vstream_app::strategies::ServerPacedLogic;
+use vstream_app::SessionLogic;
 use vstream_net::NetworkProfile;
 use vstream_sim::{derive_seed, SimDuration, SimTime};
+use vstream_tcp::TcpConfig;
 use vstream_workload::{Client, Container, Dataset};
 
 use crate::query::SessionQuery;
@@ -127,12 +131,39 @@ pub(crate) fn long_video(id: u64, encoding_bps: u64) -> vstream_app::Video {
     vstream_app::Video::new(id, encoding_bps, SimDuration::from_secs(3000))
 }
 
-/// Retires a directly-driven [`Engine`](vstream_app::engine::Engine),
-/// folding its telemetry into the metrics collector. Figure drivers that
-/// bypass `SessionSpec` (the ablation harnesses) call this instead of
-/// dropping the engine, so their sessions appear in the ledger too. A
-/// no-op when no ledger was requested.
-pub(crate) fn retire_engine(eng: vstream_app::engine::Engine) {
+/// A server-paced session with fully custom TCP configurations on both
+/// ends (the library strategies fix theirs): the harness of the ablations
+/// that flip one transport switch under an unchanged application.
+pub(crate) struct CustomPaced {
+    pub(crate) inner: ServerPacedLogic,
+    pub(crate) client_cfg: TcpConfig,
+    pub(crate) server_cfg: TcpConfig,
+}
+
+impl SessionLogic for CustomPaced {
+    fn on_start(&mut self, eng: &mut Engine) {
+        let conn = eng.open_connection(self.client_cfg.clone(), self.server_cfg.clone());
+        debug_assert_eq!(conn, 0);
+    }
+    fn on_established(&mut self, eng: &mut Engine, conn: usize) {
+        self.inner.on_established(eng, conn);
+    }
+    fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
+        self.inner.on_data_available(eng, conn);
+    }
+    fn on_eof(&mut self, eng: &mut Engine, conn: usize) {
+        self.inner.on_eof(eng, conn);
+    }
+    fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
+        self.inner.on_app_timer(eng, id);
+    }
+}
+
+/// Retires a directly-driven [`Engine`], folding its telemetry into the
+/// metrics collector. Figure drivers that bypass `SessionSpec` (the
+/// ablation harnesses) call this instead of dropping the engine, so their
+/// sessions appear in the ledger too. A no-op when no ledger was requested.
+pub(crate) fn retire_engine(eng: Engine) {
     let (_trace, mut scratch) = eng.into_parts();
     scratch.flush_metrics();
 }

@@ -6,7 +6,7 @@ use vstream_net::NetworkProfile;
 use vstream_sim::derive_seed;
 use vstream_workload::{Client, Container, Dataset};
 
-use crate::figures::{long_video, CAPTURE};
+use crate::figures::{long_video, CustomPaced, CAPTURE};
 use crate::query::{query_many, SessionQuery};
 use crate::report::{FigureData, Series};
 use crate::session::SessionSpec;
@@ -121,42 +121,19 @@ pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
 
     let cfg = AnalysisConfig::default();
     let measure = |idle_reset: bool, seed: u64| -> f64 {
-        // Build the server-paced session manually so the server's TCP can be
-        // configured with the idle-reset switch.
-        struct Paced {
-            inner: ServerPacedLogic,
-            idle_reset: bool,
-        }
-        impl vstream_app::SessionLogic for Paced {
-            fn on_start(&mut self, eng: &mut Engine) {
-                let client = TcpConfig::default().with_recv_buffer(4 << 20);
-                let server = TcpConfig::default()
-                    .with_recv_buffer(256 * 1024)
-                    .with_idle_cwnd_reset(self.idle_reset);
-                let conn = eng.open_connection(client, server);
-                debug_assert_eq!(conn, 0);
-            }
-            fn on_established(&mut self, eng: &mut Engine, conn: usize) {
-                self.inner.on_established(eng, conn);
-            }
-            fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
-                self.inner.on_data_available(eng, conn);
-            }
-            fn on_eof(&mut self, eng: &mut Engine, conn: usize) {
-                self.inner.on_eof(eng, conn);
-            }
-            fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
-                self.inner.on_app_timer(eng, id);
-            }
-        }
         let mut eng = Engine::new(
             NetworkProfile::Research.build_path(),
             seed,
             SimDuration::from_secs(120),
         );
-        let mut logic = Paced {
+        // The server-paced session with the server's TCP carrying the
+        // idle-reset switch.
+        let mut logic = CustomPaced {
             inner: ServerPacedLogic::new(ServerPacedConfig::default(), long_video(1, 1_000_000)),
-            idle_reset,
+            client_cfg: TcpConfig::default().with_recv_buffer(4 << 20),
+            server_cfg: TcpConfig::default()
+                .with_recv_buffer(256 * 1024)
+                .with_idle_cwnd_reset(idle_reset),
         };
         let mut fold = AnalysisFold::new(cfg.clone()).with_ack_clock(eng.base_rtt());
         eng.run_observed(&mut logic, &mut fold, false);

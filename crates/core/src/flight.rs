@@ -6,7 +6,7 @@
 //!
 //! * `<session>.trace.json` — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev). Layers map
-//!   to threads (sim/net/tcp/app), discrete happenings are instant events,
+//!   to threads (net/tcp/app), discrete happenings are instant events,
 //!   and cwnd / queue-backlog / player-buffer samples are counter tracks.
 //! * `<session>.txt` — a plain-text timeline (one event per line, ms
 //!   timestamps at ns precision) with a QoE footer folded from the same
@@ -177,7 +177,6 @@ fn slug(label: &str) -> String {
 /// Chrome trace-event timeline thread per layer.
 fn layer_tid(kind: EventKind) -> u32 {
     match kind.layer() {
-        "sim" => 1,
         "net" => 2,
         "tcp" => 3,
         _ => 4,
@@ -195,9 +194,6 @@ fn side_name(side: u8) -> &'static str {
 /// Human names for the two payload words, per kind (for dump readability).
 fn arg_names(kind: EventKind) -> (&'static str, &'static str) {
     match kind {
-        EventKind::SimSpillPush => ("scheduled_for_ns", "b"),
-        EventKind::SimSpillPromote => ("promoted", "b"),
-        EventKind::SimSchedulePast => ("requested_ns", "b"),
         EventKind::TcpState => ("from_state", "to_state"),
         EventKind::TcpCwnd => ("cwnd", "ssthresh"),
         EventKind::TcpRtoFire => ("timeouts", "flight_bytes"),
@@ -252,7 +248,7 @@ pub fn chrome_trace_json(stem: &str, rec: &Recorder) -> String {
     s.push_str(&format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"{stem}\"}}}}"
     ));
-    for (tid, name) in [(1, "sim"), (2, "net"), (3, "tcp"), (4, "app")] {
+    for (tid, name) in [(2, "net"), (3, "tcp"), (4, "app")] {
         s.push_str(&format!(
             ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}}}"
         ));
@@ -387,8 +383,8 @@ mod tests {
             },
         ]);
         let json = chrome_trace_json("demo", &r);
-        // 1 process_name + 4 thread_name + 2 events.
-        assert_eq!(json.matches("\"ph\":").count(), 7);
+        // 1 process_name + 3 thread_name + 2 events.
+        assert_eq!(json.matches("\"ph\":").count(), 6);
         assert!(json.contains("\"ts\":1.500"));
         assert!(json.contains("\"cwnd\":14480"));
         assert!(json.contains("app_startup"));

@@ -374,5 +374,5 @@ pub fn query_many_jobs(
     jobs: usize,
     query: &SessionQuery,
 ) -> Vec<Option<SessionReply>> {
-    crate::session::batch_resolve(specs, jobs, query, |_, reply| reply.clone())
+    crate::session::batch_resolve(specs, jobs, query, |_, reply| reply)
 }

@@ -23,7 +23,7 @@ use vstream_app::engine::Engine;
 pub use vstream_app::engine::SessionScratch;
 use vstream_app::strategies::InterruptAfter;
 use vstream_app::{PlayerStats, Video};
-use vstream_capture::{PacketSink, Trace};
+use vstream_capture::{NullSink, PacketSink, Trace};
 use vstream_net::{LrdCrossConfig, NetworkProfile};
 use vstream_obs::{collector, Counter, Gauge, HistId};
 use vstream_sim::{exec, SimDuration};
@@ -168,21 +168,18 @@ impl SessionSpec {
         if let Some(cfg) = self.cross {
             eng.set_lrd_cross_traffic(cfg, self.seed);
         }
+        let keep_trace = tap.is_none();
+        let mut null = NullSink;
+        let sink = tap.unwrap_or(&mut null);
         let logic = match self.watch_time {
             Some(w) => {
                 let mut wrapped = InterruptAfter::new(logic, w);
-                match tap {
-                    Some(sink) => eng.run_observed(&mut wrapped, sink, false),
-                    None => eng.run(&mut wrapped),
-                }
+                eng.run_observed(&mut wrapped, sink, keep_trace);
                 wrapped.inner
             }
             None => {
                 let mut logic = logic;
-                match tap {
-                    Some(sink) => eng.run_observed(&mut logic, sink, false),
-                    None => eng.run(&mut logic),
-                }
+                eng.run_observed(&mut logic, sink, keep_trace);
                 logic
             }
         };
@@ -192,12 +189,7 @@ impl SessionSpec {
         // Per-profile attribution must read the queue before `into_parts`
         // consumes the engine; the engine-level harvest happens inside it.
         let obs_active = collector::is_active();
-        let (events_scheduled, wheel_spills) = if obs_active {
-            let q = eng.queue_stats();
-            (q.scheduled, q.spill_pushes)
-        } else {
-            (0, 0)
-        };
+        let events_scheduled = if obs_active { eng.queue_stats().scheduled } else { 0 };
         let (trace, recycled) = eng.into_parts();
         *scratch = recycled;
         if obs_active {
@@ -205,7 +197,6 @@ impl SessionSpec {
             let p = m.profile_mut(self.profile as usize);
             p.sessions += 1;
             p.events_scheduled += events_scheduled;
-            p.wheel_spills += wheel_spills;
             let stats = logic.player().stats();
             m.add(Counter::AppPlayerStalls, stats.stalls as u64);
             m.merge_hist(HistId::AppStallMs, &stats.stall_hist);
@@ -306,8 +297,9 @@ impl SessionSpec {
 }
 
 /// The batch path: fan every spec out across the worker pool and reduce
-/// each reply to `f(index, &reply)` **inside the worker**, so peak memory
-/// stays at one live reply per worker.
+/// each reply to `f(index, reply)` **inside the worker**, so peak memory
+/// stays at one live reply per worker. The reducer takes the reply by
+/// value: a caller that wants it whole keeps it without a second copy.
 ///
 /// Each spec resolves through [`SessionSpec::obtain_reply`] on its worker's
 /// scratch, so shared specs hit (or fill) the session cache and the rest
@@ -330,7 +322,7 @@ pub(crate) fn batch_resolve<T, F>(
 ) -> Vec<Option<T>>
 where
     T: Send,
-    F: Fn(usize, &SessionReply) -> T + Sync,
+    F: Fn(usize, SessionReply) -> T + Sync,
 {
     let collect_qoe = qoe::is_active();
     let (results, rows): (Vec<Option<T>>, Vec<Option<qoe::QoeRow>>) =
@@ -340,9 +332,8 @@ where
             || batch_scratch(specs),
             |scratch, i| {
                 let reply = specs[i].obtain_reply(scratch, query);
-                let reply = reply.as_ref();
                 let row = if collect_qoe {
-                    reply.map(|r| qoe::QoeRow::of(&specs[i], &r.logic))
+                    reply.as_ref().map(|r| qoe::QoeRow::of(&specs[i], &r.logic))
                 } else {
                     None
                 };
@@ -387,11 +378,6 @@ impl CellOutcome {
     /// The player statistics.
     pub fn player_stats(&self) -> PlayerStats {
         self.logic.player().stats()
-    }
-
-    /// Sum of server-side retransmitted bytes across connections.
-    pub fn total_retx_bytes(&self) -> u64 {
-        self.connection_stats.iter().map(|(_, s)| s.retx_bytes).sum()
     }
 }
 

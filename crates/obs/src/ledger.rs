@@ -23,7 +23,7 @@
 use crate::metrics::{Counter, Gauge, Hist, HistId, Metrics, MAX_PROFILES};
 
 /// Version of the ledger JSON schema.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One closed span: a named phase (one repro figure) with wall-clock time
 /// and the deterministic work counters it covered.
@@ -127,8 +127,8 @@ impl Ledger {
             first = false;
             push_json_str(&mut out, name);
             out.push_str(&format!(
-                ":{{\"events_scheduled\":{},\"sessions\":{},\"wheel_spills\":{}}}",
-                p.events_scheduled, p.sessions, p.wheel_spills
+                ":{{\"events_scheduled\":{},\"sessions\":{}}}",
+                p.events_scheduled, p.sessions
             ));
         }
         out.push_str("},");
@@ -205,23 +205,12 @@ impl Ledger {
                 continue;
             }
             let p = m.profile(i);
-            let spill_rate = if p.events_scheduled == 0 {
-                0.0
-            } else {
-                p.wheel_spills as f64 / p.events_scheduled as f64
-            };
-            prows.push(vec![
-                name.to_string(),
-                p.sessions.to_string(),
-                p.events_scheduled.to_string(),
-                p.wheel_spills.to_string(),
-                format!("{:.6}", spill_rate),
-            ]);
+            prows.push(vec![name.to_string(), p.sessions.to_string(), p.events_scheduled.to_string()]);
         }
         if !prows.is_empty() {
             out.push('\n');
             out.push_str(&crate::table::render(
-                &["profile", "sessions", "events", "wheel spills", "spill rate"],
+                &["profile", "sessions", "events"],
                 &prows,
             ));
         }
@@ -288,7 +277,6 @@ mod tests {
         m.record(HistId::AppStallMs, 130);
         m.profile_mut(1).sessions = 7;
         m.profile_mut(1).events_scheduled = 4000;
-        m.profile_mut(1).wheel_spills = 12;
         Ledger {
             totals: m,
             spans: vec![SpanRecord {
@@ -308,7 +296,7 @@ mod tests {
         let b = l.clone().to_json(&names);
         assert_eq!(a, b, "serialisation must be deterministic");
 
-        assert!(a.contains("\"schema_version\":1"));
+        assert!(a.contains("\"schema_version\":2"));
         assert!(a.contains("\"sim_sessions\":7"));
         assert!(a.contains("\"tcp_retx_segments\":3"));
         // Zero slots are still present.

@@ -1,11 +1,12 @@
 //! # vstream-obs — deterministic observability for the `vstream` workspace
 //!
-//! Every other crate in the workspace is instrumented through this one:
-//! `sim` reports event-queue and timing-wheel behaviour, `tcp` reports
-//! retransmissions and congestion-window samples, `net` reports queue
-//! drops and backlog high-water marks, `app` reports player stalls and
-//! block pacing, and `core` stitches it all into per-figure spans. The
-//! design constraints, in order:
+//! Every layer of the workspace is instrumented through this one: `tcp`
+//! reports retransmissions and congestion-window samples, `net` reports
+//! queue drops and backlog high-water marks, `app` reports player stalls
+//! and block pacing and harvests the event queue's own tallies
+//! (`vstream-sim` keeps them as plain fields and does not depend on this
+//! crate), and `core` stitches it all into per-figure spans. The design
+//! constraints, in order:
 //!
 //! 1. **Output neutrality.** Instrumentation is strictly passive: no
 //!    simulation decision ever reads a metric, so figures are
@@ -25,8 +26,8 @@
 //!    merge into the process-wide [`collector`] once per batch, never
 //!    per event. There are no atomics and no locks on the event loop.
 //!
-//! The crate is `std`-only and dependency-free, below even `vstream-sim`
-//! in the workspace dependency order.
+//! The crate is `std`-only and dependency-free: with `vstream-sim` it is
+//! one of the two leaves of the workspace dependency order.
 
 pub mod collector;
 pub mod ledger;

@@ -144,17 +144,15 @@ slots! {
         SimSessions => "sim_sessions",
         /// Events pushed onto the event queue, across all sessions.
         SimEventsScheduled => "sim_events_scheduled",
-        /// Wheel pushes that landed in a future ring bucket (not the open one).
-        SimWheelRingPushes => "sim_wheel_ring_pushes",
-        /// Wheel pushes beyond the ~268 ms horizon, into the spill heap.
+        /// Compatibility key: never incremented, always 0. The timing wheel
+        /// it counted is gone, but `benchmark/run.py --trace 1` indexes this
+        /// key for `sim.wheel_spill_ratio` and nothing under `benchmark/`
+        /// may change with the queue; ROADMAP item 2(i) deletes key and
+        /// metric together.
         SimWheelSpillPushes => "sim_wheel_spill_pushes",
-        /// Spill-heap events promoted into the ring as the cursor advanced.
-        SimWheelSpillPromotions => "sim_wheel_spill_promotions",
-        /// Bucket openings (cursor advances) on the wheel.
-        SimWheelAdvances => "sim_wheel_advances",
-        /// Events appended to a FIFO lane beside the wheel (packets in flight).
+        /// Events appended to a FIFO lane beside the timer heap (packets in flight).
         SimLanePushes => "sim_lane_pushes",
-        /// FIFO-lane pushes that arrived out of order and took the wheel instead.
+        /// FIFO-lane pushes that arrived out of order and took the timer heap instead.
         SimLaneFallbacks => "sim_lane_fallbacks",
         /// Sessions built from a `SessionScratch` (fresh or recycled).
         SimScratchUses => "sim_scratch_uses",
@@ -231,8 +229,6 @@ slots! {
 slots! {
     /// Log2-bucketed histogram slots.
     HistId {
-        /// Open-bucket size each time the wheel cursor advances.
-        SimWheelOccupancy => "sim_wheel_bucket_occupancy",
         /// Events scheduled per session.
         SimSessionEvents => "sim_session_events",
         /// Congestion-window samples (bytes) at each new ACK.
@@ -272,26 +268,23 @@ impl Gauge {
 }
 
 /// Per-network-profile counters, for questions that need the vantage-point
-/// dimension (e.g. wheel spill rates per base RTT).
+/// dimension (e.g. events per session per base RTT).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfileMetrics {
     /// Sessions run on this profile.
     pub sessions: u64,
     /// Events scheduled by those sessions.
     pub events_scheduled: u64,
-    /// Wheel spill-heap pushes by those sessions.
-    pub wheel_spills: u64,
 }
 
 impl ProfileMetrics {
     fn merge(&mut self, other: &ProfileMetrics) {
         self.sessions += other.sessions;
         self.events_scheduled += other.events_scheduled;
-        self.wheel_spills += other.wheel_spills;
     }
 
     fn is_empty(&self) -> bool {
-        self.sessions == 0 && self.events_scheduled == 0 && self.wheel_spills == 0
+        self.sessions == 0 && self.events_scheduled == 0
     }
 }
 
@@ -316,11 +309,7 @@ impl Metrics {
             counters: [0; Counter::COUNT],
             gauges: [0; Gauge::COUNT],
             hists: [Hist::new(); HistId::COUNT],
-            profiles: [ProfileMetrics {
-                sessions: 0,
-                events_scheduled: 0,
-                wheel_spills: 0,
-            }; MAX_PROFILES],
+            profiles: [ProfileMetrics { sessions: 0, events_scheduled: 0 }; MAX_PROFILES],
         }
     }
 
@@ -503,7 +492,6 @@ mod tests {
             let p = m.profile_mut(i);
             p.sessions = next() % 10;
             p.events_scheduled = next() % 100_000;
-            p.wheel_spills = next() % 500;
         }
         m
     }

@@ -22,7 +22,7 @@
 //!    dumps are byte-identical across `--jobs` and cache on/off.
 //!
 //! The recorder lives in a thread-local slot rather than inside the
-//! engine because the emitting layers (`sim`, `net`, `tcp`) sit *below*
+//! engine because the emitting layers (`net`, `tcp`) sit *below*
 //! the crates that know what a session is; a worker brackets each session
 //! with [`begin_session`] / [`end_session`] and every layer in between
 //! emits blindly. Timestamps are raw nanoseconds (`SimTime::as_nanos`)
@@ -37,18 +37,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum EventKind {
-    /// An event landed beyond the timing wheel's horizon and was pushed
-    /// onto the spill heap. `a` = scheduled-for time (ns).
-    SimSpillPush = 0,
-    /// A queue advance promoted spill-heap entries back into the ring.
-    /// `a` = number of entries promoted.
-    SimSpillPromote,
-    /// `try_schedule` rejected an event scheduled into the past.
-    /// `a` = requested time (ns).
-    SimSchedulePast,
     /// TCP connection state transition. `a` = previous state ordinal,
     /// `b` = new state ordinal (see the endpoint's `TcpState`).
-    TcpState,
+    TcpState = 0,
     /// Congestion window change on a new ACK. `a` = cwnd (bytes),
     /// `b` = ssthresh (bytes).
     TcpCwnd,
@@ -93,14 +84,11 @@ pub enum EventKind {
 
 impl EventKind {
     /// Number of kinds; discriminants are `0..COUNT`.
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 15;
 
     /// Stable snake_case identifier, used in dumps and exports.
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::SimSpillPush => "sim_spill_push",
-            EventKind::SimSpillPromote => "sim_spill_promote",
-            EventKind::SimSchedulePast => "sim_schedule_past",
             EventKind::TcpState => "tcp_state",
             EventKind::TcpCwnd => "tcp_cwnd",
             EventKind::TcpRtoFire => "tcp_rto_fire",
@@ -122,9 +110,6 @@ impl EventKind {
     /// The emitting layer — the Chrome-trace category.
     pub fn layer(self) -> &'static str {
         match self {
-            EventKind::SimSpillPush | EventKind::SimSpillPromote | EventKind::SimSchedulePast => {
-                "sim"
-            }
             EventKind::TcpState
             | EventKind::TcpCwnd
             | EventKind::TcpRtoFire
@@ -432,9 +417,6 @@ mod tests {
     #[test]
     fn kind_names_are_unique_and_layered() {
         let kinds = [
-            EventKind::SimSpillPush,
-            EventKind::SimSpillPromote,
-            EventKind::SimSchedulePast,
             EventKind::TcpState,
             EventKind::TcpCwnd,
             EventKind::TcpRtoFire,

@@ -4,7 +4,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated clock types.
 //! * [`EventQueue`] — a monotonic priority queue with deterministic FIFO
-//!   ordering for events scheduled at the same instant.
+//!   ordering for events scheduled at the same instant: two FIFO lanes for
+//!   packets in flight beside one binary heap for timers.
 //! * [`SimRng`] — a seedable random number generator (vendored ChaCha12
 //!   stream, byte-compatible with the `rand` crate's `StdRng`) with the
 //!   distribution samplers used by the workload generators (exponential,
@@ -26,6 +27,10 @@
 //! state machines that are driven by an orchestration loop (see
 //! `vstream-app::session`), in the style of event-driven network stacks
 //! such as smoltcp.
+//!
+//! The crate is `std`-only and depends on no other crate of the workspace:
+//! the queue's telemetry is a plain [`QueueStats`] that `vstream-app`
+//! harvests into the `vstream-obs` ledger.
 
 pub mod chacha;
 pub mod exec;

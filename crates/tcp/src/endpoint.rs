@@ -273,11 +273,6 @@ impl Endpoint {
         self.rb.at_eof()
     }
 
-    /// Bytes queued by the application but not yet sent for the first time.
-    pub fn send_backlog(&self) -> u64 {
-        self.write_offset.saturating_sub(self.snd_high)
-    }
-
     /// Bytes in flight (sent but unacknowledged, including a sent FIN).
     pub fn flight(&self) -> u64 {
         self.snd_nxt - self.snd_una

@@ -4,8 +4,9 @@
 #   1. release build + the whole test suite (unit, integration, doc-adjacent)
 #   2. the determinism invariant: byte-identical CSVs and metrics ledger
 #      at --jobs 1, --jobs max(nproc, 8), and --no-cache, which also
-#      covers the timing-wheel event queue, per-worker scratch reuse, and
-#      the cross-figure session cache (all on by default)
+#      covers per-worker scratch reuse and the cross-figure session cache
+#      (both on by default) on every figure, the DASH/LRD ext-qoe sweep
+#      included
 #   3. metrics neutrality: a figure slice rendered with and without
 #      --metrics must produce byte-identical CSVs, and the ledger must be
 #      well-formed JSON carrying its schema_version key
@@ -15,10 +16,6 @@
 #      ledger), must keep every packet delivery on the event queue's FIFO
 #      lanes (zero sim_lane_fallbacks) and must reproduce the committed
 #      results/ tree byte for byte
-#   3e. ext-qoe determinism: the DASH/LRD load sweep (adaptive client plus
-#       seeded cross-traffic aggregate) byte-identical across --jobs 1/8 ×
-#       cache on/off — the newest figure gets the same invariant the
-#       Table 1 suite has, spelled out pairwise
 #   3c. trace neutrality: the same slice rendered with --trace-dir must
 #      leave figures, the QoE table, and the wall-off ledger byte-identical
 #      while producing dump files, and every emitted Chrome trace JSON must
@@ -71,25 +68,13 @@ target/release/repro all --csv "$obs_out/all" --metrics "$obs_out/all.metrics.js
 grep -q '"peak_trace_bytes":0[,}]' "$obs_out/all.metrics.json"
 grep -qE '"peak_flowstate_bytes":[1-9]' "$obs_out/all.metrics.json"
 # Link deliveries are FIFO, so no packet may have been pushed off its lane
-# onto the wheel; a nonzero count means a link reordered (or a new caller
+# into the timer heap; a nonzero count means a link reordered (or a new caller
 # of schedule_fifo is not monotone) and the fast road silently narrowed.
 grep -q '"sim_lane_fallbacks":0[,}]' "$obs_out/all.metrics.json"
 grep -qE '"sim_lane_pushes":[1-9]' "$obs_out/all.metrics.json"
 # The committed tree is `repro all --seed 2026 --csv results` (the default
 # seed); regenerate it in the same change as any output-moving edit.
 diff -r results "$obs_out/all"
-
-echo "==> ext-qoe determinism: byte-identical across --jobs and cache"
-target/release/repro ext-qoe --jobs 1 --csv "$obs_out/extqoe-ref" > "$obs_out/extqoe-ref.txt"
-target/release/repro ext-qoe --jobs 8 --csv "$obs_out/extqoe-j8" > /dev/null
-target/release/repro ext-qoe --jobs 8 --no-cache --csv "$obs_out/extqoe-nc" > /dev/null
-for variant in extqoe-j8 extqoe-nc; do
-    diff -r "$obs_out/extqoe-ref" "$obs_out/$variant"
-done
-# The sweep must produce both artifacts: the stall-ratio curve and the
-# switch-rate table.
-test -f "$obs_out/extqoe-ref/ext-qoe.csv"
-test -f "$obs_out/extqoe-ref/ext-qoe-switches.csv"
 
 echo "==> trace neutrality: --trace-dir must not change figures, QoE table, or ledger"
 VSTREAM_WALL=off target/release/repro fig2 fig4 --csv "$obs_out/tr-plain" \
