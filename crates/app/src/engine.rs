@@ -94,18 +94,20 @@ struct Conn {
 
 /// Reusable per-worker allocations for back-to-back sessions.
 ///
-/// A session's hot-path allocations — the event queue's bucket storage, the
-/// segment buffer the endpoints emit into, and the capture's record vector —
-/// all reach a steady-state size within the first simulated seconds. When a
+/// A session's hot-path allocations — the event queue's lane and heap
+/// storage and the segment buffer the endpoints emit into — reach a
+/// steady-state size within the first simulated seconds. When a
 /// worker runs many sessions (every figure does), constructing each
 /// [`Engine`] via [`Engine::with_scratch`] and recycling the scratch from
 /// [`Engine::into_parts`] replaces per-session allocation/doubling with
 /// reuse of the previous session's high-water capacities.
 ///
-/// The scratch carries **capacity only, never state**: the queue is reset,
-/// the segment buffer cleared, and the trace handed out fresh, so results
-/// are bit-identical whether a scratch is new, reused, or absent — the
-/// determinism suite checks exactly this across `--jobs` counts.
+/// The scratch carries **capacity only, never state**: the queue is reset
+/// and the segment buffer cleared, so results are bit-identical whether a
+/// scratch is new, reused, or absent — the determinism suite checks exactly
+/// this across `--jobs` counts. It carries no trace-capacity hint: no
+/// session of `repro` retains a trace, and one that does
+/// (`SessionSpec::run`) grows it by doubling.
 /// The scratch also carries the worker's [`Metrics`] registry: each session
 /// harvested by [`Engine::into_parts`] folds its telemetry in, and the batch
 /// executor flushes the accumulated registry to the `vstream-obs` collector
@@ -114,7 +116,6 @@ struct Conn {
 pub struct SessionScratch {
     queue: EventQueue<Event>,
     seg_buf: Vec<Segment>,
-    trace_capacity: usize,
     metrics: Metrics,
     /// True once a session has run on this scratch (drives the
     /// allocation-reuse hit-rate metric).
@@ -122,16 +123,8 @@ pub struct SessionScratch {
 }
 
 impl SessionScratch {
-    /// A fresh scratch with the default pre-sizing (see [`Engine::new`]).
+    /// A fresh scratch, its event queue pre-sized for 1024 pending events.
     pub fn new() -> Self {
-        Self::with_trace_capacity(0)
-    }
-
-    /// A fresh scratch whose first trace is pre-sized for `capacity` packet
-    /// records (e.g. from `NetworkProfile::expected_capture_packets`,
-    /// clamped to something sane — line rate over 180 s is millions of
-    /// records). The event queue is pre-sized for 1024 pending events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         SessionScratch {
             // Sessions peak at 723–1087 pending events (the
             // `sim.queue_peak_len` gauge over the benchmark workloads and
@@ -145,15 +138,9 @@ impl SessionScratch {
             // doubles a lane once and the scratch keeps it.
             queue: EventQueue::with_capacity(1024),
             seg_buf: Vec::with_capacity(64),
-            trace_capacity: capacity,
             metrics: Metrics::new(),
             used: false,
         }
-    }
-
-    /// The trace capacity the next session built from this scratch gets.
-    pub fn trace_capacity(&self) -> usize {
-        self.trace_capacity
     }
 
     /// The telemetry accumulated by sessions run on this scratch.
@@ -183,7 +170,6 @@ impl Default for SessionScratch {
         SessionScratch {
             queue: EventQueue::new(),
             seg_buf: Vec::new(),
-            trace_capacity: 0,
             metrics: Metrics::new(),
             used: false,
         }
@@ -232,11 +218,6 @@ pub struct Engine {
     metrics: Metrics,
     /// Whether the scratch this engine was built from had run a session.
     scratch_was_used: bool,
-    /// The scratch's trace-capacity hint. The trace itself is allocated
-    /// lazily at run start and only when the session retains one, so a
-    /// streaming session never pays for the columns; the hint also detects
-    /// regrowth and survives [`Engine::into_parts`] when no trace was built.
-    initial_trace_capacity: usize,
     /// Staging row for packets tapped where the streaming sink is out of
     /// reach — inside a [`SessionLogic`] callback, which holds the engine
     /// but not the sink: filled by [`Engine::tap_staged`], drained to the
@@ -270,7 +251,6 @@ impl Engine {
         let SessionScratch {
             mut queue,
             mut seg_buf,
-            trace_capacity,
             metrics,
             used,
         } = scratch;
@@ -280,9 +260,9 @@ impl Engine {
             queue,
             path,
             rng: SimRng::new(seed),
-            // Allocated lazily at run start (see `run_observed`): a streaming
-            // session that never retains a trace must not reserve columns.
-            trace: Trace::with_capacity(0),
+            // Empty until a retaining run records into it: a streaming
+            // session never allocates trace columns.
+            trace: Trace::new(),
             conns: Vec::new(),
             limit: SimTime::ZERO + capture_limit,
             stopped: false,
@@ -291,7 +271,6 @@ impl Engine {
             seg_buf,
             metrics,
             scratch_was_used: used,
-            initial_trace_capacity: trace_capacity,
             tap_buf: Vec::new(),
             keep_trace: true,
             packets_tapped: 0,
@@ -359,9 +338,7 @@ impl Engine {
     }
 
     /// Consumes the engine, returning the capture and a [`SessionScratch`]
-    /// holding this session's allocations for the next one. The scratch's
-    /// trace-capacity hint ratchets up to the largest capture seen, so a
-    /// worker stops reallocating after its biggest session.
+    /// holding this session's allocations for the next one.
     ///
     /// When a metrics ledger is active, the session's telemetry — queue,
     /// path, endpoint, and capture counters — is harvested into the
@@ -373,15 +350,6 @@ impl Engine {
         let scratch = SessionScratch {
             queue: self.queue,
             seg_buf: self.seg_buf,
-            // The trace's final capacity is its true high-water mark
-            // (doubling included), so the next session allocates once. A
-            // session that never materialised a trace passes the hint
-            // through unchanged for the next retaining session.
-            trace_capacity: if self.trace.capacity() == 0 {
-                self.initial_trace_capacity
-            } else {
-                self.trace.capacity().max(self.trace.len())
-            },
             metrics: self.metrics,
             used: true,
         };
@@ -433,9 +401,6 @@ impl Engine {
 
         m.add(Counter::CapturePackets, self.packets_tapped);
         m.gauge_max(Gauge::PeakTraceBytes, self.trace.resident_bytes() as u64);
-        if self.trace.capacity() > self.initial_trace_capacity && self.initial_trace_capacity > 0 {
-            m.add(Counter::CaptureTraceRegrows, 1);
-        }
     }
 
     /// The event queue's accumulated telemetry (e.g. for per-profile event
@@ -452,15 +417,6 @@ impl Engine {
     /// `(client, server)` endpoint statistics of a connection.
     pub fn connection_stats(&self, conn: usize) -> (EndpointStats, EndpointStats) {
         (self.conns[conn].client.stats(), self.conns[conn].server.stats())
-    }
-
-    /// One-line transmission-state summaries of a connection's endpoints,
-    /// for diagnostics: `(client, server)`.
-    pub fn connection_debug(&self, conn: usize) -> (String, String) {
-        (
-            self.conns[conn].client.debug_state(),
-            self.conns[conn].server.debug_state(),
-        )
     }
 
     /// The round-trip propagation delay of the underlying path.
@@ -575,11 +531,6 @@ impl Engine {
         keep_trace: bool,
     ) {
         self.keep_trace = keep_trace;
-        // Deferred trace allocation: only a session that retains its
-        // capture reserves the columns, and only once per session.
-        if self.keep_trace && self.trace.capacity() == 0 && self.initial_trace_capacity > 0 {
-            self.trace = Trace::with_capacity(self.initial_trace_capacity);
-        }
         if self.cross_traffic.is_some() {
             self.schedule_cross_burst();
         }

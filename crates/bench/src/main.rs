@@ -31,8 +31,8 @@
 //! byte-identical either way — `scripts/check_determinism.sh` holds this).
 //! `--no-cache` re-simulates every duplicate instead.
 //!
-//! `--trace-dir` turns the `vstream::flight` recorder on: each simulated
-//! session records structured events (TCP state/cwnd, queue drops, player
+//! `--trace-dir` turns the `vstream::flight` recorder on: every simulated
+//! session (the ablation harnesses' included) records structured events (TCP state/cwnd, queue drops, player
 //! stalls, block requests) into a bounded ring and dumps them as Chrome
 //! trace-event JSON plus a text timeline, named by session identity.
 //! Tracing never changes figures, ledgers, or the QoE table — the

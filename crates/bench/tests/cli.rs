@@ -39,3 +39,52 @@ fn trace_flags_without_trace_dir_exit_2() {
     assert_rejected(&["fig2", "--trace-anomalies"], "require --trace-dir");
     assert_rejected(&["fig2", "--trace-cap", "4096"], "require --trace-dir");
 }
+
+/// An ablation harness is bracketed by the flight recorder like any other
+/// session: `ext-cc` dumps its Reno and CUBIC runs (one seed, so the stem
+/// carries the controller), the dump set and bytes do not depend on
+/// `--jobs`, and the flag leaves stdout alone.
+#[test]
+fn harness_sessions_dump_identically_at_any_jobs() {
+    let root = std::env::temp_dir().join(format!("vstream-cli-ext-cc-{}", std::process::id()));
+    let run = |extra: &[&str]| -> Vec<u8> {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("ext-cc")
+            .args(extra)
+            .output()
+            .expect("spawn repro");
+        assert!(out.status.success(), "args {extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let dump_tree = |name: &str, jobs: &str| -> (Vec<u8>, Vec<(String, Vec<u8>)>) {
+        let dir = root.join(name);
+        let stdout = run(&["--trace-dir", dir.to_str().expect("utf-8 temp path"), "--jobs", jobs]);
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("dump directory")
+            .map(|e| {
+                let e = e.expect("directory entry");
+                (e.file_name().into_string().expect("utf-8 name"), std::fs::read(e.path()).expect("dump"))
+            })
+            .collect();
+        files.sort();
+        (stdout, files)
+    };
+    let plain = run(&[]);
+    let (stdout_serial, serial) = dump_tree("a", "1");
+    let (stdout_pool, pool) = dump_tree("b", "4");
+    std::fs::remove_dir_all(&root).ok();
+
+    let names: Vec<&str> = serial.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "ext-cc-cubic-s2026.trace.json",
+            "ext-cc-cubic-s2026.txt",
+            "ext-cc-reno-s2026.trace.json",
+            "ext-cc-reno-s2026.txt",
+        ]
+    );
+    assert!(serial == pool, "dump files differ between --jobs 1 and --jobs 4");
+    assert_eq!(plain, stdout_serial, "--trace-dir changed stdout");
+    assert_eq!(plain, stdout_pool, "--trace-dir --jobs 4 changed stdout");
+}

@@ -29,6 +29,6 @@ pub use pack::PackedTrace;
 pub use record::{PacketRecord, TapDirection};
 pub use sink::{flags_of, NullSink, PacketSink, TapPacket, Tee};
 pub use trace::{
-    ConnectionSummary, ConnectionView, PacketRef, Trace, FLAG_ACK, FLAG_FIN, FLAG_OUTGOING,
+    ConnectionSummary, PacketRef, Trace, FLAG_ACK, FLAG_FIN, FLAG_OUTGOING,
     FLAG_RETX, FLAG_SACK, FLAG_SYN,
 };

@@ -80,10 +80,10 @@ impl Trace {
     /// An empty trace with room for `capacity` packets.
     ///
     /// A 180 s capture at a fast vantage point holds hundreds of thousands
-    /// of records; pre-sizing (from `NetworkProfile::expected_capture_packets`
-    /// or the previous session's length) avoids the doubling reallocations
-    /// while recording. Every hot column is pre-sized; the SACK side table
-    /// is not (it stays tiny on healthy paths).
+    /// of records; pre-sizing (e.g. from a packed trace's record count)
+    /// avoids the doubling reallocations while recording. Every hot column
+    /// is pre-sized; the SACK side table is not (it stays tiny on healthy
+    /// paths).
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
             at: Vec::with_capacity(capacity),
@@ -103,19 +103,6 @@ impl Trace {
     /// are allocated together).
     pub fn capacity(&self) -> usize {
         self.at.capacity()
-    }
-
-    /// Reserves room for at least `additional` more packets in every hot
-    /// column (the SACK side table stays unreserved; it is tiny on healthy
-    /// paths).
-    pub fn reserve(&mut self, additional: usize) {
-        self.at.reserve(additional);
-        self.tags.reserve(additional);
-        self.conn.reserve(additional);
-        self.payload.reserve(additional);
-        self.seq.reserve(additional);
-        self.ack_no.reserve(additional);
-        self.window.reserve(additional);
     }
 
     /// Bytes resident in the trace's allocations — every column's capacity
@@ -240,23 +227,6 @@ impl Trace {
         &self.conns
     }
 
-    /// A borrowed per-connection view of this trace.
-    ///
-    /// The view holds the record *indices* of the connection (4 bytes per
-    /// matching packet) and reads everything else out of the parent's
-    /// columns — no record copies, unlike the owned sub-trace this method
-    /// used to build.
-    pub fn filter_connection(&self, conn: u32) -> ConnectionView<'_> {
-        let idx: Vec<u32> = (0..self.len() as u32)
-            .filter(|&i| self.conn[i as usize] == conn)
-            .collect();
-        ConnectionView {
-            trace: self,
-            conn,
-            idx,
-        }
-    }
-
     /// Incoming data packets (video payload), in order.
     pub fn incoming_data(&self) -> impl Iterator<Item = PacketRef<'_>> {
         self.records().filter(|r| r.is_incoming_data())
@@ -300,23 +270,6 @@ impl Trace {
                 high[idx] = end;
                 out.push((at[i], total));
             }
-        }
-        out
-    }
-
-    /// Cumulative *raw* payload bytes (including retransmissions) — the
-    /// network-load view used when quantifying overhead.
-    pub fn raw_download_series(&self) -> Vec<(SimTime, u64)> {
-        let n = self.len();
-        let (tags, payload, at) = (&self.tags[..n], &self.payload[..n], &self.at[..n]);
-        let mut total = 0u64;
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            if tags[i] & FLAG_OUTGOING != 0 || payload[i] == 0 {
-                continue;
-            }
-            total += payload[i] as u64;
-            out.push((at[i], total));
         }
         out
     }
@@ -414,60 +367,6 @@ impl Trace {
         }
     }
 
-    /// Merges another trace into this one, keeping chronological order.
-    pub fn merge(&mut self, other: &Trace) {
-        let base = self.len() as u32;
-        self.at.extend_from_slice(&other.at);
-        self.tags.extend_from_slice(&other.tags);
-        self.conn.extend_from_slice(&other.conn);
-        self.payload.extend_from_slice(&other.payload);
-        self.seq.extend_from_slice(&other.seq);
-        self.ack_no.extend_from_slice(&other.ack_no);
-        self.window.extend_from_slice(&other.window);
-        self.extras_idx
-            .extend(other.extras_idx.iter().map(|&i| base + i));
-        self.extras_sack.extend_from_slice(&other.extras_sack);
-        for &conn in &other.conns {
-            if let Err(pos) = self.conns.binary_search(&conn) {
-                self.conns.insert(pos, conn);
-            }
-        }
-
-        // Stable sort permutation by timestamp, applied to every column.
-        let n = self.len();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by_key(|&i| self.at[i as usize]);
-        if perm.windows(2).all(|w| w[0] < w[1]) {
-            return; // already chronological (the common append-at-end case)
-        }
-        apply_perm(&perm, &mut self.at);
-        apply_perm(&perm, &mut self.tags);
-        apply_perm(&perm, &mut self.conn);
-        apply_perm(&perm, &mut self.payload);
-        apply_perm(&perm, &mut self.seq);
-        apply_perm(&perm, &mut self.ack_no);
-        apply_perm(&perm, &mut self.window);
-        // Remap side-table indices through the inverse permutation, then
-        // restore ascending order.
-        let mut inv = vec![0u32; n];
-        for (new_pos, &old_pos) in perm.iter().enumerate() {
-            inv[old_pos as usize] = new_pos as u32;
-        }
-        let mut entries: Vec<(u32, SackBlocks)> = self
-            .extras_idx
-            .iter()
-            .zip(&self.extras_sack)
-            .map(|(&i, &s)| (inv[i as usize], s))
-            .collect();
-        entries.sort_by_key(|&(i, _)| i);
-        self.extras_idx.clear();
-        self.extras_sack.clear();
-        for (i, s) in entries {
-            self.extras_idx.push(i);
-            self.extras_sack.push(s);
-        }
-    }
-
     /// Incoming goodput binned over time: one `(bin_start, bits_per_sec)`
     /// point per bin of width `bin`. The throughput-timeline view of a
     /// capture, as a tool like Wireshark's IO graph would draw it.
@@ -548,12 +447,6 @@ impl Trace {
             .expect("FLAG_SACK record has a side-table entry");
         self.extras_sack[pos]
     }
-}
-
-/// Gathers `col` through the permutation `perm` (new index -> old index).
-fn apply_perm<T: Copy>(perm: &[u32], col: &mut Vec<T>) {
-    let gathered: Vec<T> = perm.iter().map(|&i| col[i as usize]).collect();
-    *col = gathered;
 }
 
 /// A lightweight view of one captured packet inside a [`Trace`].
@@ -736,89 +629,6 @@ impl DoubleEndedIterator for Records<'_> {
 
 impl ExactSizeIterator for Records<'_> {}
 
-/// A borrowed per-connection view of a [`Trace`].
-///
-/// Holds the parent trace plus the record indices belonging to one
-/// connection — 4 bytes per matching packet instead of a full record copy,
-/// so per-connection analysis passes stop allocating O(packets) sub-traces.
-pub struct ConnectionView<'a> {
-    trace: &'a Trace,
-    conn: u32,
-    idx: Vec<u32>,
-}
-
-impl<'a> ConnectionView<'a> {
-    /// The connection this view selects.
-    pub fn conn(&self) -> u32 {
-        self.conn
-    }
-
-    /// Number of packets on this connection.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// True if the connection never appears in the parent trace.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// Connection ids present in the view (zero or one).
-    pub fn connections(&self) -> &[u32] {
-        if self.idx.is_empty() {
-            &[]
-        } else {
-            std::slice::from_ref(&self.conn)
-        }
-    }
-
-    /// The view's records, in capture order.
-    pub fn records(&self) -> impl Iterator<Item = PacketRef<'a>> + '_ {
-        let trace = self.trace;
-        self.idx.iter().map(move |&i| PacketRef {
-            trace,
-            idx: i as usize,
-        })
-    }
-
-    /// Total unique bytes downloaded on this connection (sequence
-    /// high-water mark over the incoming data packets).
-    pub fn total_downloaded(&self) -> u64 {
-        let mut high = 0u64;
-        let mut total = 0u64;
-        for r in self.records() {
-            if !r.is_incoming_data() {
-                continue;
-            }
-            let end = r.seq_end();
-            if end > high {
-                total += end - high;
-                high = end;
-            }
-        }
-        total
-    }
-
-    /// Duration from the connection's first to last packet.
-    pub fn duration(&self) -> vstream_sim::SimDuration {
-        match (self.idx.first(), self.idx.last()) {
-            (Some(&a), Some(&b)) => self.trace.at[b as usize].duration_since(self.trace.at[a as usize]),
-            _ => vstream_sim::SimDuration::ZERO,
-        }
-    }
-
-    /// Materialises the view as an owned [`Trace`] (the old
-    /// `filter_connection` behaviour), for callers that need to hand a
-    /// standalone capture somewhere.
-    pub fn to_trace(&self) -> Trace {
-        let mut t = Trace::with_capacity(self.len());
-        for r in self.records() {
-            t.push(r.at(), r.dir(), r.segment());
-        }
-        t
-    }
-}
-
 /// Per-connection statistics extracted from a capture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConnectionSummary {
@@ -915,68 +725,11 @@ mod tests {
     }
 
     #[test]
-    fn filter_connection_keeps_only_that_conn() {
-        let mut t = Trace::new();
-        t.push(at(1), TapDirection::Incoming, seg(1, 0, 100));
-        t.push(at(2), TapDirection::Incoming, seg(2, 0, 100));
-        let f = t.filter_connection(2);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.records().next().unwrap().conn(), 2);
-        assert_eq!(f.total_downloaded(), 100);
-    }
-
-    #[test]
-    fn connection_view_materialises_to_trace() {
-        let mut t = Trace::new();
-        t.push(at(1), TapDirection::Incoming, seg(1, 0, 100));
-        let mut sacked = seg(2, 0, 0);
-        sacked.sack.push(500, 700);
-        sacked.sack.set_highest_end(700);
-        t.push(at(2), TapDirection::Outgoing, sacked);
-        t.push(at(3), TapDirection::Incoming, seg(2, 0, 300));
-        let sub = t.filter_connection(2).to_trace();
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.connections(), vec![2]);
-        assert_eq!(sub.get(0).sack().highest_end(), 700, "side table follows");
-        assert_eq!(sub.total_downloaded(), 300);
-    }
-
-    #[test]
-    fn duration_and_merge() {
+    fn duration_spans_first_to_last_packet() {
         let mut a = Trace::new();
         a.push(at(10), TapDirection::Incoming, seg(1, 0, 100));
         a.push(at(50), TapDirection::Incoming, seg(1, 100, 100));
         assert_eq!(a.duration(), SimDuration::from_millis(40));
-
-        let mut b = Trace::new();
-        b.push(at(30), TapDirection::Incoming, seg(2, 0, 100));
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get(1).conn(), 2, "merge must re-sort by time");
-    }
-
-    #[test]
-    fn merge_reorders_side_table_entries() {
-        // The SACK-bearing record arrives in the merged trace's middle; its
-        // side-table entry must follow it through the permutation.
-        let mut a = Trace::new();
-        a.push(at(10), TapDirection::Incoming, seg(1, 0, 100));
-        let mut late = seg(1, 100, 100);
-        late.sack.push(900, 1000);
-        late.sack.set_highest_end(1000);
-        a.push(at(50), TapDirection::Incoming, late);
-
-        let mut b = Trace::new();
-        let mut mid = seg(2, 0, 0);
-        mid.sack.push(300, 400);
-        mid.sack.set_highest_end(400);
-        b.push(at(30), TapDirection::Outgoing, mid);
-        a.merge(&b);
-
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get(1).sack().highest_end(), 400);
-        assert_eq!(a.get(2).sack().highest_end(), 1000);
-        assert_eq!(a.get(0).sack(), SackBlocks::EMPTY);
     }
 
     #[test]
@@ -1010,21 +763,12 @@ mod tests {
     }
 
     #[test]
-    fn connections_cache_survives_merge_and_filter() {
+    fn connections_cache_is_sorted_on_push() {
         let mut a = Trace::new();
         a.push(at(1), TapDirection::Incoming, seg(3, 0, 100));
         a.push(at(2), TapDirection::Incoming, seg(1, 0, 100));
-        assert_eq!(a.connections(), vec![1, 3], "sorted on push");
-
-        let mut b = Trace::new();
-        b.push(at(3), TapDirection::Incoming, seg(2, 0, 100));
-        b.push(at(4), TapDirection::Incoming, seg(3, 100, 100));
-        a.merge(&b);
-        assert_eq!(a.connections(), vec![1, 2, 3], "merge unions ids");
-
-        let f = a.filter_connection(2);
-        assert_eq!(f.connections(), vec![2]);
-        assert!(a.filter_connection(99).connections().is_empty());
+        a.push(at(3), TapDirection::Incoming, seg(3, 100, 100));
+        assert_eq!(a.connections(), vec![1, 3]);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use vstream_tcp::{CcAlgorithm, TcpConfig};
 
 use crate::figures::{long_video, CustomPaced};
 use crate::report::{FigureData, Series, TableData};
+use crate::session::{default_jobs, par_sessions, run_engine, EngineSetup, SessionScratch};
 
 /// Extension 1: playback disruption vs accumulation ratio.
 ///
@@ -38,7 +39,7 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
     // Engine seeds are derived from each session's identity (ratio index,
     // session index), not drawn from a shared RNG, so every (k, i) cell is
     // order-independent and the whole k × n sweep runs as one parallel batch.
-    let stalls = par_indexed(RATIOS.len() * n, crate::session::default_jobs(), |j| {
+    let stalls = par_sessions(RATIOS.len() * n, default_jobs(), |scratch, j| {
         let (ki, i) = (j / n, j % n);
         let video = Video::new(1, 2_500_000, SimDuration::from_secs(2400));
         let cfg = ServerPacedConfig {
@@ -48,11 +49,10 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
             buffer_playback_secs: 5.0,
             ..ServerPacedConfig::default()
         };
-        let mut eng = Engine::new(
-            NetworkProfile::Home.build_path(), // 20 Mbps downlink
-            derive_seed(seed, &[0x57A, ki as u64, i as u64]),
-            SimDuration::from_secs(180),
-        );
+        let engine_seed = derive_seed(seed, &[0x57A, ki as u64, i as u64]);
+        // 20 Mbps downlink.
+        let path = NetworkProfile::Home.build_path();
+        let mut setup = EngineSetup::new(path, engine_seed, SimDuration::from_secs(180));
         // Occasional large bursts of competing traffic (mean 1.2 MB
         // every 3 s, exponential sizes): the link is fine on average,
         // but burst clusters starve the stream for seconds at a time —
@@ -60,15 +60,15 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
         // ratio guards against. Headroom (k > 1) both absorbs an
         // outage (deeper accumulated buffer) and refills the buffer
         // faster afterwards (at (k-1)·e).
-        eng.set_cross_traffic(CrossTraffic {
+        setup.bursts = Some(CrossTraffic {
             mean_period: SimDuration::from_secs(3),
             mean_burst_bytes: 1_200_000,
         });
         let mut logic = ServerPacedLogic::new(cfg, video);
-        eng.run_observed(&mut logic, &mut NullSink, false);
-        let stall_secs = logic.player.stats().stall_time.as_secs_f64();
-        crate::figures::retire_engine(eng);
-        stall_secs
+        let app = |l: &ServerPacedLogic| Some((l.player.stats(), l.blocks));
+        let stem = || format!("ext-stalls-k{ki}-r{i}-s{engine_seed}");
+        run_engine(setup, scratch, &mut logic, &mut NullSink, false, app, stem);
+        logic.player.stats().stall_time.as_secs_f64()
     });
     let points: Vec<(f64, f64)> = RATIOS
         .iter()
@@ -108,21 +108,15 @@ pub fn ext_sack_ablation(seed: u64) -> TableData {
     // Every (loss model, SACK, run) transfer is independent — each is
     // seeded by its run index alone (the SACK pairing intentionally reuses
     // the same seed), so the whole sweep runs as one parallel batch.
-    let totals = par_indexed(
-        cases.len() * 2 * RUNS,
-        crate::session::default_jobs(),
-        |j| {
-            let case = j / (2 * RUNS);
-            let sack = (j / RUNS) % 2 == 0;
-            let i = (j % RUNS) as u64;
-            bulk_transfer_time(
-                seed.wrapping_add(i * 7919),
-                cases[case].1.clone(),
-                sack,
-                CcAlgorithm::Reno,
-            )
-        },
-    );
+    let totals = par_sessions(cases.len() * 2 * RUNS, default_jobs(), |scratch, j| {
+        let case = j / (2 * RUNS);
+        let sack = (j / RUNS) % 2 == 0;
+        let i = (j % RUNS) as u64;
+        let engine_seed = seed.wrapping_add(i * 7919);
+        let switch = if sack { "sack" } else { "nosack" };
+        let stem = || format!("ext-sack-c{case}-{switch}-r{i}-s{engine_seed}");
+        bulk_transfer_time(scratch, engine_seed, cases[case].1.clone(), sack, stem)
+    });
     for (case, (label, _)) in cases.iter().enumerate() {
         let mean = |sack_slot: usize| -> f64 {
             let start = (case * 2 + sack_slot) * RUNS;
@@ -149,8 +143,15 @@ pub fn ext_sack_ablation(seed: u64) -> TableData {
     }
 }
 
-/// Transfer completion time for an 8 MB bulk download.
-fn bulk_transfer_time(seed: u64, loss: LossModel, sack: bool, congestion: CcAlgorithm) -> f64 {
+/// Transfer completion time for a 16 MB bulk download. The logic has no
+/// player, so the session contributes nothing to the ledger's `app_*` slots.
+fn bulk_transfer_time(
+    scratch: &mut SessionScratch,
+    seed: u64,
+    loss: LossModel,
+    sack: bool,
+    stem: impl FnOnce() -> String,
+) -> f64 {
     struct Bulk {
         size: u64,
         read: u64,
@@ -176,21 +177,15 @@ fn bulk_transfer_time(seed: u64, loss: LossModel, sack: bool, congestion: CcAlgo
     }
     let down = LinkConfig::new(50_000_000, SimDuration::from_millis(60)).with_loss(loss);
     let up = LinkConfig::new(50_000_000, SimDuration::from_millis(60));
-    let mut eng = Engine::new(DuplexPath::new(down, up), seed, SimDuration::from_secs(600));
+    let setup = EngineSetup::new(DuplexPath::new(down, up), seed, SimDuration::from_secs(600));
     let mut logic = Bulk {
         size: 16 << 20,
         read: 0,
         done_at: None,
-        client_cfg: TcpConfig::default()
-            .with_recv_buffer(8 << 20)
-            .with_sack(sack)
-            .with_congestion(congestion),
-        server_cfg: TcpConfig::default()
-            .with_sack(sack)
-            .with_congestion(congestion),
+        client_cfg: TcpConfig::default().with_recv_buffer(8 << 20).with_sack(sack),
+        server_cfg: TcpConfig::default().with_sack(sack),
     };
-    eng.run_observed(&mut logic, &mut NullSink, false);
-    crate::figures::retire_engine(eng);
+    run_engine(setup, scratch, &mut logic, &mut NullSink, false, |_| None, stem);
     logic.done_at.unwrap_or(600.0)
 }
 
@@ -204,14 +199,11 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
     let controllers = [("Reno", CcAlgorithm::Reno), ("CUBIC", CcAlgorithm::Cubic)];
     // Both controllers intentionally share the root seed (identical network
     // conditions); the two sessions run as a parallel batch.
-    let rows = par_indexed(controllers.len(), crate::session::default_jobs(), |i| {
+    let rows = par_sessions(controllers.len(), default_jobs(), |scratch, i| {
         let (name, algo) = controllers[i];
         let video = long_video(1, 1_000_000);
-        let mut eng = Engine::new(
-            NetworkProfile::Research.build_path(),
-            seed,
-            SimDuration::from_secs(180),
-        );
+        let path = NetworkProfile::Research.build_path();
+        let setup = EngineSetup::new(path, seed, SimDuration::from_secs(180));
         let mut server_cfg = TcpConfig::default()
             .with_recv_buffer(256 * 1024)
             .with_congestion(algo);
@@ -224,8 +216,9 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
                 .with_congestion(algo),
         };
         let mut fold = AnalysisFold::new(cfg.clone()).with_phases();
-        eng.run_observed(&mut logic, &mut fold, false);
-        crate::figures::retire_engine(eng);
+        let app = |l: &CustomPaced| Some((l.inner.player.stats(), l.inner.blocks));
+        let stem = || format!("ext-cc-{}-s{seed}", name.to_lowercase());
+        run_engine(setup, scratch, &mut logic, &mut fold, false, app, stem);
         let analysis = fold.finish();
         let blocks = analysis.onoff.steady_state_block_sizes();
         let median_block = if blocks.is_empty() {
@@ -274,7 +267,7 @@ pub fn ext_third_moment(seed: u64, horizon_secs: f64) -> TableData {
     ];
     // Each strategy's Monte-Carlo deliberately reuses the root seed (same
     // arrival process under every strategy); the rows run in parallel.
-    let rows = par_indexed(strategies.len(), crate::session::default_jobs(), |i| {
+    let rows = par_indexed(strategies.len(), default_jobs(), |i| {
         let (name, strategy) = strategies[i];
         let sim = FluidSim::new(pop.clone(), strategy);
         let (mean, var, m3) = sim.moments3(seed, horizon_secs, 0.5);
@@ -340,18 +333,17 @@ pub fn ext_aggregate_packet_level(seed: u64, n_sessions: usize, window_secs: f64
     }
     let bin = SimDuration::from_millis(10);
     let offsets_and_series: Vec<(f64, Vec<(f64, f64)>)> =
-        par_indexed(n_sessions, crate::session::default_jobs(), |i| {
+        par_sessions(n_sessions, default_jobs(), |scratch, i| {
             let (e, l, offset, engine_seed) = params[i];
             let video = Video::new(0, e, SimDuration::from_secs_f64(l));
-            let mut eng = Engine::new(
-                NetworkProfile::Research.build_path(),
-                engine_seed,
-                SimDuration::from_secs_f64(l + 60.0),
-            );
+            let path = NetworkProfile::Research.build_path();
+            let setup = EngineSetup::new(path, engine_seed, SimDuration::from_secs_f64(l + 60.0));
             let mut logic = BulkLogic::new(video);
             let mut fold = ThroughputFold::new(bin);
-            eng.run_observed(&mut logic, &mut fold, false);
-            crate::figures::retire_engine(eng);
+            // Bulk transfers pace no blocks.
+            let app = |l: &BulkLogic| Some((l.player.stats(), 0));
+            let stem = || format!("ext-agg-pkt-n{i}-s{engine_seed}");
+            run_engine(setup, scratch, &mut logic, &mut fold, false, app, stem);
             let series: Vec<(f64, f64)> = fold
                 .finish()
                 .into_iter()

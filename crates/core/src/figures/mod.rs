@@ -159,15 +159,6 @@ impl SessionLogic for CustomPaced {
     }
 }
 
-/// Retires a directly-driven [`Engine`], folding its telemetry into the
-/// metrics collector. Figure drivers that bypass `SessionSpec` (the
-/// ablation harnesses) call this instead of dropping the engine, so their
-/// sessions appear in the ledger too. A no-op when no ledger was requested.
-pub(crate) fn retire_engine(eng: Engine) {
-    let (_trace, mut scratch) = eng.into_parts();
-    scratch.flush_metrics();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

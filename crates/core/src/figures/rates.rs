@@ -114,18 +114,18 @@ pub fn fig9_ack_clock(seed: u64) -> FigureData {
 /// reset)` for the Flash strategy — quantifying how much burstiness the
 /// missing ack clock adds.
 pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
-    use vstream_app::engine::Engine;
     use vstream_app::strategies::{ServerPacedConfig, ServerPacedLogic};
     use vstream_sim::SimDuration;
     use vstream_tcp::TcpConfig;
 
+    use crate::session::{default_jobs, par_sessions, run_engine, EngineSetup};
+
     let cfg = AnalysisConfig::default();
-    let measure = |idle_reset: bool, seed: u64| -> f64 {
-        let mut eng = Engine::new(
-            NetworkProfile::Research.build_path(),
-            seed,
-            SimDuration::from_secs(120),
-        );
+    // Both runs share the seed (identical network conditions).
+    let medians = par_sessions(2, default_jobs(), |scratch, i| {
+        let idle_reset = i == 1;
+        let path = NetworkProfile::Research.build_path();
+        let setup = EngineSetup::new(path, seed, SimDuration::from_secs(120));
         // The server-paced session with the server's TCP carrying the
         // idle-reset switch.
         let mut logic = CustomPaced {
@@ -135,18 +135,17 @@ pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
                 .with_recv_buffer(256 * 1024)
                 .with_idle_cwnd_reset(idle_reset),
         };
-        let mut fold = AnalysisFold::new(cfg.clone()).with_ack_clock(eng.base_rtt());
-        eng.run_observed(&mut logic, &mut fold, false);
-        crate::figures::retire_engine(eng);
+        let mut fold = AnalysisFold::new(cfg.clone()).with_ack_clock(setup.path.base_rtt());
+        let app = |l: &CustomPaced| Some((l.inner.player.stats(), l.inner.blocks));
+        let switch = if idle_reset { "on" } else { "off" };
+        let stem = || format!("fig9-idle-reset-{switch}-s{seed}");
+        run_engine(setup, scratch, &mut logic, &mut fold, false, app, stem);
         let samples = fold.finish().first_rtt_bytes.expect("ack clock requested");
         let kb: Vec<f64> = samples.iter().map(|&b| b as f64 / 1e3).collect();
         if kb.is_empty() {
             return 0.0;
         }
         Cdf::new(kb).median()
-    };
-    let medians = vstream_sim::par_indexed(2, crate::session::default_jobs(), |i| {
-        measure(i == 1, seed)
     });
     (medians[0], medians[1])
 }

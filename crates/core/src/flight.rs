@@ -13,7 +13,9 @@
 //!   events.
 //!
 //! File names are derived from the session's identity (client, container,
-//! profile, video, seed, capture, watch time), never from execution
+//! profile, video, seed, capture, watch time; for an ablation harness the
+//! experiment, cell, switch under test and seed, e.g.
+//! `ext-sack-c1-nosack-r3-s2026`), never from execution
 //! context, and a session's event stream is a pure function of its spec —
 //! so the dump *set and bytes* are deterministic across `--jobs` and cache
 //! on/off. Cache hits clone a stored reply without re-running the engine,
@@ -31,9 +33,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use vstream_app::PlayerStats;
 use vstream_obs::trace::{self, Event, EventKind, QoeFold, Recorder, SIDE_CLIENT, SIDE_SERVER};
+use vstream_tcp::EndpointStats;
 
-use crate::session::{CellOutcome, SessionSpec};
+use crate::session::SessionSpec;
 
 /// Default ring capacity for full `--trace-dir` dumps.
 pub const DEFAULT_RING: usize = 65_536;
@@ -94,19 +98,24 @@ pub fn session_begin() -> bool {
     true
 }
 
-/// Closes a session bracket: takes the ring and writes the dump files,
-/// subject to the anomaly policy. Compiled-out builds hand back no
-/// recorder, so this degrades to a no-op.
-pub fn session_end(spec: &SessionSpec, out: &CellOutcome) {
+/// Closes a session bracket: takes the ring and writes the dump files
+/// named by `stem`, subject to the anomaly policy (`player` is `None` for a
+/// session without one). Compiled-out builds hand back no recorder, so
+/// this degrades to a no-op.
+pub fn session_end(
+    stem: impl FnOnce() -> String,
+    player: Option<&PlayerStats>,
+    connection_stats: &[(EndpointStats, EndpointStats)],
+) {
     let Some(rec) = trace::end_session() else { return };
     let g = CONFIG.lock().expect("flight config poisoned");
     let Some(cfg) = g.as_ref() else { return };
-    if cfg.anomalies_only && !is_anomalous(out) {
+    if cfg.anomalies_only && !is_anomalous(player, connection_stats) {
         return;
     }
-    let stem = file_stem(spec);
+    let stem = stem();
     let json = chrome_trace_json(&stem, &rec);
-    let text = text_timeline(&stem, &rec, out);
+    let text = text_timeline(&stem, &rec, player, connection_stats);
     for (ext, body) in [("trace.json", &json), ("txt", &text)] {
         let path = cfg.dir.join(format!("{stem}.{ext}"));
         if let Err(e) = std::fs::write(&path, body) {
@@ -118,16 +127,20 @@ pub fn session_end(spec: &SessionSpec, out: &CellOutcome) {
 /// The post-hoc anomaly predicate: a completed stall of at least
 /// [`ANOMALY_STALL_NS`], or at least [`ANOMALY_TIMEOUT_COUNT`] RTO fires
 /// summed over every endpoint (client and server, all connections).
-pub fn is_anomalous(out: &CellOutcome) -> bool {
-    let stats = out.player_stats();
-    if stats.stall_max.as_nanos() >= ANOMALY_STALL_NS {
-        return true;
-    }
-    total_timeouts(out) >= ANOMALY_TIMEOUT_COUNT
+pub fn is_anomalous(
+    player: Option<&PlayerStats>,
+    connection_stats: &[(EndpointStats, EndpointStats)],
+) -> bool {
+    stall_max_ns(player) >= ANOMALY_STALL_NS
+        || total_timeouts(connection_stats) >= ANOMALY_TIMEOUT_COUNT
 }
 
-fn total_timeouts(out: &CellOutcome) -> u64 {
-    out.connection_stats
+fn stall_max_ns(player: Option<&PlayerStats>) -> u64 {
+    player.map_or(0, |p| p.stall_max.as_nanos())
+}
+
+fn total_timeouts(connection_stats: &[(EndpointStats, EndpointStats)]) -> u64 {
+    connection_stats
         .iter()
         .map(|(c, s)| c.timeouts + s.timeouts)
         .sum()
@@ -295,7 +308,12 @@ fn chrome_event(ev: &Event) -> String {
 }
 
 /// Renders the ring as a plain-text timeline with a QoE footer.
-pub fn text_timeline(stem: &str, rec: &Recorder, out: &CellOutcome) -> String {
+pub fn text_timeline(
+    stem: &str,
+    rec: &Recorder,
+    player: Option<&PlayerStats>,
+    connection_stats: &[(EndpointStats, EndpointStats)],
+) -> String {
     let events = rec.events();
     let mut s = String::with_capacity(256 + events.len() * 96);
     s.push_str(&format!("# session {stem}\n"));
@@ -307,9 +325,9 @@ pub fn text_timeline(stem: &str, rec: &Recorder, out: &CellOutcome) -> String {
     ));
     s.push_str(&format!(
         "# anomaly: {} (stall_max {} ms, timeouts {})\n",
-        if is_anomalous(out) { "YES" } else { "no" },
-        out.player_stats().stall_max.as_nanos() / 1_000_000,
-        total_timeouts(out),
+        if is_anomalous(player, connection_stats) { "YES" } else { "no" },
+        stall_max_ns(player) / 1_000_000,
+        total_timeouts(connection_stats),
     ));
     s.push_str("#       ms  layer  event\n");
     let mut qoe = QoeFold::new();

@@ -22,9 +22,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use vstream_app::engine::Engine;
 pub use vstream_app::engine::SessionScratch;
 use vstream_app::strategies::InterruptAfter;
-use vstream_app::{PlayerStats, Video};
+use vstream_app::{CrossTraffic, PlayerStats, SessionLogic, Video};
 use vstream_capture::{NullSink, PacketSink, Trace};
-use vstream_net::{LrdCrossConfig, NetworkProfile};
+use vstream_net::{DuplexPath, LrdCrossConfig, NetworkProfile};
 use vstream_obs::{collector, Counter, Gauge, HistId};
 use vstream_sim::{exec, SimDuration};
 use vstream_tcp::EndpointStats;
@@ -133,91 +133,53 @@ impl SessionSpec {
     /// simulates: the [session cache](crate::cache) stores query replies,
     /// not traces.
     pub fn run(&self) -> Option<CellOutcome> {
-        let mut scratch = self.fresh_scratch();
+        let mut scratch = SessionScratch::new();
         let out = self.simulate(&mut scratch, None);
         scratch.flush_metrics();
         out
     }
 
-    /// The engine path. The worker's [`SessionScratch`] is taken for the
-    /// run and handed back replenished, so back-to-back sessions skip their
-    /// warm-up allocations — scratch carries capacity, never state. With a
-    /// `tap`, every emitted packet is pushed into it as the simulation
-    /// runs, the session never allocates trace columns and the returned
-    /// outcome carries an empty [`Trace`]; without one the capture is
-    /// retained.
-    ///
-    /// This is where the flight recorder brackets a session: a fresh
-    /// per-session event ring before the engine, a dump decision after.
-    /// Cache hits never reach here, so they record no events and never
-    /// rewrite a dump — the miss that populated the entry already wrote the
-    /// identical bytes.
+    /// [`run_engine`] for a spec: builds the Table 1 logic ([`InterruptAfter`]
+    /// around it for an abandoned session), books the run under its vantage
+    /// point's `profiles/*` ledger row and packages the [`CellOutcome`].
+    /// With a `tap` the packets stream into it and the outcome carries an
+    /// empty [`Trace`]; without one the capture is retained.
     fn simulate(
         &self,
         scratch: &mut SessionScratch,
         tap: Option<&mut dyn PacketSink>,
     ) -> Option<CellOutcome> {
-        let logic = logic_for(self.client, self.container, self.video)?;
-        let bracket = flight::session_begin();
-        let mut eng = Engine::with_scratch(
-            self.profile.build_path(),
-            self.seed,
-            self.capture,
-            std::mem::take(scratch),
-        );
-        if let Some(cfg) = self.cross {
-            eng.set_lrd_cross_traffic(cfg, self.seed);
-        }
+        let mut logic = logic_for(self.client, self.container, self.video)?;
+        let mut setup = EngineSetup::new(self.profile.build_path(), self.seed, self.capture);
+        setup.lrd = self.cross;
+        let base_rtt = setup.path.base_rtt();
         let keep_trace = tap.is_none();
         let mut null = NullSink;
         let sink = tap.unwrap_or(&mut null);
-        let logic = match self.watch_time {
+        let app = |l: &StrategyLogic| Some((l.player().stats(), l.blocks()));
+        let stem = || flight::file_stem(self);
+        let run = match self.watch_time {
             Some(w) => {
                 let mut wrapped = InterruptAfter::new(logic, w);
-                eng.run_observed(&mut wrapped, sink, keep_trace);
-                wrapped.inner
+                let app = |w: &InterruptAfter<StrategyLogic>| app(&w.inner);
+                let run = run_engine(setup, scratch, &mut wrapped, sink, keep_trace, app, stem);
+                logic = wrapped.inner;
+                run
             }
-            None => {
-                let mut logic = logic;
-                eng.run_observed(&mut logic, sink, keep_trace);
-                logic
-            }
+            None => run_engine(setup, scratch, &mut logic, sink, keep_trace, app, stem),
         };
-        let connections = eng.connection_count();
-        let connection_stats = (0..connections).map(|c| eng.connection_stats(c)).collect();
-        let base_rtt = eng.base_rtt();
-        // Per-profile attribution must read the queue before `into_parts`
-        // consumes the engine; the engine-level harvest happens inside it.
-        let obs_active = collector::is_active();
-        let events_scheduled = if obs_active { eng.queue_stats().scheduled } else { 0 };
-        let (trace, recycled) = eng.into_parts();
-        *scratch = recycled;
-        if obs_active {
-            let m = scratch.metrics_mut();
-            let p = m.profile_mut(self.profile as usize);
+        if collector::is_active() {
+            let p = scratch.metrics_mut().profile_mut(self.profile as usize);
             p.sessions += 1;
-            p.events_scheduled += events_scheduled;
-            let stats = logic.player().stats();
-            m.add(Counter::AppPlayerStalls, stats.stalls as u64);
-            m.merge_hist(HistId::AppStallMs, &stats.stall_hist);
-            if let Some(delay) = stats.startup_delay {
-                m.add(Counter::AppPlaybackStarted, 1);
-                m.record(HistId::AppStartupDelayMs, delay.as_nanos() / 1_000_000);
-            }
-            m.gauge_max(Gauge::AppPeakBufferBytes, stats.peak_buffer_bytes);
-            m.add(Counter::AppBlocks, logic.blocks());
+            p.events_scheduled += run.events_scheduled;
         }
-        let out = CellOutcome {
-            trace,
+        Some(CellOutcome {
+            trace: run.trace,
             logic,
-            connections,
-            connection_stats,
+            connections: run.connection_stats.len(),
+            connection_stats: run.connection_stats,
             base_rtt,
-        };
-        if bracket {
-            flight::session_end(self, &out);
-        }
-        Some(out)
+        })
     }
 
     /// Resolves the session straight to the features `query` asks for: the
@@ -285,15 +247,107 @@ impl SessionSpec {
             SimDuration::from_nanos(0)
         }
     }
+}
 
-    /// A scratch pre-sized for this spec: the trace buffer starts at the
-    /// profile's line-rate packet bound, clamped so a 180 s capture at
-    /// 100 Mbps does not allocate millions of slots up front.
-    fn fresh_scratch(&self) -> SessionScratch {
-        SessionScratch::with_trace_capacity(
-            self.profile.expected_capture_packets(self.capture).min(1 << 16),
-        )
+/// What one engine is built from.
+pub(crate) struct EngineSetup {
+    pub(crate) path: DuplexPath,
+    pub(crate) seed: u64,
+    pub(crate) capture: SimDuration,
+    /// Competing Poisson bursts on the downlink (`ext-stalls`).
+    pub(crate) bursts: Option<CrossTraffic>,
+    /// A competing long-range-dependent aggregate, seeded from `seed` (the
+    /// `ext-qoe` sweeps).
+    pub(crate) lrd: Option<LrdCrossConfig>,
+}
+
+impl EngineSetup {
+    /// A session alone on its path.
+    pub(crate) fn new(path: DuplexPath, seed: u64, capture: SimDuration) -> Self {
+        EngineSetup { path, seed, capture, bursts: None, lrd: None }
     }
+}
+
+/// What [`run_engine`] hands back besides the logic it ran in place: the
+/// capture (empty unless retained), `(client, server)` endpoint statistics
+/// per connection, and the events the session scheduled.
+pub(crate) struct EngineRun {
+    pub(crate) trace: Trace,
+    pub(crate) connection_stats: Vec<(EndpointStats, EndpointStats)>,
+    pub(crate) events_scheduled: u64,
+}
+
+/// The one place an engine is built, bracketed, run and retired: a
+/// [`SessionSpec`] comes through [`SessionSpec::simulate`], an ablation
+/// harness with its own [`SessionLogic`] straight from its figure driver, so
+/// a sink or classifier attached here sees every engine run.
+///
+/// The worker's [`SessionScratch`] is taken for the run and handed back
+/// replenished, so back-to-back sessions skip their warm-up allocations —
+/// scratch carries capacity, never state. Tapped packets stream into
+/// `sink`; the capture itself is retained only with `keep_trace`.
+///
+/// The flight recorder brackets the session here: a fresh event ring before
+/// the engine, a dump decision after, the files named by `stem` (built only
+/// for a dump). Cache hits never reach here, so they record no events and
+/// never rewrite a dump — the miss that filled the entry wrote those bytes.
+///
+/// `app` reads the player statistics and paced-block count off the finished
+/// logic (`None` without a player) for the ledger's `app_*` slots and the
+/// anomaly predicate; [`Engine::into_parts`] harvests the layers below.
+pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
+    setup: EngineSetup,
+    scratch: &mut SessionScratch,
+    logic: &mut L,
+    sink: &mut S,
+    keep_trace: bool,
+    app: impl FnOnce(&L) -> Option<(PlayerStats, u64)>,
+    stem: impl FnOnce() -> String,
+) -> EngineRun {
+    let bracket = flight::session_begin();
+    let taken = std::mem::take(scratch);
+    let mut eng = Engine::with_scratch(setup.path, setup.seed, setup.capture, taken);
+    if let Some(ct) = setup.bursts {
+        eng.set_cross_traffic(ct);
+    }
+    if let Some(cfg) = setup.lrd {
+        eng.set_lrd_cross_traffic(cfg, setup.seed);
+    }
+    eng.run_observed(logic, sink, keep_trace);
+    let connection_stats: Vec<_> =
+        (0..eng.connection_count()).map(|c| eng.connection_stats(c)).collect();
+    // Read before `into_parts` consumes the engine.
+    let events_scheduled = eng.queue_stats().scheduled;
+    let (trace, recycled) = eng.into_parts();
+    *scratch = recycled;
+    let obs_active = collector::is_active();
+    let app = (obs_active || bracket).then(|| app(logic)).flatten();
+    if let (true, Some((stats, blocks))) = (obs_active, &app) {
+        let m = scratch.metrics_mut();
+        m.add(Counter::AppPlayerStalls, stats.stalls as u64);
+        m.merge_hist(HistId::AppStallMs, &stats.stall_hist);
+        if let Some(delay) = stats.startup_delay {
+            m.add(Counter::AppPlaybackStarted, 1);
+            m.record(HistId::AppStartupDelayMs, delay.as_nanos() / 1_000_000);
+        }
+        m.gauge_max(Gauge::AppPeakBufferBytes, stats.peak_buffer_bytes);
+        m.add(Counter::AppBlocks, *blocks);
+    }
+    if bracket {
+        flight::session_end(stem, app.as_ref().map(|(stats, _)| stats), &connection_stats);
+    }
+    EngineRun { trace, connection_stats, events_scheduled }
+}
+
+/// The one session fan-out: `f(scratch, i)` for `i < n` on up to `jobs`
+/// workers, results by index. A worker recycles one [`SessionScratch`]
+/// through the whole batch and flushes its metrics registry once, at the end.
+pub(crate) fn par_sessions<T: Send>(
+    n: usize,
+    jobs: usize,
+    f: impl Fn(&mut SessionScratch, usize) -> T + Sync,
+) -> Vec<T> {
+    exec::par_indexed_with_finish(n, jobs, SessionScratch::new, f, |mut s| s.flush_metrics())
 }
 
 /// The batch path: fan every spec out across the worker pool and reduce
@@ -326,36 +380,21 @@ where
 {
     let collect_qoe = qoe::is_active();
     let (results, rows): (Vec<Option<T>>, Vec<Option<qoe::QoeRow>>) =
-        exec::par_indexed_with_finish(
-            specs.len(),
-            jobs,
-            || batch_scratch(specs),
-            |scratch, i| {
-                let reply = specs[i].obtain_reply(scratch, query);
-                let row = if collect_qoe {
-                    reply.as_ref().map(|r| qoe::QoeRow::of(&specs[i], &r.logic))
-                } else {
-                    None
-                };
-                (reply.map(|r| f(i, r)), row)
-            },
-            |mut scratch| scratch.flush_metrics(),
-        )
+        par_sessions(specs.len(), jobs, |scratch, i| {
+            let reply = specs[i].obtain_reply(scratch, query);
+            let row = if collect_qoe {
+                reply.as_ref().map(|r| qoe::QoeRow::of(&specs[i], &r.logic))
+            } else {
+                None
+            };
+            (reply.map(|r| f(i, r)), row)
+        })
         .into_iter()
         .unzip();
     if collect_qoe {
         qoe::push_batch(rows);
     }
     results
-}
-
-/// The scratch a batch worker starts with: pre-sized from the first spec,
-/// since a batch is typically homogeneous in profile and capture length.
-fn batch_scratch(specs: &[SessionSpec]) -> SessionScratch {
-    specs
-        .first()
-        .map(SessionSpec::fresh_scratch)
-        .unwrap_or_default()
 }
 
 /// Everything measured from one simulated streaming session.
@@ -555,6 +594,87 @@ mod tests {
         assert!(outs[0].is_some());
         assert!(outs[1].is_none());
         assert!(outs[2].is_some());
+    }
+
+    /// A harness-style logic without a player goes through the same
+    /// bracket: the engine-level harvest counts the session, the app-layer
+    /// one adds nothing, and the flight dump is written under the caller's
+    /// stem with a footer that still parses.
+    ///
+    /// The flight policy and the collector are process-wide, so unit tests
+    /// running beside this one record and flush into them while it holds
+    /// them; both are output-neutral, and the test reads only its own
+    /// scratch registry and its own stem's files.
+    #[test]
+    fn bracket_without_a_player_harvests_no_app_numbers_and_still_dumps() {
+        struct Download {
+            size: u64,
+            read: u64,
+        }
+        impl SessionLogic for Download {
+            fn on_start(&mut self, eng: &mut Engine) {
+                let cfg = vstream_tcp::TcpConfig::default();
+                eng.open_connection(cfg.clone(), cfg);
+            }
+            fn on_established(&mut self, eng: &mut Engine, conn: usize) {
+                eng.server_write(conn, self.size);
+                eng.server_close(conn);
+            }
+            fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
+                self.read += eng.client_read(conn, u64::MAX);
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("vstream-bracket-test-{}", std::process::id()));
+        flight::install(flight::TraceConfig {
+            dir: dir.clone(),
+            anomalies_only: false,
+            ring_cap: 256,
+        })
+        .expect("temp dir is writable");
+        collector::install(false);
+
+        let mut scratch = SessionScratch::new();
+        let mut logic = Download { size: 300_000, read: 0 };
+        let path = NetworkProfile::Research.build_path();
+        let setup = EngineSetup::new(path, 5, SimDuration::from_secs(30));
+        let stem = "bracket-test-noplayer";
+        let run = run_engine(setup, &mut scratch, &mut logic, &mut NullSink, false, |_| None, || {
+            stem.to_string()
+        });
+        flight::uninstall();
+        let m = scratch.metrics_mut().take();
+        collector::take();
+
+        assert_eq!(logic.read, 300_000);
+        assert!(run.trace.is_empty(), "keep_trace was off");
+        assert_eq!(run.connection_stats.len(), 1);
+        assert_eq!(m.counter(Counter::SimSessions), 1);
+        assert_eq!(m.counter(Counter::TcpConnections), 1);
+        assert_eq!(m.counter(Counter::SimEventsScheduled), run.events_scheduled);
+        assert_eq!(m.counter(Counter::AppPlaybackStarted), 0);
+        assert_eq!(m.counter(Counter::AppPlayerStalls), 0);
+        assert_eq!(m.counter(Counter::AppBlocks), 0);
+        assert_eq!(m.hist(HistId::AppStartupDelayMs).count(), 0);
+        assert_eq!(m.gauge(Gauge::AppPeakBufferBytes), 0);
+
+        let text = std::fs::read_to_string(dir.join(format!("{stem}.txt"))).expect("text dump");
+        let json = std::fs::read_to_string(dir.join(format!("{stem}.trace.json"))).expect("json dump");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(text.starts_with("# session bracket-test-noplayer\n"));
+        assert!(text.contains("# anomaly: no (stall_max 0 ms, timeouts 0)\n"), "{text}");
+        let footer = text.lines().last().expect("footer line");
+        let fields: Vec<(&str, &str)> = footer
+            .strip_prefix("# qoe(events): ")
+            .expect("footer prefix")
+            .split(' ')
+            .map(|kv| kv.split_once('=').expect("key=value"))
+            .collect();
+        assert_eq!(fields.len(), 7, "{footer}");
+        assert_eq!(fields[0], ("startup_ns", "-1"));
+        assert_eq!(fields[1], ("stalls", "0"));
+        assert_eq!(fields[6], ("finished", "false"));
+        assert!(json.contains("\"session\":\"bracket-test-noplayer\""));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

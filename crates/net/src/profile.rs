@@ -99,25 +99,6 @@ impl NetworkProfile {
         }
     }
 
-    /// Upper-bound estimate of the packet records a capture of `duration`
-    /// at this vantage point can produce, used to pre-size trace buffers.
-    ///
-    /// A capture records every downlink data segment plus the uplink ACK
-    /// stream (about one ACK per two data segments under delayed ACKs); the
-    /// bound assumes the downlink runs at line rate in MSS-sized segments
-    /// for the whole capture, so paced or short sessions come in well under
-    /// it. Callers should clamp it before allocating (see
-    /// `vstream-core`'s session scratch), since 180 s at 100 Mbps is over a
-    /// million records.
-    pub fn expected_capture_packets(self, duration: SimDuration) -> usize {
-        const MSS: u128 = 1460;
-        let bytes = self.down_bps() as u128 / 8 * duration.as_nanos() as u128 / 1_000_000_000;
-        let data_segments = bytes / MSS;
-        // + half again for ACKs, + 10 % slack for handshake/retx/probes.
-        (data_segments + data_segments / 2 + data_segments / 10 + 16).min(usize::MAX as u128)
-            as usize
-    }
-
     /// Builds the duplex path for this vantage point.
     ///
     /// Loss is applied on the downlink only: it carries all the video bytes,
@@ -173,19 +154,6 @@ mod tests {
     fn labels_match_figure_legends() {
         let labels: Vec<&str> = NetworkProfile::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels, ["Research", "Residence", "Academic", "Home"]);
-    }
-
-    #[test]
-    fn expected_capture_packets_scales_with_rate_and_time() {
-        let p = NetworkProfile::Research;
-        let short = p.expected_capture_packets(SimDuration::from_secs(10));
-        let long = p.expected_capture_packets(SimDuration::from_secs(180));
-        assert!(long > short);
-        // 180 s at 100 Mbps is ~1.5M data segments; the bound includes ACKs.
-        assert!(long > 1_500_000, "bound too small: {long}");
-        // A slower vantage point expects proportionally fewer packets.
-        let adsl = NetworkProfile::Residence.expected_capture_packets(SimDuration::from_secs(180));
-        assert!(adsl < long / 10, "{adsl} vs {long}");
     }
 
     #[test]

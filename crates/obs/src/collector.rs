@@ -10,8 +10,9 @@
 //!
 //! Span timing ([`begin_span`] / [`end_span`]) captures wall-clock elapsed
 //! time plus deltas of the deterministic session/event counters. Wall time
-//! and the few [`Counter::EXECUTION_DEPENDENT`] slots (scratch-reuse hits,
-//! trace regrows — both functions of worker count, not of the sessions)
+//! and the few [`Counter::EXECUTION_DEPENDENT`] slots (scratch-reuse hits
+//! and the session-cache counters — functions of worker count and cache
+//! configuration, not of the sessions)
 //! are the only non-deterministic quantities in the ledger; installing
 //! with `wall = false` (or exporting `VSTREAM_WALL=off`) zeroes them so
 //! two runs can be byte-compared at any `--jobs` value.

@@ -194,7 +194,12 @@ slots! {
         AppPlaybackStarted => "app_playback_started",
         /// Packet records written by the capture tap.
         CapturePackets => "capture_packets",
-        /// Sessions whose trace buffer outgrew its pre-sized capacity.
+        /// Compatibility key: never incremented, always 0. Trace
+        /// pre-sizing is gone (no production session retains a trace), but
+        /// `benchmark/run.py --trace 1` indexes this key for
+        /// `capture.trace_regrows` and nothing under `benchmark/` may
+        /// change with it; ROADMAP item 2(i) deletes key and metric
+        /// together.
         CaptureTraceRegrows => "capture_trace_regrows",
         /// Session-cache lookups answered from a previously stored outcome.
         CacheHits => "cache_hits",
@@ -248,9 +253,8 @@ impl Counter {
     /// `--no-cache` while the simulated output does not. The collector
     /// zeroes them alongside wall time when byte-comparable ledgers are
     /// requested.
-    pub const EXECUTION_DEPENDENT: [Counter; 5] = [
+    pub const EXECUTION_DEPENDENT: [Counter; 4] = [
         Counter::SimScratchReuseHits,
-        Counter::CaptureTraceRegrows,
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheBytesRetained,

@@ -37,14 +37,6 @@ pub struct TcpConfig {
     pub sack: bool,
     /// Congestion-control algorithm (Reno default; CUBIC for the ablation).
     pub congestion: CcAlgorithm,
-    /// RFC 1122 delayed acknowledgements: ACK every second in-order data
-    /// segment, or after [`TcpConfig::delack_timeout`]. Off by default —
-    /// per-segment ACKs make traces easier to reason about and none of the
-    /// paper's metrics depend on ACK cadence — but available for realism
-    /// studies.
-    pub delayed_ack: bool,
-    /// Delayed-ACK timeout (RFC 1122 caps it at 500 ms; stacks use ~40 ms).
-    pub delack_timeout: SimDuration,
 }
 
 impl Default for TcpConfig {
@@ -59,8 +51,6 @@ impl Default for TcpConfig {
             idle_cwnd_reset: false,
             sack: true,
             congestion: CcAlgorithm::Reno,
-            delayed_ack: false,
-            delack_timeout: SimDuration::from_millis(40),
         }
     }
 }
@@ -92,12 +82,6 @@ impl TcpConfig {
     /// Selects the congestion-control algorithm.
     pub fn with_congestion(mut self, algorithm: CcAlgorithm) -> Self {
         self.congestion = algorithm;
-        self
-    }
-
-    /// Enables or disables delayed acknowledgements.
-    pub fn with_delayed_ack(mut self, on: bool) -> Self {
-        self.delayed_ack = on;
         self
     }
 

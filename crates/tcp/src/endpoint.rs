@@ -149,11 +149,6 @@ pub struct Endpoint {
     // --- Timers ---
     rto_deadline: Option<SimTime>,
     persist_deadline: Option<SimTime>,
-    /// Delayed-ACK timer; armed while one unacknowledged in-order data
-    /// segment is held back.
-    delack_deadline: Option<SimTime>,
-    /// In-order data segments received since the last ACK went out.
-    delack_pending: u32,
     persist_backoff: u32,
     /// Time the last data segment was sent; used for idle-restart detection.
     last_data_sent: Option<SimTime>,
@@ -209,8 +204,6 @@ impl Endpoint {
             rtt_probe: None,
             rto_deadline: None,
             persist_deadline: None,
-            delack_deadline: None,
-            delack_pending: 0,
             persist_backoff: 0,
             last_data_sent: None,
             recovery_quota: 0,
@@ -303,25 +296,6 @@ impl Endpoint {
     /// will carry).
     pub fn advertised_window(&self) -> u64 {
         self.rb.window()
-    }
-
-    /// One-line summary of the transmission state, for diagnostics.
-    pub fn debug_state(&self) -> String {
-        format!(
-            "state={:?} una={} nxt={} high={} wnd={} cwnd={} ssthresh={} rec={} sacked={} rtxp={} peerhi={} quota={}",
-            self.state,
-            self.snd_una,
-            self.snd_nxt,
-            self.snd_high,
-            self.snd_wnd,
-            self.cc.cwnd(),
-            self.cc.ssthresh(),
-            self.cc.in_recovery(),
-            self.sacked.bytes(),
-            self.retx_pending.bytes(),
-            self.peer_sack_highest,
-            self.recovery_quota,
-        )
     }
 
     // ------------------------------------------------------------------
@@ -464,32 +438,17 @@ impl Endpoint {
         }
 
         // --- Data and FIN (receive side) ---
-        let mut got_data = false;
-        let mut in_order = false;
         if seg.has_payload() {
-            let before = self.rb.ack_no();
             self.rb.on_data(seg.seq, seg.payload);
-            in_order = self.rb.ack_no() > before;
-            got_data = true;
         }
         if seg.fin {
             self.rb.on_fin(seg.seq_end());
         }
-        if got_data || seg.fin {
-            // RFC 1122 delayed ACKs apply only to in-order data: an
-            // out-of-order arrival must produce an immediate duplicate ACK
-            // (fast retransmit depends on it), and a FIN is acknowledged at
-            // once.
-            if self.cfg.delayed_ack && in_order && !seg.fin {
-                self.delack_pending += 1;
-                if self.delack_pending >= 2 {
-                    out.push(self.make_ack());
-                } else {
-                    self.delack_deadline = Some(now + self.cfg.delack_timeout);
-                }
-            } else {
-                out.push(self.make_ack());
-            }
+        // Every data segment and FIN is acknowledged at once: an
+        // out-of-order arrival must produce an immediate duplicate ACK
+        // (fast retransmit depends on it).
+        if seg.has_payload() || seg.fin {
+            out.push(self.make_ack());
         }
 
         self.pump_into(now, out);
@@ -497,16 +456,13 @@ impl Endpoint {
 
     /// Earliest pending timer deadline, if any.
     pub fn next_timer(&self) -> Option<SimTime> {
-        // Called after every event the endpoint handles: two compares, no
+        // Called after every event the endpoint handles: one compare, no
         // array or iterator to build.
-        fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-            match (a, b) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            }
+        match (self.rto_deadline, self.persist_deadline) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
         }
-        earlier(earlier(self.rto_deadline, self.persist_deadline), self.delack_deadline)
     }
 
     /// Fires whichever timers have expired at `now`.
@@ -526,9 +482,6 @@ impl Endpoint {
         if self.persist_deadline.is_some_and(|d| d <= now) {
             self.persist_deadline = None;
             self.on_persist_into(now, out);
-        }
-        if self.delack_deadline.is_some_and(|d| d <= now) {
-            out.push(self.make_ack());
         }
     }
 
@@ -976,8 +929,6 @@ impl Endpoint {
     }
 
     fn make_ack(&mut self) -> Segment {
-        self.delack_pending = 0;
-        self.delack_deadline = None;
         self.stats.acks_sent += 1;
         let mut seg = self.make_segment(self.snd_nxt, 0, false, false);
         if self.cfg.sack {
@@ -1393,63 +1344,6 @@ mod tests {
         stats.data_bytes_sent = 99_000;
         stats.retx_bytes = 1_000;
         assert!((stats.retx_rate() - 0.01).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delayed_ack_halves_ack_count() {
-        let cfg = TcpConfig::default().with_recv_buffer(1 << 20);
-        let run = |delack: bool| {
-            let mut c = Endpoint::new(Role::Client, 1, cfg.clone().with_delayed_ack(delack));
-            let mut s = Endpoint::new(Role::Server, 1, cfg.clone());
-            let t = SimTime::ZERO;
-            establish(t, &mut c, &mut s);
-            let segs = s.write(t, 40 * 1460);
-            exchange(t, &mut s, &mut c, segs);
-            c.stats().acks_sent
-        };
-        let per_segment = run(false);
-        let delayed = run(true);
-        assert!(
-            delayed * 2 <= per_segment + 2,
-            "delayed ACKs {delayed} not ~half of {per_segment}"
-        );
-    }
-
-    #[test]
-    fn delayed_ack_timer_covers_odd_segment() {
-        let cfg = TcpConfig::default().with_recv_buffer(1 << 20);
-        let mut c = Endpoint::new(Role::Client, 1, cfg.clone().with_delayed_ack(true));
-        let mut s = Endpoint::new(Role::Server, 1, cfg);
-        let t = SimTime::ZERO;
-        establish(t, &mut c, &mut s);
-        // One lone segment: no immediate ACK, but the delack timer is armed
-        // and fires within the timeout.
-        let seg = s.write(t, 1000);
-        let replies = c.on_segment(t, seg[0]);
-        assert!(replies.iter().all(|x| !x.is_pure_ack()), "ACK not delayed");
-        let deadline = c.next_timer().expect("delack timer armed");
-        assert!(deadline <= t + SimDuration::from_millis(40));
-        let fired = c.on_timer(deadline);
-        assert!(fired.iter().any(|x| x.is_pure_ack()), "delack never fired");
-        exchange(deadline, &mut c, &mut s, fired);
-        assert!(s.all_acked());
-    }
-
-    #[test]
-    fn out_of_order_data_still_acks_immediately_with_delack() {
-        let cfg = TcpConfig::default().with_recv_buffer(1 << 20);
-        let mut c = Endpoint::new(Role::Client, 1, cfg.clone().with_delayed_ack(true));
-        let mut s = Endpoint::new(Role::Server, 1, cfg);
-        let t = SimTime::ZERO;
-        establish(t, &mut c, &mut s);
-        let mut segs = s.write(t, 3 * 1460);
-        // Deliver the second segment first: an immediate duplicate ACK.
-        let second = segs.remove(1);
-        let replies = c.on_segment(t, second);
-        assert!(
-            replies.iter().any(|x| x.is_pure_ack()),
-            "out-of-order arrival must ACK immediately"
-        );
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! Selective acknowledgements (RFC 2018 blocks, RFC 6675-style pipe
 //! estimation with PRR-paced recovery) are on by default, as on every
 //! 2011-era stack; both Reno/NewReno and CUBIC congestion control are
-//! provided ([`TcpConfig::congestion`]), and RFC 1122 delayed ACKs are an
-//! option ([`TcpConfig::delayed_ack`]).
+//! provided ([`TcpConfig::congestion`]).
 //!
 //! Simplifications, each chosen because it does not affect the studied
 //! metrics: sequence numbers are absolute 64-bit byte offsets (no 32-bit

@@ -14,12 +14,15 @@
 #      metered `repro all` must retain no packet trace anywhere (zero
 #      peak_trace_bytes, nonzero peak_flowstate_bytes in the wall-mode
 #      ledger), must keep every packet delivery on the event queue's FIFO
-#      lanes (zero sim_lane_fallbacks) and must reproduce the committed
-#      results/ tree byte for byte
-#   3c. trace neutrality: the same slice rendered with --trace-dir must
-#      leave figures, the QoE table, and the wall-off ledger byte-identical
-#      while producing dump files, and every emitted Chrome trace JSON must
-#      parse
+#      lanes (zero sim_lane_fallbacks), must count every engine run in the
+#      ledger's app-layer slots as well as its engine-level ones (463
+#      sessions, 415 of them players that started, 56 stalls — the ablation
+#      harnesses included) and must reproduce the committed results/ tree
+#      byte for byte
+#   3c. trace neutrality: the same slice plus one ablation harness (ext-cc)
+#      rendered with --trace-dir must leave figures, the QoE table, and the
+#      wall-off ledger byte-identical while producing dump files, and every
+#      emitted Chrome trace JSON — the harness dumps too — must parse
 #   3d. campaign smoke: a small hybrid campaign passes its cross-validation
 #      gate, an interrupted run resumed from the checkpoint ledger emits
 #      byte-identical output, and the ledger's shard checkpoints and
@@ -72,20 +75,28 @@ grep -qE '"peak_flowstate_bytes":[1-9]' "$obs_out/all.metrics.json"
 # of schedule_fifo is not monotone) and the fast road silently narrowed.
 grep -q '"sim_lane_fallbacks":0[,}]' "$obs_out/all.metrics.json"
 grep -qE '"sim_lane_pushes":[1-9]' "$obs_out/all.metrics.json"
+# Every engine run goes through one bracket, so the app-layer slots cover
+# the same sessions as the engine-level ones: all 463, of which the 415
+# with a player (the 48 ext-sack bulk transfers have none) start playback.
+# A harness that builds its own engine again shows up here as a shortfall.
+grep -q '"sim_sessions":463[,}]' "$obs_out/all.metrics.json"
+grep -q '"app_playback_started":415[,}]' "$obs_out/all.metrics.json"
+grep -q '"app_player_stalls":56[,}]' "$obs_out/all.metrics.json"
 # The committed tree is `repro all --seed 2026 --csv results` (the default
 # seed); regenerate it in the same change as any output-moving edit.
 diff -r results "$obs_out/all"
 
 echo "==> trace neutrality: --trace-dir must not change figures, QoE table, or ledger"
-VSTREAM_WALL=off target/release/repro fig2 fig4 --csv "$obs_out/tr-plain" \
+VSTREAM_WALL=off target/release/repro fig2 fig4 ext-cc --csv "$obs_out/tr-plain" \
     --metrics "$obs_out/tr-plain.metrics.json" > /dev/null
-VSTREAM_WALL=off target/release/repro fig2 fig4 --csv "$obs_out/tr-traced" \
+VSTREAM_WALL=off target/release/repro fig2 fig4 ext-cc --csv "$obs_out/tr-traced" \
     --metrics "$obs_out/tr-traced.metrics.json" \
     --trace-dir "$obs_out/tr-dumps" --trace-cap 4096 > /dev/null
 diff -r "$obs_out/tr-plain" "$obs_out/tr-traced"
 diff "$obs_out/tr-plain.metrics.json" "$obs_out/tr-traced.metrics.json"
-# Dumps must exist and every Chrome trace JSON must be valid JSON.
-ls "$obs_out/tr-dumps"/*.trace.json > /dev/null
+# Dumps must exist — the harness sessions' among them — and every Chrome
+# trace JSON must be valid JSON.
+ls "$obs_out/tr-dumps"/ext-cc-*.trace.json > /dev/null
 for dump in "$obs_out/tr-dumps"/*.trace.json; do
     python3 -m json.tool "$dump" > /dev/null
 done

@@ -125,4 +125,18 @@ fn metrics_are_output_neutral_and_ledgers_jobs_invariant() {
     lrd_cell();
     let ledger_lrd = collector::take().expect("ledger from the LRD cell");
     assert_lane_accounting(&ledger_lrd.totals, (52_237, 233, 6_950), "LRD ext-qoe cell");
+
+    // The ablation harnesses bring their own `SessionLogic` but take the
+    // same bracket, so the ledger's app-layer slots cover them like the
+    // engine-level ones: twelve ext-stalls sessions and the Reno/CUBIC pair,
+    // every one a paced player that starts and writes blocks.
+    collector::install(false);
+    f::ext_stall_vs_accumulation(61, 2);
+    f::ext_congestion_ablation(65);
+    let ledger_harness = collector::take().expect("ledger from the harness runs");
+    let m = &ledger_harness.totals;
+    assert_eq!(m.counter(Counter::SimSessions), 14);
+    assert_eq!(m.counter(Counter::AppPlaybackStarted), m.counter(Counter::SimSessions));
+    assert_eq!(m.hist(HistId::AppStartupDelayMs).count(), m.counter(Counter::SimSessions));
+    assert!(m.counter(Counter::AppBlocks) > 0);
 }

@@ -13,8 +13,8 @@ fn csv_of(fig: &FigureData) -> String {
 
 /// Serializes a representative slice of the figure suite at a given worker
 /// count. Covers every seeding scheme the figure drivers use: identity
-/// derivation (fig4/fig8), index offsets (fig9/fig2), shared roots
-/// (table2), and pre-sampled shared-RNG parameters (ext-agg-pkt).
+/// derivation (fig4/fig8), index offsets (fig9/fig2) and shared roots
+/// (table2).
 fn figure_suite(jobs: usize) -> Vec<String> {
     set_default_jobs(jobs);
     let mut out = Vec::new();
@@ -31,19 +31,41 @@ fn figure_suite(jobs: usize) -> Vec<String> {
     let (table1, _) = f::table1_strategy_matrix(101);
     out.push(table1.to_csv());
     out.push(f::table2_strategy_comparison(102, 60).to_csv());
-    out.push(f::ext_aggregate_packet_level(103, 6, 500.0).to_csv());
     out
 }
 
+/// The ablation harnesses — sessions with their own `SessionLogic`, fanned
+/// out over the same per-worker scratch as the spec batches: at one worker
+/// every session of a harness runs on one recycled scratch, at three they
+/// share a few, at eight most get a fresh one. Covers the three harness
+/// seeding schemes: identity derivation (ext-stalls), a seed shared by the
+/// switched pair (ext-sack) and pre-sampled shared-RNG parameters
+/// (ext-agg-pkt).
+fn harness_suite(jobs: usize) -> Vec<String> {
+    set_default_jobs(jobs);
+    vec![
+        csv_of(&f::ext_stall_vs_accumulation(104, 2)),
+        f::ext_sack_ablation(105).to_csv(),
+        f::ext_aggregate_packet_level(103, 6, 500.0).to_csv(),
+    ]
+}
+
+// One test for both suites: `set_default_jobs` is process-wide, so two
+// tests setting it would race each other into running at the same count.
 #[test]
 fn figure_output_is_identical_for_jobs_1_and_8() {
     let serial = figure_suite(1);
     let parallel = figure_suite(8);
+    let harness_serial = harness_suite(1);
+    let harness_few = harness_suite(3);
+    let harness_many = harness_suite(8);
     set_default_jobs(0); // restore the all-cores default for other tests
     assert_eq!(serial.len(), parallel.len());
     for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(a, b, "artifact #{i} differs between --jobs 1 and --jobs 8");
     }
+    assert_eq!(harness_serial, harness_few, "a harness depends on scratch reuse (jobs 1 vs 3)");
+    assert_eq!(harness_serial, harness_many, "a harness depends on scratch reuse (jobs 1 vs 8)");
 }
 
 #[test]
