@@ -11,7 +11,8 @@
 use vstream_capture::Trace;
 use vstream_sim::SimDuration;
 
-use crate::onoff::{AnalysisConfig, OnOffAnalysis};
+use crate::fold::AnalysisFold;
+use crate::onoff::AnalysisConfig;
 
 /// For each ON period that follows an OFF period, the payload bytes that
 /// arrived within one `rtt` of the ON period's first packet.
@@ -20,30 +21,9 @@ use crate::onoff::{AnalysisConfig, OnOffAnalysis};
 /// slow start by construction and the paper's figure concerns the steady
 /// state.
 pub fn first_rtt_bytes(trace: &Trace, config: &AnalysisConfig, rtt: SimDuration) -> Vec<u64> {
-    let analysis = OnOffAnalysis::from_trace(trace, config);
-    if analysis.cycles.len() < 2 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(analysis.cycles.len() - 1);
-    let mut data = trace.incoming_data().peekable();
-    for cycle in &analysis.cycles[1..] {
-        let deadline = cycle.on_start + rtt;
-        let mut bytes = 0u64;
-        // The iterator resumes where the previous cycle left off; records
-        // are chronological so each is visited once.
-        while let Some(r) = data.peek() {
-            if r.at() < cycle.on_start {
-                data.next();
-            } else if r.at() < deadline {
-                bytes += r.payload() as u64;
-                data.next();
-            } else {
-                break;
-            }
-        }
-        out.push(bytes);
-    }
-    out
+    let mut fold = AnalysisFold::new(config.clone()).with_ack_clock(rtt);
+    trace.replay(&mut fold);
+    fold.finish().first_rtt_bytes.expect("ack clock requested")
 }
 
 #[cfg(test)]

@@ -1,37 +1,30 @@
 //! Incremental fold operators over the packet tap.
 //!
-//! Every reduction in this crate (and the figure-facing extractions on
-//! [`Trace`](vstream_capture::Trace)) has a streaming form here: a
-//! [`PacketSink`] that consumes the tap one packet at a time and produces
-//! the *same* result as the corresponding column scan — the streaming/batch
-//! equivalence contract. Folds keep per-flow [`FlowState`] and per-figure
-//! series only, so a session's analysis memory is O(flows + figure points)
-//! instead of O(packets); each fold reports its footprint via
-//! `approx_bytes`, the number behind the `peak_flowstate_bytes` ledger
-//! gauge.
+//! Every reduction over a capture lives here, once: a [`PacketSink`] that
+//! consumes the tap one packet at a time — live from the engine, or from
+//! [`Trace::replay`](vstream_capture::Trace::replay) /
+//! `PackedTrace::replay` when a capture was retained. Folds keep per-flow
+//! [`FlowState`] and per-figure series only, so a session's analysis memory
+//! is O(flows + figure points) instead of O(packets); each fold reports its
+//! footprint via `approx_bytes`, the number behind the
+//! `peak_flowstate_bytes` ledger gauge.
 //!
-//! The oracle for each operator:
+//! The oracle for each operator is a naive reduction over a plain
+//! `Vec<PacketRecord>` (`crates/capture/tests/support/`), compared on
+//! randomized captures through both replays by `tests/streaming.rs`:
 //!
-//! * [`DownloadFold`] — `downsample_mb(trace.download_series(), step)`
+//! * [`DownloadFold`] — `ref_downsample_mb(ref_download_series(..), step)`
 //!   (the figure drivers' cumulative-download series);
-//! * [`WindowFold`] — [`Trace::recv_window_series`];
-//! * [`ThroughputFold`] — [`Trace::throughput_timeline`];
-//! * [`TotalsFold`] — [`Trace::total_downloaded`],
-//!   [`Trace::total_raw_downloaded`], [`Trace::retransmission_rate`],
-//!   [`Trace::duration`];
-//! * [`SummariesFold`] — [`Trace::connection_summaries`];
-//! * [`AnalysisFold`] — [`OnOffAnalysis::from_trace`],
-//!   [`SessionPhases::from_trace`], and
-//!   [`first_rtt_bytes`](crate::ackclock::first_rtt_bytes).
-//!
-//! [`Trace`]: vstream_capture::Trace
-//! [`Trace::recv_window_series`]: vstream_capture::Trace::recv_window_series
-//! [`Trace::throughput_timeline`]: vstream_capture::Trace::throughput_timeline
-//! [`Trace::total_downloaded`]: vstream_capture::Trace::total_downloaded
-//! [`Trace::total_raw_downloaded`]: vstream_capture::Trace::total_raw_downloaded
-//! [`Trace::retransmission_rate`]: vstream_capture::Trace::retransmission_rate
-//! [`Trace::duration`]: vstream_capture::Trace::duration
-//! [`Trace::connection_summaries`]: vstream_capture::Trace::connection_summaries
+//! * [`WindowFold`] — `ref_recv_window`;
+//! * [`ThroughputFold`] — `ref_throughput`;
+//! * [`TotalsFold`] — the last point of `ref_download_series`,
+//!   `ref_raw_total`, `ref_retx_rate`, `ref_duration`;
+//! * [`SummariesFold`] — `ref_connection_summaries`;
+//! * [`SwitchRateFold`] — [`switch_counts_of`] over those summaries;
+//! * [`AnalysisFold`] — `ref_onoff`, `ref_phases`, `ref_first_rtt_bytes`
+//!   (what [`OnOffAnalysis::from_trace`], [`SessionPhases::from_trace`] and
+//!   [`first_rtt_bytes`](crate::ackclock::first_rtt_bytes) answer, being
+//!   this fold over a replayed trace).
 
 use std::mem::size_of;
 
@@ -109,10 +102,11 @@ impl FlowHighWater {
     }
 }
 
-/// Streaming form of the figure drivers' download series:
-/// `downsample_mb(trace.download_series(), step)` computed on the fly. Only
-/// the downsampled megabyte points are retained (plus the final cumulative
-/// point), never the full per-packet series.
+/// The figure drivers' download series: cumulative unique payload bytes —
+/// per connection the high-water mark of the sequence space seen, so
+/// retransmissions and duplicates do not count twice — downsampled on the
+/// fly to the first point, one point per `step`, and the last. Only those
+/// `(secs, megabytes)` points are retained, never the per-packet series.
 #[derive(Clone, Debug)]
 pub struct DownloadFold {
     step: SimDuration,
@@ -138,7 +132,7 @@ impl DownloadFold {
 
     /// The downsampled `(secs, megabytes)` series.
     pub fn finish(mut self) -> Vec<(f64, f64)> {
-        // Always include the final point (same rule as `downsample_mb`).
+        // Always include the final point.
         if let Some((t, bytes)) = self.last {
             let p = (t.as_secs_f64(), bytes as f64 / 1e6);
             if self.out.last() != Some(&p) {
@@ -172,11 +166,9 @@ impl PacketSink for DownloadFold {
     }
 }
 
-/// Streaming form of [`Trace::recv_window_series`]: the client's advertised
-/// receive window per outgoing ACK of one connection. The series is the
-/// figure's own data, so its size is the figure's, not the capture's.
-///
-/// [`Trace::recv_window_series`]: vstream_capture::Trace::recv_window_series
+/// The client's advertised receive window per outgoing ACK of one
+/// connection — the "Receive Window" axis of Figs. 2b and 6a. The series is
+/// the figure's own data, so its size is the figure's, not the capture's.
 #[derive(Clone, Debug)]
 pub struct WindowFold {
     conn: u32,
@@ -209,10 +201,9 @@ impl PacketSink for WindowFold {
     }
 }
 
-/// Streaming form of [`Trace::throughput_timeline`]: incoming goodput binned
-/// at fixed granularity. Memory is O(duration / bin).
-///
-/// [`Trace::throughput_timeline`]: vstream_capture::Trace::throughput_timeline
+/// Incoming goodput binned at fixed granularity, one `(bin_start,
+/// bits_per_sec)` point per bin — the view a tool like Wireshark's IO graph
+/// draws. Memory is O(duration / bin).
 #[derive(Clone, Debug)]
 pub struct ThroughputFold {
     bin: SimDuration,
@@ -260,8 +251,7 @@ impl ThroughputFold {
 
 impl PacketSink for ThroughputFold {
     fn packet(&mut self, p: &TapPacket) {
-        // The bin origin is the first captured packet of either direction,
-        // exactly like the column scan.
+        // The bin origin is the first captured packet of either direction.
         let t0 = *self.t0.get_or_insert(p.at);
         if !p.is_incoming_data() {
             return;
@@ -279,9 +269,7 @@ impl PacketSink for ThroughputFold {
 pub struct CaptureTotals {
     /// Captured packets (both directions).
     pub packets: u64,
-    /// Unique payload bytes delivered ([`Trace::total_downloaded`]).
-    ///
-    /// [`Trace::total_downloaded`]: vstream_capture::Trace::total_downloaded
+    /// Unique payload bytes delivered (retransmissions count once).
     pub total_downloaded: u64,
     /// Raw incoming payload bytes including retransmissions.
     pub total_raw_downloaded: u64,
@@ -291,8 +279,8 @@ pub struct CaptureTotals {
     pub duration: SimDuration,
 }
 
-/// Streaming form of the scalar capture reductions: totals, retransmission
-/// rate, and duration.
+/// The scalar capture reductions: totals, retransmission rate, and
+/// duration.
 #[derive(Clone, Debug, Default)]
 pub struct TotalsFold {
     flows: FlowHighWater,
@@ -355,10 +343,9 @@ impl PacketSink for TotalsFold {
     }
 }
 
-/// Streaming form of [`Trace::connection_summaries`]: one [`FlowState`] per
+/// Per-connection summary rows — the paper's per-connection view of the
+/// iPad and Netflix sessions (§5.1.3, §5.2.2): one [`FlowState`] per
 /// connection, updated per packet.
-///
-/// [`Trace::connection_summaries`]: vstream_capture::Trace::connection_summaries
 #[derive(Clone, Debug, Default)]
 pub struct SummariesFold {
     /// Sorted by connection id.
@@ -373,8 +360,7 @@ impl SummariesFold {
         SummariesFold::default()
     }
 
-    /// The per-connection summary rows, ordered by connection id (the same
-    /// order the trace scan's `BTreeMap` yields).
+    /// The per-connection summary rows, ordered by connection id.
     pub fn finish(self) -> Vec<ConnectionSummary> {
         self.flows
             .into_iter()
@@ -444,11 +430,8 @@ pub struct SwitchCounts {
 /// order), and counts rung changes. Memory is the per-flow table —
 /// O(flows), like every fold here.
 ///
-/// The oracle is [`switch_counts_of`] over
-/// [`Trace::connection_summaries`] — the column-scan form the batch paths
-/// use; the streaming/batch equivalence suite holds the two equal.
-///
-/// [`Trace::connection_summaries`]: vstream_capture::Trace::connection_summaries
+/// The oracle is [`switch_counts_of`] over per-connection summaries; the
+/// randomized suites hold the two equal.
 #[derive(Clone, Debug, Default)]
 pub struct SwitchRateFold {
     flows: FlowHighWater,
@@ -484,8 +467,8 @@ impl PacketSink for SwitchRateFold {
     }
 }
 
-/// The column-scan oracle of [`SwitchRateFold`]: the same classification
-/// over per-connection summaries (already in connection-id order).
+/// The oracle of [`SwitchRateFold`]: the same classification over
+/// per-connection summaries (already in connection-id order).
 pub fn switch_counts_of(
     summaries: &[ConnectionSummary],
     ladder: &[u64],
@@ -559,8 +542,11 @@ struct PendingCheckpoint {
 }
 
 /// The combined ON/OFF · phases · ack-clock fold: one shared
-/// [`CycleDetector`] pass producing everything `OnOffAnalysis::from_trace`,
-/// `SessionPhases::from_trace`, and `first_rtt_bytes` extract from a trace.
+/// [`CycleDetector`] pass producing the cycle analysis, the phase
+/// decomposition (the buffering phase ends where the first OFF period
+/// starts; the steady-state rate is the unique bytes after it over the time
+/// after it) and the bytes arriving within one RTT of each steady-state ON
+/// period's start.
 pub struct AnalysisFold {
     config: AnalysisConfig,
     detector: CycleDetector,
@@ -651,8 +637,9 @@ impl AnalysisFold {
             if onoff.cycles.len() < 2 {
                 return Vec::new();
             }
-            // The same single-cursor walk as `first_rtt_bytes`, over the
-            // recorded subset (which contains every countable packet).
+            // One cursor over the recorded subset (which contains every
+            // countable packet): packets are chronological, so each is
+            // visited once and counts toward at most one cycle.
             let mut out = Vec::with_capacity(onoff.cycles.len() - 1);
             let mut data = self.recorded.iter().peekable();
             for cycle in &onoff.cycles[1..] {
@@ -770,8 +757,14 @@ mod tests {
         }
     }
 
-    /// A small but busy trace: buffering burst, steady-state cycles on two
-    /// connections, a retransmission, outgoing ACKs.
+    /// A small but busy trace, hand-computable: a 50 kB burst on connection
+    /// 0 over 10..=59 ms with an ACK 10 µs behind each segment, then four
+    /// 10-segment blocks a second apart, alternating between connections 0
+    /// and 1. The second block carries one retransmission 30 µs after its
+    /// fourth segment, which shifts every later timestamp by as much.
+    /// Sequence numbers run on across both connections, so connection 1's
+    /// first segment alone lifts its high-water mark to 63 200: connection
+    /// 0 ends at 86 000 unique bytes, connection 1 at 98 000.
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
         let mut now = SimTime::from_millis(10);
@@ -800,60 +793,141 @@ mod tests {
         t
     }
 
-    fn feed<S: PacketSink>(trace: &Trace, sink: &mut S) {
-        trace.replay(sink);
+    /// `sink` after the whole capture has been replayed into it.
+    fn fed<S: PacketSink>(trace: &Trace, mut sink: S) -> S {
+        trace.replay(&mut sink);
+        sink
+    }
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+
+    /// Two new segments and a retransmission of the first.
+    fn retransmitting_trace() -> Trace {
+        let mut t = Trace::new();
+        t.push(at(10), TapDirection::Incoming, seg(1, 0, 1000));
+        t.push(at(20), TapDirection::Incoming, seg(1, 1000, 1000));
+        let mut rx = seg(1, 0, 1000);
+        rx.retx = true;
+        t.push(at(30), TapDirection::Incoming, rx);
+        t
     }
 
     #[test]
     fn download_fold_matches_downsampled_series() {
-        let t = sample_trace();
-        let step = SimDuration::from_millis(20);
-        // Inline oracle: the figure drivers' downsample over the column scan.
-        let series = t.download_series();
-        let mut expect: Vec<(f64, f64)> = Vec::new();
-        let mut next = SimTime::ZERO;
-        for &(at, bytes) in &series {
-            if at >= next || expect.is_empty() {
-                expect.push((at.as_secs_f64(), bytes as f64 / 1e6));
-                next = at + step;
-            }
-        }
-        if let Some(&(at, bytes)) = series.last() {
-            let p = (at.as_secs_f64(), bytes as f64 / 1e6);
-            if expect.last() != Some(&p) {
-                expect.push(p);
-            }
-        }
-        let mut fold = DownloadFold::new(step);
-        feed(&t, &mut fold);
-        assert_eq!(fold.finish(), expect);
+        // The first point, then the first point 20 ms or more after the
+        // last one kept (three in the burst, one per block), then the last.
+        let series = fed(&sample_trace(), DownloadFold::new(SimDuration::from_millis(20))).finish();
+        assert_eq!(
+            series,
+            [
+                (0.01, 0.001),
+                (0.03, 0.021),
+                (0.05, 0.041),
+                (1.06, 0.0512),
+                (2.07, 0.1252),
+                (3.08003, 0.1492),
+                (4.09003, 0.1732),
+                (4.09903, 0.184),
+            ]
+        );
     }
 
     #[test]
-    fn totals_fold_matches_scans() {
+    fn download_fold_accumulates_unique_bytes() {
+        // A zero step keeps every point; the retransmission adds none.
+        let series = fed(&retransmitting_trace(), DownloadFold::new(SimDuration::ZERO)).finish();
+        assert_eq!(
+            series,
+            [(at(10), 1000u64), (at(20), 2000)].map(|(t, b)| (t.as_secs_f64(), b as f64 / 1e6))
+        );
+        let mut t = Trace::new();
+        t.push(at(10), TapDirection::Incoming, seg(1, 0, 500));
+        t.push(at(20), TapDirection::Incoming, seg(2, 0, 700));
+        t.push(at(30), TapDirection::Outgoing, seg(1, 0, 800));
+        // Connections sum; outgoing payload is not download.
+        let series = fed(&t, DownloadFold::new(SimDuration::ZERO)).finish();
+        assert_eq!(series.last(), Some(&(at(20).as_secs_f64(), 1200.0 / 1e6)));
+    }
+
+    #[test]
+    fn totals_fold_pins_the_sample_capture() {
         let t = sample_trace();
-        let mut fold = TotalsFold::new();
-        feed(&t, &mut fold);
-        let totals = fold.finish();
-        assert_eq!(totals.packets, t.len() as u64);
+        let totals = fed(&t, TotalsFold::new()).finish();
+        assert_eq!(totals.packets, 50 + 50 + 41);
+        assert_eq!(totals.total_downloaded, 86_000 + 98_000);
         assert_eq!(totals.total_downloaded, t.total_downloaded());
-        assert_eq!(totals.total_raw_downloaded, t.total_raw_downloaded());
-        assert_eq!(totals.retransmission_rate, t.retransmission_rate());
-        assert_eq!(totals.duration, t.duration());
+        assert_eq!(totals.total_raw_downloaded, 50_000 + 41 * 1200);
+        assert_eq!(totals.retransmission_rate, 1.0 / 91.0);
+        assert_eq!(totals.duration, SimDuration::from_micros(4_089_030));
     }
 
     #[test]
-    fn summaries_fold_matches_scan() {
-        let t = sample_trace();
-        let mut fold = SummariesFold::new();
-        feed(&t, &mut fold);
-        assert_eq!(fold.finish(), t.connection_summaries());
+    fn totals_fold_counts_marked_retransmissions() {
+        let totals = fed(&retransmitting_trace(), TotalsFold::new()).finish();
+        assert_eq!(totals.total_downloaded, 2000);
+        assert_eq!(totals.total_raw_downloaded, 3000);
+        assert!((totals.retransmission_rate - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn totals_fold_duration_spans_first_to_last_packet() {
+        let mut t = Trace::new();
+        t.push(at(10), TapDirection::Incoming, seg(1, 0, 100));
+        t.push(at(50), TapDirection::Outgoing, seg(1, 0, 0));
+        let totals = fed(&t, TotalsFold::new()).finish();
+        assert_eq!(totals.duration, SimDuration::from_millis(40));
+    }
+
+    #[test]
+    fn totals_fold_ignores_outgoing_payload() {
+        let mut t = Trace::new();
+        t.push(at(10), TapDirection::Outgoing, seg(1, 0, 800));
+        let totals = fed(&t, TotalsFold::new()).finish();
+        assert_eq!((totals.total_downloaded, totals.total_raw_downloaded), (0, 0));
+        assert_eq!(totals.retransmission_rate, 0.0);
+    }
+
+    #[test]
+    fn summaries_fold_pins_the_sample_capture() {
+        let us = SimTime::from_micros;
+        let row = |conn, first_seen, last_seen, unique_bytes, packets| ConnectionSummary {
+            conn,
+            first_seen,
+            last_seen,
+            unique_bytes,
+            packets,
+        };
+        assert_eq!(
+            fed(&sample_trace(), SummariesFold::new()).finish(),
+            [
+                row(0, at(10), us(3_089_030), 86_000, 120),
+                row(1, at(2_070), us(4_099_030), 98_000, 21),
+            ]
+        );
+    }
+
+    #[test]
+    fn summaries_fold_splits_by_conn() {
+        let mut t = Trace::new();
+        t.push(at(10), TapDirection::Incoming, seg(1, 0, 500));
+        t.push(at(20), TapDirection::Outgoing, seg(1, 0, 0));
+        t.push(at(30), TapDirection::Incoming, seg(2, 0, 800));
+        let s = fed(&t, SummariesFold::new()).finish();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s[0].conn, 1);
+        assert_eq!(s[0].unique_bytes, 500);
+        assert_eq!(s[0].packets, 2);
+        assert_eq!(s[1].unique_bytes, 800);
+        assert_eq!(s[0].first_seen, at(10));
+        assert_eq!(s[0].last_seen, at(20));
     }
 
     /// The last-hit memo of the per-flow tables is only a shortcut: packets
     /// alternating between connections whose ids arrive in no order (so
     /// inserts land below, at and above the remembered row) fold to the
-    /// same totals and summaries as the column scans.
+    /// same per-connection byte and packet counts as were pushed.
     #[test]
     fn flow_lookup_memo_survives_interleaved_and_unordered_connections() {
         let mut t = Trace::new();
@@ -866,56 +940,119 @@ mod tests {
             seq[conn as usize] += payload as u64;
             now += SimDuration::from_millis(3);
         }
-        let (mut totals, mut summaries, mut switches) =
-            (TotalsFold::new(), SummariesFold::new(), SwitchRateFold::new());
-        feed(&t, &mut totals);
-        feed(&t, &mut summaries);
-        feed(&t, &mut switches);
-        assert_eq!(totals.finish().total_downloaded, t.total_downloaded());
-        assert_eq!(switches.flows.conns, [0, 2, 5, 7, 9]);
+        let switches = fed(&t, SwitchRateFold::new());
         assert_eq!(
-            switches.flows.high,
-            t.connection_summaries().iter().map(|s| s.unique_bytes).collect::<Vec<_>>()
+            fed(&t, TotalsFold::new()).finish().total_downloaded,
+            seq.iter().sum::<u64>()
         );
-        assert_eq!(summaries.finish(), t.connection_summaries());
+        assert_eq!(switches.flows.conns, [0, 2, 5, 7, 9]);
+        assert_eq!(switches.flows.high, [0, 2, 5, 7, 9].map(|c| seq[c]));
+        let rows: Vec<_> = fed(&t, SummariesFold::new())
+            .finish()
+            .iter()
+            .map(|s| (s.conn, s.unique_bytes, s.packets))
+            .collect();
+        // Connections 0, 2, 5, 7, 9 sent 2, 3, 4, 3, 3 segments, one ACK each.
+        assert_eq!(
+            rows,
+            [(0, seq[0], 4), (2, seq[2], 6), (5, seq[5], 8), (7, seq[7], 6), (9, seq[9], 6)]
+        );
     }
 
     #[test]
-    fn window_and_throughput_folds_match_scans() {
+    fn window_and_throughput_folds_pin_the_sample_capture() {
         let t = sample_trace();
-        let mut wf = WindowFold::new(0);
-        let mut tf = ThroughputFold::new(SimDuration::from_millis(500));
-        feed(&t, &mut wf);
-        feed(&t, &mut tf);
-        assert_eq!(wf.finish(), t.recv_window_series(0));
-        assert_eq!(tf.finish(), t.throughput_timeline(SimDuration::from_millis(500)));
+        // One ACK 10 µs behind each segment of the burst.
+        let window: Vec<_> =
+            (0..50).map(|i| (SimTime::from_micros(10_010 + 1_000 * i), 65_535)).collect();
+        assert_eq!(fed(&t, WindowFold::new(0)).finish(), window);
+        assert!(fed(&t, WindowFold::new(1)).finish().is_empty());
+
+        // Half-second bins anchored at 10 ms: the burst, then a block in
+        // every other bin.
+        let bin = SimDuration::from_millis(500);
+        let timeline: Vec<_> = (0u64..)
+            .zip([50_000u64, 0, 12_000, 0, 13_200, 0, 12_000, 0, 12_000])
+            .map(|(i, bytes)| (at(10 + 500 * i), bytes as f64 * 8.0 / 0.5))
+            .collect();
+        assert_eq!(fed(&t, ThroughputFold::new(bin)).finish(), timeline);
+    }
+
+    #[test]
+    fn window_fold_reads_outgoing_acks() {
+        let mut t = Trace::new();
+        // The connection's own SYN carries no ACK flag: excluded.
+        let mut syn = seg(1, 0, 0);
+        (syn.syn, syn.ack) = (true, false);
+        t.push(at(2), TapDirection::Outgoing, syn);
+        let mut a = seg(1, 0, 0);
+        a.window = 256_000;
+        t.push(at(5), TapDirection::Outgoing, a);
+        // The server's ACKs advertise the server's window: excluded.
+        t.push(at(10), TapDirection::Incoming, seg(1, 0, 0));
+        let mut b = seg(1, 0, 0);
+        b.window = 0;
+        t.push(at(15), TapDirection::Outgoing, b);
+        // A different connection's ACK is excluded.
+        t.push(at(25), TapDirection::Outgoing, seg(2, 0, 0));
+        let series = fed(&t, WindowFold::new(1)).finish();
+        assert_eq!(series, vec![(at(5), 256_000), (at(15), 0)]);
+    }
+
+    #[test]
+    fn throughput_fold_bins_bytes() {
+        let mut t = Trace::new();
+        // 2000 bytes in the first second, 1000 in the third.
+        t.push(at(100), TapDirection::Incoming, seg(1, 0, 1000));
+        t.push(at(600), TapDirection::Incoming, seg(1, 1000, 1000));
+        t.push(at(2500), TapDirection::Incoming, seg(1, 2000, 1000));
+        let tl = fed(&t, ThroughputFold::new(SimDuration::from_secs(1))).finish();
+        assert_eq!(tl.len(), 3);
+        assert!((tl[0].1 - 16_000.0).abs() < 1e-9); // 2000 B/s = 16 kbps
+        assert_eq!(tl[1].1, 0.0);
+        assert!((tl[2].1 - 8_000.0).abs() < 1e-9);
     }
 
     #[test]
     fn analysis_fold_matches_trace_analysis() {
         let t = sample_trace();
-        let cfg = AnalysisConfig::default();
+        let us = SimTime::from_micros;
         let rtt = SimDuration::from_millis(30);
-        let mut fold = AnalysisFold::new(cfg.clone()).with_phases().with_ack_clock(rtt);
-        feed(&t, &mut fold);
-        let out = fold.finish();
-        let oracle = OnOffAnalysis::from_trace(&t, &cfg);
-        assert_eq!(out.onoff.cycles, oracle.cycles);
-        assert_eq!(out.onoff.off_periods, oracle.off_periods);
+        let fold = AnalysisFold::new(AnalysisConfig::default()).with_phases().with_ack_clock(rtt);
+        let out = fed(&t, fold).finish();
+        let cycle = |on_start, on_end, bytes, packets| Cycle { on_start, on_end, bytes, packets };
+        assert_eq!(
+            out.onoff.cycles,
+            [
+                cycle(at(10), at(59), 50_000, 50),
+                cycle(at(1_060), at(1_069), 12_000, 10),
+                cycle(at(2_070), us(2_079_030), 13_200, 11),
+                cycle(us(3_080_030), us(3_089_030), 12_000, 10),
+                cycle(us(4_090_030), us(4_099_030), 12_000, 10),
+            ]
+        );
+        assert_eq!(
+            out.onoff.off_periods,
+            [
+                (at(59), at(1_060)),
+                (at(1_069), at(2_070)),
+                (us(2_079_030), us(3_080_030)),
+                (us(3_089_030), us(4_090_030)),
+            ]
+        );
 
         let phases = out.phases.unwrap();
-        let expect = SessionPhases::from_trace(&t, &cfg);
-        assert_eq!(phases.start, expect.start);
-        assert_eq!(phases.buffering_end, expect.buffering_end);
-        assert_eq!(phases.buffering_bytes, expect.buffering_bytes);
-        assert_eq!(phases.steady_state_rate_bps, expect.steady_state_rate_bps);
-        assert_eq!(phases.total_bytes, expect.total_bytes);
-        assert_eq!(phases.duration, expect.duration);
-
+        assert_eq!(phases.start, at(10));
+        assert_eq!(phases.buffering_end, Some(at(59)));
+        assert_eq!(phases.buffering_bytes, 50_000);
+        assert_eq!(phases.total_bytes, 184_000);
+        assert_eq!(phases.duration, SimDuration::from_micros(4_089_030));
         assert_eq!(
-            out.first_rtt_bytes.unwrap(),
-            crate::ackclock::first_rtt_bytes(&t, &cfg, rtt)
+            phases.steady_state_rate_bps,
+            Some(134_000.0 * 8.0 / SimDuration::from_micros(4_040_030).as_secs_f64())
         );
+
+        assert_eq!(out.first_rtt_bytes.unwrap(), [12_000, 13_200, 12_000, 12_000]);
     }
 
     #[test]
@@ -937,19 +1074,16 @@ mod tests {
             }
             now = now + SimDuration::from_secs(2);
         }
-        let mut fold = SwitchRateFold::new();
-        feed(&t, &mut fold);
-        let counts = fold.finish(&ladder, seg_ms);
+        let counts = fed(&t, SwitchRateFold::new()).finish(&ladder, seg_ms);
         assert_eq!(counts, SwitchCounts { segments: 3, switches: 1 });
-        assert_eq!(counts, switch_counts_of(&t.connection_summaries(), &ladder, seg_ms));
+        let summaries = fed(&t, SummariesFold::new()).finish();
+        assert_eq!(counts, switch_counts_of(&summaries, &ladder, seg_ms));
         // A retransmission-riddled final segment still lands on its rung:
         // classification reads unique bytes, not raw bytes.
         let mut rx = seg(2, 0, 1448);
         rx.retx = true;
         t.push(now, TapDirection::Incoming, rx);
-        let mut fold = SwitchRateFold::new();
-        feed(&t, &mut fold);
-        assert_eq!(fold.finish(&ladder, seg_ms).switches, 1);
+        assert_eq!(fed(&t, SwitchRateFold::new()).finish(&ladder, seg_ms).switches, 1);
     }
 
     #[test]
@@ -963,18 +1097,16 @@ mod tests {
         let mut t = Trace::new();
         t.push(SimTime::from_millis(1), TapDirection::Outgoing, seg(0, 0, 0));
         t.push(SimTime::from_millis(2), TapDirection::Incoming, seg(1, 0, 175_000));
-        let mut fold = SwitchRateFold::new();
-        feed(&t, &mut fold);
-        assert_eq!(fold.finish(&ladder, 4_000), SwitchCounts { segments: 1, switches: 0 });
+        assert_eq!(
+            fed(&t, SwitchRateFold::new()).finish(&ladder, 4_000),
+            SwitchCounts { segments: 1, switches: 0 }
+        );
     }
 
     #[test]
     fn empty_stream_is_degenerate_everywhere() {
-        let t = Trace::new();
-        let cfg = AnalysisConfig::default();
-        let mut fold = AnalysisFold::new(cfg.clone()).with_phases();
-        feed(&t, &mut fold);
-        let out = fold.finish();
+        let fold = AnalysisFold::new(AnalysisConfig::default()).with_phases();
+        let out = fed(&Trace::new(), fold).finish();
         assert!(out.onoff.cycles.is_empty());
         assert_eq!(out.phases.unwrap().total_bytes, 0);
         assert_eq!(TotalsFold::new().finish(), CaptureTotals::default());

@@ -17,11 +17,11 @@
 //! * **Statistics** ([`stats`]) — empirical CDFs, quantiles, and the Pearson
 //!   correlations quoted throughout Section 5.
 //!
-//! Every reduction also has a streaming form in [`fold`]: incremental
-//! operators behind the [`vstream_capture::PacketSink`] tap that keep
-//! per-flow state only (O(flows), not O(packets)) and produce results
-//! identical to the trace scans — so figures can be computed without ever
-//! materialising a capture.
+//! Every reduction is implemented once, in [`fold`]: incremental operators
+//! behind the [`vstream_capture::PacketSink`] tap that keep per-flow state
+//! only (O(flows), not O(packets)) — so figures can be computed without
+//! ever materialising a capture. The `from_trace` entry points replay a
+//! retained trace into the same folds.
 
 pub mod ackclock;
 pub mod classify;

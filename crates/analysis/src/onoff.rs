@@ -16,6 +16,8 @@
 use vstream_capture::Trace;
 use vstream_sim::{SimDuration, SimTime};
 
+use crate::fold::AnalysisFold;
+
 /// Parameters of the cycle detector.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AnalysisConfig {
@@ -63,13 +65,11 @@ pub struct OnOffAnalysis {
     pub off_periods: Vec<(SimTime, SimTime)>,
 }
 
-/// Incremental ON/OFF cycle detector — the streaming form of the raw
-/// detection loop in [`OnOffAnalysis::from_trace`], fed one incoming data
-/// packet at a time (e.g. from a live
-/// [`PacketSink`](vstream_capture::PacketSink) tap). [`CycleDetector::finish`]
-/// closes the open cycle and applies the min-cycle filter, so a live tap and
-/// a post-hoc trace scan produce the same analysis; `from_trace` itself is a
-/// column scan feeding this detector.
+/// Incremental ON/OFF cycle detector, fed one incoming data packet at a
+/// time (by [`AnalysisFold`] behind a live
+/// [`PacketSink`](vstream_capture::PacketSink) tap or a replayed capture).
+/// [`CycleDetector::into_raw`] closes the open cycle;
+/// [`OnOffAnalysis::filter_raw`] applies the min-cycle filter.
 ///
 /// State is O(cycles), not O(packets).
 #[derive(Clone, Debug, Default)]
@@ -128,13 +128,6 @@ impl CycleDetector {
         (self.cycles, self.off_periods)
     }
 
-    /// Closes the open cycle and applies the min-cycle filter, yielding the
-    /// same analysis [`OnOffAnalysis::from_trace`] computes from a capture.
-    pub fn finish(self, config: &AnalysisConfig) -> OnOffAnalysis {
-        let (cycles, off_periods) = self.into_raw();
-        OnOffAnalysis::filter_raw(cycles, off_periods, config)
-    }
-
     /// Heap bytes held by the detector state.
     pub fn approx_bytes(&self) -> usize {
         self.cycles.capacity() * std::mem::size_of::<Cycle>()
@@ -147,15 +140,12 @@ impl OnOffAnalysis {
     /// aggregated, as the viewer's access link sees them) into ON/OFF
     /// cycles.
     pub fn from_trace(trace: &Trace, config: &AnalysisConfig) -> Self {
-        let mut detector = CycleDetector::default();
-        for r in trace.incoming_data() {
-            detector.data(r.at(), r.payload() as u64, config.idle_threshold);
-        }
-        detector.finish(config)
+        let mut fold = AnalysisFold::new(config.clone());
+        trace.replay(&mut fold);
+        fold.finish().onoff
     }
 
-    /// Applies the artifact filter to raw detected cycles — shared between
-    /// the trace scan and the incremental [`CycleDetector`].
+    /// Applies the artifact filter to raw detected cycles.
     ///
     /// Drops probe/keep-alive artifacts: a "cycle" of a few bytes is a
     /// zero-window probe, not an application block. Its OFF neighbours merge

@@ -9,7 +9,8 @@
 use vstream_capture::Trace;
 use vstream_sim::{SimDuration, SimTime};
 
-use crate::onoff::{AnalysisConfig, OnOffAnalysis};
+use crate::fold::AnalysisFold;
+use crate::onoff::AnalysisConfig;
 
 /// Phase metrics extracted from one streaming-session capture.
 #[derive(Clone, Debug)]
@@ -34,36 +35,9 @@ pub struct SessionPhases {
 impl SessionPhases {
     /// Decomposes a capture into buffering and steady-state phases.
     pub fn from_trace(trace: &Trace, config: &AnalysisConfig) -> Self {
-        let analysis = OnOffAnalysis::from_trace(trace, config);
-        let series = trace.download_series();
-        let start = series.first().map_or(SimTime::ZERO, |&(t, _)| t);
-        let total_bytes = series.last().map_or(0, |&(_, v)| v);
-        let end = series.last().map_or(start, |&(t, _)| t);
-
-        let buffering_end = analysis.off_periods.first().map(|&(off_start, _)| off_start);
-
-        let buffering_bytes = match buffering_end {
-            Some(be) => bytes_at(&series, be),
-            None => total_bytes,
-        };
-
-        let steady_state_rate_bps = buffering_end.and_then(|be| {
-            let steady_duration = end.saturating_duration_since(be).as_secs_f64();
-            if steady_duration <= 0.0 {
-                return None;
-            }
-            let steady_bytes = total_bytes - bytes_at(&series, be);
-            Some(steady_bytes as f64 * 8.0 / steady_duration)
-        });
-
-        SessionPhases {
-            start,
-            buffering_end,
-            buffering_bytes,
-            steady_state_rate_bps,
-            total_bytes,
-            duration: end.saturating_duration_since(start),
-        }
+        let mut fold = AnalysisFold::new(config.clone()).with_phases();
+        trace.replay(&mut fold);
+        fold.finish().phases.expect("phases requested")
     }
 
     /// True if the session has a steady-state phase (i.e. is not a bulk
@@ -89,14 +63,6 @@ impl SessionPhases {
     pub fn buffered_playback_time(&self, encoding_rate_bps: f64) -> f64 {
         assert!(encoding_rate_bps > 0.0, "encoding rate must be positive");
         self.buffering_bytes as f64 * 8.0 / encoding_rate_bps
-    }
-}
-
-/// Value of a cumulative step series at time `t`.
-fn bytes_at(series: &[(SimTime, u64)], t: SimTime) -> u64 {
-    match series.partition_point(|&(at, _)| at <= t) {
-        0 => 0,
-        n => series[n - 1].1,
     }
 }
 

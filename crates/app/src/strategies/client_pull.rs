@@ -199,7 +199,9 @@ impl SessionLogic for ClientPullLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstream_analysis::{classify, AnalysisConfig, OnOffAnalysis, SessionPhases, Strategy};
+    use vstream_analysis::{
+        classify, AnalysisConfig, OnOffAnalysis, SessionPhases, Strategy, WindowFold,
+    };
     use vstream_capture::TapDirection;
     use vstream_net::NetworkProfile;
 
@@ -248,7 +250,9 @@ mod tests {
     #[test]
     fn receive_window_collapses_to_zero() {
         let (eng, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
-        let wnd = eng.trace().recv_window_series(0);
+        let mut wnd = WindowFold::new(0);
+        eng.trace().replay(&mut wnd);
+        let wnd = wnd.finish();
         assert!(
             wnd.iter().any(|&(_, w)| w == 0),
             "advertised window never reached zero"
@@ -331,7 +335,9 @@ mod tests {
         );
         let mut logic = ClientPullLogic::new(ClientPullConfig::internet_explorer(), long_video());
         eng.run(&mut logic);
-        let wnd = eng.trace().recv_window_series(0);
+        let mut wnd = WindowFold::new(0);
+        eng.trace().replay(&mut wnd);
+        let wnd = wnd.finish();
         assert_eq!(wnd.iter().map(|&(_, w)| w).max().unwrap_or(0), 0);
         let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
         assert!(phases.accumulation_ratio(1_500_000.0).is_none());
@@ -350,7 +356,9 @@ mod tests {
         );
         let mut logic = ClientPullLogic::new(ClientPullConfig::internet_explorer(), long_video());
         eng.run(&mut logic);
-        let wnd = eng.trace().recv_window_series(0);
+        let mut wnd = WindowFold::new(0);
+        eng.trace().replay(&mut wnd);
+        let wnd = wnd.finish();
         let _ = wnd.iter().map(|&(_, w)| w).max().unwrap_or(0);
         let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
         assert!(phases.accumulation_ratio(1_500_000.0).is_none());

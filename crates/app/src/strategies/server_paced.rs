@@ -132,7 +132,7 @@ impl SessionLogic for ServerPacedLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstream_analysis::{classify, AnalysisConfig, SessionPhases, Strategy};
+    use vstream_analysis::{classify, AnalysisConfig, SessionPhases, Strategy, WindowFold};
     use vstream_net::NetworkProfile;
     use vstream_sim::SimDuration;
 
@@ -205,7 +205,9 @@ mod tests {
             let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
             // No steady state yet: the ratio is a sentinel, not a panic.
             assert!(phases.accumulation_ratio(1_000_000.0).is_none());
-            let wnd = eng.trace().recv_window_series(0);
+            let mut wnd = WindowFold::new(0);
+            eng.trace().replay(&mut wnd);
+            let wnd = wnd.finish();
             let _ = wnd.iter().map(|&(_, w)| w).max().unwrap_or(0);
         }
     }

@@ -167,6 +167,11 @@ fn main() {
         eprintln!("error: unknown id {bad:?} (try --help)");
         std::process::exit(2);
     }
+    // A sample of zero sessions renders `NaN` rows and empty CDFs.
+    if opts.n == 0 {
+        eprintln!("error: invalid value \"0\" for --n");
+        std::process::exit(2);
+    }
     if opts.trace_dir.is_none() && (opts.trace_anomalies || opts.trace_cap.is_some()) {
         eprintln!("error: --trace-anomalies and --trace-cap require --trace-dir");
         std::process::exit(2);

@@ -40,6 +40,20 @@ fn trace_flags_without_trace_dir_exit_2() {
     assert_rejected(&["fig2", "--trace-cap", "4096"], "require --trace-dir");
 }
 
+/// `--n 0` used to exit 0 with `NaN` rows (`ext-stalls`) and `[inf, -inf]`
+/// CDFs (`fig4` and the other sampled figures); it is rejected before the
+/// CSV directory is created.
+#[test]
+fn zero_sample_size_exits_2_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("vstream-cli-n0-{}", std::process::id()));
+    assert_rejected(&["fig4", "--n", "0"], "invalid value \"0\" for --n");
+    assert_rejected(
+        &["ext-stalls", "--n", "0", "--csv", dir.to_str().unwrap()],
+        "invalid value \"0\" for --n",
+    );
+    assert!(!dir.exists(), "a rejected run must not create its CSV directory");
+}
+
 /// An ablation harness is bracketed by the flight recorder like any other
 /// session: `ext-cc` dumps its Reno and CUBIC runs (one seed, so the stem
 /// carries the controller), the dump set and bytes do not depend on

@@ -16,8 +16,9 @@
 //!
 //! Storage is columnar: [`Trace`] keeps one dense array per segment field
 //! (plus a side table for rare SACK state), records are addressed through
-//! the lightweight [`trace::PacketRef`] view, and analysis scans read only
-//! the columns they consume.
+//! the lightweight [`trace::PacketRef`] view, and [`Trace::replay`] feeds
+//! the columns to the `vstream-analysis` folds — the reductions themselves
+//! live there, not here.
 
 pub mod pack;
 pub mod pcap;

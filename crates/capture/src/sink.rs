@@ -17,10 +17,10 @@
 //!   record without materialising a trace.
 //!
 //! [`Trace`] itself implements [`PacketSink`], which is what makes the
-//! modes interchangeable: recording a replay reproduces the original
-//! capture exactly, and any fold fed by the tap can be checked against the
-//! corresponding column scan of the recorded trace. [`Tee`] splits one
-//! stream to two sinks for the record-and-fold case.
+//! producers interchangeable: recording a replay reproduces the original
+//! capture exactly, and a fold fed by the tap sees what the same fold sees
+//! on a replay of the recorded trace. [`Tee`] splits one stream to two
+//! sinks for the record-and-fold case.
 
 use vstream_sim::SimTime;
 use vstream_tcp::segment::SackBlocks;
@@ -137,7 +137,7 @@ impl TapPacket {
 /// Implementations must be pure folds over the packet stream: the same
 /// sequence of [`TapPacket`]s must always produce the same state, so a
 /// live session tap, a trace replay, and a packed-cache replay are
-/// interchangeable (the streaming/batch byte-equality contract).
+/// interchangeable.
 pub trait PacketSink {
     /// Accepts the next packet of the capture.
     fn packet(&mut self, p: &TapPacket);

@@ -1,21 +1,22 @@
-//! A captured packet trace and the time-series extractions the paper's
-//! figures are built from.
+//! A captured packet trace: the columnar record store behind the tap.
 //!
 //! # Columnar layout
 //!
 //! The trace is stored as a structure-of-arrays: one dense column per
 //! segment field (timestamps, tag bits, connection ids, payload lengths,
 //! sequence/ack/window metadata) plus a sparse side table for the rare
-//! records that carry SACK state. Every figure in the paper is a reduction
-//! that reads one or two fields of each packet — `download_series` touches
-//! `(tags, conn, seq, payload, at)`, the ON/OFF detector `(tags, at,
-//! payload)` — so the scans pull only the bytes they consume through cache
-//! instead of striding across ~120-byte records. The accessor API is
-//! preserved through [`PacketRef`], a lightweight per-record view that
-//! reads individual columns on demand and can materialise a full
-//! [`PacketRecord`] when a consumer genuinely needs every field.
-
-use std::collections::BTreeMap;
+//! records that carry SACK state. Recording appends to each column,
+//! [`Trace::replay`] and the packer walk them linearly, and a consumer that
+//! reads one or two fields of each packet pulls only those columns through
+//! cache instead of striding across ~120-byte records. Per-record access
+//! goes through [`PacketRef`], a lightweight view that reads individual
+//! columns on demand and can materialise a full [`PacketRecord`] when a
+//! consumer genuinely needs every field.
+//!
+//! The trace holds no reductions of its own: every figure-facing quantity
+//! (download series, receive window, throughput, totals, per-connection
+//! summaries, ON/OFF cycles) is a fold in `vstream-analysis`, fed from the
+//! live tap or from [`Trace::replay`].
 
 use vstream_sim::SimTime;
 use vstream_tcp::segment::SackBlocks;
@@ -28,8 +29,7 @@ use crate::record::{PacketRecord, TapDirection};
 /// The flag byte holds the direction plus the four TCP flags, and a marker
 /// for records with an entry in the SACK side table (so the common case
 /// skips the side-table lookup entirely). The same byte is the `flags`
-/// field of a [`crate::sink::TapPacket`], which is how streaming consumers
-/// and the columnar scans read identical state.
+/// field of a [`crate::sink::TapPacket`], which is what the folds read.
 pub const FLAG_OUTGOING: u8 = 1 << 0;
 /// Per-record flag bit: SYN.
 pub const FLAG_SYN: u8 = 1 << 1;
@@ -65,9 +65,9 @@ pub struct Trace {
     /// The SACK state for each entry of `extras_idx`, in the same order.
     pub(crate) extras_sack: Vec<SackBlocks>,
     /// Sorted, deduplicated connection ids — maintained incrementally on
-    /// `push` so [`Trace::connections`] (called repeatedly inside analysis
-    /// loops) never re-scans the capture. A session touches a handful of
-    /// connections, so the membership probe is a short binary search.
+    /// `push` so [`Trace::connections`] never re-scans the capture. A
+    /// session touches a handful of connections, so the membership probe is
+    /// a short binary search.
     pub(crate) conns: Vec<u32>,
 }
 
@@ -227,56 +227,13 @@ impl Trace {
         &self.conns
     }
 
-    /// Incoming data packets (video payload), in order.
-    pub fn incoming_data(&self) -> impl Iterator<Item = PacketRef<'_>> {
-        self.records().filter(|r| r.is_incoming_data())
-    }
-
-    /// Cumulative *unique* payload bytes downloaded over time, summed across
-    /// connections — the "Download Amount" axis of Figs. 1, 2a, 6a, 7a, 10.
+    /// Total unique payload bytes downloaded, summed across connections:
+    /// each contributes the high-water mark of the sequence space seen, so
+    /// retransmissions and duplicates do not count twice.
     ///
-    /// Unique means retransmissions and duplicates do not count twice: the
-    /// per-connection contribution is the high-water mark of contiguous
-    /// sequence space seen, which is how a trace analyser reconstructs
-    /// goodput from a capture.
-    pub fn download_series(&self) -> Vec<(SimTime, u64)> {
-        // Per-connection high-water marks, indexed by the connection's rank
-        // in the sorted `conns` cache — a flat lookup instead of a per-call
-        // BTreeMap. The output is presized to the record count (an upper
-        // bound: only incoming data that advances a high-water mark emits a
-        // point).
-        let n = self.len();
-        let (tags, conn, payload, seq, at) = (
-            &self.tags[..n],
-            &self.conn[..n],
-            &self.payload[..n],
-            &self.seq[..n],
-            &self.at[..n],
-        );
-        let mut high = vec![0u64; self.conns.len()];
-        let mut total = 0u64;
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            if tags[i] & FLAG_OUTGOING != 0 || payload[i] == 0 {
-                continue;
-            }
-            let end = seq[i] + payload[i] as u64;
-            let idx = self
-                .conns
-                .binary_search(&conn[i])
-                .expect("conns cache tracks every pushed record");
-            if end > high[idx] {
-                total += end - high[idx];
-                high[idx] = end;
-                out.push((at[i], total));
-            }
-        }
-        out
-    }
-
-    /// Total unique bytes downloaded (final value of
-    /// [`Trace::download_series`]) — computed in one pass, without
-    /// materialising the series.
+    /// The one reduction left on the trace, and only because
+    /// `benchmark/driver` sizes a probe with it; it leaves together with
+    /// `pack.rs`. Everything else reads `TotalsFold` in `vstream-analysis`.
     pub fn total_downloaded(&self) -> u64 {
         let n = self.len();
         let (tags, conn, payload, seq) = (
@@ -302,137 +259,6 @@ impl Trace {
             }
         }
         total
-    }
-
-    /// Total raw payload bytes including retransmissions.
-    pub fn total_raw_downloaded(&self) -> u64 {
-        let n = self.len();
-        let (tags, payload) = (&self.tags[..n], &self.payload[..n]);
-        let mut total = 0u64;
-        for i in 0..n {
-            if tags[i] & FLAG_OUTGOING == 0 {
-                total += payload[i] as u64;
-            }
-        }
-        total
-    }
-
-    /// Fraction of incoming data segments marked as retransmissions.
-    pub fn retransmission_rate(&self) -> f64 {
-        let n = self.len();
-        let (tags, payload) = (&self.tags[..n], &self.payload[..n]);
-        let (mut total, mut retx) = (0u64, 0u64);
-        for i in 0..n {
-            if tags[i] & FLAG_OUTGOING != 0 || payload[i] == 0 {
-                continue;
-            }
-            total += 1;
-            if tags[i] & FLAG_RETX != 0 {
-                retx += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            retx as f64 / total as f64
-        }
-    }
-
-    /// The client's advertised receive window over time for one connection,
-    /// read from outgoing ACKs — the "Receive Window" axis of Figs. 2b
-    /// and 6a.
-    pub fn recv_window_series(&self, conn: u32) -> Vec<(SimTime, u64)> {
-        const WANT: u8 = FLAG_OUTGOING | FLAG_ACK;
-        let n = self.len();
-        let (tags, conns, window, at) = (
-            &self.tags[..n],
-            &self.conn[..n],
-            &self.window[..n],
-            &self.at[..n],
-        );
-        let mut out = Vec::new();
-        for i in 0..n {
-            if tags[i] & WANT == WANT && conns[i] == conn {
-                out.push((at[i], window[i]));
-            }
-        }
-        out
-    }
-
-    /// Capture duration from first to last packet.
-    pub fn duration(&self) -> vstream_sim::SimDuration {
-        match (self.at.first(), self.at.last()) {
-            (Some(&a), Some(&b)) => b.duration_since(a),
-            _ => vstream_sim::SimDuration::ZERO,
-        }
-    }
-
-    /// Incoming goodput binned over time: one `(bin_start, bits_per_sec)`
-    /// point per bin of width `bin`. The throughput-timeline view of a
-    /// capture, as a tool like Wireshark's IO graph would draw it.
-    pub fn throughput_timeline(&self, bin: vstream_sim::SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(!bin.is_zero(), "bin width must be positive");
-        let Some(&t0) = self.at.first() else {
-            return Vec::new();
-        };
-        // The capture is chronological, so the last record bounds the bin
-        // count; one up-front resize replaces incremental growth.
-        let last = *self.at.last().expect("non-empty checked above");
-        let max_idx = (last.duration_since(t0).as_nanos() / bin.as_nanos()) as usize;
-        let mut bins: Vec<u64> = vec![0; max_idx + 1];
-        let mut used = 0usize;
-        let n = self.len();
-        let (tags, payload, at) = (&self.tags[..n], &self.payload[..n], &self.at[..n]);
-        for i in 0..n {
-            if tags[i] & FLAG_OUTGOING != 0 || payload[i] == 0 {
-                continue;
-            }
-            let idx = (at[i].duration_since(t0).as_nanos() / bin.as_nanos()) as usize;
-            bins[idx] += payload[i] as u64;
-            used = used.max(idx + 1);
-        }
-        bins.truncate(used);
-        let secs = bin.as_secs_f64();
-        bins.into_iter()
-            .enumerate()
-            .map(|(i, bytes)| {
-                (
-                    t0 + vstream_sim::SimDuration::from_nanos(i as u64 * bin.as_nanos()),
-                    bytes as f64 * 8.0 / secs,
-                )
-            })
-            .collect()
-    }
-
-    /// Per-connection summary rows: `(conn, first_seen, last_seen,
-    /// unique_bytes)` — the paper's per-connection view of the iPad and
-    /// Netflix sessions (§5.1.3, §5.2.2).
-    pub fn connection_summaries(&self) -> Vec<ConnectionSummary> {
-        let mut map: BTreeMap<u32, ConnectionSummary> = BTreeMap::new();
-        let mut high: BTreeMap<u32, u64> = BTreeMap::new();
-        let n = self.len();
-        for i in 0..n {
-            let conn = self.conn[i];
-            let at = self.at[i];
-            let e = map.entry(conn).or_insert(ConnectionSummary {
-                conn,
-                first_seen: at,
-                last_seen: at,
-                unique_bytes: 0,
-                packets: 0,
-            });
-            e.last_seen = at;
-            e.packets += 1;
-            if self.tags[i] & FLAG_OUTGOING == 0 && self.payload[i] > 0 {
-                let h = high.entry(conn).or_insert(0);
-                let end = self.seq[i] + self.payload[i] as u64;
-                if end > *h {
-                    e.unique_bytes += end - *h;
-                    *h = end;
-                }
-            }
-        }
-        map.into_values().collect()
     }
 
     /// The SACK state of record `idx` — a side-table probe, only meaningful
@@ -461,11 +287,6 @@ pub struct PacketRef<'a> {
 }
 
 impl<'a> PacketRef<'a> {
-    /// Index of this record within the capture.
-    pub fn index(&self) -> usize {
-        self.idx
-    }
-
     /// Capture timestamp.
     pub fn at(&self) -> SimTime {
         self.trace.at[self.idx]
@@ -647,7 +468,6 @@ pub struct ConnectionSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstream_sim::SimDuration;
 
     fn seg(conn: u32, seq: u64, payload: u32) -> Segment {
         Segment {
@@ -677,10 +497,7 @@ mod tests {
         let mut rx = seg(1, 0, 1000);
         rx.retx = true;
         t.push(at(30), TapDirection::Incoming, rx);
-        let series = t.download_series();
-        assert_eq!(series, vec![(at(10), 1000), (at(20), 2000)]);
         assert_eq!(t.total_downloaded(), 2000);
-        assert_eq!(t.total_raw_downloaded(), 3000);
     }
 
     #[test]
@@ -697,69 +514,6 @@ mod tests {
         let mut t = Trace::new();
         t.push(at(10), TapDirection::Outgoing, seg(1, 0, 800));
         assert_eq!(t.total_downloaded(), 0);
-    }
-
-    #[test]
-    fn recv_window_series_reads_outgoing_acks() {
-        let mut t = Trace::new();
-        let mut a = seg(1, 0, 0);
-        a.window = 256_000;
-        t.push(at(5), TapDirection::Outgoing, a);
-        let mut b = seg(1, 0, 0);
-        b.window = 0;
-        t.push(at(15), TapDirection::Outgoing, b);
-        // A different connection's ACK is excluded.
-        t.push(at(25), TapDirection::Outgoing, seg(2, 0, 0));
-        let series = t.recv_window_series(1);
-        assert_eq!(series, vec![(at(5), 256_000), (at(15), 0)]);
-    }
-
-    #[test]
-    fn retransmission_rate_counts_marked_segments() {
-        let mut t = Trace::new();
-        t.push(at(1), TapDirection::Incoming, seg(1, 0, 1000));
-        let mut rx = seg(1, 0, 1000);
-        rx.retx = true;
-        t.push(at(2), TapDirection::Incoming, rx);
-        assert!((t.retransmission_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duration_spans_first_to_last_packet() {
-        let mut a = Trace::new();
-        a.push(at(10), TapDirection::Incoming, seg(1, 0, 100));
-        a.push(at(50), TapDirection::Incoming, seg(1, 100, 100));
-        assert_eq!(a.duration(), SimDuration::from_millis(40));
-    }
-
-    #[test]
-    fn throughput_timeline_bins_bytes() {
-        let mut t = Trace::new();
-        // 2000 bytes in the first second, 1000 in the third.
-        t.push(at(100), TapDirection::Incoming, seg(1, 0, 1000));
-        t.push(at(600), TapDirection::Incoming, seg(1, 1000, 1000));
-        t.push(at(2500), TapDirection::Incoming, seg(1, 2000, 1000));
-        let tl = t.throughput_timeline(SimDuration::from_secs(1));
-        assert_eq!(tl.len(), 3);
-        assert!((tl[0].1 - 16_000.0).abs() < 1e-9); // 2000 B/s = 16 kbps
-        assert_eq!(tl[1].1, 0.0);
-        assert!((tl[2].1 - 8_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn connection_summaries_split_by_conn() {
-        let mut t = Trace::new();
-        t.push(at(10), TapDirection::Incoming, seg(1, 0, 500));
-        t.push(at(20), TapDirection::Outgoing, seg(1, 0, 0));
-        t.push(at(30), TapDirection::Incoming, seg(2, 0, 800));
-        let s = t.connection_summaries();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].conn, 1);
-        assert_eq!(s[0].unique_bytes, 500);
-        assert_eq!(s[0].packets, 2);
-        assert_eq!(s[1].unique_bytes, 800);
-        assert_eq!(s[0].first_seen, at(10));
-        assert_eq!(s[0].last_seen, at(20));
     }
 
     #[test]
@@ -783,8 +537,8 @@ mod tests {
         let t = Trace::new();
         assert!(t.is_empty());
         assert_eq!(t.total_downloaded(), 0);
-        assert_eq!(t.retransmission_rate(), 0.0);
-        assert_eq!(t.duration(), SimDuration::ZERO);
+        assert!(t.connections().is_empty());
+        assert_eq!(t.records().len(), 0);
     }
 
     #[test]

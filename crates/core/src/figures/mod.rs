@@ -34,7 +34,7 @@ use vstream_app::engine::Engine;
 use vstream_app::strategies::ServerPacedLogic;
 use vstream_app::SessionLogic;
 use vstream_net::NetworkProfile;
-use vstream_sim::{derive_seed, SimDuration, SimTime};
+use vstream_sim::{derive_seed, SimDuration};
 use vstream_tcp::TcpConfig;
 use vstream_workload::{Client, Container, Dataset};
 
@@ -98,33 +98,6 @@ pub(crate) fn cell_query() -> SessionQuery {
     SessionQuery::default().onoff().phases()
 }
 
-/// Downsamples a cumulative byte series to megabyte points on a time grid,
-/// keeping figures readable without altering their shape.
-///
-/// The figure drivers now get their download series from
-/// [`DownloadFold`](vstream_analysis::DownloadFold) via
-/// [`query_many`](crate::query::query_many); this trace-scan form is kept
-/// as the independent oracle the equivalence tests compare against.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn downsample_mb(series: &[(SimTime, u64)], step: SimDuration) -> Vec<(f64, f64)> {
-    let mut out: Vec<(f64, f64)> = Vec::new();
-    let mut next = SimTime::ZERO;
-    for &(t, bytes) in series {
-        if t >= next || out.is_empty() {
-            out.push((t.as_secs_f64(), bytes as f64 / 1e6));
-            next = t + step;
-        }
-    }
-    // Always include the final point.
-    if let Some(&(t, bytes)) = series.last() {
-        let p = (t.as_secs_f64(), bytes as f64 / 1e6);
-        if out.last() != Some(&p) {
-            out.push(p);
-        }
-    }
-    out
-}
-
 /// A long test video: outlasts the capture at any encoding rate used, so
 /// steady-state behaviour is fully visible.
 pub(crate) fn long_video(id: u64, encoding_bps: u64) -> vstream_app::Video {
@@ -156,28 +129,5 @@ impl SessionLogic for CustomPaced {
     }
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         self.inner.on_app_timer(eng, id);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn downsample_keeps_endpoints_and_grid() {
-        let series: Vec<(SimTime, u64)> = (0..100)
-            .map(|i| (SimTime::from_millis(i * 10), (i * 1_000_000) as u64))
-            .collect();
-        let ds = downsample_mb(&series, SimDuration::from_millis(100));
-        assert!(ds.len() < series.len());
-        assert_eq!(ds.first().unwrap().0, 0.0);
-        let last = ds.last().unwrap();
-        assert!((last.0 - 0.99).abs() < 1e-9);
-        assert!((last.1 - 99.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn downsample_empty_is_empty() {
-        assert!(downsample_mb(&[], SimDuration::from_secs(1)).is_empty());
     }
 }

@@ -100,8 +100,8 @@ pub fn session_begin() -> bool {
 
 /// Closes a session bracket: takes the ring and writes the dump files
 /// named by `stem`, subject to the anomaly policy (`player` is `None` for a
-/// session without one). Compiled-out builds hand back no recorder, so
-/// this degrades to a no-op.
+/// session without one). When no bracket was opened (the recorder is
+/// off) there is no ring and this is a no-op.
 pub fn session_end(
     stem: impl FnOnce() -> String,
     player: Option<&PlayerStats>,

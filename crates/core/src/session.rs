@@ -455,7 +455,7 @@ pub fn run_cell_interrupted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstream_analysis::{classify, AnalysisConfig, Strategy};
+    use vstream_analysis::{classify, AnalysisConfig, Strategy, TotalsFold};
 
     fn video() -> Video {
         Video::new(1, 1_000_000, SimDuration::from_secs(600))
@@ -516,7 +516,9 @@ mod tests {
         )
         .unwrap();
         assert!(cut.trace.total_downloaded() <= full.trace.total_downloaded());
-        assert!(cut.trace.duration() <= SimDuration::from_secs(3));
+        let mut totals = TotalsFold::new();
+        cut.trace.replay(&mut totals);
+        assert!(totals.finish().duration <= SimDuration::from_secs(3));
     }
 
     fn batch(client: Client, container: Container, seed0: u64, secs: u64) -> Vec<SessionSpec> {

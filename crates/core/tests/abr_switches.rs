@@ -4,10 +4,10 @@
 //! shapes, each a real DASH session over the Home profile. Held invariants,
 //! per (seed, shape):
 //!
-//! * the wire-side switch estimate a query computes equals the column-scan
-//!   oracle ([`switch_counts_of`] over a retained trace's connection
-//!   summaries) — the fold never sees the trace, the oracle never sees the
-//!   packet stream;
+//! * the wire-side switch estimate a query computes equals the oracle
+//!   ([`switch_counts_of`] over a retained trace's connection summaries,
+//!   themselves held to the array-of-structs reference by the analysis
+//!   crate's `streaming.rs`);
 //! * every source of a reply — the retained trace replayed through the
 //!   folds, the live tap, a cache miss, a cache hit — returns byte-equal
 //!   switch counts and QoE summaries;
@@ -16,12 +16,13 @@
 //!
 //! One `#[test]`, deliberately: the session cache is a process global.
 
+mod support;
+
 use vstream::prelude::*;
 use vstream::query::reply_from_outcome;
 use vstream::{cache, query_many_jobs, SessionQuery};
-use vstream_analysis::switch_counts_of;
+use vstream_analysis::{switch_counts_of, SummariesFold};
 use vstream_net::LrdCrossConfig;
-use vstream_sim::derive_seed;
 
 /// One suite shape: how the fold classifies, and what loads the link.
 struct Shape {
@@ -55,21 +56,13 @@ fn shapes() -> Vec<Shape> {
 
 const SEEDS: u64 = 6;
 
+/// The shared generator's DASH session, captured long enough to fetch a
+/// dozen segments, cacheable, under this shape's cross-traffic.
 fn spec_for(seed: u64, shape: &Shape) -> SessionSpec {
-    let video = Video::new(seed + 1, 1_000_000, SimDuration::from_secs(900));
-    let spec = SessionSpec::new(
-        Client::Dash,
-        Container::Html5,
-        video,
-        NetworkProfile::Home,
-        derive_seed(0xAB12, &[seed]),
-        SimDuration::from_secs(45),
-    )
-    .shared();
-    match shape.cross {
-        Some(c) => spec.with_lrd_cross(c),
-        None => spec,
-    }
+    let mut spec = support::spec_for(seed, support::Shape::Dash).shared();
+    spec.capture = SimDuration::from_secs(45);
+    spec.cross = shape.cross;
+    spec
 }
 
 #[test]
@@ -101,11 +94,9 @@ fn switch_fold_matches_oracle_on_every_path() {
         for (seed, out) in outcomes.into_iter().enumerate() {
             let ctx = format!("shape {si} seed {seed}");
             let out = out.expect("Dash over HTML5 applies");
-            let oracle = switch_counts_of(
-                &out.trace.connection_summaries(),
-                &shape.ladder,
-                shape.segment_ms,
-            );
+            let mut summaries = SummariesFold::new();
+            out.trace.replay(&mut summaries);
+            let oracle = switch_counts_of(&summaries.finish(), &shape.ladder, shape.segment_ms);
             let truth = out.logic.switches();
             if si == 1 {
                 loaded += truth;
@@ -123,7 +114,7 @@ fn switch_fold_matches_oracle_on_every_path() {
                 assert_eq!(
                     reply.answer.switch_counts,
                     Some(oracle),
-                    "{ctx}: {path} switch counts vs column-scan oracle"
+                    "{ctx}: {path} switch counts vs summaries oracle"
                 );
                 let q = reply.answer.qoe.as_ref().expect("qoe queried");
                 assert_eq!(q.switches, truth, "{ctx}: {path} client switch counter");

@@ -6,9 +6,10 @@
 //! replayed through the folds), live tap, cache miss, cache hit — are driven
 //! in sequence from a single `#[test]` and compared field by field. This is
 //! the session-level form of the fold-vs-oracle suite in `vstream-analysis`:
-//! the folds are proven against the column scans there; here the claim is
-//! that the production path feeds those folds the packet stream a retained
-//! capture would have held, and that the cache hands back what was computed.
+//! the folds are proven against naive array-of-structs references there;
+//! here the claim is that the production path feeds those folds the packet
+//! stream a retained capture would have held, and that the cache hands back
+//! what was computed.
 
 use std::sync::Barrier;
 

@@ -10,6 +10,7 @@
 
 use vstream::prelude::*;
 use vstream::session::run_cell_interrupted;
+use vstream_analysis::TotalsFold;
 use vstream_model::{full_download_duration_threshold, unused_bytes};
 
 fn main() {
@@ -34,7 +35,9 @@ fn main() {
             watch,
         )
         .unwrap();
-        let downloaded = out.trace.total_downloaded();
+        let mut totals = TotalsFold::new();
+        out.trace.replay(&mut totals);
+        let downloaded = totals.finish().total_downloaded;
         let wasted = downloaded.saturating_sub(watched_bytes);
         println!(
             "  {name}: downloaded {:>5.1} MB, wasted {:>5.1} MB ({:.0}%)",

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use vstream::prelude::*;
+use vstream_analysis::TotalsFold;
 
 fn main() {
     // A ten-minute, 1 Mbps video — the paper's default-resolution YouTube
@@ -20,13 +21,16 @@ fn main() {
     .expect("a browser playing Flash is a valid Table 1 cell");
 
     // The capture is what tcpdump would have recorded on the viewing
-    // machine.
+    // machine; every reduction over it is a fold fed by a replay.
     let trace = &outcome.trace;
+    let mut totals = TotalsFold::new();
+    trace.replay(&mut totals);
+    let totals = totals.finish();
     println!(
         "captured {} packets, {:.1} MB downloaded over {:.0} s",
-        trace.len(),
-        trace.total_downloaded() as f64 / 1e6,
-        trace.duration().as_secs_f64()
+        totals.packets,
+        totals.total_downloaded as f64 / 1e6,
+        totals.duration.as_secs_f64()
     );
 
     // Decompose into buffering and steady-state phases (§4).

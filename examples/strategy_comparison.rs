@@ -6,6 +6,7 @@
 
 use vstream::figures::table1_strategy_matrix;
 use vstream::prelude::*;
+use vstream_analysis::TotalsFold;
 use vstream_workload::table1_expected;
 
 fn main() {
@@ -50,9 +51,11 @@ fn main() {
             SimDuration::from_secs(120),
         )
         .unwrap();
+        let mut totals = TotalsFold::new();
+        out.trace.replay(&mut totals);
         println!(
             "  {name} downloaded {:>6.1} MB in 120 s across {} connection(s)",
-            out.trace.total_downloaded() as f64 / 1e6,
+            totals.finish().total_downloaded as f64 / 1e6,
             out.connections
         );
     }

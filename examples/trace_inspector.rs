@@ -7,7 +7,7 @@
 use std::fs::File;
 
 use vstream::prelude::*;
-use vstream_analysis::OnOffAnalysis;
+use vstream_analysis::{OnOffAnalysis, SummariesFold, ThroughputFold, TotalsFold};
 use vstream_capture::pcap::write_pcap;
 
 fn main() {
@@ -25,17 +25,26 @@ fn main() {
     .unwrap();
     let trace = &out.trace;
 
+    // Every reduction over the capture is a fold fed by a replay.
+    let mut totals = TotalsFold::new();
+    let mut summaries = SummariesFold::new();
+    let mut timeline = ThroughputFold::new(SimDuration::from_secs(2));
+    trace.replay(&mut totals);
+    trace.replay(&mut summaries);
+    trace.replay(&mut timeline);
+    let totals = totals.finish();
+
     println!("=== capture summary ===");
     println!(
         "{} packets, {:.1} MB unique / {:.1} MB raw, retx rate {:.2}%",
-        trace.len(),
-        trace.total_downloaded() as f64 / 1e6,
-        trace.total_raw_downloaded() as f64 / 1e6,
-        trace.retransmission_rate() * 100.0
+        totals.packets,
+        totals.total_downloaded as f64 / 1e6,
+        totals.total_raw_downloaded as f64 / 1e6,
+        totals.retransmission_rate * 100.0
     );
 
     println!("\n=== per-connection view (the paper's §5.2.2 observation: many connections) ===");
-    let summaries = trace.connection_summaries();
+    let summaries = summaries.finish();
     println!("{} TCP connections:", summaries.len());
     for s in summaries.iter().take(12) {
         println!(
@@ -51,7 +60,7 @@ fn main() {
     }
 
     println!("\n=== throughput timeline (2 s bins) ===");
-    for (t, bps) in trace.throughput_timeline(SimDuration::from_secs(2)).iter().take(20) {
+    for (t, bps) in timeline.finish().iter().take(20) {
         let bars = (bps / 2e6) as usize;
         println!("  {:>6.1} s | {:<40} {:.1} Mbps", t.as_secs_f64(), "#".repeat(bars.min(40)), bps / 1e6);
     }

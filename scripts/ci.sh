@@ -27,10 +27,17 @@
 #      gate, an interrupted run resumed from the checkpoint ledger emits
 #      byte-identical output, and the ledger's shard checkpoints and
 #      summary are well-formed
-#   4. the packed-format roundtrip suite in release mode: the columnar
-#      AoS-vs-SoA equivalence and pack/unpack exactness tests, compiled
-#      with release assertions so the checked truncation/corruption paths
-#      in PackedTrace::unpack are exercised as an optimized build runs them
+#   3e. the five examples/, run once in release mode: they are the
+#      library-facing callers of the folds (`Trace::replay` into
+#      `TotalsFold`, `SummariesFold`, `ThroughputFold`, `from_trace`), which
+#      `cargo test` compiles but never executes
+#   4. the packed-format roundtrip suite in release mode: the record-level
+#      AoS-vs-SoA lock-step and the pack/unpack exactness tests of
+#      `-p vstream-capture`, compiled with release assertions so the checked
+#      truncation/corruption paths in PackedTrace::unpack are exercised as
+#      an optimized build runs them (the capture reductions are folds in
+#      vstream-analysis, held to their references in stage 1). The stage
+#      stays as long as pack.rs does
 #   5. the repo benchmark's own smoke check (benchmark/check.sh): its unit
 #      tests, then a scaled-down pass of every workload, end to end and
 #      traced. benchmark/driver builds against crates/* by path, so a
@@ -123,10 +130,15 @@ test "$(ls "${ledger_dir[0]}"/shard-*.ckpt | wc -l)" -eq 4
 head -n 1 "${ledger_dir[0]}"/shard-0000.ckpt | grep -q '^vstream-campaign-shard v1$'
 grep -q '^gate PASS$' "${ledger_dir[0]}/summary.txt"
 
+echo "==> examples: the library-facing callers of the folds run to completion"
+for example in quickstart strategy_comparison capacity_planning interruption_waste trace_inspector; do
+    cargo run --release --offline --quiet --example "$example" > /dev/null
+done
+
 echo "==> packed-format roundtrip (release mode: checked unpack corruption paths)"
 cargo test --offline --release --quiet -p vstream-capture
 
 echo "==> repo benchmark smoke (benchmark/check.sh: driver builds against crates/*, outputs repeat)"
 benchmark/check.sh
 
-echo "OK: build, tests, determinism, metrics neutrality, default-run memory and results/, trace neutrality, campaign smoke, roundtrip, and repo benchmark smoke all passed"
+echo "OK: build, tests, determinism, metrics neutrality, default-run memory and results/, trace neutrality, campaign smoke, examples, roundtrip, and repo benchmark smoke all passed"

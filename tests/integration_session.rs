@@ -79,7 +79,12 @@ fn lossy_network_shows_retransmissions_like_the_paper() {
         CAPTURE,
     )
     .unwrap();
-    let rate = out.trace.retransmission_rate();
+    let retx_rate = |out: &CellOutcome| {
+        let mut totals = vstream_analysis::TotalsFold::new();
+        out.trace.replay(&mut totals);
+        totals.finish().retransmission_rate
+    };
+    let rate = retx_rate(&out);
     assert!(
         (0.003..=0.04).contains(&rate),
         "Residence retransmission rate {rate:.4} (paper: ~0.0102)"
@@ -95,7 +100,7 @@ fn lossy_network_shows_retransmissions_like_the_paper() {
     )
     .unwrap();
     assert!(
-        out_research.trace.retransmission_rate() < rate,
+        retx_rate(&out_research) < rate,
         "Research must be cleaner than Residence"
     );
 }
