@@ -13,6 +13,7 @@
 //! [`Engine::stop`].
 
 use vstream_capture::{NullSink, PacketSink, TapDirection, TapPacket, Trace};
+use vstream_net::cross::LRD_SOURCES;
 use vstream_net::{Direction, DuplexPath, LrdCrossConfig};
 use vstream_obs::{collector, Counter, Gauge, HistId, Metrics};
 use vstream_sim::{derive_seed, EventQueue, QueueStats, SimDuration, SimRng, SimTime};
@@ -290,11 +291,13 @@ impl Engine {
     }
 
     /// Adds a long-range-dependent cross-traffic aggregate on the downlink:
-    /// `cfg.sources` superposed Pareto-ON / exponential-OFF sources. Each
+    /// [`LRD_SOURCES`] superposed Pareto-ON / exponential-OFF sources. Each
     /// source's randomness comes from `derive_seed(seed, [tag, index])`, so
     /// the aggregate is a pure function of `(cfg, seed)` — identical across
     /// `--jobs` counts and cache on/off — and the engine's
-    /// main RNG (packet loss, strategy jitter) is untouched.
+    /// main RNG (packet loss, strategy jitter) is untouched. A zero-peak
+    /// aggregate offers no load and schedules nothing: the session is the
+    /// cross-free one.
     ///
     /// # Panics
     /// Panics if called after [`Engine::run`] has started processing events.
@@ -303,12 +306,10 @@ impl Engine {
             self.now() == SimTime::ZERO,
             "LRD cross traffic must be configured before the session runs"
         );
-        assert!(cfg.sources > 0, "LRD aggregate needs at least one source");
-        assert!(
-            cfg.alpha_milli > 1000,
-            "LRD on periods need alpha > 1 for a finite mean"
-        );
-        let sources = (0..cfg.sources)
+        if cfg.peak_bps == 0 {
+            return;
+        }
+        let sources = (0..LRD_SOURCES)
             .map(|i| LrdSource {
                 rng: SimRng::new(derive_seed(seed, &[LRD_SEED_TAG, i as u64])),
                 on_until: SimTime::ZERO,
@@ -538,7 +539,7 @@ impl Engine {
             // Every source starts OFF with an independent exponential gap,
             // so the aggregate does not begin with a synchronized burst.
             for (i, src) in st.sources.iter_mut().enumerate() {
-                let gap = src.rng.exponential(1.0 / st.cfg.mean_off_secs());
+                let gap = src.rng.exponential(1.0 / LrdCrossConfig::mean_off_secs());
                 let at = SimTime::ZERO + SimDuration::from_secs_f64(gap);
                 self.queue.schedule(at, Event::LrdTick { src: i as u32 });
             }
@@ -756,7 +757,9 @@ impl Engine {
             let cfg = st.cfg;
             let s = &mut st.sources[src as usize];
             if now >= s.on_until {
-                let on = s.rng.pareto(cfg.on_x_min_secs(), cfg.alpha());
+                let on = s
+                    .rng
+                    .pareto(LrdCrossConfig::on_x_min_secs(), LrdCrossConfig::alpha());
                 s.on_until = now + SimDuration::from_secs_f64(on);
             }
             // The final chunk of a period is pro-rated to the ON time it
@@ -769,7 +772,7 @@ impl Engine {
             let at = if next_chunk < s.on_until {
                 next_chunk
             } else {
-                let gap = s.rng.exponential(1.0 / cfg.mean_off_secs());
+                let gap = s.rng.exponential(1.0 / LrdCrossConfig::mean_off_secs());
                 s.on_until + SimDuration::from_secs_f64(gap)
             };
             self.queue.schedule(at, Event::LrdTick { src });
@@ -1038,9 +1041,7 @@ mod tests {
                 SimDuration::from_secs(30),
             );
             if with_lrd {
-                let mut cfg = LrdCrossConfig::for_load(100_000_000, 1);
-                cfg.sources = 2;
-                eng.set_lrd_cross_traffic(cfg, 4);
+                eng.set_lrd_cross_traffic(LrdCrossConfig::for_load(100_000_000, 1), 4);
             }
             let mut logic = BulkLogic {
                 size: 1_000_000,

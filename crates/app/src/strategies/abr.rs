@@ -27,44 +27,25 @@ use crate::player::Player;
 use crate::strategies::{rate_delay, server_tcp, startup_threshold};
 use crate::video::{rate_bytes_ms, Video};
 
-/// Parameters of the ABR strategy.
-#[derive(Clone, Debug)]
-pub struct AbrConfig {
-    /// Available encoding rates in bits per second, ascending.
-    pub ladder: Vec<u64>,
-    /// Playback seconds per segment (DASH deployments: 2–10 s).
-    pub segment_secs: f64,
-    /// Buffer level (seconds of playback) above which the client idles
-    /// instead of requesting the next segment.
-    pub target_buffer_secs: f64,
-    /// Buffer level below which the client panics to the lowest rung.
-    pub low_watermark_secs: f64,
-    /// Fraction of the throughput estimate considered spendable, in
-    /// thousandths (800 = pick the highest rung ≤ 0.8 × estimate).
-    pub safety_permille: u32,
-    /// EWMA weight of the newest rate sample, in thousandths.
-    pub ewma_permille: u32,
-}
+/// Available encoding rates in bits per second, ascending.
+pub const ABR_LADDER: [u64; 6] = [350_000, 600_000, 1_000_000, 1_600_000, 2_500_000, 3_800_000];
 
-impl Default for AbrConfig {
-    fn default() -> Self {
-        AbrConfig {
-            ladder: vec![350_000, 600_000, 1_000_000, 1_600_000, 2_500_000, 3_800_000],
-            segment_secs: 4.0,
-            target_buffer_secs: 30.0,
-            low_watermark_secs: 8.0,
-            safety_permille: 800,
-            ewma_permille: 300,
-        }
-    }
-}
+/// Playback milliseconds per segment (DASH deployments: 2–10 s).
+pub const ABR_SEGMENT_MS: u64 = 4_000;
 
-impl AbrConfig {
-    /// Whole milliseconds of playback per segment.
-    fn segment_ms(&self) -> u64 {
-        (self.segment_secs * 1000.0).round() as u64
-    }
-}
+/// Buffer level (milliseconds of playback) above which the client idles
+/// instead of requesting the next segment.
+const TARGET_BUFFER_MS: u64 = 30_000;
+
+/// Buffer level below which the client panics to the lowest rung.
+const LOW_WATERMARK_MS: u64 = 8_000;
+
+/// Fraction of the throughput estimate considered spendable, in thousandths
+/// (800 = pick the highest rung ≤ 0.8 × estimate).
+const SAFETY_PERMILLE: u32 = 800;
+
+/// EWMA weight of the newest rate sample, in thousandths.
+const EWMA_PERMILLE: u32 = 300;
 
 /// Per-connection bookkeeping: one entry per segment request.
 #[derive(Clone, Copy, Debug)]
@@ -82,7 +63,6 @@ const REQUEST_TIMER: u32 = 1;
 /// Session logic for adaptive-bitrate streaming.
 #[derive(Clone)]
 pub struct AbrLogic {
-    cfg: AbrConfig,
     video: Video,
     /// The playback model, fed in *nominal-rate* bytes so buffer occupancy
     /// measures playback time regardless of which rung each segment used.
@@ -111,12 +91,9 @@ impl AbrLogic {
     /// Creates the logic for one video. The video's `encoding_bps` is the
     /// *nominal* media rate used for buffer accounting; the wire rate of
     /// each segment comes from the ladder.
-    pub fn new(cfg: AbrConfig, video: Video) -> Self {
-        assert!(!cfg.ladder.is_empty(), "ABR needs a non-empty ladder");
-        debug_assert!(cfg.ladder.windows(2).all(|w| w[0] < w[1]), "ladder must ascend");
+    pub fn new(video: Video) -> Self {
         let player = Player::new(video.encoding_bps, startup_threshold(&video), video.size_bytes());
         AbrLogic {
-            cfg,
             video,
             player,
             conns: Vec::new(),
@@ -136,14 +113,9 @@ impl AbrLogic {
         self.video
     }
 
-    /// The session configuration.
-    pub fn config(&self) -> &AbrConfig {
-        &self.cfg
-    }
-
     /// The currently selected encoding rate in bits per second.
     pub fn current_rate(&self) -> u64 {
-        self.cfg.ladder[self.rung]
+        ABR_LADDER[self.rung]
     }
 
     /// The current throughput estimate in bits per second (0 before the
@@ -166,14 +138,13 @@ impl AbrLogic {
 
     /// Picks the rung for the next segment and records any switch.
     fn adapt(&mut self, now: SimTime) {
-        let next = if self.buffer_ms() < (self.cfg.low_watermark_secs * 1000.0) as u64 {
+        let next = if self.buffer_ms() < LOW_WATERMARK_MS {
             // Panic mode: the buffer is nearly dry, nothing but the lowest
             // rung is defensible regardless of what the estimate says.
             0
         } else if self.estimate_bps > 0.0 {
-            let spendable = self.estimate_bps * self.cfg.safety_permille as f64 / 1000.0;
-            self.cfg
-                .ladder
+            let spendable = self.estimate_bps * SAFETY_PERMILLE as f64 / 1000.0;
+            ABR_LADDER
                 .iter()
                 .rposition(|&r| r as f64 <= spendable)
                 .unwrap_or(0)
@@ -187,8 +158,8 @@ impl AbrLogic {
                 EventKind::AppBitrateSwitch,
                 SIDE_NONE,
                 0,
-                self.cfg.ladder[next],
-                self.cfg.ladder[self.rung],
+                ABR_LADDER[next],
+                ABR_LADDER[self.rung],
             );
         }
         self.rung = next;
@@ -201,22 +172,21 @@ impl AbrLogic {
             return;
         }
         self.player.advance(eng.now());
-        let target_ms = (self.cfg.target_buffer_secs * 1000.0) as u64;
         let buffered = self.buffer_ms();
-        if buffered > target_ms && !self.timer_armed {
+        if buffered > TARGET_BUFFER_MS && !self.timer_armed {
             // Idle (the OFF period) until playback drains to the target.
-            let excess = self.video.playback_bytes_ms(buffered - target_ms);
+            let excess = self.video.playback_bytes_ms(buffered - TARGET_BUFFER_MS);
             let delay = rate_delay(excess, self.video.encoding_bps)
                 .max(SimDuration::from_millis(10));
             eng.schedule_app_timer(delay, REQUEST_TIMER);
             self.timer_armed = true;
             return;
         }
-        if buffered > target_ms {
+        if buffered > TARGET_BUFFER_MS {
             return;
         }
         self.adapt(eng.now());
-        let media_ms = self.cfg.segment_ms().min(self.duration_ms() - self.media_offset_ms);
+        let media_ms = ABR_SEGMENT_MS.min(self.duration_ms() - self.media_offset_ms);
         let wire_bytes = rate_bytes_ms(self.current_rate(), media_ms).max(1);
         let client_cfg = TcpConfig::default().with_recv_buffer(2 << 20);
         let conn = eng.open_connection(client_cfg, server_tcp());
@@ -261,7 +231,7 @@ impl SessionLogic for AbrLogic {
         let elapsed = eng.now() - seg.requested_at;
         if elapsed > SimDuration::ZERO {
             let sample = seg.wire_bytes as f64 * 8e9 / elapsed.as_nanos() as f64;
-            let w = self.cfg.ewma_permille as f64 / 1000.0;
+            let w = EWMA_PERMILLE as f64 / 1000.0;
             self.estimate_bps = if self.estimate_bps == 0.0 {
                 sample
             } else {
@@ -297,7 +267,7 @@ mod tests {
             eng.set_lrd_cross_traffic(cfg, seed);
         }
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(900));
-        let mut logic = AbrLogic::new(AbrConfig::default(), video);
+        let mut logic = AbrLogic::new(video);
         eng.run(&mut logic);
         (eng, logic)
     }
@@ -337,10 +307,9 @@ mod tests {
 
     #[test]
     fn segment_sizing_is_exact_integer_math() {
-        let cfg = AbrConfig::default();
-        // 4 s at each default rung: bits × ms / 8000, exactly.
-        assert_eq!(rate_bytes_ms(350_000, cfg.segment_ms()), 175_000);
-        assert_eq!(rate_bytes_ms(3_800_000, cfg.segment_ms()), 1_900_000);
+        // 4 s at each end of the ladder: bits × ms / 8000, exactly.
+        assert_eq!(rate_bytes_ms(ABR_LADDER[0], ABR_SEGMENT_MS), 175_000);
+        assert_eq!(rate_bytes_ms(ABR_LADDER[5], ABR_SEGMENT_MS), 1_900_000);
     }
 
     #[test]

@@ -9,12 +9,12 @@ mod netflix;
 mod range_request;
 mod server_paced;
 
-pub use abr::{AbrConfig, AbrLogic};
+pub use abr::{AbrLogic, ABR_LADDER, ABR_SEGMENT_MS};
 pub use bulk::BulkLogic;
 pub use client_pull::{ClientPullConfig, ClientPullLogic};
 pub use interrupt::InterruptAfter;
 pub use netflix::{NetflixConfig, NetflixLogic, NetflixMode};
-pub use range_request::{RangeRequestConfig, RangeRequestLogic};
+pub use range_request::RangeRequestLogic;
 pub use server_paced::{ServerPacedConfig, ServerPacedLogic};
 
 use vstream_obs::trace::{self, EventKind, SIDE_NONE};

@@ -22,6 +22,10 @@ use crate::player::Player;
 use crate::strategies::{rate_delay, server_tcp};
 use crate::video::{rate_bytes_ms, Video};
 
+/// Playback milliseconds of each non-selected rate prefetched during
+/// buffering, on every client.
+const PROBE_FRAGMENT_MS: u64 = 10_000;
+
 /// Whole milliseconds for a seconds-valued config knob. The configs keep
 /// human-readable f64 seconds; all byte sizing happens in integer ms.
 fn secs_ms(secs: f64) -> u64 {
@@ -50,8 +54,6 @@ pub struct NetflixConfig {
     /// The rate selected for playback (Netflix picks it from the available
     /// bandwidth; the workload crate decides).
     pub selected_rate: u64,
-    /// Seconds of each non-selected rate prefetched during buffering.
-    pub probe_fragment_secs: f64,
     /// Seconds of the selected rate buffered before steady state.
     pub buffer_playback_secs: f64,
     /// Seconds of playback per steady-state block.
@@ -70,7 +72,6 @@ impl NetflixConfig {
             mode: NetflixMode::Pc,
             available_rates: vec![500_000, 1_000_000, 1_600_000, 2_200_000, 3_000_000],
             selected_rate: 3_000_000,
-            probe_fragment_secs: 10.0,
             buffer_playback_secs: 110.0,
             block_playback_secs: 4.0,
             buffering_connections: 6,
@@ -83,7 +84,6 @@ impl NetflixConfig {
             mode: NetflixMode::Ipad,
             available_rates: vec![500_000, 1_000_000, 1_600_000],
             selected_rate: 1_600_000,
-            probe_fragment_secs: 10.0,
             buffer_playback_secs: 40.0,
             block_playback_secs: 4.0,
             buffering_connections: 4,
@@ -96,7 +96,6 @@ impl NetflixConfig {
             mode: NetflixMode::Android,
             available_rates: vec![500_000, 1_000_000, 1_600_000],
             selected_rate: 1_600_000,
-            probe_fragment_secs: 10.0,
             buffer_playback_secs: 160.0,
             block_playback_secs: 20.0,
             buffering_connections: 1,
@@ -111,7 +110,7 @@ impl NetflixConfig {
         self.available_rates
             .iter()
             .filter(|&&r| r != self.selected_rate)
-            .map(|&r| rate_bytes_ms(r, secs_ms(self.probe_fragment_secs)))
+            .map(|&r| rate_bytes_ms(r, PROBE_FRAGMENT_MS))
             .sum()
     }
 
@@ -259,7 +258,7 @@ impl SessionLogic for NetflixLogic {
             .available_rates
             .iter()
             .filter(|&&r| r != self.cfg.selected_rate)
-            .map(|&r| rate_bytes_ms(r, secs_ms(self.cfg.probe_fragment_secs)))
+            .map(|&r| rate_bytes_ms(r, PROBE_FRAGMENT_MS))
             .collect();
         for bytes in probes {
             self.open_transfer(eng, ConnKind::Probe, bytes);
@@ -499,10 +498,9 @@ mod tests {
         let mut cfg = NetflixConfig::pc();
         cfg.selected_rate = 1_000_003;
         assert_eq!(cfg.block_bytes(), 500_001);
-        // Sub-second fragments land on exact ms boundaries: 2.5 s at
-        // 999_999 bps = 312499.6875 B → 312499.
-        cfg.probe_fragment_secs = 2.5;
+        // Probe fragments too: 10 s at 999_999 bps = 1249998.75 B →
+        // 1249998.
         cfg.available_rates = vec![999_999, cfg.selected_rate];
-        assert_eq!(cfg.probe_bytes(), 312_499);
+        assert_eq!(cfg.probe_bytes(), 1_249_998);
     }
 }

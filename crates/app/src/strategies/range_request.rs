@@ -15,45 +15,32 @@ use crate::player::Player;
 use crate::strategies::{server_tcp, startup_threshold};
 use crate::video::Video;
 
-/// Parameters of the range-request strategy.
-#[derive(Clone, Debug)]
-pub struct RangeRequestConfig {
-    /// Player buffer target in bytes; a new range is requested whenever the
-    /// buffer has room for a full chunk below this.
-    pub target_bytes: u64,
-    /// Seconds of playback per range request; the chunk size is this times
-    /// the encoding rate — reproducing Fig. 7(b)'s block-size growth.
-    pub chunk_playback_secs: f64,
-    /// Lower bound on the chunk size (the paper's smallest observed
-    /// transfer is 64 kB).
-    pub min_chunk_bytes: u64,
-    /// Every `deep_refill_every`-th request re-buffers deeply: one large
-    /// range instead of a single chunk. This is the "periodic buffering"
-    /// of Fig. 7(a)'s Video1 and the reason individual iPad connections
-    /// carried anywhere from 64 kB to 8 MB — and it is what makes high-rate
-    /// iPad sessions a *combination* of strategies in Table 1.
-    pub deep_refill_every: u32,
-    /// Deep refills request this many chunks in one range, so the deep
-    /// range grows with the encoding rate like everything else on the iPad.
-    pub deep_refill_chunks: u64,
-}
+/// Player buffer target in bytes; a new range is requested whenever the
+/// buffer has room for a full chunk below this.
+const TARGET_BYTES: u64 = 6 << 20;
 
-impl Default for RangeRequestConfig {
-    fn default() -> Self {
-        RangeRequestConfig {
-            target_bytes: 6 << 20,
-            chunk_playback_secs: 4.0,
-            min_chunk_bytes: 64 * 1024,
-            deep_refill_every: 5,
-            deep_refill_chunks: 4,
-        }
-    }
-}
+/// Seconds of playback per range request; the chunk size is this times the
+/// encoding rate — reproducing Fig. 7(b)'s block-size growth.
+const CHUNK_PLAYBACK_SECS: f64 = 4.0;
+
+/// Lower bound on the chunk size (the paper's smallest observed transfer is
+/// 64 kB).
+const MIN_CHUNK_BYTES: u64 = 64 * 1024;
+
+/// Every `DEEP_REFILL_EVERY`-th request re-buffers deeply: one large range
+/// instead of a single chunk. This is the "periodic buffering" of Fig. 7(a)'s
+/// Video1 and the reason individual iPad connections carried anywhere from
+/// 64 kB to 8 MB — and it is what makes high-rate iPad sessions a
+/// *combination* of strategies in Table 1.
+const DEEP_REFILL_EVERY: u32 = 5;
+
+/// Deep refills request this many chunks in one range, so the deep range
+/// grows with the encoding rate like everything else on the iPad.
+const DEEP_REFILL_CHUNKS: u64 = 4;
 
 /// Session logic for range-request streaming.
 #[derive(Clone)]
 pub struct RangeRequestLogic {
-    cfg: RangeRequestConfig,
     video: Video,
     /// The playback model (public so experiments can read its statistics).
     pub player: Player,
@@ -74,10 +61,9 @@ const RETRY_TIMER: u32 = 1;
 
 impl RangeRequestLogic {
     /// Creates the logic for one video.
-    pub fn new(cfg: RangeRequestConfig, video: Video) -> Self {
+    pub fn new(video: Video) -> Self {
         let player = Player::new(video.encoding_bps, startup_threshold(&video), video.size_bytes());
         RangeRequestLogic {
-            cfg,
             video,
             player,
             offset: 0,
@@ -97,20 +83,19 @@ impl RangeRequestLogic {
     /// The chunk size for this video's encoding rate.
     pub fn chunk_bytes(&self) -> u64 {
         self.video
-            .playback_bytes(self.cfg.chunk_playback_secs)
-            .max(self.cfg.min_chunk_bytes)
+            .playback_bytes(CHUNK_PLAYBACK_SECS)
+            .max(MIN_CHUNK_BYTES)
     }
 
     fn room(&self) -> u64 {
-        self.cfg.target_bytes.saturating_sub(self.player.buffer_bytes())
+        TARGET_BYTES.saturating_sub(self.player.buffer_bytes())
     }
 
     /// Size of the next range request, honouring the deep-refill schedule.
     fn next_request_bytes(&self) -> u64 {
         let base = self.chunk_bytes();
-        let every = self.cfg.deep_refill_every.max(1);
-        if self.requests_made % every == every - 1 {
-            base * self.cfg.deep_refill_chunks.max(1)
+        if self.requests_made % DEEP_REFILL_EVERY == DEEP_REFILL_EVERY - 1 {
+            base * DEEP_REFILL_CHUNKS
         } else {
             base
         }
@@ -192,7 +177,7 @@ mod tests {
             23,
             SimDuration::from_secs(secs),
         );
-        let mut logic = RangeRequestLogic::new(RangeRequestConfig::default(), video);
+        let mut logic = RangeRequestLogic::new(video);
         eng.run(&mut logic);
         (eng, logic)
     }
@@ -211,18 +196,9 @@ mod tests {
 
     #[test]
     fn chunk_size_grows_with_encoding_rate() {
-        let slow = RangeRequestLogic::new(
-            RangeRequestConfig::default(),
-            Video::new(1, 100_000, SimDuration::from_secs(600)),
-        );
-        let mid = RangeRequestLogic::new(
-            RangeRequestConfig::default(),
-            Video::new(2, 1_000_000, SimDuration::from_secs(600)),
-        );
-        let fast = RangeRequestLogic::new(
-            RangeRequestConfig::default(),
-            Video::new(3, 3_000_000, SimDuration::from_secs(600)),
-        );
+        let slow = RangeRequestLogic::new(Video::new(1, 100_000, SimDuration::from_secs(600)));
+        let mid = RangeRequestLogic::new(Video::new(2, 1_000_000, SimDuration::from_secs(600)));
+        let fast = RangeRequestLogic::new(Video::new(3, 3_000_000, SimDuration::from_secs(600)));
         assert_eq!(slow.chunk_bytes(), 64 * 1024, "floor applies at low rates");
         assert_eq!(mid.chunk_bytes(), 500_000);
         assert_eq!(fast.chunk_bytes(), 1_500_000);
@@ -255,7 +231,7 @@ mod tests {
         let (_, logic) = run(video, 120);
         // The buffer never wildly exceeds the target (one chunk of slack).
         let peak = logic.player.stats().peak_buffer_bytes;
-        let bound = (6 << 20) + logic.chunk_bytes();
+        let bound = TARGET_BYTES + logic.chunk_bytes();
         assert!(peak <= bound, "peak {peak} > bound {bound}");
     }
 }

@@ -16,26 +16,26 @@ use crate::player::Player;
 use crate::strategies::{server_tcp, startup_threshold};
 use crate::video::Video;
 
-/// Parameters of the server-paced strategy.
+/// Steady-state block size in bytes (YouTube Flash: 64 kB).
+const BLOCK_BYTES: u64 = 64 * 1024;
+
+/// Client receive buffer. Large: the client is not the throttle.
+const CLIENT_RECV_BUFFER: u64 = 4 << 20;
+
+/// The two parameters of the server-paced strategy that `ext-stalls` varies.
 #[derive(Clone, Debug)]
 pub struct ServerPacedConfig {
     /// Playback seconds pushed during the buffering phase (YouTube: 40 s).
     pub buffer_playback_secs: f64,
-    /// Steady-state block size in bytes (YouTube Flash: 64 kB).
-    pub block_bytes: u64,
     /// Target accumulation ratio (YouTube Flash: 1.25).
     pub accumulation: f64,
-    /// Client receive buffer. Large: the client is not the throttle.
-    pub client_recv_buffer: u64,
 }
 
 impl Default for ServerPacedConfig {
     fn default() -> Self {
         ServerPacedConfig {
             buffer_playback_secs: 40.0,
-            block_bytes: 64 * 1024,
             accumulation: 1.25,
-            client_recv_buffer: 4 << 20,
         }
     }
 }
@@ -84,7 +84,7 @@ impl ServerPacedLogic {
         // the period has no exact integer form — see DESIGN.md §14 for the
         // float-vs-integer pacing audit.
         SimDuration::from_secs_f64(
-            self.cfg.block_bytes as f64 * 8.0 / (self.cfg.accumulation * self.video.encoding_bps as f64),
+            BLOCK_BYTES as f64 * 8.0 / (self.cfg.accumulation * self.video.encoding_bps as f64),
         )
     }
 
@@ -105,7 +105,7 @@ impl ServerPacedLogic {
 
 impl SessionLogic for ServerPacedLogic {
     fn on_start(&mut self, eng: &mut Engine) {
-        let client_cfg = TcpConfig::default().with_recv_buffer(self.cfg.client_recv_buffer);
+        let client_cfg = TcpConfig::default().with_recv_buffer(CLIENT_RECV_BUFFER);
         self.conn = eng.open_connection(client_cfg, server_tcp());
     }
 
@@ -119,7 +119,7 @@ impl SessionLogic for ServerPacedLogic {
         debug_assert_eq!(id, BLOCK_TIMER);
         self.blocks += 1;
         super::trace_block_request(eng.now(), self.blocks);
-        self.write_next(eng, self.cfg.block_bytes);
+        self.write_next(eng, BLOCK_BYTES);
     }
 
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {

@@ -426,12 +426,12 @@ fn run_one(id: &str, opts: &Options) {
             let ok = cells.iter().filter(|c| c.matches()).count();
             println!("  {ok}/{} cells match the paper's Table 1", cells.len());
         }
-        "table2" => emit_table(&f::table2_strategy_comparison(seed, 60), opts),
-        "model-agg" => emit_table(&f::model_aggregate_moments(seed, 4000.0), opts),
+        "table2" => emit_table(&f::table2_strategy_comparison(seed), opts),
+        "model-agg" => emit_table(&f::model_aggregate_moments(seed), opts),
         "ext-stalls" => emit_fig(&f::ext_stall_vs_accumulation(seed, n.min(8)), opts),
         "ext-sack" => emit_table(&f::ext_sack_ablation(seed), opts),
         "ext-cc" => emit_table(&f::ext_congestion_ablation(seed), opts),
-        "ext-m3" => emit_table(&f::ext_third_moment(seed, 4000.0), opts),
+        "ext-m3" => emit_table(&f::ext_third_moment(seed), opts),
         "ext-agg-pkt" => emit_table(&f::ext_aggregate_packet_level(seed, 40, 1200.0), opts),
         "ext-qoe" => {
             let (fig, table) = f::ext_qoe_load_sweep(seed, n.min(6));

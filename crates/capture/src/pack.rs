@@ -376,8 +376,9 @@ impl PackedTrace {
     }
 
     /// Replays the packed capture through `sink`, record by record in
-    /// capture order, without materialising a [`Trace`] — the cache-hit
-    /// path of streaming mode. Every stream (timestamps included) is
+    /// capture order, without materialising a [`Trace`] (the benchmark
+    /// driver's replay probe and the roundtrip tests; no figure replays).
+    /// Every stream (timestamps included) is
     /// decoded lock-step inside the one record loop, so the replay holds
     /// only the per-stream cursors and predictor state, never an O(records)
     /// buffer.

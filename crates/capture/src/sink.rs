@@ -10,8 +10,9 @@
 //!
 //! Three producers feed the same sink interface:
 //!
-//! * the session engine's tap, as packets are emitted (streaming mode —
-//!   no capture is retained at all);
+//! * the session engine's tap, as packets are emitted — how every figure,
+//!   the QoE table and the campaign resolve a session, with no capture
+//!   retained at all;
 //! * [`Trace::replay`], walking an in-memory capture column-wise;
 //! * [`crate::PackedTrace::replay`], decoding the packed streams record by
 //!   record without materialising a trace.

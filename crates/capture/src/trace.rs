@@ -164,8 +164,10 @@ impl Trace {
     }
 
     /// Replays the capture through `sink`, record by record in capture
-    /// order — the cache-hit path of streaming mode, and the bridge that
-    /// lets any fold be checked against the stored columns.
+    /// order — how a retained capture (`SessionSpec::run`, tests, examples)
+    /// reaches the folds, and the bridge that lets any fold be checked
+    /// against the stored columns. No figure replays: the session cache
+    /// stores finished replies, not captures.
     ///
     /// The SACK side table is walked with a sequential cursor (it is sorted
     /// by record index), so the replay is one linear pass over the columns.

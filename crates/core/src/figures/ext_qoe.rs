@@ -26,7 +26,7 @@
 //! batch and the numbers are byte-identical across `--jobs` and cache
 //! on/off (the cross-traffic shape is part of the session cache key).
 
-use vstream_app::strategies::AbrConfig;
+use vstream_app::strategies::{ABR_LADDER, ABR_SEGMENT_MS};
 use vstream_net::{LrdCrossConfig, NetworkProfile};
 use vstream_sim::derive_seed;
 use vstream_workload::{Client, Container};
@@ -49,8 +49,6 @@ const LOADS_PERMILLE: [u32; 5] = [0, 250, 500, 700, 850];
 /// sessions per load point.
 pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
     let n = n.max(1);
-    let abr = AbrConfig::default();
-    let segment_ms = (abr.segment_secs * 1000.0).round() as u64;
     let profile = NetworkProfile::Home;
 
     // One flat spec list so the whole sweep fans out as a single batch.
@@ -84,7 +82,7 @@ pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
 
     let query = SessionQuery::default()
         .qoe()
-        .switch_rate(abr.ladder.clone(), segment_ms);
+        .switch_rate(ABR_LADDER.to_vec(), ABR_SEGMENT_MS);
     let replies = query_many(&specs, &query);
 
     let capture_minutes = CAPTURE.as_secs_f64() / 60.0;

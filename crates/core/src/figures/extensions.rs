@@ -21,7 +21,7 @@ use vstream_net::{DuplexPath, LinkConfig, LossModel, NetworkProfile};
 use vstream_sim::{derive_seed, par_indexed, SimDuration, SimRng};
 use vstream_tcp::{CcAlgorithm, TcpConfig};
 
-use crate::figures::{long_video, CustomPaced};
+use crate::figures::{long_video, CustomPaced, MC_HORIZON_SECS};
 use crate::report::{FigureData, Series, TableData};
 use crate::session::{default_jobs, par_sessions, run_engine, EngineSetup, SessionScratch};
 
@@ -47,7 +47,6 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
             // A shallow startup buffer isolates the steady-state
             // resilience effect under study.
             buffer_playback_secs: 5.0,
-            ..ServerPacedConfig::default()
         };
         let engine_seed = derive_seed(seed, &[0x57A, ki as u64, i as u64]);
         // 20 Mbps downlink.
@@ -252,8 +251,9 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
 /// Extension 4: higher moments of the aggregate traffic.
 ///
 /// §6.1 notes the strategy-independence argument extends to higher moments;
-/// this verifies it empirically for the third central moment.
-pub fn ext_third_moment(seed: u64, horizon_secs: f64) -> TableData {
+/// this verifies it empirically for the third central moment over a
+/// [`MC_HORIZON_SECS`] Monte-Carlo horizon.
+pub fn ext_third_moment(seed: u64) -> TableData {
     let pop = PopulationModel {
         lambda: 1.0,
         encoding_bps: (0.5e6, 1.5e6),
@@ -270,7 +270,7 @@ pub fn ext_third_moment(seed: u64, horizon_secs: f64) -> TableData {
     let rows = par_indexed(strategies.len(), default_jobs(), |i| {
         let (name, strategy) = strategies[i];
         let sim = FluidSim::new(pop.clone(), strategy);
-        let (mean, var, m3) = sim.moments3(seed, horizon_secs, 0.5);
+        let (mean, var, m3) = sim.moments3(seed, MC_HORIZON_SECS, 0.5);
         let skew = m3 / var.powf(1.5);
         vec![
             name.to_string(),
@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn third_moment_agrees_across_strategies() {
-        let t = ext_third_moment(67, 4000.0);
+        let t = ext_third_moment(67);
         let skews: Vec<f64> = t.rows.iter().map(|r| r[3].parse().unwrap()).collect();
         let base = skews[0];
         for s in &skews[1..] {

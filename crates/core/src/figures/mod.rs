@@ -44,6 +44,9 @@ use crate::session::SessionSpec;
 /// The paper's capture duration per video (§4.2).
 pub const CAPTURE: SimDuration = SimDuration::from_secs(180);
 
+/// Stationary horizon of the §6 fluid Monte Carlos (`model-agg`, `ext-m3`).
+pub(crate) const MC_HORIZON_SECS: f64 = 4000.0;
+
 /// Stream tag for the shared per-cell session stream ([`cell_specs`]).
 ///
 /// Every figure that aggregates over `n` sessions of one Table 1 cell

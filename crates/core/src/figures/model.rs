@@ -8,6 +8,7 @@ use vstream_model::{
 };
 use vstream_sim::{par_indexed, SimRng};
 
+use crate::figures::MC_HORIZON_SECS;
 use crate::report::{FigureData, Series, TableData};
 
 fn population(lambda: f64) -> PopulationModel {
@@ -20,9 +21,9 @@ fn population(lambda: f64) -> PopulationModel {
 }
 
 /// §6.1: closed-form vs Monte-Carlo moments of the aggregate rate, per
-/// strategy, over a λ sweep. Demonstrates Eq. (3)/(4) and the
-/// strategy-independence result.
-pub fn model_aggregate_moments(seed: u64, horizon_secs: f64) -> TableData {
+/// strategy, over a λ sweep, each Monte Carlo over [`MC_HORIZON_SECS`].
+/// Demonstrates Eq. (3)/(4) and the strategy-independence result.
+pub fn model_aggregate_moments(seed: u64) -> TableData {
     const LAMBDAS: [f64; 3] = [0.5, 1.0, 2.0];
     let strategies = [
         ("no ON-OFF", FluidStrategy::Bulk),
@@ -42,7 +43,7 @@ pub fn model_aggregate_moments(seed: u64, horizon_secs: f64) -> TableData {
             let mean_cf = pop.expected_mean_bps();
             let var_cf = pop.expected_variance();
             let sim = FluidSim::new(pop, strategy);
-            let (mean, var) = sim.moments(seed, horizon_secs, 0.5);
+            let (mean, var) = sim.moments(seed, MC_HORIZON_SECS, 0.5);
             vec![
                 format!("{lambda:.1}"),
                 name.to_string(),
@@ -150,7 +151,7 @@ mod tests {
 
     #[test]
     fn aggregate_table_mc_matches_closed_form() {
-        let t = model_aggregate_moments(51, 3000.0);
+        let t = model_aggregate_moments(51);
         assert_eq!(t.rows.len(), 9);
         for row in &t.rows {
             let mean_cf: f64 = row[2].parse().unwrap();

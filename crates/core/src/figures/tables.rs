@@ -116,12 +116,15 @@ pub fn table1_strategy_matrix(seed: u64) -> (TableData, Vec<MatrixCell>) {
     (table, cells)
 }
 
+/// Seconds the Table 2 viewer watches before quitting.
+const TABLE2_WATCH_SECS: u64 = 60;
+
 /// Quantified Table 2: for each strategy, measures what the paper describes
 /// qualitatively — receive-side buffer occupancy and unused bytes when the
-/// viewer quits after `watch_secs`.
-pub fn table2_strategy_comparison(seed: u64, watch_secs: u64) -> TableData {
+/// viewer quits after [`TABLE2_WATCH_SECS`].
+pub fn table2_strategy_comparison(seed: u64) -> TableData {
     let video = long_video(1, 1_200_000);
-    let watch = SimDuration::from_secs(watch_secs);
+    let watch = SimDuration::from_secs(TABLE2_WATCH_SECS);
     let cases: [(&str, Client, Container, &str); 3] = [
         ("No ON-OFF", Client::Firefox, Container::Html5, "none"),
         ("Long ON-OFF", Client::Chrome, Container::Html5, "application layer"),
@@ -143,7 +146,7 @@ pub fn table2_strategy_comparison(seed: u64, watch_secs: u64) -> TableData {
         let out = out.expect("applicable cell");
         let peak_mb = out.player_stats().peak_buffer_bytes as f64 / 1e6;
         let downloaded = out.answer.totals.expect("totals queried").total_downloaded as f64;
-        let watched = video.playback_bytes(watch_secs as f64) as f64;
+        let watched = video.playback_bytes(TABLE2_WATCH_SECS as f64) as f64;
         let unused_mb = (downloaded - watched).max(0.0) / 1e6;
         rows.push(vec![
             name.to_string(),
@@ -155,7 +158,7 @@ pub fn table2_strategy_comparison(seed: u64, watch_secs: u64) -> TableData {
     TableData {
         id: "table2",
         title: format!(
-            "Table 2 (quantified): strategy comparison, viewer quits after {watch_secs} s"
+            "Table 2 (quantified): strategy comparison, viewer quits after {TABLE2_WATCH_SECS} s"
         ),
         headers: vec![
             "Strategy".into(),
@@ -198,7 +201,7 @@ mod tests {
 
     #[test]
     fn table2_orders_buffer_occupancy_and_waste() {
-        let t = table2_strategy_comparison(43, 60);
+        let t = table2_strategy_comparison(43);
         assert_eq!(t.rows.len(), 3);
         let col = |row: usize, col: usize| -> f64 { t.rows[row][col].parse().unwrap() };
         // Buffer occupancy: No > Long > Short (Table 2's Large/Moderate/

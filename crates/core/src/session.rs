@@ -679,6 +679,39 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
+    /// A 0 % LRD load has a zero peak rate: the engine schedules none of
+    /// its sources, so the session is the cross-free one, event for event.
+    #[test]
+    fn zero_load_lrd_aggregate_is_the_cross_free_session() {
+        let spec = SessionSpec::new(
+            Client::Dash,
+            Container::Html5,
+            video(),
+            NetworkProfile::Home,
+            9,
+            SimDuration::from_secs(60),
+        );
+        let lrd = |permille| {
+            spec.with_lrd_cross(LrdCrossConfig::for_load(NetworkProfile::Home.down_bps(), permille))
+        };
+        let query = SessionQuery::default().totals().qoe().summaries();
+        let render = |s: &SessionSpec| {
+            let r = crate::query::query_many_jobs(&[*s], 1, &query).remove(0).unwrap();
+            format!("{:?} {:?} {:?}", r.answer, r.player_stats(), r.connection_stats)
+        };
+        assert_eq!(render(&spec), render(&lrd(0)));
+        let events = |s: &SessionSpec| {
+            let mut setup = EngineSetup::new(s.profile.build_path(), s.seed, s.capture);
+            setup.lrd = s.cross;
+            let mut logic = logic_for(s.client, s.container, s.video).unwrap();
+            let (mut scratch, sink) = (SessionScratch::new(), &mut NullSink);
+            let stem = || "zero-load-lrd-test".to_string();
+            run_engine(setup, &mut scratch, &mut logic, sink, false, |_| None, stem).events_scheduled
+        };
+        assert_eq!(events(&spec), events(&lrd(0)));
+        assert_ne!(events(&spec), events(&lrd(250)), "a nonzero load schedules its sources");
+    }
+
     #[test]
     fn determinism_across_runs() {
         let run = || {

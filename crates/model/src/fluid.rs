@@ -47,62 +47,6 @@ impl FluidStrategy {
     }
 }
 
-/// A weighted mixture of fluid shapes: each arriving session draws its
-/// strategy independently with probability proportional to the weight.
-///
-/// This is what lets one population superpose the bulk/no-cycle shape next
-/// to short and long ON-OFF cycles — §6.1's strategy-independence result
-/// says the aggregate moments must not care, and the mixed Monte-Carlo lets
-/// the tests hold that for mixtures, not just pure populations.
-#[derive(Clone, Debug)]
-pub struct StrategyMix {
-    entries: Vec<(FluidStrategy, f64)>,
-    total: f64,
-}
-
-impl StrategyMix {
-    /// Creates a mix from `(strategy, weight)` entries.
-    ///
-    /// # Panics
-    /// If no entry has a positive weight, or any weight is negative.
-    pub fn new(entries: Vec<(FluidStrategy, f64)>) -> Self {
-        assert!(
-            entries.iter().all(|&(_, w)| w >= 0.0),
-            "mix weights must be non-negative"
-        );
-        let total: f64 = entries.iter().map(|&(_, w)| w).sum();
-        assert!(total > 0.0, "mix must have positive total weight");
-        StrategyMix { entries, total }
-    }
-
-    /// The degenerate single-strategy mix.
-    pub fn single(strategy: FluidStrategy) -> Self {
-        StrategyMix { entries: vec![(strategy, 1.0)], total: 1.0 }
-    }
-
-    /// The `(strategy, weight)` entries.
-    pub fn entries(&self) -> &[(FluidStrategy, f64)] {
-        &self.entries
-    }
-
-    /// Whether the mix is a single strategy (no per-session draw needed).
-    fn is_single(&self) -> bool {
-        self.entries.len() == 1
-    }
-
-    /// Picks a strategy by inverse-CDF on a uniform `u` in `[0, 1)`.
-    pub fn pick(&self, u: f64) -> FluidStrategy {
-        let mut mark = u * self.total;
-        for &(s, w) in &self.entries {
-            if mark < w {
-                return s;
-            }
-            mark -= w;
-        }
-        self.entries.last().expect("non-empty mix").0
-    }
-}
-
 /// The random session population (all quantities sampled independently).
 #[derive(Clone, Debug)]
 pub struct PopulationModel {
@@ -179,29 +123,18 @@ impl Session {
 /// The fluid Monte-Carlo simulator.
 pub struct FluidSim {
     population: PopulationModel,
-    mix: StrategyMix,
+    strategy: FluidStrategy,
 }
 
 impl FluidSim {
     /// Creates a simulator for a population and a single strategy.
     pub fn new(population: PopulationModel, strategy: FluidStrategy) -> Self {
-        FluidSim::new_mix(population, StrategyMix::single(strategy))
-    }
-
-    /// Creates a simulator whose arriving sessions draw their strategy from
-    /// a weighted mix. A single-entry mix is byte-identical to
-    /// [`FluidSim::new`]: the per-session strategy draw is skipped, so the
-    /// RNG stream (arrivals, `e`, `L`, `G`) is unchanged — and for larger
-    /// mixes the strategy draw comes *after* those four, so a mixed run
-    /// sees the same arrival process and session parameters as any pure
-    /// run with the same seed, differing only in shapes.
-    pub fn new_mix(population: PopulationModel, mix: StrategyMix) -> Self {
         assert!(population.lambda > 0.0, "arrival rate must be positive");
         assert!(
             population.bandwidth_bps.0 >= population.encoding_bps.1 * 1.3,
             "population violates the overprovisioning assumption"
         );
-        FluidSim { population, mix }
+        FluidSim { population, strategy }
     }
 
     /// Runs the superposition over `horizon_secs`, sampling the aggregate
@@ -228,12 +161,7 @@ impl FluidSim {
             let e = rng.uniform_range(p.encoding_bps.0, p.encoding_bps.1);
             let l = rng.uniform_range(p.duration_secs.0, p.duration_secs.1);
             let g = rng.uniform_range(p.bandwidth_bps.0, p.bandwidth_bps.1);
-            let strategy = if self.mix.is_single() {
-                self.mix.entries[0].0
-            } else {
-                self.mix.pick(rng.uniform())
-            };
-            let session = Session::build(strategy, t, e, l, g);
+            let session = Session::build(self.strategy, t, e, l, g);
             for (s, e_t, rate) in session.intervals {
                 let first = (s / dt_secs).ceil() as usize;
                 let last = (e_t / dt_secs).floor() as usize;
@@ -350,54 +278,6 @@ mod tests {
     fn deterministic_given_seed() {
         let sim = FluidSim::new(population(), FluidStrategy::short_cycles());
         assert_eq!(sim.run(9, 500.0, 1.0), sim.run(9, 500.0, 1.0));
-    }
-
-    #[test]
-    fn single_entry_mix_is_byte_identical_to_pure_run() {
-        let pure = FluidSim::new(population(), FluidStrategy::short_cycles());
-        let mixed = FluidSim::new_mix(
-            population(),
-            StrategyMix::new(vec![(FluidStrategy::short_cycles(), 3.0)]),
-        );
-        assert_eq!(pure.run(11, 500.0, 1.0), mixed.run(11, 500.0, 1.0));
-    }
-
-    #[test]
-    fn mixed_population_matches_closed_form_moments() {
-        // The campaign shape: bulk alongside short and long cycles. §6.1's
-        // strategy-independence means the mixture's moments still equal the
-        // pure closed forms.
-        let mix = StrategyMix::new(vec![
-            (FluidStrategy::Bulk, 0.2),
-            (FluidStrategy::short_cycles(), 0.5),
-            (FluidStrategy::long_cycles(), 0.3),
-        ]);
-        let sim = FluidSim::new_mix(population(), mix);
-        let (mean, var) = sim.moments(12, 6000.0, 0.5);
-        let pop = population();
-        let mean_err = (mean - pop.expected_mean_bps()).abs() / pop.expected_mean_bps();
-        let var_err = (var - pop.expected_variance()).abs() / pop.expected_variance();
-        assert!(mean_err < 0.05, "mixed mean off by {mean_err:.3}");
-        assert!(var_err < 0.2, "mixed variance off by {var_err:.3}");
-    }
-
-    #[test]
-    fn mix_pick_respects_weights() {
-        let mix = StrategyMix::new(vec![
-            (FluidStrategy::Bulk, 1.0),
-            (FluidStrategy::short_cycles(), 3.0),
-        ]);
-        assert_eq!(mix.pick(0.0), FluidStrategy::Bulk);
-        assert_eq!(mix.pick(0.24), FluidStrategy::Bulk);
-        assert_eq!(mix.pick(0.26), FluidStrategy::short_cycles());
-        assert_eq!(mix.pick(0.999), FluidStrategy::short_cycles());
-        assert_eq!(mix.entries().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive total weight")]
-    fn rejects_zero_weight_mix() {
-        let _ = StrategyMix::new(vec![(FluidStrategy::Bulk, 0.0)]);
     }
 
     #[test]

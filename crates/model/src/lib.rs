@@ -27,5 +27,5 @@ pub use closed_form::{
     aggregate_mean_bps, aggregate_variance, mix_aggregate_moments, provisioned_capacity,
     MixComponent,
 };
-pub use fluid::{FluidSim, FluidStrategy, PopulationModel, StrategyMix};
+pub use fluid::{FluidSim, FluidStrategy, PopulationModel};
 pub use interruption::{full_download_duration_threshold, unused_bytes, wasted_bandwidth_bps};

@@ -155,7 +155,7 @@ impl Ledger {
     }
 
     /// Renders the human-readable summary table printed by
-    /// `repro --metrics-summary` and the bench `--quiet` footer.
+    /// `repro --metrics-summary`.
     pub fn summary(&self, profile_names: &[&str]) -> String {
         let m = &self.totals;
         let mut out = String::new();

@@ -56,8 +56,8 @@ where
 /// Each worker thread calls `init()` once to build its private scratch
 /// value, then runs `f(&mut scratch, i)` for every index it claims. The
 /// scratch gives back-to-back sessions on one worker a place to recycle
-/// allocations (event-queue storage, segment buffers, trace capacity)
-/// without any cross-thread sharing.
+/// allocations (event-queue storage, segment buffers, the worker's metrics
+/// registry) without any cross-thread sharing.
 ///
 /// The determinism contract additionally requires that `f`'s *output* not
 /// depend on the scratch's history, only its own index. Scratch may

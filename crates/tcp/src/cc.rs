@@ -23,6 +23,11 @@
 
 use vstream_sim::SimTime;
 
+use crate::config::{INITIAL_CWND_SEGMENTS, MSS};
+
+/// The initial (and idle-restart) congestion window in bytes.
+const INITIAL_CWND: u64 = MSS * INITIAL_CWND_SEGMENTS;
+
 /// Which congestion-control algorithm a connection runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CcAlgorithm {
@@ -64,8 +69,8 @@ struct Cubic {
 
 impl Cubic {
     /// The cubic window function W(t), in bytes.
-    fn window_at(&self, t_secs: f64, mss: u64) -> f64 {
-        let mss = mss as f64;
+    fn window_at(&self, t_secs: f64) -> f64 {
+        let mss = MSS as f64;
         let w_max_mss = self.w_max / mss;
         // K = cbrt(W_max * (1 - beta) / C), in seconds.
         let k = (w_max_mss * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
@@ -77,8 +82,6 @@ impl Cubic {
 /// The congestion controller of one connection.
 #[derive(Clone, Debug)]
 pub struct CongestionController {
-    mss: u64,
-    initial_cwnd: u64,
     max_cwnd: u64,
     cwnd: u64,
     ssthresh: u64,
@@ -97,21 +100,12 @@ pub struct CongestionController {
 }
 
 impl CongestionController {
-    /// Creates a controller for `algorithm`, in slow start with the given
+    /// Creates a controller for `algorithm`, in slow start with the
     /// initial window.
-    pub fn new(
-        algorithm: CcAlgorithm,
-        mss: u32,
-        initial_cwnd_segments: u32,
-        max_cwnd: u64,
-    ) -> Self {
-        let mss = mss as u64;
-        let initial_cwnd = mss * initial_cwnd_segments as u64;
+    pub fn new(algorithm: CcAlgorithm, max_cwnd: u64) -> Self {
         CongestionController {
-            mss,
-            initial_cwnd,
             max_cwnd,
-            cwnd: initial_cwnd,
+            cwnd: INITIAL_CWND,
             ssthresh: u64::MAX,
             dup_acks: 0,
             in_recovery: false,
@@ -120,9 +114,9 @@ impl CongestionController {
             cubic: match algorithm {
                 CcAlgorithm::Reno => None,
                 CcAlgorithm::Cubic => Some(Cubic {
-                    w_max: initial_cwnd as f64,
+                    w_max: INITIAL_CWND as f64,
                     epoch_start: None,
-                    epoch_cwnd: initial_cwnd as f64,
+                    epoch_cwnd: INITIAL_CWND as f64,
                 }),
             },
         }
@@ -173,7 +167,7 @@ impl CongestionController {
             if ack_no >= self.recover {
                 // Full ACK: deflate back to ssthresh and resume avoidance.
                 self.in_recovery = false;
-                self.cwnd = self.ssthresh.max(self.mss);
+                self.cwnd = self.ssthresh.max(MSS);
                 self.end_epoch();
                 NewAckOutcome::RecoveryComplete
             } else {
@@ -183,7 +177,7 @@ impl CongestionController {
                     // Partial ACK: deflate by the amount acked, re-inflate by
                     // one MSS for the retransmission we are about to make
                     // (RFC 6582).
-                    self.cwnd = self.cwnd.saturating_sub(newly_acked).max(self.mss) + self.mss;
+                    self.cwnd = self.cwnd.saturating_sub(newly_acked).max(MSS) + MSS;
                 }
                 NewAckOutcome::RecoveryPartial
             }
@@ -191,7 +185,7 @@ impl CongestionController {
             if cwnd_limited {
                 self.cwnd += if self.cwnd < self.ssthresh {
                     // Slow start with appropriate byte counting (ABC, L=1).
-                    newly_acked.min(self.mss)
+                    newly_acked.min(MSS)
                 } else {
                     self.avoidance_increment(now)
                 };
@@ -205,7 +199,7 @@ impl CongestionController {
     /// avoidance.
     fn avoidance_increment(&mut self, now: SimTime) -> u64 {
         // Reno: ~one MSS per RTT. Also CUBIC's floor below its curve.
-        let reno = (self.mss * self.mss / self.cwnd).max(1);
+        let reno = (MSS * MSS / self.cwnd).max(1);
         let Some(cubic) = &mut self.cubic else {
             return reno;
         };
@@ -216,11 +210,11 @@ impl CongestionController {
             now
         });
         let t = now.saturating_duration_since(epoch).as_secs_f64();
-        let target = cubic.window_at(t, self.mss).max(cubic.epoch_cwnd);
+        let target = cubic.window_at(t).max(cubic.epoch_cwnd);
         if target > cwnd {
             // Standard per-ACK increment: (target - cwnd)/cwnd segments'
             // worth of bytes.
-            let inc = (target - cwnd) / cwnd * self.mss as f64;
+            let inc = (target - cwnd) / cwnd * MSS as f64;
             (inc as u64).max(1)
         } else {
             reno
@@ -240,7 +234,7 @@ impl CongestionController {
                 (cubic.w_max * CUBIC_BETA) as u64
             }
         };
-        self.ssthresh = target.max(2 * self.mss);
+        self.ssthresh = target.max(2 * MSS);
     }
 
     /// Ends CUBIC's avoidance epoch; the next growth step starts a new one.
@@ -262,7 +256,7 @@ impl CongestionController {
             // signals a departure). With SACK the pipe estimate accounts for
             // departures directly, so inflation would double-count.
             if !self.sack_mode {
-                self.cwnd = (self.cwnd + self.mss).min(self.max_cwnd);
+                self.cwnd = (self.cwnd + MSS).min(self.max_cwnd);
             }
             return false;
         }
@@ -272,7 +266,7 @@ impl CongestionController {
             self.cwnd = if self.sack_mode {
                 self.ssthresh
             } else {
-                self.ssthresh + 3 * self.mss
+                self.ssthresh + 3 * MSS
             };
             self.in_recovery = true;
             self.recover = snd_max;
@@ -286,7 +280,7 @@ impl CongestionController {
     /// slow start.
     pub fn on_timeout(&mut self, flight: u64) {
         self.reduce_ssthresh(flight);
-        self.cwnd = self.mss;
+        self.cwnd = MSS;
         self.in_recovery = false;
         self.dup_acks = 0;
     }
@@ -295,7 +289,7 @@ impl CongestionController {
     /// restart window. Only called by the endpoint when
     /// [`crate::TcpConfig::idle_cwnd_reset`] is enabled.
     pub fn idle_restart(&mut self) {
-        self.cwnd = self.cwnd.min(self.initial_cwnd);
+        self.cwnd = self.cwnd.min(INITIAL_CWND);
         self.dup_acks = 0;
         self.end_epoch();
     }
@@ -305,14 +299,12 @@ impl CongestionController {
 mod tests {
     use super::*;
 
-    const MSS: u64 = 1460;
-
     fn cc() -> CongestionController {
-        CongestionController::new(CcAlgorithm::Reno, 1460, 4, 16 * 1024 * 1024)
+        CongestionController::new(CcAlgorithm::Reno, 16 * 1024 * 1024)
     }
 
     fn cubic() -> CongestionController {
-        CongestionController::new(CcAlgorithm::Cubic, 1460, 4, 64 * 1024 * 1024)
+        CongestionController::new(CcAlgorithm::Cubic, 64 * 1024 * 1024)
     }
 
     fn t(secs: f64) -> SimTime {
@@ -462,7 +454,7 @@ mod tests {
 
     #[test]
     fn cwnd_never_exceeds_cap() {
-        let mut c = CongestionController::new(CcAlgorithm::Reno, 1460, 4, 10 * 1460);
+        let mut c = CongestionController::new(CcAlgorithm::Reno, 10 * 1460);
         for _ in 0..1000 {
             c.on_new_ack(SimTime::ZERO, MSS, 0, true);
         }
@@ -640,7 +632,7 @@ mod tests {
         // At t = K, W(t) = w_max exactly.
         let w_max_mss = law.w_max / MSS as f64;
         let k = (w_max_mss * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
-        let at_k = law.window_at(k, MSS);
+        let at_k = law.window_at(k);
         assert!(
             (at_k - law.w_max).abs() < 1.0,
             "W(K) = {at_k} vs w_max {}",
@@ -669,7 +661,7 @@ mod tests {
             ]
             .into_iter()
             .map(|(algorithm, sack)| {
-                let mut c = CongestionController::new(algorithm, MSS as u32, 4, MAX_CWND);
+                let mut c = CongestionController::new(algorithm, MAX_CWND);
                 c.set_sack_mode(sack);
                 c
             })

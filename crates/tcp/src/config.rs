@@ -4,18 +4,26 @@ use vstream_sim::SimDuration;
 
 use crate::cc::CcAlgorithm;
 
-/// Tunables of a TCP [`crate::Endpoint`].
+/// Maximum segment size (payload bytes per segment) of every endpoint.
+pub const MSS: u64 = 1460;
+
+/// Initial congestion window, in segments: between the classic IW3 and
+/// Google's IW10 rollout of 2011.
+pub const INITIAL_CWND_SEGMENTS: u64 = 4;
+
+/// Lower bound on the retransmission timeout (Linux).
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+
+/// Upper bound on the retransmission timeout (with backoff).
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+
+/// The switches and buffer sizes of a TCP [`crate::Endpoint`]; the segment
+/// size, initial window and RTO bounds are the constants above.
 ///
-/// Defaults model a 2011-era server stack: MSS 1460, initial window of 4
-/// segments (between the classic IW3 and Google's IW10 rollout of that year),
-/// 200 ms minimum RTO (Linux), and — crucially for Fig. 9 of the paper — *no*
-/// congestion-window reset after idle periods.
+/// Defaults model a 2011-era server stack and — crucially for Fig. 9 of the
+/// paper — *no* congestion-window reset after idle periods.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per segment).
-    pub mss: u32,
-    /// Initial congestion window, in segments.
-    pub initial_cwnd_segments: u32,
     /// Congestion window ceiling in bytes (stands in for the send-buffer
     /// autotuning limit of a real stack).
     pub max_cwnd: u64,
@@ -23,10 +31,6 @@ pub struct TcpConfig {
     /// exceed this. Window scaling is assumed negotiated, so the full value
     /// is advertised.
     pub recv_buffer: u64,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Upper bound on the retransmission timeout (with backoff).
-    pub max_rto: SimDuration,
     /// If true, apply RFC 5681 §4.1: collapse cwnd back to the initial window
     /// after the connection has been idle for one RTO. The paper's traces
     /// show streaming servers did not do this; the ablation bench flips it.
@@ -42,12 +46,8 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1460,
-            initial_cwnd_segments: 4,
             max_cwnd: 16 * 1024 * 1024,
             recv_buffer: 256 * 1024,
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(60),
             idle_cwnd_reset: false,
             sack: true,
             congestion: CcAlgorithm::Reno,
@@ -56,11 +56,6 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// Initial congestion window in bytes.
-    pub fn initial_cwnd(&self) -> u64 {
-        self.initial_cwnd_segments as u64 * self.mss as u64
-    }
-
     /// Replaces the receive-buffer capacity.
     pub fn with_recv_buffer(mut self, bytes: u64) -> Self {
         self.recv_buffer = bytes;
@@ -88,15 +83,11 @@ impl TcpConfig {
     /// Validates internal consistency.
     ///
     /// # Panics
-    /// Panics if any invariant is violated (zero MSS, zero window, inverted
-    /// RTO bounds).
+    /// Panics if the congestion window cap or the receive buffer is below
+    /// one MSS.
     pub fn validate(&self) {
-        assert!(self.mss > 0, "mss must be positive");
-        assert!(self.initial_cwnd_segments > 0, "initial cwnd must be positive");
-        assert!(self.max_cwnd >= self.mss as u64, "max_cwnd below one MSS");
-        assert!(self.recv_buffer >= self.mss as u64, "recv_buffer below one MSS");
-        assert!(self.min_rto <= self.max_rto, "min_rto exceeds max_rto");
-        assert!(!self.min_rto.is_zero(), "min_rto must be positive");
+        assert!(self.max_cwnd >= MSS, "max_cwnd below one MSS");
+        assert!(self.recv_buffer >= MSS, "recv_buffer below one MSS");
     }
 }
 
@@ -112,11 +103,11 @@ mod tests {
     #[test]
     fn default_matches_2011_stack() {
         let cfg = TcpConfig::default();
-        assert_eq!(cfg.mss, 1460);
-        assert_eq!(cfg.initial_cwnd(), 4 * 1460);
+        assert_eq!(MSS, 1460);
+        assert_eq!(INITIAL_CWND_SEGMENTS * MSS, 4 * 1460);
         assert!(!cfg.idle_cwnd_reset);
         assert!(cfg.sack);
-        assert_eq!(cfg.min_rto, SimDuration::from_millis(200));
+        assert_eq!(MIN_RTO, SimDuration::from_millis(200));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use vstream_obs::Hist;
 use vstream_sim::{SimDuration, SimTime};
 
 use crate::cc::{CongestionController, NewAckOutcome};
-use crate::config::TcpConfig;
+use crate::config::{TcpConfig, MAX_RTO, MSS};
 use crate::rangeset::RangeSet;
 use crate::reassembly::ReceiveBuffer;
 use crate::rtt::RttEstimator;
@@ -176,9 +176,9 @@ impl Endpoint {
     /// [`State::Listen`] (server).
     pub fn new(role: Role, conn: u32, cfg: TcpConfig) -> Self {
         cfg.validate();
-        let mut cc = CongestionController::new(cfg.congestion, cfg.mss, cfg.initial_cwnd_segments, cfg.max_cwnd);
+        let mut cc = CongestionController::new(cfg.congestion, cfg.max_cwnd);
         cc.set_sack_mode(cfg.sack);
-        let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
+        let rtt = RttEstimator::default();
         let rb = ReceiveBuffer::new(cfg.recv_buffer);
         Endpoint {
             state: match role {
@@ -191,7 +191,7 @@ impl Endpoint {
             snd_una: 0,
             snd_nxt: 0,
             snd_high: 0,
-            snd_wnd: cfg.mss as u64, // until the peer advertises, assume one MSS
+            snd_wnd: MSS, // until the peer advertises, assume one MSS
             snd_wl: 0,
             fin_queued: false,
             fin_sent: false,
@@ -368,7 +368,7 @@ impl Endpoint {
         let _ = now;
         let window_before = self.rb.window();
         let n = self.rb.read(max);
-        if n > 0 && window_before < self.cfg.mss as u64 && self.rb.window() >= self.cfg.mss as u64 {
+        if n > 0 && window_before < MSS && self.rb.window() >= MSS {
             out.push(self.make_ack());
         }
         n
@@ -497,7 +497,7 @@ impl Endpoint {
         if ack_no > self.snd_una {
             let newly_acked = ack_no - self.snd_una;
             let flight_before = self.snd_nxt - self.snd_una;
-            let cwnd_limited = flight_before + self.cfg.mss as u64 >= self.cc.cwnd();
+            let cwnd_limited = flight_before + MSS >= self.cc.cwnd();
             self.snd_una = ack_no;
             self.sacked.prune_below(ack_no);
             self.retx_pending.prune_below(ack_no);
@@ -505,7 +505,7 @@ impl Endpoint {
             // segment more than it delivered, so a collapsed flight can
             // regrow exponentially instead of locking at one segment per
             // round trip.
-            self.recovery_quota = 1 + (newly_acked / self.cfg.mss as u64).min(64) as u32;
+            self.recovery_quota = 1 + (newly_acked / MSS).min(64) as u32;
             // After a rewind, the ACK may cover bytes we were about to
             // retransmit; never send below snd_una.
             if self.snd_nxt < self.snd_una {
@@ -565,7 +565,7 @@ impl Endpoint {
                 out.push(self.retransmit_front(now));
                 // The front segment is the first hole; further holes are
                 // repaired as the scoreboard and pipe allow.
-                self.hole_next = (self.snd_una + self.cfg.mss as u64).min(self.snd_nxt);
+                self.hole_next = (self.snd_una + MSS).min(self.snd_nxt);
                 self.sack_retransmit(now, out);
                 self.arm_rto(now);
             } else if self.cc.in_recovery() {
@@ -638,7 +638,7 @@ impl Endpoint {
         }
         self.hole_next = self.hole_next.max(self.snd_una);
         while self.recovery_quota > 0 {
-            if self.pipe() + self.cfg.mss as u64 > self.cc.cwnd() {
+            if self.pipe() + MSS > self.cc.cwnd() {
                 break;
             }
             // Skip over ranges the peer holds and repairs still in flight.
@@ -668,7 +668,7 @@ impl Endpoint {
                 Some(s) if s < hole_end => s,
                 _ => hole_end,
             };
-            let len = (self.cfg.mss as u64).min(hole_end - self.hole_next) as u32;
+            let len = MSS.min(hole_end - self.hole_next) as u32;
             if len == 0 {
                 break;
             }
@@ -751,7 +751,7 @@ impl Endpoint {
                 }
                 // The natural segment: a full MSS unless the stream tail or
                 // the peer's window is smaller.
-                let natural = (self.cfg.mss as u64)
+                let natural = MSS
                     .min(self.write_offset - self.snd_nxt)
                     .min(wnd_right - self.snd_nxt);
                 if natural == 0 {
@@ -830,7 +830,7 @@ impl Endpoint {
     /// NewReno partial-ACK retransmission) without touching `snd_nxt`.
     fn retransmit_front(&mut self, now: SimTime) -> Segment {
         let (seq, len, fin) = if self.snd_una < self.write_offset {
-            let len = (self.cfg.mss as u64).min(self.write_offset - self.snd_una) as u32;
+            let len = MSS.min(self.write_offset - self.snd_una) as u32;
             (self.snd_una, len, false)
         } else {
             // Only the FIN is outstanding.
@@ -909,7 +909,7 @@ impl Endpoint {
         let pending = self.snd_nxt < self.write_offset || (self.fin_queued && !self.fin_sent);
         if pending && self.persist_deadline.is_none() {
             let interval = self.rtt.rto() * (1u32 << self.persist_backoff.min(10));
-            let interval = interval.min(self.cfg.max_rto);
+            let interval = interval.min(MAX_RTO);
             self.persist_deadline = Some(now + interval);
         }
     }

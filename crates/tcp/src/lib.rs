@@ -40,7 +40,7 @@ pub mod rtt;
 pub mod segment;
 
 pub use cc::{CcAlgorithm, CongestionController};
-pub use config::TcpConfig;
+pub use config::{TcpConfig, INITIAL_CWND_SEGMENTS, MAX_RTO, MIN_RTO, MSS};
 pub use endpoint::{Endpoint, EndpointStats, Role, State};
 pub use reassembly::ReceiveBuffer;
 pub use rtt::RttEstimator;

@@ -3,19 +3,21 @@
 
 use vstream_sim::SimDuration;
 
-/// RFC 6298 smoothed RTT estimator.
+use crate::config::{MAX_RTO, MIN_RTO};
+
+/// RFC 6298 smoothed RTT estimator, its RTO clamped between [`MIN_RTO`]
+/// and [`MAX_RTO`].
 ///
 /// The first sample initializes `SRTT = R`, `RTTVAR = R/2`; subsequent
 /// samples apply the EWMA updates with `alpha = 1/8`, `beta = 1/4`. Until a
 /// sample exists the RTO is a conservative 1 second. Exponential backoff is
 /// applied by the endpoint on each retransmission timeout (Karn's algorithm:
-/// retransmitted segments are never sampled).
-#[derive(Clone, Debug)]
+/// retransmitted segments are never sampled). [`Default`] is the estimator
+/// with no sample yet.
+#[derive(Clone, Debug, Default)]
 pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
-    min_rto: SimDuration,
-    max_rto: SimDuration,
     /// Current backoff multiplier (doubles per timeout, resets on a valid
     /// sample).
     backoff: u32,
@@ -24,18 +26,6 @@ pub struct RttEstimator {
 impl RttEstimator {
     /// Initial RTO before any sample, per RFC 6298.
     pub const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
-
-    /// Creates an estimator with the given RTO clamp.
-    pub fn new(min_rto: SimDuration, max_rto: SimDuration) -> Self {
-        assert!(min_rto <= max_rto, "min_rto exceeds max_rto");
-        RttEstimator {
-            srtt: None,
-            rttvar: SimDuration::ZERO,
-            min_rto,
-            max_rto,
-            backoff: 0,
-        }
-    }
 
     /// Incorporates a new RTT measurement and clears any backoff.
     pub fn sample(&mut self, rtt: SimDuration) {
@@ -68,9 +58,9 @@ impl RttEstimator {
             // here, so effectively SRTT + 4 * RTTVAR.
             Some(srtt) => srtt + self.rttvar * 4,
         };
-        let clamped = base.max(self.min_rto);
+        let clamped = base.max(MIN_RTO);
         let shifted = clamped * (1u32 << self.backoff.min(16));
-        shifted.min(self.max_rto)
+        shifted.min(MAX_RTO)
     }
 
     /// Doubles the RTO (called on each retransmission timeout).
@@ -84,7 +74,7 @@ mod tests {
     use super::*;
 
     fn est() -> RttEstimator {
-        RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(60))
+        RttEstimator::default()
     }
 
     #[test]

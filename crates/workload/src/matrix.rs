@@ -10,8 +10,8 @@
 use vstream_analysis::Strategy;
 use vstream_app::engine::{Engine, SessionLogic};
 use vstream_app::strategies::{
-    AbrConfig, AbrLogic, BulkLogic, ClientPullConfig, ClientPullLogic, NetflixConfig,
-    NetflixLogic, RangeRequestConfig, RangeRequestLogic, ServerPacedConfig, ServerPacedLogic,
+    AbrLogic, BulkLogic, ClientPullConfig, ClientPullLogic, NetflixConfig, NetflixLogic,
+    RangeRequestLogic, ServerPacedConfig, ServerPacedLogic,
 };
 use vstream_app::{Player, Video};
 use vstream_net::NetworkProfile;
@@ -277,14 +277,11 @@ pub fn logic_for(client: Client, container: Container, video: Video) -> Option<S
             Client::Chrome => {
                 StrategyLogic::ClientPull(ClientPullLogic::new(ClientPullConfig::chrome(), video))
             }
-            Client::Ipad => StrategyLogic::Range(RangeRequestLogic::new(
-                RangeRequestConfig::default(),
-                video,
-            )),
+            Client::Ipad => StrategyLogic::Range(RangeRequestLogic::new(video)),
             Client::Android => {
                 StrategyLogic::ClientPull(ClientPullLogic::new(ClientPullConfig::android(), video))
             }
-            Client::Dash => StrategyLogic::Abr(AbrLogic::new(AbrConfig::default(), video)),
+            Client::Dash => StrategyLogic::Abr(AbrLogic::new(video)),
         },
         Container::Silverlight => {
             let cfg = match client {

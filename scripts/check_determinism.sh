@@ -17,8 +17,10 @@
 # perturbs any output (CSV tree, QoE table, stdout, ledger all byte-match
 # pass 1), and the dump files themselves are deterministic — pass 1 also
 # dumps, at --jobs 1, and pass 4 at --jobs N must reproduce its trace
-# directory file for file. A small --trace-cap bounds dump volume; ring
-# truncation is itself deterministic (last N events).
+# directory file for file, which must hold the ablation harnesses' dumps
+# (ext-cc among them) and nothing but parseable Chrome trace JSON. A small
+# --trace-cap bounds dump volume; ring truncation is itself deterministic
+# (last N events).
 #
 # Usage: [JOBS=N] scripts/check_determinism.sh [repro-args...]
 #   e.g. scripts/check_determinism.sh --seed 7 --n 4
@@ -76,6 +78,14 @@ done
 # The dump files must themselves be deterministic: serial vs multi-worker
 # must produce the same file set with the same bytes.
 diff -r "$out/tr1" "$out/trN"
+# The harness sessions dump too, and every Chrome trace JSON is valid JSON.
+ls "$out/tr1"/ext-cc-*.trace.json > /dev/null
+python3 - "$out/tr1" <<'PY'
+import glob, json, sys
+for path in glob.glob(sys.argv[1] + "/*.trace.json"):
+    with open(path) as f:
+        json.load(f)
+PY
 diff -r "$out/camp1" "$out/campN"
 diff <(sed "s|$out/camp1|CSV|" "$out/camp1.txt") \
      <(sed "s|$out/campN|CSV|" "$out/campN.txt")

@@ -30,7 +30,7 @@ fn figure_suite(jobs: usize) -> Vec<String> {
     out.push(csv_of(&fig2b));
     let (table1, _) = f::table1_strategy_matrix(101);
     out.push(table1.to_csv());
-    out.push(f::table2_strategy_comparison(102, 60).to_csv());
+    out.push(f::table2_strategy_comparison(102).to_csv());
     out
 }
 
