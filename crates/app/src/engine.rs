@@ -17,6 +17,7 @@ use vstream_net::cross::LRD_SOURCES;
 use vstream_net::{Direction, DuplexPath, LrdCrossConfig};
 use vstream_obs::{collector, Counter, Gauge, HistId, Metrics};
 use vstream_sim::{derive_seed, EventQueue, QueueStats, SimDuration, SimRng, SimTime};
+use vstream_tcp::segment::SackBlocks;
 use vstream_tcp::{Endpoint, EndpointStats, Role, Segment, TcpConfig};
 
 /// Which endpoint of a connection pair.
@@ -31,13 +32,120 @@ enum Side {
 const DOWN_LANE: usize = 0;
 const UP_LANE: usize = 1;
 
+/// A session's future events. Packet deliveries are 94.6 % of them and sit
+/// on the queue's FIFO lanes, so the enum is kept to 48 bytes and a queue
+/// entry `(SimTime, u64, Event)` to one 64-byte cache line (DESIGN §7.1): a
+/// delivery carries a [`QueuedSegment`], not the 104-byte [`Segment`].
 enum Event {
-    DeliverToClient { conn: usize, seg: Segment },
-    DeliverToServer { conn: usize, seg: Segment },
-    TcpTick { conn: usize, side: Side },
+    DeliverToClient(QueuedSegment),
+    DeliverToServer(QueuedSegment),
+    TcpTick { conn: u32, side: Side },
     AppTimer { id: u32 },
     CrossBurst,
     LrdTick { src: u32 },
+}
+
+/// [`QueuedSegment::sack`] of a segment whose SACK option is empty.
+const NO_SACK: u32 = u32::MAX;
+
+const FLAG_SYN: u8 = 1;
+const FLAG_FIN: u8 = 2;
+const FLAG_ACK: u8 = 4;
+const FLAG_RETX: u8 = 8;
+
+/// A [`Segment`] as it waits in the event queue: every field but the SACK
+/// option, which is empty on almost every packet and would be 64 of its
+/// bytes. A non-empty option waits in the session's [`SackSlab`] instead,
+/// named by slot.
+#[derive(Clone, Copy)]
+struct QueuedSegment {
+    seq: u64,
+    ack_no: u64,
+    window: u64,
+    conn: u32,
+    payload: u32,
+    /// Slot of the SACK option in the session's [`SackSlab`], or [`NO_SACK`].
+    sack: u32,
+    /// `syn`, `fin`, `ack` and `retx` as `FLAG_*` bits.
+    flags: u8,
+}
+
+impl QueuedSegment {
+    /// Queues `seg`, parking a non-empty SACK option in `sacks`.
+    #[inline]
+    fn stash(seg: &Segment, sacks: &mut SackSlab) -> Self {
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        QueuedSegment {
+            seq: seg.seq,
+            ack_no: seg.ack_no,
+            window: seg.window,
+            conn: seg.conn,
+            payload: seg.payload,
+            sack: if seg.sack == SackBlocks::EMPTY { NO_SACK } else { sacks.insert(seg.sack) },
+            flags: flag(seg.syn, FLAG_SYN)
+                | flag(seg.fin, FLAG_FIN)
+                | flag(seg.ack, FLAG_ACK)
+                | flag(seg.retx, FLAG_RETX),
+        }
+    }
+
+    /// The segment as it was stashed; its SACK slot goes back to `sacks`.
+    #[inline]
+    fn restore(self, sacks: &mut SackSlab) -> Segment {
+        Segment {
+            conn: self.conn,
+            seq: self.seq,
+            ack_no: self.ack_no,
+            window: self.window,
+            payload: self.payload,
+            syn: self.flags & FLAG_SYN != 0,
+            fin: self.flags & FLAG_FIN != 0,
+            ack: self.flags & FLAG_ACK != 0,
+            retx: self.flags & FLAG_RETX != 0,
+            sack: if self.sack == NO_SACK { SackBlocks::EMPTY } else { sacks.remove(self.sack) },
+        }
+    }
+}
+
+/// The SACK options of the queued segments that carry one, the way the
+/// columnar `Trace` keeps its SACK side table (DESIGN §10.1): a slot is
+/// taken when a link accepts the segment and freed when its delivery pops.
+#[derive(Default)]
+struct SackSlab {
+    slots: Vec<SackBlocks>,
+    /// Slots no queued segment holds, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl SackSlab {
+    fn insert(&mut self, sack: SackBlocks) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = sack;
+            return slot;
+        }
+        // The slab never holds more options than packets are queued, a few
+        // hundred at the busiest, so `NO_SACK` is never a real slot.
+        let slot = self.slots.len() as u32;
+        self.slots.push(sack);
+        slot
+    }
+
+    fn remove(&mut self, slot: u32) -> SackBlocks {
+        self.free.push(slot);
+        self.slots[slot as usize]
+    }
+
+    /// Frees every slot, keeping the allocations.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
+    /// Slots held by queued segments.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// Competing traffic sharing the downlink bottleneck: bursts with
@@ -96,19 +204,20 @@ struct Conn {
 /// Reusable per-worker allocations for back-to-back sessions.
 ///
 /// A session's hot-path allocations — the event queue's lane and heap
-/// storage and the segment buffer the endpoints emit into — reach a
-/// steady-state size within the first simulated seconds. When a
-/// worker runs many sessions (every figure does), constructing each
-/// [`Engine`] via [`Engine::with_scratch`] and recycling the scratch from
-/// [`Engine::into_parts`] replaces per-session allocation/doubling with
-/// reuse of the previous session's high-water capacities.
+/// storage, the slab of queued SACK options and the segment buffer the
+/// endpoints emit into — reach a steady-state size within the first
+/// simulated seconds. When a worker runs many sessions (every figure does),
+/// constructing each [`Engine`] via [`Engine::with_scratch`] and recycling
+/// the scratch from [`Engine::into_parts`] replaces per-session
+/// allocation/doubling with reuse of the previous session's high-water
+/// capacities.
 ///
 /// The scratch carries **capacity only, never state**: the queue is reset
-/// and the segment buffer cleared, so results are bit-identical whether a
-/// scratch is new, reused, or absent — the determinism suite checks exactly
-/// this across `--jobs` counts. It carries no trace-capacity hint: no
-/// session of `repro` retains a trace, and one that does
-/// (`SessionSpec::run`) grows it by doubling.
+/// and the slab and segment buffer cleared, so results are bit-identical
+/// whether a scratch is new, reused, or absent — the determinism suite
+/// checks exactly this across `--jobs` counts. It carries no
+/// trace-capacity hint: no session of `repro` retains a trace, and one that
+/// does (`SessionSpec::run`) grows it by doubling.
 /// The scratch also carries the worker's [`Metrics`] registry: each session
 /// harvested by [`Engine::into_parts`] folds its telemetry in, and the batch
 /// executor flushes the accumulated registry to the `vstream-obs` collector
@@ -116,6 +225,7 @@ struct Conn {
 /// ever reads them back — so this does not violate the capacity-only rule.
 pub struct SessionScratch {
     queue: EventQueue<Event>,
+    sacks: SackSlab,
     seg_buf: Vec<Segment>,
     metrics: Metrics,
     /// True once a session has run on this scratch (drives the
@@ -131,13 +241,16 @@ impl SessionScratch {
             // `sim.queue_peak_len` gauge over the benchmark workloads and
             // `repro all`), all but a few tens of them packets in flight on
             // the queue's two FIFO lanes. 1024 entries split over the lanes
-            // cover all but the busiest: two 68 KiB rings of 136-byte
-            // entries, plus 8.5 KiB for the 64-entry heap that holds the
+            // cover all but the busiest: two 32 KiB rings of 64-byte
+            // entries, plus 4 KiB for the 64-entry heap that holds the
             // timers. A scratch is built per worker per batch, so each
             // allocation stays below glibc's 128 KiB mmap threshold (no
             // map/fault/unmap per batch); a session that peaks higher
-            // doubles a lane once and the scratch keeps it.
+            // doubles a lane once and the scratch keeps it. The SACK slab
+            // starts empty: only lossy sessions use it, and it grows to
+            // the SACK-carrying packets they hold in flight at once.
             queue: EventQueue::with_capacity(1024),
+            sacks: SackSlab::default(),
             seg_buf: Vec::with_capacity(64),
             metrics: Metrics::new(),
             used: false,
@@ -170,6 +283,7 @@ impl Default for SessionScratch {
     fn default() -> Self {
         SessionScratch {
             queue: EventQueue::new(),
+            sacks: SackSlab::default(),
             seg_buf: Vec::new(),
             metrics: Metrics::new(),
             used: false,
@@ -203,6 +317,8 @@ pub trait SessionLogic {
 /// The simulated world of one streaming session.
 pub struct Engine {
     queue: EventQueue<Event>,
+    /// The SACK options of the segments queued for delivery.
+    sacks: SackSlab,
     path: DuplexPath,
     rng: SimRng,
     trace: Trace,
@@ -240,9 +356,9 @@ impl Engine {
 
     /// Like [`Engine::new`], but reusing the allocations of a previous
     /// session's [`SessionScratch`] (see [`Engine::into_parts`]). The
-    /// scratch contributes only capacity: the queue is reset and the
-    /// segment buffer cleared, so the session's behaviour is identical to
-    /// one built with [`Engine::new`].
+    /// scratch contributes only capacity: the queue is reset and the SACK
+    /// slab and segment buffer cleared, so the session's behaviour is
+    /// identical to one built with [`Engine::new`].
     pub fn with_scratch(
         path: DuplexPath,
         seed: u64,
@@ -251,14 +367,17 @@ impl Engine {
     ) -> Self {
         let SessionScratch {
             mut queue,
+            mut sacks,
             mut seg_buf,
             metrics,
             used,
         } = scratch;
         queue.reset();
+        sacks.clear();
         seg_buf.clear();
         Engine {
             queue,
+            sacks,
             path,
             rng: SimRng::new(seed),
             // Empty until a retaining run records into it: a streaming
@@ -350,6 +469,7 @@ impl Engine {
         }
         let scratch = SessionScratch {
             queue: self.queue,
+            sacks: self.sacks,
             seg_buf: self.seg_buf,
             metrics: self.metrics,
             used: true,
@@ -447,7 +567,7 @@ impl Engine {
         let mut buf = std::mem::take(&mut self.seg_buf);
         buf.clear();
         buf.extend(syn);
-        self.transmit_from_client(idx, &mut buf);
+        self.transmit_from_client(&mut buf);
         self.seg_buf = buf;
         self.sync_ticks(idx);
         idx
@@ -459,7 +579,7 @@ impl Engine {
         let mut buf = std::mem::take(&mut self.seg_buf);
         buf.clear();
         self.conns[conn].server.write_into(now, bytes, &mut buf);
-        self.transmit_from_server(conn, &mut buf);
+        self.transmit_from_server(&mut buf);
         self.seg_buf = buf;
         self.sync_tick_side(conn, Side::Server);
     }
@@ -470,7 +590,7 @@ impl Engine {
         let mut buf = std::mem::take(&mut self.seg_buf);
         buf.clear();
         self.conns[conn].server.close_into(now, &mut buf);
-        self.transmit_from_server(conn, &mut buf);
+        self.transmit_from_server(&mut buf);
         self.seg_buf = buf;
         self.sync_tick_side(conn, Side::Server);
     }
@@ -482,7 +602,7 @@ impl Engine {
         let mut buf = std::mem::take(&mut self.seg_buf);
         buf.clear();
         let n = self.conns[conn].client.read_into(now, max, &mut buf);
-        self.transmit_from_client(conn, &mut buf);
+        self.transmit_from_client(&mut buf);
         self.seg_buf = buf;
         self.sync_tick_side(conn, Side::Client);
         n
@@ -557,24 +677,29 @@ impl Engine {
                 return;
             };
             match ev {
-                Event::DeliverToClient { conn, seg } => {
+                Event::DeliverToClient(queued) => {
+                    let conn = queued.conn as usize;
+                    let seg = queued.restore(&mut self.sacks);
                     self.tap_direct(t, TapDirection::Incoming, &seg, sink);
                     let mut buf = std::mem::take(&mut self.seg_buf);
                     buf.clear();
                     self.conns[conn].client.on_segment_into(t, seg, &mut buf);
-                    self.transmit_from_client_direct(conn, &mut buf, sink);
+                    self.transmit_from_client_direct(&mut buf, sink);
                     self.seg_buf = buf;
                     self.after_touch(conn, Side::Client, logic);
                 }
-                Event::DeliverToServer { conn, seg } => {
+                Event::DeliverToServer(queued) => {
+                    let conn = queued.conn as usize;
+                    let seg = queued.restore(&mut self.sacks);
                     let mut buf = std::mem::take(&mut self.seg_buf);
                     buf.clear();
                     self.conns[conn].server.on_segment_into(t, seg, &mut buf);
-                    self.transmit_from_server(conn, &mut buf);
+                    self.transmit_from_server(&mut buf);
                     self.seg_buf = buf;
                     self.after_touch(conn, Side::Server, logic);
                 }
                 Event::TcpTick { conn, side } => {
+                    let conn = conn as usize;
                     let slot = match side {
                         Side::Client => 0,
                         Side::Server => 1,
@@ -592,11 +717,11 @@ impl Engine {
                     match side {
                         Side::Client => {
                             self.conns[conn].client.on_timer_into(t, &mut buf);
-                            self.transmit_from_client_direct(conn, &mut buf, sink);
+                            self.transmit_from_client_direct(&mut buf, sink);
                         }
                         Side::Server => {
                             self.conns[conn].server.on_timer_into(t, &mut buf);
-                            self.transmit_from_server(conn, &mut buf);
+                            self.transmit_from_server(&mut buf);
                         }
                     }
                     self.seg_buf = buf;
@@ -694,11 +819,11 @@ impl Engine {
     /// callback: the tap records them (tcpdump sees every outgoing packet),
     /// then they traverse the uplink. Drains `segs` so the caller's buffer
     /// can be reused.
-    fn transmit_from_client(&mut self, conn: usize, segs: &mut Vec<Segment>) {
+    fn transmit_from_client(&mut self, segs: &mut Vec<Segment>) {
         let now = self.now();
         for seg in segs.drain(..) {
             self.tap_staged(now, TapDirection::Outgoing, &seg);
-            self.send_up(conn, now, seg);
+            self.send_up(now, &seg);
         }
     }
 
@@ -706,33 +831,29 @@ impl Engine {
     /// takes from the client endpoint, tapped straight into `sink`.
     fn transmit_from_client_direct<S: PacketSink + ?Sized>(
         &mut self,
-        conn: usize,
         segs: &mut Vec<Segment>,
         sink: &mut S,
     ) {
         let now = self.now();
         for seg in segs.drain(..) {
             self.tap_direct(now, TapDirection::Outgoing, &seg, sink);
-            self.send_up(conn, now, seg);
+            self.send_up(now, &seg);
         }
     }
 
     /// Offers one tapped client-origin segment to the uplink.
     #[inline]
-    fn send_up(&mut self, conn: usize, now: SimTime, seg: Segment) {
-        if let Some(at) = self
-            .path
-            .send(Direction::Up, now, &seg, &mut self.rng)
-            .delivery_time()
-        {
-            self.queue.schedule_fifo(UP_LANE, at, Event::DeliverToServer { conn, seg });
+    fn send_up(&mut self, now: SimTime, seg: &Segment) {
+        if let Some(at) = self.path.send(Direction::Up, now, seg, &mut self.rng).delivery_time() {
+            let queued = QueuedSegment::stash(seg, &mut self.sacks);
+            self.queue.schedule_fifo(UP_LANE, at, Event::DeliverToServer(queued));
         }
     }
 
     /// Transmits server-origin segments; the tap records them on *arrival*
     /// (a dropped packet never reaches the client's tcpdump). Drains `segs`
     /// so the caller's buffer can be reused.
-    fn transmit_from_server(&mut self, conn: usize, segs: &mut Vec<Segment>) {
+    fn transmit_from_server(&mut self, segs: &mut Vec<Segment>) {
         let now = self.now();
         for seg in segs.drain(..) {
             if let Some(at) = self
@@ -740,7 +861,8 @@ impl Engine {
                 .send(Direction::Down, now, &seg, &mut self.rng)
                 .delivery_time()
             {
-                self.queue.schedule_fifo(DOWN_LANE, at, Event::DeliverToClient { conn, seg });
+                let queued = QueuedSegment::stash(&seg, &mut self.sacks);
+                self.queue.schedule_fifo(DOWN_LANE, at, Event::DeliverToClient(queued));
             }
         }
     }
@@ -810,7 +932,7 @@ impl Engine {
         let stored = &mut c.tick_scheduled[slot];
         if stored.is_none_or(|s| at < s) {
             *stored = Some(at);
-            self.queue.schedule(at, Event::TcpTick { conn, side });
+            self.queue.schedule(at, Event::TcpTick { conn: conn as u32, side });
         }
     }
 }
@@ -1152,5 +1274,124 @@ mod tests {
         let outgoing = eng.trace().records().filter(|r| r.dir() == TapDirection::Outgoing).count();
         assert!(incoming > 0);
         assert!(outgoing > 0, "tap must record ACKs too");
+    }
+
+    /// Every packet in flight is one lane entry, and DESIGN §7.1 sizes the
+    /// lanes and the timer heap on entries of one 64-byte cache line. A
+    /// field that grows `Event` past 48 bytes spills every entry into a
+    /// second line and fails here.
+    #[test]
+    fn queue_entries_fill_one_cache_line() {
+        assert_eq!(std::mem::size_of::<QueuedSegment>(), 40);
+        assert_eq!(std::mem::size_of::<Event>(), 48);
+        assert_eq!(std::mem::size_of::<(SimTime, u64, Event)>(), 64);
+    }
+
+    fn sack_of(blocks: &[(u64, u64)], highest_end: u64) -> SackBlocks {
+        let mut sack = SackBlocks::EMPTY;
+        for &(start, end) in blocks {
+            sack.push(start, end);
+        }
+        sack.set_highest_end(highest_end);
+        sack
+    }
+
+    /// Queuing a segment and popping it gives back every field bit for bit:
+    /// all 16 flag combinations, each with no SACK option, `highest_end`
+    /// alone and one to three blocks, and slots reused after being freed
+    /// out of allocation order.
+    #[test]
+    fn queued_segments_restore_bit_for_bit() {
+        let mut segs = Vec::new();
+        for flags in 0..16u32 {
+            // `highest_end` varies with the flags, so no two options are
+            // equal and a slot handed to the wrong segment shows.
+            let f = u64::from(flags);
+            let options = [
+                SackBlocks::EMPTY,
+                sack_of(&[], 9_000 + f),
+                sack_of(&[(5_000, 6_460)], 6_460 + f),
+                sack_of(&[(9_000, 10_000), (5_000, 6_000)], 10_000 + f),
+                sack_of(&[(u64::MAX - 10, u64::MAX - 1), (1, 2), (70, 80)], u64::MAX - 1 - f),
+            ];
+            for (k, &sack) in options.iter().enumerate() {
+                let k = k as u32;
+                segs.push(Segment {
+                    conn: u32::MAX - flags,
+                    seq: u64::MAX - 1_460 * u64::from(k),
+                    ack_no: u64::from(flags) << 40 | u64::from(k),
+                    window: 1 << (20 + k),
+                    payload: u32::MAX - k,
+                    syn: flags & 1 != 0,
+                    fin: flags & 2 != 0,
+                    ack: flags & 4 != 0,
+                    retx: flags & 8 != 0,
+                    sack,
+                });
+            }
+        }
+        let with_sack = segs.iter().filter(|s| s.sack != SackBlocks::EMPTY).count();
+        let mut slab = SackSlab::default();
+        let mut queued: Vec<_> = segs.iter().map(|s| QueuedSegment::stash(s, &mut slab)).collect();
+        assert_eq!(slab.live(), with_sack, "an empty option takes no slot");
+        let peak = slab.slots.len();
+
+        // 7 is coprime to the 80 segments, so this visits each once, in an
+        // order unrelated to the one the slots were handed out in. Queued
+        // again in the order they were freed, the segments take each
+        // other's slots (the free list is last-in, first-out).
+        let n = segs.len();
+        let order: Vec<usize> = (0..n).map(|i| i * 7 % n).collect();
+        let (first, _) = order.split_at(n / 2);
+        for &i in first {
+            assert_eq!(queued[i].restore(&mut slab), segs[i]);
+        }
+        for &i in first {
+            queued[i] = QueuedSegment::stash(&segs[i], &mut slab);
+        }
+        assert_eq!(slab.slots.len(), peak, "freed slots are reused before the slab grows");
+        assert_eq!(slab.live(), with_sack);
+        for &i in order.iter().rev() {
+            assert_eq!(queued[i].restore(&mut slab), segs[i]);
+        }
+        assert_eq!(slab.live(), 0);
+    }
+
+    /// The slab holds exactly the options of the packets still queued, and
+    /// a recycled scratch starts the next session with none. Residence
+    /// drops 1 % of the downlink, so the client SACKs; each capture limit,
+    /// every quarter second from 1 s to 9.75 s, cuts the transfer off with
+    /// packets in flight (and at 5 of the 36, SACKs among them).
+    #[test]
+    fn sack_slab_holds_exactly_the_queued_options() {
+        let mut scratch = SessionScratch::new();
+        let mut sacks_in_flight = 0;
+        for limit_ms in (4..40).map(|k| k * 250) {
+            let mut eng = Engine::with_scratch(
+                NetworkProfile::Residence.build_path(),
+                11,
+                SimDuration::from_millis(limit_ms),
+                scratch,
+            );
+            assert_eq!(eng.sacks.live(), 0, "a recycled scratch starts with no live slot");
+            let mut logic = BulkLogic {
+                size: 50_000_000,
+                read_total: 0,
+                finished_at: None,
+            };
+            eng.run_observed(&mut logic, &mut NullSink, false);
+            assert!(eng.connection_stats(0).0.sack_blocks_sent > 0, "the client never SACKed");
+            let live = eng.sacks.live();
+            let mut queued_with_sack = 0;
+            while let Some((_, ev)) = eng.queue.pop() {
+                if let Event::DeliverToClient(q) | Event::DeliverToServer(q) = ev {
+                    queued_with_sack += usize::from(q.sack != NO_SACK);
+                }
+            }
+            assert_eq!(live, queued_with_sack, "capture limit {limit_ms} ms");
+            sacks_in_flight += live;
+            scratch = eng.into_parts().1;
+        }
+        assert!(sacks_in_flight > 0, "no capture limit caught a SACK in flight");
     }
 }

@@ -51,7 +51,8 @@
 //! `--progress`, and adds `--viewers`, `--packet-sessions`, `--shard-size`,
 //! `--window`, `--ledger DIR` (checkpoint every shard, resume for free) and
 //! `--max-shards K` (stop after K computed shards — the scripted interrupt
-//! CI uses to prove resumed output is byte-identical). A failed
+//! CI uses to prove resumed output is byte-identical; it requires
+//! `--ledger`, and every campaign-only flag requires `campaign`). A failed
 //! cross-validation gate exits nonzero. The per-session QoE table is not
 //! collected on this path: a resumed campaign skips finished shards, and
 //! `qoe_sessions.csv` would otherwise differ between resumed and one-shot
@@ -77,7 +78,7 @@ struct Options {
     trace_dir: Option<PathBuf>,
     trace_anomalies: bool,
     trace_cap: Option<usize>,
-    viewers: u64,
+    viewers: Option<u64>,
     packet_sessions: Option<usize>,
     shard_size: Option<usize>,
     window_secs: Option<u64>,
@@ -98,7 +99,7 @@ fn main() {
         trace_dir: None,
         trace_anomalies: false,
         trace_cap: None,
-        viewers: 1_000_000,
+        viewers: None,
         packet_sessions: None,
         shard_size: None,
         window_secs: None,
@@ -129,7 +130,7 @@ fn main() {
             }
             "--trace-anomalies" => opts.trace_anomalies = true,
             "--trace-cap" => opts.trace_cap = Some(take_value(&mut args, "--trace-cap")),
-            "--viewers" => opts.viewers = take_value(&mut args, "--viewers"),
+            "--viewers" => opts.viewers = Some(take_value(&mut args, "--viewers")),
             "--packet-sessions" => {
                 opts.packet_sessions = Some(take_value(&mut args, "--packet-sessions"))
             }
@@ -172,8 +173,32 @@ fn main() {
         eprintln!("error: invalid value \"0\" for --n");
         std::process::exit(2);
     }
+    // A zero-event ring would record nothing; the recorder used to round
+    // it up to one event without a word.
+    if opts.trace_cap == Some(0) {
+        eprintln!("error: invalid value \"0\" for --trace-cap");
+        std::process::exit(2);
+    }
     if opts.trace_dir.is_none() && (opts.trace_anomalies || opts.trace_cap.is_some()) {
         eprintln!("error: --trace-anomalies and --trace-cap require --trace-dir");
+        std::process::exit(2);
+    }
+    let campaign_flags = opts.viewers.is_some()
+        || opts.packet_sessions.is_some()
+        || opts.shard_size.is_some()
+        || opts.window_secs.is_some()
+        || opts.ledger_dir.is_some()
+        || opts.max_shards.is_some();
+    if campaign_flags && !campaign_mode {
+        eprintln!(
+            "error: --viewers, --packet-sessions, --shard-size, --window, --ledger and \
+             --max-shards require 'campaign'"
+        );
+        std::process::exit(2);
+    }
+    // Without a ledger the shards an interrupted run computed are lost.
+    if opts.max_shards.is_some() && opts.ledger_dir.is_none() {
+        eprintln!("error: --max-shards requires --ledger");
         std::process::exit(2);
     }
     if selected.iter().any(|s| s == "all") {
@@ -274,7 +299,7 @@ fn emit_metrics(opts: &Options) {
 /// tables, and exit nonzero on a failed cross-validation gate.
 fn run_campaign_cmd(opts: &Options) {
     use vstream::campaign::{run_campaign, CampaignOptions, CampaignSpec};
-    if opts.viewers == 0 {
+    if opts.viewers == Some(0) {
         eprintln!("error: invalid value \"0\" for --viewers");
         std::process::exit(2);
     }
@@ -286,7 +311,7 @@ fn run_campaign_cmd(opts: &Options) {
         eprintln!("error: invalid value \"0\" for --window");
         std::process::exit(2);
     }
-    let mut spec = CampaignSpec::for_viewers(opts.viewers);
+    let mut spec = CampaignSpec::for_viewers(opts.viewers.unwrap_or(1_000_000));
     spec.seed = opts.seed;
     if let Some(n) = opts.packet_sessions {
         spec.packet_sessions = n;

@@ -40,6 +40,39 @@ fn trace_flags_without_trace_dir_exit_2() {
     assert_rejected(&["fig2", "--trace-cap", "4096"], "require --trace-dir");
 }
 
+/// `--trace-cap 0` used to run a one-event ring (the recorder rounds the
+/// capacity up) and report `"ring_capacity":1` in every dump.
+#[test]
+fn zero_trace_cap_exits_2() {
+    let dir = std::env::temp_dir().join(format!("vstream-cli-cap0-{}", std::process::id()));
+    assert_rejected(
+        &["fig2", "--trace-dir", dir.to_str().unwrap(), "--trace-cap", "0"],
+        "invalid value \"0\" for --trace-cap",
+    );
+    assert!(!dir.exists(), "a rejected run must not create its trace directory");
+}
+
+/// The planner's flags used to be ignored on figure runs (`repro fig1
+/// --viewers 5 --max-shards 2` exited 0), and `--max-shards` without
+/// `--ledger` computed its shards, threw them away and claimed they were
+/// checkpointed.
+#[test]
+fn campaign_flags_without_campaign_or_ledger_exit_2() {
+    for flag in [
+        &["--viewers", "5"][..],
+        &["--packet-sessions", "8"],
+        &["--shard-size", "4"],
+        &["--window", "60"],
+        &["--ledger", "unused"],
+        &["--max-shards", "2"],
+    ] {
+        let args: Vec<&str> = ["fig1"].iter().chain(flag).copied().collect();
+        assert_rejected(&args, "require 'campaign'");
+    }
+    assert_rejected(&["fig1", "--viewers", "5", "--max-shards", "2"], "require 'campaign'");
+    assert_rejected(&["campaign", "--viewers", "10000", "--max-shards", "1"], "--max-shards requires --ledger");
+}
+
 /// `--n 0` used to exit 0 with `NaN` rows (`ext-stalls`) and `[inf, -inf]`
 /// CDFs (`fig4` and the other sampled figures); it is rejected before the
 /// CSV directory is created.

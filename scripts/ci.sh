@@ -6,7 +6,9 @@
 #      at --jobs 1, --jobs max(nproc, 8), and --no-cache, which also
 #      covers per-worker scratch reuse and the cross-figure session cache
 #      (both on by default) on every figure, the DASH/LRD ext-qoe sweep
-#      included; and trace neutrality: `repro all` with --trace-dir leaves
+#      included; the --jobs pair again at held-out seed 7, whose losses
+#      reuse the engine's SACK-slab slots in another order; and trace
+#      neutrality: `repro all` with --trace-dir leaves
 #      figures, the QoE table, stdout and the wall-off ledger
 #      byte-identical, dumps the ablation harnesses' sessions too, and every
 #      emitted Chrome trace JSON parses
@@ -55,7 +57,7 @@ cargo build --release --offline
 echo "==> tests"
 cargo test --offline --quiet
 
-echo "==> determinism: CSVs and metrics ledger invariant under --jobs, --no-cache and --trace-dir"
+echo "==> determinism: CSVs and metrics ledger invariant under --jobs (seeds 2026 and 7), --no-cache and --trace-dir"
 scripts/check_determinism.sh
 
 echo "==> metrics neutrality: --metrics must not change the figures"
