@@ -3,11 +3,11 @@
 //! The folds behind the [`PacketSink`] tap are the only implementation of
 //! the capture reductions (DESIGN.md §11), so their oracle is the naive
 //! one: the `ref_*` reductions over a plain `Vec<PacketRecord>`, shared
-//! with the capture crate's columnar lock-step suite together with the
+//! with the capture crate's trace-vs-reference suite together with the
 //! seeded generator (`crates/capture/tests/support/`). These tests feed the
 //! same randomized captures through every fold twice — once replayed from
 //! the [`Trace`] (the packet sequence the engine's live tap emits) and once
-//! from the [`PackedTrace`] columns (a second, independent replay source)
+//! from the [`PackedTrace`] streams (a second, independent replay source)
 //! — and compare both against the references. A divergence in any fold, in
 //! the tap replay, or in the packed replay fails against the independent
 //! oracle rather than against its own mirror.

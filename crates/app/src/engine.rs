@@ -12,7 +12,7 @@
 //! deadline (the authors captured 180 s per video) or until the logic calls
 //! [`Engine::stop`].
 
-use vstream_capture::{NullSink, PacketSink, TapDirection, TapPacket, Trace};
+use vstream_capture::{NullSink, PacketSink, TapDirection, TapPacket, Tee, Trace};
 use vstream_net::cross::LRD_SOURCES;
 use vstream_net::{Direction, DuplexPath, LrdCrossConfig};
 use vstream_obs::{collector, Counter, Gauge, HistId, Metrics};
@@ -107,9 +107,9 @@ impl QueuedSegment {
     }
 }
 
-/// The SACK options of the queued segments that carry one, the way the
-/// columnar `Trace` keeps its SACK side table (DESIGN §10.1): a slot is
-/// taken when a link accepts the segment and freed when its delivery pops.
+/// The SACK options of the queued segments that carry one, kept out of line
+/// because most segments carry none (DESIGN §7.1): a slot is taken when a
+/// link accepts the segment and freed when its delivery pops.
 #[derive(Default)]
 struct SackSlab {
     slots: Vec<SackBlocks>,
@@ -340,11 +340,7 @@ pub struct Engine {
     /// but not the sink: filled by [`Engine::tap_staged`], drained to the
     /// sink in capture order when the callback's event ends.
     tap_buf: Vec<TapPacket>,
-    /// Whether tapped packets are retained in [`Engine::trace`]. Always true
-    /// for [`Engine::run`]; streaming callers may turn the trace off
-    /// entirely and fold on the fly.
-    keep_trace: bool,
-    /// Packets seen by the tap (equals `trace.len()` when retaining).
+    /// Packets seen by the tap.
     packets_tapped: u64,
 }
 
@@ -380,8 +376,7 @@ impl Engine {
             sacks,
             path,
             rng: SimRng::new(seed),
-            // Empty until a retaining run records into it: a streaming
-            // session never allocates trace columns.
+            // Empty until a retaining run stores its capture here.
             trace: Trace::new(),
             conns: Vec::new(),
             limit: SimTime::ZERO + capture_limit,
@@ -392,7 +387,6 @@ impl Engine {
             metrics,
             scratch_was_used: used,
             tap_buf: Vec::new(),
-            keep_trace: true,
             packets_tapped: 0,
         }
     }
@@ -452,7 +446,8 @@ impl Engine {
         self.stopped = true;
     }
 
-    /// The capture recorded so far (final after [`Engine::run`] returns).
+    /// The capture a retaining run ([`Engine::run`], or
+    /// [`Engine::run_observed`] with `keep_trace`) stored when it returned.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -521,7 +516,6 @@ impl Engine {
         }
 
         m.add(Counter::CapturePackets, self.packets_tapped);
-        m.gauge_max(Gauge::PeakTraceBytes, self.trace.resident_bytes() as u64);
     }
 
     /// The event queue's accumulated telemetry (e.g. for per-profile event
@@ -644,14 +638,26 @@ impl Engine {
     /// `keep_trace = false` the engine never materialises a [`Trace`] at
     /// all — the sink is the only consumer — which is how the figure
     /// drivers run, in O(flows) analysis memory; with `keep_trace = true`
-    /// the retained trace and the sink see identical packet streams.
+    /// a [`Trace`] rides a [`Tee`] beside `sink` and becomes
+    /// [`Engine::trace`] when the run returns.
     pub fn run_observed<L: SessionLogic, S: PacketSink + ?Sized>(
         &mut self,
         logic: &mut L,
         sink: &mut S,
         keep_trace: bool,
     ) {
-        self.keep_trace = keep_trace;
+        if keep_trace {
+            let mut trace = std::mem::take(&mut self.trace);
+            self.run_loop(logic, &mut Tee::new(&mut trace, sink));
+            self.trace = trace;
+        } else {
+            self.run_loop(logic, sink);
+        }
+    }
+
+    /// The event loop of [`Engine::run_observed`]: every tapped packet goes
+    /// to `sink`.
+    fn run_loop<L: SessionLogic, S: PacketSink + ?Sized>(&mut self, logic: &mut L, sink: &mut S) {
         if self.cross_traffic.is_some() {
             self.schedule_cross_burst();
         }
@@ -757,18 +763,12 @@ impl Engine {
         }
     }
 
-    /// The capture tap: every segment crossing the client NIC lands here.
-    /// Records into the retained trace when one is kept and returns the
-    /// packet for the streaming sink — the two consumers always see the
-    /// same packet stream.
+    /// The capture tap: every segment crossing the client NIC lands here
+    /// and leaves as the packet for the sink.
     #[inline]
     fn tap(&mut self, at: SimTime, dir: TapDirection, seg: &Segment) -> TapPacket {
         self.packets_tapped += 1;
-        let p = TapPacket::new(at, dir, seg);
-        if self.keep_trace {
-            self.trace.record(&p);
-        }
-        p
+        TapPacket::new(at, dir, seg)
     }
 
     /// [`Self::tap`] where the event loop holds the sink: the packet goes
@@ -1060,7 +1060,8 @@ mod tests {
         let mut logic = TwoConnLogic { read: [0, 0] };
         eng.run(&mut logic);
         assert_eq!(logic.read, [100_000, 200_000]);
-        assert_eq!(eng.trace().connections(), vec![0, 1]);
+        let conns: std::collections::BTreeSet<u32> = eng.trace().records().map(|p| p.conn).collect();
+        assert_eq!(conns, [0, 1].into());
         assert_eq!(eng.connection_count(), 2);
     }
 

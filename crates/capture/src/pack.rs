@@ -1,12 +1,9 @@
-//! Compact, lossless packed form of a [`Trace`], stored column-wise.
+//! Compact, lossless packed form of a [`Trace`], stored stream by stream.
 //!
-//! A raw packet record is ~120 bytes, dominated by a [`SackBlocks`] that is
-//! empty on almost every packet. A retained capture (see the session cache
-//! in the `vstream` crate) would hold gigabytes in that form — and on the
-//! machines this runs on, *cold* memory is the expensive resource: every
-//! freshly faulted page costs far more than the arithmetic that fills it.
-//! `PackedTrace` stores the same information in a few bytes per record by
-//! exploiting what captures look like:
+//! A retained packet is a 112-byte [`TapPacket`], dominated by a
+//! [`SackBlocks`] that is empty on almost every packet. `PackedTrace` stores
+//! the same information in a few bytes per record by exploiting what
+//! captures look like:
 //!
 //! * timestamps are monotone and share a coarse clock granularity (link
 //!   serialization and timer delays are multiples of a per-trace tick;
@@ -23,19 +20,17 @@
 //! * flags are almost always plain ACKs and SACK blocks are rare — a tag
 //!   bit gates an optional extras byte.
 //!
-//! # Column-wise layout
+//! # Layout
 //!
-//! The packed bytes mirror the [`Trace`]'s structure-of-arrays: one
-//! contiguous *stream* per field (tags, timestamp deltas, connection ids,
-//! payloads, seq/ack/window deltas, extras bytes, SACK data), prefixed by
-//! the trace's timestamp tick and a table of stream lengths. Unpacking
-//! reads each stream through its own sequential cursor and appends
-//! straight to the trace's columns — no array-of-structs detour. An empty
-//! trace packs to zero bytes.
+//! The packed bytes hold one contiguous *stream* per field (tags, timestamp
+//! deltas, connection ids, payloads, seq/ack/window deltas, extras bytes,
+//! SACK data), prefixed by the trace's timestamp tick and a table of stream
+//! lengths. Unpacking is a [`PackedTrace::replay`] into a [`Trace`]: each
+//! stream is read through its own sequential cursor. An empty trace packs
+//! to zero bytes.
 //!
-//! Typical captures pack to ~4 bytes per record (~30×). Round-tripping is
-//! exact: `unpack(pack(t)) == t` field for field, which the session cache
-//! relies on for byte-identical figure output.
+//! Typical captures pack to ~4–6 bytes per record. Round-tripping is exact:
+//! `unpack(pack(t)) == t` field for field.
 //!
 //! All integers are LEB128 varints; signed deltas are zigzag-mapped first.
 //! Deltas use wrapping arithmetic, so the encoding is total — any `u64`
@@ -48,10 +43,10 @@
 use vstream_sim::SimTime;
 use vstream_tcp::segment::SackBlocks;
 
-use crate::sink::{PacketSink, TapPacket};
-use crate::trace::{
-    Trace, FLAG_ACK, FLAG_FIN, FLAG_OUTGOING, FLAG_RETX, FLAG_SACK, FLAG_SYN,
+use crate::sink::{
+    PacketSink, TapPacket, FLAG_ACK, FLAG_FIN, FLAG_OUTGOING, FLAG_RETX, FLAG_SACK, FLAG_SYN,
 };
+use crate::trace::Trace;
 
 /// Tag bit: direction is outgoing.
 const TAG_OUTGOING: u8 = 1 << 0;
@@ -218,12 +213,12 @@ impl PackedTrace {
         // are all zero gets tick 1.
         let mut scale = 0u64;
         let mut last = 0u64;
-        for &at in &trace.at {
-            scale = gcd(scale, at.as_nanos().wrapping_sub(last));
+        for p in trace.records() {
+            scale = gcd(scale, p.at.as_nanos().wrapping_sub(last));
             if scale == 1 {
                 break;
             }
-            last = at.as_nanos();
+            last = p.at.as_nanos();
         }
         let scale = scale.max(1);
 
@@ -233,22 +228,9 @@ impl PackedTrace {
         let mut preds = Predictors::default();
         let mut last_at = 0u64;
         let mut last_conn = 0u32;
-        let mut sack_cursor = 0usize;
-        for i in 0..n {
-            let flags = trace.tags[i];
+        for p in trace.records() {
+            let TapPacket { at, flags, conn, payload, seq, ack_no, window, ref sack } = *p;
             let outgoing = flags & FLAG_OUTGOING != 0;
-            let conn = trace.conn[i];
-            let payload = trace.payload[i];
-            let seq = trace.seq[i];
-            let ack_no = trace.ack_no[i];
-            let window = trace.window[i];
-            let sack = if flags & FLAG_SACK != 0 {
-                let s = trace.extras_sack[sack_cursor];
-                sack_cursor += 1;
-                s
-            } else {
-                SackBlocks::EMPTY
-            };
             let (syn, fin, ack, retx) = (
                 flags & FLAG_SYN != 0,
                 flags & FLAG_FIN != 0,
@@ -289,7 +271,7 @@ impl PackedTrace {
             }
 
             streams[S_TAG].push(tag);
-            let at = trace.at[i].as_nanos();
+            let at = at.as_nanos();
             put_varint(&mut streams[S_AT], at.wrapping_sub(last_at) / scale);
             last_at = at;
             if tag & TAG_CONN != 0 {
@@ -363,7 +345,7 @@ impl PackedTrace {
     }
 
     /// Reconstructs the original trace, exactly — a [`PackedTrace::replay`]
-    /// recorded into a pre-sized [`Trace`].
+    /// into a pre-sized [`Trace`].
     ///
     /// # Panics
     /// Panics (release builds included) if the packed bytes are truncated,
@@ -613,7 +595,6 @@ mod tests {
         assert_eq!(packed.len(), trace.len());
         let back = packed.unpack();
         assert_eq!(&back, trace);
-        assert_eq!(back.connections(), trace.connections());
         back
     }
 

@@ -14,30 +14,39 @@
 //!   `orig_len` reports the true on-wire size — exactly what `tcpdump -s 40`
 //!   produces.
 //! * 64-bit simulator sequence numbers are truncated to 32 bits (real TCP
-//!   wraps too); advertised windows are clamped to 16 bits with a window
-//!   scale of 7 noted in the SYN (value `min(window >> 7, 0xffff)`).
+//!   wraps too).
+//! * Every SYN and SYN-ACK carries a window-scale option (NOP, then kind 3,
+//!   length 3, shift [`WINDOW_SCALE`]), so its record is 4 bytes longer
+//!   than the simulated SYN, which models no options. A SYN's own window is
+//!   written unscaled and clamped to 65 535 (RFC 7323 §2.2 never scales
+//!   it); every other window is written as `min(window >> 7, 0xffff)`,
+//!   which an analyser scales back by the negotiated shift.
 
 use std::io::{self, Write};
 
-use crate::record::TapDirection;
+use crate::sink::{FLAG_FIN, FLAG_SYN};
 use crate::trace::Trace;
 
 const PCAP_MAGIC: u32 = 0xa1b2_c3d4; // microsecond timestamps
 const LINKTYPE_RAW: u32 = 101;
 const IP_HEADER_LEN: usize = 20;
 const TCP_HEADER_LEN: usize = 20;
+/// The SYN's option block: NOP, then window scale (kind 3, length 3).
+const SYN_OPTIONS: [u8; 4] = [1, 3, 3, WINDOW_SCALE];
 
 const CLIENT_IP: [u8; 4] = [10, 0, 0, 1];
 const SERVER_IP: [u8; 4] = [10, 0, 0, 2];
 const SERVER_PORT: u16 = 80;
 const CLIENT_PORT_BASE: u16 = 49152;
 
-/// Window scale factor applied when clamping 64-bit simulated windows into
-/// the 16-bit header field.
+/// Window scale shift announced in every SYN and applied to every other
+/// record's window when clamping 64-bit simulated windows into the 16-bit
+/// header field.
 pub const WINDOW_SCALE: u8 = 7;
 
-/// Largest payload a single record can carry and still fit the IPv4
-/// total-length field: `65535 - 40` header bytes.
+/// Largest payload a non-SYN record can carry and still fit the IPv4
+/// total-length field: `65535 - 40` header bytes. A SYN record's option
+/// block leaves it 4 bytes less.
 pub const MAX_PCAP_PAYLOAD: u32 = (u16::MAX as u32) - (IP_HEADER_LEN + TCP_HEADER_LEN) as u32;
 
 /// Writes `trace` to `w` in libpcap format.
@@ -50,36 +59,30 @@ pub const MAX_PCAP_PAYLOAD: u32 = (u16::MAX as u32) - (IP_HEADER_LEN + TCP_HEADE
 /// at MSS granularity, so this only fires on hand-built traces.)
 pub fn write_pcap<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
     write_global_header(&mut w)?;
-    for r in trace.records() {
-        if r.payload() > MAX_PCAP_PAYLOAD {
+    for p in trace.records() {
+        let syn = p.flags & FLAG_SYN != 0;
+        let options = if syn { SYN_OPTIONS.len() } else { 0 };
+        let tcp_len = TCP_HEADER_LEN + options;
+        let snap_len = IP_HEADER_LEN + tcp_len;
+        let max_payload = MAX_PCAP_PAYLOAD - options as u32;
+        if p.payload > max_payload {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "segment payload {} exceeds the {} bytes an IPv4 total-length field can describe",
-                    r.payload(), MAX_PCAP_PAYLOAD
+                    "segment payload {} exceeds the {max_payload} bytes an IPv4 total-length field can describe",
+                    p.payload
                 ),
             ));
         }
-        let (src_ip, dst_ip, src_port, dst_port) = match r.dir() {
-            TapDirection::Incoming => (
-                SERVER_IP,
-                CLIENT_IP,
-                SERVER_PORT,
-                client_port(r.conn()),
-            ),
-            TapDirection::Outgoing => (
-                CLIENT_IP,
-                SERVER_IP,
-                client_port(r.conn()),
-                SERVER_PORT,
-            ),
+        let (src_ip, dst_ip, src_port, dst_port) = if p.is_outgoing() {
+            (CLIENT_IP, SERVER_IP, client_port(p.conn), SERVER_PORT)
+        } else {
+            (SERVER_IP, CLIENT_IP, SERVER_PORT, client_port(p.conn))
         };
-
-        let total_len = IP_HEADER_LEN + TCP_HEADER_LEN + r.payload() as usize;
-        let snap_len = IP_HEADER_LEN + TCP_HEADER_LEN;
+        let total_len = snap_len + p.payload as usize;
 
         // Per-packet header.
-        let nanos = r.at().as_nanos();
+        let nanos = p.at.as_nanos();
         w.write_all(&((nanos / 1_000_000_000) as u32).to_le_bytes())?;
         w.write_all(&((nanos % 1_000_000_000 / 1_000) as u32).to_le_bytes())?;
         w.write_all(&(snap_len as u32).to_le_bytes())?;
@@ -101,25 +104,29 @@ pub fn write_pcap<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
         let mut tcp = [0u8; TCP_HEADER_LEN];
         tcp[0..2].copy_from_slice(&src_port.to_be_bytes());
         tcp[2..4].copy_from_slice(&dst_port.to_be_bytes());
-        tcp[4..8].copy_from_slice(&(r.seq() as u32).to_be_bytes());
-        tcp[8..12].copy_from_slice(&(r.ack_no() as u32).to_be_bytes());
-        tcp[12] = (TCP_HEADER_LEN as u8 / 4) << 4; // data offset
+        tcp[4..8].copy_from_slice(&(p.seq as u32).to_be_bytes());
+        tcp[8..12].copy_from_slice(&(p.ack_no as u32).to_be_bytes());
+        tcp[12] = (tcp_len as u8 / 4) << 4; // data offset
         let mut flags = 0u8;
-        if r.fin() {
+        if p.flags & FLAG_FIN != 0 {
             flags |= 0x01;
         }
-        if r.syn() {
+        if syn {
             flags |= 0x02;
         }
-        if r.ack() {
+        if p.is_ack() {
             flags |= 0x10;
         }
         tcp[13] = flags;
-        let window = (r.window() >> WINDOW_SCALE).min(u16::MAX as u64) as u16;
+        let window = if syn { p.window } else { p.window >> WINDOW_SCALE };
+        let window = window.min(u16::MAX as u64) as u16;
         tcp[14..16].copy_from_slice(&window.to_be_bytes());
         // Checksum left zero: the simulator has no payload bytes to sum, and
         // analysers treat zero as "offloaded", as with real captures.
         w.write_all(&tcp)?;
+        if syn {
+            w.write_all(&SYN_OPTIONS)?;
+        }
     }
     Ok(())
 }
@@ -154,9 +161,14 @@ fn ipv4_checksum(header: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::TapDirection;
     use vstream_sim::SimTime;
     use vstream_tcp::segment::SackBlocks;
     use vstream_tcp::Segment;
+
+    /// Offset of [`sample_trace`]'s second record: the global header, then
+    /// the SYN's record header and its 44 header bytes.
+    const SECOND: usize = 24 + 16 + 44;
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
@@ -202,18 +214,20 @@ mod tests {
     fn packets_have_correct_lengths() {
         let mut buf = Vec::new();
         write_pcap(&sample_trace(), &mut buf).unwrap();
-        // 24 global + 2 * (16 record header + 40 headers).
-        assert_eq!(buf.len(), 24 + 2 * (16 + 40));
+        // 24 global + (16 record header + 44 SYN headers) + (16 + 40).
+        assert_eq!(buf.len(), 24 + (16 + 44) + (16 + 40));
 
-        // First record: SYN, orig_len == incl_len == 40.
+        // First record: SYN with its option block, orig_len == incl_len ==
+        // 44, and the IP total length agrees.
         let rec = &buf[24..];
         let incl = u32::from_le_bytes(rec[8..12].try_into().unwrap());
         let orig = u32::from_le_bytes(rec[12..16].try_into().unwrap());
-        assert_eq!(incl, 40);
-        assert_eq!(orig, 40);
+        assert_eq!(incl, 44);
+        assert_eq!(orig, 44);
+        assert_eq!(u16::from_be_bytes([rec[16 + 2], rec[16 + 3]]), 44);
 
         // Second record: data, orig_len includes the 1460-byte payload.
-        let rec2 = &buf[24 + 16 + 40..];
+        let rec2 = &buf[SECOND..];
         let incl2 = u32::from_le_bytes(rec2[8..12].try_into().unwrap());
         let orig2 = u32::from_le_bytes(rec2[12..16].try_into().unwrap());
         assert_eq!(incl2, 40);
@@ -240,7 +254,7 @@ mod tests {
         assert_eq!(&ip[12..16], &CLIENT_IP);
         assert_eq!(&ip[16..20], &SERVER_IP);
         // Second packet is incoming: reversed.
-        let ip2 = &buf[24 + 16 + 40 + 16..];
+        let ip2 = &buf[SECOND + 16..];
         assert_eq!(&ip2[12..16], &SERVER_IP);
         assert_eq!(&ip2[16..20], &CLIENT_IP);
     }
@@ -251,7 +265,7 @@ mod tests {
         write_pcap(&sample_trace(), &mut buf).unwrap();
         let tcp = &buf[24 + 16 + IP_HEADER_LEN..];
         assert_eq!(tcp[13], 0x02, "SYN flag");
-        let tcp2 = &buf[24 + 16 + 40 + 16 + IP_HEADER_LEN..];
+        let tcp2 = &buf[SECOND + 16 + IP_HEADER_LEN..];
         assert_eq!(tcp2[13], 0x10, "ACK flag");
     }
 
@@ -273,7 +287,7 @@ mod tests {
 
     #[test]
     fn oversized_payload_is_rejected_at_the_boundary() {
-        let packet = |payload: u32| {
+        let packet = |payload: u32, syn: bool| {
             let mut t = Trace::new();
             t.push(
                 SimTime::from_millis(1),
@@ -284,7 +298,7 @@ mod tests {
                     ack_no: 0,
                     window: 64 * 1024,
                     payload,
-                    syn: false,
+                    syn,
                     fin: false,
                     ack: true,
                     retx: false,
@@ -295,21 +309,69 @@ mod tests {
         };
         // 65495 + 40 header bytes == 65535: exactly representable.
         let mut buf = Vec::new();
-        write_pcap(&packet(MAX_PCAP_PAYLOAD), &mut buf).unwrap();
+        write_pcap(&packet(MAX_PCAP_PAYLOAD, false), &mut buf).unwrap();
         let ip = &buf[24 + 16..];
         assert_eq!(u16::from_be_bytes([ip[2], ip[3]]), u16::MAX);
 
         // One byte more must be an InvalidInput error, not a wrapped header.
-        let err = write_pcap(&packet(MAX_PCAP_PAYLOAD + 1), &mut Vec::new()).unwrap_err();
+        let err = write_pcap(&packet(MAX_PCAP_PAYLOAD + 1, false), &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+
+        // A SYN's option block moves the boundary down by its 4 bytes.
+        let syn_max = MAX_PCAP_PAYLOAD - SYN_OPTIONS.len() as u32;
+        write_pcap(&packet(syn_max, true), &mut Vec::new()).unwrap();
+        let err = write_pcap(&packet(syn_max + 1, true), &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn syn_ack_window_fits_unscaled() {
+        let mut t = Trace::new();
+        let synack = Segment {
+            conn: 0,
+            seq: 0,
+            ack_no: 1,
+            window: 40_000,
+            payload: 0,
+            syn: true,
+            fin: false,
+            ack: true,
+            retx: false,
+            sack: SackBlocks::EMPTY,
+        };
+        t.push(SimTime::from_millis(1), TapDirection::Incoming, synack);
+        let mut buf = Vec::new();
+        write_pcap(&t, &mut buf).unwrap();
+        assert_eq!(buf.len(), 24 + 16 + 44);
+        let tcp = &buf[24 + 16 + IP_HEADER_LEN..];
+        assert_eq!(tcp[13], 0x12, "SYN + ACK");
+        assert_eq!(&tcp[TCP_HEADER_LEN..], &SYN_OPTIONS);
+        assert_eq!(u16::from_be_bytes([tcp[14], tcp[15]]), 40_000);
     }
 
     #[test]
     fn window_is_scaled_and_clamped() {
         let mut buf = Vec::new();
         write_pcap(&sample_trace(), &mut buf).unwrap();
-        let tcp = &buf[24 + 16 + IP_HEADER_LEN..];
+        let tcp = &buf[SECOND + 16 + IP_HEADER_LEN..];
         let window = u16::from_be_bytes([tcp[14], tcp[15]]);
-        assert_eq!(window as u64, (256 * 1024) >> WINDOW_SCALE);
+        assert_eq!(window as u64, (64 * 1024) >> WINDOW_SCALE);
+    }
+
+    #[test]
+    fn syn_announces_the_window_scale_and_keeps_its_window_unscaled() {
+        let mut buf = Vec::new();
+        write_pcap(&sample_trace(), &mut buf).unwrap();
+        let tcp = &buf[24 + 16 + IP_HEADER_LEN..SECOND];
+        assert_eq!(tcp[12] >> 4, 6, "data offset covers the option block");
+        assert_eq!(&tcp[TCP_HEADER_LEN..], &[1, 3, 3, WINDOW_SCALE], "NOP + window scale 7");
+        // 256 KiB does not fit 16 bits unscaled: the SYN's window clamps.
+        assert_eq!(u16::from_be_bytes([tcp[14], tcp[15]]), u16::MAX);
+
+        // The data record after it: no options, window shifted by 7.
+        let tcp2 = &buf[SECOND + 16 + IP_HEADER_LEN..];
+        assert_eq!(tcp2[12] >> 4, 5);
+        let window = u16::from_be_bytes([tcp2[14], tcp2[15]]) as u64;
+        assert_eq!(window << WINDOW_SCALE, 64 * 1024);
     }
 }

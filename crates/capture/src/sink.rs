@@ -1,41 +1,54 @@
-//! The packet-emission tap: [`PacketSink`] and the field tuple it is fed.
+//! The packet-emission tap: [`PacketSink`] and the packet it is fed.
 //!
 //! Every reduction the paper's figures need — on/off cycles, phase
 //! decomposition, download and throughput timelines, receive-window
 //! tracking — consumes packets one at a time, in capture order. The sink
-//! trait is that contract: a consumer of the exact field tuple the columnar
-//! [`Trace`] stores (timestamp, flag byte, connection id, payload length,
-//! seq/ack/window, and the rare SACK state), fed either live from the
-//! session engine's tap or replayed from a stored capture.
+//! trait is that contract: a consumer of [`TapPacket`]s (timestamp, flag
+//! byte, connection id, payload length, seq/ack/window, and the rare SACK
+//! state), fed either live from the session engine's tap or replayed from a
+//! stored capture.
 //!
 //! Three producers feed the same sink interface:
 //!
 //! * the session engine's tap, as packets are emitted — how every figure,
 //!   the QoE table and the campaign resolve a session, with no capture
 //!   retained at all;
-//! * [`Trace::replay`], walking an in-memory capture column-wise;
+//! * [`crate::Trace::replay`], walking an in-memory capture;
 //! * [`crate::PackedTrace::replay`], decoding the packed streams record by
 //!   record without materialising a trace.
 //!
-//! [`Trace`] itself implements [`PacketSink`], which is what makes the
-//! producers interchangeable: recording a replay reproduces the original
-//! capture exactly, and a fold fed by the tap sees what the same fold sees
-//! on a replay of the recorded trace. [`Tee`] splits one stream to two
-//! sinks for the record-and-fold case.
+//! [`crate::Trace`] itself implements [`PacketSink`], which is what makes
+//! the producers interchangeable: recording a replay reproduces the
+//! original capture exactly, and a fold fed by the tap sees what the same
+//! fold sees on a replay of the recorded trace. [`Tee`] splits one stream
+//! to two sinks for the record-and-fold case.
 
 use vstream_sim::SimTime;
 use vstream_tcp::segment::SackBlocks;
 use vstream_tcp::Segment;
 
 use crate::record::TapDirection;
-use crate::trace::{
-    Trace, FLAG_ACK, FLAG_FIN, FLAG_OUTGOING, FLAG_RETX, FLAG_SACK, FLAG_SYN,
-};
 
-/// Builds the per-record flag byte the `tags` column stores, from a tap
-/// direction and segment — the single definition both [`Trace::push`] and
-/// the engine's streaming tap go through, so a recorded tag byte and a
-/// streamed one can never disagree.
+/// Flag-byte bit (see [`TapPacket::flags`]): the packet left the client.
+///
+/// The flag byte holds the direction plus the four TCP flags, and a marker
+/// for packets with non-empty SACK state.
+pub const FLAG_OUTGOING: u8 = 1 << 0;
+/// Flag-byte bit: SYN.
+pub const FLAG_SYN: u8 = 1 << 1;
+/// Flag-byte bit: FIN.
+pub const FLAG_FIN: u8 = 1 << 2;
+/// Flag-byte bit: ACK.
+pub const FLAG_ACK: u8 = 1 << 3;
+/// Flag-byte bit: the segment is a retransmission.
+pub const FLAG_RETX: u8 = 1 << 4;
+/// Flag-byte bit: the packet carries non-empty SACK state.
+pub const FLAG_SACK: u8 = 1 << 5;
+
+/// Builds a [`TapPacket`]'s flag byte from a tap direction and segment —
+/// the single definition both [`crate::Trace::push`] and the engine's tap
+/// go through, so a recorded flag byte and a streamed one can never
+/// disagree.
 pub fn flags_of(dir: TapDirection, seg: &Segment) -> u8 {
     let mut tag = 0u8;
     if dir == TapDirection::Outgoing {
@@ -59,14 +72,14 @@ pub fn flags_of(dir: TapDirection, seg: &Segment) -> u8 {
     tag
 }
 
-/// One tapped packet, in the exact shape the columnar [`Trace`] stores it:
-/// the flag byte is the `tags` column entry (direction plus TCP flags plus
-/// the SACK marker), and `sack` is non-empty iff [`FLAG_SACK`] is set.
+/// One tapped packet, as the tap emits it and a [`crate::Trace`] keeps it:
+/// the flag byte holds the direction, the TCP flags and the SACK marker,
+/// and `sack` is non-empty iff [`FLAG_SACK`] is set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TapPacket {
     /// Capture timestamp.
     pub at: SimTime,
-    /// The `tags`-column flag byte (see the `FLAG_*` constants).
+    /// Direction, TCP flags and SACK marker (see the `FLAG_*` constants).
     pub flags: u8,
     /// Connection id.
     pub conn: u32,
@@ -96,6 +109,29 @@ impl TapPacket {
             window: seg.window,
             sack: seg.sack,
         }
+    }
+
+    /// The segment this packet was built from — the inverse of
+    /// [`TapPacket::new`].
+    pub fn segment(&self) -> Segment {
+        Segment {
+            conn: self.conn,
+            seq: self.seq,
+            ack_no: self.ack_no,
+            window: self.window,
+            payload: self.payload,
+            syn: self.flags & FLAG_SYN != 0,
+            fin: self.flags & FLAG_FIN != 0,
+            ack: self.flags & FLAG_ACK != 0,
+            retx: self.flags & FLAG_RETX != 0,
+            sack: self.sack,
+        }
+    }
+
+    /// Capture timestamp: the `at` field behind the getter that
+    /// `benchmark/driver` calls.
+    pub fn at(&self) -> SimTime {
+        self.at
     }
 
     /// Direction relative to the client.
@@ -158,9 +194,9 @@ impl PacketSink for NullSink {
     fn packet(&mut self, _p: &TapPacket) {}
 }
 
-/// Feeds one packet stream to two sinks, in order — e.g. a cache miss that
-/// must both retain the capture ([`Trace`] as sink `a`) and fold the
-/// analysis features on the fly (sink `b`).
+/// Feeds one packet stream to two sinks, in order — e.g. retaining the
+/// capture ([`crate::Trace`] as sink `a`) while folding analysis features
+/// on the fly (sink `b`).
 pub struct Tee<'a, A: PacketSink + ?Sized, B: PacketSink + ?Sized> {
     a: &'a mut A,
     b: &'a mut B,
@@ -180,17 +216,10 @@ impl<A: PacketSink + ?Sized, B: PacketSink + ?Sized> PacketSink for Tee<'_, A, B
     }
 }
 
-impl PacketSink for Trace {
-    /// Records the packet — the columnar push, reusing the pre-built flag
-    /// byte instead of re-deriving it from a [`Segment`].
-    fn packet(&mut self, p: &TapPacket) {
-        self.record(p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
 
     fn seg(conn: u32, payload: u32) -> Segment {
         Segment {

@@ -2,8 +2,8 @@
 //! this crate's `columnar.rs` and (through `#[path]`) the analysis crate's
 //! `streaming.rs`.
 //!
-//! [`gen`] fills a columnar [`Trace`] and a plain `Vec<PacketRecord>` from
-//! the identical event stream. The `ref_*` functions reduce the
+//! [`gen`] fills a [`Trace`] and a plain `Vec<PacketRecord>` from the
+//! identical event stream. The `ref_*` functions reduce the
 //! array-of-structs side in the obvious style — maps, filters, whole-slice
 //! rescans — and are the one oracle every fold is held to: a bug in a fold,
 //! in `Trace::replay` or in `PackedTrace::replay` fails against them, not
@@ -62,8 +62,8 @@ pub fn base_seg(conn: u32) -> Segment {
     }
 }
 
-/// Generates one randomized capture, filling the columnar trace and the AoS
-/// reference from the identical event stream.
+/// Generates one randomized capture, filling the trace and the
+/// array-of-structs reference from the identical event stream.
 pub fn gen(seed: u64, shape: Shape) -> (Trace, Vec<PacketRecord>) {
     let mut rng = SimRng::new(seed);
     let mut trace = Trace::new();

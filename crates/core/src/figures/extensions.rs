@@ -66,7 +66,7 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
         let mut logic = ServerPacedLogic::new(cfg, video);
         let app = |l: &ServerPacedLogic| Some((l.player.stats(), l.blocks));
         let stem = || format!("ext-stalls-k{ki}-r{i}-s{engine_seed}");
-        run_engine(setup, scratch, &mut logic, &mut NullSink, false, app, stem);
+        run_engine(setup, scratch, &mut logic, &mut NullSink, app, stem);
         logic.player.stats().stall_time.as_secs_f64()
     });
     let points: Vec<(f64, f64)> = RATIOS
@@ -184,7 +184,7 @@ fn bulk_transfer_time(
         client_cfg: TcpConfig::default().with_recv_buffer(8 << 20).with_sack(sack),
         server_cfg: TcpConfig::default().with_sack(sack),
     };
-    run_engine(setup, scratch, &mut logic, &mut NullSink, false, |_| None, stem);
+    run_engine(setup, scratch, &mut logic, &mut NullSink, |_| None, stem);
     logic.done_at.unwrap_or(600.0)
 }
 
@@ -217,7 +217,7 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
         let mut fold = AnalysisFold::new(cfg.clone()).with_phases();
         let app = |l: &CustomPaced| Some((l.inner.player.stats(), l.inner.blocks));
         let stem = || format!("ext-cc-{}-s{seed}", name.to_lowercase());
-        run_engine(setup, scratch, &mut logic, &mut fold, false, app, stem);
+        run_engine(setup, scratch, &mut logic, &mut fold, app, stem);
         let analysis = fold.finish();
         let blocks = analysis.onoff.steady_state_block_sizes();
         let median_block = if blocks.is_empty() {
@@ -343,7 +343,7 @@ pub fn ext_aggregate_packet_level(seed: u64, n_sessions: usize, window_secs: f64
             // Bulk transfers pace no blocks.
             let app = |l: &BulkLogic| Some((l.player.stats(), 0));
             let stem = || format!("ext-agg-pkt-n{i}-s{engine_seed}");
-            run_engine(setup, scratch, &mut logic, &mut fold, false, app, stem);
+            run_engine(setup, scratch, &mut logic, &mut fold, app, stem);
             let series: Vec<(f64, f64)> = fold
                 .finish()
                 .into_iter()

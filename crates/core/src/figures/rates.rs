@@ -139,7 +139,7 @@ pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
         let app = |l: &CustomPaced| Some((l.inner.player.stats(), l.inner.blocks));
         let switch = if idle_reset { "on" } else { "off" };
         let stem = || format!("fig9-idle-reset-{switch}-s{seed}");
-        run_engine(setup, scratch, &mut logic, &mut fold, false, app, stem);
+        run_engine(setup, scratch, &mut logic, &mut fold, app, stem);
         let samples = fold.finish().first_rtt_bytes.expect("ack clock requested");
         let kb: Vec<f64> = samples.iter().map(|&b| b as f64 / 1e3).collect();
         if kb.is_empty() {

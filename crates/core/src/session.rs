@@ -12,10 +12,10 @@
 //! [`query_many`](crate::query::query_many) (through [`batch_resolve`]) is
 //! the one batch entrance and what the figure drivers use: analysis folds on
 //! the live packet tap, no trace, replies memoized by the
-//! [session cache](crate::cache). [`SessionSpec::run`] runs one session and
-//! retains its packet [`Trace`] for consumers of raw packets (pcap export,
-//! trace inspection, test oracles); it always simulates and never touches
-//! the cache.
+//! [session cache](crate::cache). [`SessionSpec::run`] runs one session
+//! with a [`Trace`] as its packet sink, retaining the capture for consumers
+//! of raw packets (pcap export, trace inspection, test oracles); it always
+//! simulates and never touches the cache.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -23,7 +23,7 @@ use vstream_app::engine::Engine;
 pub use vstream_app::engine::SessionScratch;
 use vstream_app::strategies::InterruptAfter;
 use vstream_app::{CrossTraffic, PlayerStats, SessionLogic, Video};
-use vstream_capture::{NullSink, PacketSink, Trace};
+use vstream_capture::{PacketSink, Trace};
 use vstream_net::{DuplexPath, LrdCrossConfig, NetworkProfile};
 use vstream_obs::{collector, Counter, Gauge, HistId};
 use vstream_sim::{exec, SimDuration};
@@ -128,45 +128,46 @@ impl SessionSpec {
         self
     }
 
-    /// Runs the session, retaining its packet trace. `None` for
-    /// inapplicable Table 1 cells (mobile clients have no Flash). Always
-    /// simulates: the [session cache](crate::cache) stores query replies,
-    /// not traces.
+    /// Runs the session, retaining its packet trace: a [`Trace`] is the
+    /// session's packet sink. `None` for inapplicable Table 1 cells (mobile
+    /// clients have no Flash). Always simulates: the
+    /// [session cache](crate::cache) stores query replies, not traces.
     pub fn run(&self) -> Option<CellOutcome> {
         let mut scratch = SessionScratch::new();
-        let out = self.simulate(&mut scratch, None);
+        let mut trace = Trace::new();
+        let out = self.simulate(&mut scratch, &mut trace);
+        if collector::is_active() {
+            let bytes = trace.resident_bytes() as u64;
+            scratch.metrics_mut().gauge_max(Gauge::PeakTraceBytes, bytes);
+        }
         scratch.flush_metrics();
-        out
+        out.map(|o| CellOutcome { trace, ..o })
     }
 
     /// [`run_engine`] for a spec: builds the Table 1 logic ([`InterruptAfter`]
     /// around it for an abandoned session), books the run under its vantage
-    /// point's `profiles/*` ledger row and packages the [`CellOutcome`].
-    /// With a `tap` the packets stream into it and the outcome carries an
-    /// empty [`Trace`]; without one the capture is retained.
+    /// point's `profiles/*` ledger row and packages the [`CellOutcome`]. The
+    /// packets stream into `sink`; the outcome carries an empty [`Trace`].
     fn simulate(
         &self,
         scratch: &mut SessionScratch,
-        tap: Option<&mut dyn PacketSink>,
+        sink: &mut dyn PacketSink,
     ) -> Option<CellOutcome> {
         let mut logic = logic_for(self.client, self.container, self.video)?;
         let mut setup = EngineSetup::new(self.profile.build_path(), self.seed, self.capture);
         setup.lrd = self.cross;
         let base_rtt = setup.path.base_rtt();
-        let keep_trace = tap.is_none();
-        let mut null = NullSink;
-        let sink = tap.unwrap_or(&mut null);
         let app = |l: &StrategyLogic| Some((l.player().stats(), l.blocks()));
         let stem = || flight::file_stem(self);
         let run = match self.watch_time {
             Some(w) => {
                 let mut wrapped = InterruptAfter::new(logic, w);
                 let app = |w: &InterruptAfter<StrategyLogic>| app(&w.inner);
-                let run = run_engine(setup, scratch, &mut wrapped, sink, keep_trace, app, stem);
+                let run = run_engine(setup, scratch, &mut wrapped, sink, app, stem);
                 logic = wrapped.inner;
                 run
             }
-            None => run_engine(setup, scratch, &mut logic, sink, keep_trace, app, stem),
+            None => run_engine(setup, scratch, &mut logic, sink, app, stem),
         };
         if collector::is_active() {
             let p = scratch.metrics_mut().profile_mut(self.profile as usize);
@@ -174,7 +175,7 @@ impl SessionSpec {
             p.events_scheduled += run.events_scheduled;
         }
         Some(CellOutcome {
-            trace: run.trace,
+            trace: Trace::new(),
             logic,
             connections: run.connection_stats.len(),
             connection_stats: run.connection_stats,
@@ -217,7 +218,7 @@ impl SessionSpec {
         }
         let bracket = key.map(|k| (k, scratch.metrics_mut().take()));
         let mut fold = CompositeFold::new(query, self.fold_rtt(query));
-        let out = self.simulate(scratch, Some(&mut fold));
+        let out = self.simulate(scratch, &mut fold);
         scratch
             .metrics_mut()
             .gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
@@ -268,11 +269,10 @@ impl EngineSetup {
     }
 }
 
-/// What [`run_engine`] hands back besides the logic it ran in place: the
-/// capture (empty unless retained), `(client, server)` endpoint statistics
-/// per connection, and the events the session scheduled.
+/// What [`run_engine`] hands back besides the logic it ran in place:
+/// `(client, server)` endpoint statistics per connection, and the events the
+/// session scheduled.
 pub(crate) struct EngineRun {
-    pub(crate) trace: Trace,
     pub(crate) connection_stats: Vec<(EndpointStats, EndpointStats)>,
     pub(crate) events_scheduled: u64,
 }
@@ -285,7 +285,7 @@ pub(crate) struct EngineRun {
 /// The worker's [`SessionScratch`] is taken for the run and handed back
 /// replenished, so back-to-back sessions skip their warm-up allocations —
 /// scratch carries capacity, never state. Tapped packets stream into
-/// `sink`; the capture itself is retained only with `keep_trace`.
+/// `sink`; a caller that wants the capture passes a [`Trace`].
 ///
 /// The flight recorder brackets the session here: a fresh event ring before
 /// the engine, a dump decision after, the files named by `stem` (built only
@@ -300,7 +300,6 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
     scratch: &mut SessionScratch,
     logic: &mut L,
     sink: &mut S,
-    keep_trace: bool,
     app: impl FnOnce(&L) -> Option<(PlayerStats, u64)>,
     stem: impl FnOnce() -> String,
 ) -> EngineRun {
@@ -313,13 +312,12 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
     if let Some(cfg) = setup.lrd {
         eng.set_lrd_cross_traffic(cfg, setup.seed);
     }
-    eng.run_observed(logic, sink, keep_trace);
+    eng.run_observed(logic, sink, false);
     let connection_stats: Vec<_> =
         (0..eng.connection_count()).map(|c| eng.connection_stats(c)).collect();
     // Read before `into_parts` consumes the engine.
     let events_scheduled = eng.queue_stats().scheduled;
-    let (trace, recycled) = eng.into_parts();
-    *scratch = recycled;
+    *scratch = eng.into_parts().1;
     let obs_active = collector::is_active();
     let app = (obs_active || bracket).then(|| app(logic)).flatten();
     if let (true, Some((stats, blocks))) = (obs_active, &app) {
@@ -336,7 +334,7 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
     if bracket {
         flight::session_end(stem, app.as_ref().map(|(stats, _)| stats), &connection_stats);
     }
-    EngineRun { trace, connection_stats, events_scheduled }
+    EngineRun { connection_stats, events_scheduled }
 }
 
 /// The one session fan-out: `f(scratch, i)` for `i < n` on up to `jobs`
@@ -456,6 +454,7 @@ pub fn run_cell_interrupted(
 mod tests {
     use super::*;
     use vstream_analysis::{classify, AnalysisConfig, Strategy, TotalsFold};
+    use vstream_capture::NullSink;
 
     fn video() -> Video {
         Video::new(1, 1_000_000, SimDuration::from_secs(600))
@@ -640,7 +639,7 @@ mod tests {
         let path = NetworkProfile::Research.build_path();
         let setup = EngineSetup::new(path, 5, SimDuration::from_secs(30));
         let stem = "bracket-test-noplayer";
-        let run = run_engine(setup, &mut scratch, &mut logic, &mut NullSink, false, |_| None, || {
+        let run = run_engine(setup, &mut scratch, &mut logic, &mut NullSink, |_| None, || {
             stem.to_string()
         });
         flight::uninstall();
@@ -648,7 +647,6 @@ mod tests {
         collector::take();
 
         assert_eq!(logic.read, 300_000);
-        assert!(run.trace.is_empty(), "keep_trace was off");
         assert_eq!(run.connection_stats.len(), 1);
         assert_eq!(m.counter(Counter::SimSessions), 1);
         assert_eq!(m.counter(Counter::TcpConnections), 1);
@@ -706,10 +704,32 @@ mod tests {
             let mut logic = logic_for(s.client, s.container, s.video).unwrap();
             let (mut scratch, sink) = (SessionScratch::new(), &mut NullSink);
             let stem = || "zero-load-lrd-test".to_string();
-            run_engine(setup, &mut scratch, &mut logic, sink, false, |_| None, stem).events_scheduled
+            run_engine(setup, &mut scratch, &mut logic, sink, |_| None, stem).events_scheduled
         };
         assert_eq!(events(&spec), events(&lrd(0)));
         assert_ne!(events(&spec), events(&lrd(250)), "a nonzero load schedules its sources");
+    }
+
+    /// A capture retained through the sink ([`SessionSpec::run`], a
+    /// [`Trace`] as the sink) round-trips through the packed form. Netflix
+    /// PC on the lossy Residence path opens several connections and sends
+    /// SACKs, so every field is exercised.
+    #[test]
+    fn sink_retention_packs_multi_connection_sack_captures() {
+        let spec = SessionSpec::new(
+            Client::Firefox,
+            Container::Silverlight,
+            Video::new(0, 3_000_000, SimDuration::from_secs(2400)),
+            NetworkProfile::Residence,
+            11,
+            SimDuration::from_secs(60),
+        );
+        let sunk = spec.run().unwrap().trace;
+        let conns: std::collections::BTreeSet<u32> = sunk.records().map(|p| p.conn).collect();
+        assert!(conns.len() > 1, "{} connection(s)", conns.len());
+        let sacks = sunk.records().filter(|p| p.flags & vstream_capture::FLAG_SACK != 0);
+        assert!(sacks.count() > 0, "the lossy path carried SACKs");
+        assert_eq!(vstream_capture::PackedTrace::pack(&sunk).unpack(), sunk);
     }
 
     #[test]

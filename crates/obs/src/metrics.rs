@@ -223,7 +223,7 @@ slots! {
         /// Peak number of pending events in any session's queue.
         SimQueuePeakLen => "sim_queue_peak_len",
         /// Peak bytes resident in any session's retained packet trace
-        /// (columns plus SACK side table), measured at harvest.
+        /// (its one packet vector), measured at harvest.
         PeakTraceBytes => "peak_trace_bytes",
         /// Peak bytes resident in any figure's streaming fold state
         /// (per-flow high-water tables, cycle lists, series buffers).

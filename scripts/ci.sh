@@ -32,8 +32,8 @@
 #      library-facing callers of the folds (`Trace::replay` into
 #      `TotalsFold`, `SummariesFold`, `ThroughputFold`, `from_trace`), which
 #      `cargo test` compiles but never executes
-#   4. the packed-format roundtrip suite in release mode: the record-level
-#      AoS-vs-SoA lock-step and the pack/unpack exactness tests of
+#   4. the packed-format roundtrip suite in release mode: the trace-vs-
+#      reference record checks and the pack/unpack exactness tests of
 #      `-p vstream-capture`, compiled with release assertions so the checked
 #      truncation/corruption paths in PackedTrace::unpack are exercised as
 #      an optimized build runs them (the capture reductions are folds in
@@ -71,10 +71,11 @@ python3 -m json.tool "$obs_out/metrics.json" > /dev/null
 grep -q '"schema_version"' "$obs_out/metrics.json"
 
 echo "==> default run: no retained trace, and results/ is what the code produces"
-# No session of a default run retains a trace — figure drivers fold on the
-# live tap and the ablation harnesses run with keep_trace off — so the
-# wall-mode ledger must report peak_trace_bytes = 0 while the fold state
-# that replaced it registers as nonzero peak_flowstate_bytes.
+# No session of a default run retains a trace — figure drivers and the
+# ablation harnesses alike fold on the live tap, and only a Trace passed as
+# the sink keeps packets — so the wall-mode ledger must report
+# peak_trace_bytes = 0 while the fold state that replaced it registers as
+# nonzero peak_flowstate_bytes.
 target/release/repro all --csv "$obs_out/all" --metrics "$obs_out/all.metrics.json" > /dev/null
 grep -q '"peak_trace_bytes":0[,}]' "$obs_out/all.metrics.json"
 grep -qE '"peak_flowstate_bytes":[1-9]' "$obs_out/all.metrics.json"

@@ -91,3 +91,42 @@ fn multi_connection_session_uses_distinct_ports() {
         "one client port per TCP connection"
     );
 }
+
+#[test]
+fn syn_records_carry_the_window_scale_option() {
+    let out = run_cell(
+        Client::Ipad,
+        Container::Html5,
+        Video::new(1, 2_000_000, SimDuration::from_secs(600)),
+        NetworkProfile::Research,
+        73,
+        SimDuration::from_secs(40),
+    )
+    .unwrap();
+    let mut buf = Vec::new();
+    write_pcap(&out.trace, &mut buf).unwrap();
+
+    let (mut syns, mut others) = (0usize, 0usize);
+    let mut offset = 24;
+    while offset < buf.len() {
+        let incl = u32::from_le_bytes(buf[offset + 8..offset + 12].try_into().unwrap()) as usize;
+        let orig = u32::from_le_bytes(buf[offset + 12..offset + 16].try_into().unwrap()) as usize;
+        let ip = &buf[offset + 16..offset + 16 + incl];
+        assert_eq!(u16::from_be_bytes([ip[2], ip[3]]) as usize, orig, "IP total length");
+        let tcp = &ip[20..];
+        let data_offset = (tcp[12] >> 4) as usize;
+        assert_eq!(20 + data_offset * 4, incl, "headers are snapped at the TCP header end");
+        if tcp[13] & 0x02 != 0 {
+            assert_eq!(data_offset, 6, "a SYN carries one option word");
+            assert_eq!(&tcp[20..24], &[1, 3, 3, 7], "NOP + window scale, shift 7");
+            syns += 1;
+        } else {
+            assert_eq!(data_offset, 5, "only SYNs carry options");
+            others += 1;
+        }
+        offset += 16 + incl;
+    }
+    // At least a SYN and a SYN-ACK per connection.
+    assert!(syns >= 2 * out.connections, "{syns} SYN records, {} connections", out.connections);
+    assert_eq!(syns + others, out.trace.len());
+}
