@@ -13,10 +13,9 @@
 //! [`Engine::stop`].
 
 use vstream_capture::{NullSink, PacketSink, TapDirection, TapPacket, Tee, Trace};
-use vstream_net::cross::LRD_SOURCES;
-use vstream_net::{Direction, DuplexPath, LrdCrossConfig};
+use vstream_net::{CrossTraffic, Direction, DuplexPath, LrdCrossConfig};
 use vstream_obs::{collector, Counter, Gauge, HistId, Metrics};
-use vstream_sim::{derive_seed, EventQueue, QueueStats, SimDuration, SimRng, SimTime};
+use vstream_sim::{EventQueue, QueueStats, SimDuration, SimRng, SimTime};
 use vstream_tcp::segment::SackBlocks;
 use vstream_tcp::{Endpoint, EndpointStats, Role, Segment, TcpConfig};
 
@@ -41,8 +40,8 @@ enum Event {
     DeliverToServer(QueuedSegment),
     TcpTick { conn: u32, side: Side },
     AppTimer { id: u32 },
-    CrossBurst,
-    LrdTick { src: u32 },
+    /// Source `src` of the path's cross traffic ticks.
+    Cross { src: u32 },
 }
 
 /// [`QueuedSegment::sack`] of a segment whose SACK option is empty.
@@ -147,51 +146,6 @@ impl SackSlab {
         self.slots.len() - self.free.len()
     }
 }
-
-/// Competing traffic sharing the downlink bottleneck: bursts with
-/// exponentially distributed sizes and inter-arrival times. Models the
-/// transient congestion the paper's §3 says the buffering phase guards
-/// against, for the accumulation-ratio resilience experiments.
-#[derive(Clone, Debug)]
-pub struct CrossTraffic {
-    /// Mean interval between bursts.
-    pub mean_period: SimDuration,
-    /// Mean burst size in bytes.
-    pub mean_burst_bytes: u64,
-}
-
-impl CrossTraffic {
-    /// Average offered load in bits per second.
-    pub fn mean_load_bps(&self) -> f64 {
-        self.mean_burst_bytes as f64 * 8.0 / self.mean_period.as_secs_f64()
-    }
-}
-
-/// One heavy-tailed on/off source of the LRD aggregate (state machine of
-/// [`LrdCrossConfig`]): Pareto-distributed ON periods emitted as peak-rate
-/// chunks, exponential OFF gaps. Each source owns a private RNG derived
-/// from the session seed and the source index, so the aggregate never
-/// perturbs the engine's main random stream — adding or removing LRD
-/// traffic must not reshuffle the loss pattern of the video flow itself.
-struct LrdSource {
-    rng: SimRng,
-    /// End of the current ON period; a tick at or past this instant opens
-    /// the next ON period (it was scheduled after an OFF gap).
-    on_until: SimTime,
-}
-
-struct LrdState {
-    cfg: LrdCrossConfig,
-    sources: Vec<LrdSource>,
-}
-
-/// ON periods are emitted in peak-rate chunks of this length, so a burst
-/// occupies the bottleneck progressively rather than as one packet-queue
-/// spike — matching how a competing TCP/UDP flow would actually drain.
-const LRD_CHUNK: SimDuration = SimDuration::from_millis(20);
-
-/// Seed-derivation tag for per-source LRD RNG streams.
-const LRD_SEED_TAG: u64 = 0x1BD0;
 
 struct Conn {
     client: Endpoint,
@@ -325,8 +279,6 @@ pub struct Engine {
     conns: Vec<Conn>,
     limit: SimTime,
     stopped: bool,
-    cross_traffic: Option<CrossTraffic>,
-    lrd_cross: Option<LrdState>,
     /// Staging buffer the endpoints emit segments into; taken out of the
     /// engine around each `_into` call and drained by the transmit helpers.
     seg_buf: Vec<Segment>,
@@ -381,8 +333,6 @@ impl Engine {
             conns: Vec::new(),
             limit: SimTime::ZERO + capture_limit,
             stopped: false,
-            cross_traffic: None,
-            lrd_cross: None,
             seg_buf,
             metrics,
             scratch_was_used: used,
@@ -391,44 +341,13 @@ impl Engine {
         }
     }
 
-    /// Adds competing cross traffic on the downlink for the whole session.
-    ///
-    /// # Panics
-    /// Panics if called after [`Engine::run`] has started processing events.
-    pub fn set_cross_traffic(&mut self, ct: CrossTraffic) {
-        assert!(
-            self.now() == SimTime::ZERO,
-            "cross traffic must be configured before the session runs"
-        );
-        self.cross_traffic = Some(ct);
-    }
-
-    /// Adds a long-range-dependent cross-traffic aggregate on the downlink:
-    /// [`LRD_SOURCES`] superposed Pareto-ON / exponential-OFF sources. Each
-    /// source's randomness comes from `derive_seed(seed, [tag, index])`, so
-    /// the aggregate is a pure function of `(cfg, seed)` — identical across
-    /// `--jobs` counts and cache on/off — and the engine's
-    /// main RNG (packet loss, strategy jitter) is untouched. A zero-peak
-    /// aggregate offers no load and schedules nothing: the session is the
-    /// cross-free one.
-    ///
-    /// # Panics
-    /// Panics if called after [`Engine::run`] has started processing events.
+    /// Adds a long-range-dependent cross-traffic aggregate to the path:
+    /// [`DuplexPath::set_cross_traffic`] with [`CrossTraffic::Lrd`]. An alias
+    /// kept for callers that build the engine before choosing the load;
+    /// everything else builds the path with
+    /// [`DuplexPath::with_cross_traffic`].
     pub fn set_lrd_cross_traffic(&mut self, cfg: LrdCrossConfig, seed: u64) {
-        assert!(
-            self.now() == SimTime::ZERO,
-            "LRD cross traffic must be configured before the session runs"
-        );
-        if cfg.peak_bps == 0 {
-            return;
-        }
-        let sources = (0..LRD_SOURCES)
-            .map(|i| LrdSource {
-                rng: SimRng::new(derive_seed(seed, &[LRD_SEED_TAG, i as u64])),
-                on_until: SimTime::ZERO,
-            })
-            .collect();
-        self.lrd_cross = Some(LrdState { cfg, sources });
+        self.path.set_cross_traffic(CrossTraffic::Lrd(cfg), seed);
     }
 
     /// Current simulated time.
@@ -658,18 +577,8 @@ impl Engine {
     /// The event loop of [`Engine::run_observed`]: every tapped packet goes
     /// to `sink`.
     fn run_loop<L: SessionLogic, S: PacketSink + ?Sized>(&mut self, logic: &mut L, sink: &mut S) {
-        if self.cross_traffic.is_some() {
-            self.schedule_cross_burst();
-        }
-        if let Some(mut st) = self.lrd_cross.take() {
-            // Every source starts OFF with an independent exponential gap,
-            // so the aggregate does not begin with a synchronized burst.
-            for (i, src) in st.sources.iter_mut().enumerate() {
-                let gap = src.rng.exponential(1.0 / LrdCrossConfig::mean_off_secs());
-                let at = SimTime::ZERO + SimDuration::from_secs_f64(gap);
-                self.queue.schedule(at, Event::LrdTick { src: i as u32 });
-            }
-            self.lrd_cross = Some(st);
+        for (src, at) in self.path.cross_starts(&mut self.rng).enumerate() {
+            self.queue.schedule(at, Event::Cross { src: src as u32 });
         }
         logic.on_start(self);
         self.drain_tap(sink);
@@ -736,17 +645,7 @@ impl Engine {
                 Event::AppTimer { id } => {
                     logic.on_app_timer(self, id);
                 }
-                Event::CrossBurst => {
-                    let now = self.now();
-                    if let Some(ct) = &self.cross_traffic {
-                        let bytes = self.rng.exponential(1.0 / ct.mean_burst_bytes as f64) as u64;
-                        self.path.occupy(Direction::Down, now, bytes.max(1));
-                    }
-                    self.schedule_cross_burst();
-                }
-                Event::LrdTick { src } => {
-                    self.lrd_tick(src);
-                }
+                Event::Cross { src } => self.cross_tick(src, t),
             }
             self.drain_tap(sink);
         }
@@ -867,46 +766,15 @@ impl Engine {
         }
     }
 
-    /// Advances one LRD source's on/off state machine. A tick arriving at
-    /// or past `on_until` was scheduled across an OFF gap and opens a new
-    /// Pareto-length ON period; every tick then occupies the downlink with
-    /// up to one chunk of peak-rate bytes and schedules either the next
-    /// chunk (still ON) or the next period start (across an OFF gap).
-    fn lrd_tick(&mut self, src: u32) {
-        let now = self.now();
-        let Some(mut st) = self.lrd_cross.take() else { return };
-        {
-            let cfg = st.cfg;
-            let s = &mut st.sources[src as usize];
-            if now >= s.on_until {
-                let on = s
-                    .rng
-                    .pareto(LrdCrossConfig::on_x_min_secs(), LrdCrossConfig::alpha());
-                s.on_until = now + SimDuration::from_secs_f64(on);
-            }
-            // The final chunk of a period is pro-rated to the ON time it
-            // actually covers, so the aggregate's mean load is exactly
-            // `cfg.mean_load_bps()` rather than biased up by tail chunks.
-            let next_chunk = now + LRD_CHUNK;
-            let covered = s.on_until.min(next_chunk) - now;
-            let bytes = cfg.on_bytes(covered.as_nanos());
-            self.path.occupy(Direction::Down, now, bytes.max(1));
-            let at = if next_chunk < s.on_until {
-                next_chunk
-            } else {
-                let gap = s.rng.exponential(1.0 / LrdCrossConfig::mean_off_secs());
-                s.on_until + SimDuration::from_secs_f64(gap)
-            };
-            self.queue.schedule(at, Event::LrdTick { src });
-        }
-        self.lrd_cross = Some(st);
-    }
-
-    fn schedule_cross_burst(&mut self) {
-        let Some(ct) = &self.cross_traffic else { return };
-        let gap = self.rng.exponential(1.0 / ct.mean_period.as_secs_f64());
-        let at = self.now() + vstream_sim::SimDuration::from_secs_f64(gap);
-        self.queue.schedule(at, Event::CrossBurst);
+    /// Cross-traffic source `src` ticks: the path occupies its downlink and
+    /// names the source's next tick. Kept out of the event loop: inlined
+    /// there, the timer-heap push made every packet event slower
+    /// (`sessions_bulk`, which has no cross traffic, read `wall_s` ≈ 15 %
+    /// higher on a 2-core host).
+    #[inline(never)]
+    fn cross_tick(&mut self, src: u32, now: SimTime) {
+        let next = self.path.cross_tick(src, now, &mut self.rng);
+        self.queue.schedule(next, Event::Cross { src });
     }
 
     /// Ensures a TCP tick event is queued for each armed endpoint timer.
@@ -1087,31 +955,29 @@ mod tests {
         assert_ne!(run(42).1, run(43).1);
     }
 
+    /// A bulk transfer over the 20 Mbps Home downlink, with `cross`
+    /// competing on it (LRD sources seeded from 99).
+    fn home_transfer(cross: Option<CrossTraffic>, size: u64) -> (SimTime, usize) {
+        let mut path = NetworkProfile::Home.build_path();
+        if let Some(cross) = cross {
+            path = path.with_cross_traffic(cross, 99);
+        }
+        let mut eng = Engine::new(path, 7, SimDuration::from_secs(120));
+        let mut logic = BulkLogic {
+            size,
+            read_total: 0,
+            finished_at: None,
+        };
+        eng.run(&mut logic);
+        (logic.finished_at.expect("transfer completes"), eng.trace().len())
+    }
+
     #[test]
     fn cross_traffic_slows_the_transfer() {
-        let run = |ct: Option<CrossTraffic>| {
-            let mut eng = Engine::new(
-                NetworkProfile::Home.build_path(), // 20 Mbps downlink
-                7,
-                SimDuration::from_secs(120),
-            );
-            if let Some(ct) = ct {
-                eng.set_cross_traffic(ct);
-            }
-            let mut logic = BulkLogic {
-                size: 20_000_000,
-                read_total: 0,
-                finished_at: None,
-            };
-            eng.run(&mut logic);
-            logic.finished_at.expect("transfer completes")
-        };
-        let clean = run(None);
-        // ~10 Mbps of competing traffic halves the available bandwidth.
-        let congested = run(Some(CrossTraffic {
-            mean_period: SimDuration::from_millis(10),
-            mean_burst_bytes: 12_500,
-        }));
+        // Bursts offer 3.2 Mbps on average, but each one holds the
+        // bottleneck for about half a second and overflows its queue.
+        let (clean, _) = home_transfer(None, 40_000_000);
+        let (congested, _) = home_transfer(Some(CrossTraffic::Bursts), 40_000_000);
         assert!(
             congested > clean + SimDuration::from_secs(3),
             "cross traffic had no effect: clean {clean}, congested {congested}"
@@ -1120,24 +986,7 @@ mod tests {
 
     #[test]
     fn lrd_cross_traffic_slows_the_transfer_and_is_deterministic() {
-        use vstream_net::LrdCrossConfig;
-        let run = |cfg: Option<LrdCrossConfig>| {
-            let mut eng = Engine::new(
-                NetworkProfile::Home.build_path(), // 20 Mbps downlink
-                7,
-                SimDuration::from_secs(120),
-            );
-            if let Some(cfg) = cfg {
-                eng.set_lrd_cross_traffic(cfg, 99);
-            }
-            let mut logic = BulkLogic {
-                size: 20_000_000,
-                read_total: 0,
-                finished_at: None,
-            };
-            eng.run(&mut logic);
-            (logic.finished_at.expect("transfer completes"), eng.trace().len())
-        };
+        let run = |cfg: Option<LrdCrossConfig>| home_transfer(cfg.map(CrossTraffic::Lrd), 20_000_000);
         let (clean, _) = run(None);
         let cfg = LrdCrossConfig::for_load(20_000_000, 500); // ~10 Mbps mean
         let (congested, len_a) = run(Some(cfg));
@@ -1151,21 +1000,18 @@ mod tests {
 
     #[test]
     fn lrd_sources_do_not_perturb_the_main_rng() {
-        use vstream_net::LrdCrossConfig;
         // On a loss-free path whose queue is never pressured (tiny load),
         // the video flow's packet schedule depends only on the main RNG —
         // which the LRD machinery must never touch. The *byte* stream is
         // identical; arrival jitter from sharing the link is fine, so we
         // compare totals rather than packet timings.
         let run = |with_lrd: bool| {
-            let mut eng = Engine::new(
-                NetworkProfile::Research.build_path(),
-                13,
-                SimDuration::from_secs(30),
-            );
+            let mut path = NetworkProfile::Research.build_path();
             if with_lrd {
-                eng.set_lrd_cross_traffic(LrdCrossConfig::for_load(100_000_000, 1), 4);
+                let cfg = LrdCrossConfig::for_load(100_000_000, 1);
+                path = path.with_cross_traffic(CrossTraffic::Lrd(cfg), 4);
             }
+            let mut eng = Engine::new(path, 13, SimDuration::from_secs(30));
             let mut logic = BulkLogic {
                 size: 1_000_000,
                 read_total: 0,

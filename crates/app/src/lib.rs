@@ -31,6 +31,6 @@ pub mod player;
 pub mod strategies;
 pub mod video;
 
-pub use engine::{CrossTraffic, Engine, SessionLogic, SessionScratch};
+pub use engine::{Engine, SessionLogic, SessionScratch};
 pub use player::{Player, PlayerStats};
 pub use video::Video;

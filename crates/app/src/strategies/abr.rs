@@ -254,7 +254,7 @@ impl SessionLogic for AbrLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstream_net::{LrdCrossConfig, NetworkProfile};
+    use vstream_net::{CrossTraffic, LrdCrossConfig, NetworkProfile};
 
     fn run_on(
         profile: NetworkProfile,
@@ -262,10 +262,11 @@ mod tests {
         secs: u64,
         seed: u64,
     ) -> (Engine, AbrLogic) {
-        let mut eng = Engine::new(profile.build_path(), seed, SimDuration::from_secs(secs));
+        let mut path = profile.build_path();
         if let Some(cfg) = lrd {
-            eng.set_lrd_cross_traffic(cfg, seed);
+            path = path.with_cross_traffic(CrossTraffic::Lrd(cfg), seed);
         }
+        let mut eng = Engine::new(path, seed, SimDuration::from_secs(secs));
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(900));
         let mut logic = AbrLogic::new(video);
         eng.run(&mut logic);

@@ -307,10 +307,6 @@ fn run_campaign_cmd(opts: &Options) {
         eprintln!("error: --packet-sessions and --shard-size must be nonzero");
         std::process::exit(2);
     }
-    if opts.window_secs == Some(0) {
-        eprintln!("error: invalid value \"0\" for --window");
-        std::process::exit(2);
-    }
     let mut spec = CampaignSpec::for_viewers(opts.viewers.unwrap_or(1_000_000));
     spec.seed = opts.seed;
     if let Some(n) = opts.packet_sessions {
@@ -321,6 +317,10 @@ fn run_campaign_cmd(opts: &Options) {
     }
     if let Some(w) = opts.window_secs {
         spec.window_secs = w;
+    }
+    if let Err(why) = spec.validate() {
+        eprintln!("error: {why}");
+        std::process::exit(2);
     }
     let copts = CampaignOptions {
         jobs: 0, // resolved to the session layer's `--jobs`-driven default

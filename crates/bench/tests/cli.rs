@@ -73,6 +73,23 @@ fn campaign_flags_without_campaign_or_ledger_exit_2() {
     assert_rejected(&["campaign", "--viewers", "10000", "--max-shards", "1"], "--max-shards requires --ledger");
 }
 
+/// `--window 397` used to simulate every shard and then panic (exit 101):
+/// the report's steady state starts ceil(360 x 1.1) = 397 s in (the f64
+/// product is just above 396), and the window was checked against it only
+/// after the shard loop.
+#[test]
+fn campaign_window_shorter_than_the_warm_up_exits_2_before_any_shard() {
+    let ledger = std::env::temp_dir().join(format!("vstream-cli-window-{}", std::process::id()));
+    let ledger_arg = ledger.to_str().unwrap();
+    for window in ["0", "396", "397"] {
+        assert_rejected(
+            &["campaign", "--viewers", "10000", "--window", window, "--ledger", ledger_arg],
+            "too short for a steady state",
+        );
+    }
+    assert!(!ledger.exists(), "a rejected campaign must not create its ledger directory");
+}
+
 /// `--n 0` used to exit 0 with `NaN` rows (`ext-stalls`) and `[inf, -inf]`
 /// CDFs (`fig4` and the other sampled figures); it is rejected before the
 /// CSV directory is created.

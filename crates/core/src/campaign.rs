@@ -254,27 +254,30 @@ impl CampaignSpec {
             .collect()
     }
 
-    fn validate(&self) {
-        assert!(self.viewers > 0, "campaign needs viewers");
-        assert!(self.packet_sessions > 0, "campaign needs a packet shard");
-        assert!(self.window_secs > 0, "campaign needs an arrival window");
-        assert!(
-            self.encoding_bps.0 > 0.0 && self.encoding_bps.0 <= self.encoding_bps.1,
-            "bad encoding range"
-        );
-        assert!(
-            self.duration_secs.0 > 0.0 && self.duration_secs.0 <= self.duration_secs.1,
-            "bad duration range"
-        );
-        assert!(
-            self.strategy_mix.iter().map(|&(_, w)| w as u64).sum::<u64>() > 0,
-            "strategy mix needs positive weight"
-        );
-        assert!(
-            self.profile_mix.iter().map(|&(_, w)| w as u64).sum::<u64>() > 0,
-            "profile mix needs positive weight"
-        );
-        assert!(!self.scales.is_empty(), "capacity table needs scales");
+    /// Why the spec cannot run, if it cannot. [`run_campaign`] checks this
+    /// before any shard runs; the steady-state check comes first because
+    /// the report needs it only after every shard has been simulated.
+    pub fn validate(&self) -> Result<(), String> {
+        let (skip, end) = self.steady_bins();
+        if skip >= end {
+            return Err(format!(
+                "arrival window of {end} s too short for a steady state: it must exceed \
+                 the {skip} s warm-up (1.1 x the longest video)"
+            ));
+        }
+        let (e, d) = (self.encoding_bps, self.duration_secs);
+        [
+            (self.viewers > 0, "campaign needs viewers"),
+            (self.packet_sessions > 0, "campaign needs a packet shard"),
+            (e.0 > 0.0 && e.0 <= e.1, "bad encoding range"),
+            (d.0 > 0.0 && d.0 <= d.1, "bad duration range"),
+            (self.strategy_mix.iter().any(|&(_, w)| w > 0), "strategy mix needs positive weight"),
+            (self.profile_mix.iter().any(|&(_, w)| w > 0), "profile mix needs positive weight"),
+            (!self.scales.is_empty(), "capacity table needs scales"),
+        ]
+        .into_iter()
+        .find(|&(ok, _)| !ok)
+        .map_or(Ok(()), |(_, why)| Err(why.to_string()))
     }
 
     /// Aggregate-timeline length in 1 s bins: the arrival window plus the
@@ -285,12 +288,10 @@ impl CampaignSpec {
 
     /// The stationary slice of the timeline: after one warmed-up maximum
     /// duration (the fluid simulator's convention), up to the arrival
-    /// window's end.
+    /// window's end. Empty when the window is no longer than the warm-up,
+    /// which [`Self::validate`] rejects.
     fn steady_bins(&self) -> (usize, usize) {
-        let skip = (self.duration_secs.1 * 1.1).ceil() as usize;
-        let end = self.window_secs as usize;
-        assert!(skip < end, "arrival window too short for a steady state");
-        (skip, end)
+        ((self.duration_secs.1 * 1.1).ceil() as usize, self.window_secs as usize)
     }
 
     /// The identity-derived parameters of packet session `i` — a pure
@@ -522,7 +523,9 @@ pub struct CampaignOptions {
 /// the computed shards are on disk, and a later call with the same spec
 /// and ledger resumes from them.
 pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Option<CampaignReport> {
-    spec.validate();
+    if let Err(why) = spec.validate() {
+        panic!("invalid campaign spec: {why}");
+    }
     let key = spec.key();
     let plan = spec.plan();
     let shards = plan.shards();
@@ -1182,6 +1185,19 @@ mod tests {
             tol_mean: 0.2,
             tol_var: 0.6,
         }
+    }
+
+    /// The default population's longest video is 360 s, so its steady state
+    /// starts at ceil(360 x 1.1) = 397 s: a window must be longer.
+    #[test]
+    fn validate_rejects_a_window_within_the_warm_up() {
+        let mut spec = CampaignSpec::for_viewers(10_000);
+        for (window, ok) in [(0, false), (397, false), (398, true), (900, true)] {
+            spec.window_secs = window;
+            assert_eq!(spec.validate().is_ok(), ok, "window {window}: {:?}", spec.validate());
+        }
+        spec.window_secs = 397;
+        assert!(spec.validate().unwrap_err().contains("397 s warm-up"));
     }
 
     #[test]

@@ -14,16 +14,16 @@
 use vstream_analysis::{classify_analysis, AnalysisConfig, AnalysisFold, Cdf, ThroughputFold};
 use vstream_app::engine::Engine;
 use vstream_app::strategies::{ServerPacedConfig, ServerPacedLogic};
-use vstream_app::{CrossTraffic, SessionLogic, Video};
+use vstream_app::{SessionLogic, Video};
 use vstream_capture::NullSink;
 use vstream_model::{FluidSim, FluidStrategy, PopulationModel};
-use vstream_net::{DuplexPath, LinkConfig, LossModel, NetworkProfile};
+use vstream_net::{CrossTraffic, DuplexPath, LinkConfig, LossModel, NetworkProfile};
 use vstream_sim::{derive_seed, par_indexed, SimDuration, SimRng};
 use vstream_tcp::{CcAlgorithm, TcpConfig};
 
 use crate::figures::{long_video, CustomPaced, MC_HORIZON_SECS};
 use crate::report::{FigureData, Series, TableData};
-use crate::session::{default_jobs, par_sessions, run_engine, EngineSetup, SessionScratch};
+use crate::session::{default_jobs, par_sessions, run_engine, SessionScratch};
 
 /// Extension 1: playback disruption vs accumulation ratio.
 ///
@@ -49,24 +49,19 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
             buffer_playback_secs: 5.0,
         };
         let engine_seed = derive_seed(seed, &[0x57A, ki as u64, i as u64]);
-        // 20 Mbps downlink.
-        let path = NetworkProfile::Home.build_path();
-        let mut setup = EngineSetup::new(path, engine_seed, SimDuration::from_secs(180));
-        // Occasional large bursts of competing traffic (mean 1.2 MB
-        // every 3 s, exponential sizes): the link is fine on average,
-        // but burst clusters starve the stream for seconds at a time —
-        // the "transient network congestion" §3 says the accumulation
-        // ratio guards against. Headroom (k > 1) both absorbs an
-        // outage (deeper accumulated buffer) and refills the buffer
+        // A 20 Mbps downlink with occasional large bursts of competing
+        // traffic (mean 1.2 MB every 3 s, exponential sizes): the link is
+        // fine on average, but burst clusters starve the stream for seconds
+        // at a time — the "transient network congestion" §3 says the
+        // accumulation ratio guards against. Headroom (k > 1) both absorbs
+        // an outage (deeper accumulated buffer) and refills the buffer
         // faster afterwards (at (k-1)·e).
-        setup.bursts = Some(CrossTraffic {
-            mean_period: SimDuration::from_secs(3),
-            mean_burst_bytes: 1_200_000,
-        });
+        let path = NetworkProfile::Home.build_path().with_cross_traffic(CrossTraffic::Bursts, engine_seed);
+        let capture = SimDuration::from_secs(180);
         let mut logic = ServerPacedLogic::new(cfg, video);
         let app = |l: &ServerPacedLogic| Some((l.player.stats(), l.blocks));
         let stem = || format!("ext-stalls-k{ki}-r{i}-s{engine_seed}");
-        run_engine(setup, scratch, &mut logic, &mut NullSink, app, stem);
+        run_engine(path, engine_seed, capture, scratch, &mut logic, &mut NullSink, app, stem);
         logic.player.stats().stall_time.as_secs_f64()
     });
     let points: Vec<(f64, f64)> = RATIOS
@@ -176,7 +171,7 @@ fn bulk_transfer_time(
     }
     let down = LinkConfig::new(50_000_000, SimDuration::from_millis(60)).with_loss(loss);
     let up = LinkConfig::new(50_000_000, SimDuration::from_millis(60));
-    let setup = EngineSetup::new(DuplexPath::new(down, up), seed, SimDuration::from_secs(600));
+    let path = DuplexPath::new(down, up);
     let mut logic = Bulk {
         size: 16 << 20,
         read: 0,
@@ -184,7 +179,8 @@ fn bulk_transfer_time(
         client_cfg: TcpConfig::default().with_recv_buffer(8 << 20).with_sack(sack),
         server_cfg: TcpConfig::default().with_sack(sack),
     };
-    run_engine(setup, scratch, &mut logic, &mut NullSink, |_| None, stem);
+    let capture = SimDuration::from_secs(600);
+    run_engine(path, seed, capture, scratch, &mut logic, &mut NullSink, |_| None, stem);
     logic.done_at.unwrap_or(600.0)
 }
 
@@ -202,7 +198,7 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
         let (name, algo) = controllers[i];
         let video = long_video(1, 1_000_000);
         let path = NetworkProfile::Research.build_path();
-        let setup = EngineSetup::new(path, seed, SimDuration::from_secs(180));
+        let capture = SimDuration::from_secs(180);
         let mut server_cfg = TcpConfig::default()
             .with_recv_buffer(256 * 1024)
             .with_congestion(algo);
@@ -217,7 +213,7 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
         let mut fold = AnalysisFold::new(cfg.clone()).with_phases();
         let app = |l: &CustomPaced| Some((l.inner.player.stats(), l.inner.blocks));
         let stem = || format!("ext-cc-{}-s{seed}", name.to_lowercase());
-        run_engine(setup, scratch, &mut logic, &mut fold, app, stem);
+        run_engine(path, seed, capture, scratch, &mut logic, &mut fold, app, stem);
         let analysis = fold.finish();
         let blocks = analysis.onoff.steady_state_block_sizes();
         let median_block = if blocks.is_empty() {
@@ -337,13 +333,13 @@ pub fn ext_aggregate_packet_level(seed: u64, n_sessions: usize, window_secs: f64
             let (e, l, offset, engine_seed) = params[i];
             let video = Video::new(0, e, SimDuration::from_secs_f64(l));
             let path = NetworkProfile::Research.build_path();
-            let setup = EngineSetup::new(path, engine_seed, SimDuration::from_secs_f64(l + 60.0));
+            let capture = SimDuration::from_secs_f64(l + 60.0);
             let mut logic = BulkLogic::new(video);
             let mut fold = ThroughputFold::new(bin);
             // Bulk transfers pace no blocks.
             let app = |l: &BulkLogic| Some((l.player.stats(), 0));
             let stem = || format!("ext-agg-pkt-n{i}-s{engine_seed}");
-            run_engine(setup, scratch, &mut logic, &mut fold, app, stem);
+            run_engine(path, engine_seed, capture, scratch, &mut logic, &mut fold, app, stem);
             let series: Vec<(f64, f64)> = fold
                 .finish()
                 .into_iter()

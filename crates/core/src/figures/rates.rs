@@ -118,14 +118,14 @@ pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
     use vstream_sim::SimDuration;
     use vstream_tcp::TcpConfig;
 
-    use crate::session::{default_jobs, par_sessions, run_engine, EngineSetup};
+    use crate::session::{default_jobs, par_sessions, run_engine};
 
     let cfg = AnalysisConfig::default();
     // Both runs share the seed (identical network conditions).
     let medians = par_sessions(2, default_jobs(), |scratch, i| {
         let idle_reset = i == 1;
         let path = NetworkProfile::Research.build_path();
-        let setup = EngineSetup::new(path, seed, SimDuration::from_secs(120));
+        let capture = SimDuration::from_secs(120);
         // The server-paced session with the server's TCP carrying the
         // idle-reset switch.
         let mut logic = CustomPaced {
@@ -135,11 +135,11 @@ pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
                 .with_recv_buffer(256 * 1024)
                 .with_idle_cwnd_reset(idle_reset),
         };
-        let mut fold = AnalysisFold::new(cfg.clone()).with_ack_clock(setup.path.base_rtt());
+        let mut fold = AnalysisFold::new(cfg.clone()).with_ack_clock(path.base_rtt());
         let app = |l: &CustomPaced| Some((l.inner.player.stats(), l.inner.blocks));
         let switch = if idle_reset { "on" } else { "off" };
         let stem = || format!("fig9-idle-reset-{switch}-s{seed}");
-        run_engine(setup, scratch, &mut logic, &mut fold, app, stem);
+        run_engine(path, seed, capture, scratch, &mut logic, &mut fold, app, stem);
         let samples = fold.finish().first_rtt_bytes.expect("ack clock requested");
         let kb: Vec<f64> = samples.iter().map(|&b| b as f64 / 1e3).collect();
         if kb.is_empty() {

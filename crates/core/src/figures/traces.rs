@@ -242,7 +242,6 @@ pub fn fig10_netflix_traces(seed: u64) -> (FigureData, FigureData) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::run_cell;
     use vstream_analysis::{AnalysisConfig, OnOffAnalysis};
 
     #[test]
@@ -302,7 +301,7 @@ mod tests {
     #[test]
     fn fig7a_high_rate_video_uses_more_connections() {
         // Not directly visible in the figure data, so re-run the cells.
-        let v1 = run_cell(
+        let v1 = SessionSpec::new(
             Client::Ipad,
             Container::Html5,
             long_video(1, 2_500_000),
@@ -310,6 +309,7 @@ mod tests {
             5,
             SimDuration::from_secs(50),
         )
+        .run()
         .unwrap();
         let a = OnOffAnalysis::from_trace(&v1.trace, &AnalysisConfig::default());
         assert!(v1.connections >= 5);

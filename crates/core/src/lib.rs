@@ -15,7 +15,7 @@
 //! // Stream one Flash video over the paper's Research network and classify
 //! // the traffic pattern, exactly as the paper's tcpdump pipeline would.
 //! let video = Video::new(0, 1_000_000, SimDuration::from_secs(600));
-//! let outcome = run_cell(
+//! let outcome = SessionSpec::new(
 //!     Client::Firefox,
 //!     Container::Flash,
 //!     video,
@@ -23,6 +23,7 @@
 //!     42,
 //!     SimDuration::from_secs(60),
 //! )
+//! .run()
 //! .expect("browser + Flash is a valid Table 1 cell");
 //! let strategy = classify(&outcome.trace, &AnalysisConfig::default());
 //! assert_eq!(strategy, Strategy::ShortCycles); // server-paced 64 kB blocks
@@ -69,17 +70,13 @@ pub use campaign::{
 };
 pub use qoe::{QoeRow, QoeSummary};
 pub use query::{query_many, query_many_jobs, SessionAnswer, SessionQuery, SessionReply};
-pub use session::{
-    default_jobs, run_cell, set_default_jobs, CellOutcome, SessionScratch, SessionSpec,
-};
+pub use session::{default_jobs, set_default_jobs, CellOutcome, SessionScratch, SessionSpec};
 
 /// The most common imports for driving experiments.
 pub mod prelude {
     pub use crate::query::{query_many, query_many_jobs, SessionQuery, SessionReply};
     pub use crate::report::{FigureData, Series, TableData};
-    pub use crate::session::{
-        run_cell, set_default_jobs, CellOutcome, SessionScratch, SessionSpec,
-    };
+    pub use crate::session::{set_default_jobs, CellOutcome, SessionScratch, SessionSpec};
     pub use vstream_analysis::{classify, AnalysisConfig, Cdf, SessionPhases, Strategy};
     pub use vstream_app::{Video, PlayerStats};
     pub use vstream_net::{LrdCrossConfig, NetworkProfile};

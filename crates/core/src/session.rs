@@ -22,9 +22,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use vstream_app::engine::Engine;
 pub use vstream_app::engine::SessionScratch;
 use vstream_app::strategies::InterruptAfter;
-use vstream_app::{CrossTraffic, PlayerStats, SessionLogic, Video};
+use vstream_app::{PlayerStats, SessionLogic, Video};
 use vstream_capture::{PacketSink, Trace};
-use vstream_net::{DuplexPath, LrdCrossConfig, NetworkProfile};
+use vstream_net::{CrossTraffic, DuplexPath, LrdCrossConfig, NetworkProfile};
 use vstream_obs::{collector, Counter, Gauge, HistId};
 use vstream_sim::{exec, SimDuration};
 use vstream_tcp::EndpointStats;
@@ -154,20 +154,20 @@ impl SessionSpec {
         sink: &mut dyn PacketSink,
     ) -> Option<CellOutcome> {
         let mut logic = logic_for(self.client, self.container, self.video)?;
-        let mut setup = EngineSetup::new(self.profile.build_path(), self.seed, self.capture);
-        setup.lrd = self.cross;
-        let base_rtt = setup.path.base_rtt();
+        let path = self.path();
+        let base_rtt = path.base_rtt();
+        let (seed, capture) = (self.seed, self.capture);
         let app = |l: &StrategyLogic| Some((l.player().stats(), l.blocks()));
         let stem = || flight::file_stem(self);
         let run = match self.watch_time {
             Some(w) => {
                 let mut wrapped = InterruptAfter::new(logic, w);
                 let app = |w: &InterruptAfter<StrategyLogic>| app(&w.inner);
-                let run = run_engine(setup, scratch, &mut wrapped, sink, app, stem);
+                let run = run_engine(path, seed, capture, scratch, &mut wrapped, sink, app, stem);
                 logic = wrapped.inner;
                 run
             }
-            None => run_engine(setup, scratch, &mut logic, sink, app, stem),
+            None => run_engine(path, seed, capture, scratch, &mut logic, sink, app, stem),
         };
         if collector::is_active() {
             let p = scratch.metrics_mut().profile_mut(self.profile as usize);
@@ -181,6 +181,16 @@ impl SessionSpec {
             connection_stats: run.connection_stats,
             base_rtt,
         })
+    }
+
+    /// The session's path: its vantage point's, with the spec's LRD
+    /// aggregate competing on the downlink, seeded from the spec's seed.
+    fn path(&self) -> DuplexPath {
+        let path = self.profile.build_path();
+        match self.cross {
+            Some(cfg) => path.with_cross_traffic(CrossTraffic::Lrd(cfg), self.seed),
+            None => path,
+        }
     }
 
     /// Resolves the session straight to the features `query` asks for: the
@@ -250,25 +260,6 @@ impl SessionSpec {
     }
 }
 
-/// What one engine is built from.
-pub(crate) struct EngineSetup {
-    pub(crate) path: DuplexPath,
-    pub(crate) seed: u64,
-    pub(crate) capture: SimDuration,
-    /// Competing Poisson bursts on the downlink (`ext-stalls`).
-    pub(crate) bursts: Option<CrossTraffic>,
-    /// A competing long-range-dependent aggregate, seeded from `seed` (the
-    /// `ext-qoe` sweeps).
-    pub(crate) lrd: Option<LrdCrossConfig>,
-}
-
-impl EngineSetup {
-    /// A session alone on its path.
-    pub(crate) fn new(path: DuplexPath, seed: u64, capture: SimDuration) -> Self {
-        EngineSetup { path, seed, capture, bursts: None, lrd: None }
-    }
-}
-
 /// What [`run_engine`] hands back besides the logic it ran in place:
 /// `(client, server)` endpoint statistics per connection, and the events the
 /// session scheduled.
@@ -280,7 +271,9 @@ pub(crate) struct EngineRun {
 /// The one place an engine is built, bracketed, run and retired: a
 /// [`SessionSpec`] comes through [`SessionSpec::simulate`], an ablation
 /// harness with its own [`SessionLogic`] straight from its figure driver, so
-/// a sink or classifier attached here sees every engine run.
+/// a sink or classifier attached here sees every engine run. The engine runs
+/// over `path` (which carries any competing traffic of its own) from `seed`
+/// until `capture`.
 ///
 /// The worker's [`SessionScratch`] is taken for the run and handed back
 /// replenished, so back-to-back sessions skip their warm-up allocations —
@@ -295,8 +288,11 @@ pub(crate) struct EngineRun {
 /// `app` reads the player statistics and paced-block count off the finished
 /// logic (`None` without a player) for the ledger's `app_*` slots and the
 /// anomaly predicate; [`Engine::into_parts`] harvests the layers below.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
-    setup: EngineSetup,
+    path: DuplexPath,
+    seed: u64,
+    capture: SimDuration,
     scratch: &mut SessionScratch,
     logic: &mut L,
     sink: &mut S,
@@ -305,13 +301,7 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
 ) -> EngineRun {
     let bracket = flight::session_begin();
     let taken = std::mem::take(scratch);
-    let mut eng = Engine::with_scratch(setup.path, setup.seed, setup.capture, taken);
-    if let Some(ct) = setup.bursts {
-        eng.set_cross_traffic(ct);
-    }
-    if let Some(cfg) = setup.lrd {
-        eng.set_lrd_cross_traffic(cfg, setup.seed);
-    }
+    let mut eng = Engine::with_scratch(path, seed, capture, taken);
     eng.run_observed(logic, sink, false);
     let connection_stats: Vec<_> =
         (0..eng.connection_count()).map(|c| eng.connection_stats(c)).collect();
@@ -418,38 +408,6 @@ impl CellOutcome {
     }
 }
 
-/// Streams `video` with the given client/container combination over
-/// `profile`, capturing for `capture` seconds (the paper used 180 s).
-///
-/// Returns `None` for inapplicable Table 1 cells (mobile clients have no
-/// Flash).
-pub fn run_cell(
-    client: Client,
-    container: Container,
-    video: Video,
-    profile: NetworkProfile,
-    seed: u64,
-    capture: SimDuration,
-) -> Option<CellOutcome> {
-    SessionSpec::new(client, container, video, profile, seed, capture).run()
-}
-
-/// Like [`run_cell`], but the viewer abandons the session after
-/// `watch_time` (§6.2 experiments).
-pub fn run_cell_interrupted(
-    client: Client,
-    container: Container,
-    video: Video,
-    profile: NetworkProfile,
-    seed: u64,
-    capture: SimDuration,
-    watch_time: SimDuration,
-) -> Option<CellOutcome> {
-    SessionSpec::new(client, container, video, profile, seed, capture)
-        .interrupted(watch_time)
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,8 +419,8 @@ mod tests {
     }
 
     #[test]
-    fn run_cell_produces_trace_and_stats() {
-        let out = run_cell(
+    fn spec_run_produces_trace_and_stats() {
+        let out = SessionSpec::new(
             Client::Firefox,
             Container::Flash,
             video(),
@@ -470,6 +428,7 @@ mod tests {
             1,
             SimDuration::from_secs(60),
         )
+        .run()
         .unwrap();
         assert!(!out.trace.is_empty());
         assert_eq!(out.connections, 1);
@@ -482,7 +441,7 @@ mod tests {
 
     #[test]
     fn inapplicable_cell_is_none() {
-        assert!(run_cell(
+        assert!(SessionSpec::new(
             Client::Android,
             Container::Flash,
             video(),
@@ -490,12 +449,13 @@ mod tests {
             1,
             SimDuration::from_secs(10),
         )
+        .run()
         .is_none());
     }
 
     #[test]
     fn interrupted_cell_stops_early() {
-        let full = run_cell(
+        let full = SessionSpec::new(
             Client::Firefox,
             Container::Html5,
             video(),
@@ -503,16 +463,18 @@ mod tests {
             2,
             SimDuration::from_secs(120),
         )
+        .run()
         .unwrap();
-        let cut = run_cell_interrupted(
+        let cut = SessionSpec::new(
             Client::Firefox,
             Container::Html5,
             video(),
             NetworkProfile::Research,
             2,
             SimDuration::from_secs(120),
-            SimDuration::from_secs(3),
         )
+        .interrupted(SimDuration::from_secs(3))
+        .run()
         .unwrap();
         assert!(cut.trace.total_downloaded() <= full.trace.total_downloaded());
         let mut totals = TotalsFold::new();
@@ -637,9 +599,9 @@ mod tests {
         let mut scratch = SessionScratch::new();
         let mut logic = Download { size: 300_000, read: 0 };
         let path = NetworkProfile::Research.build_path();
-        let setup = EngineSetup::new(path, 5, SimDuration::from_secs(30));
         let stem = "bracket-test-noplayer";
-        let run = run_engine(setup, &mut scratch, &mut logic, &mut NullSink, |_| None, || {
+        let capture = SimDuration::from_secs(30);
+        let run = run_engine(path, 5, capture, &mut scratch, &mut logic, &mut NullSink, |_| None, || {
             stem.to_string()
         });
         flight::uninstall();
@@ -677,8 +639,9 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
-    /// A 0 % LRD load has a zero peak rate: the engine schedules none of
-    /// its sources, so the session is the cross-free one, event for event.
+    /// A 0 % LRD load has a zero peak rate: the path has no source for the
+    /// engine to schedule, so the session is the cross-free one, event for
+    /// event.
     #[test]
     fn zero_load_lrd_aggregate_is_the_cross_free_session() {
         let spec = SessionSpec::new(
@@ -699,12 +662,12 @@ mod tests {
         };
         assert_eq!(render(&spec), render(&lrd(0)));
         let events = |s: &SessionSpec| {
-            let mut setup = EngineSetup::new(s.profile.build_path(), s.seed, s.capture);
-            setup.lrd = s.cross;
             let mut logic = logic_for(s.client, s.container, s.video).unwrap();
             let (mut scratch, sink) = (SessionScratch::new(), &mut NullSink);
             let stem = || "zero-load-lrd-test".to_string();
-            run_engine(setup, &mut scratch, &mut logic, sink, |_| None, stem).events_scheduled
+            let (path, seed, capture) = (s.path(), s.seed, s.capture);
+            run_engine(path, seed, capture, &mut scratch, &mut logic, sink, |_| None, stem)
+                .events_scheduled
         };
         assert_eq!(events(&spec), events(&lrd(0)));
         assert_ne!(events(&spec), events(&lrd(250)), "a nonzero load schedules its sources");
@@ -735,7 +698,7 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         let run = || {
-            let out = run_cell(
+            let out = SessionSpec::new(
                 Client::InternetExplorer,
                 Container::Html5,
                 video(),
@@ -743,6 +706,7 @@ mod tests {
                 7,
                 SimDuration::from_secs(60),
             )
+            .run()
             .unwrap();
             (out.trace.len(), out.logic.read_total())
         };

@@ -11,6 +11,13 @@
 //! or "dropped (and why)". The orchestration loop (in `vstream-app`) turns
 //! those answers into scheduled events.
 //!
+//! Competing traffic follows the same contract. A [`DuplexPath`] built
+//! [`with_cross_traffic`](DuplexPath::with_cross_traffic) owns the
+//! generator's state machines ([`cross`]): the caller schedules one event
+//! per source from [`DuplexPath::cross_starts`], and on each event
+//! [`DuplexPath::cross_tick`] occupies the downlink and answers when that
+//! source ticks next.
+//!
 //! Four [`NetworkProfile`]s reproduce the measurement vantage points of
 //! Section 4.2 of the paper: *Research*, *Residence*, *Academic*, and *Home*.
 
@@ -21,7 +28,7 @@ pub mod packet;
 pub mod path;
 pub mod profile;
 
-pub use cross::LrdCrossConfig;
+pub use cross::{CrossTraffic, LrdCrossConfig};
 pub use link::{Link, LinkConfig};
 pub use loss::LossModel;
 pub use packet::{DropReason, Verdict, Wire};

@@ -2,7 +2,8 @@
 
 use vstream_sim::{SimRng, SimTime};
 
-use crate::link::{Link, LinkConfig, LinkStats};
+use crate::cross::{CrossSources, CrossTraffic};
+use crate::link::{Link, LinkConfig};
 use crate::packet::{Verdict, Wire};
 
 /// Direction of travel on a [`DuplexPath`].
@@ -18,19 +19,50 @@ pub enum Direction {
 ///
 /// The downlink carries video data, the uplink carries requests and ACKs.
 /// Asymmetric configurations (ADSL, cable) give the two directions different
-/// rates, as on the paper's Residence and Home networks.
+/// rates, as on the paper's Residence and Home networks. A path may also
+/// carry [`CrossTraffic`] on its downlink, generated by the path itself.
 pub struct DuplexPath {
     down: Link,
     up: Link,
+    cross: CrossSources,
 }
 
 impl DuplexPath {
-    /// Builds a path from per-direction link configurations.
+    /// Builds a path from per-direction link configurations, with no
+    /// competing traffic.
     pub fn new(down: LinkConfig, up: LinkConfig) -> Self {
         DuplexPath {
             down: Link::new(down),
             up: Link::new(up),
+            cross: CrossSources::None,
         }
+    }
+
+    /// The same path with `traffic` competing on its downlink. LRD sources
+    /// draw from streams derived from `seed`; bursts ignore it and draw from
+    /// the RNG passed to [`Self::cross_starts`] and [`Self::cross_tick`].
+    pub fn with_cross_traffic(mut self, traffic: CrossTraffic, seed: u64) -> Self {
+        self.set_cross_traffic(traffic, seed);
+        self
+    }
+
+    /// [`Self::with_cross_traffic`] in place.
+    pub fn set_cross_traffic(&mut self, traffic: CrossTraffic, seed: u64) {
+        self.cross = CrossSources::new(traffic, seed);
+    }
+
+    /// The first tick of each cross-traffic source, by source index; empty
+    /// without competing traffic. Answer each with [`Self::cross_tick`].
+    pub fn cross_starts<'a>(&'a mut self, rng: &mut SimRng) -> impl Iterator<Item = SimTime> + 'a {
+        self.cross.starts(rng)
+    }
+
+    /// Cross-traffic source `src` ticks at `now`: its bytes occupy the
+    /// downlink, and the answer is when it ticks next.
+    pub fn cross_tick(&mut self, src: u32, now: SimTime, rng: &mut SimRng) -> SimTime {
+        let (bytes, next) = self.cross.tick(src, now, rng);
+        self.down.occupy(now, bytes);
+        next
     }
 
     /// Offers a packet in the given direction.
@@ -38,14 +70,6 @@ impl DuplexPath {
         match dir {
             Direction::Down => self.down.send(now, packet, rng),
             Direction::Up => self.up.send(now, packet, rng),
-        }
-    }
-
-    /// Occupies the given direction's transmitter with competing traffic.
-    pub fn occupy(&mut self, dir: Direction, now: SimTime, bytes: u64) {
-        match dir {
-            Direction::Down => self.down.occupy(now, bytes),
-            Direction::Up => self.up.occupy(now, bytes),
         }
     }
 
@@ -60,11 +84,6 @@ impl DuplexPath {
     /// Round-trip propagation delay (down + up), excluding serialization.
     pub fn base_rtt(&self) -> vstream_sim::SimDuration {
         self.down.config().propagation + self.up.config().propagation
-    }
-
-    /// Combined delivery statistics: `(down, up)`.
-    pub fn stats(&self) -> (LinkStats, LinkStats) {
-        (self.down.stats(), self.up.stats())
     }
 }
 

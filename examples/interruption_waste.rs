@@ -9,7 +9,6 @@
 //! Run with: `cargo run --release --example interruption_waste`
 
 use vstream::prelude::*;
-use vstream::session::run_cell_interrupted;
 use vstream_analysis::TotalsFold;
 use vstream_model::{full_download_duration_threshold, unused_bytes};
 
@@ -25,15 +24,16 @@ fn main() {
         ("Long ON-OFF (Chrome)     ", Client::Chrome, Container::Html5),
         ("Short ON-OFF (Flash)     ", Client::Firefox, Container::Flash),
     ] {
-        let out = run_cell_interrupted(
+        let out = SessionSpec::new(
             client,
             container,
             video,
             NetworkProfile::Research,
             11,
             SimDuration::from_secs(180),
-            watch,
         )
+        .interrupted(watch)
+        .run()
         .unwrap();
         let mut totals = TotalsFold::new();
         out.trace.replay(&mut totals);

@@ -10,7 +10,7 @@ fn main() {
     // A ten-minute, 1 Mbps video — the paper's default-resolution YouTube
     // case — streamed over Flash from the Research network vantage point.
     let video = Video::new(0, 1_000_000, SimDuration::from_secs(600));
-    let outcome = run_cell(
+    let outcome = SessionSpec::new(
         Client::Firefox,
         Container::Flash,
         video,
@@ -18,6 +18,7 @@ fn main() {
         42,
         SimDuration::from_secs(120),
     )
+    .run()
     .expect("a browser playing Flash is a valid Table 1 cell");
 
     // The capture is what tcpdump would have recorded on the viewing

@@ -42,7 +42,7 @@ fn main() {
         ("Firefox HTML5 (bulk)  ", Client::Firefox, Container::Html5),
         ("Chrome HTML5 (long)   ", Client::Chrome, Container::Html5),
     ] {
-        let out = run_cell(
+        let out = SessionSpec::new(
             client,
             container,
             video,
@@ -50,6 +50,7 @@ fn main() {
             7,
             SimDuration::from_secs(120),
         )
+        .run()
         .unwrap();
         let mut totals = TotalsFold::new();
         out.trace.replay(&mut totals);

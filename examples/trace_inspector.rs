@@ -14,7 +14,7 @@ fn main() {
     // A Netflix PC session on the Academic network (the paper's §5.2
     // vantage point for Netflix).
     let video = Video::new(0, 3_000_000, SimDuration::from_secs(2400));
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::Silverlight,
         video,
@@ -22,6 +22,7 @@ fn main() {
         7,
         SimDuration::from_secs(120),
     )
+    .run()
     .unwrap();
     let trace = &out.trace;
 

@@ -22,8 +22,10 @@
 #      lanes (zero sim_lane_fallbacks), must count every engine run in the
 #      ledger's app-layer slots as well as its engine-level ones (463
 #      sessions, 415 of them players that started, 56 stalls — the ablation
-#      harnesses included) and must reproduce the committed results/ tree
-#      byte for byte
+#      harnesses included), must schedule exactly the events it scheduled
+#      before (sim_events_scheduled and sim_lane_pushes pinned, so a change
+#      to which events the engine schedules fails here even where no CSV
+#      moves) and must reproduce the committed results/ tree byte for byte
 #   3c. campaign smoke: a small hybrid campaign passes its cross-validation
 #      gate, an interrupted run resumed from the checkpoint ledger emits
 #      byte-identical output, and the ledger's shard checkpoints and
@@ -83,7 +85,13 @@ grep -qE '"peak_flowstate_bytes":[1-9]' "$obs_out/all.metrics.json"
 # into the timer heap; a nonzero count means a link reordered (or a new caller
 # of schedule_fifo is not monotone) and the fast road silently narrowed.
 grep -q '"sim_lane_fallbacks":0[,}]' "$obs_out/all.metrics.json"
-grep -qE '"sim_lane_pushes":[1-9]' "$obs_out/all.metrics.json"
+# The event roads themselves are pinned: every packet delivery is a lane
+# push, and the rest of the scheduled events (TCP ticks, application timers,
+# cross-traffic ticks) are timers. A refactor of the engine that schedules
+# one event more or less moves these counts even when no figure byte moves;
+# update them only in a change that means to alter the event sequence.
+grep -q '"sim_events_scheduled":32304897[,}]' "$obs_out/all.metrics.json"
+grep -q '"sim_lane_pushes":30563862[,}]' "$obs_out/all.metrics.json"
 # Every engine run goes through one bracket, so the app-layer slots cover
 # the same sessions as the engine-level ones: all 463, of which the 415
 # with a player (the 48 ext-sack bulk transfers have none) start playback.

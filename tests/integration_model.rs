@@ -2,7 +2,6 @@
 //! model: the same quantities measured two independent ways must agree.
 
 use vstream::prelude::*;
-use vstream::session::run_cell_interrupted;
 use vstream_model::{full_download_duration_threshold, unused_bytes};
 
 #[test]
@@ -11,15 +10,16 @@ fn packet_level_waste_matches_closed_form() {
     // (90 s). Closed form: downloaded playback = min(40 + 1.25*90, 360)
     // = 152.5 s; waste = 62.5 s of playback = 7.8 MB.
     let video = Video::new(1, 1_000_000, SimDuration::from_secs(360));
-    let out = run_cell_interrupted(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::Flash,
         video,
         NetworkProfile::Research,
         51,
         SimDuration::from_secs(180),
-        SimDuration::from_secs(90),
     )
+    .interrupted(SimDuration::from_secs(90))
+    .run()
     .unwrap();
     let downloaded = out.trace.total_downloaded() as f64;
     let watched = video.playback_bytes(90.0) as f64;
@@ -43,15 +43,16 @@ fn eq7_threshold_verified_by_simulation() {
 
     // 45 s video, watched 9 s: fully downloaded.
     let short = Video::new(1, 1_000_000, SimDuration::from_secs(45));
-    let out = run_cell_interrupted(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::Flash,
         short,
         NetworkProfile::Research,
         53,
         SimDuration::from_secs(60),
-        SimDuration::from_secs(9),
     )
+    .interrupted(SimDuration::from_secs(9))
+    .run()
     .unwrap();
     assert_eq!(
         out.trace.total_downloaded(),
@@ -61,15 +62,16 @@ fn eq7_threshold_verified_by_simulation() {
 
     // 200 s video, watched 40 s: interrupted well before completion.
     let long = Video::new(1, 1_000_000, SimDuration::from_secs(200));
-    let out = run_cell_interrupted(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::Flash,
         long,
         NetworkProfile::Research,
         53,
         SimDuration::from_secs(180),
-        SimDuration::from_secs(40),
     )
+    .interrupted(SimDuration::from_secs(40))
+    .run()
     .unwrap();
     assert!(
         out.trace.total_downloaded() < long.size_bytes(),
@@ -82,7 +84,7 @@ fn steady_state_rate_matches_model_assumption() {
     // The model assumes the steady-state download rate is k * e. Verify the
     // packet-level Flash session delivers that rate.
     let video = Video::new(1, 800_000, SimDuration::from_secs(2400));
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::Flash,
         video,
@@ -90,6 +92,7 @@ fn steady_state_rate_matches_model_assumption() {
         57,
         SimDuration::from_secs(180),
     )
+    .run()
     .unwrap();
     let phases = SessionPhases::from_trace(&out.trace, &AnalysisConfig::default());
     let rate = phases.steady_state_rate_bps.expect("steady state exists");

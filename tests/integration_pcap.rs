@@ -6,7 +6,7 @@ use vstream_capture::pcap::write_pcap;
 
 #[test]
 fn session_exports_valid_pcap() {
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::InternetExplorer,
         Container::Html5,
         Video::new(1, 1_000_000, SimDuration::from_secs(300)),
@@ -14,6 +14,7 @@ fn session_exports_valid_pcap() {
         71,
         SimDuration::from_secs(30),
     )
+    .run()
     .unwrap();
 
     let mut buf = Vec::new();
@@ -54,7 +55,7 @@ fn session_exports_valid_pcap() {
 
 #[test]
 fn multi_connection_session_uses_distinct_ports() {
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::Ipad,
         Container::Html5,
         Video::new(1, 2_000_000, SimDuration::from_secs(600)),
@@ -62,6 +63,7 @@ fn multi_connection_session_uses_distinct_ports() {
         73,
         SimDuration::from_secs(40),
     )
+    .run()
     .unwrap();
     assert!(out.connections > 1);
 
@@ -94,7 +96,7 @@ fn multi_connection_session_uses_distinct_ports() {
 
 #[test]
 fn syn_records_carry_the_window_scale_option() {
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::Ipad,
         Container::Html5,
         Video::new(1, 2_000_000, SimDuration::from_secs(600)),
@@ -102,6 +104,7 @@ fn syn_records_carry_the_window_scale_option() {
         73,
         SimDuration::from_secs(40),
     )
+    .run()
     .unwrap();
     let mut buf = Vec::new();
     write_pcap(&out.trace, &mut buf).unwrap();

@@ -11,7 +11,7 @@ fn long_video(rate: u64) -> Video {
 
 #[test]
 fn flash_session_end_to_end() {
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::InternetExplorer,
         Container::Flash,
         long_video(1_000_000),
@@ -19,6 +19,7 @@ fn flash_session_end_to_end() {
         101,
         CAPTURE,
     )
+    .run()
     .unwrap();
 
     let cfg = AnalysisConfig::default();
@@ -43,7 +44,7 @@ fn flash_session_end_to_end() {
 fn every_vantage_point_reproduces_flash_blocks() {
     // The 64 kB dominant block size holds on all four networks (Fig. 4a).
     for profile in NetworkProfile::ALL {
-        let out = run_cell(
+        let out = SessionSpec::new(
             Client::Firefox,
             Container::Flash,
             long_video(800_000),
@@ -51,6 +52,7 @@ fn every_vantage_point_reproduces_flash_blocks() {
             103,
             CAPTURE,
         )
+        .run()
         .unwrap();
         let analysis =
             vstream_analysis::OnOffAnalysis::from_trace(&out.trace, &AnalysisConfig::default());
@@ -70,7 +72,7 @@ fn lossy_network_shows_retransmissions_like_the_paper() {
     // §5.1.1: Residence median retransmission rate 1.02 %. Check the
     // simulated rate lands in the right regime (an order of magnitude, not
     // a point estimate — one session is one sample).
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::Html5, // bulk: lots of packets for a stable estimate
         Video::new(1, 2_000_000, SimDuration::from_secs(240)),
@@ -78,6 +80,7 @@ fn lossy_network_shows_retransmissions_like_the_paper() {
         107,
         CAPTURE,
     )
+    .run()
     .unwrap();
     let retx_rate = |out: &CellOutcome| {
         let mut totals = vstream_analysis::TotalsFold::new();
@@ -90,7 +93,7 @@ fn lossy_network_shows_retransmissions_like_the_paper() {
         "Residence retransmission rate {rate:.4} (paper: ~0.0102)"
     );
 
-    let out_research = run_cell(
+    let out_research = SessionSpec::new(
         Client::Firefox,
         Container::Html5,
         Video::new(1, 2_000_000, SimDuration::from_secs(240)),
@@ -98,6 +101,7 @@ fn lossy_network_shows_retransmissions_like_the_paper() {
         107,
         CAPTURE,
     )
+    .run()
     .unwrap();
     assert!(
         retx_rate(&out_research) < rate,
@@ -110,7 +114,7 @@ fn underprovisioned_path_degenerates_to_bulk_like_transfer() {
     // §3: no OFF periods when the available bandwidth is at or below the
     // target rate — here a 6 Mbps HD stream into a 7.7 Mbps ADSL line with
     // k=1.25 target 7.5 Mbps ≈ the line rate.
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::Flash,
         long_video(6_000_000),
@@ -118,6 +122,7 @@ fn underprovisioned_path_degenerates_to_bulk_like_transfer() {
         109,
         SimDuration::from_secs(120),
     )
+    .run()
     .unwrap();
     let analysis =
         vstream_analysis::OnOffAnalysis::from_trace(&out.trace, &AnalysisConfig::default());
@@ -138,7 +143,7 @@ fn underprovisioned_path_degenerates_to_bulk_like_transfer() {
 fn player_stalls_when_bandwidth_is_insufficient() {
     // A 9 Mbps HD video cannot stream over 7.7 Mbps ADSL: the player must
     // stall (accumulation ratio < 1, §3).
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::FlashHd,
         Video::new(1, 9_000_000, SimDuration::from_secs(300)),
@@ -146,6 +151,7 @@ fn player_stalls_when_bandwidth_is_insufficient() {
         113,
         CAPTURE,
     )
+    .run()
     .unwrap();
     assert!(
         out.player_stats().stalls > 0,
@@ -155,7 +161,7 @@ fn player_stalls_when_bandwidth_is_insufficient() {
 
 #[test]
 fn netflix_multibitrate_prefetch_is_visible() {
-    let out = run_cell(
+    let out = SessionSpec::new(
         Client::Firefox,
         Container::Silverlight,
         long_video(3_000_000),
@@ -163,6 +169,7 @@ fn netflix_multibitrate_prefetch_is_visible() {
         127,
         CAPTURE,
     )
+    .run()
     .unwrap();
     // Many connections: probes + striped buffering + per-block connections.
     assert!(out.connections > 10, "connections = {}", out.connections);
@@ -174,7 +181,7 @@ fn netflix_multibitrate_prefetch_is_visible() {
 #[test]
 fn interruption_reduces_download() {
     let video = long_video(1_500_000);
-    let full = run_cell(
+    let full = SessionSpec::new(
         Client::Chrome,
         Container::Html5,
         video,
@@ -182,16 +189,18 @@ fn interruption_reduces_download() {
         131,
         CAPTURE,
     )
+    .run()
     .unwrap();
-    let cut = vstream::session::run_cell_interrupted(
+    let cut = SessionSpec::new(
         Client::Chrome,
         Container::Html5,
         video,
         NetworkProfile::Research,
         131,
         CAPTURE,
-        SimDuration::from_secs(30),
     )
+    .interrupted(SimDuration::from_secs(30))
+    .run()
     .unwrap();
     assert!(cut.trace.total_downloaded() < full.trace.total_downloaded());
     assert!(cut.trace.total_downloaded() > 0);
