@@ -10,7 +10,7 @@
 //!   first OFF period, exactly the heuristic the paper uses and whose
 //!   loss-sensitivity it discusses), the steady-state download rate, and the
 //!   accumulation ratio.
-//! * **Strategy classification** ([`classify`]) — the three streaming
+//! * **Strategy classification** ([`classify()`]) — the three streaming
 //!   strategies, using the paper's 2.5 MB block-size boundary.
 //! * **Ack-clock test** ([`ackclock`]) — bytes arriving back-to-back within
 //!   the first RTT of each ON period (Fig. 9).

@@ -59,9 +59,11 @@
 //! runs of identical campaigns.
 
 use std::fs;
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use vstream::campaign::{run_campaign, CampaignOptions, CampaignSpec};
 use vstream::figures as f;
 use vstream::obs::{collector, ledger_json, ledger_summary};
 use vstream::report::{FigureData, TableData};
@@ -72,6 +74,8 @@ struct Options {
     n: usize,
     csv_dir: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
+    /// `--metrics`' file, opened before the first session.
+    metrics_file: Option<fs::File>,
     metrics_summary: bool,
     progress: bool,
     no_cache: bool,
@@ -93,6 +97,7 @@ fn main() {
         n: 12,
         csv_dir: None,
         metrics_path: None,
+        metrics_file: None,
         metrics_summary: false,
         progress: false,
         no_cache: false,
@@ -204,8 +209,30 @@ fn main() {
     if selected.iter().any(|s| s == "all") {
         selected = ALL_IDS.iter().map(|s| s.to_string()).collect();
     }
+    let campaign = campaign_mode.then(|| campaign_spec(&opts));
+    // Every output location is created or opened before the first session,
+    // so an unusable path costs no simulation.
     if let Some(dir) = &opts.csv_dir {
-        fs::create_dir_all(dir).expect("create csv output directory");
+        output(fs::create_dir_all(dir), "--csv", dir);
+    }
+    if let Some(path) = &opts.metrics_path {
+        opts.metrics_file = Some(output(fs::File::create(path), "--metrics", path));
+    }
+    if let Some(dir) = &opts.trace_dir {
+        let ring_cap = opts.trace_cap.unwrap_or(if opts.trace_anomalies {
+            flight::ANOMALY_RING
+        } else {
+            flight::DEFAULT_RING
+        });
+        let cfg = flight::TraceConfig {
+            dir: dir.clone(),
+            anomalies_only: opts.trace_anomalies,
+            ring_cap,
+        };
+        output(flight::install(cfg), "--trace-dir", dir);
+    }
+    if let (Some(spec), Some(base)) = (&campaign, &opts.ledger_dir) {
+        output(fs::create_dir_all(spec.ledger_dir(base)), "--ledger", base);
     }
     // `--progress` needs the span layer's session counts, so any of the
     // three observability flags activates the collector.
@@ -216,21 +243,8 @@ fn main() {
     if !opts.no_cache {
         vstream::cache::install();
     }
-    if let Some(dir) = &opts.trace_dir {
-        let ring_cap = opts.trace_cap.unwrap_or(if opts.trace_anomalies {
-            flight::ANOMALY_RING
-        } else {
-            flight::DEFAULT_RING
-        });
-        flight::install(flight::TraceConfig {
-            dir: dir.clone(),
-            anomalies_only: opts.trace_anomalies,
-            ring_cap,
-        })
-        .expect("create trace output directory");
-    }
-    if campaign_mode {
-        run_campaign_cmd(&opts);
+    if let Some(spec) = &campaign {
+        run_campaign_cmd(spec, &opts);
         emit_metrics(&opts);
         return;
     }
@@ -282,23 +296,30 @@ fn main() {
     emit_metrics(&opts);
 }
 
+/// The value of an output location's `create`/`open`, or `error: …` and
+/// exit 2 when `flag`'s `path` cannot be used.
+fn output<T>(result: std::io::Result<T>, flag: &str, path: &Path) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: cannot create {flag} output {}: {e}", path.display());
+        std::process::exit(2);
+    })
+}
+
 fn emit_metrics(opts: &Options) {
     if let Some(ledger) = collector::take() {
         if opts.metrics_summary {
             println!("{}", ledger_summary(&ledger));
         }
-        if let Some(path) = &opts.metrics_path {
-            fs::write(path, ledger_json(&ledger)).expect("write metrics ledger");
+        if let (Some(path), Some(mut file)) = (&opts.metrics_path, opts.metrics_file.as_ref()) {
+            file.write_all(ledger_json(&ledger).as_bytes()).expect("write metrics ledger");
             eprintln!("wrote metrics ledger to {}", path.display());
         }
     }
 }
 
-/// The `repro campaign` subcommand: build the spec from the shared and
-/// campaign-specific flags, run (or resume) it, print the gate verdict and
-/// tables, and exit nonzero on a failed cross-validation gate.
-fn run_campaign_cmd(opts: &Options) {
-    use vstream::campaign::{run_campaign, CampaignOptions, CampaignSpec};
+/// The `repro campaign` spec from the shared and campaign-specific flags,
+/// or `error: …` and exit 2 when it cannot run.
+fn campaign_spec(opts: &Options) -> CampaignSpec {
     if opts.viewers == Some(0) {
         eprintln!("error: invalid value \"0\" for --viewers");
         std::process::exit(2);
@@ -322,6 +343,13 @@ fn run_campaign_cmd(opts: &Options) {
         eprintln!("error: {why}");
         std::process::exit(2);
     }
+    spec
+}
+
+/// The `repro campaign` subcommand: run (or resume) the campaign, print the
+/// gate verdict and tables, and exit nonzero on a failed cross-validation
+/// gate.
+fn run_campaign_cmd(spec: &CampaignSpec, opts: &Options) {
     let copts = CampaignOptions {
         jobs: 0, // resolved to the session layer's `--jobs`-driven default
         ledger_dir: opts.ledger_dir.clone(),
@@ -329,7 +357,7 @@ fn run_campaign_cmd(opts: &Options) {
         progress: opts.progress,
     };
     println!("==> campaign");
-    match run_campaign(&spec, &copts) {
+    match run_campaign(spec, &copts) {
         Some(report) => {
             println!("campaign {:016x}", report.key);
             println!("{}", report.validation.gate_line());

@@ -58,6 +58,11 @@ const CAPTURE_SLACK_SECS: f64 = 60.0;
 /// Checkpoint format version; bumping it invalidates old ledgers.
 const SHARD_FORMAT: &str = "vstream-campaign-shard v1";
 
+/// The longest arrival window [`CampaignSpec::validate`] accepts, seconds
+/// (30 days). Each shard's aggregate timeline holds one `u64` bin per second
+/// of the window, so an unbounded window is an unbounded allocation.
+pub const MAX_WINDOW_SECS: u64 = 30 * 86_400;
+
 /// The default capacity-table scales (concurrent viewers).
 pub const DEFAULT_SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];
 
@@ -255,9 +260,17 @@ impl CampaignSpec {
     }
 
     /// Why the spec cannot run, if it cannot. [`run_campaign`] checks this
-    /// before any shard runs; the steady-state check comes first because
-    /// the report needs it only after every shard has been simulated.
+    /// before any shard runs. The window checks come first: the timeline is
+    /// sized from the window before the first shard, and the report needs
+    /// the steady state only after every shard has been simulated.
     pub fn validate(&self) -> Result<(), String> {
+        if self.window_secs > MAX_WINDOW_SECS {
+            return Err(format!(
+                "arrival window of {} s exceeds the {MAX_WINDOW_SECS} s (30-day) bound: the \
+                 aggregate timeline holds one bin per second",
+                self.window_secs
+            ));
+        }
         let (skip, end) = self.steady_bins();
         if skip >= end {
             return Err(format!(
@@ -281,9 +294,20 @@ impl CampaignSpec {
     }
 
     /// Aggregate-timeline length in 1 s bins: the arrival window plus the
-    /// longest possible session and its capture slack.
+    /// longest possible session and its capture slack. [`Self::validate`]
+    /// bounds the window, so the sum cannot overflow a checked spec.
     fn horizon_bins(&self) -> usize {
-        self.window_secs as usize + self.duration_secs.1.ceil() as usize + 120
+        usize::try_from(self.window_secs)
+            .ok()
+            .and_then(|w| w.checked_add(self.duration_secs.1.ceil() as usize))
+            .and_then(|b| b.checked_add(120))
+            .expect("validate bounds the arrival window")
+    }
+
+    /// The campaign's content-addressed subdirectory of the ledger
+    /// directory `base`: `<base>/campaign-<key>`.
+    pub fn ledger_dir(&self, base: &Path) -> PathBuf {
+        base.join(format!("campaign-{:016x}", self.key()))
     }
 
     /// The stationary slice of the timeline: after one warmed-up maximum
@@ -529,7 +553,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Option<Campa
     let key = spec.key();
     let plan = spec.plan();
     let shards = plan.shards();
-    let ledger = opts.ledger_dir.as_ref().map(|d| ledger_dir(d, key));
+    let ledger = opts.ledger_dir.as_ref().map(|d| spec.ledger_dir(d));
     if let Some(dir) = &ledger {
         fs::create_dir_all(dir).expect("create campaign ledger directory");
     }
@@ -655,11 +679,6 @@ impl SessionLite {
 // ---------------------------------------------------------------------------
 // Checkpoint ledger
 // ---------------------------------------------------------------------------
-
-/// The campaign's content-addressed subdirectory of the user's ledger dir.
-fn ledger_dir(base: &Path, key: u64) -> PathBuf {
-    base.join(format!("campaign-{key:016x}"))
-}
 
 fn shard_path(dir: &Path, k: usize) -> PathBuf {
     dir.join(format!("shard-{k:04}.ckpt"))
@@ -1198,6 +1217,26 @@ mod tests {
         }
         spec.window_secs = 397;
         assert!(spec.validate().unwrap_err().contains("397 s warm-up"));
+    }
+
+    /// An unbounded window used to be an unbounded timeline: a huge one
+    /// failed its allocation, and `u64::MAX` wrapped the horizon and
+    /// panicked after every shard had run.
+    #[test]
+    fn validate_rejects_a_window_beyond_the_bound() {
+        let mut spec = CampaignSpec::for_viewers(10_000);
+        for (window, ok) in [
+            (MAX_WINDOW_SECS, true),
+            (MAX_WINDOW_SECS + 1, false),
+            (100_000_000_000, false),
+            (u64::MAX, false),
+        ] {
+            spec.window_secs = window;
+            assert_eq!(spec.validate().is_ok(), ok, "window {window}: {:?}", spec.validate());
+        }
+        assert!(spec.validate().unwrap_err().contains("2592000 s (30-day) bound"));
+        spec.window_secs = MAX_WINDOW_SECS;
+        assert_eq!(spec.horizon_bins(), 2_592_000 + 360 + 120);
     }
 
     #[test]

@@ -248,7 +248,7 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
 ///
 /// §6.1 notes the strategy-independence argument extends to higher moments;
 /// this verifies it empirically for the third central moment over a
-/// [`MC_HORIZON_SECS`] Monte-Carlo horizon.
+/// 4 000 s Monte-Carlo horizon (`MC_HORIZON_SECS`).
 pub fn ext_third_moment(seed: u64) -> TableData {
     let pop = PopulationModel {
         lambda: 1.0,

@@ -121,7 +121,7 @@ const TABLE2_WATCH_SECS: u64 = 60;
 
 /// Quantified Table 2: for each strategy, measures what the paper describes
 /// qualitatively — receive-side buffer occupancy and unused bytes when the
-/// viewer quits after [`TABLE2_WATCH_SECS`].
+/// viewer quits after 60 s (`TABLE2_WATCH_SECS`).
 pub fn table2_strategy_comparison(seed: u64) -> TableData {
     let video = long_video(1, 1_200_000);
     let watch = SimDuration::from_secs(TABLE2_WATCH_SECS);

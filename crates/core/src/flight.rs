@@ -9,8 +9,9 @@
 //!   to threads (net/tcp/app), discrete happenings are instant events,
 //!   and cwnd / queue-backlog / player-buffer samples are counter tracks.
 //! * `<session>.txt` — a plain-text timeline (one event per line, ms
-//!   timestamps at ns precision) with a QoE footer folded from the same
-//!   events.
+//!   timestamps at ns precision) with a QoE footer read from the player's
+//!   own counters, so it describes the whole session however much of it
+//!   the ring kept; a session without a player has no footer.
 //!
 //! File names are derived from the session's identity (client, container,
 //! profile, video, seed, capture, watch time; for an ablation harness the
@@ -30,11 +31,10 @@
 //! recorder keeps the *last* N events rather than the first.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use vstream_app::PlayerStats;
-use vstream_obs::trace::{self, Event, EventKind, QoeFold, Recorder, SIDE_CLIENT, SIDE_SERVER};
+use vstream_obs::trace::{self, Event, EventKind, Recorder, SIDE_CLIENT, SIDE_SERVER};
 use vstream_tcp::EndpointStats;
 
 use crate::session::SessionSpec;
@@ -59,17 +59,14 @@ pub struct TraceConfig {
     pub ring_cap: usize,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static RING_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_RING);
+/// The installed dump policy; `None` when dumps are off.
 static CONFIG: Mutex<Option<TraceConfig>> = Mutex::new(None);
 
 /// Installs the dump policy, creates the dump directory, and turns the
 /// global tracing switch on.
 pub fn install(cfg: TraceConfig) -> std::io::Result<()> {
     std::fs::create_dir_all(&cfg.dir)?;
-    RING_CAP.store(cfg.ring_cap.max(1), Ordering::Release);
     *CONFIG.lock().expect("flight config poisoned") = Some(cfg);
-    ACTIVE.store(true, Ordering::Release);
     trace::set_enabled(true);
     Ok(())
 }
@@ -77,45 +74,43 @@ pub fn install(cfg: TraceConfig) -> std::io::Result<()> {
 /// Turns tracing off and drops the dump policy.
 pub fn uninstall() {
     trace::set_enabled(false);
-    ACTIVE.store(false, Ordering::Release);
     *CONFIG.lock().expect("flight config poisoned") = None;
 }
 
-/// Whether a dump policy is installed.
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
-}
-
 /// Brackets a session about to run on this thread: installs a fresh ring
-/// when dumps are active. Returns whether a bracket was opened (the
-/// caller must then call [`session_end`]).
+/// of the policy's capacity when a dump policy is installed. Returns
+/// whether a bracket was opened (the caller must then call
+/// [`session_end`]). The check is the policy, not [`trace::enabled`], so
+/// a caller that brackets a ring of its own with the bare switch on keeps
+/// that ring.
 #[inline]
 pub fn session_begin() -> bool {
-    if !is_active() {
-        return false;
-    }
-    trace::begin_session(RING_CAP.load(Ordering::Acquire));
+    let cap = CONFIG.lock().expect("flight config poisoned").as_ref().map(|c| c.ring_cap);
+    let Some(cap) = cap else { return false };
+    trace::begin_session(cap);
     true
 }
 
 /// Closes a session bracket: takes the ring and writes the dump files
-/// named by `stem`, subject to the anomaly policy (`player` is `None` for a
-/// session without one). When no bracket was opened (the recorder is
-/// off) there is no ring and this is a no-op.
+/// named by `stem`, subject to the anomaly policy. `app` is the session's
+/// player statistics and block count, the pair the ledger's `app_*` slots
+/// read (`None` for a session without a player). When no bracket was
+/// opened (the recorder is off) there is no ring and this is a no-op.
 pub fn session_end(
     stem: impl FnOnce() -> String,
-    player: Option<&PlayerStats>,
+    app: Option<&(PlayerStats, u64)>,
     connection_stats: &[(EndpointStats, EndpointStats)],
 ) {
     let Some(rec) = trace::end_session() else { return };
     let g = CONFIG.lock().expect("flight config poisoned");
     let Some(cfg) = g.as_ref() else { return };
+    let player = app.map(|(stats, _)| stats);
     if cfg.anomalies_only && !is_anomalous(player, connection_stats) {
         return;
     }
     let stem = stem();
     let json = chrome_trace_json(&stem, &rec);
-    let text = text_timeline(&stem, &rec, player, connection_stats);
+    let text = text_timeline(&stem, &rec, app, connection_stats);
     for (ext, body) in [("trace.json", &json), ("txt", &text)] {
         let path = cfg.dir.join(format!("{stem}.{ext}"));
         if let Err(e) = std::fs::write(&path, body) {
@@ -307,14 +302,18 @@ fn chrome_event(ev: &Event) -> String {
     )
 }
 
-/// Renders the ring as a plain-text timeline with a QoE footer.
+/// Renders the ring as a plain-text timeline. A session with a player
+/// (`app`: its statistics and block count) ends in a QoE footer read from
+/// those counters, not from the ring, which may have overwritten the
+/// session's start.
 pub fn text_timeline(
     stem: &str,
     rec: &Recorder,
-    player: Option<&PlayerStats>,
+    app: Option<&(PlayerStats, u64)>,
     connection_stats: &[(EndpointStats, EndpointStats)],
 ) -> String {
     let events = rec.events();
+    let player = app.map(|(stats, _)| stats);
     let mut s = String::with_capacity(256 + events.len() * 96);
     s.push_str(&format!("# session {stem}\n"));
     s.push_str(&format!(
@@ -330,9 +329,7 @@ pub fn text_timeline(
         total_timeouts(connection_stats),
     ));
     s.push_str("#       ms  layer  event\n");
-    let mut qoe = QoeFold::new();
     for ev in &events {
-        qoe.push(ev);
         let (a_name, b_name) = arg_names(ev.kind);
         s.push_str(&format!(
             "{:>16}  {:<5}  {:<18} conn={} side={} {a_name}={} {b_name}={}\n",
@@ -345,17 +342,17 @@ pub fn text_timeline(
             ev.b,
         ));
     }
-    s.push_str(&format!(
-        "# qoe(events): startup_ns={} stalls={} completed={} stall_total_ns={} \
-         stall_max_ns={} blocks={} finished={}\n",
-        qoe.startup_ns.map_or(-1i64, |v| v as i64),
-        qoe.stalls,
-        qoe.stalls_completed,
-        qoe.stall_total_ns,
-        qoe.stall_max_ns,
-        qoe.blocks,
-        qoe.finished_at_ns.is_some(),
-    ));
+    if let Some((stats, blocks)) = app {
+        s.push_str(&format!(
+            "# qoe: startup_ns={} stalls={} completed={} stall_total_ns={} stall_max_ns={} \
+             blocks={blocks}\n",
+            stats.startup_delay.map_or(-1i64, |d| d.as_nanos() as i64),
+            stats.stalls,
+            stats.stalls_completed,
+            stats.stall_time.as_nanos(),
+            stats.stall_max.as_nanos(),
+        ));
+    }
     s
 }
 

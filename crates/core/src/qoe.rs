@@ -17,14 +17,13 @@
 //! fixed decimals, parts-per-million ratios): no float rounding is ever
 //! involved.
 //!
-//! The event-level mirror of this reduction is
-//! [`vstream_obs::trace::QoeFold`]; the flight-recorder test suite holds
-//! the two equal on full event streams, and trace dumps annotate their
-//! timelines with it. The production table deliberately does *not* read
-//! the event stream: cache hits replay no events, and the table must not
-//! depend on tracing being enabled.
+//! The player's counters are the one source of these numbers: the ledger's
+//! `app_*` slots and the flight recorder's dump footer read the same
+//! [`vstream_app::PlayerStats`]. Nothing reads the event stream: cache hits
+//! replay no events, a dump's ring keeps only the session's tail, and the
+//! table must not depend on tracing being enabled. The flight-recorder test
+//! suite holds a reduction of full event streams equal to [`QoeSummary`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use vstream_workload::StrategyLogic;
@@ -180,21 +179,19 @@ struct State {
     lines: Vec<String>,
 }
 
-/// Fast-path switch mirroring [`vstream_obs::collector`]'s layout: one
-/// relaxed-ish load decides whether the batch layer derives rows at all.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
+/// The installed collector; `None` when no table is being collected.
 static STATE: Mutex<Option<State>> = Mutex::new(None);
 
 /// Installs the QoE collector (idempotent; clears any previous rows).
 pub fn install() {
     let mut g = STATE.lock().expect("qoe state poisoned");
     *g = Some(State { figure: String::new(), next_index: 0, lines: Vec::new() });
-    ACTIVE.store(true, Ordering::Release);
 }
 
-/// Whether a collector is installed.
+/// Whether a collector is installed. The batch layer reads it once per
+/// batch, so a lock is no cost.
 pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
+    STATE.lock().expect("qoe state poisoned").is_some()
 }
 
 /// Attributes subsequent rows to `figure` and resets its row index.
@@ -226,7 +223,6 @@ pub fn push_batch(rows: Vec<Option<QoeRow>>) {
 pub fn take_csv() -> Option<String> {
     let mut g = STATE.lock().expect("qoe state poisoned");
     let state = g.take()?;
-    ACTIVE.store(false, Ordering::Release);
     let mut out = String::with_capacity(64 + state.lines.len() * 96);
     out.push_str(CSV_HEADER);
     out.push('\n');

@@ -183,7 +183,7 @@ pub struct SessionAnswer {
 
 /// Everything [`query_many`] returns per session: the computed features
 /// plus the non-trace outcome fields
-/// ([`CellOutcome`](crate::session::CellOutcome) minus the capture).
+/// ([`CellOutcome`] minus the capture).
 #[derive(Clone)]
 pub struct SessionReply {
     /// The requested features.
@@ -359,7 +359,7 @@ pub fn reply_from_outcome(out: CellOutcome, query: &SessionQuery) -> SessionRepl
 }
 
 /// Resolves every spec into the queried features, up to
-/// [`default_jobs`](crate::session::default_jobs) sessions in parallel,
+/// [`default_jobs`] sessions in parallel,
 /// ordered by spec index. `None` marks inapplicable Table 1 cells.
 ///
 /// The reply carries features and the small outcome fields only, so peak

@@ -9,7 +9,7 @@
 //! function of the session's identity (use [`vstream_sim::derive_seed`]),
 //! never drawn from a shared RNG while iterating.
 //!
-//! [`query_many`](crate::query::query_many) (through [`batch_resolve`]) is
+//! [`query_many`](crate::query::query_many) (through `batch_resolve`) is
 //! the one batch entrance and what the figure drivers use: analysis folds on
 //! the live packet tap, no trace, replies memoized by the
 //! [session cache](crate::cache). [`SessionSpec::run`] runs one session
@@ -287,7 +287,8 @@ pub(crate) struct EngineRun {
 ///
 /// `app` reads the player statistics and paced-block count off the finished
 /// logic (`None` without a player) for the ledger's `app_*` slots and the
-/// anomaly predicate; [`Engine::into_parts`] harvests the layers below.
+/// dump's anomaly header and QoE footer; [`Engine::into_parts`] harvests the
+/// layers below.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
     path: DuplexPath,
@@ -322,7 +323,7 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
         m.add(Counter::AppBlocks, *blocks);
     }
     if bracket {
-        flight::session_end(stem, app.as_ref().map(|(stats, _)| stats), &connection_stats);
+        flight::session_end(stem, app.as_ref(), &connection_stats);
     }
     EngineRun { connection_stats, events_scheduled }
 }
@@ -562,7 +563,8 @@ mod tests {
     /// A harness-style logic without a player goes through the same
     /// bracket: the engine-level harvest counts the session, the app-layer
     /// one adds nothing, and the flight dump is written under the caller's
-    /// stem with a footer that still parses.
+    /// stem without a QoE footer. A spec session dumped in the same window
+    /// ends in a footer that parses to its player's counters.
     ///
     /// The flight policy and the collector are process-wide, so unit tests
     /// running beside this one record and flush into them while it holds
@@ -604,6 +606,15 @@ mod tests {
         let run = run_engine(path, 5, capture, &mut scratch, &mut logic, &mut NullSink, |_| None, || {
             stem.to_string()
         });
+        let spec = SessionSpec::new(
+            Client::Dash,
+            Container::Html5,
+            video(),
+            NetworkProfile::Residence,
+            4242,
+            SimDuration::from_secs(60),
+        );
+        let played = spec.run().expect("DASH/HTML5 is an applicable cell");
         flight::uninstall();
         let m = scratch.metrics_mut().take();
         collector::take();
@@ -621,22 +632,36 @@ mod tests {
 
         let text = std::fs::read_to_string(dir.join(format!("{stem}.txt"))).expect("text dump");
         let json = std::fs::read_to_string(dir.join(format!("{stem}.trace.json"))).expect("json dump");
+        let played_text = std::fs::read_to_string(dir.join(format!("{}.txt", flight::file_stem(&spec))))
+            .expect("spec session dump");
         std::fs::remove_dir_all(&dir).ok();
         assert!(text.starts_with("# session bracket-test-noplayer\n"));
         assert!(text.contains("# anomaly: no (stall_max 0 ms, timeouts 0)\n"), "{text}");
-        let footer = text.lines().last().expect("footer line");
-        let fields: Vec<(&str, &str)> = footer
-            .strip_prefix("# qoe(events): ")
+        assert!(!text.contains("# qoe"), "a session without a player has no QoE footer");
+        assert!(json.contains("\"session\":\"bracket-test-noplayer\""));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+
+        let footer = played_text.lines().last().expect("footer line");
+        let fields: Vec<(&str, u64)> = footer
+            .strip_prefix("# qoe: ")
             .expect("footer prefix")
             .split(' ')
             .map(|kv| kv.split_once('=').expect("key=value"))
+            .map(|(k, v)| (k, v.parse().expect("a started player has nonnegative fields")))
             .collect();
-        assert_eq!(fields.len(), 7, "{footer}");
-        assert_eq!(fields[0], ("startup_ns", "-1"));
-        assert_eq!(fields[1], ("stalls", "0"));
-        assert_eq!(fields[6], ("finished", "false"));
-        assert!(json.contains("\"session\":\"bracket-test-noplayer\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let p = played.player_stats();
+        assert_eq!(
+            fields,
+            [
+                ("startup_ns", p.startup_delay.expect("playback started").as_nanos()),
+                ("stalls", p.stalls as u64),
+                ("completed", p.stalls_completed as u64),
+                ("stall_total_ns", p.stall_time.as_nanos()),
+                ("stall_max_ns", p.stall_max.as_nanos()),
+                ("blocks", played.logic.blocks()),
+            ],
+            "{footer}"
+        );
     }
 
     /// A 0 % LRD load has a zero peak rate: the path has no source for the

@@ -4,7 +4,7 @@
 /// second when `lambda` is sessions/second, `mean_encoding_bps` bits/second
 /// and `mean_duration_secs` seconds.
 ///
-/// The paper assumes `e` and `L` independent (E[S] = E[e]·E[L]); pass the
+/// The paper assumes `e` and `L` independent (E\[S\] = E\[e\]·E\[L\]); pass the
 /// true `E[e·L]` as `mean_encoding_bps * mean_duration_secs` if they are
 /// correlated in your population.
 pub fn aggregate_mean_bps(lambda: f64, mean_encoding_bps: f64, mean_duration_secs: f64) -> f64 {

@@ -274,66 +274,6 @@ pub fn emit(at_ns: u64, kind: EventKind, side: u8, conn: u16, a: u64, b: u64) {
     });
 }
 
-/// Incremental QoE reduction over a session's event stream.
-///
-/// This is the *event-level* mirror of the stats-derived QoE row the
-/// production path computes from `PlayerStats` (which survives cache
-/// hits, where no events exist). The flight-recorder test suite holds
-/// the two reductions equal on full (non-wrapped) event streams; dumps
-/// use this fold to annotate timelines.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QoeFold {
-    /// Startup delay (ns), if the player ever started.
-    pub startup_ns: Option<u64>,
-    /// Stalls detected (entered the Stalled state).
-    pub stalls: u32,
-    /// Stalls that completed (resumed playback).
-    pub stalls_completed: u32,
-    /// Total completed stall time (ns).
-    pub stall_total_ns: u64,
-    /// Longest completed stall (ns).
-    pub stall_max_ns: u64,
-    /// Block requests issued by the strategy.
-    pub blocks: u64,
-    /// Bitrate-ladder switches made by an adaptive strategy.
-    pub switches: u64,
-    /// When the player finished, if it did (ns).
-    pub finished_at_ns: Option<u64>,
-}
-
-impl QoeFold {
-    /// An empty fold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one event in; non-QoE events are ignored.
-    pub fn push(&mut self, ev: &Event) {
-        match ev.kind {
-            EventKind::AppStartup => self.startup_ns = Some(ev.a),
-            EventKind::AppStallStart => self.stalls += 1,
-            EventKind::AppStallEnd => {
-                self.stalls_completed += 1;
-                self.stall_total_ns += ev.a;
-                self.stall_max_ns = self.stall_max_ns.max(ev.a);
-            }
-            EventKind::AppFinished => self.finished_at_ns = Some(ev.at_ns),
-            EventKind::AppBlockRequest => self.blocks += 1,
-            EventKind::AppBitrateSwitch => self.switches += 1,
-            _ => {}
-        }
-    }
-
-    /// Mean completed stall duration (ns), 0 when none completed.
-    pub fn stall_mean_ns(&self) -> u64 {
-        if self.stalls_completed == 0 {
-            0
-        } else {
-            self.stall_total_ns / self.stalls_completed as u64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,27 +331,6 @@ mod tests {
         emit(3, EventKind::AppFinished, SIDE_NONE, 0, 0, 0);
         let rec = end_session().expect("recorder installed");
         assert!(rec.is_empty());
-    }
-
-    #[test]
-    fn qoe_fold_reduces_the_stream() {
-        let mut q = QoeFold::new();
-        q.push(&ev(100, EventKind::AppStartup, 100));
-        q.push(&ev(200, EventKind::AppStallStart, 150));
-        q.push(&ev(260, EventKind::AppStallEnd, 60));
-        q.push(&ev(300, EventKind::AppBlockRequest, 1));
-        q.push(&ev(400, EventKind::AppStallStart, 380));
-        q.push(&ev(500, EventKind::AppStallEnd, 100));
-        q.push(&ev(600, EventKind::AppStallStart, 590));
-        q.push(&ev(700, EventKind::AppFinished, 160));
-        assert_eq!(q.startup_ns, Some(100));
-        assert_eq!(q.stalls, 3);
-        assert_eq!(q.stalls_completed, 2);
-        assert_eq!(q.stall_total_ns, 160);
-        assert_eq!(q.stall_max_ns, 100);
-        assert_eq!(q.stall_mean_ns(), 80);
-        assert_eq!(q.blocks, 1);
-        assert_eq!(q.finished_at_ns, Some(700));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The full local gate, in the order a reviewer would want failures surfaced:
 #
-#   1. release build + the whole test suite (unit, integration, doc-adjacent)
+#   1. release build + the whole test suite (unit, integration, doc-adjacent),
+#      then the API docs with rustdoc warnings as errors, so a doc link to a
+#      deleted, renamed or private item fails here
 #   2. the determinism invariant: byte-identical CSVs and metrics ledger
 #      at --jobs 1, --jobs max(nproc, 8), and --no-cache, which also
 #      covers per-worker scratch reuse and the cross-figure session cache
@@ -58,6 +60,9 @@ cargo build --release --offline
 
 echo "==> tests"
 cargo test --offline --quiet
+
+echo "==> rustdoc: no broken, ambiguous or private intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> determinism: CSVs and metrics ledger invariant under --jobs (seeds 2026 and 7), --no-cache and --trace-dir"
 scripts/check_determinism.sh
