@@ -140,7 +140,7 @@ impl Player {
         debug_assert!(now >= self.clock, "player clock went backwards");
         if self.state == PlayState::Playing {
             let elapsed = now.duration_since(self.clock);
-            let want = (self.encoding_bps as u128 * elapsed.as_nanos() as u128 / 8 / 1_000_000_000) as u64;
+            let want = bytes_played(self.encoding_bps, elapsed.as_nanos());
             let available = self.fed - self.consumed;
             if want < available {
                 self.consumed += want;
@@ -266,6 +266,19 @@ impl Player {
     }
 }
 
+/// Whole bytes a `bps` stream plays in `ns` nanoseconds: the floor of
+/// `bps · ns / 8e9`. The product fits `u64` on every realistic interval
+/// (below 18 s at 1 Gbps), so the 128-bit division runs only on overflow;
+/// one floor division by 8e9 equals the nested `/ 8 / 1e9`, so both roads
+/// give the same bytes.
+#[inline]
+fn bytes_played(bps: u64, ns: u64) -> u64 {
+    match bps.checked_mul(ns) {
+        Some(bit_ns) => bit_ns / 8_000_000_000,
+        None => (bps as u128 * ns as u128 / 8_000_000_000) as u64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,5 +390,28 @@ mod tests {
         b.advance(t(10.0));
         assert_eq!(a.consumed_bytes(), b.consumed_bytes());
         assert_eq!(a.buffer_bytes(), b.buffer_bytes());
+    }
+
+    #[test]
+    fn bytes_played_matches_the_128_bit_formula() {
+        let reference = |bps: u64, ns: u64| (bps as u128 * ns as u128 / 8 / 1_000_000_000) as u64;
+        let rates = [1, 7, 350_000, 1_000_000, 3_800_000, 999_999_999, 1_000_000_000];
+        let intervals = [0, 1, 999, 1_000_000_000, 180_000_000_000];
+        for &bps in &rates {
+            for &ns in &intervals {
+                assert_eq!(bytes_played(bps, ns), reference(bps, ns), "{bps} bps over {ns} ns");
+            }
+        }
+        // Products at, just below and just past `u64::MAX` cross from the
+        // 64-bit road to the 128-bit one.
+        let bps = 1_000_000_000u64;
+        let edge = u64::MAX / bps;
+        for ns in [edge - 1, edge, edge + 1, edge + 2] {
+            assert_eq!(bytes_played(bps, ns), reference(bps, ns), "{ns} ns at 1 Gbps");
+        }
+        for (bps, ns) in [(u64::MAX, 1), (1, u64::MAX), (u64::MAX, 2), (2, u64::MAX / 2 + 1)] {
+            assert_eq!(bytes_played(bps, ns), reference(bps, ns), "{bps} bps over {ns} ns");
+        }
+        assert!(bps.checked_mul(edge + 1).is_none());
     }
 }

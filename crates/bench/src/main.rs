@@ -469,7 +469,7 @@ fn run_one(id: &str, opts: &Options) {
             emit_fig(&b, opts);
         }
         "fig12" => {
-            let (a, b) = f::fig12_netflix_blocks(seed, n.min(4));
+            let (a, b) = f::fig12_netflix_blocks(seed, n.min(f::NETFLIX_BLOCK_SESSIONS));
             emit_fig(&a, opts);
             emit_fig(&b, opts);
         }

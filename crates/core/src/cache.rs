@@ -25,9 +25,11 @@
 //! store and [`uninstall`] drops it, bracketing one `repro` run.
 //!
 //! Retention is **selective**. Only specs marked
-//! [`shared`](SessionSpec::shared) — the cross-figure cell stream of
-//! `figures::cell_specs` — enter the store; one-off sessions (Table 1's
-//! bespoke videos) would retain memory that no later driver ever reads.
+//! [`shared`](SessionSpec::shared) — the cell-stream sessions a later
+//! figure re-reads, listed by the figures' `re_read` table beside
+//! `figures::cell_specs` — enter the store; every other session (Table 1's
+//! bespoke videos, the cells only one figure samples, the `ext-qoe` sweep)
+//! would retain memory that no later driver ever reads.
 //! Trace-retaining runs ([`SessionSpec::run`]) never consult the cache.
 //!
 //! Alongside each reply the store keeps the session's exact metrics delta

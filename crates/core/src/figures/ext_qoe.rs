@@ -22,9 +22,12 @@
 //!   ([`SwitchRateFold`](vstream_analysis::SwitchRateFold)) a passive
 //!   observer would reconstruct from per-connection byte totals alone.
 //!
-//! Everything resolves through [`query_many`], so the sweep is one parallel
-//! batch and the numbers are byte-identical across `--jobs` and cache
-//! on/off (the cross-traffic shape is part of the session cache key).
+//! The sweep resolves as one parallel batch whose workers reduce each reply
+//! to its QoE summary and wire-side switch counts, so no reply outlives its
+//! worker and the numbers are byte-identical across `--jobs`. No later
+//! figure reads these sessions, so the specs are not
+//! [`shared`](SessionSpec::shared) and the session cache retains none of
+//! them.
 
 use vstream_app::strategies::{ABR_LADDER, ABR_SEGMENT_MS};
 use vstream_net::{LrdCrossConfig, NetworkProfile};
@@ -32,9 +35,9 @@ use vstream_sim::derive_seed;
 use vstream_workload::{Client, Container};
 
 use crate::figures::CAPTURE;
-use crate::query::{query_many, SessionQuery};
+use crate::query::SessionQuery;
 use crate::report::{FigureData, Series, TableData};
-use crate::session::SessionSpec;
+use crate::session::{batch_resolve, default_jobs, SessionSpec};
 
 /// Stream tag for the ext-qoe load-sweep session stream.
 const STREAM_EXT_QOE: u64 = 0xE07E;
@@ -69,8 +72,7 @@ pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
                     profile,
                     engine_seed,
                     CAPTURE,
-                )
-                .shared();
+                );
                 if load == 0 {
                     spec
                 } else {
@@ -83,7 +85,9 @@ pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
     let query = SessionQuery::default()
         .qoe()
         .switch_rate(ABR_LADDER.to_vec(), ABR_SEGMENT_MS);
-    let replies = query_many(&specs, &query);
+    let replies = batch_resolve(&specs, default_jobs(), &query, |_, reply| {
+        (reply.answer.qoe, reply.answer.switch_counts)
+    });
 
     let capture_minutes = CAPTURE.as_secs_f64() / 60.0;
     let mut points: Vec<(f64, f64)> = Vec::with_capacity(LOADS_PERMILLE.len());
@@ -102,8 +106,8 @@ pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
         let mut client_switches = 0u64;
         let mut wire_switches = 0u64;
         let mut wire_segments = 0u64;
-        for reply in &group {
-            if let Some(q) = &reply.answer.qoe {
+        for (qoe, counts) in group {
+            if let Some(q) = qoe {
                 stall_ratio_sum +=
                     q.stall_total_us as f64 / (CAPTURE.as_nanos() as f64 / 1_000.0);
                 if let Some(us) = q.startup_us {
@@ -112,7 +116,7 @@ pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
                 }
                 client_switches += q.switches;
             }
-            if let Some(c) = &reply.answer.switch_counts {
+            if let Some(c) = counts {
                 wire_switches += c.switches;
                 wire_segments += c.segments;
             }

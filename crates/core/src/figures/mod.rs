@@ -58,12 +58,36 @@ pub(crate) const MC_HORIZON_SECS: f64 = 4000.0;
 /// 0xBFF, 0x51E, 0x1AB — which made equal cells deliberately disjoint.)
 pub(crate) const STREAM_CELL: u64 = 0xCE11;
 
+/// Sessions per Netflix cell Fig. 12 samples: `repro` clamps its `--n` to
+/// this, and Fig. 12 re-reads exactly this prefix of Fig. 11's sample.
+pub const NETFLIX_BLOCK_SESSIONS: usize = 4;
+
+/// How many leading sessions of a cell's sample a later driver re-reads
+/// with the same [`cell_query`], in `repro all`'s order:
+///
+/// * Firefox × Flash, all four profiles: Fig. 3(a) → Fig. 4;
+/// * IE × HTML5 on Research: Fig. 3(b) → Fig. 5;
+/// * the Silverlight cells: Fig. 11 → Fig. 12, which samples the first
+///   [`NETFLIX_BLOCK_SESSIONS`] of them.
+///
+/// Every other cell (and session) is read once: [`cell_specs`] does not mark
+/// it [`shared`](SessionSpec::shared), so the cache retains nothing for it.
+fn re_read(client: Client, container: Container, profile: NetworkProfile) -> usize {
+    match (client, container, profile) {
+        (Client::Firefox, Container::Flash, _) => usize::MAX,
+        (Client::InternetExplorer, Container::Html5, NetworkProfile::Research) => usize::MAX,
+        (_, Container::Silverlight, _) => NETFLIX_BLOCK_SESSIONS,
+        _ => 0,
+    }
+}
+
 /// The standard `n`-session sample of one Table 1 cell: video `i` is drawn
 /// from `dataset` by index and the engine seed is identity-derived from
 /// `(STREAM_CELL, client, container, profile, i)`, so sessions are
 /// order-independent, batch-parallel, and — crucially — equal across every
-/// figure that samples the same cell. The specs are marked
-/// [`shared`](SessionSpec::shared), opting them into cache retention.
+/// figure that samples the same cell. The sessions a later figure re-reads
+/// ([`re_read`]) are marked [`shared`](SessionSpec::shared), opting them
+/// into cache retention.
 pub(crate) fn cell_specs(
     client: Client,
     container: Container,
@@ -72,21 +96,26 @@ pub(crate) fn cell_specs(
     seed: u64,
     n: usize,
 ) -> Vec<SessionSpec> {
+    let shared = re_read(client, container, profile);
     (0..n)
         .map(|i| {
             let engine_seed = derive_seed(
                 seed,
                 &[STREAM_CELL, client as u64, container as u64, profile as u64, i as u64],
             );
-            SessionSpec::new(
+            let spec = SessionSpec::new(
                 client,
                 container,
                 dataset.sample_indexed(seed, i as u64),
                 profile,
                 engine_seed,
                 CAPTURE,
-            )
-            .shared()
+            );
+            if i < shared {
+                spec.shared()
+            } else {
+                spec
+            }
         })
         .collect()
 }

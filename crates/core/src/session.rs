@@ -74,10 +74,11 @@ pub struct SessionSpec {
     /// the cache key: the aggregate changes every packet arrival time.
     pub cross: Option<LrdCrossConfig>,
     /// Opts this spec's query replies into [session cache](crate::cache)
-    /// retention. Set by [`SessionSpec::shared`] for the cross-figure cell
-    /// stream (`figures::cell_specs`); one-off sessions leave it false so
-    /// the cache never retains memory no later driver reads. Not part of
-    /// the cache key — it changes where the result lives, never what it is.
+    /// retention. Set by [`SessionSpec::shared`] for the cell-stream
+    /// sessions a later figure re-reads (the `figures::re_read` table behind
+    /// `figures::cell_specs`); every other session leaves it false so the
+    /// cache never retains memory no later driver reads. Not part of the
+    /// cache key — it changes where the result lives, never what it is.
     pub shared: bool,
 }
 
@@ -122,7 +123,10 @@ impl SessionSpec {
     /// Marks the session as shared across figure drivers: while the
     /// [session cache](crate::cache) is installed, the reply to each query
     /// asked of it is retained and a later identical request clones it
-    /// instead of re-simulating.
+    /// instead of re-simulating. Mark only a session some later driver asks
+    /// again: the figures' `re_read` table (`figures::cell_specs`) lists the
+    /// cells `repro all` re-reads, and a one-off session marked shared only
+    /// retains memory.
     pub fn shared(mut self) -> Self {
         self.shared = true;
         self

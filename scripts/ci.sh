@@ -6,10 +6,11 @@
 #      deleted, renamed or private item fails here
 #   2. the determinism invariant: byte-identical CSVs and metrics ledger
 #      at --jobs 1, --jobs max(nproc, 8), and --no-cache, which also
-#      covers per-worker scratch reuse and the cross-figure session cache
-#      (both on by default) on every figure, the DASH/LRD ext-qoe sweep
-#      included; the --jobs pair again at held-out seed 7, whose losses
-#      reuse the engine's SACK-slab slots in another order; and trace
+#      covers per-worker scratch reuse on every figure (the DASH/LRD
+#      ext-qoe sweep included) and the cross-figure session cache on the
+#      cells a later figure re-reads (both on by default); the --jobs pair
+#      again at held-out seed 7, whose losses reuse the engine's SACK-slab
+#      slots in another order; and trace
 #      neutrality: `repro all` with --trace-dir leaves
 #      figures, the QoE table, stdout and the wall-off ledger
 #      byte-identical, dumps the ablation harnesses' sessions too, and every
@@ -24,7 +25,9 @@
 #      lanes (zero sim_lane_fallbacks), must count every engine run in the
 #      ledger's app-layer slots as well as its engine-level ones (463
 #      sessions, 415 of them players that started, 56 stalls — the ablation
-#      harnesses included), must schedule exactly the events it scheduled
+#      harnesses included), must hit the session cache 76 times and
+#      retain only those 76 re-read replies (76 misses), must schedule
+#      exactly the events it scheduled
 #      before (sim_events_scheduled and sim_lane_pushes pinned, so a change
 #      to which events the engine schedules fails here even where no CSV
 #      moves) and must reproduce the committed results/ tree byte for byte
@@ -104,6 +107,12 @@ grep -q '"sim_lane_pushes":30563862[,}]' "$obs_out/all.metrics.json"
 grep -q '"sim_sessions":463[,}]' "$obs_out/all.metrics.json"
 grep -q '"app_playback_started":415[,}]' "$obs_out/all.metrics.json"
 grep -q '"app_player_stalls":56[,}]' "$obs_out/all.metrics.json"
+# The session cache retains exactly the replies a later figure re-reads
+# (`figures::cell_specs` marks them shared): 76 entries, each hit once. A
+# driver change that loses a hit, or retains a session no later figure
+# reads, moves these counts instead of silently costing memory.
+grep -q '"cache_hits":76[,}]' "$obs_out/all.metrics.json"
+grep -q '"cache_misses":76[,}]' "$obs_out/all.metrics.json"
 # The committed tree is `repro all --seed 2026 --csv results` (the default
 # seed); regenerate it in the same change as any output-moving edit.
 diff -r results "$obs_out/all"

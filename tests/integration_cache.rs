@@ -11,8 +11,9 @@
 //!    query replies: one-off sessions and trace-retaining runs leave no
 //!    footprint in the store or the counters.
 //! 4. **Cross-figure reuse at kilobyte cost** — the full `repro all` driver
-//!    order shares 76 of its 278 cell requests, in a store of a few
-//!    megabytes.
+//!    order shares 76 of its 248 cell requests, and the store retains
+//!    exactly those 76 re-read replies (under 2.5 MiB), nothing a later
+//!    figure does not read.
 //!
 //! The cache and collector are process-global, so everything runs from one
 //! `#[test]`. Metered passes install the collector with wall timing *on*:
@@ -51,7 +52,7 @@ fn same_answer(a: &SessionReply, b: &SessionReply) -> bool {
     format!("{:?}", a.answer) == format!("{:?}", b.answer)
 }
 
-/// Every driver of `repro all` that samples the shared cell stream, in the
+/// Every driver of `repro all` that samples the cell stream, in the
 /// binary's order and at its default seed and sample clamps (the other
 /// drivers build one-off specs and never reach the store).
 fn repro_all_cell_drivers() {
@@ -63,8 +64,7 @@ fn repro_all_cell_drivers() {
     f::fig6b_long_blocks(seed, n.min(8));
     f::fig7b_ipad_block_vs_rate(seed, n);
     f::fig11_netflix_buffering(seed, n.min(6));
-    f::fig12_netflix_blocks(seed, n.min(4));
-    f::ext_qoe_load_sweep(seed, n.min(6));
+    f::fig12_netflix_blocks(seed, n.min(f::NETFLIX_BLOCK_SESSIONS));
 }
 
 #[test]
@@ -182,19 +182,25 @@ fn cache_is_transparent_selective_and_single_execution() {
 
     // --- 5. The whole suite's cell traffic: every driver asks the shared
     // cell query, so the 76 cross-figure requests hit under the exact
-    // (spec, query) key, and what 202 sessions leave behind is replies, not
-    // captures (the packed-trace store this replaced held 69 MB here).
+    // (spec, query) key. Only the 76 sessions a later figure re-reads are
+    // retained (Figs. 3 → 4/5 and the Fig. 12 prefix of Fig. 11), and what
+    // they leave behind is replies, not captures (the packed-trace store
+    // this replaced held 69 MB here). The DASH load sweep runs last and is
+    // read once, so it adds nothing to the store.
     set_default_jobs(1);
     collector::install(true);
     cache::install();
     repro_all_cell_drivers();
+    let cell_entries = cache::len();
+    f::ext_qoe_load_sweep(2026, 6);
+    assert_eq!(cache::len(), cell_entries, "ext-qoe must retain nothing");
     let ledger = collector::take().expect("metered run");
     set_default_jobs(0);
     assert_eq!(ledger.totals.counter(Counter::CacheHits), 76);
-    assert_eq!(ledger.totals.counter(Counter::CacheMisses), 202);
-    assert_eq!(cache::len(), 202);
+    assert_eq!(ledger.totals.counter(Counter::CacheMisses), 76);
+    assert_eq!(cache::len(), 76);
     let retained = ledger.totals.counter(Counter::CacheBytesRetained);
     assert_eq!(retained, cache::bytes_retained());
-    assert!(retained < 6 << 20, "{retained} bytes retained");
+    assert!(retained < 5 << 19, "{retained} bytes retained");
     cache::uninstall();
 }
