@@ -68,7 +68,7 @@ pub struct OnOffAnalysis {
 /// Incremental ON/OFF cycle detector, fed one incoming data packet at a
 /// time (by [`AnalysisFold`] behind a live
 /// [`PacketSink`](vstream_capture::PacketSink) tap or a replayed capture).
-/// [`CycleDetector::into_raw`] closes the open cycle;
+/// `CycleDetector::into_raw` closes the open cycle;
 /// [`OnOffAnalysis::filter_raw`] applies the min-cycle filter.
 ///
 /// State is O(cycles), not O(packets).
@@ -82,7 +82,7 @@ pub struct CycleDetector {
 impl CycleDetector {
     /// Feeds the next incoming data packet. Returns `true` when the packet
     /// opened a new ON period (including the very first packet).
-    pub fn data(&mut self, at: SimTime, payload: u64, idle_threshold: SimDuration) -> bool {
+    pub(crate) fn data(&mut self, at: SimTime, payload: u64, idle_threshold: SimDuration) -> bool {
         match self.current.as_mut() {
             None => {
                 self.current = Some(Cycle {
@@ -115,13 +115,13 @@ impl CycleDetector {
     }
 
     /// Start of the currently open ON period.
-    pub fn current_start(&self) -> Option<SimTime> {
+    pub(crate) fn current_start(&self) -> Option<SimTime> {
         self.current.map(|c| c.on_start)
     }
 
     /// Closes the open cycle and hands back the raw (unfiltered) cycles and
     /// the OFF periods between them.
-    pub fn into_raw(mut self) -> (Vec<Cycle>, Vec<(SimTime, SimTime)>) {
+    pub(crate) fn into_raw(mut self) -> (Vec<Cycle>, Vec<(SimTime, SimTime)>) {
         if let Some(c) = self.current.take() {
             self.cycles.push(c);
         }
@@ -129,7 +129,7 @@ impl CycleDetector {
     }
 
     /// Heap bytes held by the detector state.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.cycles.capacity() * std::mem::size_of::<Cycle>()
             + self.off_periods.capacity() * std::mem::size_of::<(SimTime, SimTime)>()
     }
@@ -214,14 +214,6 @@ impl OnOffAnalysis {
         self.off_periods
             .iter()
             .map(|&(s, e)| e.duration_since(s))
-            .collect()
-    }
-
-    /// Full cycle durations (ON start to next ON start).
-    pub fn cycle_durations(&self) -> Vec<SimDuration> {
-        self.cycles
-            .windows(2)
-            .map(|w| w[1].on_start.duration_since(w[0].on_start))
             .collect()
     }
 }
@@ -329,10 +321,9 @@ mod tests {
     fn cycle_durations_measure_start_to_start() {
         let trace = bursty_trace(3, 5, 1, 500);
         let a = OnOffAnalysis::from_trace(&trace, &AnalysisConfig::default());
-        let durations = a.cycle_durations();
-        assert_eq!(durations.len(), 2);
-        for d in durations {
-            assert_eq!(d, SimDuration::from_millis(505));
+        assert_eq!(a.cycles.len(), 3);
+        for w in a.cycles.windows(2) {
+            assert_eq!(w[1].on_start.duration_since(w[0].on_start), SimDuration::from_millis(505));
         }
     }
 

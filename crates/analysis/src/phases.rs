@@ -46,11 +46,6 @@ impl SessionPhases {
         self.buffering_end.is_some()
     }
 
-    /// Duration of the buffering phase.
-    pub fn buffering_duration(&self) -> Option<SimDuration> {
-        self.buffering_end.map(|be| be.saturating_duration_since(self.start))
-    }
-
     /// The accumulation ratio: steady-state download rate over the video
     /// encoding rate (§3). `None` for sessions without a steady state.
     pub fn accumulation_ratio(&self, encoding_rate_bps: f64) -> Option<f64> {
@@ -129,7 +124,7 @@ mod tests {
         assert_eq!(p.buffering_bytes, 500_000);
         assert_eq!(p.total_bytes, 500_000 + 10 * 64_000);
         // Buffering took 500 packets * 100 us = 50 ms.
-        let bd = p.buffering_duration().unwrap();
+        let bd = p.buffering_end.unwrap().duration_since(p.start);
         assert!(bd >= SimDuration::from_millis(49) && bd <= SimDuration::from_millis(51));
     }
 

@@ -24,25 +24,6 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if the CDF holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Fraction of samples less than or equal to `x`.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.partition_point(|&v| v <= x);
-        count as f64 / self.sorted.len() as f64
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1), by the nearest-rank method.
     ///
     /// The nearest rank is `⌈q·n⌉`, computed with a tolerance: `q·n` can
@@ -52,7 +33,7 @@ impl Cdf {
     ///
     /// # Panics
     /// Panics if the CDF is empty or `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "quantile of empty CDF");
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
         if q == 0.0 {
@@ -76,16 +57,6 @@ impl Cdf {
         mean(&self.sorted)
     }
 
-    /// Minimum sample.
-    pub fn min(&self) -> f64 {
-        *self.sorted.first().expect("min of empty CDF")
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("max of empty CDF")
-    }
-
     /// `(x, F(x))` pairs for plotting — one point per sample, as in the
     /// paper's staircase CDF figures.
     pub fn points(&self) -> Vec<(f64, f64)> {
@@ -95,11 +66,6 @@ impl Cdf {
             .enumerate()
             .map(|(i, &x)| (x, (i + 1) as f64 / n))
             .collect()
-    }
-
-    /// The underlying sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -155,14 +121,10 @@ mod tests {
     #[test]
     fn cdf_fraction_and_quantiles() {
         let cdf = Cdf::new(vec![3.0, 1.0, 2.0, 4.0]);
-        assert_eq!(cdf.fraction_at_or_below(0.5), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(2.0), 0.5);
-        assert_eq!(cdf.fraction_at_or_below(10.0), 1.0);
+        assert_eq!(cdf.points(), vec![(1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (4.0, 1.0)]);
         assert_eq!(cdf.median(), 2.0);
         assert_eq!(cdf.quantile(1.0), 4.0);
         assert_eq!(cdf.quantile(0.0), 1.0);
-        assert_eq!(cdf.min(), 1.0);
-        assert_eq!(cdf.max(), 4.0);
     }
 
     #[test]
@@ -241,31 +203,31 @@ mod tests {
             let mut rng = SimRng::new(0xCDF_0000 + seed);
             let n = 1 + rng.choose_index(200);
             let samples: Vec<f64> = (0..n).map(|_| rng.uniform_range(-1e6, 1e6)).collect();
+            let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let cdf = Cdf::new(samples);
             let q1 = rng.uniform();
             let q2 = rng.uniform();
             let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
             assert!(cdf.quantile(lo) <= cdf.quantile(hi), "seed {seed}");
-            assert!(cdf.quantile(0.0) >= cdf.min(), "seed {seed}");
-            assert!(cdf.quantile(1.0) <= cdf.max(), "seed {seed}");
+            assert_eq!(cdf.quantile(0.0), min, "seed {seed}");
+            assert_eq!(cdf.quantile(1.0), max, "seed {seed}");
         }
     }
 
-    /// fraction_at_or_below is a valid CDF: monotone, in [0, 1].
+    /// The plotted fractions form a valid CDF: samples and fractions both
+    /// monotone, every fraction in (0, 1], the last one exactly 1.
     #[test]
     fn fraction_monotone_random_samples() {
         for seed in 0..64u64 {
             let mut rng = SimRng::new(0xF8AC_0000 + seed);
             let n = 1 + rng.choose_index(200);
             let samples: Vec<f64> = (0..n).map(|_| rng.uniform_range(-1e6, 1e6)).collect();
-            let cdf = Cdf::new(samples);
-            let x1 = rng.uniform_range(-1e6, 1e6);
-            let x2 = rng.uniform_range(-1e6, 1e6);
-            let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
-            let f_lo = cdf.fraction_at_or_below(lo);
-            let f_hi = cdf.fraction_at_or_below(hi);
-            assert!((0.0..=1.0).contains(&f_lo), "seed {seed}");
-            assert!(f_lo <= f_hi, "seed {seed}");
+            let points = Cdf::new(samples).points();
+            assert_eq!(points.len(), n, "seed {seed}");
+            assert!(points.iter().all(|&(_, f)| f > 0.0 && f <= 1.0), "seed {seed}");
+            assert!(points.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1), "seed {seed}");
+            assert_eq!(points[n - 1].1, 1.0, "seed {seed}");
         }
     }
 

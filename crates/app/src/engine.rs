@@ -12,7 +12,7 @@
 //! deadline (the authors captured 180 s per video) or until the logic calls
 //! [`Engine::stop`].
 
-use vstream_capture::{NullSink, PacketSink, TapDirection, TapPacket, Tee, Trace};
+use vstream_capture::{PacketSink, TapDirection, TapPacket, Tee, Trace};
 use vstream_net::{CrossTraffic, Direction, DuplexPath, LrdCrossConfig};
 use vstream_obs::{collector, Counter, Gauge, HistId, Metrics};
 use vstream_sim::{EventQueue, QueueStats, SimDuration, SimRng, SimTime};
@@ -211,11 +211,6 @@ impl SessionScratch {
         }
     }
 
-    /// The telemetry accumulated by sessions run on this scratch.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Mutable access for callers that harvest session-level quantities
     /// (player stats, strategy block counts) after [`Engine::into_parts`].
     pub fn metrics_mut(&mut self) -> &mut Metrics {
@@ -262,7 +257,7 @@ pub trait SessionLogic {
     fn on_eof(&mut self, eng: &mut Engine, conn: usize) {
         let _ = (eng, conn);
     }
-    /// An application timer armed with [`Engine::schedule_app_timer`] fired.
+    /// An application timer armed with `Engine::schedule_app_timer` fired.
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         let _ = (eng, id);
     }
@@ -297,16 +292,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine over `path` that captures until `capture_limit`.
-    pub fn new(path: DuplexPath, seed: u64, capture_limit: SimDuration) -> Self {
-        Self::with_scratch(path, seed, capture_limit, SessionScratch::new())
-    }
-
-    /// Like [`Engine::new`], but reusing the allocations of a previous
-    /// session's [`SessionScratch`] (see [`Engine::into_parts`]). The
+    /// Creates an engine over `path` that captures until `capture_limit`,
+    /// reusing the allocations of a previous session's [`SessionScratch`]
+    /// (see [`Engine::into_parts`]) or of [`SessionScratch::new`]. The
     /// scratch contributes only capacity: the queue is reset and the SACK
-    /// slab and segment buffer cleared, so the session's behaviour is
-    /// identical to one built with [`Engine::new`].
+    /// slab and segment buffer cleared, so the session's behaviour does not
+    /// depend on which scratch it got.
     pub fn with_scratch(
         path: DuplexPath,
         seed: u64,
@@ -355,24 +346,15 @@ impl Engine {
         self.queue.now()
     }
 
-    /// The randomness source (for strategies that add jitter).
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// Stops the session at the current instant (user closed the player).
     pub fn stop(&mut self) {
         self.stopped = true;
     }
 
-    /// The capture a retaining run ([`Engine::run`], or
-    /// [`Engine::run_observed`] with `keep_trace`) stored when it returned.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Consumes the engine, returning the capture and a [`SessionScratch`]
-    /// holding this session's allocations for the next one.
+    /// Consumes the engine, returning the capture a retaining run
+    /// ([`Engine::run_observed`] with `keep_trace`) stored, empty otherwise,
+    /// and a [`SessionScratch`] holding this session's allocations for the
+    /// next one.
     ///
     /// When a metrics ledger is active, the session's telemetry — queue,
     /// path, endpoint, and capture counters — is harvested into the
@@ -453,11 +435,6 @@ impl Engine {
         (self.conns[conn].client.stats(), self.conns[conn].server.stats())
     }
 
-    /// The round-trip propagation delay of the underlying path.
-    pub fn base_rtt(&self) -> SimDuration {
-        self.path.base_rtt()
-    }
-
     // ------------------------------------------------------------------
     // Logic-facing operations
     // ------------------------------------------------------------------
@@ -521,23 +498,13 @@ impl Engine {
         n
     }
 
-    /// Bytes the client could read right now on `conn`.
-    pub fn available(&self, conn: usize) -> u64 {
-        self.conns[conn].client.available_to_read()
-    }
-
-    /// True once the server's whole stream (and FIN) has been read.
-    pub fn client_at_eof(&self, conn: usize) -> bool {
-        self.conns[conn].client.at_eof()
-    }
-
     /// True once the connection is established end to end.
-    pub fn is_established(&self, conn: usize) -> bool {
+    pub(crate) fn is_established(&self, conn: usize) -> bool {
         self.conns[conn].client.is_established() && self.conns[conn].server.is_established()
     }
 
     /// Arms an application timer that fires `delay` from now with `id`.
-    pub fn schedule_app_timer(&mut self, delay: SimDuration, id: u32) {
+    pub(crate) fn schedule_app_timer(&mut self, delay: SimDuration, id: u32) {
         let at = self.now() + delay;
         self.queue.schedule(at, Event::AppTimer { id });
     }
@@ -546,19 +513,15 @@ impl Engine {
     // The event loop
     // ------------------------------------------------------------------
 
-    /// Runs the session to completion: until the capture limit, an empty
-    /// event queue, or [`Engine::stop`].
-    pub fn run<L: SessionLogic>(&mut self, logic: &mut L) {
-        self.run_observed(logic, &mut NullSink, true);
-    }
-
-    /// Like [`Engine::run`], but additionally streams every tapped packet
+    /// Runs the session to completion — until the capture limit, an empty
+    /// event queue, or [`Engine::stop`] — streaming every tapped packet
     /// into `sink`, in capture order, as the session executes. With
     /// `keep_trace = false` the engine never materialises a [`Trace`] at
-    /// all — the sink is the only consumer — which is how the figure
-    /// drivers run, in O(flows) analysis memory; with `keep_trace = true`
-    /// a [`Trace`] rides a [`Tee`] beside `sink` and becomes
-    /// [`Engine::trace`] when the run returns.
+    /// all — the sink is the only consumer — which is how every session of
+    /// `repro` runs, in O(flows) analysis memory; with `keep_trace = true`
+    /// a [`Trace`] rides a [`Tee`] beside `sink` and [`Engine::into_parts`]
+    /// returns it. A caller that wants the capture can instead pass a
+    /// [`Trace`] as `sink`, as `SessionSpec::run` does.
     pub fn run_observed<L: SessionLogic, S: PacketSink + ?Sized>(
         &mut self,
         logic: &mut L,
@@ -805,9 +768,31 @@ impl Engine {
     }
 }
 
+/// Test support: an engine built the way `session::run_engine` builds one,
+/// run with a [`Trace`] as the packet sink — how `SessionSpec::run` retains
+/// a capture.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// An engine on a fresh [`SessionScratch`].
+    pub(crate) fn engine(path: DuplexPath, seed: u64, capture_limit: SimDuration) -> Engine {
+        Engine::with_scratch(path, seed, capture_limit, SessionScratch::new())
+    }
+
+    /// Runs `logic` to the end and returns the session's capture.
+    pub(crate) fn run_traced<L: SessionLogic>(eng: &mut Engine, logic: &mut L) -> Trace {
+        let mut trace = Trace::new();
+        eng.run_observed(logic, &mut trace, false);
+        trace
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::{engine, run_traced};
     use super::*;
+    use vstream_capture::NullSink;
     use vstream_net::NetworkProfile;
 
     /// A bulk-download logic used to exercise the engine itself.
@@ -837,7 +822,7 @@ mod tests {
 
     #[test]
     fn bulk_session_downloads_everything() {
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             7,
             SimDuration::from_secs(180),
@@ -847,16 +832,16 @@ mod tests {
             read_total: 0,
             finished_at: None,
         };
-        eng.run(&mut logic);
+        let trace = run_traced(&mut eng, &mut logic);
         assert_eq!(logic.read_total, 3_000_000);
         assert!(logic.finished_at.is_some());
-        assert_eq!(eng.trace().total_downloaded(), 3_000_000);
+        assert_eq!(trace.total_downloaded(), 3_000_000);
     }
 
     #[test]
     fn capture_limit_truncates_session() {
         // 100 MB over ~100 Mbps takes >8 s; a 1 s capture must stop early.
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             7,
             SimDuration::from_secs(1),
@@ -866,7 +851,7 @@ mod tests {
             read_total: 0,
             finished_at: None,
         };
-        eng.run(&mut logic);
+        eng.run_observed(&mut logic, &mut NullSink, false);
         assert!(logic.finished_at.is_none());
         assert!(eng.now() <= SimTime::from_secs(1));
         assert!(logic.read_total < 100_000_000);
@@ -891,13 +876,13 @@ mod tests {
                 }
             }
         }
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             1,
             SimDuration::from_secs(60),
         );
         let mut logic = TimerLogic { fired: Vec::new() };
-        eng.run(&mut logic);
+        eng.run_observed(&mut logic, &mut NullSink, false);
         assert_eq!(logic.fired, vec![1, 2, 3]);
     }
 
@@ -920,15 +905,15 @@ mod tests {
                 self.read[conn] += eng.client_read(conn, u64::MAX);
             }
         }
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             5,
             SimDuration::from_secs(30),
         );
         let mut logic = TwoConnLogic { read: [0, 0] };
-        eng.run(&mut logic);
+        let trace = run_traced(&mut eng, &mut logic);
         assert_eq!(logic.read, [100_000, 200_000]);
-        let conns: std::collections::BTreeSet<u32> = eng.trace().records().map(|p| p.conn).collect();
+        let conns: std::collections::BTreeSet<u32> = trace.records().map(|p| p.conn).collect();
         assert_eq!(conns, [0, 1].into());
         assert_eq!(eng.connection_count(), 2);
     }
@@ -936,7 +921,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = |seed: u64| {
-            let mut eng = Engine::new(
+            let mut eng = engine(
                 NetworkProfile::Residence.build_path(),
                 seed,
                 SimDuration::from_secs(30),
@@ -946,8 +931,8 @@ mod tests {
                 read_total: 0,
                 finished_at: None,
             };
-            eng.run(&mut logic);
-            (logic.finished_at, eng.trace().len(), eng.connection_stats(0))
+            let trace = run_traced(&mut eng, &mut logic);
+            (logic.finished_at, trace.len(), eng.connection_stats(0))
         };
         assert_eq!(run(42), run(42));
         // The Residence path has 1% loss, so a different seed almost surely
@@ -962,14 +947,14 @@ mod tests {
         if let Some(cross) = cross {
             path = path.with_cross_traffic(cross, 99);
         }
-        let mut eng = Engine::new(path, 7, SimDuration::from_secs(120));
+        let mut eng = engine(path, 7, SimDuration::from_secs(120));
         let mut logic = BulkLogic {
             size,
             read_total: 0,
             finished_at: None,
         };
-        eng.run(&mut logic);
-        (logic.finished_at.expect("transfer completes"), eng.trace().len())
+        let trace = run_traced(&mut eng, &mut logic);
+        (logic.finished_at.expect("transfer completes"), trace.len())
     }
 
     #[test]
@@ -1011,13 +996,13 @@ mod tests {
                 let cfg = LrdCrossConfig::for_load(100_000_000, 1);
                 path = path.with_cross_traffic(CrossTraffic::Lrd(cfg), 4);
             }
-            let mut eng = Engine::new(path, 13, SimDuration::from_secs(30));
+            let mut eng = engine(path, 13, SimDuration::from_secs(30));
             let mut logic = BulkLogic {
                 size: 1_000_000,
                 read_total: 0,
                 finished_at: None,
             };
-            eng.run(&mut logic);
+            eng.run_observed(&mut logic, &mut NullSink, false);
             logic.read_total
         };
         assert_eq!(run(false), run(true));
@@ -1067,19 +1052,21 @@ mod tests {
         // The Residence path has loss, so retransmissions and SACKs cross
         // the tap too.
         fn capture<L: SessionLogic>(mut logic: L, streamed: bool, keep_trace: bool) -> (Vec<TapPacket>, usize, L) {
-            let mut eng = Engine::new(
+            let mut eng = engine(
                 NetworkProfile::Residence.build_path(),
                 11,
                 SimDuration::from_secs(20),
             );
             let mut sink = Collect(Vec::new());
-            if streamed {
+            let kept = if streamed {
                 eng.run_observed(&mut logic, &mut sink, keep_trace);
+                eng.into_parts().0
             } else {
-                eng.run(&mut logic);
-                eng.trace().replay(&mut sink);
-            }
-            (sink.0, eng.trace().len(), logic)
+                let trace = run_traced(&mut eng, &mut logic);
+                trace.replay(&mut sink);
+                trace
+            };
+            (sink.0, kept.len(), logic)
         }
         fn check<L: SessionLogic>(make: impl Fn() -> L) -> (Vec<TapPacket>, L) {
             let (batch, batch_len, _) = capture(make(), false, true);
@@ -1106,7 +1093,7 @@ mod tests {
 
     #[test]
     fn trace_records_both_directions() {
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             7,
             SimDuration::from_secs(30),
@@ -1116,9 +1103,9 @@ mod tests {
             read_total: 0,
             finished_at: None,
         };
-        eng.run(&mut logic);
-        let incoming = eng.trace().records().filter(|r| r.dir() == TapDirection::Incoming).count();
-        let outgoing = eng.trace().records().filter(|r| r.dir() == TapDirection::Outgoing).count();
+        let trace = run_traced(&mut eng, &mut logic);
+        let incoming = trace.records().filter(|r| r.dir() == TapDirection::Incoming).count();
+        let outgoing = trace.records().filter(|r| r.dir() == TapDirection::Outgoing).count();
         assert!(incoming > 0);
         assert!(outgoing > 0, "tap must record ACKs too");
     }

@@ -3,7 +3,7 @@
 //! A player consumes the downloaded byte stream at the video's encoding
 //! rate. Playback starts once a startup threshold is buffered and stalls
 //! when the buffer empties (resuming at the same threshold). The model is
-//! evaluated lazily: [`Player::advance`] moves the internal clock, so the
+//! evaluated lazily: `Player::advance` moves the internal clock, so the
 //! session loop only touches the player when something happens.
 //!
 //! The player supplies the quantities behind the paper's discussion of
@@ -83,7 +83,7 @@ impl Player {
     /// # Panics
     /// Panics if the encoding rate is zero or the startup threshold exceeds
     /// the video size (it could never start).
-    pub fn new(encoding_bps: u64, startup_bytes: u64, video_bytes: u64) -> Self {
+    pub(crate) fn new(encoding_bps: u64, startup_bytes: u64, video_bytes: u64) -> Self {
         assert!(encoding_bps > 0, "encoding rate must be positive");
         assert!(
             startup_bytes <= video_bytes.max(1),
@@ -105,7 +105,7 @@ impl Player {
     }
 
     /// Feeds downloaded bytes into the playback buffer at time `now`.
-    pub fn feed(&mut self, now: SimTime, bytes: u64) {
+    pub(crate) fn feed(&mut self, now: SimTime, bytes: u64) {
         self.advance(now);
         self.fed = (self.fed + bytes).min(self.video_bytes);
         self.stats.peak_buffer_bytes = self.stats.peak_buffer_bytes.max(self.buffer_bytes());
@@ -136,7 +136,7 @@ impl Player {
     }
 
     /// Advances playback to time `now`, consuming buffered bytes.
-    pub fn advance(&mut self, now: SimTime) {
+    pub(crate) fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.clock, "player clock went backwards");
         if self.state == PlayState::Playing {
             let elapsed = now.duration_since(self.clock);
@@ -220,28 +220,8 @@ impl Player {
     }
 
     /// Bytes currently buffered (fed but not yet consumed).
-    pub fn buffer_bytes(&self) -> u64 {
+    pub(crate) fn buffer_bytes(&self) -> u64 {
         self.fed - self.consumed
-    }
-
-    /// Bytes of video consumed by playback so far.
-    pub fn consumed_bytes(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Bytes fed so far.
-    pub fn fed_bytes(&self) -> u64 {
-        self.fed
-    }
-
-    /// True while actively playing.
-    pub fn is_playing(&self) -> bool {
-        self.state == PlayState::Playing
-    }
-
-    /// True once the video has been fully played.
-    pub fn is_finished(&self) -> bool {
-        self.state == PlayState::Finished
     }
 
     /// True if playback has ever started.
@@ -249,20 +229,9 @@ impl Player {
         self.started_at.is_some()
     }
 
-    /// Buffered playback headroom at `now`, in seconds of video.
-    pub fn buffer_seconds(&self) -> f64 {
-        self.buffer_bytes() as f64 * 8.0 / self.encoding_bps as f64
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> PlayerStats {
         self.stats
-    }
-
-    /// Unused bytes if the viewer walked away at the player's current
-    /// clock: downloaded but never watched (the §6.2 waste metric).
-    pub fn unused_bytes(&self) -> u64 {
-        self.fed - self.consumed
     }
 }
 
@@ -296,9 +265,9 @@ mod tests {
     fn playback_waits_for_threshold() {
         let mut p = player();
         p.feed(t(1.0), 499_999);
-        assert!(!p.is_playing());
+        assert_ne!(p.state, PlayState::Playing);
         p.feed(t(1.1), 1);
-        assert!(p.is_playing());
+        assert_eq!(p.state, PlayState::Playing);
         assert_eq!(p.stats().startup_delay, Some(SimDuration::from_millis(1100)));
     }
 
@@ -306,12 +275,11 @@ mod tests {
     fn consumes_at_encoding_rate() {
         let mut p = player();
         p.feed(t(0.0), 1_000_000);
-        assert!(p.is_playing());
+        assert_eq!(p.state, PlayState::Playing);
         p.advance(t(4.0));
         // 4 s at 125 kB/s = 500 kB consumed.
-        assert_eq!(p.consumed_bytes(), 500_000);
+        assert_eq!(p.consumed, 500_000);
         assert_eq!(p.buffer_bytes(), 500_000);
-        assert!((p.buffer_seconds() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -319,12 +287,12 @@ mod tests {
         let mut p = player();
         p.feed(t(0.0), 500_000); // exactly the threshold = 4 s of video
         p.advance(t(10.0));
-        assert!(!p.is_playing());
-        assert_eq!(p.consumed_bytes(), 500_000);
+        assert_ne!(p.state, PlayState::Playing);
+        assert_eq!(p.consumed, 500_000);
         assert_eq!(p.stats().stalls, 1);
         // Refill at t=12; the stall ran from t=4 (buffer empty) to t=12.
         p.feed(t(12.0), 500_000);
-        assert!(p.is_playing());
+        assert_eq!(p.state, PlayState::Playing);
         assert_eq!(p.stats().stall_time, SimDuration::from_secs(8));
         // The completed stall is also recorded in the duration histogram:
         // 8000 ms lands in the [2^12, 2^13) bucket.
@@ -338,10 +306,10 @@ mod tests {
         let mut p = Player::new(1_000_000, 100_000, 1_250_000); // 10 s video
         p.feed(t(0.0), 1_250_000);
         p.advance(t(10.0));
-        assert!(p.is_finished());
-        assert_eq!(p.consumed_bytes(), 1_250_000);
+        assert_eq!(p.state, PlayState::Finished);
+        assert_eq!(p.consumed, 1_250_000);
         p.advance(t(20.0));
-        assert_eq!(p.consumed_bytes(), 1_250_000, "no consumption after the end");
+        assert_eq!(p.consumed, 1_250_000, "no consumption after the end");
     }
 
     #[test]
@@ -350,14 +318,14 @@ mod tests {
         // fully downloaded.
         let mut p = Player::new(1_000_000, 400_000, 400_000);
         p.feed(t(0.0), 400_000);
-        assert!(p.is_playing());
+        assert_eq!(p.state, PlayState::Playing);
     }
 
     #[test]
     fn feed_clamps_at_video_size() {
         let mut p = Player::new(1_000_000, 100_000, 1_000_000);
         p.feed(t(0.0), 5_000_000);
-        assert_eq!(p.fed_bytes(), 1_000_000);
+        assert_eq!(p.fed, 1_000_000);
     }
 
     #[test]
@@ -374,8 +342,9 @@ mod tests {
         let mut p = player();
         p.feed(t(0.0), 2_000_000);
         p.advance(t(4.0));
-        // 500 kB consumed; 1.5 MB downloaded-but-unwatched.
-        assert_eq!(p.unused_bytes(), 1_500_000);
+        // 500 kB consumed; the 1.5 MB still buffered is what a viewer who
+        // walked away now would have downloaded but never watched (§6.2).
+        assert_eq!(p.buffer_bytes(), 1_500_000);
     }
 
     #[test]
@@ -388,7 +357,7 @@ mod tests {
             a.advance(t(i as f64 * 0.1));
         }
         b.advance(t(10.0));
-        assert_eq!(a.consumed_bytes(), b.consumed_bytes());
+        assert_eq!(a.consumed, b.consumed);
         assert_eq!(a.buffer_bytes(), b.buffer_bytes());
     }
 

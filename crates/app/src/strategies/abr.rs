@@ -108,20 +108,9 @@ impl AbrLogic {
         }
     }
 
-    /// The video being streamed (nominal rate).
-    pub fn video(&self) -> Video {
-        self.video
-    }
-
     /// The currently selected encoding rate in bits per second.
-    pub fn current_rate(&self) -> u64 {
+    pub(crate) fn current_rate(&self) -> u64 {
         ABR_LADDER[self.rung]
-    }
-
-    /// The current throughput estimate in bits per second (0 before the
-    /// first segment completes).
-    pub fn estimate_bps(&self) -> f64 {
-        self.estimate_bps
     }
 
     /// Total playback milliseconds of the video.
@@ -254,6 +243,8 @@ impl SessionLogic for AbrLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testing::{engine, run_traced};
+    use vstream_capture::Trace;
     use vstream_net::{CrossTraffic, LrdCrossConfig, NetworkProfile};
 
     fn run_on(
@@ -261,23 +252,22 @@ mod tests {
         lrd: Option<LrdCrossConfig>,
         secs: u64,
         seed: u64,
-    ) -> (Engine, AbrLogic) {
+    ) -> (Trace, AbrLogic) {
         let mut path = profile.build_path();
         if let Some(cfg) = lrd {
             path = path.with_cross_traffic(CrossTraffic::Lrd(cfg), seed);
         }
-        let mut eng = Engine::new(path, seed, SimDuration::from_secs(secs));
+        let mut eng = engine(path, seed, SimDuration::from_secs(secs));
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(900));
         let mut logic = AbrLogic::new(video);
-        eng.run(&mut logic);
-        (eng, logic)
+        (run_traced(&mut eng, &mut logic), logic)
     }
 
     #[test]
     fn fast_path_climbs_to_the_top_rung() {
         // 100 Mbps research path: the estimate dwarfs the ladder top.
         let (_, logic) = run_on(NetworkProfile::Research, None, 120, 41);
-        assert_eq!(logic.current_rate(), 3_800_000, "estimate {}", logic.estimate_bps());
+        assert_eq!(logic.current_rate(), 3_800_000, "estimate {}", logic.estimate_bps);
         assert!(logic.switches >= 1, "must have climbed from the lowest rung");
         assert!(logic.player.has_started());
         assert_eq!(logic.player.stats().stalls, 0);
@@ -318,7 +308,7 @@ mod tests {
         let lrd = LrdCrossConfig::for_load(20_000_000, 500);
         let a = run_on(NetworkProfile::Home, Some(lrd), 120, 47);
         let b = run_on(NetworkProfile::Home, Some(lrd), 120, 47);
-        assert_eq!(a.0.trace().len(), b.0.trace().len());
+        assert_eq!(a.0.len(), b.0.len());
         assert_eq!(a.1.read_total, b.1.read_total);
         assert_eq!(a.1.switches, b.1.switches);
     }

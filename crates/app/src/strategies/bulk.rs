@@ -36,11 +36,6 @@ impl BulkLogic {
             completed_at: None,
         }
     }
-
-    /// The video being streamed.
-    pub fn video(&self) -> Video {
-        self.video
-    }
 }
 
 impl SessionLogic for BulkLogic {
@@ -70,22 +65,23 @@ impl SessionLogic for BulkLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testing::{engine, run_traced};
+    use vstream_capture::Trace;
     use vstream_analysis::{classify, AnalysisConfig, SessionPhases, Strategy};
     use vstream_net::NetworkProfile;
     use vstream_sim::SimDuration;
 
-    fn run(video: Video, profile: NetworkProfile, secs: u64) -> (Engine, BulkLogic) {
-        let mut eng = Engine::new(profile.build_path(), 19, SimDuration::from_secs(secs));
+    fn run(video: Video, profile: NetworkProfile, secs: u64) -> (Trace, BulkLogic) {
+        let mut eng = engine(profile.build_path(), 19, SimDuration::from_secs(secs));
         let mut logic = BulkLogic::new(video);
-        eng.run(&mut logic);
-        (eng, logic)
+        (run_traced(&mut eng, &mut logic), logic)
     }
 
     #[test]
     fn classified_as_no_onoff() {
         let video = Video::new(1, 2_000_000, SimDuration::from_secs(300));
-        let (eng, logic) = run(video, NetworkProfile::Research, 180);
-        assert_eq!(classify(eng.trace(), &AnalysisConfig::default()), Strategy::NoOnOff);
+        let (trace, logic) = run(video, NetworkProfile::Research, 180);
+        assert_eq!(classify(&trace, &AnalysisConfig::default()), Strategy::NoOnOff);
         assert_eq!(logic.read_total, video.size_bytes());
     }
 
@@ -110,8 +106,8 @@ mod tests {
     #[test]
     fn no_steady_state_phase() {
         let video = Video::new(1, 2_000_000, SimDuration::from_secs(300));
-        let (eng, _) = run(video, NetworkProfile::Research, 180);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(video, NetworkProfile::Research, 180);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         assert!(!phases.has_steady_state());
         assert_eq!(phases.buffering_bytes, video.size_bytes());
     }

@@ -105,11 +105,6 @@ impl ClientPullLogic {
         }
     }
 
-    /// The video being streamed.
-    pub fn video(&self) -> Video {
-        self.video
-    }
-
     /// The steady-state player-buffer target. At least one block above the
     /// startup threshold, so a block-sized pull is always eventually
     /// possible even when the block exceeds the initial download target.
@@ -199,21 +194,21 @@ impl SessionLogic for ClientPullLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testing::{engine, run_traced};
+    use vstream_capture::Trace;
     use vstream_analysis::{
         classify, AnalysisConfig, OnOffAnalysis, SessionPhases, Strategy, WindowFold,
     };
-    use vstream_capture::TapDirection;
     use vstream_net::NetworkProfile;
 
-    fn run(cfg: ClientPullConfig, video: Video, secs: u64) -> (Engine, ClientPullLogic) {
-        let mut eng = Engine::new(
+    fn run(cfg: ClientPullConfig, video: Video, secs: u64) -> (Trace, ClientPullLogic) {
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             13,
             SimDuration::from_secs(secs),
         );
         let mut logic = ClientPullLogic::new(cfg, video);
-        eng.run(&mut logic);
-        (eng, logic)
+        (run_traced(&mut eng, &mut logic), logic)
     }
 
     fn long_video() -> Video {
@@ -223,14 +218,14 @@ mod tests {
 
     #[test]
     fn ie_produces_short_cycles() {
-        let (eng, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
-        assert_eq!(classify(eng.trace(), &AnalysisConfig::default()), Strategy::ShortCycles);
+        let (trace, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
+        assert_eq!(classify(&trace, &AnalysisConfig::default()), Strategy::ShortCycles);
     }
 
     #[test]
     fn ie_blocks_are_256kb() {
-        let (eng, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
-        let analysis = OnOffAnalysis::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
+        let analysis = OnOffAnalysis::from_trace(&trace, &AnalysisConfig::default());
         let blocks = analysis.steady_state_block_sizes();
         assert!(!blocks.is_empty());
         let cdf = vstream_analysis::Cdf::new(blocks.iter().map(|&b| b as f64).collect());
@@ -243,15 +238,15 @@ mod tests {
 
     #[test]
     fn chrome_produces_long_cycles() {
-        let (eng, _) = run(ClientPullConfig::chrome(), long_video(), 180);
-        assert_eq!(classify(eng.trace(), &AnalysisConfig::default()), Strategy::LongCycles);
+        let (trace, _) = run(ClientPullConfig::chrome(), long_video(), 180);
+        assert_eq!(classify(&trace, &AnalysisConfig::default()), Strategy::LongCycles);
     }
 
     #[test]
     fn receive_window_collapses_to_zero() {
-        let (eng, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
+        let (trace, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
         let mut wnd = WindowFold::new(0);
-        eng.trace().replay(&mut wnd);
+        trace.replay(&mut wnd);
         let wnd = wnd.finish();
         assert!(
             wnd.iter().any(|&(_, w)| w == 0),
@@ -265,8 +260,8 @@ mod tests {
 
     #[test]
     fn buffering_amount_is_initial_target() {
-        let (eng, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         let mb = phases.buffering_bytes as f64 / 1e6;
         assert!(
             (10.0..=16.0).contains(&mb),
@@ -276,8 +271,8 @@ mod tests {
 
     #[test]
     fn accumulation_ratio_is_about_one() {
-        let (eng, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(ClientPullConfig::internet_explorer(), long_video(), 180);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         let k = phases.accumulation_ratio(1_500_000.0).unwrap_or(f64::NAN);
         assert!((0.85..=1.2).contains(&k), "k = {k:.3}");
     }
@@ -289,14 +284,14 @@ mod tests {
         // when the end-to-end available bandwidth is less than or equal to
         // the average data transfer rate").
         let video = Video::new(1, 9_000_000, SimDuration::from_secs(600));
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Residence.build_path(), // 7.7 Mbps < 9 Mbps
             17,
             SimDuration::from_secs(60),
         );
         let mut logic = ClientPullLogic::new(ClientPullConfig::internet_explorer(), video);
-        eng.run(&mut logic);
-        let analysis = OnOffAnalysis::from_trace(eng.trace(), &AnalysisConfig::default());
+        let trace = run_traced(&mut eng, &mut logic);
+        let analysis = OnOffAnalysis::from_trace(&trace, &AnalysisConfig::default());
         // Allow an RTO-artifact gap or two on the lossy Residence path, but
         // there must be no periodic OFF pattern.
         assert!(
@@ -309,16 +304,15 @@ mod tests {
     #[test]
     fn short_video_downloads_fully() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(60));
-        let (eng, logic) = run(ClientPullConfig::internet_explorer(), video, 180);
+        let (_, logic) = run(ClientPullConfig::internet_explorer(), video, 180);
         assert_eq!(logic.read_total, video.size_bytes());
-        let _ = eng;
     }
 
     #[test]
     fn android_profile_is_long_cycles_with_smaller_buffer() {
-        let (eng, _) = run(ClientPullConfig::android(), long_video(), 180);
-        assert_eq!(classify(eng.trace(), &AnalysisConfig::default()), Strategy::LongCycles);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(ClientPullConfig::android(), long_video(), 180);
+        assert_eq!(classify(&trace, &AnalysisConfig::default()), Strategy::LongCycles);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         let mb = phases.buffering_bytes as f64 / 1e6;
         assert!((4.0..=9.0).contains(&mb), "buffering = {mb:.1} MB (expected 4-8)");
     }
@@ -328,18 +322,18 @@ mod tests {
         // A capture so short the handshake never completes: the trace is
         // empty and every reduction must hand back its sentinel instead of
         // panicking the whole figure.
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             19,
             SimDuration::from_nanos(1),
         );
         let mut logic = ClientPullLogic::new(ClientPullConfig::internet_explorer(), long_video());
-        eng.run(&mut logic);
+        let trace = run_traced(&mut eng, &mut logic);
         let mut wnd = WindowFold::new(0);
-        eng.trace().replay(&mut wnd);
+        trace.replay(&mut wnd);
         let wnd = wnd.finish();
         assert_eq!(wnd.iter().map(|&(_, w)| w).max().unwrap_or(0), 0);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         assert!(phases.accumulation_ratio(1_500_000.0).is_none());
         assert_eq!(phases.total_bytes, 0);
         assert_eq!(logic.read_total, 0);
@@ -349,34 +343,29 @@ mod tests {
     fn sub_second_session_reductions_are_total() {
         // Half a second of capture: buffering never completes, there is no
         // steady state, and the reductions degrade to sentinels.
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             23,
             SimDuration::from_millis(500),
         );
         let mut logic = ClientPullLogic::new(ClientPullConfig::internet_explorer(), long_video());
-        eng.run(&mut logic);
+        let trace = run_traced(&mut eng, &mut logic);
         let mut wnd = WindowFold::new(0);
-        eng.trace().replay(&mut wnd);
+        trace.replay(&mut wnd);
         let wnd = wnd.finish();
         let _ = wnd.iter().map(|&(_, w)| w).max().unwrap_or(0);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         assert!(phases.accumulation_ratio(1_500_000.0).is_none());
-        let analysis = OnOffAnalysis::from_trace(eng.trace(), &AnalysisConfig::default());
+        let analysis = OnOffAnalysis::from_trace(&trace, &AnalysisConfig::default());
         assert!(analysis.steady_state_block_sizes().is_empty());
     }
 
     #[test]
     fn incoming_data_stops_between_pulls() {
-        let (eng, _) = run(ClientPullConfig::internet_explorer(), long_video(), 120);
+        let (trace, _) = run(ClientPullConfig::internet_explorer(), long_video(), 120);
         // Between pulls the server is silent: verify an inter-packet gap
         // close to the pull period exists.
-        let gaps = OnOffAnalysis::from_trace(eng.trace(), &AnalysisConfig::default());
+        let gaps = OnOffAnalysis::from_trace(&trace, &AnalysisConfig::default());
         assert!(gaps.has_off_periods());
-        let _ = eng
-            .trace()
-            .records()
-            .filter(|r| r.dir() == TapDirection::Incoming)
-            .count();
     }
 }

@@ -66,6 +66,8 @@ impl<L: SessionLogic> SessionLogic for InterruptAfter<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testing::engine;
+    use vstream_capture::NullSink;
     use crate::strategies::{BulkLogic, ServerPacedConfig, ServerPacedLogic};
     use crate::video::Video;
     use vstream_net::NetworkProfile;
@@ -74,7 +76,7 @@ mod tests {
     #[test]
     fn interruption_stops_the_session() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(600));
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             31,
             SimDuration::from_secs(180),
@@ -83,7 +85,7 @@ mod tests {
             ServerPacedLogic::new(ServerPacedConfig::default(), video),
             SimDuration::from_secs(30),
         );
-        eng.run(&mut logic);
+        eng.run_observed(&mut logic, &mut NullSink, false);
         assert!(logic.interrupted);
         assert!(eng.now() <= SimTime::from_secs(30));
         // Downloaded roughly the buffering phase plus a little steady state,
@@ -99,15 +101,15 @@ mod tests {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(600));
         let watch = SimDuration::from_secs(60);
 
-        let mut eng_bulk = Engine::new(
+        let mut eng_bulk = engine(
             NetworkProfile::Research.build_path(),
             31,
             SimDuration::from_secs(180),
         );
         let mut bulk = InterruptAfter::new(BulkLogic::new(video), watch);
-        eng_bulk.run(&mut bulk);
+        eng_bulk.run_observed(&mut bulk, &mut NullSink, false);
 
-        let mut eng_paced = Engine::new(
+        let mut eng_paced = engine(
             NetworkProfile::Research.build_path(),
             31,
             SimDuration::from_secs(180),
@@ -116,10 +118,10 @@ mod tests {
             ServerPacedLogic::new(ServerPacedConfig::default(), video),
             watch,
         );
-        eng_paced.run(&mut paced);
+        eng_paced.run_observed(&mut paced, &mut NullSink, false);
 
-        let waste_bulk = bulk.inner.player.unused_bytes();
-        let waste_paced = paced.inner.player.unused_bytes();
+        let waste_bulk = bulk.inner.player.buffer_bytes();
+        let waste_paced = paced.inner.player.buffer_bytes();
         assert!(
             waste_bulk > 2 * waste_paced,
             "bulk waste {waste_bulk} not >> paced waste {waste_paced}"
@@ -129,14 +131,14 @@ mod tests {
     #[test]
     fn no_interruption_before_deadline() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(10));
-        let mut eng = Engine::new(
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             31,
             SimDuration::from_secs(180),
         );
         // Watch time beyond the capture: never fires within the run.
         let mut logic = InterruptAfter::new(BulkLogic::new(video), SimDuration::from_secs(300));
-        eng.run(&mut logic);
+        eng.run_observed(&mut logic, &mut NullSink, false);
         assert!(!logic.interrupted);
         assert_eq!(logic.inner.read_total, video.size_bytes());
     }

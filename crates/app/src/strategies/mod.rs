@@ -33,7 +33,7 @@ pub(crate) fn trace_block_request(now: SimTime, blocks: u64) {
 /// Default player startup threshold: two seconds of content (clamped to the
 /// video size). All strategies share it; it only affects player statistics,
 /// not the traffic shape.
-pub fn startup_threshold(video: &Video) -> u64 {
+pub(crate) fn startup_threshold(video: &Video) -> u64 {
     video.playback_bytes(2.0).min(video.size_bytes()).max(1)
 }
 
@@ -44,7 +44,7 @@ pub fn startup_threshold(video: &Video) -> u64 {
 /// the bottleneck queue by megabytes, loses its tail against a closed
 /// receive window, and collapses cwnd by RTO — destroying the persistent
 /// congestion window whose absence of reset Fig. 9 demonstrates.
-pub fn server_tcp() -> vstream_tcp::TcpConfig {
+pub(crate) fn server_tcp() -> vstream_tcp::TcpConfig {
     let mut cfg = vstream_tcp::TcpConfig::default().with_recv_buffer(256 * 1024);
     cfg.max_cwnd = 1 << 20;
     cfg
@@ -56,7 +56,7 @@ pub fn server_tcp() -> vstream_tcp::TcpConfig {
 /// `SimDuration::from_secs_f64(bytes·8/bps)`, whose double rounding
 /// (f64 quotient, then ns conversion) made timer deltas depend on float
 /// representation rather than on the rates alone.
-pub fn rate_delay(bytes: u64, bps: u64) -> SimDuration {
+pub(crate) fn rate_delay(bytes: u64, bps: u64) -> SimDuration {
     debug_assert!(bps > 0, "rate must be positive");
     let ns = (bytes as u128 * 8_000_000_000u128 + bps as u128 / 2) / bps as u128;
     SimDuration::from_nanos(ns.min(u64::MAX as u128) as u64)

@@ -102,11 +102,11 @@ impl NetflixConfig {
         }
     }
 
-    /// Bytes of non-selected-rate fragments prefetched during buffering.
-    /// Integer `bits × ms / 8000` sizing: the old float form truncated
-    /// toward zero through an f64, so byte counts at odd rates depended on
-    /// float representation rather than on the ladder itself.
-    pub fn probe_bytes(&self) -> u64 {
+    /// Bytes of non-selected-rate fragments prefetched during buffering:
+    /// the reference the tests hold the session's probe reads to. Integer
+    /// `bits × ms / 8000` sizing, as the session's fragments are sized.
+    #[cfg(test)]
+    fn probe_bytes(&self) -> u64 {
         self.available_rates
             .iter()
             .filter(|&&r| r != self.selected_rate)
@@ -115,12 +115,12 @@ impl NetflixConfig {
     }
 
     /// Bytes of the selected rate buffered before steady state.
-    pub fn buffer_bytes(&self) -> u64 {
+    pub(crate) fn buffer_bytes(&self) -> u64 {
         rate_bytes_ms(self.selected_rate, secs_ms(self.buffer_playback_secs))
     }
 
     /// Steady-state block size in bytes.
-    pub fn block_bytes(&self) -> u64 {
+    pub(crate) fn block_bytes(&self) -> u64 {
         rate_bytes_ms(self.selected_rate, secs_ms(self.block_playback_secs))
     }
 }
@@ -180,16 +180,6 @@ impl NetflixLogic {
             blocks: 0,
             pull_armed: false,
         }
-    }
-
-    /// The (selected-rate) video being streamed.
-    pub fn video(&self) -> Video {
-        self.video
-    }
-
-    /// The session configuration.
-    pub fn config(&self) -> &NetflixConfig {
-        &self.cfg
     }
 
     fn client_tcp(&self) -> TcpConfig {
@@ -367,64 +357,66 @@ impl SessionLogic for NetflixLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testing::{engine, run_traced};
+    use vstream_capture::Trace;
     use vstream_analysis::{classify, AnalysisConfig, OnOffAnalysis, SessionPhases, Strategy};
     use vstream_net::NetworkProfile;
 
-    fn run(cfg: NetflixConfig, secs: u64) -> (Engine, NetflixLogic) {
-        let mut eng = Engine::new(
+    fn run(cfg: NetflixConfig, secs: u64) -> (Engine, Trace, NetflixLogic) {
+        let mut eng = engine(
             NetworkProfile::Academic.build_path(),
             29,
             SimDuration::from_secs(secs),
         );
         // A 40-minute title: never completes within the capture.
         let mut logic = NetflixLogic::new(cfg, SimDuration::from_secs(2400));
-        eng.run(&mut logic);
-        (eng, logic)
+        let trace = run_traced(&mut eng, &mut logic);
+        (eng, trace, logic)
     }
 
     #[test]
     fn pc_buffering_is_about_50mb() {
-        let (eng, _) = run(NetflixConfig::pc(), 180);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (_, trace, _) = run(NetflixConfig::pc(), 180);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         let mb = phases.buffering_bytes as f64 / 1e6;
         assert!((40.0..=60.0).contains(&mb), "PC buffering = {mb:.1} MB");
     }
 
     #[test]
     fn ipad_buffering_is_about_10mb() {
-        let (eng, _) = run(NetflixConfig::ipad(), 180);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (_, trace, _) = run(NetflixConfig::ipad(), 180);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         let mb = phases.buffering_bytes as f64 / 1e6;
         assert!((7.0..=16.0).contains(&mb), "iPad buffering = {mb:.1} MB");
     }
 
     #[test]
     fn android_buffering_is_about_40mb() {
-        let (eng, _) = run(NetflixConfig::android(), 180);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (_, trace, _) = run(NetflixConfig::android(), 180);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         let mb = phases.buffering_bytes as f64 / 1e6;
         assert!((30.0..=50.0).contains(&mb), "Android buffering = {mb:.1} MB");
     }
 
     #[test]
     fn pc_is_short_cycles_android_is_long() {
-        let (eng_pc, _) = run(NetflixConfig::pc(), 180);
+        let (_, trace_pc, _) = run(NetflixConfig::pc(), 180);
         assert_eq!(
-            classify(eng_pc.trace(), &AnalysisConfig::default()),
+            classify(&trace_pc, &AnalysisConfig::default()),
             Strategy::ShortCycles
         );
-        let (eng_android, _) = run(NetflixConfig::android(), 180);
+        let (_, trace_android, _) = run(NetflixConfig::android(), 180);
         assert_eq!(
-            classify(eng_android.trace(), &AnalysisConfig::default()),
+            classify(&trace_android, &AnalysisConfig::default()),
             Strategy::LongCycles
         );
     }
 
     #[test]
     fn pc_blocks_are_below_2p5mb_but_bigger_than_youtube() {
-        let (eng, logic) = run(NetflixConfig::pc(), 180);
-        assert_eq!(logic.config().block_bytes(), 1_500_000);
-        let analysis = OnOffAnalysis::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (_, trace, logic) = run(NetflixConfig::pc(), 180);
+        assert_eq!(logic.cfg.block_bytes(), 1_500_000);
+        let analysis = OnOffAnalysis::from_trace(&trace, &AnalysisConfig::default());
         let blocks = analysis.steady_state_block_sizes();
         assert!(!blocks.is_empty());
         let cdf = vstream_analysis::Cdf::new(blocks.iter().map(|&b| b as f64).collect());
@@ -437,7 +429,7 @@ mod tests {
 
     #[test]
     fn pc_uses_many_connections() {
-        let (eng, _) = run(NetflixConfig::pc(), 180);
+        let (eng, _, _) = run(NetflixConfig::pc(), 180);
         // 4 probes + buffering + one per steady-state block.
         assert!(
             eng.connection_count() > 10,
@@ -448,7 +440,7 @@ mod tests {
 
     #[test]
     fn android_uses_few_connections() {
-        let (eng, _) = run(NetflixConfig::android(), 180);
+        let (eng, _, _) = run(NetflixConfig::android(), 180);
         // 2 probes + 1 content connection.
         assert!(
             eng.connection_count() <= 3,
@@ -459,17 +451,18 @@ mod tests {
 
     #[test]
     fn probe_bytes_are_downloaded_but_not_played() {
-        let (_, logic) = run(NetflixConfig::pc(), 180);
+        let (_, _, logic) = run(NetflixConfig::pc(), 180);
         assert!(logic.probe_read > 0);
         let expected = NetflixConfig::pc().probe_bytes();
         assert_eq!(logic.probe_read, expected);
-        // Probe bytes never reach the player.
-        assert!(logic.player.fed_bytes() <= logic.read_total);
+        // Probe bytes never reach the player: it buffers no more than the
+        // playback reads delivered.
+        assert!(logic.player.buffer_bytes() <= logic.read_total);
     }
 
     #[test]
     fn player_sustains_playback() {
-        let (_, logic) = run(NetflixConfig::pc(), 180);
+        let (_, _, logic) = run(NetflixConfig::pc(), 180);
         assert!(logic.player.has_started());
         assert_eq!(logic.player.stats().stalls, 0);
     }

@@ -75,13 +75,8 @@ impl RangeRequestLogic {
         }
     }
 
-    /// The video being streamed.
-    pub fn video(&self) -> Video {
-        self.video
-    }
-
     /// The chunk size for this video's encoding rate.
-    pub fn chunk_bytes(&self) -> u64 {
+    pub(crate) fn chunk_bytes(&self) -> u64 {
         self.video
             .playback_bytes(CHUNK_PLAYBACK_SECS)
             .max(MIN_CHUNK_BYTES)
@@ -168,25 +163,27 @@ impl SessionLogic for RangeRequestLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testing::{engine, run_traced};
+    use vstream_capture::Trace;
     use vstream_analysis::{AnalysisConfig, OnOffAnalysis};
     use vstream_net::NetworkProfile;
 
-    fn run(video: Video, secs: u64) -> (Engine, RangeRequestLogic) {
-        let mut eng = Engine::new(
+    fn run(video: Video, secs: u64) -> (Engine, Trace, RangeRequestLogic) {
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             23,
             SimDuration::from_secs(secs),
         );
         let mut logic = RangeRequestLogic::new(video);
-        eng.run(&mut logic);
-        (eng, logic)
+        let trace = run_traced(&mut eng, &mut logic);
+        (eng, trace, logic)
     }
 
     #[test]
     fn uses_many_connections() {
         // Paper: 37 connections in the first 60 s of one session.
         let video = Video::new(1, 2_500_000, SimDuration::from_secs(900));
-        let (eng, _) = run(video, 60);
+        let (eng, _, _) = run(video, 60);
         assert!(
             eng.connection_count() >= 8,
             "only {} connections",
@@ -207,8 +204,8 @@ mod tests {
     #[test]
     fn periodic_buffering_pattern() {
         let video = Video::new(1, 2_000_000, SimDuration::from_secs(900));
-        let (eng, _) = run(video, 120);
-        let analysis = OnOffAnalysis::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (_, trace, _) = run(video, 120);
+        let analysis = OnOffAnalysis::from_trace(&trace, &AnalysisConfig::default());
         assert!(analysis.has_off_periods(), "expected ON-OFF structure");
         assert!(analysis.cycles.len() >= 3);
     }
@@ -216,7 +213,7 @@ mod tests {
     #[test]
     fn downloads_are_sequential_and_complete() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(60));
-        let (eng, logic) = run(video, 180);
+        let (eng, _, logic) = run(video, 180);
         assert_eq!(logic.read_total, video.size_bytes());
         // Every connection carried data.
         for conn in 0..eng.connection_count() {
@@ -228,7 +225,7 @@ mod tests {
     #[test]
     fn respects_player_buffer_target() {
         let video = Video::new(1, 2_000_000, SimDuration::from_secs(900));
-        let (_, logic) = run(video, 120);
+        let (_, _, logic) = run(video, 120);
         // The buffer never wildly exceeds the target (one chunk of slack).
         let peak = logic.player.stats().peak_buffer_bytes;
         let bound = TARGET_BYTES + logic.chunk_bytes();

@@ -73,11 +73,6 @@ impl ServerPacedLogic {
         }
     }
 
-    /// The video being streamed.
-    pub fn video(&self) -> Video {
-        self.video
-    }
-
     fn block_interval(&self) -> SimDuration {
         // block / (k * e) seconds per block. Intentionally float: the
         // accumulation ratio k is a real-valued target (1.25, 0.95, …), so
@@ -132,35 +127,36 @@ impl SessionLogic for ServerPacedLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testing::{engine, run_traced};
+    use vstream_capture::{TapDirection, Trace, FLAG_FIN};
     use vstream_analysis::{classify, AnalysisConfig, SessionPhases, Strategy, WindowFold};
     use vstream_net::NetworkProfile;
     use vstream_sim::SimDuration;
 
-    fn run(video: Video, secs: u64) -> (Engine, ServerPacedLogic) {
-        let mut eng = Engine::new(
+    fn run(video: Video, secs: u64) -> (Trace, ServerPacedLogic) {
+        let mut eng = engine(
             NetworkProfile::Research.build_path(),
             11,
             SimDuration::from_secs(secs),
         );
         let mut logic = ServerPacedLogic::new(ServerPacedConfig::default(), video);
-        eng.run(&mut logic);
-        (eng, logic)
+        (run_traced(&mut eng, &mut logic), logic)
     }
 
     #[test]
     fn produces_short_onoff_cycles() {
         // 1 Mbps, 600 s video — far longer than the 180 s capture.
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(600));
-        let (eng, _) = run(video, 180);
-        let strategy = classify(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(video, 180);
+        let strategy = classify(&trace, &AnalysisConfig::default());
         assert_eq!(strategy, Strategy::ShortCycles);
     }
 
     #[test]
     fn buffering_phase_holds_40s_of_playback() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(600));
-        let (eng, _) = run(video, 180);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(video, 180);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         assert!(phases.has_steady_state());
         let playback = phases.buffered_playback_time(1_000_000.0);
         assert!(
@@ -172,8 +168,8 @@ mod tests {
     #[test]
     fn steady_state_blocks_are_64kb() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(600));
-        let (eng, _) = run(video, 180);
-        let analysis = vstream_analysis::OnOffAnalysis::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(video, 180);
+        let analysis = vstream_analysis::OnOffAnalysis::from_trace(&trace, &AnalysisConfig::default());
         let blocks = analysis.steady_state_block_sizes();
         assert!(blocks.len() > 100, "expected many cycles, got {}", blocks.len());
         let cdf = vstream_analysis::Cdf::new(blocks.iter().map(|&b| b as f64).collect());
@@ -187,8 +183,8 @@ mod tests {
     #[test]
     fn accumulation_ratio_is_125() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(600));
-        let (eng, _) = run(video, 180);
-        let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+        let (trace, _) = run(video, 180);
+        let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         let k = phases.accumulation_ratio(1_000_000.0).unwrap_or(f64::NAN);
         assert!((1.1..=1.4).contains(&k), "k = {k:.3}");
     }
@@ -199,14 +195,14 @@ mod tests {
         // through the reduction set without a panic.
         for (seed, capture) in [(31, SimDuration::from_nanos(1)), (37, SimDuration::from_millis(700))] {
             let video = Video::new(1, 1_000_000, SimDuration::from_secs(600));
-            let mut eng = Engine::new(NetworkProfile::Research.build_path(), seed, capture);
+            let mut eng = engine(NetworkProfile::Research.build_path(), seed, capture);
             let mut logic = ServerPacedLogic::new(ServerPacedConfig::default(), video);
-            eng.run(&mut logic);
-            let phases = SessionPhases::from_trace(eng.trace(), &AnalysisConfig::default());
+            let trace = run_traced(&mut eng, &mut logic);
+            let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
             // No steady state yet: the ratio is a sentinel, not a panic.
             assert!(phases.accumulation_ratio(1_000_000.0).is_none());
             let mut wnd = WindowFold::new(0);
-            eng.trace().replay(&mut wnd);
+            trace.replay(&mut wnd);
             let wnd = wnd.finish();
             let _ = wnd.iter().map(|&(_, w)| w).max().unwrap_or(0);
         }
@@ -216,9 +212,11 @@ mod tests {
     fn short_video_completes_and_closes() {
         // 30 s video: fully pushed in the initial burst.
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(30));
-        let (eng, logic) = run(video, 180);
+        let (trace, logic) = run(video, 180);
         assert_eq!(logic.read_total, video.size_bytes());
-        assert!(eng.client_at_eof(0));
+        assert!(trace
+            .records()
+            .any(|p| p.dir() == TapDirection::Incoming && p.flags & FLAG_FIN != 0));
     }
 
     #[test]

@@ -49,12 +49,12 @@ impl Video {
     /// Bytes corresponding to `ms` milliseconds of playback — the pure
     /// integer form of [`Video::playback_bytes`] for callers that already
     /// account in milliseconds (the ABR segment machinery).
-    pub fn playback_bytes_ms(&self, ms: u64) -> u64 {
+    pub(crate) fn playback_bytes_ms(&self, ms: u64) -> u64 {
         rate_bytes_ms(self.encoding_bps, ms)
     }
 
     /// The playback duration in whole milliseconds.
-    pub fn duration_ms(&self) -> u64 {
+    pub(crate) fn duration_ms(&self) -> u64 {
         self.duration.as_nanos() / 1_000_000
     }
 }
@@ -63,7 +63,7 @@ impl Video {
 /// u128 (no overflow, no float), rounded toward zero. Strategies size their
 /// blocks and probe fragments through this so byte counts are a pure
 /// function of the integer rate and duration.
-pub fn rate_bytes_ms(bps: u64, ms: u64) -> u64 {
+pub(crate) fn rate_bytes_ms(bps: u64, ms: u64) -> u64 {
     (bps as u128 * ms as u128 / 8_000) as u64
 }
 

@@ -24,7 +24,7 @@ pub mod trace;
 pub use pack::PackedTrace;
 pub use record::{PacketRecord, TapDirection};
 pub use sink::{
-    flags_of, NullSink, PacketSink, TapPacket, Tee, FLAG_ACK, FLAG_FIN, FLAG_OUTGOING,
+    NullSink, PacketSink, TapPacket, Tee, FLAG_ACK, FLAG_FIN, FLAG_OUTGOING,
     FLAG_RETX, FLAG_SACK, FLAG_SYN,
 };
 pub use trace::{ConnectionSummary, Trace};

@@ -49,7 +49,7 @@ pub const FLAG_SACK: u8 = 1 << 5;
 /// the single definition both [`crate::Trace::push`] and the engine's tap
 /// go through, so a recorded flag byte and a streamed one can never
 /// disagree.
-pub fn flags_of(dir: TapDirection, seg: &Segment) -> u8 {
+pub(crate) fn flags_of(dir: TapDirection, seg: &Segment) -> u8 {
     let mut tag = 0u8;
     if dir == TapDirection::Outgoing {
         tag |= FLAG_OUTGOING;
@@ -97,7 +97,7 @@ pub struct TapPacket {
 
 impl TapPacket {
     /// Builds the tap tuple from a captured segment, deriving the flag
-    /// byte via [`flags_of`].
+    /// byte via `flags_of`.
     pub fn new(at: SimTime, dir: TapDirection, seg: &Segment) -> Self {
         TapPacket {
             at,
@@ -144,7 +144,7 @@ impl TapPacket {
     }
 
     /// True for client-to-server packets.
-    pub fn is_outgoing(&self) -> bool {
+    pub(crate) fn is_outgoing(&self) -> bool {
         self.flags & FLAG_OUTGOING != 0
     }
 
@@ -153,13 +153,8 @@ impl TapPacket {
         self.flags & FLAG_OUTGOING == 0 && self.payload > 0
     }
 
-    /// True for retransmitted segments.
-    pub fn is_retx(&self) -> bool {
-        self.flags & FLAG_RETX != 0
-    }
-
     /// True when the ACK flag is set.
-    pub fn is_ack(&self) -> bool {
+    pub(crate) fn is_ack(&self) -> bool {
         self.flags & FLAG_ACK != 0
     }
 

@@ -59,7 +59,7 @@ fn randomized_pack_roundtrip() {
             assert_eq!(packed.len(), trace.len());
             let back = packed.unpack();
             assert_eq!(back, trace, "seed {seed} {shape:?}: pack roundtrip");
-            if !trace.is_empty() {
+            if !packed.is_empty() {
                 assert!(
                     packed.packed_bytes() < trace.resident_bytes(),
                     "seed {seed} {shape:?}: packing must beat raw records"

@@ -92,7 +92,7 @@ pub fn uninstall() {
 
 /// True while the cache is installed. A single relaxed-ish atomic load —
 /// the only cost the cache adds to an uncached run.
-pub fn is_active() -> bool {
+pub(crate) fn is_active() -> bool {
     ACTIVE.load(Ordering::Acquire)
 }
 

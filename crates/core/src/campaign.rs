@@ -56,7 +56,7 @@ const CAMPAIGN_TAG: u64 = 0xCA59;
 const CAPTURE_SLACK_SECS: f64 = 60.0;
 
 /// Checkpoint format version; bumping it invalidates old ledgers.
-const SHARD_FORMAT: &str = "vstream-campaign-shard v1";
+const SHARD_FORMAT: &str = "vstream-campaign-shard v2";
 
 /// The longest arrival window [`CampaignSpec::validate`] accepts, seconds
 /// (30 days). Each shard's aggregate timeline holds one `u64` bin per second
@@ -88,7 +88,7 @@ impl CampaignStrategy {
     ];
 
     /// Stable label for tables and ledgers.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CampaignStrategy::ShortCycles => "short-cycles",
             CampaignStrategy::LongCycles => "long-cycles",
@@ -102,15 +102,6 @@ impl CampaignStrategy {
             CampaignStrategy::ShortCycles => (Client::Firefox, Container::Flash),
             CampaignStrategy::LongCycles => (Client::Chrome, Container::Html5),
             CampaignStrategy::Bulk => (Client::Firefox, Container::Html5),
-        }
-    }
-
-    /// The fluid-model shape of this strategy.
-    pub fn fluid(self) -> vstream_model::FluidStrategy {
-        match self {
-            CampaignStrategy::ShortCycles => vstream_model::FluidStrategy::short_cycles(),
-            CampaignStrategy::LongCycles => vstream_model::FluidStrategy::long_cycles(),
-            CampaignStrategy::Bulk => vstream_model::FluidStrategy::Bulk,
         }
     }
 
@@ -221,7 +212,7 @@ impl CampaignSpec {
     }
 
     /// The shard plan over the packet sessions.
-    pub fn plan(&self) -> ShardPlan {
+    pub(crate) fn plan(&self) -> ShardPlan {
         ShardPlan::new(self.packet_sessions, self.shard_size)
     }
 
@@ -245,7 +236,7 @@ impl CampaignSpec {
     /// The population as closed-form mix components — one per vantage
     /// point, each with the nominal downlink as `E[G]` (the calibration
     /// factor reported by the run maps nominal to TCP-achieved).
-    pub fn mix_components(&self) -> Vec<MixComponent> {
+    pub(crate) fn mix_components(&self) -> Vec<MixComponent> {
         let e = (self.encoding_bps.0 + self.encoding_bps.1) / 2.0;
         let l = (self.duration_secs.0 + self.duration_secs.1) / 2.0;
         self.profile_mix
@@ -684,9 +675,17 @@ fn shard_path(dir: &Path, k: usize) -> PathBuf {
     dir.join(format!("shard-{k:04}.ckpt"))
 }
 
+/// FNV-1a (64-bit) of a checkpoint body.
+fn checksum(body: &str) -> u64 {
+    body.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// Serialises one shard's reduction. Integers only; the format is strict
 /// line-oriented text so a truncated or foreign file fails to parse and
-/// the shard is simply recomputed.
+/// the shard is simply recomputed. A checksum line over everything before
+/// it guards the numbers themselves: a flipped digit still parses, so
+/// without it a corrupted tally would resume into wrong output silently.
 fn serialize_shard(key: u64, k: usize, start: usize, end: usize, r: &Reduction) -> String {
     let mut s = String::with_capacity(256 + r.timeline_bits.len() * 8);
     let _ = writeln!(s, "{SHARD_FORMAT}");
@@ -715,13 +714,15 @@ fn serialize_shard(key: u64, k: usize, start: usize, end: usize, r: &Reduction) 
         let _ = write!(s, "{v}");
     }
     s.push('\n');
+    let sum = checksum(&s);
+    let _ = writeln!(s, "checksum {sum:016x}");
     s.push_str("end\n");
     s
 }
 
 /// Writes a shard checkpoint: to a temp file first, renamed into place, so
 /// a mid-write kill leaves no half-checkpoint the resume path could trust
-/// (it could not parse one anyway — `end` is the integrity marker).
+/// (it could not parse one anyway — the checksum and `end` lines close it).
 fn write_shard(
     dir: &Path,
     key: u64,
@@ -759,7 +760,11 @@ fn parse_shard(
     end: usize,
     horizon: usize,
 ) -> Option<Reduction> {
-    let mut lines = text.lines();
+    let body = &text[..text.rfind("\nchecksum ")? + 1];
+    if text[body.len()..] != format!("checksum {:016x}\nend\n", checksum(body)) {
+        return None;
+    }
+    let mut lines = body.lines();
     if lines.next()? != SHARD_FORMAT {
         return None;
     }
@@ -817,7 +822,7 @@ fn parse_shard(
     let timeline: Option<Vec<u64>> =
         lines.next()?.split(' ').map(|w| w.parse().ok()).collect();
     r.timeline_bits = timeline?;
-    if r.timeline_bits.len() != horizon || lines.next()? != "end" {
+    if r.timeline_bits.len() != horizon || lines.next().is_some() {
         return None;
     }
     Some(r)
@@ -893,7 +898,7 @@ impl Validation {
 
     /// The `summary.txt` the ledger records: the gate verdict plus every
     /// number behind it.
-    pub fn ledger_text(&self) -> String {
+    pub(crate) fn ledger_text(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "vstream-campaign-summary v1");
         let _ = writeln!(s, "gate {}", if self.pass() { "PASS" } else { "FAIL" });
@@ -1309,6 +1314,30 @@ mod tests {
         assert!(parse_shard(&text, 0xABCD, 1, 4, 8, 9).is_none());
         let truncated = &text[..text.len() - 5];
         assert!(parse_shard(truncated, 0xABCD, 1, 4, 8, 8).is_none());
+    }
+
+    /// Increments the first digit after `prefix` (9 wraps to 0): the text
+    /// still parses, only the number changed.
+    fn flip_digit(text: &str, prefix: &str) -> String {
+        let at = text.find(prefix).expect("prefix present") + prefix.len();
+        let i = at + text[at..].find(|c: char| c.is_ascii_digit()).expect("a digit follows");
+        let d = text.as_bytes()[i] - b'0';
+        format!("{}{}{}", &text[..i], (d + 1) % 10, &text[i + 1..])
+    }
+
+    #[test]
+    fn flipped_digits_fail_the_checksum() {
+        let mut r = Reduction::new(8);
+        r.sessions = 3;
+        r.per_profile[2] = ClassTally { sessions: 3, bits: 40_000_000, active_bins: 5 };
+        r.timeline_bits = vec![0, 5_000_000, 0, 3_000_000, 0, 0, 7, 0];
+        let text = serialize_shard(0xABCD, 1, 4, 8, &r);
+        assert_eq!(parse_shard(&text, 0xABCD, 1, 4, 8, 8), Some(r));
+        for prefix in ["timeline 8\n", "profile 2 "] {
+            let flipped = flip_digit(&text, prefix);
+            assert_ne!(flipped, text);
+            assert!(parse_shard(&flipped, 0xABCD, 1, 4, 8, 8).is_none(), "{prefix:?} flip accepted");
+        }
     }
 
     #[test]

@@ -252,7 +252,7 @@ mod tests {
         // Monotone non-decreasing cumulative download.
         assert!(s.points.windows(2).all(|w| w[1].1 >= w[0].1));
         // ~40 s of 1 Mbps = 5 MB buffering, plus steady state.
-        let total = s.last_y().unwrap();
+        let total = s.points.last().unwrap().1;
         assert!(total > 5.0, "downloaded {total:.1} MB");
     }
 
@@ -289,13 +289,13 @@ mod tests {
         assert_eq!(short.series.len(), 2);
         // PC downloads much more than iPad in the same window (50 vs 10 MB
         // buffering).
-        let pc_total = short.series[0].last_y().unwrap();
-        let ipad_total = short.series[1].last_y().unwrap();
+        let pc_total = short.series[0].points.last().unwrap().1;
+        let ipad_total = short.series[1].points.last().unwrap().1;
         assert!(
             pc_total > 2.0 * ipad_total,
             "PC {pc_total:.0} MB vs iPad {ipad_total:.0} MB"
         );
-        assert!(long.series[0].last_y().unwrap() > 30.0);
+        assert!(long.series[0].points.last().unwrap().1 > 30.0);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! so they record no events and never rewrite a file (the miss that
 //! populated the entry already dumped the identical bytes).
 //!
-//! With `--trace-anomalies` only sessions tripping [`is_anomalous`] are
+//! With `--trace-anomalies` only sessions tripping `is_anomalous` are
 //! written: a completed stall beyond [`ANOMALY_STALL_NS`] or at least
 //! [`ANOMALY_TIMEOUT_COUNT`] retransmission timeouts across the session's
 //! endpoints (a retransmit storm). The ring still records everything —
@@ -53,7 +53,7 @@ pub const ANOMALY_TIMEOUT_COUNT: u64 = 3;
 pub struct TraceConfig {
     /// Directory dump files are written into (created on install).
     pub dir: PathBuf,
-    /// Dump only sessions tripping [`is_anomalous`].
+    /// Dump only sessions tripping `is_anomalous`.
     pub anomalies_only: bool,
     /// Ring capacity per session.
     pub ring_cap: usize,
@@ -84,7 +84,7 @@ pub fn uninstall() {
 /// a caller that brackets a ring of its own with the bare switch on keeps
 /// that ring.
 #[inline]
-pub fn session_begin() -> bool {
+pub(crate) fn session_begin() -> bool {
     let cap = CONFIG.lock().expect("flight config poisoned").as_ref().map(|c| c.ring_cap);
     let Some(cap) = cap else { return false };
     trace::begin_session(cap);
@@ -96,7 +96,7 @@ pub fn session_begin() -> bool {
 /// player statistics and block count, the pair the ledger's `app_*` slots
 /// read (`None` for a session without a player). When no bracket was
 /// opened (the recorder is off) there is no ring and this is a no-op.
-pub fn session_end(
+pub(crate) fn session_end(
     stem: impl FnOnce() -> String,
     app: Option<&(PlayerStats, u64)>,
     connection_stats: &[(EndpointStats, EndpointStats)],
@@ -122,7 +122,7 @@ pub fn session_end(
 /// The post-hoc anomaly predicate: a completed stall of at least
 /// [`ANOMALY_STALL_NS`], or at least [`ANOMALY_TIMEOUT_COUNT`] RTO fires
 /// summed over every endpoint (client and server, all connections).
-pub fn is_anomalous(
+pub(crate) fn is_anomalous(
     player: Option<&PlayerStats>,
     connection_stats: &[(EndpointStats, EndpointStats)],
 ) -> bool {
@@ -144,7 +144,7 @@ fn total_timeouts(connection_stats: &[(EndpointStats, EndpointStats)]) -> u64 {
 /// Identity-derived dump file stem: every cache-key field appears, so two
 /// distinct sessions can never share a file and re-running the same spec
 /// rewrites identical bytes.
-pub fn file_stem(spec: &SessionSpec) -> String {
+pub(crate) fn file_stem(spec: &SessionSpec) -> String {
     let mut stem = format!(
         "{}-{}-{}-v{}-r{}-d{}-s{}-c{}",
         slug(spec.client.label()),
@@ -242,7 +242,7 @@ fn is_counter(kind: EventKind) -> bool {
 
 /// Renders the ring as Chrome trace-event JSON (the `chrome://tracing` /
 /// Perfetto interchange format).
-pub fn chrome_trace_json(stem: &str, rec: &Recorder) -> String {
+pub(crate) fn chrome_trace_json(stem: &str, rec: &Recorder) -> String {
     let events = rec.events();
     let mut s = String::with_capacity(256 + events.len() * 160);
     s.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{");
@@ -306,7 +306,7 @@ fn chrome_event(ev: &Event) -> String {
 /// (`app`: its statistics and block count) ends in a QoE footer read from
 /// those counters, not from the ring, which may have overwritten the
 /// session's start.
-pub fn text_timeline(
+pub(crate) fn text_timeline(
     stem: &str,
     rec: &Recorder,
     app: Option<&(PlayerStats, u64)>,

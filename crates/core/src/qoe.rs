@@ -70,7 +70,7 @@ impl QoeSummary {
     }
 
     /// Mean completed stall duration in microseconds (0 when none).
-    pub fn stall_mean_us(&self) -> u64 {
+    pub(crate) fn stall_mean_us(&self) -> u64 {
         if self.stalls_completed == 0 {
             0
         } else {
@@ -100,7 +100,7 @@ pub struct QoeRow {
 
 impl QoeRow {
     /// Builds the row for one resolved session.
-    pub fn of(spec: &SessionSpec, logic: &StrategyLogic) -> QoeRow {
+    pub(crate) fn of(spec: &SessionSpec, logic: &StrategyLogic) -> QoeRow {
         QoeRow {
             client: spec.client.label(),
             container: spec.container.label(),
@@ -190,7 +190,7 @@ pub fn install() {
 
 /// Whether a collector is installed. The batch layer reads it once per
 /// batch, so a lock is no cost.
-pub fn is_active() -> bool {
+pub(crate) fn is_active() -> bool {
     STATE.lock().expect("qoe state poisoned").is_some()
 }
 
@@ -207,7 +207,7 @@ pub fn begin_figure(figure: &str) {
 /// inapplicable cells, which occupy no row). Called once per batch from the
 /// session layer, after the parallel scatter — so the table's order is the
 /// deterministic batch order, independent of worker interleaving.
-pub fn push_batch(rows: Vec<Option<QoeRow>>) {
+pub(crate) fn push_batch(rows: Vec<Option<QoeRow>>) {
     let mut g = STATE.lock().expect("qoe state poisoned");
     if let Some(state) = g.as_mut() {
         for row in rows.into_iter().flatten() {

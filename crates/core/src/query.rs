@@ -82,7 +82,7 @@ pub struct SwitchRateQuery {
 
 impl SessionQuery {
     /// An empty query with explicit analysis thresholds.
-    pub fn with_config(config: AnalysisConfig) -> Self {
+    pub(crate) fn with_config(config: AnalysisConfig) -> Self {
         SessionQuery {
             config,
             ..SessionQuery::default()

@@ -15,16 +15,11 @@ pub struct Series {
 
 impl Series {
     /// Creates a series.
-    pub fn new(label: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
+    pub(crate) fn new(label: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
         Series {
             label: label.into(),
             points,
         }
-    }
-
-    /// Final y value, if any (e.g. total downloaded).
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|&(_, y)| y)
     }
 }
 
@@ -190,12 +185,6 @@ mod tests {
         let s = sample_figure().summary();
         assert!(s.contains("[figX]"));
         assert!(s.contains("2 points"));
-    }
-
-    #[test]
-    fn series_last_y() {
-        assert_eq!(Series::new("x", vec![(0.0, 5.0)]).last_y(), Some(5.0));
-        assert_eq!(Series::new("x", vec![]).last_y(), None);
     }
 
     #[test]

@@ -253,8 +253,8 @@ impl SessionSpec {
 
     /// The RTT the ack-clock fold is parameterised with. Reads the path
     /// description directly (not a completed engine), so the fold can be
-    /// built before the run; equals
-    /// [`Engine::base_rtt`](vstream_app::engine::Engine) by construction.
+    /// built before the run; the engine's path is built from the same
+    /// profile, so it has the same base RTT.
     fn fold_rtt(&self, query: &SessionQuery) -> SimDuration {
         if query.ack_clock {
             self.profile.build_path().base_rtt()

@@ -142,6 +142,54 @@ fn corrupt_or_foreign_checkpoints_are_recomputed() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Increments the first digit on the line after the one starting with
+/// `prefix` (9 wraps to 0), or on that line itself past the prefix when
+/// `next_line` is false: the checkpoint still parses, only one number in it
+/// changed.
+fn flip_digit(text: &str, prefix: &str, next_line: bool) -> String {
+    let mut at = text.find(&format!("\n{prefix}")).expect("prefix present") + 1 + prefix.len();
+    if next_line {
+        at += text[at..].find('\n').expect("line ends") + 1;
+    }
+    let i = at + text[at..].find(|c: char| c.is_ascii_digit()).expect("a digit follows");
+    let d = text.as_bytes()[i] - b'0';
+    format!("{}{}{}", &text[..i], (d + 1) % 10, &text[i + 1..])
+}
+
+#[test]
+fn bit_flipped_checkpoints_are_recomputed() {
+    let spec = small_spec(29);
+    let one_shot = render(&run_campaign(&spec, &CampaignOptions::default()).expect("one-shot run"));
+    let dir = scratch_dir("bitflip");
+    let opts = CampaignOptions {
+        jobs: 2,
+        ledger_dir: Some(dir.clone()),
+        ..CampaignOptions::default()
+    };
+    let _ = run_campaign(&spec, &opts).expect("checkpointing run");
+
+    // One digit of the timeline in shard 0 and one of a tally in shard 1:
+    // each file still parses line by line, so only the checksum catches it.
+    let campaign_dir = dir.join(format!("campaign-{:016x}", spec.key()));
+    let mut originals = Vec::new();
+    for (shard, prefix, next_line) in
+        [("shard-0000.ckpt", "timeline ", true), ("shard-0001.ckpt", "profile 0 ", false)]
+    {
+        let path = campaign_dir.join(shard);
+        let text = fs::read_to_string(&path).expect("checkpoint exists");
+        let flipped = flip_digit(&text, prefix, next_line);
+        assert_ne!(flipped, text);
+        fs::write(&path, &flipped).expect("corrupt checkpoint");
+        originals.push((path, text));
+    }
+    let resumed = render(&run_campaign(&spec, &opts).expect("resume over the corrupted ledger"));
+    assert_eq!(one_shot, resumed, "a bit-flipped checkpoint changed the output");
+    for (path, text) in originals {
+        assert_eq!(fs::read_to_string(&path).expect("rewritten"), text, "{path:?} not recomputed");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cross_validation_gate_holds_on_the_default_population() {
     // The shipped defaults (what `repro campaign` and CI run) must pass

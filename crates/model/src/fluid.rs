@@ -141,7 +141,7 @@ impl FluidSim {
     /// rate every `dt_secs`. Returns the sampled rates (bits per second),
     /// with warm-up and cool-down windows (one max-duration each) trimmed so
     /// the process is stationary over the returned samples.
-    pub fn run(&self, seed: u64, horizon_secs: f64, dt_secs: f64) -> Vec<f64> {
+    pub(crate) fn run(&self, seed: u64, horizon_secs: f64, dt_secs: f64) -> Vec<f64> {
         assert!(dt_secs > 0.0 && horizon_secs > 0.0);
         let p = &self.population;
         let warmup = p.duration_secs.1 * 1.1;

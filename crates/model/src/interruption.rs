@@ -8,8 +8,6 @@
 //! Eq. (9), and Eq. (7) gives the condition under which the video was *not*
 //! yet fully downloaded when abandoned.
 
-use vstream_sim::SimRng;
-
 /// The shortest video duration that is fully downloaded before a viewer who
 /// watches a fraction `beta` gives up, per Eq. (7): `L = B′ / (1 − k·β)`.
 ///
@@ -45,32 +43,6 @@ pub fn unused_bytes(
     let downloaded_playback = (buffer_playback_secs + accumulation * watched_secs).min(duration_secs);
     // Bits, then bytes.
     (encoding_bps * (downloaded_playback - watched_secs)).max(0.0) / 8.0
-}
-
-/// Average wasted bandwidth (Eq. 9): `E[R′] = λ·E[e·(min(B′ + k·β·L, L) − β·L)]`
-/// in bits per second, estimated by Monte-Carlo over the supplied samplers.
-///
-/// `sample_video` returns `(encoding_bps, duration_secs)` and `sample_beta`
-/// the watched fraction — so arbitrary viewing-behaviour models (e.g. the
-/// Finamore et al. observation that 60 % of videos are watched for less than
-/// 20 % of their duration) plug straight in.
-pub fn wasted_bandwidth_bps(
-    lambda: f64,
-    buffer_playback_secs: f64,
-    accumulation: f64,
-    rng: &mut SimRng,
-    samples: usize,
-    mut sample_video: impl FnMut(&mut SimRng) -> (f64, f64),
-    mut sample_beta: impl FnMut(&mut SimRng) -> f64,
-) -> f64 {
-    assert!(samples > 0);
-    let mut total_bits = 0.0;
-    for _ in 0..samples {
-        let (e, l) = sample_video(rng);
-        let beta = sample_beta(rng);
-        total_bits += 8.0 * unused_bytes(e, l, buffer_playback_secs, accumulation, beta);
-    }
-    lambda * total_bits / samples as f64
 }
 
 #[cfg(test)]
@@ -126,35 +98,5 @@ mod tests {
         let aggressive = unused_bytes(1e6, 300.0, 40.0, 2.0, 0.2);
         let gentle = unused_bytes(1e6, 300.0, 40.0, 1.05, 0.2);
         assert!(gentle < aggressive);
-    }
-
-    #[test]
-    fn wasted_bandwidth_scales_with_lambda() {
-        let mut rng1 = SimRng::new(1);
-        let mut rng2 = SimRng::new(1);
-        let video = |r: &mut SimRng| (r.uniform_range(0.5e6, 1.5e6), r.uniform_range(60.0, 600.0));
-        let beta = |r: &mut SimRng| r.uniform_range(0.1, 0.5);
-        let w1 = wasted_bandwidth_bps(1.0, 40.0, 1.25, &mut rng1, 20_000, video, beta);
-        let w2 = wasted_bandwidth_bps(2.0, 40.0, 1.25, &mut rng2, 20_000, video, beta);
-        assert!((w2 / w1 - 2.0).abs() < 1e-9);
-        assert!(w1 > 0.0);
-    }
-
-    #[test]
-    fn wasted_bandwidth_closed_form_check() {
-        // Deterministic population: e = 1 Mbps, L = 100 s, beta = 0.2.
-        // Per-session waste = 45 s playback = 45e6/8 bytes; E[R'] = lambda *
-        // 45e6 bits.
-        let mut rng = SimRng::new(2);
-        let w = wasted_bandwidth_bps(
-            0.5,
-            40.0,
-            1.25,
-            &mut rng,
-            100,
-            |_| (1e6, 100.0),
-            |_| 0.2,
-        );
-        assert!((w - 0.5 * 45e6).abs() < 1.0, "w = {w}");
     }
 }

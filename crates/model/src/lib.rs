@@ -11,7 +11,8 @@
 //!   downloads — and shows both are *independent of the streaming strategy*
 //!   when downloads are never interrupted,
 //! * the condition (Eq. 7) under which an interrupted video was not yet
-//!   fully downloaded, and the wasted-bandwidth formula (Eqs. 8/9).
+//!   fully downloaded, and the per-session wasted bytes of Eqs. 8/9 (the
+//!   `model-waste` figure averages them over a sampled population).
 //!
 //! [`closed_form`] implements the formulas; [`fluid`] is a Monte-Carlo
 //! superposition simulator that replays the same assumptions numerically —
@@ -28,4 +29,4 @@ pub use closed_form::{
     MixComponent,
 };
 pub use fluid::{FluidSim, FluidStrategy, PopulationModel};
-pub use interruption::{full_download_duration_threshold, unused_bytes, wasted_bandwidth_bps};
+pub use interruption::{full_download_duration_threshold, unused_bytes};

@@ -61,41 +61,38 @@ impl LrdCrossConfig {
     }
 
     /// The Pareto shape as a real number.
-    pub fn alpha() -> f64 {
+    pub(crate) fn alpha() -> f64 {
         LRD_ALPHA_MILLI as f64 / 1000.0
     }
 
     /// The Pareto scale (`x_min`, seconds) that yields [`LRD_MEAN_ON_MS`]:
     /// for alpha > 1 the Pareto mean is `alpha * x_min / (alpha - 1)`.
-    pub fn on_x_min_secs() -> f64 {
+    pub(crate) fn on_x_min_secs() -> f64 {
         let a = Self::alpha();
         LRD_MEAN_ON_MS as f64 / 1000.0 * (a - 1.0) / a
     }
 
     /// Mean OFF duration in seconds.
-    pub fn mean_off_secs() -> f64 {
+    pub(crate) fn mean_off_secs() -> f64 {
         LRD_MEAN_OFF_MS as f64 / 1000.0
     }
 
     /// Long-run fraction of time each source spends ON.
-    pub fn duty_cycle() -> f64 {
+    #[cfg(test)]
+    fn duty_cycle() -> f64 {
         LRD_MEAN_ON_MS as f64 / (LRD_MEAN_ON_MS + LRD_MEAN_OFF_MS) as f64
     }
 
-    /// Mean offered load of the whole aggregate, in bits per second.
-    pub fn mean_load_bps(&self) -> f64 {
+    /// Mean offered load of the whole aggregate, in bits per second: the
+    /// analytic reference the tests hold the generated load to.
+    #[cfg(test)]
+    fn mean_load_bps(&self) -> f64 {
         LRD_SOURCES as f64 * self.peak_bps as f64 * Self::duty_cycle()
-    }
-
-    /// The Hurst parameter Taqqu's theorem predicts for the aggregate:
-    /// `H = (3 - alpha) / 2`, in (0.5, 1) for alpha in (1, 2).
-    pub fn hurst() -> f64 {
-        (3.0 - Self::alpha()) / 2.0
     }
 
     /// Bytes one source emits over `ns` nanoseconds of an ON period
     /// (integer arithmetic; used for the chunked emissions).
-    pub fn on_bytes(&self, ns: u64) -> u64 {
+    pub(crate) fn on_bytes(&self, ns: u64) -> u64 {
         (self.peak_bps as u128 * ns as u128 / 8_000_000_000) as u64
     }
 
@@ -324,7 +321,6 @@ mod tests {
             (got - want).abs() / want < 0.01,
             "mean load {got} != target {want}"
         );
-        assert!((LrdCrossConfig::hurst() - 0.75).abs() < 1e-9);
     }
 
     #[test]

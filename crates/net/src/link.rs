@@ -49,7 +49,7 @@ impl LinkConfig {
     }
 
     /// Replaces the queue capacity.
-    pub fn with_queue_capacity(mut self, bytes: u64) -> Self {
+    pub(crate) fn with_queue_capacity(mut self, bytes: u64) -> Self {
         self.queue_capacity_bytes = bytes;
         self
     }
@@ -82,7 +82,7 @@ pub struct Link {
 
 impl Link {
     /// Creates an idle link.
-    pub fn new(config: LinkConfig) -> Self {
+    pub(crate) fn new(config: LinkConfig) -> Self {
         Link {
             config,
             busy_until: SimTime::ZERO,
@@ -91,7 +91,7 @@ impl Link {
     }
 
     /// The link configuration.
-    pub fn config(&self) -> &LinkConfig {
+    pub(crate) fn config(&self) -> &LinkConfig {
         &self.config
     }
 
@@ -101,7 +101,7 @@ impl Link {
     }
 
     /// Bytes currently waiting behind the transmitter at time `now`.
-    pub fn backlog_bytes(&self, now: SimTime) -> u64 {
+    pub(crate) fn backlog_bytes(&self, now: SimTime) -> u64 {
         let waiting = self.busy_until.saturating_duration_since(now);
         // u64 fast path (same result): backlogs are bounded by the queue
         // capacity, so `nanos * rate` only overflows u64 in degenerate
@@ -115,16 +115,11 @@ impl Link {
         }
     }
 
-    /// True if the transmitter is idle at time `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Occupies the transmitter with `bytes` of competing (cross) traffic at
     /// time `now`, without delivering anything: the bytes consume
     /// serialization time and queue space exactly like foreign packets
     /// sharing the bottleneck. Used to model transient congestion.
-    pub fn occupy(&mut self, now: SimTime, bytes: u64) {
+    pub(crate) fn occupy(&mut self, now: SimTime, bytes: u64) {
         let start = self.busy_until.max(now);
         let tx = SimDuration::transmission(bytes.max(1), self.config.rate_bps);
         self.busy_until = start + tx;
@@ -134,7 +129,7 @@ impl Link {
     ///
     /// On success the returned verdict carries the time the packet fully
     /// arrives at the far end (serialization + queueing + propagation).
-    pub fn send<P: Wire>(&mut self, now: SimTime, packet: &P, rng: &mut SimRng) -> Verdict {
+    pub(crate) fn send<P: Wire>(&mut self, now: SimTime, packet: &P, rng: &mut SimRng) -> Verdict {
         let len = packet.wire_len() as u64;
 
         // Tail drop: measure the backlog *before* admitting this packet.
@@ -230,11 +225,11 @@ mod tests {
         let mut rng = SimRng::new(3);
         let t = SimTime::from_secs(1);
         link.send(t, &Pkt(2000), &mut rng);
-        assert!(!link.is_idle(t));
+        assert!(link.backlog_bytes(t) > 0);
         assert_eq!(link.backlog_bytes(t), 2000);
         // After 1 ms, half the packet (1000 bytes) has been serialized.
         assert_eq!(link.backlog_bytes(t + SimDuration::from_millis(1)), 1000);
-        assert!(link.is_idle(t + SimDuration::from_millis(2)));
+        assert_eq!(link.backlog_bytes(t + SimDuration::from_millis(2)), 0);
     }
 
     #[test]
@@ -243,8 +238,8 @@ mod tests {
         let mut link = Link::new(cfg);
         let mut rng = SimRng::new(4);
         let t = SimTime::from_secs(1);
-        assert!(!link.send(t, &Pkt(1000), &mut rng).is_dropped());
-        assert!(!link.send(t, &Pkt(1000), &mut rng).is_dropped());
+        assert!(link.send(t, &Pkt(1000), &mut rng).delivery_time().is_some());
+        assert!(link.send(t, &Pkt(1000), &mut rng).delivery_time().is_some());
         // Backlog is now 2000 bytes; a third 1000-byte packet exceeds 2500.
         assert_eq!(
             link.send(t, &Pkt(1000), &mut rng),
@@ -253,7 +248,7 @@ mod tests {
         assert_eq!(link.stats().queue_drops, 1);
         // Once the queue drains, the link accepts packets again.
         let later = t + SimDuration::from_secs(1);
-        assert!(!link.send(later, &Pkt(1000), &mut rng).is_dropped());
+        assert!(link.send(later, &Pkt(1000), &mut rng).delivery_time().is_some());
     }
 
     #[test]
@@ -265,7 +260,7 @@ mod tests {
         let v1 = link.send(t, &Pkt(1000), &mut rng);
         let v2 = link.send(t, &Pkt(1000), &mut rng);
         let v3 = link.send(t, &Pkt(1000), &mut rng);
-        assert!(!v1.is_dropped());
+        assert!(v1.delivery_time().is_some());
         assert_eq!(v2, Verdict::Dropped(DropReason::RandomLoss));
         // The lost packet still consumed 1 ms of transmitter time, so the
         // third packet is delivered 2 ms after the first.

@@ -114,11 +114,11 @@ impl LossModel {
         }
     }
 
-    /// Long-run average loss probability of the model, where well defined.
-    ///
-    /// Used by profile calibration tests to confirm each vantage point
-    /// matches the paper's measured retransmission rate.
-    pub fn steady_state_loss(&self) -> f64 {
+    /// Long-run average loss probability of the model, where well defined:
+    /// the analytic reference the tests hold `should_drop`'s long-run rate
+    /// to.
+    #[cfg(test)]
+    fn steady_state_loss(&self) -> f64 {
         match self {
             LossModel::None => 0.0,
             LossModel::Bernoulli(p) => *p,

@@ -37,11 +37,6 @@ impl Verdict {
             Verdict::Dropped(_) => None,
         }
     }
-
-    /// True if the packet was dropped.
-    pub fn is_dropped(self) -> bool {
-        matches!(self, Verdict::Dropped(_))
-    }
 }
 
 #[cfg(test)]
@@ -53,10 +48,8 @@ mod tests {
     fn verdict_accessors() {
         let ok = Verdict::Delivered(SimTime::from_secs(1));
         assert_eq!(ok.delivery_time(), Some(SimTime::from_secs(1)));
-        assert!(!ok.is_dropped());
 
         let bad = Verdict::Dropped(DropReason::RandomLoss);
         assert_eq!(bad.delivery_time(), None);
-        assert!(bad.is_dropped());
     }
 }

@@ -115,8 +115,8 @@ mod tests {
         for _ in 0..10 {
             path.send(Direction::Down, t, &Pkt(1000), &mut rng);
         }
-        assert!(path.link(Direction::Up).is_idle(t));
-        assert!(!path.link(Direction::Down).is_idle(t));
+        assert_eq!(path.link(Direction::Up).backlog_bytes(t), 0);
+        assert!(path.link(Direction::Down).backlog_bytes(t) > 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl NetworkProfile {
     }
 
     /// Uplink rate in bits per second.
-    pub fn up_bps(self) -> u64 {
+    pub(crate) fn up_bps(self) -> u64 {
         match self {
             NetworkProfile::Research => 100_000_000,
             NetworkProfile::Residence => 1_200_000,
@@ -90,7 +90,7 @@ impl NetworkProfile {
 
     /// Downlink packet-loss probability, calibrated so the simulated TCP
     /// retransmission rate matches the paper's reported medians.
-    pub fn loss_probability(self) -> f64 {
+    pub(crate) fn loss_probability(self) -> f64 {
         match self {
             NetworkProfile::Research => 0.0001,
             NetworkProfile::Residence => 0.0102,

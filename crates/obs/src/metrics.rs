@@ -18,10 +18,9 @@ pub const MAX_PROFILES: usize = 8;
 /// A log2-bucketed histogram over `u64` values.
 ///
 /// The bucket layout is exact at the edges: 0 is its own bucket, 1 lands in
-/// bucket 1, and `u64::MAX` lands in bucket 64 — see
-/// [`Hist::bucket_of`] / [`Hist::bucket_range`]. `sum` wraps on overflow
-/// (only reachable after ~2^64 recorded bytes), which keeps `record` free
-/// of branches.
+/// bucket 1, and `u64::MAX` lands in bucket 64 — see `Hist::bucket_of`.
+/// `sum` wraps on overflow (only reachable after ~2^64 recorded bytes),
+/// which keeps `record` free of branches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hist {
     buckets: [u64; HIST_BUCKETS],
@@ -31,7 +30,7 @@ pub struct Hist {
 
 impl Hist {
     /// An empty histogram.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Hist {
             buckets: [0; HIST_BUCKETS],
             count: 0,
@@ -41,7 +40,7 @@ impl Hist {
 
     /// The bucket index for `v`: 0 for 0, otherwise `⌊log2 v⌋ + 1`.
     #[inline]
-    pub const fn bucket_of(v: u64) -> usize {
+    pub(crate) const fn bucket_of(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -49,8 +48,10 @@ impl Hist {
         }
     }
 
-    /// The inclusive `[lo, hi]` value range of bucket `k`.
-    pub const fn bucket_range(k: usize) -> (u64, u64) {
+    /// The inclusive `[lo, hi]` value range of bucket `k`: the inverse that
+    /// the tests hold [`Hist::bucket_of`] to.
+    #[cfg(test)]
+    const fn bucket_range(k: usize) -> (u64, u64) {
         match k {
             0 => (0, 0),
             64 => (1 << 63, u64::MAX),
@@ -77,12 +78,12 @@ impl Hist {
     }
 
     /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// Mean observation, or 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -91,7 +92,7 @@ impl Hist {
     }
 
     /// Bucket-wise sum with `other` (commutative and associative).
-    pub fn merge(&mut self, other: &Hist) {
+    pub(crate) fn merge(&mut self, other: &Hist) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
@@ -147,7 +148,7 @@ slots! {
         /// Compatibility key: never incremented, always 0. The timing wheel
         /// it counted is gone, but `benchmark/run.py --trace 1` indexes this
         /// key for `sim.wheel_spill_ratio` and nothing under `benchmark/`
-        /// may change with the queue; ROADMAP item 2(i) deletes key and
+        /// may change with the queue; ROADMAP item 1 deletes key and
         /// metric together.
         SimWheelSpillPushes => "sim_wheel_spill_pushes",
         /// Events appended to a FIFO lane beside the timer heap (packets in flight).
@@ -198,7 +199,7 @@ slots! {
         /// pre-sizing is gone (no production session retains a trace), but
         /// `benchmark/run.py --trace 1` indexes this key for
         /// `capture.trace_regrows` and nothing under `benchmark/` may
-        /// change with it; ROADMAP item 2(i) deletes key and metric
+        /// change with it; ROADMAP item 1 deletes key and metric
         /// together.
         CaptureTraceRegrows => "capture_trace_regrows",
         /// Session-cache lookups answered from a previously stored outcome.
@@ -365,12 +366,12 @@ impl Metrics {
     }
 
     /// The per-profile slot for `idx` (clamped into range).
-    pub fn profile(&self, idx: usize) -> &ProfileMetrics {
+    pub(crate) fn profile(&self, idx: usize) -> &ProfileMetrics {
         &self.profiles[idx.min(MAX_PROFILES - 1)]
     }
 
     /// True if a profile slot has recorded anything.
-    pub fn profile_is_empty(&self, idx: usize) -> bool {
+    pub(crate) fn profile_is_empty(&self, idx: usize) -> bool {
         self.profile(idx).is_empty()
     }
 
@@ -392,7 +393,7 @@ impl Metrics {
     }
 
     /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.iter().all(|&c| c == 0)
             && self.gauges.iter().all(|&g| g == 0)
             && self.hists.iter().all(Hist::is_empty)
@@ -408,7 +409,7 @@ impl Metrics {
     /// Zeroes the [`Counter::EXECUTION_DEPENDENT`] and
     /// [`Gauge::EXECUTION_DEPENDENT`] slots, making the registry a pure
     /// function of the session set.
-    pub fn clear_execution_dependent(&mut self) {
+    pub(crate) fn clear_execution_dependent(&mut self) {
         for c in Counter::EXECUTION_DEPENDENT {
             self.counters[c as usize] = 0;
         }

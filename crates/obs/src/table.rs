@@ -3,7 +3,7 @@
 /// Renders `rows` under `headers` as a left-aligned, space-padded table
 /// with a dashed rule under the header. Rows shorter than the header are
 /// padded with empty cells; longer rows are truncated.
-pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {

@@ -38,7 +38,7 @@ pub struct ChaCha12 {
 impl ChaCha12 {
     /// Builds the generator from a 32-byte key, counter zero, nonce zero —
     /// `ChaCha12Rng::from_seed` semantics.
-    pub fn from_seed(seed: [u8; 32]) -> Self {
+    pub(crate) fn from_seed(seed: [u8; 32]) -> Self {
         let mut key = [0u32; 8];
         for (k, chunk) in key.iter_mut().zip(seed.chunks_exact(4)) {
             *k = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -53,7 +53,7 @@ impl ChaCha12 {
 
     /// Expands a `u64` into a full seed exactly as `rand_core` 0.6's
     /// `SeedableRng::seed_from_u64` does (a PCG32 stream fills the key).
-    pub fn seed_from_u64(state: u64) -> Self {
+    pub(crate) fn seed_from_u64(state: u64) -> Self {
         const MUL: u64 = 6364136223846793005;
         const INC: u64 = 11634580027462260723;
         let mut state = state;
@@ -77,8 +77,10 @@ impl ChaCha12 {
         }
     }
 
-    /// Next 32-bit lane of the keystream.
-    pub fn next_u32(&mut self) -> u32 {
+    /// Next 32-bit lane of the keystream: the reference `next_u64` is held
+    /// to (two lanes, low first).
+    #[cfg(test)]
+    fn next_u32(&mut self) -> u32 {
         if self.index >= BUF_WORDS {
             self.refill();
             self.index = 0;
@@ -90,7 +92,7 @@ impl ChaCha12 {
 
     /// Next 64 bits, combining two lanes little-endian-first — `BlockRng`'s
     /// `next_u64`, including the block-straddling rule when one lane remains.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let i = self.index;
         if i < BUF_WORDS - 1 {
             self.index = i + 2;

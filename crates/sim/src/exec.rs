@@ -168,11 +168,6 @@ impl ShardPlan {
         let start = k * self.shard_size;
         (start, (start + self.shard_size).min(self.total))
     }
-
-    /// Iterates the shard ranges in order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.shards()).map(|k| self.bounds(k))
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +305,7 @@ mod tests {
         for (n, size) in [(0usize, 4usize), (1, 4), (7, 3), (8, 4), (9, 4), (100, 1)] {
             let plan = ShardPlan::new(n, size);
             let mut covered = Vec::new();
-            for (start, end) in plan.iter() {
+            for (start, end) in (0..plan.shards()).map(|k| plan.bounds(k)) {
                 assert!(start < end, "empty shard in ({n}, {size})");
                 assert!(end - start <= size);
                 covered.extend(start..end);

@@ -162,19 +162,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events, lanes included.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.timers.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
-    }
-
-    /// Allocated capacity of the underlying storage, in entries: the lanes
-    /// and the timer heap.
-    pub fn capacity(&self) -> usize {
-        self.timers.capacity() + self.lanes.iter().map(VecDeque::capacity).sum::<usize>()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Schedules `event` to fire at time `at`.
@@ -297,7 +286,7 @@ impl<E> EventQueue<E> {
     /// Discards all pending events without advancing the clock.
     ///
     /// The queue's allocations are retained.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.timers.clear();
         for lane in &mut self.lanes {
             lane.clear();
@@ -327,6 +316,12 @@ mod tests {
     use super::*;
     use crate::rng::SimRng;
     use crate::time::SimDuration;
+
+    /// Allocated capacity of the queue's storage, in entries: the lanes and
+    /// the timer heap.
+    fn capacity<E>(q: &EventQueue<E>) -> usize {
+        q.timers.capacity() + q.lanes.iter().map(VecDeque::capacity).sum::<usize>()
+    }
 
     /// The reference future-event list: one plain `BinaryHeap` over whole
     /// entries, no lanes, with the same `(time, seq)` total order and the
@@ -478,9 +473,9 @@ mod tests {
         q.schedule(SimTime::from_secs(1), ());
         q.schedule(SimTime::from_secs(2), ());
         assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
+        assert_ne!(q.len(), 0);
         q.clear();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.now(), SimTime::ZERO);
     }
 
@@ -493,12 +488,12 @@ mod tests {
             (TIMERS_PRESIZE..1024).contains(&q.timers.capacity()),
             "the heap is sized for timers, not for packets"
         );
-        assert_eq!(q.capacity(), lanes + q.timers.capacity());
-        assert!(q.is_empty());
+        assert_eq!(capacity(&q), lanes + q.timers.capacity());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.now(), SimTime::ZERO);
         // An empty queue — what `std::mem::take` leaves behind in a session
         // scratch — allocates nothing.
-        assert_eq!(EventQueue::<u64>::new().capacity(), 0);
+        assert_eq!(capacity(&EventQueue::<u64>::new()), 0);
     }
 
     #[test]
@@ -509,11 +504,11 @@ mod tests {
         }
         while q.pop().is_some() {}
         assert_ne!(q.now(), SimTime::ZERO);
-        let cap = q.capacity();
+        let cap = capacity(&q);
         q.reset();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.capacity(), cap);
+        assert_eq!(capacity(&q), cap);
         // Sequence counter restarted: FIFO order matches a fresh queue.
         let t = SimTime::from_secs(1);
         q.schedule(t, 7);
@@ -638,14 +633,14 @@ mod tests {
                 q.pop();
             }
             assert!(!q.timers.is_empty() && q.lanes.iter().all(|l| !l.is_empty()));
-            let cap = q.capacity();
+            let cap = capacity(&q);
             if use_reset {
                 q.reset();
             } else {
                 q.clear();
             }
             assert!(q.timers.is_empty() && q.lanes.iter().all(VecDeque::is_empty));
-            assert_eq!(q.capacity(), cap, "allocation kept");
+            assert_eq!(capacity(&q), cap, "allocation kept");
             assert_eq!((q.len(), q.peek_time(), q.pop()), (0, None, None));
             // Usable again.
             q.schedule(q.now() + SimDuration::from_millis(5), 1);

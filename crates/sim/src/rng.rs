@@ -49,8 +49,8 @@ pub fn derive_seed(root: u64, words: &[u64]) -> u64 {
 /// A deterministic random number generator.
 ///
 /// Cloning is intentionally not provided: accidentally reusing the same
-/// stream in two components correlates their randomness. Use [`SimRng::fork`]
-/// to derive an independent child generator instead.
+/// stream in two components correlates their randomness. Seed each
+/// component's generator from [`derive_seed`] instead.
 pub struct SimRng {
     inner: ChaCha12,
 }
@@ -61,14 +61,6 @@ impl SimRng {
         SimRng {
             inner: ChaCha12::seed_from_u64(seed),
         }
-    }
-
-    /// Derives an independent child generator.
-    ///
-    /// The child's seed is drawn from this generator's stream, so forking is
-    /// itself deterministic.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.inner.next_u64())
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -156,7 +148,7 @@ impl SimRng {
     }
 
     /// Standard normal draw via the Box-Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // Avoid ln(0) by shifting U into (0, 1].
         let u1 = 1.0 - self.uniform();
         let u2 = self.uniform();
@@ -167,7 +159,7 @@ impl SimRng {
     ///
     /// # Panics
     /// Panics if `std_dev` is negative.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "normal: std_dev = {std_dev} must be non-negative");
         mean + std_dev * self.standard_normal()
     }
@@ -227,17 +219,6 @@ mod tests {
         let draws_a: Vec<u64> = (0..8).map(|_| a.uniform().to_bits()).collect();
         let draws_b: Vec<u64> = (0..8).map(|_| b.uniform().to_bits()).collect();
         assert_ne!(draws_a, draws_b);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut parent1 = SimRng::new(7);
-        let mut parent2 = SimRng::new(7);
-        let mut child1 = parent1.fork();
-        let mut child2 = parent2.fork();
-        assert_eq!(child1.uniform().to_bits(), child2.uniform().to_bits());
-        // Parent stream continues identically after the fork.
-        assert_eq!(parent1.uniform().to_bits(), parent2.uniform().to_bits());
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl SimTime {
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// The instant `duration` after `self`, saturating at [`SimTime::MAX`].
-    pub fn saturating_add(self, duration: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(duration.0))
-    }
 }
 
 impl SimDuration {
@@ -378,7 +373,6 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        assert_eq!(SimTime::MAX.saturating_add(SimDuration::from_secs(1)), SimTime::MAX);
         assert_eq!(
             SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
             SimDuration::ZERO

@@ -102,7 +102,7 @@ pub struct CongestionController {
 impl CongestionController {
     /// Creates a controller for `algorithm`, in slow start with the
     /// initial window.
-    pub fn new(algorithm: CcAlgorithm, max_cwnd: u64) -> Self {
+    pub(crate) fn new(algorithm: CcAlgorithm, max_cwnd: u64) -> Self {
         CongestionController {
             max_cwnd,
             cwnd: INITIAL_CWND,
@@ -124,28 +124,23 @@ impl CongestionController {
 
     /// Switches recovery to SACK (RFC 6675) conventions: no dupACK window
     /// inflation, recovery entered at `ssthresh` exactly.
-    pub fn set_sack_mode(&mut self, on: bool) {
+    pub(crate) fn set_sack_mode(&mut self, on: bool) {
         self.sack_mode = on;
     }
 
     /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
+    pub(crate) fn cwnd(&self) -> u64 {
         self.cwnd
     }
 
     /// Current slow-start threshold in bytes.
-    pub fn ssthresh(&self) -> u64 {
+    pub(crate) fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
 
     /// True while in fast recovery.
-    pub fn in_recovery(&self) -> bool {
+    pub(crate) fn in_recovery(&self) -> bool {
         self.in_recovery
-    }
-
-    /// True while in slow start (cwnd below ssthresh and not recovering).
-    pub fn in_slow_start(&self) -> bool {
-        !self.in_recovery && self.cwnd < self.ssthresh
     }
 
     /// Processes a cumulative ACK that acknowledged `newly_acked` new bytes,
@@ -155,7 +150,7 @@ impl CongestionController {
     /// `cwnd_limited` must be true if the sender was actually using the whole
     /// congestion window before this ACK; an application-limited sender must
     /// not grow its window (RFC 2861 spirit).
-    pub fn on_new_ack(
+    pub(crate) fn on_new_ack(
         &mut self,
         now: SimTime,
         newly_acked: u64,
@@ -250,7 +245,7 @@ impl CongestionController {
     /// recovery, i.e. when the caller must fast-retransmit the first
     /// outstanding segment. `flight` is the number of bytes outstanding,
     /// `snd_max` the highest sequence sent so far.
-    pub fn on_duplicate_ack(&mut self, flight: u64, snd_max: u64) -> bool {
+    pub(crate) fn on_duplicate_ack(&mut self, flight: u64, snd_max: u64) -> bool {
         if self.in_recovery {
             // Without SACK the window inflates by one MSS per dupACK (each
             // signals a departure). With SACK the pipe estimate accounts for
@@ -278,7 +273,7 @@ impl CongestionController {
 
     /// Processes a retransmission timeout: collapse to one MSS and restart
     /// slow start.
-    pub fn on_timeout(&mut self, flight: u64) {
+    pub(crate) fn on_timeout(&mut self, flight: u64) {
         self.reduce_ssthresh(flight);
         self.cwnd = MSS;
         self.in_recovery = false;
@@ -288,7 +283,7 @@ impl CongestionController {
     /// Applies the RFC 5681 §4.1 idle restart: cwnd falls back to the
     /// restart window. Only called by the endpoint when
     /// [`crate::TcpConfig::idle_cwnd_reset`] is enabled.
-    pub fn idle_restart(&mut self) {
+    pub(crate) fn idle_restart(&mut self) {
         self.cwnd = self.cwnd.min(INITIAL_CWND);
         self.dup_acks = 0;
         self.end_epoch();
@@ -320,7 +315,7 @@ mod tests {
     fn starts_in_slow_start_with_initial_window() {
         let c = cc();
         assert_eq!(c.cwnd(), 4 * MSS);
-        assert!(c.in_slow_start());
+        assert!(c.cwnd() < c.ssthresh() && !c.in_recovery());
         assert!(!c.in_recovery());
     }
 
@@ -344,7 +339,7 @@ mod tests {
         c.on_duplicate_ack(20 * MSS, 100 * MSS);
         c.on_duplicate_ack(20 * MSS, 100 * MSS);
         c.on_new_ack(SimTime::ZERO, MSS, 200 * MSS, true); // completes recovery
-        assert!(!c.in_slow_start());
+        assert!(c.cwnd() >= c.ssthresh());
         let w = c.cwnd();
         let acks = w / MSS;
         for _ in 0..acks {
@@ -434,7 +429,7 @@ mod tests {
         c.on_timeout(12 * MSS);
         assert_eq!(c.cwnd(), MSS);
         assert_eq!(c.ssthresh(), 6 * MSS);
-        assert!(c.in_slow_start());
+        assert!(c.cwnd() < c.ssthresh() && !c.in_recovery());
     }
 
     #[test]
@@ -586,7 +581,7 @@ mod tests {
         }
         c.on_timeout(20 * MSS);
         assert_eq!(c.cwnd(), MSS);
-        assert!(c.in_slow_start());
+        assert!(c.cwnd() < c.ssthresh() && !c.in_recovery());
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl TcpConfig {
     /// # Panics
     /// Panics if the congestion window cap or the receive buffer is below
     /// one MSS.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.max_cwnd >= MSS, "max_cwnd below one MSS");
         assert!(self.recv_buffer >= MSS, "recv_buffer below one MSS");
     }

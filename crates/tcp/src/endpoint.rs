@@ -1,11 +1,13 @@
 //! The TCP endpoint state machine.
 //!
 //! An [`Endpoint`] is a passive component: the session loop calls
-//! [`Endpoint::on_segment`] when a packet arrives, [`Endpoint::on_timer`]
-//! when the deadline reported by [`Endpoint::next_timer`] passes, and the
-//! application-facing methods ([`Endpoint::write`], [`Endpoint::read`],
-//! [`Endpoint::close`]) when the streaming strategy acts. Every call returns
-//! the segments to transmit, which the loop feeds to the simulated link.
+//! [`Endpoint::on_segment_into`] when a packet arrives,
+//! [`Endpoint::on_timer_into`] when the deadline reported by
+//! [`Endpoint::next_timer`] passes, and the application-facing methods
+//! ([`Endpoint::write_into`], [`Endpoint::read_into`],
+//! [`Endpoint::close_into`]) when the streaming strategy acts. Every call
+//! appends the segments to transmit to the caller's buffer, which the loop
+//! feeds to the simulated link.
 //!
 //! The send path implements Reno with NewReno partial-ACK recovery, go-back-N
 //! retransmission after a timeout (the classic `snd_nxt` rewind, with a
@@ -17,7 +19,7 @@
 
 use vstream_obs::trace::{self, EventKind, SIDE_CLIENT, SIDE_SERVER};
 use vstream_obs::Hist;
-use vstream_sim::{SimDuration, SimTime};
+use vstream_sim::SimTime;
 
 use crate::cc::{CongestionController, NewAckOutcome};
 use crate::config::{TcpConfig, MAX_RTO, MSS};
@@ -218,21 +220,6 @@ impl Endpoint {
     // Accessors
     // ------------------------------------------------------------------
 
-    /// Connection identifier carried in every segment.
-    pub fn conn(&self) -> u32 {
-        self.conn
-    }
-
-    /// Current connection state.
-    pub fn state(&self) -> State {
-        self.state
-    }
-
-    /// This endpoint's role.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
     /// True once the handshake completed.
     pub fn is_established(&self) -> bool {
         self.state == State::Established
@@ -249,9 +236,23 @@ impl Endpoint {
         trace::emit(now.as_nanos(), kind, side, self.conn as u16, a, b);
     }
 
-    /// Changes connection state, recording the transition.
+    /// Changes connection state, recording the transition. Every state
+    /// change goes through here, so a `--trace-dir` dump holds each one; the
+    /// four legal transitions are the handshake's.
     #[inline]
     fn set_state(&mut self, now: SimTime, next: State) {
+        debug_assert!(
+            matches!(
+                (self.state, next),
+                (State::Closed, State::SynSent)
+                    | (State::Listen, State::SynRcvd)
+                    | (State::SynSent, State::Established)
+                    | (State::SynRcvd, State::Established)
+            ),
+            "illegal TCP transition {:?} -> {:?}",
+            self.state,
+            next
+        );
         self.trace_ev(now, EventKind::TcpState, state_ord(self.state), state_ord(next));
         self.state = next;
     }
@@ -267,7 +268,7 @@ impl Endpoint {
     }
 
     /// Bytes in flight (sent but unacknowledged, including a sent FIN).
-    pub fn flight(&self) -> u64 {
+    pub(crate) fn flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
     }
 
@@ -280,16 +281,6 @@ impl Endpoint {
     /// Counters.
     pub fn stats(&self) -> EndpointStats {
         self.stats
-    }
-
-    /// Current congestion window (for tests and the ablation bench).
-    pub fn cwnd(&self) -> u64 {
-        self.cc.cwnd()
-    }
-
-    /// Smoothed RTT estimate, if any sample has completed.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
     }
 
     /// Currently advertised receive window (what the next outgoing segment
@@ -309,27 +300,18 @@ impl Endpoint {
     pub fn connect(&mut self, now: SimTime) -> Vec<Segment> {
         assert_eq!(self.role, Role::Client, "connect() on a server endpoint");
         assert_eq!(self.state, State::Closed, "connect() on an open endpoint");
-        self.state = State::SynSent;
+        self.set_state(now, State::SynSent);
         self.arm_rto(now);
         self.rtt_probe = Some((0, now)); // SYN-ACK arrival samples the RTT
         vec![self.make_segment(0, 0, true, false)]
     }
 
-    /// Queues `bytes` of application data and sends whatever the windows
-    /// allow.
+    /// Queues `bytes` of application data and appends to `out` whatever the
+    /// windows allow sending. Like every call below, it appends to the
+    /// caller's buffer: the session loop reuses one per engine.
     ///
     /// # Panics
-    /// Panics if called after [`Endpoint::close`].
-    pub fn write(&mut self, now: SimTime, bytes: u64) -> Vec<Segment> {
-        let mut out = Vec::new();
-        self.write_into(now, bytes, &mut out);
-        out
-    }
-
-    /// [`Self::write`] appending the outgoing segments to `out` instead of
-    /// allocating. The session loop calls these `_into` variants with one
-    /// reused buffer per engine; the `Vec`-returning forms stay for tests
-    /// and one-shot callers.
+    /// Panics if called after [`Endpoint::close_into`].
     pub fn write_into(&mut self, now: SimTime, bytes: u64, out: &mut Vec<Segment>) {
         assert!(!self.fin_queued, "write() after close()");
         self.write_offset += bytes;
@@ -338,32 +320,18 @@ impl Endpoint {
 
     /// Signals that the application is done writing; a FIN is sent once all
     /// queued data has been transmitted.
-    pub fn close(&mut self, now: SimTime) -> Vec<Segment> {
-        let mut out = Vec::new();
-        self.close_into(now, &mut out);
-        out
-    }
-
-    /// [`Self::close`] appending to `out` instead of allocating.
     pub fn close_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
         self.fin_queued = true;
         self.pump_into(now, out);
     }
 
-    /// Reads up to `max` bytes from the receive buffer.
+    /// Reads up to `max` bytes from the receive buffer and returns the bytes
+    /// consumed.
     ///
-    /// Returns the bytes consumed plus any window-update ACK that the read
-    /// triggered (sent when the advertised window grows from below one MSS to
-    /// at least one MSS, so a sender stalled on a zero window resumes without
-    /// waiting for a persist probe).
-    pub fn read(&mut self, now: SimTime, max: u64) -> (u64, Vec<Segment>) {
-        let mut out = Vec::new();
-        let n = self.read_into(now, max, &mut out);
-        (n, out)
-    }
-
-    /// [`Self::read`] appending any window-update ACK to `out`; returns the
-    /// bytes consumed.
+    /// Appends any window-update ACK the read triggered to `out` (sent when
+    /// the advertised window grows from below one MSS to at least one MSS,
+    /// so a sender stalled on a zero window resumes without waiting for a
+    /// persist probe).
     pub fn read_into(&mut self, now: SimTime, max: u64, out: &mut Vec<Segment>) -> u64 {
         let _ = now;
         let window_before = self.rb.window();
@@ -378,15 +346,8 @@ impl Endpoint {
     // Network API
     // ------------------------------------------------------------------
 
-    /// Handles a segment arriving from the peer.
-    pub fn on_segment(&mut self, now: SimTime, seg: Segment) -> Vec<Segment> {
-        let mut out = Vec::new();
-        self.on_segment_into(now, seg, &mut out);
-        out
-    }
-
-    /// [`Self::on_segment`] appending the responses to `out` instead of
-    /// allocating a fresh `Vec` per arriving packet.
+    /// Handles a segment arriving from the peer, appending the responses to
+    /// `out`.
     pub fn on_segment_into(&mut self, now: SimTime, seg: Segment, out: &mut Vec<Segment>) {
         debug_assert_eq!(seg.conn, self.conn, "segment routed to wrong connection");
         self.recovery_quota = 1;
@@ -465,14 +426,8 @@ impl Endpoint {
         }
     }
 
-    /// Fires whichever timers have expired at `now`.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<Segment> {
-        let mut out = Vec::new();
-        self.on_timer_into(now, &mut out);
-        out
-    }
-
-    /// [`Self::on_timer`] appending to `out` instead of allocating.
+    /// Fires whichever timers have expired at `now`, appending what they
+    /// send to `out`.
     pub fn on_timer_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
         self.recovery_quota = 1;
         if self.rto_deadline.is_some_and(|d| d <= now) {
@@ -958,6 +913,16 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MIN_RTO;
+    use vstream_sim::SimDuration;
+
+    /// Calls one of the endpoint's `_into` methods on a fresh buffer and returns
+    /// the segments it appended.
+    fn emitted(call: impl FnOnce(&mut Vec<Segment>)) -> Vec<Segment> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
 
     fn pair() -> (Endpoint, Endpoint) {
         let cfg = TcpConfig::default().with_recv_buffer(1 << 20);
@@ -977,10 +942,10 @@ mod tests {
                 return;
             }
             for seg in from_a.drain(..) {
-                from_b.extend(b.on_segment(now, seg));
+                from_b.extend(emitted(|o| b.on_segment_into(now, seg, o)));
             }
             for seg in from_b.drain(..) {
-                from_a.extend(a.on_segment(now, seg));
+                from_a.extend(emitted(|o| a.on_segment_into(now, seg, o)));
             }
         }
         panic!("exchange did not quiesce");
@@ -999,13 +964,50 @@ mod tests {
         establish(SimTime::ZERO, &mut c, &mut s);
     }
 
+    // The one test of this crate that turns tracing on: the recorder is
+    // thread-local, so the other tests' emits still go nowhere.
+    #[test]
+    fn handshake_records_exactly_the_four_legal_transitions() {
+        trace::set_enabled(true);
+        trace::begin_session(64);
+        let (mut c, mut s) = pair();
+        establish(SimTime::ZERO, &mut c, &mut s);
+        let rec = trace::end_session().expect("recorder installed");
+        trace::set_enabled(false);
+        let transitions: Vec<(u8, u64, u64)> = rec
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::TcpState)
+            .map(|e| (e.side, e.a, e.b))
+            .collect();
+        let step = |side, from, to| (side, state_ord(from), state_ord(to));
+        assert_eq!(
+            transitions,
+            vec![
+                step(SIDE_CLIENT, State::Closed, State::SynSent),
+                step(SIDE_SERVER, State::Listen, State::SynRcvd),
+                step(SIDE_CLIENT, State::SynSent, State::Established),
+                step(SIDE_SERVER, State::SynRcvd, State::Established),
+            ]
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "illegal TCP transition Closed -> Established")]
+    fn illegal_transition_panics() {
+        let (mut c, _) = pair();
+        c.set_state(SimTime::ZERO, State::Established);
+    }
+
     #[test]
     fn handshake_samples_rtt() {
         // With the instant harness the RTT sample is ~0, clamped to min RTO;
-        // what matters is that a sample exists.
+        // what matters is that a sample replaced the no-sample RTO.
         let (mut c, mut s) = pair();
         establish(SimTime::ZERO, &mut c, &mut s);
-        assert!(c.srtt().is_some());
+        assert_eq!(c.rtt.rto(), MIN_RTO);
+        assert_ne!(c.rtt.rto(), RttEstimator::INITIAL_RTO);
     }
 
     #[test]
@@ -1013,7 +1015,7 @@ mod tests {
         let (mut c, mut s) = pair();
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let segs = s.write(t, 5_000);
+        let segs = emitted(|o| s.write_into(t, 5_000, o));
         assert!(!segs.is_empty());
         exchange(t, &mut s, &mut c, segs);
         assert_eq!(c.available_to_read(), 5_000);
@@ -1026,9 +1028,9 @@ mod tests {
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
         // Queue far more than the initial window; only IW segments go out.
-        let segs = s.write(t, 1_000_000);
+        let segs = emitted(|o| s.write_into(t, 1_000_000, o));
         let sent: u64 = segs.iter().map(|x| x.payload as u64).sum();
-        assert_eq!(sent, s.cwnd());
+        assert_eq!(sent, s.cc.cwnd());
         assert_eq!(segs.len(), 4);
     }
 
@@ -1039,7 +1041,7 @@ mod tests {
         let mut s = Endpoint::new(Role::Server, 1, TcpConfig::default());
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let segs = s.write(t, 1_000_000);
+        let segs = emitted(|o| s.write_into(t, 1_000_000, o));
         exchange(t, &mut s, &mut c, segs);
         // The client never read, so at most the receive buffer arrived.
         assert_eq!(c.available_to_read(), 8 * 1460);
@@ -1054,18 +1056,19 @@ mod tests {
         let mut s = Endpoint::new(Role::Server, 1, TcpConfig::default());
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let segs = s.write(t, 50_000);
+        let segs = emitted(|o| s.write_into(t, 50_000, o));
         exchange(t, &mut s, &mut c, segs);
         let mut read_total = 0;
         for _ in 0..20 {
-            let (n, update) = c.read(t, u64::MAX);
+            let mut update = Vec::new();
+            let n = c.read_into(t, u64::MAX, &mut update);
             read_total += n;
             exchange(t, &mut c, &mut s, update);
             if s.all_acked() && c.available_to_read() == 0 {
                 break;
             }
         }
-        let (n, _) = c.read(t, u64::MAX);
+        let n = c.read_into(t, u64::MAX, &mut Vec::new());
         read_total += n;
         assert!(s.all_acked(), "sender still has unacked data");
         assert_eq!(read_total, 50_000, "every byte read exactly once");
@@ -1078,24 +1081,25 @@ mod tests {
         let mut s = Endpoint::new(Role::Server, 1, TcpConfig::default());
         let mut t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let segs = s.write(t, 100_000);
+        let segs = emitted(|o| s.write_into(t, 100_000, o));
         exchange(t, &mut s, &mut c, segs);
         assert_eq!(c.advertised_window(), 0);
         // Fire the persist timer: a one-byte probe goes out and is refused.
         let deadline = s.next_timer().expect("persist armed");
         t = deadline;
-        let probe = s.on_timer(t);
+        let probe = emitted(|o| s.on_timer_into(t, o));
         assert_eq!(probe.len(), 1);
         assert_eq!(probe[0].payload, 1);
         exchange(t, &mut s, &mut c, probe);
         assert!(s.stats().probes_sent >= 1);
         // Now the application drains everything; transfer completes.
         for _ in 0..50 {
-            let (_, update) = c.read(t, u64::MAX);
+            let mut update = Vec::new();
+            c.read_into(t, u64::MAX, &mut update);
             exchange(t, &mut c, &mut s, update);
             if let Some(d) = s.next_timer() {
                 t = t.max(d);
-                let segs = s.on_timer(t);
+                let segs = emitted(|o| s.on_timer_into(t, o));
                 exchange(t, &mut s, &mut c, segs);
             }
             if s.all_acked() {
@@ -1110,11 +1114,11 @@ mod tests {
         let (mut c, mut s) = pair();
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let mut segs = s.write(t, 1_000);
-        segs.extend(s.close(t));
+        let mut segs = emitted(|o| s.write_into(t, 1_000, o));
+        segs.extend(emitted(|o| s.close_into(t, o)));
         exchange(t, &mut s, &mut c, segs);
         assert!(s.all_acked());
-        let (n, _) = c.read(t, u64::MAX);
+        let n = c.read_into(t, u64::MAX, &mut Vec::new());
         assert_eq!(n, 1_000);
         assert!(c.at_eof());
     }
@@ -1124,7 +1128,7 @@ mod tests {
         let (mut c, mut s) = pair();
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let segs = s.close(t);
+        let segs = emitted(|o| s.close_into(t, o));
         assert!(segs.iter().any(|x| x.fin));
         exchange(t, &mut s, &mut c, segs);
         assert!(c.at_eof());
@@ -1136,20 +1140,20 @@ mod tests {
         let (mut c, mut s) = pair();
         let t0 = SimTime::ZERO;
         establish(t0, &mut c, &mut s);
-        let mut segs = s.write(t0, 2_000); // two segments
+        let mut segs = emitted(|o| s.write_into(t0, 2_000, o)); // two segments
         // Drop the first segment; deliver the second.
         segs.remove(0);
         exchange(t0, &mut s, &mut c, segs);
         assert_eq!(c.available_to_read(), 0, "hole blocks delivery");
         // Fire the retransmission timeout.
         let deadline = s.next_timer().expect("RTO armed");
-        let retx = s.on_timer(deadline);
+        let retx = emitted(|o| s.on_timer_into(deadline, o));
         assert!(retx.iter().any(|x| x.retx), "no retransmission: {retx:?}");
         exchange(deadline, &mut s, &mut c, retx);
         // One more timer round in case cwnd collapse split the resend.
         if !s.all_acked() {
             if let Some(d) = s.next_timer() {
-                let more = s.on_timer(d);
+                let more = emitted(|o| s.on_timer_into(d, o));
                 exchange(d, &mut s, &mut c, more);
             }
         }
@@ -1162,19 +1166,19 @@ mod tests {
         let (mut c, mut s) = pair();
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let mut segs = s.write(t, 1_000);
-        segs.extend(s.close(t));
+        let mut segs = emitted(|o| s.write_into(t, 1_000, o));
+        segs.extend(emitted(|o| s.close_into(t, o)));
         // Drop the FIN segment.
         let fin_pos = segs.iter().position(|x| x.fin).unwrap();
         segs.remove(fin_pos);
         exchange(t, &mut s, &mut c, segs);
         assert!(!s.all_acked());
         let deadline = s.next_timer().expect("RTO armed for FIN");
-        let retx = s.on_timer(deadline);
+        let retx = emitted(|o| s.on_timer_into(deadline, o));
         assert!(retx.iter().any(|x| x.fin));
         exchange(deadline, &mut s, &mut c, retx);
         assert!(s.all_acked());
-        let (_, _) = c.read(t, u64::MAX);
+        let _ = c.read_into(t, u64::MAX, &mut Vec::new());
         assert!(c.at_eof());
     }
 
@@ -1184,9 +1188,9 @@ mod tests {
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
         // Grow cwnd first so five segments can be in flight at once.
-        let warm = s.write(t, 4 * 1460);
+        let warm = emitted(|o| s.write_into(t, 4 * 1460, o));
         exchange(t, &mut s, &mut c, warm);
-        let mut segs = s.write(t, 5 * 1460);
+        let mut segs = emitted(|o| s.write_into(t, 5 * 1460, o));
         assert_eq!(segs.len(), 5);
         // Drop the first; the remaining four each produce a duplicate ACK.
         segs.remove(0);
@@ -1202,7 +1206,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         let _lost_syn = c.connect(t0);
         let deadline = c.next_timer().expect("SYN timer armed");
-        let retry = c.on_timer(deadline);
+        let retry = emitted(|o| c.on_timer_into(deadline, o));
         assert_eq!(retry.len(), 1);
         assert!(retry[0].syn);
         exchange(deadline, &mut c, &mut s, retry);
@@ -1214,10 +1218,10 @@ mod tests {
         let (mut c, mut s) = pair();
         let t = SimTime::ZERO;
         let syn = c.connect(t);
-        let synack1 = s.on_segment(t, syn[0]);
+        let synack1 = emitted(|o| s.on_segment_into(t, syn[0], o));
         assert!(synack1[0].syn && synack1[0].ack);
         // SYN-ACK lost; client retransmits its SYN.
-        let synack2 = s.on_segment(t, syn[0]);
+        let synack2 = emitted(|o| s.on_segment_into(t, syn[0], o));
         assert!(synack2[0].syn && synack2[0].ack);
     }
 
@@ -1226,15 +1230,16 @@ mod tests {
         let (mut c, mut s) = pair();
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let before = s.cwnd();
+        let before = s.cc.cwnd();
         // Repeated write/ack cycles; client reads continuously.
         for _ in 0..10 {
-            let segs = s.write(t, 8 * 1460);
+            let segs = emitted(|o| s.write_into(t, 8 * 1460, o));
             exchange(t, &mut s, &mut c, segs);
-            let (_, upd) = c.read(t, u64::MAX);
+            let mut upd = Vec::new();
+            c.read_into(t, u64::MAX, &mut upd);
             exchange(t, &mut c, &mut s, upd);
         }
-        assert!(s.cwnd() > before, "cwnd did not grow: {}", s.cwnd());
+        assert!(s.cc.cwnd() > before, "cwnd did not grow: {}", s.cc.cwnd());
     }
 
     #[test]
@@ -1245,15 +1250,16 @@ mod tests {
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
         for _ in 0..10 {
-            let segs = s.write(t, 8 * 1460);
+            let segs = emitted(|o| s.write_into(t, 8 * 1460, o));
             exchange(t, &mut s, &mut c, segs);
-            let (_, upd) = c.read(t, u64::MAX);
+            let mut upd = Vec::new();
+            c.read_into(t, u64::MAX, &mut upd);
             exchange(t, &mut c, &mut s, upd);
         }
-        assert!(s.cwnd() > 4 * 1460);
+        assert!(s.cc.cwnd() > 4 * 1460);
         // Ten-second idle gap, then a new write: window collapsed to IW.
         let later = t + SimDuration::from_secs(10);
-        let segs = s.write(later, 1_000_000);
+        let segs = emitted(|o| s.write_into(later, 1_000_000, o));
         let first_burst: u64 = segs.iter().map(|x| x.payload as u64).sum();
         assert_eq!(first_burst, 4 * 1460);
     }
@@ -1264,14 +1270,15 @@ mod tests {
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
         for _ in 0..10 {
-            let segs = s.write(t, 8 * 1460);
+            let segs = emitted(|o| s.write_into(t, 8 * 1460, o));
             exchange(t, &mut s, &mut c, segs);
-            let (_, upd) = c.read(t, u64::MAX);
+            let mut upd = Vec::new();
+            c.read_into(t, u64::MAX, &mut upd);
             exchange(t, &mut c, &mut s, upd);
         }
-        let grown = s.cwnd();
+        let grown = s.cc.cwnd();
         let later = t + SimDuration::from_secs(10);
-        let segs = s.write(later, 1_000_000);
+        let segs = emitted(|o| s.write_into(later, 1_000_000, o));
         let first_burst: u64 = segs.iter().map(|x| x.payload as u64).sum();
         // The whole grown window goes out back-to-back (in MSS multiples).
         assert_eq!(first_burst, grown / 1460 * 1460);
@@ -1282,7 +1289,7 @@ mod tests {
         let (mut c, mut s) = pair();
         let t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let segs = s.write(t, 2_920);
+        let segs = emitted(|o| s.write_into(t, 2_920, o));
         exchange(t, &mut s, &mut c, segs);
         assert_eq!(s.stats().data_segments_sent, 2);
         assert_eq!(s.stats().data_bytes_sent, 2_920);
@@ -1300,17 +1307,17 @@ mod tests {
         let mut s = Endpoint::new(Role::Server, 1, TcpConfig::default());
         let mut t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let segs = s.write(t, 100_000);
+        let segs = emitted(|o| s.write_into(t, 100_000, o));
         exchange(t, &mut s, &mut c, segs);
-        let cwnd_before = s.cwnd();
+        let cwnd_before = s.cc.cwnd();
         for _ in 0..8 {
             let deadline = s.next_timer().expect("persist armed");
             t = t.max(deadline);
-            let out = s.on_timer(t);
+            let out = emitted(|o| s.on_timer_into(t, o));
             exchange(t, &mut s, &mut c, out);
         }
         assert_eq!(s.stats().timeouts, 0, "probe losses caused an RTO");
-        assert_eq!(s.cwnd(), cwnd_before, "cwnd collapsed during zero-window wait");
+        assert_eq!(s.cc.cwnd(), cwnd_before, "cwnd collapsed during zero-window wait");
     }
 
     #[test]
@@ -1322,13 +1329,13 @@ mod tests {
         let mut s = Endpoint::new(Role::Server, 1, TcpConfig::default());
         let mut t = SimTime::ZERO;
         establish(t, &mut c, &mut s);
-        let segs = s.write(t, 100_000);
+        let segs = emitted(|o| s.write_into(t, 100_000, o));
         exchange(t, &mut s, &mut c, segs);
         // Fire several persist probes; each gets a window-0 ACK back.
         for _ in 0..6 {
             let deadline = s.next_timer().expect("timer armed");
             t = t.max(deadline);
-            let probe = s.on_timer(t);
+            let probe = emitted(|o| s.on_timer_into(t, o));
             exchange(t, &mut s, &mut c, probe);
         }
         assert_eq!(

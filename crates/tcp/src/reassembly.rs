@@ -7,7 +7,7 @@
 //!
 //! The advertised window is the mechanism behind the paper's client-pull
 //! streaming strategies: an application that stops calling
-//! [`ReceiveBuffer::read`] lets the buffer fill, which drives the advertised
+//! `ReceiveBuffer::read` lets the buffer fill, which drives the advertised
 //! window to zero and silences the sender (Fig. 2b).
 
 use crate::rangeset::RangeSet;
@@ -43,7 +43,7 @@ impl ReceiveBuffer {
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: u64) -> Self {
+    pub(crate) fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "receive buffer capacity must be positive");
         ReceiveBuffer {
             rcv_nxt: 0,
@@ -60,7 +60,7 @@ impl ReceiveBuffer {
     /// Next expected in-order sequence number (the cumulative ACK value).
     ///
     /// Includes the FIN's sequence slot once the FIN has been reached.
-    pub fn ack_no(&self) -> u64 {
+    pub(crate) fn ack_no(&self) -> u64 {
         if self.fin_reached {
             self.rcv_nxt + 1
         } else {
@@ -69,22 +69,17 @@ impl ReceiveBuffer {
     }
 
     /// Currently advertised receive window in bytes.
-    pub fn window(&self) -> u64 {
+    pub(crate) fn window(&self) -> u64 {
         self.capacity.saturating_sub(self.unread + self.ooo.bytes())
     }
 
     /// Bytes available for the application to read.
-    pub fn available(&self) -> u64 {
+    pub(crate) fn available(&self) -> u64 {
         self.unread
     }
 
-    /// Total capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// True once the peer's FIN is in order and all data has been read.
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         self.fin_reached && self.unread == 0
     }
 
@@ -95,7 +90,7 @@ impl ReceiveBuffer {
     /// out-of-window data). Data beyond the advertised window is truncated —
     /// a correct peer never sends it, but a zero-window probe probes exactly
     /// this path.
-    pub fn on_data(&mut self, seq: u64, len: u32) -> u64 {
+    pub(crate) fn on_data(&mut self, seq: u64, len: u32) -> u64 {
         let Some((start, end)) = self.clip(seq, len) else {
             return 0;
         };
@@ -135,7 +130,7 @@ impl ReceiveBuffer {
 
     /// Records the peer's FIN at stream offset `seq` (one past the last data
     /// byte). Returns true if the FIN is (now) in order.
-    pub fn on_fin(&mut self, seq: u64) -> bool {
+    pub(crate) fn on_fin(&mut self, seq: u64) -> bool {
         match self.fin_seq {
             Some(existing) => debug_assert_eq!(existing, seq, "peer moved its FIN"),
             None => self.fin_seq = Some(seq),
@@ -147,7 +142,7 @@ impl ReceiveBuffer {
     /// The first (lowest) out-of-order ranges held, for the SACK option of
     /// outgoing ACKs. The lowest ranges are reported because they are the
     /// ones adjacent to the holes the sender must repair first.
-    pub fn sack_blocks(&mut self) -> SackBlocks {
+    pub(crate) fn sack_blocks(&mut self) -> SackBlocks {
         let mut blocks = SackBlocks::default();
         // First block: the range containing the most recent insertion
         // (RFC 2018 §4), so the sender learns about fresh arrivals at once.
@@ -185,7 +180,7 @@ impl ReceiveBuffer {
 
     /// Reads up to `max` bytes for the application, returning how many were
     /// consumed. Freed capacity reopens the advertised window.
-    pub fn read(&mut self, max: u64) -> u64 {
+    pub(crate) fn read(&mut self, max: u64) -> u64 {
         let n = self.unread.min(max);
         self.unread -= n;
         n
@@ -407,8 +402,8 @@ mod tests {
                 let seq = rng.uniform_u64(0, 5_000);
                 let len = rng.uniform_u64(1, 1_500) as u32;
                 rb.on_data(seq, len);
-                assert!(rb.window() <= rb.capacity(), "seed {seed}");
-                assert!(rb.available() + rb.window() <= rb.capacity(), "seed {seed}");
+                assert!(rb.window() <= rb.capacity, "seed {seed}");
+                assert!(rb.available() + rb.window() <= rb.capacity, "seed {seed}");
             }
         }
     }

@@ -28,7 +28,7 @@ impl RttEstimator {
     pub const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
 
     /// Incorporates a new RTT measurement and clears any backoff.
-    pub fn sample(&mut self, rtt: SimDuration) {
+    pub(crate) fn sample(&mut self, rtt: SimDuration) {
         match self.srtt {
             None => {
                 self.srtt = Some(rtt);
@@ -45,13 +45,8 @@ impl RttEstimator {
         self.backoff = 0;
     }
 
-    /// The smoothed RTT, if at least one sample exists.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.srtt
-    }
-
     /// Current retransmission timeout, including backoff and clamping.
-    pub fn rto(&self) -> SimDuration {
+    pub(crate) fn rto(&self) -> SimDuration {
         let base = match self.srtt {
             None => Self::INITIAL_RTO,
             // RTO = SRTT + max(G, 4 * RTTVAR); clock granularity G is 1 ns
@@ -64,7 +59,7 @@ impl RttEstimator {
     }
 
     /// Doubles the RTO (called on each retransmission timeout).
-    pub fn back_off(&mut self) {
+    pub(crate) fn back_off(&mut self) {
         self.backoff = self.backoff.saturating_add(1);
     }
 }
@@ -86,7 +81,7 @@ mod tests {
     fn first_sample_initializes() {
         let mut e = est();
         e.sample(SimDuration::from_millis(100));
-        assert_eq!(e.srtt(), Some(SimDuration::from_millis(100)));
+        assert_eq!(e.srtt, Some(SimDuration::from_millis(100)));
         // RTO = SRTT + 4 * RTTVAR = 100 + 4*50 = 300 ms.
         assert_eq!(e.rto(), SimDuration::from_millis(300));
     }
@@ -108,7 +103,7 @@ mod tests {
         for _ in 0..200 {
             e.sample(SimDuration::from_millis(50));
         }
-        let srtt = e.srtt().unwrap();
+        let srtt = e.srtt.unwrap();
         let err = srtt.saturating_sub(SimDuration::from_millis(50));
         assert!(err < SimDuration::from_millis(2), "srtt = {srtt}");
     }

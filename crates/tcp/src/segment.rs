@@ -77,7 +77,7 @@ impl SackBlocks {
     /// Wire overhead of the SACK option: 2 bytes of kind/length plus 8 per
     /// block, as in RFC 2018 (32-bit edges; our 64-bit offsets are a modeling
     /// convenience).
-    pub fn wire_overhead(&self) -> u32 {
+    pub(crate) fn wire_overhead(&self) -> u32 {
         if self.len == 0 {
             0
         } else {
@@ -129,7 +129,7 @@ impl Segment {
 
     /// A pure ACK (no payload, no SYN/FIN) — window updates and
     /// acknowledgements.
-    pub fn is_pure_ack(&self) -> bool {
+    pub(crate) fn is_pure_ack(&self) -> bool {
         self.ack && !self.syn && !self.fin && self.payload == 0
     }
 }

@@ -8,6 +8,14 @@ use vstream_net::{Direction, DuplexPath, LinkConfig, LossModel};
 use vstream_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use vstream_tcp::{CcAlgorithm, Endpoint, Role, Segment, TcpConfig};
 
+/// Calls one of the endpoint's `_into` methods on a fresh buffer and returns
+/// the segments it appended.
+fn emitted(call: impl FnOnce(&mut Vec<Segment>)) -> Vec<Segment> {
+    let mut out = Vec::new();
+    call(&mut out);
+    out
+}
+
 enum Event {
     ToClient(Segment),
     ToServer(Segment),
@@ -63,19 +71,20 @@ fn transfer(
         };
         let (mut cs, mut ss) = (Vec::new(), Vec::new());
         match ev {
-            Event::ToClient(seg) => cs = client.on_segment(t, seg),
-            Event::ToServer(seg) => ss = server.on_segment(t, seg),
+            Event::ToClient(seg) => cs = emitted(|o| client.on_segment_into(t, seg, o)),
+            Event::ToServer(seg) => ss = emitted(|o| server.on_segment_into(t, seg, o)),
             Event::Tick => {
-                cs = client.on_timer(t);
-                ss = server.on_timer(t);
+                cs = emitted(|o| client.on_timer_into(t, o));
+                ss = emitted(|o| server.on_timer_into(t, o));
             }
         }
         if !wrote && server.is_established() {
-            ss.extend(server.write(t, size));
-            ss.extend(server.close(t));
+            ss.extend(emitted(|o| server.write_into(t, size, o)));
+            ss.extend(emitted(|o| server.close_into(t, o)));
             wrote = true;
         }
-        let (n, upd) = client.read(t, u64::MAX);
+        let mut upd = Vec::new();
+        let n = client.read_into(t, u64::MAX, &mut upd);
         read += n;
         cs.extend(upd);
         for seg in cs {

@@ -7,6 +7,14 @@ use vstream_net::{Direction, DuplexPath, LinkConfig, LossModel, NetworkProfile};
 use vstream_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use vstream_tcp::{Endpoint, Role, Segment, TcpConfig};
 
+/// Calls one of the endpoint's `_into` methods on a fresh buffer and returns
+/// the segments it appended.
+fn emitted(call: impl FnOnce(&mut Vec<Segment>)) -> Vec<Segment> {
+    let mut out = Vec::new();
+    call(&mut out);
+    out
+}
+
 /// Events of the miniature loop.
 enum Event {
     DeliverToClient(Segment),
@@ -77,17 +85,17 @@ impl Harness {
             };
             match ev {
                 Event::DeliverToClient(seg) => {
-                    let replies = self.client.on_segment(t, seg);
+                    let replies = emitted(|o| self.client.on_segment_into(t, seg, o));
                     self.transmit_from_client(replies);
                 }
                 Event::DeliverToServer(seg) => {
-                    let replies = self.server.on_segment(t, seg);
+                    let replies = emitted(|o| self.server.on_segment_into(t, seg, o));
                     self.transmit_from_server(replies);
                 }
                 Event::Tick => {
-                    let from_client = self.client.on_timer(t);
+                    let from_client = emitted(|o| self.client.on_timer_into(t, o));
                     self.transmit_from_client(from_client);
-                    let from_server = self.server.on_timer(t);
+                    let from_server = emitted(|o| self.server.on_timer_into(t, o));
                     self.transmit_from_server(from_server);
                 }
             }
@@ -115,12 +123,13 @@ fn bulk_transfer_completes_over_real_path() {
     h.run(SimTime::from_secs(60), |client, server, t| {
         let mut ss = Vec::new();
         if !wrote && server.is_established() {
-            ss.extend(server.write(t, SIZE));
-            ss.extend(server.close(t));
+            ss.extend(emitted(|o| server.write_into(t, SIZE, o)));
+            ss.extend(emitted(|o| server.close_into(t, o)));
             wrote = true;
         }
         // The client application reads continuously (bulk download).
-        let (n, cs) = client.read(t, u64::MAX);
+        let mut cs = Vec::new();
+        let n = client.read_into(t, u64::MAX, &mut cs);
         read_total += n;
         (cs, ss)
     });
@@ -146,10 +155,11 @@ fn bulk_transfer_throughput_is_near_link_rate() {
     h.run(SimTime::from_secs(30), |client, server, t| {
         let mut ss = Vec::new();
         if !wrote && server.is_established() {
-            ss.extend(server.write(t, SIZE));
+            ss.extend(emitted(|o| server.write_into(t, SIZE, o)));
             wrote = true;
         }
-        let (n, cs) = client.read(t, u64::MAX);
+        let mut cs = Vec::new();
+        let n = client.read_into(t, u64::MAX, &mut cs);
         read_total += n;
         if read_total == SIZE && finished_at.is_none() {
             finished_at = Some(t);
@@ -182,11 +192,12 @@ fn transfer_survives_heavy_loss() {
     h.run(SimTime::from_secs(120), |client, server, t| {
         let mut ss = Vec::new();
         if !wrote && server.is_established() {
-            ss.extend(server.write(t, SIZE));
-            ss.extend(server.close(t));
+            ss.extend(emitted(|o| server.write_into(t, SIZE, o)));
+            ss.extend(emitted(|o| server.close_into(t, o)));
             wrote = true;
         }
-        let (n, cs) = client.read(t, u64::MAX);
+        let mut cs = Vec::new();
+        let n = client.read_into(t, u64::MAX, &mut cs);
         read_total += n;
         (cs, ss)
     });
@@ -211,10 +222,11 @@ fn retx_rate_tracks_link_loss_rate() {
     h.run(SimTime::from_secs(300), |client, server, t| {
         let mut ss = Vec::new();
         if !wrote && server.is_established() {
-            ss.extend(server.write(t, SIZE));
+            ss.extend(emitted(|o| server.write_into(t, SIZE, o)));
             wrote = true;
         }
-        let (_, cs) = client.read(t, u64::MAX);
+        let mut cs = Vec::new();
+        client.read_into(t, u64::MAX, &mut cs);
         (cs, ss)
     });
     let rate = h.server.stats().retx_rate();
@@ -244,8 +256,8 @@ fn client_pull_produces_zero_window_and_resumes() {
         let mut ss = Vec::new();
         let mut cs = Vec::new();
         if !wrote && server.is_established() {
-            ss.extend(server.write(t, SIZE));
-            ss.extend(server.close(t));
+            ss.extend(emitted(|o| server.write_into(t, SIZE, o)));
+            ss.extend(emitted(|o| server.close_into(t, o)));
             wrote = true;
         }
         if client.advertised_window() == 0 {
@@ -253,7 +265,8 @@ fn client_pull_produces_zero_window_and_resumes() {
         }
         // Every 2 s, pull one block.
         if t >= next_read {
-            let (n, upd) = client.read(t, BLOCK);
+            let mut upd = Vec::new();
+            let n = client.read_into(t, BLOCK, &mut upd);
             read_total += n;
             cs.extend(upd);
             next_read = t + SimDuration::from_secs(2);
@@ -262,7 +275,7 @@ fn client_pull_produces_zero_window_and_resumes() {
     });
     assert!(saw_zero_window, "receive window never closed");
     // Drain whatever remains buffered.
-    let (n, _) = h.client.read(h.now(), u64::MAX);
+    let n = h.client.read_into(h.now(), u64::MAX, &mut Vec::new());
     read_total += n;
     assert_eq!(read_total, SIZE);
     assert!(h.server.all_acked());
@@ -283,11 +296,12 @@ fn deterministic_given_seed() {
         h.run(SimTime::from_secs(60), |client, server, t| {
             let mut ss = Vec::new();
             if !wrote && server.is_established() {
-                ss.extend(server.write(t, 3_000_000));
-                ss.extend(server.close(t));
+                ss.extend(emitted(|o| server.write_into(t, 3_000_000, o)));
+                ss.extend(emitted(|o| server.close_into(t, o)));
                 wrote = true;
             }
-            let (_, cs) = client.read(t, u64::MAX);
+            let mut cs = Vec::new();
+            client.read_into(t, u64::MAX, &mut cs);
             (cs, ss)
         });
         (h.server.stats(), h.client.stats())
@@ -310,11 +324,12 @@ fn slow_start_ramp_is_visible_on_the_wire() {
     h.run(SimTime::from_secs(5), |client, server, t| {
         let mut ss = Vec::new();
         if !wrote && server.is_established() {
-            ss.extend(server.write(t, 2_000_000));
+            ss.extend(emitted(|o| server.write_into(t, 2_000_000, o)));
             wrote = true;
         }
         let avail = client.available_to_read();
-        let (n, cs) = client.read(t, u64::MAX);
+        let mut cs = Vec::new();
+        let n = client.read_into(t, u64::MAX, &mut cs);
         if n > 0 {
             last_seen += n;
             arrivals.push((t.as_secs_f64(), last_seen));

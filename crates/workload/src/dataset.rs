@@ -36,7 +36,7 @@ pub enum Dataset {
 impl Dataset {
     /// The catalogue size the paper reports (YouMob's is not stated; the
     /// value matches the scale of the others' mobile subsets).
-    pub fn catalogue_size(self) -> usize {
+    pub(crate) fn catalogue_size(self) -> usize {
         match self {
             Dataset::YouFlash => 5000,
             Dataset::YouHd => 2000,
@@ -48,7 +48,7 @@ impl Dataset {
     }
 
     /// Encoding-rate range in bits per second, from §4.1.
-    pub fn rate_range_bps(self) -> (u64, u64) {
+    pub(crate) fn rate_range_bps(self) -> (u64, u64) {
         match self {
             Dataset::YouFlash => (200_000, 1_500_000),
             Dataset::YouHd => (200_000, 4_800_000),
@@ -59,26 +59,14 @@ impl Dataset {
         }
     }
 
-    /// The figure-legend label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Dataset::YouFlash => "YouFlash",
-            Dataset::YouHd => "YouHD",
-            Dataset::YouHtml => "YouHtml",
-            Dataset::YouMob => "YouMob",
-            Dataset::NetPc => "NetPC",
-            Dataset::NetMob => "NetMob",
-        }
-    }
-
     /// True for the Netflix datasets (different duration model and vantage
     /// points).
-    pub fn is_netflix(self) -> bool {
+    pub(crate) fn is_netflix(self) -> bool {
         matches!(self, Dataset::NetPc | Dataset::NetMob)
     }
 
     /// Samples one video.
-    pub fn sample(self, rng: &mut SimRng, id: u64) -> Video {
+    pub(crate) fn sample(self, rng: &mut SimRng, id: u64) -> Video {
         let (lo, hi) = self.rate_range_bps();
         // Encoding rates cluster toward the low/default end of the range:
         // most 2011 YouTube videos were 240p/360p. A squared uniform draw
@@ -112,23 +100,22 @@ impl Dataset {
     ///
     /// The video is a pure function of `(dataset, seed, index)` — not of how
     /// many videos were sampled before it — so callers may materialize any
-    /// subset, in any order, on any thread, and `sample_indexed(seed, i)`
-    /// always equals `sample_many(seed, n)[i]`.
+    /// subset, in any order, on any thread.
     pub fn sample_indexed(self, seed: u64, index: u64) -> Video {
         let stream = seed ^ (self.catalogue_size() as u64) << 17;
         let mut rng = SimRng::new(derive_seed(stream, &[index]));
         self.sample(&mut rng, index)
-    }
-
-    /// Samples `n` videos deterministically from a seed.
-    pub fn sample_many(self, seed: u64, n: usize) -> Vec<Video> {
-        (0..n).map(|i| self.sample_indexed(seed, i as u64)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first `n` videos of a seeded draw, in index order.
+    fn sample_many(ds: Dataset, seed: u64, n: u64) -> Vec<Video> {
+        (0..n).map(|i| ds.sample_indexed(seed, i)).collect()
+    }
 
     const ALL: [Dataset; 6] = [
         Dataset::YouFlash,
@@ -152,11 +139,11 @@ mod tests {
     fn samples_respect_rate_ranges() {
         for ds in ALL {
             let (lo, hi) = ds.rate_range_bps();
-            for v in ds.sample_many(1, 500) {
+            for v in sample_many(ds, 1, 500) {
                 assert!(
                     (lo..=hi).contains(&v.encoding_bps),
-                    "{}: rate {} outside [{lo}, {hi}]",
-                    ds.label(),
+                    "{:?}: rate {} outside [{lo}, {hi}]",
+                    ds,
                     v.encoding_bps
                 );
             }
@@ -165,16 +152,16 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic() {
-        let a = Dataset::YouFlash.sample_many(7, 100);
-        let b = Dataset::YouFlash.sample_many(7, 100);
+        let a = sample_many(Dataset::YouFlash, 7, 100);
+        let b = sample_many(Dataset::YouFlash, 7, 100);
         assert_eq!(a, b);
-        let c = Dataset::YouFlash.sample_many(8, 100);
+        let c = sample_many(Dataset::YouFlash, 8, 100);
         assert_ne!(a, c);
     }
 
     #[test]
     fn youtube_durations_are_minutes_scale() {
-        let videos = Dataset::YouFlash.sample_many(3, 2000);
+        let videos = sample_many(Dataset::YouFlash, 3, 2000);
         let mut secs: Vec<f64> = videos.iter().map(|v| v.duration.as_secs_f64()).collect();
         secs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = secs[secs.len() / 2];
@@ -187,7 +174,7 @@ mod tests {
 
     #[test]
     fn netflix_durations_are_episode_to_film_scale() {
-        let videos = Dataset::NetPc.sample_many(3, 1000);
+        let videos = sample_many(Dataset::NetPc, 3, 1000);
         let secs: Vec<f64> = videos.iter().map(|v| v.duration.as_secs_f64()).collect();
         assert!(secs.iter().all(|&s| (1200.0..=7800.0).contains(&s)));
         // Both episodes and films appear.
@@ -198,7 +185,7 @@ mod tests {
     #[test]
     fn rates_are_biased_low() {
         // Most YouTube videos play at the default (low) resolution.
-        let videos = Dataset::YouFlash.sample_many(5, 2000);
+        let videos = sample_many(Dataset::YouFlash, 5, 2000);
         let below_midpoint = videos
             .iter()
             .filter(|v| v.encoding_bps < 850_000)
@@ -213,18 +200,18 @@ mod tests {
     #[test]
     fn sample_indexed_matches_sample_many_at_any_index() {
         for ds in ALL {
-            let many = ds.sample_many(11, 32);
+            let many = sample_many(ds, 11, 32);
             // Probe out of order: the indexed draw must not depend on
             // which indices were materialized before it.
             for i in [31usize, 0, 17, 4] {
-                assert_eq!(ds.sample_indexed(11, i as u64), many[i], "{}[{i}]", ds.label());
+                assert_eq!(ds.sample_indexed(11, i as u64), many[i], "{ds:?}[{i}]");
             }
         }
     }
 
     #[test]
     fn ids_are_sequential() {
-        let videos = Dataset::YouHd.sample_many(1, 10);
+        let videos = sample_many(Dataset::YouHd, 1, 10);
         for (i, v) in videos.iter().enumerate() {
             assert_eq!(v.id, i as u64);
         }

@@ -70,7 +70,7 @@ impl Client {
     }
 
     /// True for the native mobile applications.
-    pub fn is_mobile(self) -> bool {
+    pub(crate) fn is_mobile(self) -> bool {
         matches!(self, Client::Ipad | Client::Android)
     }
 }
@@ -178,18 +178,6 @@ impl StrategyLogic {
         match self {
             StrategyLogic::Abr(l) => l.switches,
             _ => 0,
-        }
-    }
-
-    /// The video being streamed (for Netflix, at the selected rate).
-    pub fn video(&self) -> Video {
-        match self {
-            StrategyLogic::ServerPaced(l) => l.video(),
-            StrategyLogic::ClientPull(l) => l.video(),
-            StrategyLogic::Bulk(l) => l.video(),
-            StrategyLogic::Range(l) => l.video(),
-            StrategyLogic::Netflix(l) => l.video(),
-            StrategyLogic::Abr(l) => l.video(),
         }
     }
 }
@@ -408,7 +396,6 @@ mod tests {
     fn strategy_logic_exposes_uniform_accessors() {
         let logic = logic_for(Client::Firefox, Container::Html5, video()).unwrap();
         assert_eq!(logic.read_total(), 0);
-        assert_eq!(logic.video().encoding_bps, 1_000_000);
         assert!(!logic.player().has_started());
         assert_eq!(logic.switches(), 0);
     }

@@ -3,7 +3,12 @@
 #
 #   1. release build + the whole test suite (unit, integration, doc-adjacent),
 #      then the API docs with rustdoc warnings as errors, so a doc link to a
-#      deleted, renamed or private item fails here
+#      deleted, renamed or private item fails here, then the public-API check
+#      (scripts/check_pub_api.py): every non-test `pub fn` of a library crate
+#      must be named by a file outside its crate (another crate's src, a
+#      crate's tests/, the root tests/ and examples/, benchmark/driver) or
+#      carry an allow-list entry saying why it is public; the rest are
+#      `pub(crate)`
 #   2. the determinism invariant: byte-identical CSVs and metrics ledger
 #      at --jobs 1, --jobs max(nproc, 8), and --no-cache, which also
 #      covers per-worker scratch reuse on every figure (the DASH/LRD
@@ -66,6 +71,9 @@ cargo test --offline --quiet
 
 echo "==> rustdoc: no broken, ambiguous or private intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
+echo "==> public API: every pub fn has a caller outside its crate"
+python3 scripts/check_pub_api.py
 
 echo "==> determinism: CSVs and metrics ledger invariant under --jobs (seeds 2026 and 7), --no-cache and --trace-dir"
 scripts/check_determinism.sh
@@ -136,7 +144,7 @@ diff <(sed "s|$obs_out/camp-oneshot|CSV|" "$obs_out/camp-oneshot.txt") \
      <(sed "s|$obs_out/camp-resumed|CSV|" "$obs_out/camp-resumed.txt")
 ledger_dir=("$obs_out"/camp-ledger/campaign-*)
 test "$(ls "${ledger_dir[0]}"/shard-*.ckpt | wc -l)" -eq 4
-head -n 1 "${ledger_dir[0]}"/shard-0000.ckpt | grep -q '^vstream-campaign-shard v1$'
+head -n 1 "${ledger_dir[0]}"/shard-0000.ckpt | grep -q '^vstream-campaign-shard v2$'
 grep -q '^gate PASS$' "${ledger_dir[0]}/summary.txt"
 
 echo "==> examples: the library-facing callers of the folds run to completion"
