@@ -3,11 +3,12 @@
 //! Every reduction over a capture lives here, once: a [`PacketSink`] that
 //! consumes the tap one packet at a time — live from the engine, or from
 //! [`Trace::replay`](vstream_capture::Trace::replay) /
-//! `PackedTrace::replay` when a capture was retained. Folds keep per-flow
-//! [`FlowState`] and per-figure series only, so a session's analysis memory
-//! is O(flows + figure points) instead of O(packets); each fold reports its
-//! footprint via `approx_bytes`, the number behind the
-//! `peak_flowstate_bytes` ledger gauge.
+//! `PackedTrace::replay` when a capture was retained. Folds keep one
+//! [`ConnectionSummary`] row or high-water mark per flow and per-figure
+//! series only, so a session's analysis memory is O(flows + figure points)
+//! instead of O(packets); each fold reports its footprint via
+//! `approx_bytes`, the number behind the `peak_flowstate_bytes` ledger
+//! gauge.
 //!
 //! The oracle for each operator is a naive reduction over a plain
 //! `Vec<PacketRecord>` (`crates/capture/tests/support/`), compared on
@@ -19,8 +20,8 @@
 //! * [`ThroughputFold`] — `ref_throughput`;
 //! * [`TotalsFold`] — the last point of `ref_download_series`,
 //!   `ref_raw_total`, `ref_retx_rate`, `ref_duration`;
-//! * [`SummariesFold`] — `ref_connection_summaries`;
-//! * [`SwitchRateFold`] — [`switch_counts_of`] over those summaries;
+//! * [`SummariesFold`] — `ref_connection_summaries` (the wire-side
+//!   bitrate-switch estimate, [`switch_counts_of`], reads these rows);
 //! * [`AnalysisFold`] — `ref_onoff`, `ref_phases`, `ref_first_rtt_bytes`
 //!   (what [`OnOffAnalysis::from_trace`], [`SessionPhases::from_trace`] and
 //!   [`first_rtt_bytes`](crate::ackclock::first_rtt_bytes) answer, being
@@ -36,26 +37,6 @@ use vstream_sim::{SimDuration, SimTime};
 use crate::onoff::{AnalysisConfig, Cycle, CycleDetector, OnOffAnalysis};
 use crate::phases::SessionPhases;
 
-/// Per-connection incremental state: everything the unique-byte accounting
-/// and the per-connection summaries need, one entry per flow the session
-/// touched. A session opens a handful of connections, so a sorted vector of
-/// these is the whole "per-flow table" — O(flows), not O(packets).
-#[derive(Clone, Copy, Debug)]
-pub struct FlowState {
-    /// Connection id.
-    pub conn: u32,
-    /// First packet time (either direction).
-    pub first_seen: SimTime,
-    /// Last packet time (either direction).
-    pub last_seen: SimTime,
-    /// Packets seen (both directions).
-    pub packets: u64,
-    /// High-water mark of contiguous incoming sequence space.
-    pub high_water: u64,
-    /// Unique payload bytes delivered to the client.
-    pub unique_bytes: u64,
-}
-
 /// Looks `conn` up in a per-flow table sorted by connection id, as
 /// `binary_search` does (`Err` carries the insertion point), trying the
 /// row of the previous hit first: packets arrive in long per-connection
@@ -70,7 +51,7 @@ fn find_flow<T>(table: &[T], last: usize, conn: u32, id: impl Fn(&T) -> u32) -> 
 }
 
 /// Sorted per-connection high-water marks: the unique-byte ("goodput")
-/// accounting shared by the download and phase folds.
+/// accounting shared by the download, totals and phase folds.
 #[derive(Clone, Debug, Default)]
 struct FlowHighWater {
     conns: Vec<u32>,
@@ -344,12 +325,12 @@ impl PacketSink for TotalsFold {
 }
 
 /// Per-connection summary rows — the paper's per-connection view of the
-/// iPad and Netflix sessions (§5.1.3, §5.2.2): one [`FlowState`] per
-/// connection, updated per packet.
+/// iPad and Netflix sessions (§5.1.3, §5.2.2): one [`ConnectionSummary`]
+/// per connection, updated per packet.
 #[derive(Clone, Debug, Default)]
 pub struct SummariesFold {
     /// Sorted by connection id.
-    flows: Vec<FlowState>,
+    rows: Vec<ConnectionSummary>,
     /// Row of the previous packet's connection (see [`find_flow`]).
     last: usize,
 }
@@ -362,53 +343,41 @@ impl SummariesFold {
 
     /// The per-connection summary rows, ordered by connection id.
     pub fn finish(self) -> Vec<ConnectionSummary> {
-        self.flows
-            .into_iter()
-            .map(|f| ConnectionSummary {
-                conn: f.conn,
-                first_seen: f.first_seen,
-                last_seen: f.last_seen,
-                unique_bytes: f.unique_bytes,
-                packets: f.packets,
-            })
-            .collect()
+        self.rows
     }
 
     /// Heap bytes held by the fold.
     pub fn approx_bytes(&self) -> usize {
-        self.flows.capacity() * size_of::<FlowState>()
+        self.rows.capacity() * size_of::<ConnectionSummary>()
     }
 }
 
 impl PacketSink for SummariesFold {
     fn packet(&mut self, p: &TapPacket) {
-        let i = match find_flow(&self.flows, self.last, p.conn, |f| f.conn) {
+        let i = match find_flow(&self.rows, self.last, p.conn, |r| r.conn) {
             Ok(i) => i,
             Err(i) => {
-                self.flows.insert(
+                self.rows.insert(
                     i,
-                    FlowState {
+                    ConnectionSummary {
                         conn: p.conn,
                         first_seen: p.at,
                         last_seen: p.at,
-                        packets: 0,
-                        high_water: 0,
                         unique_bytes: 0,
+                        packets: 0,
                     },
                 );
                 i
             }
         };
         self.last = i;
-        let f = &mut self.flows[i];
-        f.last_seen = p.at;
-        f.packets += 1;
+        let r = &mut self.rows[i];
+        r.last_seen = p.at;
+        r.packets += 1;
+        // Server sequence space starts at zero, so the unique byte count is
+        // also the connection's contiguous high-water mark.
         if p.is_incoming_data() {
-            let end = p.seq_end();
-            if end > f.high_water {
-                f.unique_bytes += end - f.high_water;
-                f.high_water = end;
-            }
+            r.unique_bytes = r.unique_bytes.max(p.seq_end());
         }
     }
 }
@@ -422,81 +391,26 @@ pub struct SwitchCounts {
     pub switches: u64,
 }
 
-/// Streaming estimator of an ABR session's bitrate-switch count, from the
-/// wire alone: the DASH client fetches one segment per fresh connection, so
-/// each connection's unique incoming byte total is (close to) one ladder
-/// rung's segment size. [`finish`](SwitchRateFold::finish) classifies each
-/// connection to its nearest rung, in connection-id order (the request
-/// order), and counts rung changes. Memory is the per-flow table —
-/// O(flows), like every fold here.
-///
-/// The oracle is [`switch_counts_of`] over per-connection summaries; the
-/// randomized suites hold the two equal.
-#[derive(Clone, Debug, Default)]
-pub struct SwitchRateFold {
-    flows: FlowHighWater,
-}
-
-impl SwitchRateFold {
-    /// An empty switch-rate fold.
-    pub fn new() -> Self {
-        SwitchRateFold::default()
-    }
-
-    /// Classifies every connection against `ladder` (ascending bits per
-    /// second) at `segment_ms` playback per segment and counts rung
-    /// changes.
-    pub fn finish(self, ladder: &[u64], segment_ms: u64) -> SwitchCounts {
-        // `high` is the contiguous incoming sequence high-water mark, which
-        // is the connection's unique byte count (server sequence space
-        // starts at zero), in connection-id == request order.
-        count_switches(self.flows.high.iter().copied(), ladder, segment_ms)
-    }
-
-    /// Heap bytes held by the fold.
-    pub fn approx_bytes(&self) -> usize {
-        self.flows.approx_bytes()
-    }
-}
-
-impl PacketSink for SwitchRateFold {
-    fn packet(&mut self, p: &TapPacket) {
-        if p.is_incoming_data() {
-            self.flows.advance(p.conn, p.seq_end());
-        }
-    }
-}
-
-/// The oracle of [`SwitchRateFold`]: the same classification over
-/// per-connection summaries (already in connection-id order).
+/// The wire-side estimate of an ABR session's bitrate-switch count, read
+/// off its per-connection summaries: the DASH client fetches one segment
+/// per fresh connection, so each connection's unique incoming byte total is
+/// (close to) one ladder rung's segment size. Classifies each connection to
+/// its nearest rung of `ladder` (ascending bits per second) at `segment_ms`
+/// playback per segment, in connection-id order (the request order), and
+/// counts rung changes. Empty connections (zero unique bytes — e.g. a
+/// capture-truncated handshake) are skipped.
 pub fn switch_counts_of(
     summaries: &[ConnectionSummary],
     ladder: &[u64],
     segment_ms: u64,
 ) -> SwitchCounts {
-    count_switches(summaries.iter().map(|s| s.unique_bytes), ladder, segment_ms)
-}
-
-/// Shared reduction: nearest-rung classification per connection, switches
-/// counted between consecutive classified connections. Empty connections
-/// (zero unique bytes — e.g. a capture-truncated handshake) are skipped.
-fn count_switches(
-    per_conn_bytes: impl Iterator<Item = u64>,
-    ladder: &[u64],
-    segment_ms: u64,
-) -> SwitchCounts {
     let mut out = SwitchCounts::default();
     let mut prev: Option<usize> = None;
-    for bytes in per_conn_bytes {
-        if bytes == 0 {
-            continue;
-        }
-        let rung = nearest_rung(ladder, segment_ms, bytes);
+    for s in summaries.iter().filter(|s| s.unique_bytes > 0) {
+        let rung = nearest_rung(ladder, segment_ms, s.unique_bytes);
         out.segments += 1;
-        if let Some(p) = prev {
-            if p != rung {
-                out.switches += 1;
-            }
+        if prev.is_some_and(|p| p != rung) {
+            out.switches += 1;
         }
         prev = Some(rung);
     }
@@ -940,13 +854,10 @@ mod tests {
             seq[conn as usize] += payload as u64;
             now += SimDuration::from_millis(3);
         }
-        let switches = fed(&t, SwitchRateFold::new());
-        assert_eq!(
-            fed(&t, TotalsFold::new()).finish().total_downloaded,
-            seq.iter().sum::<u64>()
-        );
-        assert_eq!(switches.flows.conns, [0, 2, 5, 7, 9]);
-        assert_eq!(switches.flows.high, [0, 2, 5, 7, 9].map(|c| seq[c]));
+        let totals = fed(&t, TotalsFold::new());
+        assert_eq!(totals.flows.conns, [0, 2, 5, 7, 9]);
+        assert_eq!(totals.flows.high, [0, 2, 5, 7, 9].map(|c| seq[c]));
+        assert_eq!(totals.finish().total_downloaded, seq.iter().sum::<u64>());
         let rows: Vec<_> = fed(&t, SummariesFold::new())
             .finish()
             .iter()
@@ -1055,8 +966,13 @@ mod tests {
         assert_eq!(out.first_rtt_bytes.unwrap(), [12_000, 13_200, 12_000, 12_000]);
     }
 
+    /// The switch estimate over the summaries fold's rows.
+    fn switch_counts(trace: &Trace, ladder: &[u64], segment_ms: u64) -> SwitchCounts {
+        switch_counts_of(&fed(trace, SummariesFold::new()).finish(), ladder, segment_ms)
+    }
+
     #[test]
-    fn switch_fold_matches_summaries_oracle_and_classifies_rungs() {
+    fn switch_counts_classify_rungs_from_unique_bytes() {
         let ladder = [350_000u64, 1_000_000, 3_800_000];
         let seg_ms = 4_000u64;
         // Three segments on fresh connections: rung 0, rung 2, rung 2 —
@@ -1074,31 +990,44 @@ mod tests {
             }
             now = now + SimDuration::from_secs(2);
         }
-        let counts = fed(&t, SwitchRateFold::new()).finish(&ladder, seg_ms);
-        assert_eq!(counts, SwitchCounts { segments: 3, switches: 1 });
-        let summaries = fed(&t, SummariesFold::new()).finish();
-        assert_eq!(counts, switch_counts_of(&summaries, &ladder, seg_ms));
+        assert_eq!(switch_counts(&t, &ladder, seg_ms), SwitchCounts { segments: 3, switches: 1 });
         // A retransmission-riddled final segment still lands on its rung:
         // classification reads unique bytes, not raw bytes.
         let mut rx = seg(2, 0, 1448);
         rx.retx = true;
         t.push(now, TapDirection::Incoming, rx);
-        assert_eq!(fed(&t, SwitchRateFold::new()).finish(&ladder, seg_ms).switches, 1);
+        assert_eq!(switch_counts(&t, &ladder, seg_ms).switches, 1);
     }
 
     #[test]
-    fn switch_fold_ignores_empty_connections_and_empty_streams() {
+    fn switch_counts_tie_goes_to_the_lower_rung() {
+        // Rungs expect 175 000 and 500 000 bytes per 4 s segment; 337 500
+        // is equidistant from both, so it stays on rung 0 and the session
+        // never switches. One byte more lands on rung 1 and back again.
         let ladder = [350_000u64, 1_000_000];
-        assert_eq!(
-            SwitchRateFold::new().finish(&ladder, 4_000),
-            SwitchCounts::default()
-        );
+        for (middle, switches) in [(337_500u32, 0u64), (337_501, 2)] {
+            let mut t = Trace::new();
+            for (conn, size) in [175_000u32, middle, 175_000].into_iter().enumerate() {
+                t.push(at(conn as u64), TapDirection::Incoming, seg(conn as u32, 0, size));
+            }
+            assert_eq!(
+                switch_counts(&t, &ladder, 4_000),
+                SwitchCounts { segments: 3, switches },
+                "middle segment {middle} B"
+            );
+        }
+    }
+
+    #[test]
+    fn switch_counts_skip_empty_connections_and_empty_streams() {
+        let ladder = [350_000u64, 1_000_000];
+        assert_eq!(switch_counts(&Trace::new(), &ladder, 4_000), SwitchCounts::default());
         // A connection with only an outgoing handshake never classifies.
         let mut t = Trace::new();
-        t.push(SimTime::from_millis(1), TapDirection::Outgoing, seg(0, 0, 0));
-        t.push(SimTime::from_millis(2), TapDirection::Incoming, seg(1, 0, 175_000));
+        t.push(at(1), TapDirection::Outgoing, seg(0, 0, 0));
+        t.push(at(2), TapDirection::Incoming, seg(1, 0, 175_000));
         assert_eq!(
-            fed(&t, SwitchRateFold::new()).finish(&ladder, 4_000),
+            switch_counts(&t, &ladder, 4_000),
             SwitchCounts { segments: 1, switches: 0 }
         );
     }

@@ -33,8 +33,8 @@ pub mod stats;
 pub use ackclock::first_rtt_bytes;
 pub use classify::{classify, classify_analysis, Strategy};
 pub use fold::{
-    switch_counts_of, AnalysisFold, AnalysisOutput, CaptureTotals, DownloadFold, FlowState,
-    SummariesFold, SwitchCounts, SwitchRateFold, ThroughputFold, TotalsFold, WindowFold,
+    switch_counts_of, AnalysisFold, AnalysisOutput, CaptureTotals, DownloadFold, SummariesFold,
+    SwitchCounts, ThroughputFold, TotalsFold, WindowFold,
 };
 pub use onoff::{AnalysisConfig, Cycle, CycleDetector, OnOffAnalysis};
 pub use phases::SessionPhases;

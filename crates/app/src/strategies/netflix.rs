@@ -146,9 +146,8 @@ pub struct NetflixLogic {
     content_offset: u64,
     /// The single Android connection, once opened.
     android_conn: Option<usize>,
-    /// Selected-rate content bytes read.
-    content_read: u64,
-    /// Total bytes read (content + probes).
+    /// Selected-rate content bytes read; probe bytes go to
+    /// [`probe_read`](Self::probe_read) only.
     pub read_total: u64,
     /// Probe (non-selected-rate) bytes read — pure overhead.
     pub probe_read: u64,
@@ -174,7 +173,6 @@ impl NetflixLogic {
             conns: Vec::new(),
             content_offset: 0,
             android_conn: None,
-            content_read: 0,
             read_total: 0,
             probe_read: 0,
             blocks: 0,
@@ -219,7 +217,7 @@ impl NetflixLogic {
     fn content_remaining(&self) -> bool {
         match self.cfg.mode {
             NetflixMode::Pc | NetflixMode::Ipad => self.content_offset < self.video.size_bytes(),
-            NetflixMode::Android => self.content_read < self.video.size_bytes(),
+            NetflixMode::Android => self.read_total < self.video.size_bytes(),
         }
     }
 
@@ -294,7 +292,6 @@ impl SessionLogic for NetflixLogic {
             }
             (NetflixMode::Pc | NetflixMode::Ipad, ConnKind::Content) => {
                 let n = eng.client_read(conn, u64::MAX);
-                self.content_read += n;
                 self.read_total += n;
                 self.player.feed(eng.now(), n);
             }
@@ -303,7 +300,6 @@ impl SessionLogic for NetflixLogic {
                 // timer paces the session, arrivals wait in the socket.
                 if self.player.buffer_bytes() < self.cfg.buffer_bytes() && !self.pull_armed {
                     let n = eng.client_read(conn, u64::MAX);
-                    self.content_read += n;
                     self.read_total += n;
                     self.player.feed(eng.now(), n);
                     if self.player.buffer_bytes() >= self.cfg.buffer_bytes() {
@@ -344,7 +340,6 @@ impl SessionLogic for NetflixLogic {
                     self.blocks += 1;
                     super::trace_block_request(eng.now(), self.blocks);
                     let n = eng.client_read(conn, self.cfg.block_bytes());
-                    self.content_read += n;
                     self.read_total += n;
                     self.player.feed(eng.now(), n);
                 }

@@ -45,7 +45,7 @@ use vstream_workload::{Client, Container};
 
 use crate::qoe::QoeSummary;
 use crate::query::{SessionQuery, SessionReply};
-use crate::report::TableData;
+use crate::report::{fixed3, fixed6, TableData};
 use crate::session::{batch_resolve, SessionSpec};
 
 /// Identity tag for campaign session seeds (cf. `figures::STREAM_CELL`).
@@ -56,7 +56,7 @@ const CAMPAIGN_TAG: u64 = 0xCA59;
 const CAPTURE_SLACK_SECS: f64 = 60.0;
 
 /// Checkpoint format version; bumping it invalidates old ledgers.
-const SHARD_FORMAT: &str = "vstream-campaign-shard v2";
+const SHARD_FORMAT: &str = "vstream-campaign-shard v3";
 
 /// The longest arrival window [`CampaignSpec::validate`] accepts, seconds
 /// (30 days). Each shard's aggregate timeline holds one `u64` bin per second
@@ -403,12 +403,6 @@ impl ClassTally {
 /// guarantee rests on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Reduction {
-    /// Sessions folded in.
-    pub sessions: u64,
-    /// Total downloaded bits.
-    pub bits: u64,
-    /// Total ON bins (1 s bins with nonzero download).
-    pub active_bins: u64,
     /// Sum over sessions of the per-session ON rate `bits / active_secs`.
     pub on_rate_sum_bps: u64,
     /// Sum over sessions of `size · ON-rate` (bits · bits/s) — the exact
@@ -434,7 +428,8 @@ pub struct Reduction {
     pub stall_us_sum: u64,
     /// Total capture time, µs (the stall-ratio denominator).
     pub capture_us_sum: u64,
-    /// Tallies per vantage point, `NetworkProfile::ALL` order.
+    /// Tallies per vantage point, `NetworkProfile::ALL` order. Every
+    /// session lands in exactly one, so their sum is the shard's total.
     pub per_profile: [ClassTally; 4],
     /// Tallies per strategy shape, [`CampaignStrategy::ALL`] order.
     pub per_strategy: [ClassTally; 3],
@@ -448,6 +443,15 @@ impl Reduction {
             timeline_bits: vec![0; bins],
             ..Reduction::default()
         }
+    }
+
+    /// Sessions, downloaded bits and ON bins over the whole shard.
+    fn total(&self) -> ClassTally {
+        let mut all = ClassTally::default();
+        for t in &self.per_profile {
+            all.merge(t);
+        }
+        all
     }
 
     /// Folds one session in. `bins` is the session-relative 1 s download
@@ -468,9 +472,6 @@ impl Reduction {
                 self.timeline_bits[slot] += b;
             }
         }
-        self.sessions += 1;
-        self.bits += bits;
-        self.active_bins += active;
         if active > 0 {
             let on_rate = bits / active;
             self.on_rate_sum_bps += on_rate;
@@ -490,9 +491,6 @@ impl Reduction {
     }
 
     fn merge(&mut self, o: &Reduction) {
-        self.sessions += o.sessions;
-        self.bits += o.bits;
-        self.active_bins += o.active_bins;
         self.on_rate_sum_bps += o.on_rate_sum_bps;
         self.sg_sum += o.sg_sum;
         self.sq_sum += o.sq_sum;
@@ -691,8 +689,7 @@ fn serialize_shard(key: u64, k: usize, start: usize, end: usize, r: &Reduction) 
     let _ = writeln!(s, "{SHARD_FORMAT}");
     let _ = writeln!(s, "key {key:016x}");
     let _ = writeln!(s, "shard {k} {start} {end}");
-    let _ = writeln!(s, "sessions {}", r.sessions);
-    let _ = writeln!(s, "totals {} {} {}", r.bits, r.active_bins, r.on_rate_sum_bps);
+    let _ = writeln!(s, "on_rate {}", r.on_rate_sum_bps);
     let _ = writeln!(s, "sg {}", r.sg_sum);
     let _ = writeln!(s, "sq {}", r.sq_sum);
     let _ = writeln!(
@@ -778,19 +775,15 @@ fn parse_shard(
         let rest = line?.strip_prefix(name)?.strip_prefix(' ')?;
         rest.split(' ').map(|w| w.parse().ok()).collect()
     };
-    let sessions = field(lines.next(), "sessions")?;
-    let totals = field(lines.next(), "totals")?;
+    let on_rate = field(lines.next(), "on_rate")?;
     let sg: u128 = lines.next()?.strip_prefix("sg ")?.parse().ok()?;
     let sq: u128 = lines.next()?.strip_prefix("sq ")?.parse().ok()?;
     let qoe = field(lines.next(), "qoe")?;
-    if sessions.len() != 1 || totals.len() != 3 || qoe.len() != 6 {
+    if on_rate.len() != 1 || qoe.len() != 6 {
         return None;
     }
     let mut r = Reduction {
-        sessions: sessions[0],
-        bits: totals[0],
-        active_bins: totals[1],
-        on_rate_sum_bps: totals[2],
+        on_rate_sum_bps: on_rate[0],
         sg_sum: sg,
         sq_sum: sq,
         started: qoe[0],
@@ -933,8 +926,9 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     fn build(spec: &CampaignSpec, key: u64, r: &Reduction) -> CampaignReport {
-        let n = r.sessions.max(1) as f64;
-        let mean_bits = r.bits as f64 / n;
+        let all = r.total();
+        let n = all.sessions.max(1) as f64;
+        let mean_bits = all.bits as f64 / n;
         let g_bar = r.on_rate_sum_bps as f64 / n;
         let (skip, end) = spec.steady_bins();
         let steady = &r.timeline_bits[skip..end];
@@ -1012,7 +1006,7 @@ impl CampaignReport {
             id: "campaign-capacity",
             title: format!(
                 "Capacity plan, {} packet-calibrated sessions scaled analytically",
-                r.sessions
+                all.sessions
             ),
             headers: vec![
                 "viewers".into(),
@@ -1093,30 +1087,20 @@ impl CampaignReport {
 
         // QoE rollup: integer math throughout (µs sums, ppm ratios), like
         // the per-session QoE table.
-        let startup_mean_us = if r.started > 0 { r.startup_us_sum / r.started } else { 0 };
-        let stall_ppm = if r.capture_us_sum > 0 {
-            r.stall_us_sum * 1_000_000 / r.capture_us_sum
-        } else {
-            0
-        };
-        let stalls_per_1k = if r.sessions > 0 { r.stalls * 1_000 / r.sessions } else { 0 };
+        let startup_mean_us = r.startup_us_sum.checked_div(r.started).unwrap_or(0);
+        let stall_ppm = (r.stall_us_sum * 1_000_000).checked_div(r.capture_us_sum).unwrap_or(0);
+        let stalls_per_1k = (r.stalls * 1_000).checked_div(all.sessions).unwrap_or(0);
         let qoe = TableData {
             id: "campaign-qoe",
             title: "QoE rollup of the packet shard".into(),
             headers: vec!["metric".into(), "value".into()],
             rows: vec![
-                vec!["sessions".into(), r.sessions.to_string()],
+                vec!["sessions".into(), all.sessions.to_string()],
                 vec!["playback_started".into(), r.started.to_string()],
-                vec![
-                    "startup_mean_ms".into(),
-                    format!("{}.{:03}", startup_mean_us / 1_000, startup_mean_us % 1_000),
-                ],
+                vec!["startup_mean_ms".into(), fixed3(startup_mean_us)],
                 vec!["stalls".into(), r.stalls.to_string()],
                 vec!["stalls_per_1k_sessions".into(), stalls_per_1k.to_string()],
-                vec![
-                    "stall_time_ratio".into(),
-                    format!("{}.{:06}", stall_ppm / 1_000_000, stall_ppm % 1_000_000),
-                ],
+                vec!["stall_time_ratio".into(), fixed6(stall_ppm)],
             ],
         };
 
@@ -1163,18 +1147,6 @@ impl CampaignReport {
             validation,
             tables: vec![validation_table, capacity, profiles, strategies, qoe],
         }
-    }
-
-    /// The full plain-text report: gate verdict first, then every table.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "campaign {:016x}", self.key);
-        let _ = writeln!(s, "{}", self.validation.gate_line());
-        for t in &self.tables {
-            let _ = writeln!(s);
-            s.push_str(&t.to_text());
-        }
-        s
     }
 }
 
@@ -1328,7 +1300,6 @@ mod tests {
     #[test]
     fn flipped_digits_fail_the_checksum() {
         let mut r = Reduction::new(8);
-        r.sessions = 3;
         r.per_profile[2] = ClassTally { sessions: 3, bits: 40_000_000, active_bins: 5 };
         r.timeline_bits = vec![0, 5_000_000, 0, 3_000_000, 0, 0, 7, 0];
         let text = serialize_shard(0xABCD, 1, 4, 8, &r);
@@ -1364,26 +1335,26 @@ mod tests {
         // still see the full session.
         r.absorb_session(&params, &[10, 0, 20, 30], &qoe, 1);
         assert_eq!(r.timeline_bits, vec![0, 0, 0, 10, 0, 20]);
-        assert_eq!(r.bits, 60);
-        assert_eq!(r.active_bins, 3);
+        let tally = ClassTally { sessions: 1, bits: 60, active_bins: 3 };
+        assert_eq!(r.per_profile[NetworkProfile::Research as usize], tally);
+        assert_eq!(r.per_strategy[0], tally);
+        assert_eq!(r.total(), tally);
         assert_eq!(r.on_rate_sum_bps, 20);
-        assert_eq!(r.per_profile[NetworkProfile::Research as usize].sessions, 1);
-        assert_eq!(r.per_strategy[0].bits, 60);
         assert_eq!(r.started, 0);
     }
 
     #[test]
     fn merge_is_componentwise_addition() {
         let mut a = Reduction::new(3);
-        a.bits = 5;
+        a.per_profile[0] = ClassTally { sessions: 1, bits: 5, active_bins: 1 };
         a.timeline_bits = vec![1, 2, 3];
         let mut b = Reduction::new(3);
-        b.bits = 7;
+        b.per_profile[0] = ClassTally { sessions: 2, bits: 7, active_bins: 2 };
+        b.per_profile[3] = ClassTally { sessions: 1, bits: 4, active_bins: 1 };
         b.timeline_bits = vec![10, 0, 1];
-        b.sessions = 2;
         a.merge(&b);
-        assert_eq!(a.bits, 12);
-        assert_eq!(a.sessions, 2);
+        assert_eq!(a.per_profile[0], ClassTally { sessions: 3, bits: 12, active_bins: 3 });
+        assert_eq!(a.total(), ClassTally { sessions: 4, bits: 16, active_bins: 4 });
         assert_eq!(a.timeline_bits, vec![11, 2, 4]);
     }
 

@@ -19,8 +19,9 @@
 //! * `ext-qoe-switches` (table): per load point, the client's own switch
 //!   counter (ground truth from [`AbrLogic`](vstream_app::strategies::AbrLogic))
 //!   next to the wire-side estimate
-//!   ([`SwitchRateFold`](vstream_analysis::SwitchRateFold)) a passive
-//!   observer would reconstruct from per-connection byte totals alone.
+//!   ([`switch_counts_of`](vstream_analysis::switch_counts_of) over the
+//!   session's per-connection summaries) a passive observer would
+//!   reconstruct from per-connection byte totals alone.
 //!
 //! The sweep resolves as one parallel batch whose workers reduce each reply
 //! to its QoE summary and wire-side switch counts, so no reply outlives its

@@ -60,7 +60,6 @@ pub fn fig8_bulk_rates(seed: u64, n: usize) -> (FigureData, f64) {
 /// Entire blocks arriving within one RTT mean the congestion window was not
 /// reset across the OFF period.
 pub fn fig9_ack_clock(seed: u64) -> FigureData {
-    let cfg = AnalysisConfig::default();
     let cases: [(&str, Client, Container, u64); 5] = [
         ("Flash", Client::Firefox, Container::Flash, 1_000_000),
         ("Int. Explorer", Client::InternetExplorer, Container::Html5, 1_000_000),
@@ -84,7 +83,7 @@ pub fn fig9_ack_clock(seed: u64) -> FigureData {
             )
         })
         .collect();
-    let query = SessionQuery::with_config(cfg).ack_clock();
+    let query = SessionQuery::default().ack_clock();
     let per_case = query_many(&specs, &query);
     let mut series = Vec::new();
     for (case, reply) in cases.iter().zip(per_case) {

@@ -69,7 +69,7 @@ pub fn table1_strategy_matrix(seed: u64) -> (TableData, Vec<MatrixCell>) {
             expectations.push(expected);
         }
     }
-    let query = SessionQuery::with_config(cfg.clone()).onoff();
+    let query = SessionQuery::default().onoff();
     let measured: Vec<Option<Strategy>> = query_many(&specs, &query)
         .into_iter()
         .map(|reply| {

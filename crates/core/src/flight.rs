@@ -37,6 +37,7 @@ use vstream_app::PlayerStats;
 use vstream_obs::trace::{self, Event, EventKind, Recorder, SIDE_CLIENT, SIDE_SERVER};
 use vstream_tcp::EndpointStats;
 
+use crate::report::{fixed3, fixed6};
 use crate::session::SessionSpec;
 
 /// Default ring capacity for full `--trace-dir` dumps.
@@ -220,17 +221,6 @@ fn arg_names(kind: EventKind) -> (&'static str, &'static str) {
     }
 }
 
-/// Microseconds with 3 decimals from nanoseconds — the `ts` field of the
-/// Chrome trace-event format. Integer math keeps dumps byte-deterministic.
-fn ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// Milliseconds with 6 decimals from nanoseconds (text timelines).
-fn ts_ms(ns: u64) -> String {
-    format!("{}.{:06}", ns / 1_000_000, ns % 1_000_000)
-}
-
 /// Counter-track events sample a value over time; everything else is an
 /// instant marker.
 fn is_counter(kind: EventKind) -> bool {
@@ -270,7 +260,8 @@ pub(crate) fn chrome_trace_json(stem: &str, rec: &Recorder) -> String {
 }
 
 fn chrome_event(ev: &Event) -> String {
-    let ts = ts_us(ev.at_ns);
+    // Microseconds with 3 decimals: the Chrome trace-event `ts` field.
+    let ts = fixed3(ev.at_ns);
     let tid = layer_tid(ev.kind);
     let cat = ev.kind.layer();
     if is_counter(ev.kind) {
@@ -333,7 +324,7 @@ pub(crate) fn text_timeline(
         let (a_name, b_name) = arg_names(ev.kind);
         s.push_str(&format!(
             "{:>16}  {:<5}  {:<18} conn={} side={} {a_name}={} {b_name}={}\n",
-            ts_ms(ev.at_ns),
+            fixed6(ev.at_ns),
             ev.kind.layer(),
             ev.kind.name(),
             ev.conn,

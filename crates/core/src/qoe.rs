@@ -28,6 +28,7 @@ use std::sync::Mutex;
 
 use vstream_workload::StrategyLogic;
 
+use crate::report::{fixed3, fixed6};
 use crate::session::SessionSpec;
 
 /// The QoE quantities reduced from one session, before identity/formatting.
@@ -71,11 +72,7 @@ impl QoeSummary {
 
     /// Mean completed stall duration in microseconds (0 when none).
     pub(crate) fn stall_mean_us(&self) -> u64 {
-        if self.stalls_completed == 0 {
-            0
-        } else {
-            self.stall_total_us / self.stalls_completed as u64
-        }
+        self.stall_total_us.checked_div(self.stalls_completed as u64).unwrap_or(0)
     }
 }
 
@@ -115,53 +112,30 @@ impl QoeRow {
     /// The CSV cells after `figure,index`, in header order.
     fn csv_cells(&self) -> String {
         let s = &self.summary;
-        let startup = s.startup_us.map(fmt_ms).unwrap_or_default();
-        // Stall ratio as a 6-decimal fraction of the capture, via ppm.
-        let ppm = if self.capture_us == 0 {
-            0
-        } else {
-            s.stall_total_us * 1_000_000 / self.capture_us
-        };
-        // Blocks (and switches) per minute of capture, milli-units for 3
-        // decimals.
-        let rate_milli = if self.capture_us == 0 {
-            0
-        } else {
-            s.blocks * 60_000_000_000 / self.capture_us
-        };
-        let switch_rate_milli = if self.capture_us == 0 {
-            0
-        } else {
-            s.switches * 60_000_000_000 / self.capture_us
-        };
-        let ratio = format!("{}.{:06}", ppm / 1_000_000, ppm % 1_000_000);
+        // `x × scale` over the capture's microseconds (0 for an empty
+        // capture): the stall ratio in ppm, and blocks (and switches) per
+        // minute in milli-units.
+        let per_capture = |x: u64, scale: u64| (x * scale).checked_div(self.capture_us).unwrap_or(0);
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}.{:03},{},{}.{:03}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.client,
             self.container,
             self.profile,
             self.video,
             self.seed,
-            startup,
+            s.startup_us.map(fixed3).unwrap_or_default(),
             s.stalls,
             s.stalls_completed,
-            fmt_ms(s.stall_total_us),
-            fmt_ms(s.stall_mean_us()),
-            fmt_ms(s.stall_max_us),
-            ratio,
+            fixed3(s.stall_total_us),
+            fixed3(s.stall_mean_us()),
+            fixed3(s.stall_max_us),
+            fixed6(per_capture(s.stall_total_us, 1_000_000)),
             s.blocks,
-            rate_milli / 1_000,
-            rate_milli % 1_000,
+            fixed3(per_capture(s.blocks, 60_000_000_000)),
             s.switches,
-            switch_rate_milli / 1_000,
-            switch_rate_milli % 1_000,
+            fixed3(per_capture(s.switches, 60_000_000_000)),
         )
     }
-}
-
-/// Milliseconds with 3 decimals from microseconds, integer math only.
-fn fmt_ms(us: u64) -> String {
-    format!("{}.{:03}", us / 1_000, us % 1_000)
 }
 
 /// The table header.
@@ -236,14 +210,6 @@ pub fn take_csv() -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn formatting_is_integer_exact() {
-        assert_eq!(fmt_ms(0), "0.000");
-        assert_eq!(fmt_ms(1_234), "1.234");
-        assert_eq!(fmt_ms(1_000_000), "1000.000");
-        assert_eq!(fmt_ms(999), "0.999");
-    }
 
     #[test]
     fn row_cells_cover_edge_cases() {

@@ -22,8 +22,8 @@
 use std::mem::size_of_val;
 
 use vstream_analysis::{
-    AnalysisConfig, AnalysisFold, CaptureTotals, DownloadFold, OnOffAnalysis, SessionPhases,
-    SummariesFold, SwitchCounts, SwitchRateFold, ThroughputFold, TotalsFold, WindowFold,
+    switch_counts_of, AnalysisConfig, AnalysisFold, CaptureTotals, DownloadFold, OnOffAnalysis,
+    SessionPhases, SummariesFold, SwitchCounts, ThroughputFold, TotalsFold, WindowFold,
 };
 use vstream_app::PlayerStats;
 use vstream_capture::{ConnectionSummary, PacketSink, TapPacket};
@@ -63,14 +63,15 @@ pub struct SessionQuery {
     /// assembly from the session's strategy logic.
     pub qoe: bool,
     /// Wire-side bitrate-switch estimate against this segment ladder (the
-    /// `ext-qoe` table's cross-check of the client's own switch counter).
+    /// `ext-qoe` table's cross-check of the client's own switch counter),
+    /// read off the per-connection summaries.
     pub switch_rate: Option<SwitchRateQuery>,
     /// Thresholds for the cycle/phase analyses.
     pub config: AnalysisConfig,
 }
 
 /// Parameters of the wire-side switch-rate estimate: the ABR client's
-/// segment ladder and playback length, which [`SwitchRateFold`] needs to
+/// segment ladder and playback length, which [`switch_counts_of`] needs to
 /// classify connections to rungs.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SwitchRateQuery {
@@ -81,14 +82,6 @@ pub struct SwitchRateQuery {
 }
 
 impl SessionQuery {
-    /// An empty query with explicit analysis thresholds.
-    pub(crate) fn with_config(config: AnalysisConfig) -> Self {
-        SessionQuery {
-            config,
-            ..SessionQuery::default()
-        }
-    }
-
     /// Requests the download series on a `step` grid.
     pub fn download(mut self, step: SimDuration) -> Self {
         self.download_step = Some(step);
@@ -249,10 +242,14 @@ pub(crate) struct CompositeFold {
     /// Whether the answer carries the cycle analysis itself (the analysis
     /// fold also runs for phases or ack-clock alone).
     onoff: bool,
+    /// Runs when the query asks for the summaries or for the switch
+    /// estimate, which is read off them.
     summaries: Option<SummariesFold>,
+    /// Whether the answer carries the summaries themselves.
+    want_summaries: bool,
     totals: Option<TotalsFold>,
-    /// The fold with the ladder it classifies against at `finish`.
-    switch_rate: Option<(SwitchRateFold, SwitchRateQuery)>,
+    /// The ladder the summaries are classified against at `finish`.
+    switch_rate: Option<SwitchRateQuery>,
 }
 
 impl CompositeFold {
@@ -275,12 +272,10 @@ impl CompositeFold {
             throughput: query.throughput_bin.map(ThroughputFold::new),
             analysis,
             onoff: query.onoff,
-            summaries: query.summaries.then(SummariesFold::new),
+            summaries: (query.summaries || query.switch_rate.is_some()).then(SummariesFold::new),
+            want_summaries: query.summaries,
             totals: query.totals.then(TotalsFold::new),
-            switch_rate: query
-                .switch_rate
-                .as_ref()
-                .map(|q| (SwitchRateFold::new(), q.clone())),
+            switch_rate: query.switch_rate.clone(),
         }
     }
 
@@ -293,7 +288,6 @@ impl CompositeFold {
             + self.analysis.as_ref().map_or(0, AnalysisFold::approx_bytes)
             + self.summaries.as_ref().map_or(0, SummariesFold::approx_bytes)
             + self.totals.as_ref().map_or(0, TotalsFold::approx_bytes)
-            + self.switch_rate.as_ref().map_or(0, |(f, _)| f.approx_bytes())
     }
 
     /// Closes every fold into the answer. `qoe` stays `None`: it is not a
@@ -305,6 +299,11 @@ impl CompositeFold {
             Some(a) => (self.onoff.then_some(a.onoff), a.phases, a.first_rtt_bytes),
             None => (None, None, None),
         };
+        let summaries = self.summaries.map(SummariesFold::finish);
+        let switch_counts = self.switch_rate.map(|q| {
+            let rows = summaries.as_deref().expect("a switch-rate query runs the summaries fold");
+            switch_counts_of(rows, &q.ladder, q.segment_ms)
+        });
         SessionAnswer {
             download_mb: self.download.map(DownloadFold::finish),
             window_series: self.window.map(WindowFold::finish),
@@ -312,12 +311,10 @@ impl CompositeFold {
             onoff,
             phases,
             first_rtt_bytes,
-            summaries: self.summaries.map(SummariesFold::finish),
+            summaries: summaries.filter(|_| self.want_summaries),
             totals: self.totals.map(TotalsFold::finish),
             qoe: None,
-            switch_counts: self
-                .switch_rate
-                .map(|(f, q)| f.finish(&q.ladder, q.segment_ms)),
+            switch_counts,
         }
     }
 }
@@ -340,9 +337,6 @@ impl PacketSink for CompositeFold {
             f.packet(p);
         }
         if let Some(f) = &mut self.totals {
-            f.packet(p);
-        }
-        if let Some((f, _)) = &mut self.switch_rate {
             f.packet(p);
         }
     }

@@ -137,6 +137,20 @@ impl TableData {
     }
 }
 
+/// Thousandths as a fixed three-decimal number (`1234` → `"1.234"`): the
+/// QoE table's milliseconds, the campaign rollup's mean startup and the
+/// flight recorder's Chrome-trace microseconds. Integer math only, so no
+/// float rounding reaches a pinned output.
+pub(crate) fn fixed3(milli: u64) -> String {
+    format!("{}.{:03}", milli / 1_000, milli % 1_000)
+}
+
+/// Millionths as a fixed six-decimal number (`1234` → `"0.001234"`): the
+/// stall ratios (parts per million) and the text dumps' milliseconds.
+pub(crate) fn fixed6(micro: u64) -> String {
+    format!("{}.{:06}", micro / 1_000_000, micro % 1_000_000)
+}
+
 fn csv_escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -198,6 +212,17 @@ mod tests {
         assert_eq!(t.to_csv(), "a,b\n1,22\n");
         let text = t.to_text();
         assert!(text.contains("a  b"));
+    }
+
+    #[test]
+    fn fixed_point_formatting_is_integer_exact() {
+        assert_eq!(fixed3(0), "0.000");
+        assert_eq!(fixed3(999), "0.999");
+        assert_eq!(fixed3(1_234), "1.234");
+        assert_eq!(fixed3(1_000_000), "1000.000");
+        assert_eq!(fixed6(0), "0.000000");
+        assert_eq!(fixed6(25_000), "0.025000");
+        assert_eq!(fixed6(1_000_001), "1.000001");
     }
 
     #[test]

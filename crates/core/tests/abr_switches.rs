@@ -1,13 +1,14 @@
-//! Randomized ABR switch-fold suite (the DASH twin of `streaming_query`).
+//! Randomized ABR switch-estimate suite (the DASH twin of `streaming_query`).
 //!
 //! Six seeds crossed with three (classification ladder, LRD cross-traffic)
 //! shapes, each a real DASH session over the Home profile. Held invariants,
 //! per (seed, shape):
 //!
-//! * the wire-side switch estimate a query computes equals the oracle
-//!   ([`switch_counts_of`] over a retained trace's connection summaries,
-//!   themselves held to the array-of-structs reference by the analysis
-//!   crate's `streaming.rs`);
+//! * the wire-side switch estimate a query computes equals
+//!   [`switch_counts_of`] over a retained trace's connection summaries
+//!   (the summaries fold is held to the array-of-structs reference by the
+//!   analysis crate's `streaming.rs`), so the live tap classifies the
+//!   connections a replayed capture holds;
 //! * every source of a reply — the retained trace replayed through the
 //!   folds, the live tap, a cache miss, a cache hit — returns byte-equal
 //!   switch counts and QoE summaries;
@@ -116,6 +117,9 @@ fn switch_fold_matches_oracle_on_every_path() {
                     Some(oracle),
                     "{ctx}: {path} switch counts vs summaries oracle"
                 );
+                // The estimate reads the summaries fold, but an answer
+                // carries only what the query named.
+                assert!(reply.answer.summaries.is_none(), "{ctx}: {path} summaries not queried");
                 let q = reply.answer.qoe.as_ref().expect("qoe queried");
                 assert_eq!(q.switches, truth, "{ctx}: {path} client switch counter");
             }

@@ -38,10 +38,15 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Renders everything a campaign emits — the text report and every CSV —
-/// so equality means byte-identical user-visible output.
+/// Renders everything `repro campaign` emits for a finished report — the
+/// key and gate lines, every table as it prints it, and every CSV — so
+/// equality means byte-identical user-visible output.
 fn render(report: &vstream::campaign::CampaignReport) -> String {
-    let mut s = report.to_text();
+    let mut s = format!("campaign {:016x}\n{}\n", report.key, report.validation.gate_line());
+    for t in &report.tables {
+        s.push_str(&t.to_text());
+        s.push('\n');
+    }
     for t in &report.tables {
         s.push_str(&t.to_csv());
     }
@@ -190,6 +195,88 @@ fn bit_flipped_checkpoints_are_recomputed() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// FNV-1a (64-bit), the checkpoint checksum: a forged file must carry a
+/// valid one, or the parser rejects it before reading the format line.
+fn checksum(body: &str) -> u64 {
+    body.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Rewrites a current checkpoint into the previous format: a `v2` header,
+/// the shard totals (sessions; bits, ON bins and the ON-rate sum) in place
+/// of the lone ON-rate line, and a fresh checksum. The totals are inflated
+/// and so is every timeline bin, so a parser that trusted the file would
+/// print different numbers.
+fn as_v2_checkpoint(v3: &str) -> String {
+    let body = &v3[..v3.rfind("\nchecksum ").expect("checksum line") + 1];
+    let class_sums = body
+        .lines()
+        .filter(|l| l.starts_with("profile "))
+        .map(|l| l.split(' ').skip(2).map(|w| w.parse::<u64>().unwrap()).collect::<Vec<_>>())
+        .fold([0u64; 3], |acc, t| [acc[0] + t[0], acc[1] + t[1], acc[2] + t[2]]);
+    let mut out = String::new();
+    let mut lines = body.lines();
+    while let Some(line) = lines.next() {
+        if line == "vstream-campaign-shard v3" {
+            out.push_str("vstream-campaign-shard v2\n");
+        } else if let Some(on_rate) = line.strip_prefix("on_rate ") {
+            let [sessions, bits, active] = class_sums;
+            out.push_str(&format!("sessions {}\n", sessions * 2));
+            out.push_str(&format!("totals {} {active} {on_rate}\n", bits * 2));
+        } else if line.starts_with("timeline ") {
+            out.push_str(line);
+            out.push('\n');
+            let bins = lines.next().expect("timeline values").split(' ');
+            let doubled: Vec<String> = bins.map(|b| (b.parse::<u64>().unwrap() * 2).to_string()).collect();
+            out.push_str(&doubled.join(" "));
+            out.push('\n');
+        } else {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    let sum = checksum(&out);
+    out.push_str(&format!("checksum {sum:016x}\nend\n"));
+    out
+}
+
+/// A ledger written by the previous checkpoint format is not trusted: each
+/// v2 shard is recomputed and rewritten as v3, and the output equals a
+/// one-shot run — even though the v2 files are well-formed, carry valid
+/// checksums and hold numbers that would change the report.
+#[test]
+fn previous_format_checkpoints_are_recomputed() {
+    let spec = small_spec(31);
+    let one_shot = render(&run_campaign(&spec, &CampaignOptions::default()).expect("one-shot run"));
+    let dir = scratch_dir("v2");
+    let opts = CampaignOptions {
+        jobs: 2,
+        ledger_dir: Some(dir.clone()),
+        ..CampaignOptions::default()
+    };
+    let _ = run_campaign(&spec, &opts).expect("checkpointing run");
+
+    let campaign_dir = dir.join(format!("campaign-{:016x}", spec.key()));
+    let mut originals = Vec::new();
+    for k in 0..3 {
+        let path = campaign_dir.join(format!("shard-{k:04}.ckpt"));
+        let text = fs::read_to_string(&path).expect("checkpoint exists");
+        assert!(text.starts_with("vstream-campaign-shard v3\n"), "shard {k}: {text:.40}");
+        fs::write(&path, as_v2_checkpoint(&text)).expect("write v2 checkpoint");
+        originals.push((path, text));
+    }
+    // Only a recomputing run may finish: a zero shard budget stops at the
+    // first checkpoint it does not trust.
+    let budget = CampaignOptions { max_shards: Some(0), ..opts.clone() };
+    assert!(run_campaign(&spec, &budget).is_none(), "a v2 checkpoint was trusted");
+    let resumed = render(&run_campaign(&spec, &opts).expect("resume over the v2 ledger"));
+    assert_eq!(one_shot, resumed, "a v2 checkpoint changed the output");
+    for (path, text) in originals {
+        assert_eq!(fs::read_to_string(&path).expect("rewritten"), text, "{path:?} not recomputed");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cross_validation_gate_holds_on_the_default_population() {
     // The shipped defaults (what `repro campaign` and CI run) must pass
@@ -217,7 +304,6 @@ fn cross_validation_gate_holds_on_the_default_population() {
     assert!(v.kappa_size > 0.9 && v.kappa_size < 1.3, "kappa_size {:.3}", v.kappa_size);
     assert!(v.kappa_rate > 0.01 && v.kappa_rate < 1.0, "kappa_rate {:.3}", v.kappa_rate);
     // The report carries the verdict and the capacity curve.
-    let text = report.to_text();
-    assert!(text.contains("cross-validation gate: PASS"));
+    assert!(render(&report).contains("cross-validation gate: PASS"));
     assert!(report.tables.iter().any(|t| t.id == "campaign-capacity"));
 }

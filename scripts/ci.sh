@@ -38,8 +38,9 @@
 #      moves) and must reproduce the committed results/ tree byte for byte
 #   3c. campaign smoke: a small hybrid campaign passes its cross-validation
 #      gate, an interrupted run resumed from the checkpoint ledger emits
-#      byte-identical output, and the ledger's shard checkpoints and
-#      summary are well-formed
+#      byte-identical output, the ledger's shard checkpoints (format v3)
+#      and summary are well-formed, and a ledger missing one checkpoint
+#      recomputes exactly that shard into the same output
 #   3d. the five examples/, run once in release mode: they are the
 #      library-facing callers of the folds (`Trace::replay` into
 #      `TotalsFold`, `SummariesFold`, `ThroughputFold`, `from_trace`), which
@@ -125,7 +126,7 @@ grep -q '"cache_misses":76[,}]' "$obs_out/all.metrics.json"
 # seed); regenerate it in the same change as any output-moving edit.
 diff -r results "$obs_out/all"
 
-echo "==> campaign smoke: gate passes, interrupt + resume is byte-identical, ledger parses"
+echo "==> campaign smoke: gate passes, interrupt + resume and a lost checkpoint are byte-identical, ledger parses"
 # One uninterrupted run (the gate FAILing would exit nonzero here), then
 # the same campaign executed as two interrupted runs against a checkpoint
 # ledger plus a resuming run — stdout must match the one-shot run byte for
@@ -144,8 +145,22 @@ diff <(sed "s|$obs_out/camp-oneshot|CSV|" "$obs_out/camp-oneshot.txt") \
      <(sed "s|$obs_out/camp-resumed|CSV|" "$obs_out/camp-resumed.txt")
 ledger_dir=("$obs_out"/camp-ledger/campaign-*)
 test "$(ls "${ledger_dir[0]}"/shard-*.ckpt | wc -l)" -eq 4
-head -n 1 "${ledger_dir[0]}"/shard-0000.ckpt | grep -q '^vstream-campaign-shard v2$'
+head -n 1 "${ledger_dir[0]}"/shard-0000.ckpt | grep -q '^vstream-campaign-shard v3$'
 grep -q '^gate PASS$' "${ledger_dir[0]}/summary.txt"
+# A kill mid-shard leaves the ledger without that shard's checkpoint (it is
+# written to a temp file and renamed), a state --max-shards never produces:
+# delete one checkpoint from the finished ledger, and the rerun must
+# restore the other three, recompute exactly that one, and print the same
+# report and CSVs.
+rm "${ledger_dir[0]}"/shard-0002.ckpt
+target/release/repro campaign --viewers 10000 --ledger "$obs_out/camp-ledger" --progress \
+    --csv "$obs_out/camp-refilled" > "$obs_out/camp-refilled.txt" 2> "$obs_out/camp-refilled.err"
+test "$(grep -c 'shard done in' "$obs_out/camp-refilled.err")" -eq 1
+test "$(grep -c 'shard restored from ledger' "$obs_out/camp-refilled.err")" -eq 3
+test -f "${ledger_dir[0]}"/shard-0002.ckpt
+diff -r "$obs_out/camp-oneshot" "$obs_out/camp-refilled"
+diff <(sed "s|$obs_out/camp-oneshot|CSV|" "$obs_out/camp-oneshot.txt") \
+     <(sed "s|$obs_out/camp-refilled|CSV|" "$obs_out/camp-refilled.txt")
 
 echo "==> examples: the library-facing callers of the folds run to completion"
 for example in quickstart strategy_comparison capacity_planning interruption_waste trace_inspector; do
