@@ -80,9 +80,10 @@ pub struct CycleDetector {
 }
 
 impl CycleDetector {
-    /// Feeds the next incoming data packet. Returns `true` when the packet
-    /// opened a new ON period (including the very first packet).
-    pub(crate) fn data(&mut self, at: SimTime, payload: u64, idle_threshold: SimDuration) -> bool {
+    /// Feeds the next incoming data packet. Returns whether the packet
+    /// opened a new ON period (including the very first packet), and the
+    /// start of the ON period it belongs to.
+    pub(crate) fn data(&mut self, at: SimTime, payload: u64, idle: SimDuration) -> (bool, SimTime) {
         match self.current.as_mut() {
             None => {
                 self.current = Some(Cycle {
@@ -91,10 +92,10 @@ impl CycleDetector {
                     bytes: payload,
                     packets: 1,
                 });
-                true
+                (true, at)
             }
             Some(c) => {
-                if at.duration_since(c.on_end) > idle_threshold {
+                if at.duration_since(c.on_end) > idle {
                     self.off_periods.push((c.on_end, at));
                     self.cycles.push(*c);
                     *c = Cycle {
@@ -103,20 +104,15 @@ impl CycleDetector {
                         bytes: payload,
                         packets: 1,
                     };
-                    true
+                    (true, at)
                 } else {
                     c.on_end = at;
                     c.bytes += payload;
                     c.packets += 1;
-                    false
+                    (false, c.on_start)
                 }
             }
         }
-    }
-
-    /// Start of the currently open ON period.
-    pub(crate) fn current_start(&self) -> Option<SimTime> {
-        self.current.map(|c| c.on_start)
     }
 
     /// Closes the open cycle and hands back the raw (unfiltered) cycles and

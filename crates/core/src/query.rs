@@ -142,10 +142,6 @@ impl SessionQuery {
         self.switch_rate = Some(SwitchRateQuery { ladder, segment_ms });
         self
     }
-
-    fn wants_analysis(&self) -> bool {
-        self.onoff || self.phases || self.ack_clock
-    }
 }
 
 /// The requested features of one session. Fields are `Some` exactly when
@@ -233,8 +229,10 @@ impl SessionReply {
     }
 }
 
-/// One sink dispatching the packet stream to every fold the query enabled.
+/// One sink dispatching the packet stream to every fold the query enabled,
+/// looking each packet up once in one flow table (DESIGN §11.2).
 pub(crate) struct CompositeFold {
+    flows: Option<FlowTable>,
     download: Option<DownloadFold>,
     window: Option<WindowFold>,
     throughput: Option<ThroughputFold>,
@@ -242,13 +240,16 @@ pub(crate) struct CompositeFold {
     /// Whether the answer carries the cycle analysis itself (the analysis
     /// fold also runs for phases or ack-clock alone).
     onoff: bool,
-    /// Runs when the query asks for the summaries or for the switch
-    /// estimate, which is read off them.
-    summaries: Option<SummariesFold>,
-    /// Whether the answer carries the summaries themselves.
-    want_summaries: bool,
     totals: Option<TotalsFold>,
-    /// The ladder the summaries are classified against at `finish`.
+}
+
+/// The query's flow table, built when a fold or the answer needs it. Every
+/// packet updates its row when the answer reads the rows; otherwise only
+/// incoming data packets consult it, for the folds' deltas.
+struct FlowTable {
+    rows: SummariesFold,
+    summaries: bool,
+    /// The ladder the switch estimate classifies the rows against.
     switch_rate: Option<SwitchRateQuery>,
 }
 
@@ -256,7 +257,7 @@ impl CompositeFold {
     /// Builds the folds for `query`. `base_rtt` parameterises the ack-clock
     /// fold and may be anything when the query does not ask for it.
     pub(crate) fn new(query: &SessionQuery, base_rtt: SimDuration) -> Self {
-        let analysis = query.wants_analysis().then(|| {
+        let analysis = (query.onoff || query.phases || query.ack_clock).then(|| {
             let mut a = AnalysisFold::new(query.config.clone());
             if query.phases {
                 a = a.with_phases();
@@ -266,27 +267,31 @@ impl CompositeFold {
             }
             a
         });
+        let read = query.summaries || query.switch_rate.is_some();
+        let deltas = query.download_step.is_some() || query.totals || query.phases;
         CompositeFold {
+            flows: (read || deltas).then(|| FlowTable {
+                rows: SummariesFold::new(),
+                summaries: query.summaries,
+                switch_rate: query.switch_rate.clone(),
+            }),
             download: query.download_step.map(DownloadFold::new),
             window: query.window_conn.map(WindowFold::new),
             throughput: query.throughput_bin.map(ThroughputFold::new),
             analysis,
             onoff: query.onoff,
-            summaries: (query.summaries || query.switch_rate.is_some()).then(SummariesFold::new),
-            want_summaries: query.summaries,
             totals: query.totals.then(TotalsFold::new),
-            switch_rate: query.switch_rate.clone(),
         }
     }
 
     /// Heap bytes held across all enabled folds (the
     /// `peak_flowstate_bytes` sample).
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.download.as_ref().map_or(0, DownloadFold::approx_bytes)
+        self.flows.as_ref().map_or(0, |f| f.rows.approx_bytes())
+            + self.download.as_ref().map_or(0, DownloadFold::approx_bytes)
             + self.window.as_ref().map_or(0, WindowFold::approx_bytes)
             + self.throughput.as_ref().map_or(0, ThroughputFold::approx_bytes)
             + self.analysis.as_ref().map_or(0, AnalysisFold::approx_bytes)
-            + self.summaries.as_ref().map_or(0, SummariesFold::approx_bytes)
             + self.totals.as_ref().map_or(0, TotalsFold::approx_bytes)
     }
 
@@ -299,11 +304,15 @@ impl CompositeFold {
             Some(a) => (self.onoff.then_some(a.onoff), a.phases, a.first_rtt_bytes),
             None => (None, None, None),
         };
-        let summaries = self.summaries.map(SummariesFold::finish);
-        let switch_counts = self.switch_rate.map(|q| {
-            let rows = summaries.as_deref().expect("a switch-rate query runs the summaries fold");
-            switch_counts_of(rows, &q.ladder, q.segment_ms)
-        });
+        let totals = self.totals.map(TotalsFold::finish);
+        let (mut summaries, mut switch_counts) = (None, None);
+        if let Some(FlowTable { rows, summaries: keep, switch_rate }) = self.flows {
+            let rows = rows.finish();
+            let unique: u64 = rows.iter().map(|r| r.unique_bytes).sum();
+            debug_assert!(totals.is_none_or(|t| t.total_downloaded == unique), "table vs totals");
+            switch_counts = switch_rate.map(|q| switch_counts_of(&rows, &q.ladder, q.segment_ms));
+            summaries = keep.then_some(rows);
+        }
         SessionAnswer {
             download_mb: self.download.map(DownloadFold::finish),
             window_series: self.window.map(WindowFold::finish),
@@ -311,8 +320,8 @@ impl CompositeFold {
             onoff,
             phases,
             first_rtt_bytes,
-            summaries: summaries.filter(|_| self.want_summaries),
-            totals: self.totals.map(TotalsFold::finish),
+            summaries,
+            totals,
             qoe: None,
             switch_counts,
         }
@@ -321,8 +330,14 @@ impl CompositeFold {
 
 impl PacketSink for CompositeFold {
     fn packet(&mut self, p: &TapPacket) {
+        let delta = match &mut self.flows {
+            Some(f) if p.is_incoming_data() || f.summaries || f.switch_rate.is_some() => {
+                f.rows.advance(p)
+            }
+            _ => 0,
+        };
         if let Some(f) = &mut self.download {
-            f.packet(p);
+            f.fold(p, delta);
         }
         if let Some(f) = &mut self.window {
             f.packet(p);
@@ -331,13 +346,10 @@ impl PacketSink for CompositeFold {
             f.packet(p);
         }
         if let Some(f) = &mut self.analysis {
-            f.packet(p);
-        }
-        if let Some(f) = &mut self.summaries {
-            f.packet(p);
+            f.fold(p, delta);
         }
         if let Some(f) = &mut self.totals {
-            f.packet(p);
+            f.fold(p, delta);
         }
     }
 }

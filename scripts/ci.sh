@@ -25,9 +25,9 @@
 #      well-formed JSON carrying its schema_version key
 #   3b. default-run memory, event roads and the committed results: a plain
 #      metered `repro all` must retain no packet trace anywhere (zero
-#      peak_trace_bytes, nonzero peak_flowstate_bytes in the wall-mode
-#      ledger), must keep every packet delivery on the event queue's FIFO
-#      lanes (zero sim_lane_fallbacks), must count every engine run in the
+#      peak_trace_bytes, and peak_flowstate_bytes pinned at 548 864 in the
+#      wall-mode ledger), must keep every packet delivery on the event
+#      queue's FIFO lanes (zero sim_lane_fallbacks), must count every engine run in the
 #      ledger's app-layer slots as well as its engine-level ones (463
 #      sessions, 415 of them players that started, 56 stalls — the ablation
 #      harnesses included), must hit the session cache 76 times and
@@ -122,6 +122,11 @@ grep -q '"app_player_stalls":56[,}]' "$obs_out/all.metrics.json"
 # reads, moves these counts instead of silently costing memory.
 grep -q '"cache_hits":76[,}]' "$obs_out/all.metrics.json"
 grep -q '"cache_misses":76[,}]' "$obs_out/all.metrics.json"
+# Fold state is pinned too: the largest per-session fold footprint of a
+# default run. Per-connection state lives in one flow table per query
+# (DESIGN §11.2), so a fold that regrows a table of its own, or a series
+# that retains more than its figure reads, moves this gauge.
+grep -q '"peak_flowstate_bytes":548864[,}]' "$obs_out/all.metrics.json"
 # The committed tree is `repro all --seed 2026 --csv results` (the default
 # seed); regenerate it in the same change as any output-moving edit.
 diff -r results "$obs_out/all"
