@@ -10,19 +10,27 @@
 //!
 //! * `seed_from_u64` expands the experiment seed with the same PCG32 key
 //!   derivation `rand_core` 0.6 uses;
-//! * blocks are generated by the ChaCha block function (12 rounds), four
-//!   64-byte blocks per refill, with the 64-bit block counter in words
-//!   12–13 and a zero nonce — the `rand_chacha` layout;
+//! * blocks are generated by the ChaCha block function (12 rounds) with the
+//!   64-bit block counter in words 12–13 and a zero nonce — the
+//!   `rand_chacha` layout;
 //! * `next_u64` consumes two 32-bit lanes with the same buffering and
 //!   block-straddling rules as `rand_core`'s `BlockRng`.
+//!
+//! `rand_chacha` fills its buffer with four blocks at a time; this one
+//! refills one block at a time. The stream is the same: `next_u64` takes the
+//! next two consecutive keystream words at any buffer size (the straddling
+//! rule joins the last word of one buffer to the first of the next), so the
+//! buffer size only decides how much is computed ahead. One block makes a
+//! fresh generator and its first draw four times cheaper, which matters
+//! because the simulation seeds a generator per session, per connection
+//! and per sampled video.
 //!
 //! The regenerated `results/*.csv` of the repository were produced through
 //! this path, so any deviation from the upstream stream shows up as a CSV
 //! diff in `scripts/check_determinism.sh`.
 
-/// Words per refill: `rand_chacha` produces four ChaCha blocks per buffer
-/// fill (16 little-endian `u32` words each).
-const BUF_WORDS: usize = 64;
+/// Words per refill: one ChaCha block of 16 little-endian `u32` words.
+const BUF_WORDS: usize = 16;
 
 /// The `StdRng`-compatible deterministic generator.
 #[derive(Clone)]
@@ -70,11 +78,8 @@ impl ChaCha12 {
     }
 
     fn refill(&mut self) {
-        for block in 0..BUF_WORDS / 16 {
-            let out = chacha12_block(&self.key, self.counter);
-            self.buf[block * 16..(block + 1) * 16].copy_from_slice(&out);
-            self.counter = self.counter.wrapping_add(1);
-        }
+        self.buf = chacha12_block(&self.key, self.counter);
+        self.counter = self.counter.wrapping_add(1);
     }
 
     /// Next 32-bit lane of the keystream: the reference `next_u64` is held
@@ -191,10 +196,56 @@ mod tests {
 
     #[test]
     fn counter_advances_across_refills() {
+        // Each refill is the next block: the draws are the block function
+        // at counters 0, 1, 2, ... taken two words at a time, low first.
         let mut rng = ChaCha12::seed_from_u64(1);
-        let first: Vec<u64> = (0..BUF_WORDS).map(|_| rng.next_u64()).collect();
-        // Two refills' worth of draws must not repeat the first buffer.
-        assert_ne!(&first[..32], &first[32..]);
+        for counter in 0..4 {
+            let block = chacha12_block(&rng.key, counter);
+            for pair in block.chunks_exact(2) {
+                assert_eq!(rng.next_u64(), (pair[1] as u64) << 32 | pair[0] as u64, "block {counter}");
+            }
+        }
+        assert_eq!(rng.counter, 4);
+    }
+
+    #[test]
+    fn draws_equal_the_four_block_stream() {
+        // Draws 6–9 cross the end of the first block, 30–33 the end of the
+        // fourth, where the four-block buffer of `rand_chacha` refills.
+        // Recorded from the four-block implementation this one replaced.
+        const PINNED: [(u64, [u64; 8]); 2] = [
+            (
+                2026,
+                [
+                    0x0c6e_35d7_451d_e130,
+                    0x728c_f204_8fcf_1853,
+                    0x9bae_ac23_67de_faed,
+                    0xa5fd_d249_b4a0_6d6a,
+                    0xc4c8_3b11_ff44_31db,
+                    0x13b6_fd0d_b963_1523,
+                    0x610f_fe6a_2cc9_515d,
+                    0xa857_88ee_1859_06b8,
+                ],
+            ),
+            (
+                7,
+                [
+                    0x2ceb_0dab_9897_f4d2,
+                    0x41bb_69a0_be5a_de8a,
+                    0x200e_74db_7853_97a7,
+                    0xb934_252f_607e_716b,
+                    0x6a2b_7153_3adf_4c0e,
+                    0x765e_e051_841e_f0a9,
+                    0xf4b7_87cb_2b97_760a,
+                    0x4ef3_11e2_1602_b1ae,
+                ],
+            ),
+        ];
+        for (seed, expected) in PINNED {
+            let mut rng = ChaCha12::seed_from_u64(seed);
+            let draws: Vec<u64> = (0..34).map(|_| rng.next_u64()).collect();
+            assert_eq!([6, 7, 8, 9, 30, 31, 32, 33].map(|i| draws[i]), expected, "seed {seed}");
+        }
     }
 
     #[test]

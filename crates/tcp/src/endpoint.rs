@@ -543,6 +543,13 @@ impl Endpoint {
                 }
             }
         }
+        // Everything below `snd_una` is delivered: neither store may hold it.
+        debug_assert!(
+            self.sacked.first().is_none_or(|r| r.0 >= self.snd_una)
+                && self.retx_pending.first().is_none_or(|r| r.0 >= self.snd_una),
+            "SACK scoreboard or repairs in flight below snd_una {}",
+            self.snd_una
+        );
     }
 
     /// Merges the peer's SACK blocks into the scoreboard.

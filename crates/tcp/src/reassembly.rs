@@ -146,9 +146,11 @@ impl ReceiveBuffer {
         let mut blocks = SackBlocks::default();
         // First block: the range containing the most recent insertion
         // (RFC 2018 §4), so the sender learns about fresh arrivals at once.
-        let recent = self
-            .last_insert
-            .and_then(|s| self.ooo.starting_from(s).first().copied().filter(|r| r.0 == s));
+        // It is nearly always the top range: ascending arrivals grow it.
+        let recent = self.last_insert.and_then(|s| match self.ooo.last() {
+            Some(top) if top.0 <= s => (top.0 == s).then_some(top),
+            _ => self.ooo.starting_from(s).first().copied().filter(|r| r.0 == s),
+        });
         let Some((first_start, first_end)) = recent.or_else(|| self.ooo.first()) else {
             return blocks;
         };
@@ -195,7 +197,7 @@ impl ReceiveBuffer {
         // have reached `rcv_nxt`.
         if let Some((s, e)) = self.ooo.first().filter(|r| r.0 <= self.rcv_nxt) {
             debug_assert!(s == self.rcv_nxt, "stored range below rcv_nxt");
-            self.ooo.remove_span(s, e);
+            self.ooo.pop_first();
             delivered = e - self.rcv_nxt;
             self.rcv_nxt = e;
             if self.last_insert == Some(s) {

@@ -3,6 +3,8 @@
 //! two endpoints through a `DuplexPath`, mirroring what the streaming session
 //! orchestrator in `vstream-app` does at full scale.
 
+use std::collections::BTreeMap;
+
 use vstream_net::{Direction, DuplexPath, LinkConfig, LossModel, NetworkProfile};
 use vstream_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use vstream_tcp::{Endpoint, Role, Segment, TcpConfig};
@@ -23,12 +25,55 @@ enum Event {
     Tick,
 }
 
+/// The server's SACK scoreboard rebuilt from the ACKs it receives: the
+/// union of the reported blocks above the cumulative ACK, as a start → end
+/// map kept merged.
+#[derive(Default)]
+struct WireScoreboard {
+    una: u64,
+    ranges: BTreeMap<u64, u64>,
+    /// Most ranges held at once.
+    widest: usize,
+}
+
+impl WireScoreboard {
+    fn on_ack(&mut self, seg: &Segment) {
+        if !seg.ack {
+            return;
+        }
+        for (start, end) in seg.sack.iter() {
+            let (mut start, mut end) = (start.max(self.una), end);
+            if start >= end {
+                continue;
+            }
+            let touched: Vec<(u64, u64)> =
+                self.ranges.range(..=end).filter(|r| *r.1 >= start).map(|(&s, &e)| (s, e)).collect();
+            for (s, e) in touched {
+                self.ranges.remove(&s);
+                start = start.min(s);
+                end = end.max(e);
+            }
+            self.ranges.insert(start, end);
+        }
+        if seg.ack_no > self.una {
+            self.una = seg.ack_no;
+            let straddler = self.ranges.range(..self.una).next_back().map(|(_, &e)| e);
+            self.ranges = self.ranges.split_off(&self.una);
+            if let Some(end) = straddler.filter(|&e| e > self.una) {
+                self.ranges.insert(self.una, end);
+            }
+        }
+        self.widest = self.widest.max(self.ranges.len());
+    }
+}
+
 struct Harness {
     client: Endpoint,
     server: Endpoint,
     path: DuplexPath,
     queue: EventQueue<Event>,
     rng: SimRng,
+    scoreboard: WireScoreboard,
 }
 
 impl Harness {
@@ -39,6 +84,7 @@ impl Harness {
             path,
             queue: EventQueue::new(),
             rng: SimRng::new(0xBEEF),
+            scoreboard: WireScoreboard::default(),
         }
     }
 
@@ -89,6 +135,7 @@ impl Harness {
                     self.transmit_from_client(replies);
                 }
                 Event::DeliverToServer(seg) => {
+                    self.scoreboard.on_ack(&seg);
                     let replies = emitted(|o| self.server.on_segment_into(t, seg, o));
                     self.transmit_from_server(replies);
                 }
@@ -204,6 +251,44 @@ fn transfer_survives_heavy_loss() {
     assert_eq!(read_total, SIZE, "stream corrupted by loss recovery");
     assert!(h.client.at_eof());
     assert!(h.server.stats().retx_segments > 0, "no retransmissions under 5% loss?");
+}
+
+#[test]
+fn recovery_from_bursts_that_lose_a_quarter_of_a_large_window() {
+    // A large window hit by a quarter of its segments lost. Bernoulli loss
+    // from the first segment never lets the window open (the scoreboard
+    // stays at one or two ranges), so the downlink is a Gilbert-Elliott
+    // channel: lossless, then bursts of about 500 packets that drop 25 %
+    // each. With an 8 MB receive window the SACK scoreboard grows far past
+    // 64 ranges; every byte must still arrive, and in debug builds the
+    // endpoint's own checks (canonical interval stores, nothing held below
+    // `snd_una`) run on every edit and every ACK.
+    let down = LinkConfig::new(100_000_000, SimDuration::from_millis(40))
+        .with_loss(LossModel::gilbert_elliott(0.0005, 0.002, 0.0, 0.25));
+    let up = LinkConfig::new(100_000_000, SimDuration::from_millis(40));
+    let cfg = TcpConfig::default().with_recv_buffer(8 << 20);
+    let mut h = Harness::new(cfg.clone(), cfg, DuplexPath::new(down, up));
+    let syn = h.client.connect(SimTime::ZERO);
+    h.transmit_from_client(syn);
+
+    const SIZE: u64 = 8_000_000;
+    let mut wrote = false;
+    let mut read_total = 0u64;
+    h.run(SimTime::from_secs(600), |client, server, t| {
+        let mut ss = Vec::new();
+        if !wrote && server.is_established() {
+            ss.extend(emitted(|o| server.write_into(t, SIZE, o)));
+            ss.extend(emitted(|o| server.close_into(t, o)));
+            wrote = true;
+        }
+        let mut cs = Vec::new();
+        read_total += client.read_into(t, u64::MAX, &mut cs);
+        (cs, ss)
+    });
+    assert_eq!(read_total, SIZE, "stream corrupted by loss recovery");
+    assert!(h.client.at_eof());
+    assert!(h.server.all_acked());
+    assert!(h.scoreboard.widest > 64, "scoreboard peaked at {} ranges", h.scoreboard.widest);
 }
 
 #[test]

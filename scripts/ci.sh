@@ -35,7 +35,9 @@
 #      exactly the events it scheduled
 #      before (sim_events_scheduled and sim_lane_pushes pinned, so a change
 #      to which events the engine schedules fails here even where no CSV
-#      moves) and must reproduce the committed results/ tree byte for byte
+#      moves), must recover from loss exactly as before (tcp_retx_segments,
+#      tcp_fast_retransmits, tcp_rto_fires and tcp_sack_blocks_sent pinned)
+#      and must reproduce the committed results/ tree byte for byte
 #   3c. campaign smoke: a small hybrid campaign passes its cross-validation
 #      gate, an interrupted run resumed from the checkpoint ledger emits
 #      byte-identical output, the ledger's shard checkpoints (format v3)
@@ -109,6 +111,14 @@ grep -q '"sim_lane_fallbacks":0[,}]' "$obs_out/all.metrics.json"
 # update them only in a change that means to alter the event sequence.
 grep -q '"sim_events_scheduled":32304897[,}]' "$obs_out/all.metrics.json"
 grep -q '"sim_lane_pushes":30563862[,}]' "$obs_out/all.metrics.json"
+# Loss recovery is pinned the same way: a change to the SACK scoreboard, the
+# receiver's out-of-order map or the repairs in flight that alters which
+# segments TCP retransmits, or when, moves these counts even where no CSV
+# moves. They read the same at any --jobs.
+grep -q '"tcp_retx_segments":777891[,}]' "$obs_out/all.metrics.json"
+grep -q '"tcp_fast_retransmits":34748[,}]' "$obs_out/all.metrics.json"
+grep -q '"tcp_rto_fires":6916[,}]' "$obs_out/all.metrics.json"
+grep -q '"tcp_sack_blocks_sent":3361872[,}]' "$obs_out/all.metrics.json"
 # Every engine run goes through one bracket, so the app-layer slots cover
 # the same sessions as the engine-level ones: all 463, of which the 415
 # with a player (the 48 ext-sack bulk transfers have none) start playback.
