@@ -10,14 +10,19 @@
 //!
 //! Like the paper's measurements, a session runs until a configured capture
 //! deadline (the authors captured 180 s per video) or until the logic calls
-//! [`Engine::stop`].
+//! [`Engine::stop`]. The engine is also the one writer of the session's
+//! flight recorder, when its scratch carries one
+//! ([`SessionScratch::attach_recorder`]): endpoint events come through the
+//! [`Output`] they write into, link drops off each send verdict, player and
+//! strategy events through the `&mut Engine`.
 
 use vstream_capture::{PacketSink, TapDirection, TapPacket, Tee, Trace};
-use vstream_net::{CrossTraffic, Direction, DuplexPath, LrdCrossConfig};
+use vstream_net::{CrossTraffic, Direction, DropReason, DuplexPath, LrdCrossConfig, Verdict, Wire};
+use vstream_obs::trace::{self, EventKind, Recorder, SIDE_NONE};
 use vstream_obs::{collector, Counter, Gauge, HistId, Metrics};
 use vstream_sim::{EventQueue, QueueStats, SimDuration, SimRng, SimTime};
 use vstream_tcp::segment::SackBlocks;
-use vstream_tcp::{Endpoint, EndpointStats, Role, Segment, TcpConfig};
+use vstream_tcp::{Endpoint, EndpointStats, Output, Role, Segment, TcpConfig};
 
 /// Which endpoint of a connection pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,6 +152,28 @@ impl SackSlab {
     }
 }
 
+/// What the endpoints write into: the segments to transmit, drained by the
+/// transmit helpers after each `_into` call, and the session's flight
+/// recorder (`None` records nothing), which takes their events as they
+/// happen.
+#[derive(Default)]
+struct Outbox {
+    segs: Vec<Segment>,
+    recorder: Option<Recorder>,
+}
+
+impl Output for Outbox {
+    #[inline]
+    fn push(&mut self, seg: Segment) {
+        self.segs.push(seg);
+    }
+
+    #[inline]
+    fn recorder(&mut self) -> Option<&mut Recorder> {
+        self.recorder.as_mut()
+    }
+}
+
 struct Conn {
     client: Endpoint,
     server: Endpoint,
@@ -175,12 +202,15 @@ struct Conn {
 /// The scratch also carries the worker's [`Metrics`] registry: each session
 /// harvested by [`Engine::into_parts`] folds its telemetry in, and the batch
 /// executor flushes the accumulated registry to the `vstream-obs` collector
-/// once per worker. Metrics flow strictly out of the simulation — nothing
-/// ever reads them back — so this does not violate the capacity-only rule.
+/// once per worker. And it carries the next session's flight recorder, if
+/// the caller attached one: the engine records into it and
+/// [`Engine::into_parts`] hands it back for [`SessionScratch::take_recorder`].
+/// Metrics and events flow strictly out of the simulation — nothing ever
+/// reads them back — so this does not violate the capacity-only rule.
 pub struct SessionScratch {
     queue: EventQueue<Event>,
     sacks: SackSlab,
-    seg_buf: Vec<Segment>,
+    out: Outbox,
     metrics: Metrics,
     /// True once a session has run on this scratch (drives the
     /// allocation-reuse hit-rate metric).
@@ -205,10 +235,21 @@ impl SessionScratch {
             // the SACK-carrying packets they hold in flight at once.
             queue: EventQueue::with_capacity(1024),
             sacks: SackSlab::default(),
-            seg_buf: Vec::with_capacity(64),
+            out: Outbox { segs: Vec::with_capacity(64), recorder: None },
             metrics: Metrics::new(),
             used: false,
         }
+    }
+
+    /// Makes the next engine built from this scratch record into `rec`.
+    pub fn attach_recorder(&mut self, rec: Recorder) {
+        self.out.recorder = Some(rec);
+    }
+
+    /// Takes the ring back after [`Engine::into_parts`] (`None` if none was
+    /// attached), so the next session records nothing unless given one.
+    pub fn take_recorder(&mut self) -> Option<Recorder> {
+        self.out.recorder.take()
     }
 
     /// Mutable access for callers that harvest session-level quantities
@@ -233,7 +274,7 @@ impl Default for SessionScratch {
         SessionScratch {
             queue: EventQueue::new(),
             sacks: SackSlab::default(),
-            seg_buf: Vec::new(),
+            out: Outbox::default(),
             metrics: Metrics::new(),
             used: false,
         }
@@ -274,9 +315,8 @@ pub struct Engine {
     conns: Vec<Conn>,
     limit: SimTime,
     stopped: bool,
-    /// Staging buffer the endpoints emit segments into; taken out of the
-    /// engine around each `_into` call and drained by the transmit helpers.
-    seg_buf: Vec<Segment>,
+    /// What the endpoints write into; the recorder comes from the scratch.
+    out: Outbox,
     /// The worker's telemetry registry, borrowed from the scratch for the
     /// session's lifetime and harvested into by [`Engine::into_parts`].
     metrics: Metrics,
@@ -307,13 +347,13 @@ impl Engine {
         let SessionScratch {
             mut queue,
             mut sacks,
-            mut seg_buf,
+            mut out,
             metrics,
             used,
         } = scratch;
         queue.reset();
         sacks.clear();
-        seg_buf.clear();
+        out.segs.clear();
         Engine {
             queue,
             sacks,
@@ -324,7 +364,7 @@ impl Engine {
             conns: Vec::new(),
             limit: SimTime::ZERO + capture_limit,
             stopped: false,
-            seg_buf,
+            out,
             metrics,
             scratch_was_used: used,
             tap_buf: Vec::new(),
@@ -354,7 +394,7 @@ impl Engine {
     /// Consumes the engine, returning the capture a retaining run
     /// ([`Engine::run_observed`] with `keep_trace`) stored, empty otherwise,
     /// and a [`SessionScratch`] holding this session's allocations for the
-    /// next one.
+    /// next one, and its flight recorder, if it had one.
     ///
     /// When a metrics ledger is active, the session's telemetry — queue,
     /// path, endpoint, and capture counters — is harvested into the
@@ -366,7 +406,7 @@ impl Engine {
         let scratch = SessionScratch {
             queue: self.queue,
             sacks: self.sacks,
-            seg_buf: self.seg_buf,
+            out: self.out,
             metrics: self.metrics,
             used: true,
         };
@@ -446,7 +486,7 @@ impl Engine {
         let id = idx as u32;
         let mut client = Endpoint::new(Role::Client, id, client_cfg);
         let server = Endpoint::new(Role::Server, id, server_cfg);
-        let syn = client.connect(self.now());
+        client.connect_into(self.now(), &mut self.out);
         self.conns.push(Conn {
             client,
             server,
@@ -454,11 +494,7 @@ impl Engine {
             established_notified: false,
             eof_notified: false,
         });
-        let mut buf = std::mem::take(&mut self.seg_buf);
-        buf.clear();
-        buf.extend(syn);
-        self.transmit_from_client(&mut buf);
-        self.seg_buf = buf;
+        self.transmit_from_client();
         self.sync_ticks(idx);
         idx
     }
@@ -466,22 +502,16 @@ impl Engine {
     /// Server-side application write: queue `bytes` of video content.
     pub fn server_write(&mut self, conn: usize, bytes: u64) {
         let now = self.now();
-        let mut buf = std::mem::take(&mut self.seg_buf);
-        buf.clear();
-        self.conns[conn].server.write_into(now, bytes, &mut buf);
-        self.transmit_from_server(&mut buf);
-        self.seg_buf = buf;
+        self.conns[conn].server.write_into(now, bytes, &mut self.out);
+        self.transmit_from_server();
         self.sync_tick_side(conn, Side::Server);
     }
 
     /// Server-side close: FIN after all queued data.
     pub fn server_close(&mut self, conn: usize) {
         let now = self.now();
-        let mut buf = std::mem::take(&mut self.seg_buf);
-        buf.clear();
-        self.conns[conn].server.close_into(now, &mut buf);
-        self.transmit_from_server(&mut buf);
-        self.seg_buf = buf;
+        self.conns[conn].server.close_into(now, &mut self.out);
+        self.transmit_from_server();
         self.sync_tick_side(conn, Side::Server);
     }
 
@@ -489,11 +519,8 @@ impl Engine {
     /// triggered by the read are transmitted.
     pub fn client_read(&mut self, conn: usize, max: u64) -> u64 {
         let now = self.now();
-        let mut buf = std::mem::take(&mut self.seg_buf);
-        buf.clear();
-        let n = self.conns[conn].client.read_into(now, max, &mut buf);
-        self.transmit_from_client(&mut buf);
-        self.seg_buf = buf;
+        let n = self.conns[conn].client.read_into(now, max, &mut self.out);
+        self.transmit_from_client();
         self.sync_tick_side(conn, Side::Client);
         n
     }
@@ -559,21 +586,15 @@ impl Engine {
                     let conn = queued.conn as usize;
                     let seg = queued.restore(&mut self.sacks);
                     self.tap_direct(t, TapDirection::Incoming, &seg, sink);
-                    let mut buf = std::mem::take(&mut self.seg_buf);
-                    buf.clear();
-                    self.conns[conn].client.on_segment_into(t, seg, &mut buf);
-                    self.transmit_from_client_direct(&mut buf, sink);
-                    self.seg_buf = buf;
+                    self.conns[conn].client.on_segment_into(t, seg, &mut self.out);
+                    self.transmit_from_client_direct(sink);
                     self.after_touch(conn, Side::Client, logic);
                 }
                 Event::DeliverToServer(queued) => {
                     let conn = queued.conn as usize;
                     let seg = queued.restore(&mut self.sacks);
-                    let mut buf = std::mem::take(&mut self.seg_buf);
-                    buf.clear();
-                    self.conns[conn].server.on_segment_into(t, seg, &mut buf);
-                    self.transmit_from_server(&mut buf);
-                    self.seg_buf = buf;
+                    self.conns[conn].server.on_segment_into(t, seg, &mut self.out);
+                    self.transmit_from_server();
                     self.after_touch(conn, Side::Server, logic);
                 }
                 Event::TcpTick { conn, side } => {
@@ -590,19 +611,16 @@ impl Engine {
                         continue;
                     }
                     self.conns[conn].tick_scheduled[slot] = None;
-                    let mut buf = std::mem::take(&mut self.seg_buf);
-                    buf.clear();
                     match side {
                         Side::Client => {
-                            self.conns[conn].client.on_timer_into(t, &mut buf);
-                            self.transmit_from_client_direct(&mut buf, sink);
+                            self.conns[conn].client.on_timer_into(t, &mut self.out);
+                            self.transmit_from_client_direct(sink);
                         }
                         Side::Server => {
-                            self.conns[conn].server.on_timer_into(t, &mut buf);
-                            self.transmit_from_server(&mut buf);
+                            self.conns[conn].server.on_timer_into(t, &mut self.out);
+                            self.transmit_from_server();
                         }
                     }
-                    self.seg_buf = buf;
                     self.after_touch(conn, side, logic);
                 }
                 Event::AppTimer { id } => {
@@ -677,56 +695,104 @@ impl Engine {
         }
     }
 
-    /// Transmits client-origin segments emitted inside a [`SessionLogic`]
-    /// callback: the tap records them (tcpdump sees every outgoing packet),
-    /// then they traverse the uplink. Drains `segs` so the caller's buffer
-    /// can be reused.
-    fn transmit_from_client(&mut self, segs: &mut Vec<Segment>) {
+    /// Transmits the client-origin segments a [`SessionLogic`] callback's
+    /// endpoint call left in the staging buffer: the tap records them
+    /// (tcpdump sees every outgoing packet), then they traverse the uplink.
+    /// Leaves the buffer empty for the next call.
+    fn transmit_from_client(&mut self) {
         let now = self.now();
+        let mut segs = std::mem::take(&mut self.out.segs);
         for seg in segs.drain(..) {
             self.tap_staged(now, TapDirection::Outgoing, &seg);
             self.send_up(now, &seg);
         }
+        self.out.segs = segs;
     }
 
     /// [`Self::transmit_from_client`] for segments the event loop itself
     /// takes from the client endpoint, tapped straight into `sink`.
-    fn transmit_from_client_direct<S: PacketSink + ?Sized>(
-        &mut self,
-        segs: &mut Vec<Segment>,
-        sink: &mut S,
-    ) {
+    #[inline]
+    fn transmit_from_client_direct<S: PacketSink + ?Sized>(&mut self, sink: &mut S) {
         let now = self.now();
+        let mut segs = std::mem::take(&mut self.out.segs);
         for seg in segs.drain(..) {
             self.tap_direct(now, TapDirection::Outgoing, &seg, sink);
             self.send_up(now, &seg);
         }
+        self.out.segs = segs;
     }
 
     /// Offers one tapped client-origin segment to the uplink.
     #[inline]
     fn send_up(&mut self, now: SimTime, seg: &Segment) {
-        if let Some(at) = self.path.send(Direction::Up, now, seg, &mut self.rng).delivery_time() {
+        if let Some(at) = self.offer(Direction::Up, now, seg) {
             let queued = QueuedSegment::stash(seg, &mut self.sacks);
             self.queue.schedule_fifo(UP_LANE, at, Event::DeliverToServer(queued));
         }
     }
 
-    /// Transmits server-origin segments; the tap records them on *arrival*
-    /// (a dropped packet never reaches the client's tcpdump). Drains `segs`
-    /// so the caller's buffer can be reused.
-    fn transmit_from_server(&mut self, segs: &mut Vec<Segment>) {
+    /// Transmits the server-origin segments an endpoint call left in the
+    /// staging buffer; the tap records them on *arrival* (a dropped packet
+    /// never reaches the client's tcpdump). Leaves the buffer empty.
+    fn transmit_from_server(&mut self) {
         let now = self.now();
+        let mut segs = std::mem::take(&mut self.out.segs);
         for seg in segs.drain(..) {
-            if let Some(at) = self
-                .path
-                .send(Direction::Down, now, &seg, &mut self.rng)
-                .delivery_time()
-            {
+            if let Some(at) = self.offer(Direction::Down, now, &seg) {
                 let queued = QueuedSegment::stash(&seg, &mut self.sacks);
                 self.queue.schedule_fifo(DOWN_LANE, at, Event::DeliverToClient(queued));
             }
         }
+        self.out.segs = segs;
+    }
+
+    /// Offers `seg` to the `dir` link at `now`: its delivery time, or `None`
+    /// when the link dropped it.
+    #[inline]
+    fn offer(&mut self, dir: Direction, now: SimTime, seg: &Segment) -> Option<SimTime> {
+        if self.out.recorder.is_some() {
+            return self.offer_recorded(dir, now, seg);
+        }
+        self.path.send(dir, now, seg, &mut self.rng).delivery_time()
+    }
+
+    /// [`Self::offer`] in a session that records. The link records nothing
+    /// itself, so its counters and verdict are read here: a backlog
+    /// high-water mark that entered a new power-of-two bucket (per-byte
+    /// growth would flood the ring), then a drop, in the order the link met
+    /// them.
+    #[inline(never)]
+    fn offer_recorded(&mut self, dir: Direction, now: SimTime, seg: &Segment) -> Option<SimTime> {
+        let before = self.path.link(dir).stats().backlog_hwm_bytes;
+        let verdict = self.path.send(dir, now, seg, &mut self.rng);
+        let (link, len) = (self.path.link(dir), u64::from(seg.wire_len()));
+        let mut note = |kind, a, b| record(self.out.recorder.as_mut(), now, kind, a, b);
+        let hwm = link.stats().backlog_hwm_bytes;
+        if hwm.leading_zeros() < before.leading_zeros() {
+            note(EventKind::NetBacklogHwm, hwm, u64::from(u64::BITS - hwm.leading_zeros()));
+        }
+        match verdict {
+            // A refused packet left the link as it was: the backlog now is
+            // the one it met.
+            Verdict::Dropped(DropReason::QueueOverflow) => {
+                note(EventKind::NetQueueDrop, link.backlog_bytes(now), len)
+            }
+            Verdict::Dropped(DropReason::RandomLoss) => note(EventKind::NetRandomDrop, len, 0),
+            Verdict::Delivered(_) => {}
+        }
+        verdict.delivery_time()
+    }
+
+    /// Records a strategy's event now, when the session records.
+    #[inline]
+    pub(crate) fn record(&mut self, kind: EventKind, a: u64, b: u64) {
+        record(self.out.recorder.as_mut(), self.queue.now(), kind, a, b);
+    }
+
+    /// The session's flight recorder, for the player's methods to record into.
+    #[inline]
+    pub(crate) fn recorder(&mut self) -> Option<&mut Recorder> {
+        self.out.recorder.as_mut()
     }
 
     /// Cross-traffic source `src` ticks: the path occupies its downlink and
@@ -765,6 +831,15 @@ impl Engine {
             *stored = Some(at);
             self.queue.schedule(at, Event::TcpTick { conn: conn as u32, side });
         }
+    }
+}
+
+/// Records an event of no connection (a link's, the player's, a
+/// strategy's) at `now` into `rec`, when the session records.
+#[inline]
+pub(crate) fn record(rec: Option<&mut Recorder>, now: SimTime, kind: EventKind, a: u64, b: u64) {
+    if let Some(rec) = rec {
+        rec.push(trace::Event { at_ns: now.as_nanos(), kind, side: SIDE_NONE, conn: 0, a, b });
     }
 }
 
@@ -1108,6 +1183,38 @@ mod tests {
         let outgoing = trace.records().filter(|r| r.dir() == TapDirection::Outgoing).count();
         assert!(incoming > 0);
         assert!(outgoing > 0, "tap must record ACKs too");
+    }
+
+    /// The links record nothing themselves: the engine reads every drop off
+    /// the send verdict. On a path that drops in both directions, by queue
+    /// overflow and by loss, the ring holds one event per drop the links
+    /// counted.
+    #[test]
+    fn drop_events_equal_the_links_drop_counters() {
+        use vstream_net::{LinkConfig, LossModel};
+        let link = |bps, queue| {
+            let mut cfg = LinkConfig::new(bps, SimDuration::from_millis(20))
+                .with_loss(LossModel::bernoulli(0.01));
+            cfg.queue_capacity_bytes = queue;
+            cfg
+        };
+        let path = DuplexPath::new(link(10_000_000, 16_000), link(100_000, 600));
+        let mut scratch = SessionScratch::new();
+        scratch.attach_recorder(Recorder::new(1 << 20));
+        let mut eng = Engine::with_scratch(path, 3, SimDuration::from_secs(60), scratch);
+        let mut logic = BulkLogic { size: 4_000_000, read_total: 0, finished_at: None };
+        eng.run_observed(&mut logic, &mut NullSink, false);
+        let links = [Direction::Down, Direction::Up].map(|d| eng.path.link(d).stats());
+        let rec = eng.into_parts().1.take_recorder().expect("the engine hands the ring back");
+        assert_eq!(rec.dropped(), 0);
+        let count = |kind| rec.events().iter().filter(|e| e.kind == kind).count() as u64;
+        for (dir, l) in ["down", "up"].iter().zip(&links) {
+            assert!(l.queue_drops > 0 && l.random_drops > 0, "{dir}: {l:?}");
+        }
+        let [down, up] = links;
+        assert_eq!(count(EventKind::NetQueueDrop), down.queue_drops + up.queue_drops);
+        assert_eq!(count(EventKind::NetRandomDrop), down.random_drops + up.random_drops);
+        assert!(count(EventKind::NetBacklogHwm) > 0);
     }
 
     /// Every packet in flight is one lane entry, and DESIGN §7.1 sizes the

@@ -10,10 +10,17 @@
 //! §5.3/§6: receive-side buffer occupancy (Table 2), stall behaviour under
 //! accumulation ratios below one, and unused bytes when the user interrupts
 //! playback.
+//!
+//! A player records its transitions (startup, stall start and end, finish,
+//! buffer-level crossings) into the session's flight recorder, which every
+//! call that can cause one takes: the strategy passes the engine's
+//! (`Engine::recorder`), `None` when the session records nothing.
 
-use vstream_obs::trace::{self, EventKind, SIDE_NONE};
+use vstream_obs::trace::{EventKind, Recorder};
 use vstream_obs::Hist;
 use vstream_sim::{SimDuration, SimTime};
+
+use crate::engine::record;
 
 /// Playback state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,7 +78,7 @@ pub struct Player {
     waiting_since: SimTime,
     started_at: Option<SimTime>,
     /// Last power-of-two buffer bucket reported to the flight recorder.
-    /// Trace-only state: written solely under [`trace::enabled`], never
+    /// Trace-only state: written only while a recorder is passed in, never
     /// read by playback logic.
     buffer_bucket: u32,
     stats: PlayerStats,
@@ -105,38 +112,24 @@ impl Player {
     }
 
     /// Feeds downloaded bytes into the playback buffer at time `now`.
-    pub(crate) fn feed(&mut self, now: SimTime, bytes: u64) {
-        self.advance(now);
+    pub(crate) fn feed(&mut self, now: SimTime, bytes: u64, mut rec: Option<&mut Recorder>) {
+        self.advance(now, rec.as_deref_mut());
         self.fed = (self.fed + bytes).min(self.video_bytes);
         self.stats.peak_buffer_bytes = self.stats.peak_buffer_bytes.max(self.buffer_bytes());
-        self.trace_buffer_level(now);
-        self.maybe_start(now);
-    }
-
-    /// Flight-recorder note when the buffer crosses a power-of-two level
-    /// boundary. The bucket field is only touched while tracing is on and
-    /// nothing in the player reads it, so behaviour is unchanged.
-    #[inline]
-    fn trace_buffer_level(&mut self, now: SimTime) {
-        if trace::enabled() {
-            let level = self.buffer_bytes();
-            let bucket = u64::BITS - level.leading_zeros();
-            if bucket != self.buffer_bucket {
-                self.buffer_bucket = bucket;
-                trace::emit(
-                    now.as_nanos(),
-                    EventKind::AppBufferLevel,
-                    SIDE_NONE,
-                    0,
-                    level,
-                    bucket as u64,
-                );
-            }
+        // A note when the buffer crosses a power-of-two level boundary.
+        // The bucket is only touched while a recorder is passed in and
+        // nothing in the player reads it, so behaviour is unchanged.
+        let level = self.buffer_bytes();
+        let bucket = u64::BITS - level.leading_zeros();
+        if rec.is_some() && bucket != self.buffer_bucket {
+            self.buffer_bucket = bucket;
+            record(rec.as_deref_mut(), now, EventKind::AppBufferLevel, level, bucket as u64);
         }
+        self.maybe_start(now, rec);
     }
 
     /// Advances playback to time `now`, consuming buffered bytes.
-    pub(crate) fn advance(&mut self, now: SimTime) {
+    pub(crate) fn advance(&mut self, now: SimTime, mut rec: Option<&mut Recorder>) {
         debug_assert!(now >= self.clock, "player clock went backwards");
         if self.state == PlayState::Playing {
             let elapsed = now.duration_since(self.clock);
@@ -149,14 +142,8 @@ impl Player {
                 self.consumed = self.fed;
                 if self.consumed >= self.video_bytes {
                     self.state = PlayState::Finished;
-                    trace::emit(
-                        now.as_nanos(),
-                        EventKind::AppFinished,
-                        SIDE_NONE,
-                        0,
-                        self.stats.stall_time.as_nanos(),
-                        0,
-                    );
+                    let stalled = self.stats.stall_time.as_nanos();
+                    record(rec.as_deref_mut(), now, EventKind::AppFinished, stalled, 0);
                 } else {
                     self.state = PlayState::Stalled;
                     // The stall began when the buffer actually emptied.
@@ -166,22 +153,17 @@ impl Player {
                     self.waiting_since = self.clock + drain_time;
                     self.stats.stalls += 1;
                     // Detected now; the retroactive start travels in `a`.
-                    trace::emit(
-                        now.as_nanos(),
-                        EventKind::AppStallStart,
-                        SIDE_NONE,
-                        0,
-                        self.waiting_since.as_nanos(),
-                        self.stats.stalls as u64,
-                    );
+                    let began = self.waiting_since.as_nanos();
+                    let stalls = self.stats.stalls as u64;
+                    record(rec.as_deref_mut(), now, EventKind::AppStallStart, began, stalls);
                 }
             }
         }
         self.clock = now;
-        self.maybe_start(now);
+        self.maybe_start(now, rec);
     }
 
-    fn maybe_start(&mut self, now: SimTime) {
+    fn maybe_start(&mut self, now: SimTime, rec: Option<&mut Recorder>) {
         let threshold_met = self.buffer_bytes() >= self.startup_bytes
             || self.fed >= self.video_bytes && self.buffer_bytes() > 0;
         match self.state {
@@ -190,14 +172,7 @@ impl Player {
                 self.started_at = Some(now);
                 let delay = now.saturating_duration_since(SimTime::ZERO);
                 self.stats.startup_delay = Some(delay);
-                trace::emit(
-                    now.as_nanos(),
-                    EventKind::AppStartup,
-                    SIDE_NONE,
-                    0,
-                    delay.as_nanos(),
-                    0,
-                );
+                record(rec, now, EventKind::AppStartup, delay.as_nanos(), 0);
             }
             PlayState::Stalled if threshold_met => {
                 self.state = PlayState::Playing;
@@ -206,14 +181,8 @@ impl Player {
                 self.stats.stall_time += stalled;
                 self.stats.stall_max = self.stats.stall_max.max(stalled);
                 self.stats.stall_hist.record(stalled.as_nanos() / 1_000_000);
-                trace::emit(
-                    now.as_nanos(),
-                    EventKind::AppStallEnd,
-                    SIDE_NONE,
-                    0,
-                    stalled.as_nanos(),
-                    self.stats.stalls_completed as u64,
-                );
+                let completed = self.stats.stalls_completed as u64;
+                record(rec, now, EventKind::AppStallEnd, stalled.as_nanos(), completed);
             }
             _ => {}
         }
@@ -264,9 +233,9 @@ mod tests {
     #[test]
     fn playback_waits_for_threshold() {
         let mut p = player();
-        p.feed(t(1.0), 499_999);
+        p.feed(t(1.0), 499_999, None);
         assert_ne!(p.state, PlayState::Playing);
-        p.feed(t(1.1), 1);
+        p.feed(t(1.1), 1, None);
         assert_eq!(p.state, PlayState::Playing);
         assert_eq!(p.stats().startup_delay, Some(SimDuration::from_millis(1100)));
     }
@@ -274,9 +243,9 @@ mod tests {
     #[test]
     fn consumes_at_encoding_rate() {
         let mut p = player();
-        p.feed(t(0.0), 1_000_000);
+        p.feed(t(0.0), 1_000_000, None);
         assert_eq!(p.state, PlayState::Playing);
-        p.advance(t(4.0));
+        p.advance(t(4.0), None);
         // 4 s at 125 kB/s = 500 kB consumed.
         assert_eq!(p.consumed, 500_000);
         assert_eq!(p.buffer_bytes(), 500_000);
@@ -285,13 +254,13 @@ mod tests {
     #[test]
     fn stalls_when_buffer_empties() {
         let mut p = player();
-        p.feed(t(0.0), 500_000); // exactly the threshold = 4 s of video
-        p.advance(t(10.0));
+        p.feed(t(0.0), 500_000, None); // exactly the threshold = 4 s of video
+        p.advance(t(10.0), None);
         assert_ne!(p.state, PlayState::Playing);
         assert_eq!(p.consumed, 500_000);
         assert_eq!(p.stats().stalls, 1);
         // Refill at t=12; the stall ran from t=4 (buffer empty) to t=12.
-        p.feed(t(12.0), 500_000);
+        p.feed(t(12.0), 500_000, None);
         assert_eq!(p.state, PlayState::Playing);
         assert_eq!(p.stats().stall_time, SimDuration::from_secs(8));
         // The completed stall is also recorded in the duration histogram:
@@ -304,11 +273,11 @@ mod tests {
     #[test]
     fn finishes_at_video_end() {
         let mut p = Player::new(1_000_000, 100_000, 1_250_000); // 10 s video
-        p.feed(t(0.0), 1_250_000);
-        p.advance(t(10.0));
+        p.feed(t(0.0), 1_250_000, None);
+        p.advance(t(10.0), None);
         assert_eq!(p.state, PlayState::Finished);
         assert_eq!(p.consumed, 1_250_000);
-        p.advance(t(20.0));
+        p.advance(t(20.0), None);
         assert_eq!(p.consumed, 1_250_000, "no consumption after the end");
     }
 
@@ -317,31 +286,31 @@ mod tests {
         // A short video smaller than the threshold must still play once
         // fully downloaded.
         let mut p = Player::new(1_000_000, 400_000, 400_000);
-        p.feed(t(0.0), 400_000);
+        p.feed(t(0.0), 400_000, None);
         assert_eq!(p.state, PlayState::Playing);
     }
 
     #[test]
     fn feed_clamps_at_video_size() {
         let mut p = Player::new(1_000_000, 100_000, 1_000_000);
-        p.feed(t(0.0), 5_000_000);
+        p.feed(t(0.0), 5_000_000, None);
         assert_eq!(p.fed, 1_000_000);
     }
 
     #[test]
     fn peak_buffer_is_tracked() {
         let mut p = player();
-        p.feed(t(0.0), 2_000_000);
-        p.advance(t(8.0));
-        p.feed(t(8.0), 100_000);
+        p.feed(t(0.0), 2_000_000, None);
+        p.advance(t(8.0), None);
+        p.feed(t(8.0), 100_000, None);
         assert_eq!(p.stats().peak_buffer_bytes, 2_000_000);
     }
 
     #[test]
     fn unused_bytes_equals_buffer() {
         let mut p = player();
-        p.feed(t(0.0), 2_000_000);
-        p.advance(t(4.0));
+        p.feed(t(0.0), 2_000_000, None);
+        p.advance(t(4.0), None);
         // 500 kB consumed; the 1.5 MB still buffered is what a viewer who
         // walked away now would have downloaded but never watched (§6.2).
         assert_eq!(p.buffer_bytes(), 1_500_000);
@@ -351,12 +320,12 @@ mod tests {
     fn incremental_advance_matches_single_advance() {
         let mut a = player();
         let mut b = player();
-        a.feed(t(0.0), 3_000_000);
-        b.feed(t(0.0), 3_000_000);
+        a.feed(t(0.0), 3_000_000, None);
+        b.feed(t(0.0), 3_000_000, None);
         for i in 1..=100 {
-            a.advance(t(i as f64 * 0.1));
+            a.advance(t(i as f64 * 0.1), None);
         }
-        b.advance(t(10.0));
+        b.advance(t(10.0), None);
         assert_eq!(a.consumed, b.consumed);
         assert_eq!(a.buffer_bytes(), b.buffer_bytes());
     }

@@ -18,7 +18,7 @@
 //! recorded as an [`EventKind::AppBitrateSwitch`] flight-recorder event and
 //! counted for the QoE table's switch-rate column.
 
-use vstream_obs::trace::{self, EventKind, SIDE_NONE};
+use vstream_obs::trace::EventKind;
 use vstream_sim::{SimDuration, SimTime};
 use vstream_tcp::TcpConfig;
 
@@ -126,7 +126,7 @@ impl AbrLogic {
     }
 
     /// Picks the rung for the next segment and records any switch.
-    fn adapt(&mut self, now: SimTime) {
+    fn adapt(&mut self, eng: &mut Engine) {
         let next = if self.buffer_ms() < LOW_WATERMARK_MS {
             // Panic mode: the buffer is nearly dry, nothing but the lowest
             // rung is defensible regardless of what the estimate says.
@@ -142,14 +142,7 @@ impl AbrLogic {
         };
         if next != self.rung && self.blocks > 0 {
             self.switches += 1;
-            trace::emit(
-                now.as_nanos(),
-                EventKind::AppBitrateSwitch,
-                SIDE_NONE,
-                0,
-                ABR_LADDER[next],
-                ABR_LADDER[self.rung],
-            );
+            eng.record(EventKind::AppBitrateSwitch, ABR_LADDER[next], ABR_LADDER[self.rung]);
         }
         self.rung = next;
     }
@@ -160,7 +153,7 @@ impl AbrLogic {
         if self.inflight.is_some() || self.media_offset_ms >= self.duration_ms() {
             return;
         }
-        self.player.advance(eng.now());
+        self.player.advance(eng.now(), eng.recorder());
         let buffered = self.buffer_ms();
         if buffered > TARGET_BUFFER_MS && !self.timer_armed {
             // Idle (the OFF period) until playback drains to the target.
@@ -174,7 +167,7 @@ impl AbrLogic {
         if buffered > TARGET_BUFFER_MS {
             return;
         }
-        self.adapt(eng.now());
+        self.adapt(eng);
         let media_ms = ABR_SEGMENT_MS.min(self.duration_ms() - self.media_offset_ms);
         let wire_bytes = rate_bytes_ms(self.current_rate(), media_ms).max(1);
         let client_cfg = TcpConfig::default().with_recv_buffer(2 << 20);
@@ -188,7 +181,7 @@ impl AbrLogic {
         self.inflight = Some(conn);
         self.media_offset_ms += media_ms;
         self.blocks += 1;
-        super::trace_block_request(eng.now(), self.blocks);
+        eng.record(EventKind::AppBlockRequest, self.blocks, 0);
     }
 }
 
@@ -229,7 +222,8 @@ impl SessionLogic for AbrLogic {
         }
         // Credit the player with the segment's playback time in
         // nominal-rate bytes, whatever rung carried it.
-        self.player.feed(eng.now(), self.video.playback_bytes_ms(seg.media_ms));
+        let bytes = self.video.playback_bytes_ms(seg.media_ms);
+        self.player.feed(eng.now(), bytes, eng.recorder());
         self.maybe_request_next(eng);
     }
 

@@ -54,7 +54,7 @@ impl SessionLogic for BulkLogic {
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
         let n = eng.client_read(conn, u64::MAX);
         self.read_total += n;
-        self.player.feed(eng.now(), n);
+        self.player.feed(eng.now(), n, eng.recorder());
     }
 
     fn on_eof(&mut self, eng: &mut Engine, _conn: usize) {

@@ -12,6 +12,7 @@
 //! (*short cycles*, Fig. 5); Chrome and the Android application pull
 //! multi-megabyte blocks (*long cycles*, Fig. 6).
 
+use vstream_obs::trace::EventKind;
 use vstream_sim::SimDuration;
 use vstream_tcp::TcpConfig;
 
@@ -132,10 +133,10 @@ impl ClientPullLogic {
 
     fn pull(&mut self, eng: &mut Engine) {
         self.blocks += 1;
-        super::trace_block_request(eng.now(), self.blocks);
+        eng.record(EventKind::AppBlockRequest, self.blocks, 0);
         let n = eng.client_read(self.conn, self.cfg.block_bytes);
         self.read_total += n;
-        self.player.feed(eng.now(), n);
+        self.player.feed(eng.now(), n, eng.recorder());
         if self.read_total >= self.video.size_bytes() {
             self.phase = Phase::Done;
         } else {
@@ -163,7 +164,7 @@ impl SessionLogic for ClientPullLogic {
             Phase::Buffering => {
                 let n = eng.client_read(conn, u64::MAX);
                 self.read_total += n;
-                self.player.feed(eng.now(), n);
+                self.player.feed(eng.now(), n, eng.recorder());
                 if self.read_total >= self.cfg.initial_target_bytes.min(self.video.size_bytes()) {
                     self.phase = if self.read_total >= self.video.size_bytes() {
                         Phase::Done
@@ -182,7 +183,7 @@ impl SessionLogic for ClientPullLogic {
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         debug_assert_eq!(id, PULL_TIMER);
         self.pull_timer_armed = false;
-        self.player.advance(eng.now());
+        self.player.advance(eng.now(), eng.recorder());
         if self.room() >= self.cfg.block_bytes {
             self.pull(eng);
         } else {

@@ -17,18 +17,9 @@ pub use netflix::{NetflixConfig, NetflixLogic, NetflixMode};
 pub use range_request::RangeRequestLogic;
 pub use server_paced::{ServerPacedConfig, ServerPacedLogic};
 
-use vstream_obs::trace::{self, EventKind, SIDE_NONE};
-use vstream_sim::{SimDuration, SimTime};
+use vstream_sim::SimDuration;
 
 use crate::video::Video;
-
-/// Flight-recorder note for one strategy block-request decision. `blocks`
-/// is the strategy's running request count (after the increment). Passive
-/// and shared by every strategy so dump timelines label requests alike.
-#[inline]
-pub(crate) fn trace_block_request(now: SimTime, blocks: u64) {
-    trace::emit(now.as_nanos(), EventKind::AppBlockRequest, SIDE_NONE, 0, blocks, 0);
-}
 
 /// Default player startup threshold: two seconds of content (clamped to the
 /// video size). All strategies share it; it only affects player statistics,

@@ -14,6 +14,7 @@
 //! 3. **Android pulls a single connection** with multi-megabyte blocks —
 //!    long ON-OFF cycles (Fig. 10b) and an ≈40 MB buffering phase.
 
+use vstream_obs::trace::EventKind;
 use vstream_sim::SimDuration;
 use vstream_tcp::TcpConfig;
 
@@ -208,7 +209,7 @@ impl NetflixLogic {
         let chunk = self.cfg.block_bytes().min(remaining);
         self.content_offset += chunk;
         self.blocks += 1;
-        super::trace_block_request(eng.now(), self.blocks);
+        eng.record(EventKind::AppBlockRequest, self.blocks, 0);
         self.open_transfer(eng, ConnKind::Content, chunk);
     }
 
@@ -226,7 +227,7 @@ impl NetflixLogic {
         if self.pull_armed || !self.content_remaining() {
             return;
         }
-        self.player.advance(eng.now());
+        self.player.advance(eng.now(), eng.recorder());
         let room = self
             .cfg
             .buffer_bytes()
@@ -293,7 +294,7 @@ impl SessionLogic for NetflixLogic {
             (NetflixMode::Pc | NetflixMode::Ipad, ConnKind::Content) => {
                 let n = eng.client_read(conn, u64::MAX);
                 self.read_total += n;
-                self.player.feed(eng.now(), n);
+                self.player.feed(eng.now(), n, eng.recorder());
             }
             (NetflixMode::Android, ConnKind::Content) => {
                 // Greedy only during the buffering phase; once the pull
@@ -301,7 +302,7 @@ impl SessionLogic for NetflixLogic {
                 if self.player.buffer_bytes() < self.cfg.buffer_bytes() && !self.pull_armed {
                     let n = eng.client_read(conn, u64::MAX);
                     self.read_total += n;
-                    self.player.feed(eng.now(), n);
+                    self.player.feed(eng.now(), n, eng.recorder());
                     if self.player.buffer_bytes() >= self.cfg.buffer_bytes() {
                         self.arm_pull(eng);
                     }
@@ -321,7 +322,7 @@ impl SessionLogic for NetflixLogic {
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         debug_assert_eq!(id, PULL_TIMER);
         self.pull_armed = false;
-        self.player.advance(eng.now());
+        self.player.advance(eng.now(), eng.recorder());
         let room = self
             .cfg
             .buffer_bytes()
@@ -338,10 +339,10 @@ impl SessionLogic for NetflixLogic {
                 let conn = self.android_conn.expect("android connection open");
                 if room >= self.cfg.block_bytes() {
                     self.blocks += 1;
-                    super::trace_block_request(eng.now(), self.blocks);
+                    eng.record(EventKind::AppBlockRequest, self.blocks, 0);
                     let n = eng.client_read(conn, self.cfg.block_bytes());
                     self.read_total += n;
-                    self.player.feed(eng.now(), n);
+                    self.player.feed(eng.now(), n, eng.recorder());
                 }
                 self.arm_pull(eng);
             }

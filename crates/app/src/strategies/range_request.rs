@@ -7,6 +7,7 @@
 //! while high-rate videos show periodic re-buffering with multi-megabyte
 //! transfers — the "combination of ON-OFF strategies".
 
+use vstream_obs::trace::EventKind;
 use vstream_sim::SimDuration;
 use vstream_tcp::TcpConfig;
 
@@ -100,7 +101,7 @@ impl RangeRequestLogic {
         if self.inflight.is_some() || self.offset >= self.video.size_bytes() {
             return;
         }
-        self.player.advance(eng.now());
+        self.player.advance(eng.now(), eng.recorder());
         let chunk = self
             .next_request_bytes()
             .min(self.video.size_bytes() - self.offset);
@@ -111,7 +112,7 @@ impl RangeRequestLogic {
             self.inflight = Some((conn, chunk));
             self.requests_made += 1;
             self.blocks += 1;
-            super::trace_block_request(eng.now(), self.blocks);
+            eng.record(EventKind::AppBlockRequest, self.blocks, 0);
         } else if !self.retry_armed {
             // Wait until playback frees enough room.
             let needed = chunk - self.room();
@@ -140,7 +141,7 @@ impl SessionLogic for RangeRequestLogic {
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
         let n = eng.client_read(conn, u64::MAX);
         self.read_total += n;
-        self.player.feed(eng.now(), n);
+        self.player.feed(eng.now(), n, eng.recorder());
     }
 
     fn on_eof(&mut self, eng: &mut Engine, conn: usize) {

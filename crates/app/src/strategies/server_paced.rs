@@ -8,6 +8,7 @@
 //! reads greedily — the pacing is entirely server-side, which is why the
 //! receive window never empties in Fig. 2(b)'s Flash curve.
 
+use vstream_obs::trace::EventKind;
 use vstream_sim::SimDuration;
 use vstream_tcp::TcpConfig;
 
@@ -113,14 +114,14 @@ impl SessionLogic for ServerPacedLogic {
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         debug_assert_eq!(id, BLOCK_TIMER);
         self.blocks += 1;
-        super::trace_block_request(eng.now(), self.blocks);
+        eng.record(EventKind::AppBlockRequest, self.blocks, 0);
         self.write_next(eng, BLOCK_BYTES);
     }
 
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
         let n = eng.client_read(conn, u64::MAX);
         self.read_total += n;
-        self.player.feed(eng.now(), n);
+        self.player.feed(eng.now(), n, eng.recorder());
     }
 }
 

@@ -1,7 +1,8 @@
 //! Where flight-recorder rings become files: `repro --trace-dir`.
 //!
-//! The obs layer owns the ring ([`vstream_obs::trace`]); this module owns
-//! the policy around it — when a session is bracketed, which sessions get
+//! The obs layer defines the ring ([`vstream_obs::trace::Recorder`]) and
+//! the engine is its one writer; this module owns the policy around it —
+//! whether a session gets a ring and of what capacity, which sessions get
 //! dumped, what the files are called, and the two dump formats:
 //!
 //! * `<session>.trace.json` — Chrome trace-event JSON, loadable in
@@ -34,7 +35,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use vstream_app::PlayerStats;
-use vstream_obs::trace::{self, Event, EventKind, Recorder, SIDE_CLIENT, SIDE_SERVER};
+use vstream_obs::trace::{Event, EventKind, Recorder, SIDE_CLIENT, SIDE_SERVER};
 use vstream_tcp::EndpointStats;
 
 use crate::report::{fixed3, fixed6};
@@ -51,6 +52,7 @@ pub const ANOMALY_STALL_NS: u64 = 2_000_000_000;
 pub const ANOMALY_TIMEOUT_COUNT: u64 = 3;
 
 /// Dump policy installed by the CLI.
+#[derive(Clone)]
 pub struct TraceConfig {
     /// Directory dump files are written into (created on install).
     pub dir: PathBuf,
@@ -63,55 +65,46 @@ pub struct TraceConfig {
 /// The installed dump policy; `None` when dumps are off.
 static CONFIG: Mutex<Option<TraceConfig>> = Mutex::new(None);
 
-/// Installs the dump policy, creates the dump directory, and turns the
-/// global tracing switch on.
+/// Installs the dump policy and creates the dump directory: every session
+/// bracketed from now on records into a ring of the policy's capacity.
 pub fn install(cfg: TraceConfig) -> std::io::Result<()> {
     std::fs::create_dir_all(&cfg.dir)?;
     *CONFIG.lock().expect("flight config poisoned") = Some(cfg);
-    trace::set_enabled(true);
     Ok(())
 }
 
-/// Turns tracing off and drops the dump policy.
+/// Drops the dump policy: sessions bracketed from now on record nothing.
 pub fn uninstall() {
-    trace::set_enabled(false);
     *CONFIG.lock().expect("flight config poisoned") = None;
 }
 
-/// Brackets a session about to run on this thread: installs a fresh ring
-/// of the policy's capacity when a dump policy is installed. Returns
-/// whether a bracket was opened (the caller must then call
-/// [`session_end`]). The check is the policy, not [`trace::enabled`], so
-/// a caller that brackets a ring of its own with the bare switch on keeps
-/// that ring.
+/// The installed dump policy, read once when a session's bracket opens:
+/// `None` when dumps are off. The bracket attaches a ring of its capacity
+/// to the session and hands the copy to [`session_end`], so the lock is
+/// never held while a session runs or its dump is formatted and written.
 #[inline]
-pub(crate) fn session_begin() -> bool {
-    let cap = CONFIG.lock().expect("flight config poisoned").as_ref().map(|c| c.ring_cap);
-    let Some(cap) = cap else { return false };
-    trace::begin_session(cap);
-    true
+pub(crate) fn policy() -> Option<TraceConfig> {
+    CONFIG.lock().expect("flight config poisoned").clone()
 }
 
-/// Closes a session bracket: takes the ring and writes the dump files
-/// named by `stem`, subject to the anomaly policy. `app` is the session's
-/// player statistics and block count, the pair the ledger's `app_*` slots
-/// read (`None` for a session without a player). When no bracket was
-/// opened (the recorder is off) there is no ring and this is a no-op.
+/// Closes a session bracket: writes the dump files of the session's ring
+/// `rec` named by `stem`, subject to `cfg`'s anomaly policy. `app` is the
+/// session's player statistics and block count, the pair the ledger's
+/// `app_*` slots read (`None` for a session without a player).
 pub(crate) fn session_end(
+    cfg: &TraceConfig,
+    rec: &Recorder,
     stem: impl FnOnce() -> String,
     app: Option<&(PlayerStats, u64)>,
     connection_stats: &[(EndpointStats, EndpointStats)],
 ) {
-    let Some(rec) = trace::end_session() else { return };
-    let g = CONFIG.lock().expect("flight config poisoned");
-    let Some(cfg) = g.as_ref() else { return };
     let player = app.map(|(stats, _)| stats);
     if cfg.anomalies_only && !is_anomalous(player, connection_stats) {
         return;
     }
     let stem = stem();
-    let json = chrome_trace_json(&stem, &rec);
-    let text = text_timeline(&stem, &rec, app, connection_stats);
+    let json = chrome_trace_json(&stem, rec);
+    let text = text_timeline(&stem, rec, app, connection_stats);
     for (ext, body) in [("trace.json", &json), ("txt", &text)] {
         let path = cfg.dir.join(format!("{stem}.{ext}"));
         if let Err(e) = std::fs::write(&path, body) {

@@ -25,6 +25,7 @@ use vstream_app::strategies::InterruptAfter;
 use vstream_app::{PlayerStats, SessionLogic, Video};
 use vstream_capture::{PacketSink, Trace};
 use vstream_net::{CrossTraffic, DuplexPath, LrdCrossConfig, NetworkProfile};
+use vstream_obs::trace::Recorder;
 use vstream_obs::{collector, Counter, Gauge, HistId};
 use vstream_sim::{exec, SimDuration};
 use vstream_tcp::EndpointStats;
@@ -284,10 +285,12 @@ pub(crate) struct EngineRun {
 /// scratch carries capacity, never state. Tapped packets stream into
 /// `sink`; a caller that wants the capture passes a [`Trace`].
 ///
-/// The flight recorder brackets the session here: a fresh event ring before
-/// the engine, a dump decision after, the files named by `stem` (built only
-/// for a dump). Cache hits never reach here, so they record no events and
-/// never rewrite a dump — the miss that filled the entry wrote those bytes.
+/// The flight recorder brackets the session here: with a dump policy
+/// installed (read once, as the bracket opens), a fresh event ring rides the
+/// scratch into the engine and back out for a dump decision, the files named
+/// by `stem` (built only for a dump). Cache hits never reach here, so they
+/// record no events and never rewrite a dump — the miss that filled the
+/// entry wrote those bytes.
 ///
 /// `app` reads the player statistics and paced-block count off the finished
 /// logic (`None` without a player) for the ledger's `app_*` slots and the
@@ -304,17 +307,20 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
     app: impl FnOnce(&L) -> Option<(PlayerStats, u64)>,
     stem: impl FnOnce() -> String,
 ) -> EngineRun {
-    let bracket = flight::session_begin();
-    let taken = std::mem::take(scratch);
-    let mut eng = Engine::with_scratch(path, seed, capture, taken);
+    let policy = flight::policy();
+    if let Some(cfg) = &policy {
+        scratch.attach_recorder(Recorder::new(cfg.ring_cap));
+    }
+    let mut eng = Engine::with_scratch(path, seed, capture, std::mem::take(scratch));
     eng.run_observed(logic, sink, false);
     let connection_stats: Vec<_> =
         (0..eng.connection_count()).map(|c| eng.connection_stats(c)).collect();
     // Read before `into_parts` consumes the engine.
     let events_scheduled = eng.queue_stats().scheduled;
     *scratch = eng.into_parts().1;
+    let dump = policy.zip(scratch.take_recorder());
     let obs_active = collector::is_active();
-    let app = (obs_active || bracket).then(|| app(logic)).flatten();
+    let app = (obs_active || dump.is_some()).then(|| app(logic)).flatten();
     if let (true, Some((stats, blocks))) = (obs_active, &app) {
         let m = scratch.metrics_mut();
         m.add(Counter::AppPlayerStalls, stats.stalls as u64);
@@ -326,8 +332,8 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
         m.gauge_max(Gauge::AppPeakBufferBytes, stats.peak_buffer_bytes);
         m.add(Counter::AppBlocks, *blocks);
     }
-    if bracket {
-        flight::session_end(stem, app.as_ref(), &connection_stats);
+    if let Some((cfg, ring)) = &dump {
+        flight::session_end(cfg, ring, stem, app.as_ref(), &connection_stats);
     }
     EngineRun { connection_stats, events_scheduled }
 }

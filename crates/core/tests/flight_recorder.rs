@@ -14,26 +14,51 @@
 //! * a reduction of the full event list agrees with the production QoE
 //!   summary computed from player statistics — the events the layers emit
 //!   and the counters `qoe_sessions.csv` and the dump footers read can
-//!   never drift apart unnoticed.
+//!   never drift apart unnoticed;
+//! * the TCP events agree with the endpoints' own counters: one RTO event
+//!   per timeout, one fast-retransmit event per fast retransmit, and the
+//!   four handshake transitions per connection.
 //!
-//! Every test turns the global trace switch on and none ever turns it off,
-//! so the parallel test harness cannot race one test's sessions against
-//! another's toggle.
+//! A ring is a value the session's scratch carries into the engine, so
+//! each test's sessions record into their own rings and nothing is shared
+//! between tests.
 
 mod support;
 
 use support::{spec_for, Shape, SHAPES};
-use vstream::{qoe, SessionSpec};
-use vstream_obs::trace::{self, Event, EventKind, Recorder};
+use vstream::{qoe, CellOutcome, SessionScratch, SessionSpec};
+use vstream_app::strategies::InterruptAfter;
+use vstream_app::Engine;
+use vstream_capture::Trace;
+use vstream_obs::trace::{Event, EventKind, Recorder};
+use vstream_workload::logic_for;
 
-/// Runs one session with a fresh ring of `cap` events on this thread and
-/// returns the recorder alongside the outcome.
-fn record(spec: &SessionSpec, cap: usize) -> (Recorder, vstream::CellOutcome) {
-    trace::set_enabled(true);
-    trace::begin_session(cap);
-    let out = spec.run().expect("every shape is an applicable matrix cell");
-    let rec = trace::end_session().expect("session bracket returns the ring");
-    (rec, out)
+/// Runs one session as the session bracket does, with a fresh ring of
+/// `cap` events riding its scratch into the engine, and returns the ring
+/// the engine hands back alongside the outcome.
+fn record(spec: &SessionSpec, cap: usize) -> (Recorder, CellOutcome) {
+    assert!(spec.cross.is_none(), "no shape has cross traffic");
+    let mut logic = logic_for(spec.client, spec.container, spec.video)
+        .expect("every shape is an applicable matrix cell");
+    let mut scratch = SessionScratch::new();
+    scratch.attach_recorder(Recorder::new(cap));
+    let path = spec.profile.build_path();
+    let base_rtt = path.base_rtt();
+    let mut eng = Engine::with_scratch(path, spec.seed, spec.capture, scratch);
+    let mut trace = Trace::new();
+    match spec.watch_time {
+        Some(w) => {
+            let mut wrapped = InterruptAfter::new(logic, w);
+            eng.run_observed(&mut wrapped, &mut trace, false);
+            logic = wrapped.inner;
+        }
+        None => eng.run_observed(&mut logic, &mut trace, false),
+    }
+    let connection_stats: Vec<_> =
+        (0..eng.connection_count()).map(|c| eng.connection_stats(c)).collect();
+    let rec = eng.into_parts().1.take_recorder().expect("the engine hands the ring back");
+    let connections = connection_stats.len();
+    (rec, CellOutcome { trace, logic, connections, connection_stats, base_rtt })
 }
 
 /// A ring big enough that no generated session overflows it.
@@ -171,22 +196,51 @@ fn event_stream_reduction_matches_production_summary() {
 }
 
 #[test]
+fn tcp_events_equal_the_endpoint_counters() {
+    let (mut all_timeouts, mut all_fast) = (0, 0);
+    for seed in 0..6 {
+        for shape in SHAPES {
+            let spec = spec_for(seed, shape);
+            let (rec, out) = record(&spec, FULL);
+            assert_eq!(rec.dropped(), 0, "the identities need the full stream");
+            let events = rec.events();
+            let count = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+            let stats = &out.connection_stats;
+            let timeouts: u64 = stats.iter().map(|(c, s)| c.timeouts + s.timeouts).sum();
+            let fast: u64 =
+                stats.iter().map(|(c, s)| c.fast_retransmits + s.fast_retransmits).sum();
+            assert_eq!(count(EventKind::TcpRtoFire), timeouts, "seed {seed} {shape:?}: RTOs");
+            assert_eq!(count(EventKind::TcpFastRetx), fast, "seed {seed} {shape:?}: fast retx");
+            all_timeouts += timeouts;
+            all_fast += fast;
+            for conn in 0..stats.len() {
+                let states = events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::TcpState && usize::from(e.conn) == conn)
+                    .count();
+                assert_eq!(states, 4, "seed {seed} {shape:?}: connection {conn}'s transitions");
+            }
+        }
+    }
+    assert!(all_timeouts > 0 && all_fast > 0, "{all_timeouts} RTOs, {all_fast} fast retx");
+}
+
+#[test]
 fn recording_does_not_perturb_the_session() {
-    // Same spec, with and without a ring on this thread (the switch stays
-    // globally on either way): outcomes must be indistinguishable. The
-    // stronger on-vs-off neutrality — byte-identical figure CSVs — is held
-    // by scripts/ci.sh's trace-neutrality stage across whole figure runs.
+    // Same spec, with a ring and through the production bracket without
+    // one: outcomes must be indistinguishable. The stronger on-vs-off
+    // neutrality — byte-identical figure CSVs — is held by
+    // scripts/check_determinism.sh's traced passes across whole figure runs.
     for shape in [Shape::ServerPaced, Shape::Netflix] {
         let spec = spec_for(3, shape);
         let (_, recorded) = record(&spec, FULL);
-        trace::set_enabled(true);
         let bare = spec.run().unwrap();
-        assert_eq!(bare.trace.len(), recorded.trace.len(), "{shape:?}: trace length");
+        assert!(bare.trace == recorded.trace, "{shape:?}: the captures differ");
         assert_eq!(
             bare.logic.read_total(),
             recorded.logic.read_total(),
             "{shape:?}: bytes read"
         );
-        assert_eq!(bare.connections, recorded.connections, "{shape:?}: connections");
+        assert_eq!(bare.connection_stats, recorded.connection_stats, "{shape:?}: counters");
     }
 }

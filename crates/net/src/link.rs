@@ -7,7 +7,6 @@
 //! and the backlog at `t` is `(B - t) · rate / 8` bytes. This closed form is
 //! exact for a FIFO queue and keeps the link O(1) per packet.
 
-use vstream_obs::trace::{self, EventKind, SIDE_NONE};
 use vstream_sim::{SimDuration, SimRng, SimTime};
 
 use crate::loss::LossModel;
@@ -101,7 +100,7 @@ impl Link {
     }
 
     /// Bytes currently waiting behind the transmitter at time `now`.
-    pub(crate) fn backlog_bytes(&self, now: SimTime) -> u64 {
+    pub fn backlog_bytes(&self, now: SimTime) -> u64 {
         let waiting = self.busy_until.saturating_duration_since(now);
         // u64 fast path (same result): backlogs are bounded by the queue
         // capacity, so `nanos * rate` only overflows u64 in degenerate
@@ -134,24 +133,9 @@ impl Link {
 
         // Tail drop: measure the backlog *before* admitting this packet.
         let backlog = self.backlog_bytes(now);
-        if backlog > self.stats.backlog_hwm_bytes {
-            // Flight-recorder note only when the high-water mark enters a
-            // new power-of-two bucket; per-byte growth would flood the ring.
-            if trace::enabled() && bit_len(backlog) > bit_len(self.stats.backlog_hwm_bytes) {
-                trace::emit(
-                    now.as_nanos(),
-                    EventKind::NetBacklogHwm,
-                    SIDE_NONE,
-                    0,
-                    backlog,
-                    bit_len(backlog) as u64,
-                );
-            }
-            self.stats.backlog_hwm_bytes = backlog;
-        }
+        self.stats.backlog_hwm_bytes = self.stats.backlog_hwm_bytes.max(backlog);
         if backlog + len > self.config.queue_capacity_bytes {
             self.stats.queue_drops += 1;
-            trace::emit(now.as_nanos(), EventKind::NetQueueDrop, SIDE_NONE, 0, backlog, len);
             return Verdict::Dropped(DropReason::QueueOverflow);
         }
 
@@ -163,7 +147,6 @@ impl Link {
         // the transmitter (it was sent, then lost in flight or corrupted).
         if self.config.loss.should_drop(rng) {
             self.stats.random_drops += 1;
-            trace::emit(now.as_nanos(), EventKind::NetRandomDrop, SIDE_NONE, 0, len, 0);
             return Verdict::Dropped(DropReason::RandomLoss);
         }
 
@@ -171,13 +154,6 @@ impl Link {
         self.stats.bytes_delivered += len;
         Verdict::Delivered(self.busy_until + self.config.propagation)
     }
-}
-
-/// Bit length of `v` (0 for 0): the power-of-two bucket the backlog
-/// high-water trace events quantise on.
-#[inline]
-fn bit_len(v: u64) -> u32 {
-    u64::BITS - v.leading_zeros()
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
 //! # vstream-obs — deterministic observability for the `vstream` workspace
 //!
 //! Every layer of the workspace is instrumented through this one: `tcp`
-//! reports retransmissions and congestion-window samples, `net` reports
-//! queue drops and backlog high-water marks, `app` reports player stalls
-//! and block pacing and harvests the event queue's own tallies
-//! (`vstream-sim` keeps them as plain fields and does not depend on this
-//! crate), and `core` stitches it all into per-figure spans. The design
-//! constraints, in order:
+//! reports retransmissions and congestion-window samples, `app` reports
+//! player stalls and block pacing and harvests the event queue's and the
+//! links' own tallies (`vstream-sim` and `vstream-net` keep them as plain
+//! fields and do not depend on this crate), and `core` stitches it all
+//! into per-figure spans. The design constraints, in order:
 //!
 //! 1. **Output neutrality.** Instrumentation is strictly passive: no
 //!    simulation decision ever reads a metric, so figures are

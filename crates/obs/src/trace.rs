@@ -1,37 +1,36 @@
 //! # Structured event tracing: the per-session flight recorder
 //!
 //! Where [`crate::metrics`] answers *how much* (fleet-wide counters and
-//! histograms), this module answers *when and in what order*: every layer
-//! of the stack emits typed, timestamped [`Event`]s into a bounded
-//! ring-buffer [`Recorder`] owned by the session currently running on the
-//! calling thread. The recorder is a flight recorder in the aviation
-//! sense — it always holds the **last** `cap` events, so when a session
-//! trips an anomaly predicate (a long stall, a retransmit storm) the tail
-//! of the timeline that explains it is still there.
+//! histograms), this module answers *when and in what order*: the layers
+//! of one simulated session produce typed, timestamped [`Event`]s, and a
+//! bounded ring-buffer [`Recorder`] keeps them. The recorder is a flight
+//! recorder in the aviation sense — it always holds the **last** `cap`
+//! events, so when a session trips an anomaly predicate (a long stall, a
+//! retransmit storm) the tail of the timeline that explains it is still
+//! there.
 //!
-//! The discipline mirrors the metrics layer exactly:
+//! This module holds only the vocabulary and the ring; it has no global
+//! state. A recorder is a value: the session bracket (`vstream`'s
+//! `session::run_engine`) creates one when a dump policy is installed and
+//! hands it to the session's engine, which is its one writer — it records
+//! what its endpoints, its links' send verdicts and its strategy logic
+//! report, in the order they happen — and takes it back when the session
+//! ends. A session records if and only if its bracket holds a ring, so
+//! there is no switch to set and no thread to bracket.
 //!
-//! 1. **Output neutrality.** [`emit`] is strictly passive; nothing in the
+//! 1. **Output neutrality.** Recording is strictly passive; nothing in the
 //!    simulation reads the recorder. Figure output is byte-identical with
-//!    tracing enabled or disabled.
-//! 2. **One relaxed atomic load** is the entire cost of a disabled call
-//!    site: [`emit`] checks the global [`enabled`] switch first and only
-//!    then touches thread-local state.
+//!    a ring attached or not.
+//! 2. **No cost without a ring.** Every recording site is one branch on
+//!    whether the session holds a ring; without one, no event is built.
 //! 3. **Determinism.** Events carry simulation time, never wall time, and
 //!    a session's event stream is a pure function of its spec — so trace
 //!    dumps are byte-identical across `--jobs` and cache on/off.
 //!
-//! The recorder lives in a thread-local slot rather than inside the
-//! engine because the emitting layers (`net`, `tcp`) sit *below*
-//! the crates that know what a session is; a worker brackets each session
-//! with [`begin_session`] / [`end_session`] and every layer in between
-//! emits blindly. Timestamps are raw nanoseconds (`SimTime::as_nanos`)
-//! for the same layering reason.
+//! Timestamps are raw nanoseconds (`SimTime::as_nanos`): this crate sits
+//! beside `vstream-sim` at the bottom of the dependency order.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Every typed event the instrumented layers can emit. The discriminant
+/// Every typed event a session can record. The discriminant
 /// and [`EventKind::name`] strings are stable identifiers: they appear in
 /// trace dumps and the Chrome trace-event export, and tests replay them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -127,7 +126,7 @@ impl EventKind {
     }
 }
 
-/// Which side of a connection emitted a TCP event.
+/// Which side of a connection a TCP event belongs to.
 pub const SIDE_NONE: u8 = 0;
 /// Client-side endpoint.
 pub const SIDE_CLIENT: u8 = 1;
@@ -222,58 +221,6 @@ impl Recorder {
     }
 }
 
-/// Global tracing switch: one relaxed load guards every emission site.
-static TRACING: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    /// The flight recorder of the session currently running on this
-    /// thread, if any. Sessions execute whole on one worker thread, so a
-    /// thread-local slot needs no synchronisation.
-    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
-}
-
-/// Turns the global tracing switch on or off. Emission sites still record
-/// nothing until a thread brackets a session with [`begin_session`].
-#[inline]
-pub fn set_enabled(on: bool) {
-    TRACING.store(on, Ordering::Relaxed);
-}
-
-/// Whether tracing is globally enabled — the one-relaxed-load fast path.
-#[inline]
-pub fn enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
-}
-
-/// Installs a fresh flight recorder (ring of `cap` events) for the
-/// session about to run on this thread. Replaces any previous recorder.
-#[inline]
-pub fn begin_session(cap: usize) {
-    RECORDER.with(|r| *r.borrow_mut() = Some(Recorder::new(cap)));
-}
-
-/// Removes and returns this thread's recorder, ending the session
-/// bracket. `None` when no session was bracketed.
-#[inline]
-pub fn end_session() -> Option<Recorder> {
-    RECORDER.with(|r| r.borrow_mut().take())
-}
-
-/// Records one event into the current session's flight recorder. A no-op
-/// (one relaxed atomic load) when tracing is disabled, and a no-op when
-/// the calling thread has no bracketed session.
-#[inline]
-pub fn emit(at_ns: u64, kind: EventKind, side: u8, conn: u16, a: u64, b: u64) {
-    if !TRACING.load(Ordering::Relaxed) {
-        return;
-    }
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.push(Event { at_ns, kind, side, conn, a, b });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,33 +251,6 @@ mod tests {
         assert_eq!(r.dropped(), 0);
         let kept: Vec<u64> = r.events().iter().map(|e| e.at_ns).collect();
         assert_eq!(kept, vec![0, 10, 20, 30, 40]);
-    }
-
-    // One test owns the global switch: parallel test threads toggling
-    // TRACING would race each other's emits.
-    #[test]
-    fn session_bracket_lifecycle() {
-        // Emitting with no bracketed session records nothing.
-        set_enabled(true);
-        assert!(end_session().is_none());
-        emit(1, EventKind::AppStartup, SIDE_NONE, 0, 1, 0);
-        assert!(end_session().is_none());
-
-        // A bracketed session captures its emits, in order.
-        begin_session(16);
-        emit(5, EventKind::AppStartup, SIDE_NONE, 0, 5, 0);
-        emit(9, EventKind::AppStallStart, SIDE_NONE, 0, 7, 0);
-        let rec = end_session().expect("recorder installed");
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.events()[0].kind, EventKind::AppStartup);
-        assert_eq!(rec.events()[1].at_ns, 9);
-
-        // Disabled emits vanish even inside a bracket.
-        set_enabled(false);
-        begin_session(16);
-        emit(3, EventKind::AppFinished, SIDE_NONE, 0, 0, 0);
-        let rec = end_session().expect("recorder installed");
-        assert!(rec.is_empty());
     }
 
     #[test]

@@ -150,6 +150,7 @@ impl CongestionController {
     /// `cwnd_limited` must be true if the sender was actually using the whole
     /// congestion window before this ACK; an application-limited sender must
     /// not grow its window (RFC 2861 spirit).
+    #[inline]
     pub(crate) fn on_new_ack(
         &mut self,
         now: SimTime,
@@ -192,6 +193,7 @@ impl CongestionController {
 
     /// The growth law: bytes one ACK adds to the window in congestion
     /// avoidance.
+    #[inline]
     fn avoidance_increment(&mut self, now: SimTime) -> u64 {
         // Reno: ~one MSS per RTT. Also CUBIC's floor below its curve.
         let reno = (MSS * MSS / self.cwnd).max(1);
@@ -245,6 +247,7 @@ impl CongestionController {
     /// recovery, i.e. when the caller must fast-retransmit the first
     /// outstanding segment. `flight` is the number of bytes outstanding,
     /// `snd_max` the highest sequence sent so far.
+    #[inline]
     pub(crate) fn on_duplicate_ack(&mut self, flight: u64, snd_max: u64) -> bool {
         if self.in_recovery {
             // Without SACK the window inflates by one MSS per dupACK (each

@@ -6,8 +6,9 @@
 //! [`Endpoint::next_timer`] passes, and the application-facing methods
 //! ([`Endpoint::write_into`], [`Endpoint::read_into`],
 //! [`Endpoint::close_into`]) when the streaming strategy acts. Every call
-//! appends the segments to transmit to the caller's buffer, which the loop
-//! feeds to the simulated link.
+//! appends the segments to transmit to the caller's [`Output`], which the
+//! loop feeds to the simulated link, and hands the output its events (state
+//! transitions, cwnd samples, RTO fires, fast retransmits, SACK edges).
 //!
 //! The send path implements Reno with NewReno partial-ACK recovery, go-back-N
 //! retransmission after a timeout (the classic `snd_nxt` rewind, with a
@@ -17,7 +18,7 @@
 //! The receive path acknowledges every data segment, so duplicate ACKs arise
 //! naturally from out-of-order arrivals.
 
-use vstream_obs::trace::{self, EventKind, SIDE_CLIENT, SIDE_SERVER};
+use vstream_obs::trace::{Event, EventKind, Recorder, SIDE_CLIENT, SIDE_SERVER};
 use vstream_obs::Hist;
 use vstream_sim::SimTime;
 
@@ -27,6 +28,31 @@ use crate::rangeset::RangeSet;
 use crate::reassembly::ReceiveBuffer;
 use crate::rtt::RttEstimator;
 use crate::segment::Segment;
+
+/// Where an endpoint call puts what it produces: the segments to transmit
+/// and, when the caller records the session, its events, pushed into the
+/// ring as they happen. A plain `Vec<Segment>` records nothing: an endpoint
+/// driven into one builds no event at all. The `_into` forms are generic
+/// over it and so compile in the caller's crate; the per-segment helpers
+/// they call (`ReceiveBuffer::on_data`, the congestion controller's ACK
+/// handlers, …) are `#[inline]` so that they still inline there.
+pub trait Output {
+    /// Appends one segment to transmit.
+    fn push(&mut self, seg: Segment);
+
+    /// The ring this output's events go to; `None` records nothing.
+    #[inline]
+    fn recorder(&mut self) -> Option<&mut Recorder> {
+        None
+    }
+}
+
+impl Output for Vec<Segment> {
+    #[inline]
+    fn push(&mut self, seg: Segment) {
+        Vec::push(self, seg);
+    }
+}
 
 /// Which side of the connection this endpoint is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -225,22 +251,25 @@ impl Endpoint {
         self.state == State::Established
     }
 
-    /// Emits one flight-recorder event attributed to this endpoint's
-    /// connection and side. Passive; one relaxed load when tracing is off.
+    /// Records one event, attributed to this endpoint's connection and
+    /// side, into `out`'s ring; a no-op (one branch) when `out` records
+    /// nothing.
     #[inline]
-    fn trace_ev(&self, now: SimTime, kind: EventKind, a: u64, b: u64) {
-        let side = match self.role {
-            Role::Client => SIDE_CLIENT,
-            Role::Server => SIDE_SERVER,
-        };
-        trace::emit(now.as_nanos(), kind, side, self.conn as u16, a, b);
+    fn trace_ev<O: Output>(&self, out: &mut O, now: SimTime, kind: EventKind, a: u64, b: u64) {
+        if let Some(rec) = out.recorder() {
+            let side = match self.role {
+                Role::Client => SIDE_CLIENT,
+                Role::Server => SIDE_SERVER,
+            };
+            rec.push(Event { at_ns: now.as_nanos(), kind, side, conn: self.conn as u16, a, b });
+        }
     }
 
     /// Changes connection state, recording the transition. Every state
     /// change goes through here, so a `--trace-dir` dump holds each one; the
     /// four legal transitions are the handshake's.
     #[inline]
-    fn set_state(&mut self, now: SimTime, next: State) {
+    fn set_state<O: Output>(&mut self, out: &mut O, now: SimTime, next: State) {
         debug_assert!(
             matches!(
                 (self.state, next),
@@ -253,7 +282,7 @@ impl Endpoint {
             self.state,
             next
         );
-        self.trace_ev(now, EventKind::TcpState, state_ord(self.state), state_ord(next));
+        self.trace_ev(out, now, EventKind::TcpState, state_ord(self.state), state_ord(next));
         self.state = next;
     }
 
@@ -293,17 +322,25 @@ impl Endpoint {
     // Application API
     // ------------------------------------------------------------------
 
-    /// Starts the client-side handshake.
+    /// [`Endpoint::connect_into`] for a caller that records nothing: returns
+    /// the SYN.
+    pub fn connect(&mut self, now: SimTime) -> Vec<Segment> {
+        let mut out = Vec::new();
+        self.connect_into(now, &mut out);
+        out
+    }
+
+    /// Starts the client-side handshake, appending the SYN to `out`.
     ///
     /// # Panics
     /// Panics if called on a server or a non-closed endpoint.
-    pub fn connect(&mut self, now: SimTime) -> Vec<Segment> {
+    pub fn connect_into<O: Output>(&mut self, now: SimTime, out: &mut O) {
         assert_eq!(self.role, Role::Client, "connect() on a server endpoint");
         assert_eq!(self.state, State::Closed, "connect() on an open endpoint");
-        self.set_state(now, State::SynSent);
+        self.set_state(out, now, State::SynSent);
         self.arm_rto(now);
         self.rtt_probe = Some((0, now)); // SYN-ACK arrival samples the RTT
-        vec![self.make_segment(0, 0, true, false)]
+        out.push(self.make_segment(0, 0, true, false));
     }
 
     /// Queues `bytes` of application data and appends to `out` whatever the
@@ -312,7 +349,7 @@ impl Endpoint {
     ///
     /// # Panics
     /// Panics if called after [`Endpoint::close_into`].
-    pub fn write_into(&mut self, now: SimTime, bytes: u64, out: &mut Vec<Segment>) {
+    pub fn write_into<O: Output>(&mut self, now: SimTime, bytes: u64, out: &mut O) {
         assert!(!self.fin_queued, "write() after close()");
         self.write_offset += bytes;
         self.pump_into(now, out);
@@ -320,7 +357,7 @@ impl Endpoint {
 
     /// Signals that the application is done writing; a FIN is sent once all
     /// queued data has been transmitted.
-    pub fn close_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+    pub fn close_into<O: Output>(&mut self, now: SimTime, out: &mut O) {
         self.fin_queued = true;
         self.pump_into(now, out);
     }
@@ -332,7 +369,7 @@ impl Endpoint {
     /// the advertised window grows from below one MSS to at least one MSS,
     /// so a sender stalled on a zero window resumes without waiting for a
     /// persist probe).
-    pub fn read_into(&mut self, now: SimTime, max: u64, out: &mut Vec<Segment>) -> u64 {
+    pub fn read_into<O: Output>(&mut self, now: SimTime, max: u64, out: &mut O) -> u64 {
         let _ = now;
         let window_before = self.rb.window();
         let n = self.rb.read(max);
@@ -348,7 +385,7 @@ impl Endpoint {
 
     /// Handles a segment arriving from the peer, appending the responses to
     /// `out`.
-    pub fn on_segment_into(&mut self, now: SimTime, seg: Segment, out: &mut Vec<Segment>) {
+    pub fn on_segment_into<O: Output>(&mut self, now: SimTime, seg: Segment, out: &mut O) {
         debug_assert_eq!(seg.conn, self.conn, "segment routed to wrong connection");
         self.recovery_quota = 1;
 
@@ -356,7 +393,7 @@ impl Endpoint {
         match self.state {
             State::Listen => {
                 if seg.syn {
-                    self.set_state(now, State::SynRcvd);
+                    self.set_state(out, now, State::SynRcvd);
                     self.arm_rto(now);
                     out.push(self.make_segment(0, 0, true, false)); // SYN-ACK
                 }
@@ -365,7 +402,7 @@ impl Endpoint {
             }
             State::SynSent => {
                 if seg.syn && seg.ack {
-                    self.set_state(now, State::Established);
+                    self.set_state(out, now, State::Established);
                     self.disarm_rto();
                     if let Some((_, t)) = self.rtt_probe.take() {
                         self.rtt.sample(now.duration_since(t));
@@ -383,7 +420,7 @@ impl Endpoint {
                     return;
                 }
                 if seg.ack {
-                    self.set_state(now, State::Established);
+                    self.set_state(out, now, State::Established);
                     self.disarm_rto();
                 }
                 // Fall through: the ACK completing the handshake may carry
@@ -428,7 +465,7 @@ impl Endpoint {
 
     /// Fires whichever timers have expired at `now`, appending what they
     /// send to `out`.
-    pub fn on_timer_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+    pub fn on_timer_into<O: Output>(&mut self, now: SimTime, out: &mut O) {
         self.recovery_quota = 1;
         if self.rto_deadline.is_some_and(|d| d <= now) {
             self.rto_deadline = None;
@@ -444,10 +481,10 @@ impl Endpoint {
     // Internals
     // ------------------------------------------------------------------
 
-    fn process_ack(&mut self, now: SimTime, seg: &Segment, out: &mut Vec<Segment>) {
+    fn process_ack<O: Output>(&mut self, now: SimTime, seg: &Segment, out: &mut O) {
         let highest_sendable = self.write_offset + u64::from(self.fin_sent);
         let ack_no = seg.ack_no.min(highest_sendable.max(self.snd_high));
-        self.absorb_sack(now, seg);
+        self.absorb_sack(out, now, seg);
 
         if ack_no > self.snd_una {
             let newly_acked = ack_no - self.snd_una;
@@ -476,13 +513,14 @@ impl Endpoint {
             self.absorb_window(seg);
             let outcome = self.cc.on_new_ack(now, newly_acked, ack_no, cwnd_limited);
             self.stats.cwnd_hist.record(self.cc.cwnd());
-            self.trace_ev(now, EventKind::TcpCwnd, self.cc.cwnd(), self.cc.ssthresh());
+            self.trace_ev(out, now, EventKind::TcpCwnd, self.cc.cwnd(), self.cc.ssthresh());
             match outcome {
                 NewAckOutcome::RecoveryPartial => {
                     if self.cfg.sack && !self.sacked.is_empty() {
-                        let before = out.len();
+                        // A repair spends one unit of the quota.
+                        let quota = self.recovery_quota;
                         self.sack_retransmit(now, out);
-                        if out.len() == before {
+                        if self.recovery_quota == quota {
                             out.push(self.retransmit_front(now));
                         }
                     } else {
@@ -516,7 +554,7 @@ impl Endpoint {
             // Duplicate ACK.
             if self.cc.on_duplicate_ack(self.snd_nxt - self.snd_una, self.snd_nxt) {
                 self.stats.fast_retransmits += 1;
-                self.trace_ev(now, EventKind::TcpFastRetx, self.snd_una, self.cc.cwnd());
+                self.trace_ev(out, now, EventKind::TcpFastRetx, self.snd_una, self.cc.cwnd());
                 out.push(self.retransmit_front(now));
                 // The front segment is the first hole; further holes are
                 // repaired as the scoreboard and pipe allow.
@@ -553,7 +591,7 @@ impl Endpoint {
     }
 
     /// Merges the peer's SACK blocks into the scoreboard.
-    fn absorb_sack(&mut self, now: SimTime, seg: &Segment) {
+    fn absorb_sack<O: Output>(&mut self, out: &mut O, now: SimTime, seg: &Segment) {
         if !self.cfg.sack {
             return;
         }
@@ -563,7 +601,7 @@ impl Endpoint {
             if start >= end {
                 continue;
             }
-            self.trace_ev(now, EventKind::TcpSackEdge, start, end);
+            self.trace_ev(out, now, EventKind::TcpSackEdge, start, end);
             self.sacked.insert_merged(start, end);
             // A SACKed retransmission has left the network.
             self.retx_pending.remove_span(start, end);
@@ -594,7 +632,7 @@ impl Endpoint {
     /// An RFC 6675-style estimate of bytes in the network subtracts what the
     /// peer reported holding; each call repairs the earliest unrepaired
     /// holes while the pipe has room.
-    fn sack_retransmit(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+    fn sack_retransmit<O: Output>(&mut self, now: SimTime, out: &mut O) {
         if !self.cfg.sack || self.sacked.is_empty() {
             return;
         }
@@ -669,7 +707,7 @@ impl Endpoint {
 
     /// Sends everything the congestion and flow-control windows allow,
     /// appending to `out`.
-    fn pump_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+    fn pump_into<O: Output>(&mut self, now: SimTime, out: &mut O) {
         if self.state != State::Established {
             return;
         }
@@ -811,14 +849,14 @@ impl Endpoint {
         seg
     }
 
-    fn on_rto_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+    fn on_rto_into<O: Output>(&mut self, now: SimTime, out: &mut O) {
         match self.state {
             State::SynSent => {
                 self.rtt.back_off();
                 self.rtt_probe = Some((0, now));
                 self.arm_rto(now);
                 self.stats.timeouts += 1;
-                self.trace_ev(now, EventKind::TcpRtoFire, self.stats.timeouts, 0);
+                self.trace_ev(out, now, EventKind::TcpRtoFire, self.stats.timeouts, 0);
                 out.push(self.make_segment(0, 0, true, false));
                 return;
             }
@@ -826,7 +864,7 @@ impl Endpoint {
                 self.rtt.back_off();
                 self.arm_rto(now);
                 self.stats.timeouts += 1;
-                self.trace_ev(now, EventKind::TcpRtoFire, self.stats.timeouts, 0);
+                self.trace_ev(out, now, EventKind::TcpRtoFire, self.stats.timeouts, 0);
                 out.push(self.make_segment(0, 0, true, false));
                 return;
             }
@@ -837,7 +875,7 @@ impl Endpoint {
             return; // spurious: everything was acked meanwhile
         }
         self.stats.timeouts += 1;
-        self.trace_ev(now, EventKind::TcpRtoFire, self.stats.timeouts, self.snd_nxt - self.snd_una);
+        self.trace_ev(out, now, EventKind::TcpRtoFire, self.stats.timeouts, self.flight());
         self.rtt.back_off();
         self.cc.on_timeout(self.snd_nxt - self.snd_una);
         self.retx_pending.clear();
@@ -846,7 +884,7 @@ impl Endpoint {
         self.pump_into(now, out);
     }
 
-    fn on_persist_into(&mut self, now: SimTime, out: &mut Vec<Segment>) {
+    fn on_persist_into<O: Output>(&mut self, now: SimTime, out: &mut O) {
         // Send a one-byte probe past the closed window (or the FIN, if only
         // the FIN is pending).
         if self.snd_nxt < self.write_offset {
@@ -971,16 +1009,37 @@ mod tests {
         establish(SimTime::ZERO, &mut c, &mut s);
     }
 
-    // The one test of this crate that turns tracing on: the recorder is
-    // thread-local, so the other tests' emits still go nowhere.
+    /// An output that records: the segments, and the events in a ring.
+    struct Recording {
+        segs: Vec<Segment>,
+        rec: Recorder,
+    }
+
+    impl Output for Recording {
+        fn push(&mut self, seg: Segment) {
+            self.segs.push(seg);
+        }
+        fn recorder(&mut self) -> Option<&mut Recorder> {
+            Some(&mut self.rec)
+        }
+    }
+
     #[test]
     fn handshake_records_exactly_the_four_legal_transitions() {
-        trace::set_enabled(true);
-        trace::begin_session(64);
         let (mut c, mut s) = pair();
-        establish(SimTime::ZERO, &mut c, &mut s);
-        let rec = trace::end_session().expect("recorder installed");
-        trace::set_enabled(false);
+        let mut out = Recording { segs: Vec::new(), rec: Recorder::new(64) };
+        let now = SimTime::ZERO;
+        c.connect_into(now, &mut out);
+        // Each round's segments cross to the other side at once: SYN,
+        // SYN-ACK, ACK.
+        for to_server in [true, false, true] {
+            for seg in std::mem::take(&mut out.segs) {
+                let ep = if to_server { &mut s } else { &mut c };
+                ep.on_segment_into(now, seg, &mut out);
+            }
+        }
+        assert!(out.segs.is_empty() && c.is_established() && s.is_established());
+        let rec = out.rec;
         let transitions: Vec<(u8, u64, u64)> = rec
             .events()
             .iter()
@@ -1004,7 +1063,7 @@ mod tests {
     #[should_panic(expected = "illegal TCP transition Closed -> Established")]
     fn illegal_transition_panics() {
         let (mut c, _) = pair();
-        c.set_state(SimTime::ZERO, State::Established);
+        c.set_state(&mut Vec::new(), SimTime::ZERO, State::Established);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod segment;
 
 pub use cc::{CcAlgorithm, CongestionController};
 pub use config::{TcpConfig, INITIAL_CWND_SEGMENTS, MAX_RTO, MIN_RTO, MSS};
-pub use endpoint::{Endpoint, EndpointStats, Role, State};
+pub use endpoint::{Endpoint, EndpointStats, Output, Role, State};
 pub use reassembly::ReceiveBuffer;
 pub use rtt::RttEstimator;
 pub use segment::Segment;

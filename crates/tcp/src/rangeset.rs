@@ -122,6 +122,7 @@ impl RangeSet {
 
     /// Removes every byte of `[start, end)` from the set, trimming or
     /// splitting the ranges that straddle its edges.
+    #[inline]
     pub(crate) fn remove_span(&mut self, start: u64, end: u64) {
         match (self.ranges.first(), self.ranges.last()) {
             (Some(first), Some(last)) if end > first.0 && start < last.1 => took(Path::Cut),

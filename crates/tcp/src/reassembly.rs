@@ -90,6 +90,7 @@ impl ReceiveBuffer {
     /// out-of-window data). Data beyond the advertised window is truncated —
     /// a correct peer never sends it, but a zero-window probe probes exactly
     /// this path.
+    #[inline]
     pub(crate) fn on_data(&mut self, seq: u64, len: u32) -> u64 {
         let Some((start, end)) = self.clip(seq, len) else {
             return 0;

@@ -8,7 +8,9 @@
 #      must be named by a file outside its crate (another crate's src, a
 #      crate's tests/, the root tests/ and examples/, benchmark/driver) or
 #      carry an allow-list entry saying why it is public; the rest are
-#      `pub(crate)`
+#      `pub(crate)`; then the layering check: `vstream-net` has no
+#      `vstream-obs` dependency (its links record nothing; the engine reads
+#      drops off their send verdicts, DESIGN §12.1)
 #   2. the determinism invariant: byte-identical CSVs and metrics ledger
 #      at --jobs 1, --jobs max(nproc, 8), and --no-cache, which also
 #      covers per-worker scratch reuse on every figure (the DASH/LRD
@@ -19,7 +21,10 @@
 #      neutrality: `repro all` with --trace-dir leaves
 #      figures, the QoE table, stdout and the wall-off ledger
 #      byte-identical, dumps the ablation harnesses' sessions too, and every
-#      emitted Chrome trace JSON parses
+#      emitted Chrome trace JSON parses; then the harness dump count:
+#      `repro ext-stalls ext-sack ext-cc ext-agg-pkt --trace-dir` writes
+#      276 files, two per session, so a bracket that loses a session's ring
+#      fails here
 #   3. metrics neutrality: a figure slice rendered with and without
 #      --metrics must produce byte-identical CSVs, and the ledger must be
 #      well-formed JSON carrying its schema_version key
@@ -78,12 +83,27 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "==> public API: every pub fn has a caller outside its crate"
 python3 scripts/check_pub_api.py
 
+echo "==> layering: vstream-net does not depend on vstream-obs"
+if cargo tree --offline -p vstream-net -e normal | grep -q 'vstream-obs'; then
+    echo "error: vstream-net depends on vstream-obs; the engine records the links' drops" >&2
+    exit 1
+fi
+
 echo "==> determinism: CSVs and metrics ledger invariant under --jobs (seeds 2026 and 7), --no-cache and --trace-dir"
 scripts/check_determinism.sh
 
-echo "==> metrics neutrality: --metrics must not change the figures"
 obs_out="$(mktemp -d)"
 trap 'rm -rf "$obs_out"' EXIT
+
+echo "==> trace dumps: every ablation-harness session is bracketed and dumps"
+# 138 harness sessions, a .trace.json and a .txt each. The count was 0 before
+# the harnesses ran through `session::run_engine`; a harness or bracket that
+# stops handing a session its ring shows up as a shortfall here.
+target/release/repro ext-stalls ext-sack ext-cc ext-agg-pkt \
+    --trace-dir "$obs_out/harness-dumps" > /dev/null
+test "$(ls "$obs_out/harness-dumps" | wc -l)" -eq 276
+
+echo "==> metrics neutrality: --metrics must not change the figures"
 target/release/repro fig2 fig4 --csv "$obs_out/plain" > /dev/null
 target/release/repro fig2 fig4 --csv "$obs_out/metered" \
     --metrics "$obs_out/metrics.json" > /dev/null
@@ -188,4 +208,4 @@ cargo test --offline --release --quiet -p vstream-capture
 echo "==> repo benchmark smoke (benchmark/check.sh: driver builds against crates/*, outputs repeat)"
 benchmark/check.sh
 
-echo "OK: build, tests, determinism, metrics neutrality, default-run memory and results/, campaign smoke, examples, roundtrip, and repo benchmark smoke all passed"
+echo "OK: build, tests, layering, determinism, harness dumps, metrics neutrality, default-run memory and results/, campaign smoke, examples, roundtrip, and repo benchmark smoke all passed"
