@@ -84,7 +84,7 @@ mod tests {
     use super::*;
     use vstream_capture::TapDirection;
     use vstream_sim::{SimDuration, SimTime};
-    use vstream_tcp::segment::SackBlocks;
+    use vstream_tcp::SackBlocks;
     use vstream_tcp::Segment;
 
     fn seg(seq: u64, payload: u32) -> Segment {

@@ -446,7 +446,7 @@ struct PhaseState {
 }
 
 /// The combined ON/OFF · phases · ack-clock fold: one shared
-/// [`CycleDetector`] pass producing the cycle analysis, the phase
+/// `CycleDetector` pass producing the cycle analysis, the phase
 /// decomposition (the buffering phase ends where the first OFF period
 /// starts; the steady-state rate is the unique bytes after it over the time
 /// after it) and the bytes arriving within one RTT of each steady-state ON
@@ -645,7 +645,7 @@ fn checkpoint_bytes_at(cycles: &[Cycle], checkpoints: &[(u64, u64)], at: SimTime
 mod tests {
     use super::*;
     use vstream_capture::{TapDirection, Trace};
-    use vstream_tcp::segment::SackBlocks;
+    use vstream_tcp::SackBlocks;
     use vstream_tcp::Segment;
 
     fn seg(conn: u32, seq: u64, payload: u32) -> Segment {

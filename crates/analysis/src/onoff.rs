@@ -25,7 +25,7 @@ pub struct AnalysisConfig {
     pub idle_threshold: SimDuration,
     /// Blocks larger than this classify a session as *long* ON-OFF cycles
     /// (the paper's 2.5 MB boundary).
-    pub long_block_bytes: u64,
+    pub(crate) long_block_bytes: u64,
     /// ON periods carrying fewer bytes than this are discarded as transport
     /// artifacts (TCP zero-window probes, keep-alives) rather than
     /// application blocks, and their neighbouring OFF periods are merged.
@@ -73,7 +73,7 @@ pub struct OnOffAnalysis {
 ///
 /// State is O(cycles), not O(packets).
 #[derive(Clone, Debug, Default)]
-pub struct CycleDetector {
+pub(crate) struct CycleDetector {
     current: Option<Cycle>,
     cycles: Vec<Cycle>,
     off_periods: Vec<(SimTime, SimTime)>,
@@ -218,7 +218,7 @@ impl OnOffAnalysis {
 mod tests {
     use super::*;
     use vstream_capture::TapDirection;
-    use vstream_tcp::segment::SackBlocks;
+    use vstream_tcp::SackBlocks;
     use vstream_tcp::Segment;
 
     fn seg(seq: u64, payload: u32) -> Segment {

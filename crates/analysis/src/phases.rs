@@ -65,7 +65,7 @@ impl SessionPhases {
 mod tests {
     use super::*;
     use vstream_capture::TapDirection;
-    use vstream_tcp::segment::SackBlocks;
+    use vstream_tcp::SackBlocks;
     use vstream_tcp::Segment;
 
     fn seg(seq: u64, payload: u32) -> Segment {

@@ -21,7 +21,7 @@ use vstream_net::{CrossTraffic, Direction, DropReason, DuplexPath, LrdCrossConfi
 use vstream_obs::trace::{self, EventKind, Recorder, SIDE_NONE};
 use vstream_obs::{collector, Counter, Gauge, HistId, Metrics};
 use vstream_sim::{EventQueue, QueueStats, SimDuration, SimRng, SimTime};
-use vstream_tcp::segment::SackBlocks;
+use vstream_tcp::SackBlocks;
 use vstream_tcp::{Endpoint, EndpointStats, Output, Role, Segment, TcpConfig};
 
 /// Which endpoint of a connection pair.

@@ -27,10 +27,9 @@
 //! like the paper's tcpdump-based testbed.
 
 pub mod engine;
-pub mod player;
+mod player;
 pub mod strategies;
-pub mod video;
+mod video;
 
-pub use engine::{Engine, SessionLogic, SessionScratch};
 pub use player::{Player, PlayerStats};
 pub use video::Video;

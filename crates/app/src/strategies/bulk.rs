@@ -22,7 +22,7 @@ pub struct BulkLogic {
     /// Total unique bytes the client has read.
     pub read_total: u64,
     /// Time the download completed, if it did.
-    pub completed_at: Option<vstream_sim::SimTime>,
+    pub(crate) completed_at: Option<vstream_sim::SimTime>,
 }
 
 impl BulkLogic {

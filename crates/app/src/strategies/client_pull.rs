@@ -26,7 +26,7 @@ use crate::video::Video;
 pub struct ClientPullConfig {
     /// Bytes downloaded greedily before pull-pacing starts (IE/Chrome:
     /// 10–15 MB; Android: 4–8 MB).
-    pub initial_target_bytes: u64,
+    pub(crate) initial_target_bytes: u64,
     /// Bytes drained from the socket per pull (IE: 256 kB; Chrome ≈ 8–10 MB;
     /// Android ≈ 4 MB).
     pub block_bytes: u64,

@@ -51,19 +51,19 @@ pub struct NetflixConfig {
     pub mode: NetflixMode,
     /// Encoding rates available for this title, bits per second. Fragments
     /// of every rate are prefetched during buffering.
-    pub available_rates: Vec<u64>,
+    pub(crate) available_rates: Vec<u64>,
     /// The rate selected for playback (Netflix picks it from the available
     /// bandwidth; the workload crate decides).
-    pub selected_rate: u64,
+    pub(crate) selected_rate: u64,
     /// Seconds of the selected rate buffered before steady state.
     pub buffer_playback_secs: f64,
     /// Seconds of playback per steady-state block.
-    pub block_playback_secs: f64,
+    pub(crate) block_playback_secs: f64,
     /// Connections used in parallel for the selected-rate buffering burst.
     /// Netflix stripes the buffering phase across several connections,
     /// which keeps its aggregate throughput high on lossy paths (one
     /// loss-limited Reno flow would crawl).
-    pub buffering_connections: u32,
+    pub(crate) buffering_connections: u32,
 }
 
 impl NetflixConfig {
@@ -148,10 +148,10 @@ pub struct NetflixLogic {
     /// The single Android connection, once opened.
     android_conn: Option<usize>,
     /// Selected-rate content bytes read; probe bytes go to
-    /// [`probe_read`](Self::probe_read) only.
+    /// `probe_read` only.
     pub read_total: u64,
     /// Probe (non-selected-rate) bytes read — pure overhead.
-    pub probe_read: u64,
+    pub(crate) probe_read: u64,
     /// Steady-state content blocks (fresh connections on PC/iPad, paced
     /// drains on Android); probes and the buffering burst are excluded.
     pub blocks: u64,

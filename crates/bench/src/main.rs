@@ -290,14 +290,14 @@ fn main() {
     if let Some(csv) = qoe::take_csv() {
         let dir = opts.csv_dir.as_ref().expect("qoe collector implies --csv");
         let path = dir.join("qoe_sessions.csv");
-        fs::write(&path, csv).expect("write qoe csv");
+        output(fs::write(&path, csv), "--csv", &path);
         println!("  wrote {}", path.display());
     }
     emit_metrics(&opts);
 }
 
-/// The value of an output location's `create`/`open`, or `error: …` and
-/// exit 2 when `flag`'s `path` cannot be used.
+/// The value of an output location's create, open or write, or `error: …`
+/// and exit 2 when `flag`'s `path` cannot be used.
 fn output<T>(result: std::io::Result<T>, flag: &str, path: &Path) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("error: cannot create {flag} output {}: {e}", path.display());
@@ -311,7 +311,7 @@ fn emit_metrics(opts: &Options) {
             println!("{}", ledger_summary(&ledger));
         }
         if let (Some(path), Some(mut file)) = (&opts.metrics_path, opts.metrics_file.as_ref()) {
-            file.write_all(ledger_json(&ledger).as_bytes()).expect("write metrics ledger");
+            output(file.write_all(ledger_json(&ledger).as_bytes()), "--metrics", path);
             eprintln!("wrote metrics ledger to {}", path.display());
         }
     }
@@ -508,7 +508,7 @@ fn emit_fig(fig: &FigureData, opts: &Options) {
     print!("{}", fig.summary());
     if let Some(dir) = &opts.csv_dir {
         let path = dir.join(format!("{}.csv", fig.id));
-        fs::write(&path, fig.to_csv()).expect("write csv");
+        output(fs::write(&path, fig.to_csv()), "--csv", &path);
         println!("  wrote {}", path.display());
     }
 }
@@ -517,7 +517,7 @@ fn emit_table(table: &TableData, opts: &Options) {
     println!("{}", table.to_text());
     if let Some(dir) = &opts.csv_dir {
         let path = dir.join(format!("{}.csv", table.id));
-        fs::write(&path, table.to_csv()).expect("write csv");
+        output(fs::write(&path, table.to_csv()), "--csv", &path);
         println!("  wrote {}", path.display());
     }
 }

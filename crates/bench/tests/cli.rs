@@ -131,6 +131,29 @@ fn unusable_figure_outputs_exit_2_before_any_session() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A CSV path that can be created but not written — here a directory squats
+/// on the file name — used to panic (exit 101) after the figure was
+/// computed: the figure CSVs and `qoe_sessions.csv` alike. Each write now
+/// exits 2 with the reason; what ran before it has already printed.
+#[test]
+fn unwritable_csv_outputs_exit_2() {
+    for squatted in ["model-waste.csv", "qoe_sessions.csv"] {
+        let dir = std::env::temp_dir()
+            .join(format!("vstream-cli-squat-{}-{squatted}", std::process::id()));
+        std::fs::create_dir_all(dir.join(squatted)).expect("temp dir");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["model-waste", "--csv", dir.to_str().unwrap()])
+            .output()
+            .expect("spawn repro");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{squatted}: stderr: {err}");
+        assert!(err.contains("cannot create --csv output"), "{squatted}: stderr: {err}");
+        assert!(err.contains(squatted), "{squatted}: stderr: {err}");
+        assert!(!err.contains("panicked"), "{squatted}: stderr: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// `repro campaign --ledger F`, with `F` a regular file, used to panic
 /// (exit 101) creating the checkpoint directory.
 #[test]

@@ -15,11 +15,11 @@
 //! sessions), and [`PackedTrace`] delta-compresses it ~20× and reconstructs
 //! it exactly.
 
-pub mod pack;
+mod pack;
 pub mod pcap;
-pub mod record;
-pub mod sink;
-pub mod trace;
+mod record;
+mod sink;
+mod trace;
 
 pub use pack::PackedTrace;
 pub use record::{PacketRecord, TapDirection};

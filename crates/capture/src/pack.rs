@@ -41,7 +41,7 @@
 //! silently wrong trace.
 
 use vstream_sim::SimTime;
-use vstream_tcp::segment::SackBlocks;
+use vstream_tcp::SackBlocks;
 
 use crate::sink::{
     PacketSink, TapPacket, FLAG_ACK, FLAG_FIN, FLAG_OUTGOING, FLAG_RETX, FLAG_SACK, FLAG_SYN,

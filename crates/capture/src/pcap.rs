@@ -16,7 +16,7 @@
 //! * 64-bit simulator sequence numbers are truncated to 32 bits (real TCP
 //!   wraps too).
 //! * Every SYN and SYN-ACK carries a window-scale option (NOP, then kind 3,
-//!   length 3, shift [`WINDOW_SCALE`]), so its record is 4 bytes longer
+//!   length 3, shift `WINDOW_SCALE` = 7), so its record is 4 bytes longer
 //!   than the simulated SYN, which models no options. A SYN's own window is
 //!   written unscaled and clamped to 65 535 (RFC 7323 §2.2 never scales
 //!   it); every other window is written as `min(window >> 7, 0xffff)`,
@@ -42,12 +42,12 @@ const CLIENT_PORT_BASE: u16 = 49152;
 /// Window scale shift announced in every SYN and applied to every other
 /// record's window when clamping 64-bit simulated windows into the 16-bit
 /// header field.
-pub const WINDOW_SCALE: u8 = 7;
+pub(crate) const WINDOW_SCALE: u8 = 7;
 
 /// Largest payload a non-SYN record can carry and still fit the IPv4
 /// total-length field: `65535 - 40` header bytes. A SYN record's option
 /// block leaves it 4 bytes less.
-pub const MAX_PCAP_PAYLOAD: u32 = (u16::MAX as u32) - (IP_HEADER_LEN + TCP_HEADER_LEN) as u32;
+pub(crate) const MAX_PCAP_PAYLOAD: u32 = (u16::MAX as u32) - (IP_HEADER_LEN + TCP_HEADER_LEN) as u32;
 
 /// Writes `trace` to `w` in libpcap format.
 ///
@@ -163,7 +163,7 @@ mod tests {
     use super::*;
     use crate::record::TapDirection;
     use vstream_sim::SimTime;
-    use vstream_tcp::segment::SackBlocks;
+    use vstream_tcp::SackBlocks;
     use vstream_tcp::Segment;
 
     /// Offset of [`sample_trace`]'s second record: the global header, then

@@ -35,7 +35,7 @@ impl PacketRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstream_tcp::segment::SackBlocks;
+    use vstream_tcp::SackBlocks;
 
     fn seg(payload: u32) -> Segment {
         Segment {

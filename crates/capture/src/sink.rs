@@ -24,7 +24,7 @@
 //! to two sinks for the record-and-fold case.
 
 use vstream_sim::SimTime;
-use vstream_tcp::segment::SackBlocks;
+use vstream_tcp::SackBlocks;
 use vstream_tcp::Segment;
 
 use crate::record::TapDirection;

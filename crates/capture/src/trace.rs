@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use vstream_sim::SimTime;
-use vstream_tcp::segment::SackBlocks;
+use vstream_tcp::SackBlocks;
 use vstream_tcp::Segment;
 
 use crate::record::TapDirection;

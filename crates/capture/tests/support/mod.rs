@@ -16,8 +16,7 @@ use std::collections::BTreeMap;
 use vstream_analysis::{AnalysisConfig, Cycle, OnOffAnalysis, SessionPhases};
 use vstream_capture::{ConnectionSummary, PacketRecord, TapDirection, Trace};
 use vstream_sim::{SimDuration, SimRng, SimTime};
-use vstream_tcp::segment::SackBlocks;
-use vstream_tcp::Segment;
+use vstream_tcp::{SackBlocks, Segment};
 
 pub const MSS: u32 = 1448;
 

@@ -52,7 +52,7 @@ use crate::session::SessionSpec;
 /// feeds the simulation, flattened to integers. Equal keys ⇒ bit-identical
 /// outcomes. (The `shared` retention flag is deliberately *not* part of the
 /// key — it changes where the result lives, never what it is.)
-pub type SessionKey = [u64; 12];
+pub(crate) type SessionKey = [u64; 12];
 
 /// One answered question retained by the cache.
 pub(crate) struct CachedReply {

@@ -28,8 +28,8 @@
 //!   byte-identical to an uninterrupted one.
 //!
 //! Memory stays constant per shard: sessions resolve through the
-//! [`query`](crate::query) layer (the PR 7 fold machinery — in streaming
-//! mode no trace is ever retained), each reply is reduced in-worker to a
+//! live-tap folds of [`query_many_jobs`](crate::query_many_jobs) (no trace
+//! is ever retained), each reply is reduced in-worker to a
 //! few hundred bytes, and the shard fold owns the only timeline.
 
 use std::fmt::Write as _;
@@ -61,10 +61,10 @@ const SHARD_FORMAT: &str = "vstream-campaign-shard v3";
 /// The longest arrival window [`CampaignSpec::validate`] accepts, seconds
 /// (30 days). Each shard's aggregate timeline holds one `u64` bin per second
 /// of the window, so an unbounded window is an unbounded allocation.
-pub const MAX_WINDOW_SECS: u64 = 30 * 86_400;
+pub(crate) const MAX_WINDOW_SECS: u64 = 30 * 86_400;
 
 /// The default capacity-table scales (concurrent viewers).
-pub const DEFAULT_SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];
+pub(crate) const DEFAULT_SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];
 
 /// The three traffic shapes a campaign population mixes, each mapped to the
 /// Table 1 cell that produces it at packet level and to its fluid-model
@@ -380,13 +380,13 @@ struct SessionParams {
 
 /// Per-class (profile or strategy) integer tallies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassTally {
+pub(crate) struct ClassTally {
     /// Sessions of this class in the packet shard.
     pub sessions: u64,
     /// Total downloaded bits.
     pub bits: u64,
     /// Total 1 s bins with nonzero download (ON time).
-    pub active_bins: u64,
+    pub(crate) active_bins: u64,
 }
 
 impl ClassTally {
@@ -402,39 +402,39 @@ impl ClassTally {
 /// order is associative — the two properties the byte-identical-resume
 /// guarantee rests on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Reduction {
+pub(crate) struct Reduction {
     /// Sum over sessions of the per-session ON rate `bits / active_secs`.
-    pub on_rate_sum_bps: u64,
+    pub(crate) on_rate_sum_bps: u64,
     /// Sum over sessions of `size · ON-rate` (bits · bits/s) — the exact
     /// per-session `∫X²(u)du` of Eq. (4)'s derivation, which keeps the
     /// size/rate correlation that `E[S]·E[G]` would lose. `u128`: a single
     /// fast session can contribute ~2^56, so a big shard overflows `u64`.
-    pub sg_sum: u128,
+    pub(crate) sg_sum: u128,
     /// Sum over sessions and bins of `b_k²` (bits² per 1 s bin) — Eq. (4)'s
     /// Campbell integral `∫X²(u)du` evaluated on the empirical timeline's
     /// own grid. Unlike [`sg_sum`](Self::sg_sum), this keeps within-session
     /// burstiness (the startup burst dwarfs steady-state blocks), so it is
     /// the prediction the variance gate compares against.
-    pub sq_sum: u128,
+    pub(crate) sq_sum: u128,
     /// Sessions whose playback started.
     pub started: u64,
     /// Sum of startup delays, µs.
-    pub startup_us_sum: u64,
+    pub(crate) startup_us_sum: u64,
     /// Player stalls across the shard.
     pub stalls: u64,
     /// Completed stalls.
     pub stalls_completed: u64,
     /// Total completed stall time, µs.
-    pub stall_us_sum: u64,
+    pub(crate) stall_us_sum: u64,
     /// Total capture time, µs (the stall-ratio denominator).
-    pub capture_us_sum: u64,
+    pub(crate) capture_us_sum: u64,
     /// Tallies per vantage point, `NetworkProfile::ALL` order. Every
     /// session lands in exactly one, so their sum is the shard's total.
-    pub per_profile: [ClassTally; 4],
+    pub(crate) per_profile: [ClassTally; 4],
     /// Tallies per strategy shape, [`CampaignStrategy::ALL`] order.
-    pub per_strategy: [ClassTally; 3],
+    pub(crate) per_strategy: [ClassTally; 3],
     /// Aggregate downloaded bits per campaign-clock 1 s bin.
-    pub timeline_bits: Vec<u64>,
+    pub(crate) timeline_bits: Vec<u64>,
 }
 
 impl Reduction {
@@ -832,21 +832,21 @@ fn parse_shard(
 #[derive(Clone, Debug)]
 pub struct Validation {
     /// Packet-shard arrival rate, sessions/second.
-    pub lambda_pkt: f64,
+    pub(crate) lambda_pkt: f64,
     /// Empirical mean of the superposed timeline over the steady window.
-    pub emp_mean_bps: f64,
+    pub(crate) emp_mean_bps: f64,
     /// Eq. 3 at `lambda_pkt` with the empirical mean session size.
-    pub cf_mean_bps: f64,
+    pub(crate) cf_mean_bps: f64,
     /// Empirical variance of the superposed timeline.
-    pub emp_var: f64,
+    pub(crate) emp_var: f64,
     /// Eq. 4's Campbell form `λ·E[∫X²]` evaluated on the same 1 s grid as
     /// the empirical timeline (`λ·E[Σ b_k²]`) — the gated prediction.
-    pub cf_var: f64,
+    pub(crate) cf_var: f64,
     /// Eq. 4 in the paper's factored form, `λ·E[S·G]`, with the empirical
     /// per-session size and ON rate. Smaller than [`cf_var`](Self::cf_var)
     /// whenever sessions are bursty within the bin grid; reported, not
     /// gated.
-    pub eq4_var: f64,
+    pub(crate) eq4_var: f64,
     /// Mean session size relative to the population model's `E[e]·E[L]`.
     pub kappa_size: f64,
     /// Mean ON rate relative to the mix-weighted nominal downlink.

@@ -12,9 +12,9 @@
 //!    strategy-independence result extends beyond the variance).
 
 use vstream_analysis::{classify_analysis, AnalysisConfig, AnalysisFold, Cdf, ThroughputFold};
-use vstream_app::engine::Engine;
+use vstream_app::engine::{Engine, SessionLogic, SessionScratch};
 use vstream_app::strategies::{ServerPacedConfig, ServerPacedLogic};
-use vstream_app::{SessionLogic, Video};
+use vstream_app::Video;
 use vstream_capture::NullSink;
 use vstream_model::{FluidSim, FluidStrategy, PopulationModel};
 use vstream_net::{CrossTraffic, DuplexPath, LinkConfig, LossModel, NetworkProfile};
@@ -23,7 +23,7 @@ use vstream_tcp::{CcAlgorithm, TcpConfig};
 
 use crate::figures::{long_video, CustomPaced, MC_HORIZON_SECS};
 use crate::report::{FigureData, Series, TableData};
-use crate::session::{default_jobs, par_sessions, run_engine, SessionScratch};
+use crate::session::{default_jobs, par_sessions, run_engine};
 
 /// Extension 1: playback disruption vs accumulation ratio.
 ///

@@ -30,9 +30,8 @@ pub use rates::{fig8_bulk_rates, fig9_ack_clock, fig9_idle_reset_ablation};
 pub use tables::{table1_strategy_matrix, table2_strategy_comparison};
 pub use traces::{fig10_netflix_traces, fig1_phases, fig2_short_onoff, fig6a_long_onoff, fig7a_ipad_traces};
 
-use vstream_app::engine::Engine;
+use vstream_app::engine::{Engine, SessionLogic};
 use vstream_app::strategies::ServerPacedLogic;
-use vstream_app::SessionLogic;
 use vstream_net::NetworkProfile;
 use vstream_sim::{derive_seed, SimDuration};
 use vstream_tcp::TcpConfig;

@@ -25,8 +25,8 @@
 //! populated the entry already dumped the identical bytes).
 //!
 //! With `--trace-anomalies` only sessions tripping `is_anomalous` are
-//! written: a completed stall beyond [`ANOMALY_STALL_NS`] or at least
-//! [`ANOMALY_TIMEOUT_COUNT`] retransmission timeouts across the session's
+//! written: a completed stall beyond `ANOMALY_STALL_NS` (2 s) or at least
+//! `ANOMALY_TIMEOUT_COUNT` (3) retransmission timeouts across the session's
 //! endpoints (a retransmit storm). The ring still records everything —
 //! the predicate is evaluated at session end, which is exactly why the
 //! recorder keeps the *last* N events rather than the first.
@@ -47,9 +47,9 @@ pub const DEFAULT_RING: usize = 65_536;
 /// explains an anomaly, not the whole session.
 pub const ANOMALY_RING: usize = 4_096;
 /// A completed stall at least this long trips the anomaly predicate (2 s).
-pub const ANOMALY_STALL_NS: u64 = 2_000_000_000;
+pub(crate) const ANOMALY_STALL_NS: u64 = 2_000_000_000;
 /// This many RTO fires across all endpoints trip the anomaly predicate.
-pub const ANOMALY_TIMEOUT_COUNT: u64 = 3;
+pub(crate) const ANOMALY_TIMEOUT_COUNT: u64 = 3;
 
 /// Dump policy installed by the CLI.
 #[derive(Clone)]

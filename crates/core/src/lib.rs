@@ -10,7 +10,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use vstream::prelude::*;
+//! use vstream::SessionSpec;
+//! use vstream_analysis::{classify, AnalysisConfig, Strategy};
+//! use vstream_app::Video;
+//! use vstream_net::NetworkProfile;
+//! use vstream_sim::SimDuration;
+//! use vstream_workload::{Client, Container};
 //!
 //! // Stream one Flash video over the paper's Research network and classify
 //! // the traffic pattern, exactly as the paper's tcpdump pipeline would.
@@ -45,7 +50,7 @@
 //!
 //! The [`figures`] module regenerates every figure and table of the paper's
 //! evaluation, fanning each figure's independent sessions out across cores
-//! through [`query::query_many`] (see `--jobs` on the `repro` binary; output
+//! through [`query_many`] (see `--jobs` on the `repro` binary; output
 //! is byte-identical for any worker count): analysis folds ride each
 //! session's live packet tap, so no figure retains a packet trace. Because
 //! figures revisit the same (client, container, video, profile) cells, the
@@ -61,25 +66,12 @@ pub mod figures;
 pub mod flight;
 pub mod obs;
 pub mod qoe;
-pub mod query;
+mod query;
 pub mod report;
-pub mod session;
+mod session;
 
-pub use campaign::{
-    run_campaign, CampaignOptions, CampaignReport, CampaignSpec, CampaignStrategy,
+pub use query::{
+    query_many, query_many_jobs, reply_from_outcome, SessionAnswer, SessionQuery, SessionReply,
 };
-pub use qoe::{QoeRow, QoeSummary};
-pub use query::{query_many, query_many_jobs, SessionAnswer, SessionQuery, SessionReply};
-pub use session::{default_jobs, set_default_jobs, CellOutcome, SessionScratch, SessionSpec};
-
-/// The most common imports for driving experiments.
-pub mod prelude {
-    pub use crate::query::{query_many, query_many_jobs, SessionQuery, SessionReply};
-    pub use crate::report::{FigureData, Series, TableData};
-    pub use crate::session::{set_default_jobs, CellOutcome, SessionScratch, SessionSpec};
-    pub use vstream_analysis::{classify, AnalysisConfig, Cdf, SessionPhases, Strategy};
-    pub use vstream_app::{Video, PlayerStats};
-    pub use vstream_net::{LrdCrossConfig, NetworkProfile};
-    pub use vstream_sim::{SimDuration, SimTime};
-    pub use vstream_workload::{Client, Container, Dataset, Service};
-}
+pub use session::{default_jobs, set_default_jobs, CellOutcome, SessionSpec};
+pub use vstream_app::engine::SessionScratch;

@@ -7,14 +7,12 @@
 //! [`vstream_net::NetworkProfile::ALL`] order.
 
 pub use vstream_obs::collector;
-pub use vstream_obs::{
-    Counter, Gauge, Hist, HistId, Ledger, Metrics, ProfileMetrics, SpanRecord, SCHEMA_VERSION,
-};
+use vstream_obs::Ledger;
 
 /// Ledger keys for the per-profile table, in
 /// [`vstream_net::NetworkProfile`] declaration order — the same order
 /// `profile as usize` indexes the registry slots.
-pub const PROFILE_NAMES: [&str; 4] = ["research", "residence", "academic", "home"];
+pub(crate) const PROFILE_NAMES: [&str; 4] = ["research", "residence", "academic", "home"];
 
 /// Serialises a ledger with the vantage-point profile names bound in.
 pub fn ledger_json(ledger: &Ledger) -> String {

@@ -8,7 +8,7 @@
 //!
 //! Determinism is the design constraint. A row is a pure function of the
 //! session's [`SessionSpec`] and its post-run [`StrategyLogic`], which
-//! every [`SessionReply`](crate::query::SessionReply) carries whether it
+//! every [`SessionReply`](crate::SessionReply) carries whether it
 //! was just computed or cloned from the cache, so the table is
 //! byte-identical across `--jobs` and cache on/off. Rows are
 //! computed inside the batch fan-out but pushed to the collector in
@@ -78,7 +78,7 @@ impl QoeSummary {
 
 /// One row of the QoE table: the summary plus the session's identity.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QoeRow {
+pub(crate) struct QoeRow {
     /// Client label (paper's Table 1 naming).
     pub client: &'static str,
     /// Container label.
@@ -90,7 +90,7 @@ pub struct QoeRow {
     /// Session seed.
     pub seed: u64,
     /// Capture duration in microseconds — the stall-ratio denominator.
-    pub capture_us: u64,
+    pub(crate) capture_us: u64,
     /// The reduced QoE quantities.
     pub summary: QoeSummary,
 }
@@ -139,7 +139,7 @@ impl QoeRow {
 }
 
 /// The table header.
-pub const CSV_HEADER: &str = "figure,index,client,container,profile,video,seed,startup_ms,\
+pub(crate) const CSV_HEADER: &str = "figure,index,client,container,profile,video,seed,startup_ms,\
 stalls,stalls_completed,stall_total_ms,stall_mean_ms,stall_max_ms,stall_ratio,blocks,\
 block_rate_per_min,switches,switch_rate_per_min";
 

@@ -31,9 +31,9 @@ pub struct FigureData {
     /// Human title.
     pub title: String,
     /// X-axis label.
-    pub x_label: &'static str,
+    pub(crate) x_label: &'static str,
     /// Y-axis label.
-    pub y_label: &'static str,
+    pub(crate) y_label: &'static str,
     /// The series.
     pub series: Vec<Series>,
 }

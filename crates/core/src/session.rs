@@ -19,15 +19,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use vstream_app::engine::Engine;
-pub use vstream_app::engine::SessionScratch;
+use vstream_app::engine::{Engine, SessionLogic, SessionScratch};
 use vstream_app::strategies::InterruptAfter;
-use vstream_app::{PlayerStats, SessionLogic, Video};
+use vstream_app::{PlayerStats, Video};
 use vstream_capture::{PacketSink, Trace};
 use vstream_net::{CrossTraffic, DuplexPath, LrdCrossConfig, NetworkProfile};
 use vstream_obs::trace::Recorder;
 use vstream_obs::{collector, Counter, Gauge, HistId};
-use vstream_sim::{exec, SimDuration};
+use vstream_sim::{par_indexed_with_finish, SimDuration};
 use vstream_tcp::EndpointStats;
 use vstream_workload::{logic_for, Client, Container, StrategyLogic};
 
@@ -50,7 +49,7 @@ pub fn set_default_jobs(jobs: usize) {
 /// The worker count batch runs use when not given one explicitly.
 pub fn default_jobs() -> usize {
     match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => exec::default_jobs(),
+        0 => vstream_sim::default_jobs(),
         n => n,
     }
 }
@@ -346,7 +345,7 @@ pub(crate) fn par_sessions<T: Send>(
     jobs: usize,
     f: impl Fn(&mut SessionScratch, usize) -> T + Sync,
 ) -> Vec<T> {
-    exec::par_indexed_with_finish(n, jobs, SessionScratch::new, f, |mut s| s.flush_metrics())
+    par_indexed_with_finish(n, jobs, SessionScratch::new, f, |mut s| s.flush_metrics())
 }
 
 /// The batch path: fan every spec out across the worker pool and reduce

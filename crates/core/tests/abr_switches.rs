@@ -19,11 +19,10 @@
 
 mod support;
 
-use vstream::prelude::*;
-use vstream::query::reply_from_outcome;
-use vstream::{cache, query_many_jobs, SessionQuery};
+use vstream::{cache, query_many_jobs, reply_from_outcome, SessionQuery, SessionSpec};
 use vstream_analysis::{switch_counts_of, SummariesFold};
 use vstream_net::LrdCrossConfig;
+use vstream_sim::SimDuration;
 
 /// One suite shape: how the fold classifies, and what loads the link.
 struct Shape {

@@ -26,9 +26,9 @@
 mod support;
 
 use support::{spec_for, Shape, SHAPES};
-use vstream::{qoe, CellOutcome, SessionScratch, SessionSpec};
+use vstream::{qoe, CellOutcome, SessionSpec};
+use vstream_app::engine::{Engine, SessionScratch};
 use vstream_app::strategies::InterruptAfter;
-use vstream_app::Engine;
 use vstream_capture::Trace;
 use vstream_obs::trace::{Event, EventKind, Recorder};
 use vstream_workload::logic_for;

@@ -12,15 +12,17 @@
 //! rows (every packet updates its row), and one whose folds read only the
 //! deltas (the table sees incoming data packets only).
 
-use vstream::prelude::*;
-use vstream::query::reply_from_outcome;
-use vstream::SessionAnswer;
+use vstream::{reply_from_outcome, CellOutcome, SessionAnswer, SessionQuery, SessionSpec};
 use vstream_analysis::{
     switch_counts_of, AnalysisFold, DownloadFold, SummariesFold, ThroughputFold, TotalsFold,
     WindowFold,
 };
 use vstream_app::strategies::{ABR_LADDER, ABR_SEGMENT_MS};
+use vstream_app::Video;
 use vstream_capture::{PacketSink, TapDirection, Trace};
+use vstream_net::{LrdCrossConfig, NetworkProfile};
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 fn sessions() -> Vec<(&'static str, SessionSpec)> {
     let video = |id| Video::new(id, 1_000_000, SimDuration::from_secs(600));

@@ -13,10 +13,12 @@
 
 use std::sync::Barrier;
 
-use vstream::obs::{collector, Counter, Gauge};
-use vstream::prelude::*;
-use vstream::query::reply_from_outcome;
-use vstream::{cache, query_many_jobs, SessionQuery, SessionReply};
+use vstream::{cache, query_many_jobs, reply_from_outcome, SessionQuery, SessionReply, SessionSpec};
+use vstream_app::Video;
+use vstream_net::NetworkProfile;
+use vstream_obs::{collector, Counter, Gauge};
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 /// A small shared cell: short captures keep the test fast, several seeds
 /// give the worker pool a real batch, pacing produces real ON/OFF cycles.

@@ -14,15 +14,15 @@
 //!   fully downloaded, and the per-session wasted bytes of Eqs. 8/9 (the
 //!   `model-waste` figure averages them over a sampled population).
 //!
-//! [`closed_form`] implements the formulas; [`fluid`] is a Monte-Carlo
+//! The closed forms implement the formulas; [`FluidSim`] is a Monte-Carlo
 //! superposition simulator that replays the same assumptions numerically —
 //! used to *validate* the closed forms and to demonstrate the
 //! strategy-independence claim empirically (something the paper argues only
 //! analytically).
 
-pub mod closed_form;
-pub mod fluid;
-pub mod interruption;
+mod closed_form;
+mod fluid;
+mod interruption;
 
 pub use closed_form::{
     aggregate_mean_bps, aggregate_variance, mix_aggregate_moments, provisioned_capacity,

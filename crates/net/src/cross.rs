@@ -25,22 +25,22 @@
 use vstream_sim::{derive_seed, SimDuration, SimRng, SimTime};
 
 /// Mean interval between two [`CrossTraffic::Bursts`] bursts.
-pub const BURST_MEAN_PERIOD: SimDuration = SimDuration::from_secs(3);
+pub(crate) const BURST_MEAN_PERIOD: SimDuration = SimDuration::from_secs(3);
 /// Mean size of one [`CrossTraffic::Bursts`] burst, in bytes.
-pub const BURST_MEAN_BYTES: u64 = 1_200_000;
+pub(crate) const BURST_MEAN_BYTES: u64 = 1_200_000;
 
 /// Number of superposed on/off sources.
-pub const LRD_SOURCES: u32 = 16;
+pub(crate) const LRD_SOURCES: u32 = 16;
 /// Pareto shape of the ON durations, in thousandths (1500 = alpha 1.5).
 /// Long-range dependence requires a value strictly between 1000 and 2000.
-pub const LRD_ALPHA_MILLI: u32 = 1500;
+pub(crate) const LRD_ALPHA_MILLI: u32 = 1500;
 /// Mean ON duration in milliseconds (sets the Pareto scale `x_min`).
-pub const LRD_MEAN_ON_MS: u32 = 500;
+pub(crate) const LRD_MEAN_ON_MS: u32 = 500;
 /// Mean OFF duration in milliseconds (exponential).
-pub const LRD_MEAN_OFF_MS: u32 = 1500;
+pub(crate) const LRD_MEAN_OFF_MS: u32 = 1500;
 
-/// An aggregate of [`LRD_SOURCES`] identical heavy-tailed on/off sources on
-/// the downlink.
+/// An aggregate of `LRD_SOURCES` (16) identical heavy-tailed on/off sources
+/// on the downlink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LrdCrossConfig {
     /// Per-source emission rate while ON, in bits per second.
@@ -108,8 +108,8 @@ impl LrdCrossConfig {
 /// downlink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrossTraffic {
-    /// Poisson bursts: exponential sizes of mean [`BURST_MEAN_BYTES`] at
-    /// exponential intervals of mean [`BURST_MEAN_PERIOD`].
+    /// Poisson bursts: exponential sizes of mean `BURST_MEAN_BYTES` (1.2 MB)
+    /// at exponential intervals of mean `BURST_MEAN_PERIOD` (3 s).
     Bursts,
     /// The long-range-dependent aggregate, its sources seeded from the path.
     Lrd(LrdCrossConfig),

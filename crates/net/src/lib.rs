@@ -13,7 +13,7 @@
 //!
 //! Competing traffic follows the same contract. A [`DuplexPath`] built
 //! [`with_cross_traffic`](DuplexPath::with_cross_traffic) owns the
-//! generator's state machines ([`cross`]): the caller schedules one event
+//! generator's state machines ([`CrossTraffic`]): the caller schedules one event
 //! per source from [`DuplexPath::cross_starts`], and on each event
 //! [`DuplexPath::cross_tick`] occupies the downlink and answers when that
 //! source ticks next.
@@ -21,12 +21,12 @@
 //! Four [`NetworkProfile`]s reproduce the measurement vantage points of
 //! Section 4.2 of the paper: *Research*, *Residence*, *Academic*, and *Home*.
 
-pub mod cross;
-pub mod link;
-pub mod loss;
-pub mod packet;
-pub mod path;
-pub mod profile;
+mod cross;
+mod link;
+mod loss;
+mod packet;
+mod path;
+mod profile;
 
 pub use cross::{CrossTraffic, LrdCrossConfig};
 pub use link::{Link, LinkConfig};

@@ -23,7 +23,7 @@
 use crate::metrics::{Counter, Gauge, Hist, HistId, Metrics, MAX_PROFILES};
 
 /// Version of the ledger JSON schema.
-pub const SCHEMA_VERSION: u64 = 2;
+pub(crate) const SCHEMA_VERSION: u64 = 2;
 
 /// One closed span: a named phase (one repro figure) with wall-clock time
 /// and the deterministic work counters it covered.

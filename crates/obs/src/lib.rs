@@ -29,10 +29,10 @@
 //! one of the two leaves of the workspace dependency order.
 
 pub mod collector;
-pub mod ledger;
-pub mod metrics;
-pub mod table;
+mod ledger;
+mod metrics;
+mod table;
 pub mod trace;
 
-pub use ledger::{Ledger, SpanRecord, SCHEMA_VERSION};
-pub use metrics::{Counter, Gauge, Hist, HistId, Metrics, ProfileMetrics, MAX_PROFILES};
+pub use ledger::{Ledger, SpanRecord};
+pub use metrics::{Counter, Gauge, Hist, HistId, Metrics, ProfileMetrics};

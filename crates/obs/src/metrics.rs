@@ -9,11 +9,11 @@
 
 /// Number of log2 buckets: bucket 0 holds the value 0, bucket `k` holds
 /// `[2^(k-1), 2^k)`, and bucket 64 holds `[2^63, u64::MAX]`.
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// Maximum number of per-profile slots a registry carries. The paper has
 /// four vantage points; the headroom is for future profiles.
-pub const MAX_PROFILES: usize = 8;
+pub(crate) const MAX_PROFILES: usize = 8;
 
 /// A log2-bucketed histogram over `u64` values.
 ///
@@ -126,7 +126,7 @@ macro_rules! slots {
 
         impl $kind {
             /// Number of slots.
-            pub const COUNT: usize = [$($kind::$variant),+].len();
+            pub(crate) const COUNT: usize = [$($kind::$variant),+].len();
             /// Every slot, in declaration order.
             pub const ALL: [$kind; Self::COUNT] = [$($kind::$variant),+];
 

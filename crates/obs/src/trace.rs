@@ -1,6 +1,6 @@
 //! # Structured event tracing: the per-session flight recorder
 //!
-//! Where [`crate::metrics`] answers *how much* (fleet-wide counters and
+//! Where [`crate::Metrics`] answers *how much* (fleet-wide counters and
 //! histograms), this module answers *when and in what order*: the layers
 //! of one simulated session produce typed, timestamped [`Event`]s, and a
 //! bounded ring-buffer [`Recorder`] keeps them. The recorder is a flight
@@ -82,9 +82,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Number of kinds; discriminants are `0..COUNT`.
-    pub const COUNT: usize = 15;
-
     /// Stable snake_case identifier, used in dumps and exports.
     pub fn name(self) -> &'static str {
         match self {
@@ -272,11 +269,11 @@ mod tests {
             EventKind::AppBlockRequest,
             EventKind::AppBitrateSwitch,
         ];
-        assert_eq!(kinds.len(), EventKind::COUNT);
+        assert_eq!(kinds.len(), EventKind::AppBitrateSwitch as usize + 1, "a kind is missing");
         let mut names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), EventKind::COUNT, "duplicate event names");
+        assert_eq!(names.len(), kinds.len(), "duplicate event names");
         for k in kinds {
             assert!(k.name().starts_with(k.layer()), "{} vs {}", k.name(), k.layer());
         }

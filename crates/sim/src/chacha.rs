@@ -34,7 +34,7 @@ const BUF_WORDS: usize = 16;
 
 /// The `StdRng`-compatible deterministic generator.
 #[derive(Clone)]
-pub struct ChaCha12 {
+pub(crate) struct ChaCha12 {
     key: [u32; 8],
     /// 64-bit block counter (words 12–13 of the ChaCha state).
     counter: u64,

@@ -13,8 +13,8 @@
 //! * [`derive_seed`] — order-independent seed derivation: hashes a session's
 //!   identity into its engine seed so seeds do not depend on submission
 //!   order.
-//! * [`exec`] — a `std`-only worker pool ([`exec::par_indexed`]) that fans
-//!   independent sessions out across cores and collects results by index.
+//! * [`par_indexed`] — a `std`-only worker pool that fans independent
+//!   sessions out across cores and collects results by index.
 //!
 //! The concurrency model is deliberately two-level: **each DES instance is
 //! synchronous and single-threaded** — the simulated workload is CPU-bound
@@ -32,13 +32,13 @@
 //! the queue's telemetry is a plain [`QueueStats`] that `vstream-app`
 //! harvests into the `vstream-obs` ledger.
 
-pub mod chacha;
-pub mod exec;
-pub mod queue;
-pub mod rng;
-pub mod time;
+mod chacha;
+mod exec;
+mod queue;
+mod rng;
+mod time;
 
-pub use exec::{default_jobs, par_indexed, ShardPlan};
+pub use exec::{default_jobs, par_indexed, par_indexed_with_finish, ShardPlan};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::{derive_seed, SimRng};
 pub use time::{SimDuration, SimTime};

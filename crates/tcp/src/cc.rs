@@ -40,7 +40,7 @@ pub enum CcAlgorithm {
 
 /// Outcome of processing a cumulative ACK that advanced `snd_una`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NewAckOutcome {
+pub(crate) enum NewAckOutcome {
     /// Normal ACK outside loss recovery.
     Normal,
     /// ACK covered everything outstanding at the time recovery started;
@@ -81,7 +81,7 @@ impl Cubic {
 
 /// The congestion controller of one connection.
 #[derive(Clone, Debug)]
-pub struct CongestionController {
+pub(crate) struct CongestionController {
     max_cwnd: u64,
     cwnd: u64,
     ssthresh: u64,

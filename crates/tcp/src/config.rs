@@ -9,13 +9,13 @@ pub const MSS: u64 = 1460;
 
 /// Initial congestion window, in segments: between the classic IW3 and
 /// Google's IW10 rollout of 2011.
-pub const INITIAL_CWND_SEGMENTS: u64 = 4;
+pub(crate) const INITIAL_CWND_SEGMENTS: u64 = 4;
 
 /// Lower bound on the retransmission timeout (Linux).
-pub const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+pub(crate) const MIN_RTO: SimDuration = SimDuration::from_millis(200);
 
 /// Upper bound on the retransmission timeout (with backoff).
-pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+pub(crate) const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 
 /// The switches and buffer sizes of a TCP [`crate::Endpoint`]; the segment
 /// size, initial window and RTO bounds are the constants above.
@@ -34,7 +34,7 @@ pub struct TcpConfig {
     /// If true, apply RFC 5681 §4.1: collapse cwnd back to the initial window
     /// after the connection has been idle for one RTO. The paper's traces
     /// show streaming servers did not do this; the ablation bench flips it.
-    pub idle_cwnd_reset: bool,
+    pub(crate) idle_cwnd_reset: bool,
     /// Negotiate selective acknowledgements (RFC 2018/6675). All 2011-era
     /// stacks did; disabling it degrades loss recovery to NewReno's one hole
     /// per round trip, which the recovery ablation bench quantifies.

@@ -16,9 +16,9 @@
 //! * **The idle-restart question.** RFC 5681 §4.1 suggests collapsing cwnd
 //!   after an idle period of one RTO. The 2011 streaming servers did *not* do
 //!   this, which is why entire 64 kB blocks were sent back-to-back with no
-//!   ack clock (Fig. 9). [`TcpConfig::idle_cwnd_reset`] makes this behaviour
-//!   a switch (default: off, matching the measurements) so the ablation bench
-//!   can quantify its effect.
+//!   ack clock (Fig. 9). [`TcpConfig::with_idle_cwnd_reset`] makes this
+//!   behaviour a switch (default: off, matching the measurements) so the
+//!   ablation bench can quantify its effect.
 //!
 //! Selective acknowledgements (RFC 2018 blocks, RFC 6675-style pipe
 //! estimation with PRR-paced recovery) are on by default, as on every
@@ -31,17 +31,15 @@
 //! payload bytes are counted but never materialized, and there is no Nagle
 //! algorithm (streaming servers write MSS-sized chunks).
 
-pub mod cc;
-pub mod config;
-pub mod endpoint;
+mod cc;
+mod config;
+mod endpoint;
 mod rangeset;
-pub mod reassembly;
-pub mod rtt;
-pub mod segment;
+mod reassembly;
+mod rtt;
+mod segment;
 
-pub use cc::{CcAlgorithm, CongestionController};
-pub use config::{TcpConfig, INITIAL_CWND_SEGMENTS, MAX_RTO, MIN_RTO, MSS};
+pub use cc::CcAlgorithm;
+pub use config::{TcpConfig, MSS};
 pub use endpoint::{Endpoint, EndpointStats, Output, Role, State};
-pub use reassembly::ReceiveBuffer;
-pub use rtt::RttEstimator;
-pub use segment::Segment;
+pub use segment::{SackBlocks, Segment};

@@ -16,7 +16,7 @@ use crate::segment::SackBlocks;
 /// Reassembly buffer and window accounting for one direction of a
 /// connection.
 #[derive(Clone, Debug)]
-pub struct ReceiveBuffer {
+pub(crate) struct ReceiveBuffer {
     /// Next in-order byte expected from the peer.
     rcv_nxt: u64,
     /// Bytes delivered in order but not yet read by the application.

@@ -15,7 +15,7 @@ use crate::config::{MAX_RTO, MIN_RTO};
 /// retransmitted segments are never sampled). [`Default`] is the estimator
 /// with no sample yet.
 #[derive(Clone, Debug, Default)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     /// Current backoff multiplier (doubles per timeout, resets on a valid
@@ -25,7 +25,7 @@ pub struct RttEstimator {
 
 impl RttEstimator {
     /// Initial RTO before any sample, per RFC 6298.
-    pub const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
+    pub(crate) const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
 
     /// Incorporates a new RTT measurement and clears any backoff.
     pub(crate) fn sample(&mut self, rtt: SimDuration) {

@@ -9,7 +9,7 @@
 use vstream_net::Wire;
 
 /// Combined IP + TCP header overhead in bytes (20 + 20, no options).
-pub const HEADER_BYTES: u32 = 40;
+pub(crate) const HEADER_BYTES: u32 = 40;
 
 /// Up to three selective-acknowledgement ranges carried in an ACK, mirroring
 /// the common on-the-wire limit when the timestamp option is in use.

@@ -8,8 +8,8 @@
 //! is reproduced here as seeded samplers, so every experiment draws from
 //! distributions with the published properties.
 
-pub mod dataset;
-pub mod matrix;
+mod dataset;
+mod matrix;
 
 pub use dataset::Dataset;
 pub use matrix::{logic_for, table1_expected, valid_profiles, Client, Container, Service, StrategyLogic};

@@ -8,9 +8,13 @@
 //!
 //! Run with: `cargo run --release --example interruption_waste`
 
-use vstream::prelude::*;
+use vstream::SessionSpec;
 use vstream_analysis::TotalsFold;
+use vstream_app::Video;
 use vstream_model::{full_download_duration_threshold, unused_bytes};
+use vstream_net::NetworkProfile;
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 fn main() {
     // A six-minute 1.2 Mbps video abandoned 20 % of the way in (72 s).

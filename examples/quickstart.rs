@@ -3,8 +3,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use vstream::prelude::*;
-use vstream_analysis::TotalsFold;
+use vstream::SessionSpec;
+use vstream_analysis::{classify, AnalysisConfig, SessionPhases, TotalsFold};
+use vstream_app::Video;
+use vstream_net::NetworkProfile;
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 fn main() {
     // A ten-minute, 1 Mbps video — the paper's default-resolution YouTube

@@ -5,9 +5,12 @@
 //! Run with: `cargo run --release --example strategy_comparison`
 
 use vstream::figures::table1_strategy_matrix;
-use vstream::prelude::*;
+use vstream::SessionSpec;
 use vstream_analysis::TotalsFold;
-use vstream_workload::table1_expected;
+use vstream_app::Video;
+use vstream_net::NetworkProfile;
+use vstream_sim::SimDuration;
+use vstream_workload::{table1_expected, Client, Container};
 
 fn main() {
     println!("Running every application x container combination (this streams");

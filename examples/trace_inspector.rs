@@ -6,9 +6,15 @@
 
 use std::fs::File;
 
-use vstream::prelude::*;
-use vstream_analysis::{OnOffAnalysis, SummariesFold, ThroughputFold, TotalsFold};
+use vstream::SessionSpec;
+use vstream_analysis::{
+    classify, AnalysisConfig, OnOffAnalysis, SummariesFold, ThroughputFold, TotalsFold,
+};
+use vstream_app::Video;
 use vstream_capture::pcap::write_pcap;
+use vstream_net::NetworkProfile;
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 fn main() {
     // A Netflix PC session on the Academic network (the paper's §5.2

@@ -4,11 +4,15 @@
 #   1. release build + the whole test suite (unit, integration, doc-adjacent),
 #      then the API docs with rustdoc warnings as errors, so a doc link to a
 #      deleted, renamed or private item fails here, then the public-API check
-#      (scripts/check_pub_api.py): every non-test `pub fn` of a library crate
+#      (scripts/check_pub_api.py, after its own unit tests): one public path
+#      per item, each with an outside user. A `pub mod` must be named by
+#      path from outside its crate, a `pub use` may re-export only from a
+#      private module of its own crate, and every non-test `pub fn`,
+#      `pub struct/enum/const/type/trait` and `pub` field of a library crate
 #      must be named by a file outside its crate (another crate's src, a
-#      crate's tests/, the root tests/ and examples/, benchmark/driver) or
-#      carry an allow-list entry saying why it is public; the rest are
-#      `pub(crate)`; then the layering check: `vstream-net` has no
+#      crate's tests/, the root tests/ and examples/, benchmark/driver); the
+#      exceptions are allow-list entries that say why, and an entry that
+#      excuses nothing fails too; then the layering check: `vstream-net` has no
 #      `vstream-obs` dependency (its links record nothing; the engine reads
 #      drops off their send verdicts, DESIGN §12.1)
 #   2. the determinism invariant: byte-identical CSVs and metrics ledger
@@ -80,7 +84,8 @@ cargo test --offline --quiet
 echo "==> rustdoc: no broken, ambiguous or private intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-echo "==> public API: every pub fn has a caller outside its crate"
+echo "==> public API: one public path per item, each with a user outside its crate"
+python3 scripts/test_check_pub_api.py
 python3 scripts/check_pub_api.py
 
 echo "==> layering: vstream-net does not depend on vstream-obs"

@@ -20,10 +20,13 @@
 //! the `cache_*` counters are `Counter::EXECUTION_DEPENDENT` and a
 //! byte-comparable (wall-off) ledger deliberately zeroes them.
 
-use vstream::cache;
 use vstream::figures as f;
-use vstream::obs::{collector, Counter};
-use vstream::prelude::*;
+use vstream::{cache, query_many_jobs, set_default_jobs, SessionQuery, SessionReply, SessionSpec};
+use vstream_app::Video;
+use vstream_net::NetworkProfile;
+use vstream_obs::{collector, Counter};
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 fn spec(seed: u64) -> SessionSpec {
     SessionSpec::new(

@@ -10,8 +10,13 @@
 //! The collector is process-global, so everything runs from one `#[test]`.
 
 use vstream::figures as f;
-use vstream::obs::{collector, ledger_json, Counter, Gauge, HistId, Metrics};
-use vstream::prelude::*;
+use vstream::obs::{collector, ledger_json};
+use vstream::{query_many, set_default_jobs, SessionQuery, SessionSpec};
+use vstream_app::Video;
+use vstream_net::{LrdCrossConfig, NetworkProfile};
+use vstream_obs::{Counter, Gauge, HistId, Metrics};
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 /// A small figure slice touching both steady-state strategies and the
 /// single-session traces, at a given worker count.

@@ -1,8 +1,13 @@
 //! Cross-validation between the packet-level simulator and the §6 analytic
 //! model: the same quantities measured two independent ways must agree.
 
-use vstream::prelude::*;
+use vstream::SessionSpec;
+use vstream_analysis::{AnalysisConfig, SessionPhases};
+use vstream_app::Video;
 use vstream_model::{full_download_duration_threshold, unused_bytes};
+use vstream_net::NetworkProfile;
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 #[test]
 fn packet_level_waste_matches_closed_form() {

@@ -4,8 +4,14 @@
 //! or scheduling.
 
 use vstream::figures as f;
-use vstream::prelude::*;
 use vstream::report::FigureData;
+use vstream::{
+    query_many, query_many_jobs, set_default_jobs, SessionQuery, SessionReply, SessionSpec,
+};
+use vstream_app::Video;
+use vstream_net::NetworkProfile;
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 fn csv_of(fig: &FigureData) -> String {
     fig.to_csv()

@@ -1,8 +1,12 @@
 //! pcap export of a real simulated session: the file must be structurally
 //! valid libpcap that an external tool could open.
 
-use vstream::prelude::*;
+use vstream::SessionSpec;
+use vstream_app::Video;
 use vstream_capture::pcap::write_pcap;
+use vstream_net::NetworkProfile;
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 #[test]
 fn session_exports_valid_pcap() {

@@ -1,7 +1,12 @@
 //! End-to-end integration: full streaming sessions through the public API,
 //! crossing every crate (workload → app → tcp → net → capture → analysis).
 
-use vstream::prelude::*;
+use vstream::{CellOutcome, SessionSpec};
+use vstream_analysis::{classify, AnalysisConfig, Cdf, SessionPhases, Strategy};
+use vstream_app::Video;
+use vstream_net::NetworkProfile;
+use vstream_sim::SimDuration;
+use vstream_workload::{Client, Container};
 
 const CAPTURE: SimDuration = SimDuration::from_secs(180);
 
