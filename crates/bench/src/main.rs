@@ -16,6 +16,8 @@
 //! repro campaign --ledger runs/ --max-shards 4      # checkpoint + resume
 //! ```
 //!
+//! The flags build one `vstream::figures::Run` — seed, worker count and,
+//! with `--csv`, the QoE table — that every figure driver takes in turn.
 //! Output is byte-identical for every `--jobs` value: session seeds derive
 //! from each session's identity, never from execution order. The metrics
 //! ledger is deterministic too once wall-clock timing is disabled
@@ -53,25 +55,26 @@
 //! `--max-shards K` (stop after K computed shards — the scripted interrupt
 //! CI uses to prove resumed output is byte-identical; it requires
 //! `--ledger`, and every campaign-only flag requires `campaign`). A failed
-//! cross-validation gate exits nonzero. The per-session QoE table is not
-//! collected on this path: a resumed campaign skips finished shards, and
-//! `qoe_sessions.csv` would otherwise differ between resumed and one-shot
-//! runs of identical campaigns.
+//! cross-validation gate exits 1, an unwritable ledger 2. The campaign
+//! builds no `Run`, so it has no QoE table: a resumed campaign skips
+//! finished shards, whose rows a one-shot run would have.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use vstream::campaign::{run_campaign, CampaignOptions, CampaignSpec};
-use vstream::figures as f;
+use vstream::campaign::{run_campaign, CampaignError, CampaignOptions, CampaignSpec};
+use vstream::figures::{self as f, Run};
+use vstream::flight;
 use vstream::obs::{collector, ledger_json, ledger_summary};
+use vstream::qoe::QoeTable;
 use vstream::report::{FigureData, TableData};
-use vstream::{flight, qoe};
 
 struct Options {
     seed: u64,
     n: usize,
+    jobs: usize,
     csv_dir: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
     /// `--metrics`' file, opened before the first session.
@@ -95,6 +98,7 @@ fn main() {
     let mut opts = Options {
         seed: 2026,
         n: 12,
+        jobs: 0,
         csv_dir: None,
         metrics_path: None,
         metrics_file: None,
@@ -117,7 +121,7 @@ fn main() {
         match arg.as_str() {
             "--seed" => opts.seed = take_value(&mut args, "--seed"),
             "--n" => opts.n = take_value(&mut args, "--n"),
-            "--jobs" => vstream::set_default_jobs(take_value(&mut args, "--jobs")),
+            "--jobs" => opts.jobs = take_value(&mut args, "--jobs"),
             "--csv" => {
                 let dir: String = take_value(&mut args, "--csv");
                 opts.csv_dir = Some(PathBuf::from(dir));
@@ -243,17 +247,16 @@ fn main() {
     if !opts.no_cache {
         vstream::cache::install();
     }
+    let jobs = if opts.jobs == 0 { vstream_sim::default_jobs() } else { opts.jobs };
     if let Some(spec) = &campaign {
-        run_campaign_cmd(spec, &opts);
+        run_campaign_cmd(spec, jobs, &opts);
         emit_metrics(&opts);
         return;
     }
     // The QoE table rides the CSV tree: collect it whenever CSVs are asked
     // for, so every `--csv` run (and every determinism diff of one) carries
     // `qoe_sessions.csv`.
-    if opts.csv_dir.is_some() {
-        qoe::install();
-    }
+    let mut run = Run { seed: opts.seed, jobs, qoe: opts.csv_dir.is_some().then(QoeTable::default) };
     let total = selected.len();
     let mut sessions_total: u64 = 0;
     let run_started = Instant::now();
@@ -263,8 +266,8 @@ fn main() {
         }
         let started = Instant::now();
         collector::begin_span(id);
-        qoe::begin_figure(id);
-        run_one(id, &opts);
+        run.qoe.iter_mut().for_each(|table| table.start_figure(id));
+        run_one(id, &mut run, &opts);
         let span = collector::end_span();
         if opts.progress {
             let secs = started.elapsed().as_secs_f64();
@@ -287,10 +290,9 @@ fn main() {
             }
         }
     }
-    if let Some(csv) = qoe::take_csv() {
-        let dir = opts.csv_dir.as_ref().expect("qoe collector implies --csv");
+    if let (Some(table), Some(dir)) = (&run.qoe, &opts.csv_dir) {
         let path = dir.join("qoe_sessions.csv");
-        output(fs::write(&path, csv), "--csv", &path);
+        output(fs::write(&path, table.csv()), "--csv", &path);
         println!("  wrote {}", path.display());
     }
     emit_metrics(&opts);
@@ -349,15 +351,19 @@ fn campaign_spec(opts: &Options) -> CampaignSpec {
 /// The `repro campaign` subcommand: run (or resume) the campaign, print the
 /// gate verdict and tables, and exit nonzero on a failed cross-validation
 /// gate.
-fn run_campaign_cmd(spec: &CampaignSpec, opts: &Options) {
+fn run_campaign_cmd(spec: &CampaignSpec, jobs: usize, opts: &Options) {
     let copts = CampaignOptions {
-        jobs: 0, // resolved to the session layer's `--jobs`-driven default
+        jobs,
         ledger_dir: opts.ledger_dir.clone(),
         max_shards: opts.max_shards,
         progress: opts.progress,
     };
     println!("==> campaign");
-    match run_campaign(spec, &copts) {
+    let outcome = run_campaign(spec, &copts).unwrap_or_else(|e| match e {
+        CampaignError::Ledger(path, e) => output(Err(e), "--ledger", &path),
+        CampaignError::Spec(why) => unreachable!("campaign_spec validated the spec: {why}"),
+    });
+    match outcome {
         Some(report) => {
             println!("campaign {:016x}", report.key);
             println!("{}", report.validation.gate_line());
@@ -409,90 +415,90 @@ fn print_usage() {
     println!("ids: {}", ALL_IDS.join(" "));
 }
 
-fn run_one(id: &str, opts: &Options) {
-    let (seed, n) = (opts.seed, opts.n);
+fn run_one(id: &str, run: &mut Run, opts: &Options) {
+    let n = opts.n;
     println!("==> {id}");
     match id {
-        "fig1" => emit_fig(&f::fig1_phases(seed), opts),
+        "fig1" => emit_fig(&f::fig1_phases(run), opts),
         "fig2" => {
-            let (a, b) = f::fig2_short_onoff(seed);
+            let (a, b) = f::fig2_short_onoff(run);
             emit_fig(&a, opts);
             emit_fig(&b, opts);
         }
         "fig3" => {
-            let (a, corr_a) = f::fig3a_flash_buffering(seed, n);
+            let (a, corr_a) = f::fig3a_flash_buffering(run, n);
             emit_fig(&a, opts);
             println!("  buffering/rate correlation (Research): {corr_a:.2}  [paper: 0.85]");
-            let (b, corr_b) = f::fig3b_html5_buffering(seed, n);
+            let (b, corr_b) = f::fig3b_html5_buffering(run, n);
             emit_fig(&b, opts);
             println!("  buffering/rate correlation (HTML5/IE): {corr_b:.2}  [paper: 0.41]");
         }
         "fig4" => {
-            let (a, b) = f::fig4_flash_steady_state(seed, n);
+            let (a, b) = f::fig4_flash_steady_state(run, n);
             emit_fig(&a, opts);
             emit_fig(&b, opts);
         }
         "fig5" => {
-            let (a, b) = f::fig5_html5_steady_state(seed, n);
+            let (a, b) = f::fig5_html5_steady_state(run, n);
             emit_fig(&a, opts);
             emit_fig(&b, opts);
         }
         "fig6" => {
-            emit_fig(&f::fig6a_long_onoff(seed), opts);
-            emit_fig(&f::fig6b_long_blocks(seed, n.min(8)), opts);
+            emit_fig(&f::fig6a_long_onoff(run), opts);
+            emit_fig(&f::fig6b_long_blocks(run, n.min(8)), opts);
         }
         "fig7" => {
-            emit_fig(&f::fig7a_ipad_traces(seed), opts);
-            emit_fig(&f::fig7b_ipad_block_vs_rate(seed, n), opts);
+            emit_fig(&f::fig7a_ipad_traces(run), opts);
+            emit_fig(&f::fig7b_ipad_block_vs_rate(run, n), opts);
         }
         "fig8" => {
-            let (fig, corr) = f::fig8_bulk_rates(seed, n);
+            let (fig, corr) = f::fig8_bulk_rates(run, n);
             emit_fig(&fig, opts);
             println!("  download-rate/encoding-rate correlation: {corr:.2}  [paper: none visible]");
         }
         "fig9" => {
-            emit_fig(&f::fig9_ack_clock(seed), opts);
-            let (no_reset, with_reset) = f::fig9_idle_reset_ablation(seed);
+            emit_fig(&f::fig9_ack_clock(run), opts);
+            let (no_reset, with_reset) = f::fig9_idle_reset_ablation(run);
             println!(
                 "  ablation — median first-RTT burst: {no_reset:.0} kB without idle reset, \
                  {with_reset:.0} kB with RFC 5681 reset"
             );
         }
         "fig10" => {
-            let (a, b) = f::fig10_netflix_traces(seed);
+            let (a, b) = f::fig10_netflix_traces(run);
             emit_fig(&a, opts);
             emit_fig(&b, opts);
         }
         "fig11" => {
-            let (a, b) = f::fig11_netflix_buffering(seed, n.min(6));
+            let (a, b) = f::fig11_netflix_buffering(run, n.min(6));
             emit_fig(&a, opts);
             emit_fig(&b, opts);
         }
         "fig12" => {
-            let (a, b) = f::fig12_netflix_blocks(seed, n.min(f::NETFLIX_BLOCK_SESSIONS));
+            let (a, b) = f::fig12_netflix_blocks(run, n.min(f::NETFLIX_BLOCK_SESSIONS));
             emit_fig(&a, opts);
             emit_fig(&b, opts);
         }
         "table1" => {
-            let (table, cells) = f::table1_strategy_matrix(seed);
+            let (table, cells) = f::table1_strategy_matrix(run);
             emit_table(&table, opts);
             let ok = cells.iter().filter(|c| c.matches()).count();
             println!("  {ok}/{} cells match the paper's Table 1", cells.len());
         }
-        "table2" => emit_table(&f::table2_strategy_comparison(seed), opts),
-        "model-agg" => emit_table(&f::model_aggregate_moments(seed), opts),
-        "ext-stalls" => emit_fig(&f::ext_stall_vs_accumulation(seed, n.min(8)), opts),
-        "ext-sack" => emit_table(&f::ext_sack_ablation(seed), opts),
-        "ext-cc" => emit_table(&f::ext_congestion_ablation(seed), opts),
-        "ext-m3" => emit_table(&f::ext_third_moment(seed), opts),
-        "ext-agg-pkt" => emit_table(&f::ext_aggregate_packet_level(seed, 40, 1200.0), opts),
+        "table2" => emit_table(&f::table2_strategy_comparison(run), opts),
+        "model-agg" => emit_table(&f::model_aggregate_moments(run), opts),
+        "ext-stalls" => emit_fig(&f::ext_stall_vs_accumulation(run, n.min(8)), opts),
+        "ext-sack" => emit_table(&f::ext_sack_ablation(run), opts),
+        "ext-cc" => emit_table(&f::ext_congestion_ablation(run), opts),
+        "ext-m3" => emit_table(&f::ext_third_moment(run), opts),
+        "ext-agg-pkt" => emit_table(&f::ext_aggregate_packet_level(run, 40, 1200.0), opts),
         "ext-qoe" => {
-            let (fig, table) = f::ext_qoe_load_sweep(seed, n.min(6));
+            let (fig, table) = f::ext_qoe_load_sweep(run, n.min(6));
             emit_fig(&fig, opts);
             emit_table(&table, opts);
         }
         "model-waste" => {
-            let (threshold, fig) = f::model_interruption_waste(seed);
+            let (threshold, fig) = f::model_interruption_waste(run);
             println!(
                 "  Eq. (7) example: Flash videos shorter than {threshold:.1} s are fully \
                  downloaded at beta = 0.2  [paper: 53.3 s]"

@@ -167,6 +167,46 @@ fn unusable_campaign_ledger_exits_2_before_any_shard() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A ledger that can be created but not written used to panic (exit 101)
+/// after simulating: with a directory squatting on the first shard's temp
+/// checkpoint once the shard was computed, and with one on `summary.txt`
+/// once every shard was. Each now exits 2 with the path that failed.
+#[test]
+fn unwritable_campaign_ledger_files_exit_2() {
+    let campaign = ["campaign", "--viewers", "10000", "--packet-sessions", "8", "--shard-size", "4"];
+    for squatted in ["shard-0000.ckpt.tmp", "summary.txt"] {
+        let root = std::env::temp_dir()
+            .join(format!("vstream-cli-ledger-squat-{}-{squatted}", std::process::id()));
+        let ledger = ["--ledger", root.to_str().unwrap()];
+        // A zero-shard budget creates the campaign directory and computes
+        // nothing, which names the directory to squat in.
+        let probe = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(campaign)
+            .args(ledger)
+            .args(["--max-shards", "0"])
+            .output()
+            .expect("spawn repro");
+        assert!(probe.status.success(), "{}", String::from_utf8_lossy(&probe.stderr));
+        let dir = std::fs::read_dir(&root)
+            .expect("ledger created")
+            .map(|e| e.expect("ledger entry").path())
+            .find(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("campaign-")))
+            .expect("campaign directory");
+        std::fs::create_dir_all(dir.join(squatted)).expect("squat");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(campaign)
+            .args(ledger)
+            .output()
+            .expect("spawn repro");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{squatted}: stderr: {err}");
+        assert!(err.contains("error: cannot create --ledger output"), "{squatted}: stderr: {err}");
+        assert!(err.contains(squatted), "{squatted}: stderr: {err}");
+        assert!(!err.contains("panicked"), "{squatted}: stderr: {err}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
+
 /// `--n 0` used to exit 0 with `NaN` rows (`ext-stalls`) and `[inf, -inf]`
 /// CDFs (`fig4` and the other sampled figures); it is rejected before the
 /// CSV directory is created.

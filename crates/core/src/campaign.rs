@@ -519,7 +519,7 @@ impl Reduction {
 /// produced this run).
 #[derive(Clone, Debug, Default)]
 pub struct CampaignOptions {
-    /// Worker threads per shard (0 = the session layer's default).
+    /// Worker threads per shard (`0` and `1` both stay on the calling thread).
     pub jobs: usize,
     /// Checkpoint ledger directory; `None` disables checkpointing.
     pub ledger_dir: Option<PathBuf>,
@@ -531,22 +531,31 @@ pub struct CampaignOptions {
     pub progress: bool,
 }
 
-/// Runs (or resumes) a campaign. Returns `None` when `max_shards`
+/// Why a campaign stopped short of its report.
+#[derive(Debug)]
+pub enum CampaignError {
+    /// The spec fails [`CampaignSpec::validate`] (the reason); nothing ran.
+    Spec(String),
+    /// A ledger path could not be written; earlier checkpoints stay valid.
+    Ledger(PathBuf, io::Error),
+}
+
+/// Runs (or resumes) a campaign. Returns `Ok(None)` when `max_shards`
 /// interrupted the run before every shard was available — checkpoints for
 /// the computed shards are on disk, and a later call with the same spec
 /// and ledger resumes from them.
-pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Option<CampaignReport> {
-    if let Err(why) = spec.validate() {
-        panic!("invalid campaign spec: {why}");
-    }
+pub fn run_campaign(
+    spec: &CampaignSpec,
+    opts: &CampaignOptions,
+) -> Result<Option<CampaignReport>, CampaignError> {
+    spec.validate().map_err(CampaignError::Spec)?;
     let key = spec.key();
     let plan = spec.plan();
     let shards = plan.shards();
     let ledger = opts.ledger_dir.as_ref().map(|d| spec.ledger_dir(d));
     if let Some(dir) = &ledger {
-        fs::create_dir_all(dir).expect("create campaign ledger directory");
+        fs::create_dir_all(dir).map_err(|e| CampaignError::Ledger(dir.clone(), e))?;
     }
-    let jobs = if opts.jobs == 0 { crate::session::default_jobs() } else { opts.jobs };
     let query = SessionQuery::default().throughput(SimDuration::from_secs(1)).qoe();
 
     let mut merged = Reduction::new(spec.horizon_bins());
@@ -577,13 +586,13 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Option<Campa
                             k
                         );
                     }
-                    return None;
+                    return Ok(None);
                 }
                 let shard_started = Instant::now();
-                let r = compute_shard(spec, start, end, jobs, &query);
+                let r = compute_shard(spec, start, end, opts.jobs, &query);
                 computed += 1;
                 if let Some(dir) = &ledger {
-                    write_shard(dir, key, k, start, end, &r).expect("write shard checkpoint");
+                    write_shard(dir, key, k, start, end, &r)?;
                 }
                 if opts.progress {
                     let secs = shard_started.elapsed().as_secs_f64();
@@ -613,9 +622,10 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Option<Campa
     let report = CampaignReport::build(spec, key, &merged);
     if let Some(dir) = &ledger {
         let path = dir.join("summary.txt");
-        fs::write(&path, report.validation.ledger_text()).expect("write campaign summary");
+        fs::write(&path, report.validation.ledger_text())
+            .map_err(|e| CampaignError::Ledger(path, e))?;
     }
-    Some(report)
+    Ok(Some(report))
 }
 
 /// Simulates sessions `[start, end)` and folds them, in index order, into
@@ -727,11 +737,12 @@ fn write_shard(
     start: usize,
     end: usize,
     r: &Reduction,
-) -> io::Result<()> {
+) -> Result<(), CampaignError> {
     let path = shard_path(dir, k);
     let tmp = path.with_extension("ckpt.tmp");
-    fs::write(&tmp, serialize_shard(key, k, start, end, r))?;
-    fs::rename(&tmp, &path)
+    fs::write(&tmp, serialize_shard(key, k, start, end, r))
+        .map_err(|e| CampaignError::Ledger(tmp.clone(), e))?;
+    fs::rename(&tmp, &path).map_err(|e| CampaignError::Ledger(path, e))
 }
 
 /// Loads shard `k` if a checkpoint exists, parses cleanly, and matches

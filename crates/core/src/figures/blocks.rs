@@ -5,8 +5,7 @@ use vstream_analysis::Cdf;
 use vstream_net::NetworkProfile;
 use vstream_workload::{Client, Container, Dataset};
 
-use crate::figures::{cell_query, cell_specs};
-use crate::query::query_many;
+use crate::figures::{cell_query, cell_specs, Run};
 use crate::report::{FigureData, Series};
 use crate::session::SessionSpec;
 
@@ -22,11 +21,11 @@ fn steady_state_samples(
     container: Container,
     dataset: Dataset,
     profile: NetworkProfile,
-    seed: u64,
+    run: &mut Run,
     n: usize,
 ) -> (Vec<f64>, Vec<f64>) {
-    let specs: Vec<SessionSpec> = cell_specs(client, container, dataset, profile, seed, n);
-    let per_session = query_many(&specs, &cell_query());
+    let specs: Vec<SessionSpec> = cell_specs(client, container, dataset, profile, run.seed, n);
+    let per_session = run.query(&specs, &cell_query());
     let mut blocks = Vec::new();
     let mut ratios = Vec::new();
     for (i, reply) in per_session.into_iter().enumerate() {
@@ -51,7 +50,7 @@ fn per_profile_figures(
     client: Client,
     container: Container,
     dataset: Dataset,
-    seed: u64,
+    run: &mut Run,
     n: usize,
     block_unit: f64,
     block_unit_label: &'static str,
@@ -60,7 +59,7 @@ fn per_profile_figures(
     let mut ratio_series = Vec::new();
     for profile in NetworkProfile::ALL {
         let (blocks, ratios) =
-            steady_state_samples(client, container, dataset, profile, seed, n);
+            steady_state_samples(client, container, dataset, profile, run, n);
         let blocks_scaled: Vec<f64> = blocks.iter().map(|b| b / block_unit).collect();
         block_series.push(Series::new(profile.label(), Cdf::new(blocks_scaled).points()));
         ratio_series.push(Series::new(profile.label(), Cdf::new(ratios).points()));
@@ -85,7 +84,7 @@ fn per_profile_figures(
 
 /// Fig. 4: the Flash steady state — 64 kB dominant block size (a) and an
 /// accumulation ratio of ≈1.25 (b), on all four networks.
-pub fn fig4_flash_steady_state(seed: u64, n: usize) -> (FigureData, FigureData) {
+pub fn fig4_flash_steady_state(run: &mut Run, n: usize) -> (FigureData, FigureData) {
     per_profile_figures(
         "fig4a",
         "fig4b",
@@ -93,7 +92,7 @@ pub fn fig4_flash_steady_state(seed: u64, n: usize) -> (FigureData, FigureData) 
         Client::Firefox,
         Container::Flash,
         Dataset::YouFlash,
-        seed,
+        run,
         n,
         1e3,
         "block_size_kb",
@@ -102,7 +101,7 @@ pub fn fig4_flash_steady_state(seed: u64, n: usize) -> (FigureData, FigureData) 
 
 /// Fig. 5: the HTML5-on-IE steady state — 256 kB dominant blocks (a) and an
 /// accumulation ratio near one (b).
-pub fn fig5_html5_steady_state(seed: u64, n: usize) -> (FigureData, FigureData) {
+pub fn fig5_html5_steady_state(run: &mut Run, n: usize) -> (FigureData, FigureData) {
     per_profile_figures(
         "fig5a",
         "fig5b",
@@ -110,7 +109,7 @@ pub fn fig5_html5_steady_state(seed: u64, n: usize) -> (FigureData, FigureData) 
         Client::InternetExplorer,
         Container::Html5,
         Dataset::YouHtml,
-        seed,
+        run,
         n,
         1e3,
         "block_size_kb",
@@ -119,7 +118,7 @@ pub fn fig5_html5_steady_state(seed: u64, n: usize) -> (FigureData, FigureData) 
 
 /// Fig. 6(b): block sizes for the long-cycle clients — Chrome on the four
 /// networks plus Android on the Research network, all above 2.5 MB.
-pub fn fig6b_long_blocks(seed: u64, n: usize) -> FigureData {
+pub fn fig6b_long_blocks(run: &mut Run, n: usize) -> FigureData {
     let mut series = Vec::new();
     for profile in NetworkProfile::ALL {
         let (blocks, _) = steady_state_samples(
@@ -127,7 +126,7 @@ pub fn fig6b_long_blocks(seed: u64, n: usize) -> FigureData {
             Container::Html5,
             Dataset::YouHtml,
             profile,
-            seed,
+            run,
             n,
         );
         let label = match profile {
@@ -144,7 +143,7 @@ pub fn fig6b_long_blocks(seed: u64, n: usize) -> FigureData {
         Container::Html5,
         Dataset::YouMob,
         NetworkProfile::Research,
-        seed,
+        run,
         n,
     );
     series.push(Series::new(
@@ -162,16 +161,16 @@ pub fn fig6b_long_blocks(seed: u64, n: usize) -> FigureData {
 
 /// Fig. 7(b): iPad mean block size vs encoding rate — the block grows with
 /// the rate.
-pub fn fig7b_ipad_block_vs_rate(seed: u64, n: usize) -> FigureData {
+pub fn fig7b_ipad_block_vs_rate(run: &mut Run, n: usize) -> FigureData {
     let specs: Vec<SessionSpec> = cell_specs(
         Client::Ipad,
         Container::Html5,
         Dataset::YouMob,
         NetworkProfile::Research,
-        seed,
+        run.seed,
         n,
     );
-    let mut points: Vec<(f64, f64)> = query_many(&specs, &cell_query())
+    let mut points: Vec<(f64, f64)> = run.query(&specs, &cell_query())
         .into_iter()
         .enumerate()
         .filter_map(|(i, reply)| {
@@ -201,10 +200,10 @@ pub fn fig7b_ipad_block_vs_rate(seed: u64, n: usize) -> FigureData {
 
 /// Fig. 12: Netflix block sizes — PC (Academic/Home) and iPad in (a), mostly
 /// below 2.5 MB; Android in (b), larger.
-pub fn fig12_netflix_blocks(seed: u64, n: usize) -> (FigureData, FigureData) {
-    let cdf_for = |client: Client, profile: NetworkProfile| -> Vec<(f64, f64)> {
+pub fn fig12_netflix_blocks(run: &mut Run, n: usize) -> (FigureData, FigureData) {
+    let mut cdf_for = |client: Client, profile: NetworkProfile| -> Vec<(f64, f64)> {
         let (blocks, _) =
-            steady_state_samples(client, Container::Silverlight, Dataset::NetPc, profile, seed, n);
+            steady_state_samples(client, Container::Silverlight, Dataset::NetPc, profile, run, n);
         Cdf::new(blocks.iter().map(|b| b / 1e6).collect()).points()
     };
     let short = FigureData {
@@ -234,6 +233,7 @@ pub fn fig12_netflix_blocks(seed: u64, n: usize) -> (FigureData, FigureData) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::test_run;
 
     fn median_x(series: &Series) -> f64 {
         series.points[series.points.len() / 2].0
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn fig4_blocks_are_64kb_ratio_125() {
-        let (blocks, ratios) = fig4_flash_steady_state(21, 4);
+        let (blocks, ratios) = fig4_flash_steady_state(&mut test_run(21), 4);
         // Research network (first series): dominant block 64 kB.
         let m = median_x(&blocks.series[0]);
         assert!((55.0..=75.0).contains(&m), "median Flash block {m:.0} kB");
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn fig5_blocks_are_256kb_ratio_near_one() {
-        let (blocks, ratios) = fig5_html5_steady_state(23, 4);
+        let (blocks, ratios) = fig5_html5_steady_state(&mut test_run(23), 4);
         let m = median_x(&blocks.series[0]);
         assert!((220.0..=290.0).contains(&m), "median HTML5 block {m:.0} kB");
         let k = median_x(&ratios.series[0]);
@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn fig6b_blocks_exceed_2_5mb() {
-        let fig = fig6b_long_blocks(25, 3);
+        let fig = fig6b_long_blocks(&mut test_run(25), 3);
         assert_eq!(fig.series.len(), 5);
         // Research/Chrome median above the 2.5 MB boundary.
         let m = median_x(&fig.series[0]);
@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn fig7b_block_grows_with_rate() {
-        let fig = fig7b_ipad_block_vs_rate(27, 8);
+        let fig = fig7b_ipad_block_vs_rate(&mut test_run(27), 8);
         let pts = &fig.series[0].points;
         assert!(pts.len() >= 4, "too few sessions produced blocks");
         // Correlation between rate and block size is positive and strong.
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn fig12_netflix_pc_below_android_above() {
-        let (short, long) = fig12_netflix_blocks(29, 2);
+        let (short, long) = fig12_netflix_blocks(&mut test_run(29), 2);
         let pc = median_x(&short.series[0]);
         assert!(pc < 2.5, "median Netflix PC block {pc:.2} MB");
         let android = median_x(&long.series[0]);

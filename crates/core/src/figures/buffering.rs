@@ -4,8 +4,7 @@ use vstream_analysis::{pearson_correlation, Cdf, SessionPhases};
 use vstream_net::NetworkProfile;
 use vstream_workload::{Client, Container, Dataset};
 
-use crate::figures::{cell_query, cell_specs};
-use crate::query::query_many;
+use crate::figures::{cell_query, cell_specs, Run};
 use crate::report::{FigureData, Series};
 use crate::session::SessionSpec;
 
@@ -21,11 +20,11 @@ fn phase_samples(
     container: Container,
     dataset: Dataset,
     profile: NetworkProfile,
-    seed: u64,
+    run: &mut Run,
     n: usize,
 ) -> Vec<(f64, SessionPhases)> {
-    let specs: Vec<SessionSpec> = cell_specs(client, container, dataset, profile, seed, n);
-    query_many(&specs, &cell_query())
+    let specs: Vec<SessionSpec> = cell_specs(client, container, dataset, profile, run.seed, n);
+    run.query(&specs, &cell_query())
         .into_iter()
         .enumerate()
         .filter_map(|(i, reply)| {
@@ -41,7 +40,7 @@ fn phase_samples(
 /// ending the measured buffering phase early, which this reproduction
 /// exhibits too). Returns the figure plus the buffering-vs-rate correlation
 /// on the Research network (paper: 0.85).
-pub fn fig3a_flash_buffering(seed: u64, n: usize) -> (FigureData, f64) {
+pub fn fig3a_flash_buffering(run: &mut Run, n: usize) -> (FigureData, f64) {
     let mut series = Vec::new();
     let mut research_corr = 0.0;
     for profile in NetworkProfile::ALL {
@@ -50,7 +49,7 @@ pub fn fig3a_flash_buffering(seed: u64, n: usize) -> (FigureData, f64) {
             Container::Flash,
             Dataset::YouFlash,
             profile,
-            seed,
+            run,
             n,
         );
         let playback: Vec<f64> = samples
@@ -83,13 +82,13 @@ pub fn fig3a_flash_buffering(seed: u64, n: usize) -> (FigureData, f64) {
 /// Fig. 3(b): buffering amount vs encoding rate for HTML5 on Internet
 /// Explorer (scatter). The paper finds a weak correlation (0.41) and
 /// 10–15 MB downloads. Returns the figure plus the correlation coefficient.
-pub fn fig3b_html5_buffering(seed: u64, n: usize) -> (FigureData, f64) {
+pub fn fig3b_html5_buffering(run: &mut Run, n: usize) -> (FigureData, f64) {
     let samples = phase_samples(
         Client::InternetExplorer,
         Container::Html5,
         Dataset::YouHtml,
         NetworkProfile::Research,
-        seed,
+        run,
         n,
     );
     let points: Vec<(f64, f64)> = samples
@@ -112,12 +111,12 @@ pub fn fig3b_html5_buffering(seed: u64, n: usize) -> (FigureData, f64) {
 
 /// Fig. 11: Netflix buffering amounts — PC (Academic and Home) and iPad
 /// (Academic) in (a), Android (Academic) in (b).
-pub fn fig11_netflix_buffering(seed: u64, n: usize) -> (FigureData, FigureData) {
+pub fn fig11_netflix_buffering(run: &mut Run, n: usize) -> (FigureData, FigureData) {
     let query = cell_query();
-    let buffering_cdf = |client: Client, profile: NetworkProfile| -> Vec<(f64, f64)> {
+    let mut buffering_cdf = |client: Client, profile: NetworkProfile| -> Vec<(f64, f64)> {
         let specs: Vec<SessionSpec> =
-            cell_specs(client, Container::Silverlight, Dataset::NetPc, profile, seed, n);
-        let amounts: Vec<f64> = query_many(&specs, &query)
+            cell_specs(client, Container::Silverlight, Dataset::NetPc, profile, run.seed, n);
+        let amounts: Vec<f64> = run.query(&specs, &query)
             .into_iter()
             .filter_map(|reply| {
                 let phases = reply?.answer.phases.expect("phases queried");
@@ -154,10 +153,11 @@ pub fn fig11_netflix_buffering(seed: u64, n: usize) -> (FigureData, FigureData) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::test_run;
 
     #[test]
     fn fig3a_buffering_near_40s_with_strong_correlation() {
-        let (fig, corr) = fig3a_flash_buffering(11, 8);
+        let (fig, corr) = fig3a_flash_buffering(&mut test_run(11), 8);
         assert_eq!(fig.series.len(), 4);
         // Research network: the median buffered playback is near 40 s.
         let research = &fig.series[0];
@@ -176,7 +176,7 @@ mod tests {
         // videos with full-target ones — the mix behind the paper's weak
         // correlation. Seeds whose sample is all long videos leave only the
         // rate-proportional residual, which correlates near 1.
-        let (fig, corr) = fig3b_html5_buffering(99, 8);
+        let (fig, corr) = fig3b_html5_buffering(&mut test_run(99), 8);
         let ys: Vec<f64> = fig.series[0].points.iter().map(|&(_, y)| y).collect();
         let mean = ys.iter().sum::<f64>() / ys.len() as f64;
         assert!(
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn fig11_pc_exceeds_ipad() {
-        let (short, long) = fig11_netflix_buffering(17, 3);
+        let (short, long) = fig11_netflix_buffering(&mut test_run(17), 3);
         let median = |s: &crate::report::Series| s.points[s.points.len() / 2].0;
         let pc = median(&short.series[0]);
         let ipad = median(&short.series[2]);

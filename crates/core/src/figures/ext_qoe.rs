@@ -35,10 +35,10 @@ use vstream_net::{LrdCrossConfig, NetworkProfile};
 use vstream_sim::derive_seed;
 use vstream_workload::{Client, Container};
 
-use crate::figures::CAPTURE;
+use crate::figures::{Run, CAPTURE};
 use crate::query::SessionQuery;
 use crate::report::{FigureData, Series, TableData};
-use crate::session::{batch_resolve, default_jobs, SessionSpec};
+use crate::session::SessionSpec;
 
 /// Stream tag for the ext-qoe load-sweep session stream.
 const STREAM_EXT_QOE: u64 = 0xE07E;
@@ -51,7 +51,8 @@ const LOADS_PERMILLE: [u32; 5] = [0, 250, 500, 700, 850];
 
 /// The DASH load sweep: `(stall-ratio figure, switch-rate table)` over `n`
 /// sessions per load point.
-pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
+pub fn ext_qoe_load_sweep(run: &mut Run, n: usize) -> (FigureData, TableData) {
+    let seed = run.seed;
     let n = n.max(1);
     let profile = NetworkProfile::Home;
 
@@ -86,7 +87,7 @@ pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
     let query = SessionQuery::default()
         .qoe()
         .switch_rate(ABR_LADDER.to_vec(), ABR_SEGMENT_MS);
-    let replies = batch_resolve(&specs, default_jobs(), &query, |_, reply| {
+    let replies = run.resolve(&specs, &query, |_, reply| {
         (reply.answer.qoe, reply.answer.switch_counts)
     });
 
@@ -168,10 +169,11 @@ pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::test_run;
 
     #[test]
     fn stall_ratio_rises_with_load_and_switch_estimates_track() {
-        let (fig, table) = ext_qoe_load_sweep(73, 2);
+        let (fig, table) = ext_qoe_load_sweep(&mut test_run(73), 2);
         let pts = &fig.series[0].points;
         assert_eq!(pts.len(), LOADS_PERMILLE.len());
         // Idle link: the ladder fits with room to spare, no stalls.

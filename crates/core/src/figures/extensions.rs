@@ -21,9 +21,9 @@ use vstream_net::{CrossTraffic, DuplexPath, LinkConfig, LossModel, NetworkProfil
 use vstream_sim::{derive_seed, par_indexed, SimDuration, SimRng};
 use vstream_tcp::{CcAlgorithm, TcpConfig};
 
-use crate::figures::{long_video, CustomPaced, MC_HORIZON_SECS};
+use crate::figures::{long_video, CustomPaced, Run, MC_HORIZON_SECS};
 use crate::report::{FigureData, Series, TableData};
-use crate::session::{default_jobs, par_sessions, run_engine};
+use crate::session::{par_sessions, run_engine};
 
 /// Extension 1: playback disruption vs accumulation ratio.
 ///
@@ -34,12 +34,12 @@ use crate::session::{default_jobs, par_sessions, run_engine};
 /// never recovers and every episode is felt — quantifying §3's claim that
 /// "an accumulation ratio larger than one improves the resilience to
 /// transient network congestion".
-pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
+pub fn ext_stall_vs_accumulation(run: &Run, n: usize) -> FigureData {
     const RATIOS: [f64; 6] = [0.95, 1.0, 1.05, 1.1, 1.25, 1.5];
     // Engine seeds are derived from each session's identity (ratio index,
     // session index), not drawn from a shared RNG, so every (k, i) cell is
     // order-independent and the whole k × n sweep runs as one parallel batch.
-    let stalls = par_sessions(RATIOS.len() * n, default_jobs(), |scratch, j| {
+    let stalls = par_sessions(RATIOS.len() * n, run.jobs, |scratch, j| {
         let (ki, i) = (j / n, j % n);
         let video = Video::new(1, 2_500_000, SimDuration::from_secs(2400));
         let cfg = ServerPacedConfig {
@@ -48,7 +48,7 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
             // resilience effect under study.
             buffer_playback_secs: 5.0,
         };
-        let engine_seed = derive_seed(seed, &[0x57A, ki as u64, i as u64]);
+        let engine_seed = derive_seed(run.seed, &[0x57A, ki as u64, i as u64]);
         // A 20 Mbps downlink with occasional large bursts of competing
         // traffic (mean 1.2 MB every 3 s, exponential sizes): the link is
         // fine on average, but burst clusters starve the stream for seconds
@@ -88,7 +88,7 @@ pub fn ext_stall_vs_accumulation(seed: u64, n: usize) -> FigureData {
 /// averaged over `RUNS` transfers per cell. Without SACK, NewReno repairs
 /// one hole per round trip, so loss bursts inflate the transfer time
 /// dramatically.
-pub fn ext_sack_ablation(seed: u64) -> TableData {
+pub fn ext_sack_ablation(run: &Run) -> TableData {
     const RUNS: usize = 8;
     let mut rows = Vec::new();
     // The window must be large (high BDP) for multi-hole windows to occur:
@@ -103,11 +103,11 @@ pub fn ext_sack_ablation(seed: u64) -> TableData {
     // Every (loss model, SACK, run) transfer is independent — each is
     // seeded by its run index alone (the SACK pairing intentionally reuses
     // the same seed), so the whole sweep runs as one parallel batch.
-    let totals = par_sessions(cases.len() * 2 * RUNS, default_jobs(), |scratch, j| {
+    let totals = par_sessions(cases.len() * 2 * RUNS, run.jobs, |scratch, j| {
         let case = j / (2 * RUNS);
         let sack = (j / RUNS) % 2 == 0;
         let i = (j % RUNS) as u64;
-        let engine_seed = seed.wrapping_add(i * 7919);
+        let engine_seed = run.seed.wrapping_add(i * 7919);
         let switch = if sack { "sack" } else { "nosack" };
         let stem = || format!("ext-sack-c{case}-{switch}-r{i}-s{engine_seed}");
         bulk_transfer_time(scratch, engine_seed, cases[case].1.clone(), sack, stem)
@@ -190,12 +190,13 @@ fn bulk_transfer_time(
 /// The paper's traffic structure is application-driven; swapping the
 /// congestion controller must leave the block size, accumulation ratio, and
 /// strategy classification unchanged. Returns one row per controller.
-pub fn ext_congestion_ablation(seed: u64) -> TableData {
+pub fn ext_congestion_ablation(run: &Run) -> TableData {
+    let seed = run.seed;
     let cfg = AnalysisConfig::default();
     let controllers = [("Reno", CcAlgorithm::Reno), ("CUBIC", CcAlgorithm::Cubic)];
     // Both controllers intentionally share the root seed (identical network
     // conditions); the two sessions run as a parallel batch.
-    let rows = par_sessions(controllers.len(), default_jobs(), |scratch, i| {
+    let rows = par_sessions(controllers.len(), run.jobs, |scratch, i| {
         let (name, algo) = controllers[i];
         let video = long_video(1, 1_000_000);
         let path = NetworkProfile::Research.build_path();
@@ -250,7 +251,7 @@ pub fn ext_congestion_ablation(seed: u64) -> TableData {
 /// §6.1 notes the strategy-independence argument extends to higher moments;
 /// this verifies it empirically for the third central moment over a
 /// 4 000 s Monte-Carlo horizon (`MC_HORIZON_SECS`).
-pub fn ext_third_moment(seed: u64) -> TableData {
+pub fn ext_third_moment(run: &Run) -> TableData {
     let pop = PopulationModel {
         lambda: 1.0,
         encoding_bps: (0.5e6, 1.5e6),
@@ -264,10 +265,10 @@ pub fn ext_third_moment(seed: u64) -> TableData {
     ];
     // Each strategy's Monte-Carlo deliberately reuses the root seed (same
     // arrival process under every strategy); the rows run in parallel.
-    let rows = par_indexed(strategies.len(), default_jobs(), |i| {
+    let rows = par_indexed(strategies.len(), run.jobs, |i| {
         let (name, strategy) = strategies[i];
         let sim = FluidSim::new(pop.clone(), strategy);
-        let (mean, var, m3) = sim.moments3(seed, MC_HORIZON_SECS, 0.5);
+        let (mean, var, m3) = sim.moments3(run.seed, MC_HORIZON_SECS, 0.5);
         let skew = m3 / var.powf(1.5);
         vec![
             name.to_string(),
@@ -300,7 +301,7 @@ pub fn ext_third_moment(seed: u64) -> TableData {
 /// forms. The variance is reported at several bin widths: binning averages
 /// the instantaneous rate, so the measured variance converges to the
 /// fluid-model value as the bin shrinks toward the burst timescale.
-pub fn ext_aggregate_packet_level(seed: u64, n_sessions: usize, window_secs: f64) -> TableData {
+pub fn ext_aggregate_packet_level(run: &Run, n_sessions: usize, window_secs: f64) -> TableData {
     use vstream_app::strategies::BulkLogic;
 
     // Session population: bulk downloads (the no-ON-OFF strategy, whose
@@ -309,7 +310,7 @@ pub fn ext_aggregate_packet_level(seed: u64, n_sessions: usize, window_secs: f64
     // The population parameters come from one shared RNG, so they are
     // sampled serially first (preserving the original draw order exactly);
     // the expensive packet-level runs then execute as a parallel batch.
-    let mut rng = SimRng::new(seed ^ 0xA66);
+    let mut rng = SimRng::new(run.seed ^ 0xA66);
     let params: Vec<(u64, f64, f64, u64)> = (0..n_sessions)
         .map(|_| {
             let e = rng.uniform_range(0.5e6, 1.5e6) as u64;
@@ -330,7 +331,7 @@ pub fn ext_aggregate_packet_level(seed: u64, n_sessions: usize, window_secs: f64
     }
     let bin = SimDuration::from_millis(10);
     let offsets_and_series: Vec<(f64, Vec<(f64, f64)>)> =
-        par_sessions(n_sessions, default_jobs(), |scratch, i| {
+        par_sessions(n_sessions, run.jobs, |scratch, i| {
             let (e, l, offset, engine_seed) = params[i];
             let video = Video::new(0, e, SimDuration::from_secs_f64(l));
             let path = NetworkProfile::Research.build_path();
@@ -422,10 +423,11 @@ pub fn ext_aggregate_packet_level(seed: u64, n_sessions: usize, window_secs: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::test_run;
 
     #[test]
     fn stall_time_falls_with_accumulation() {
-        let fig = ext_stall_vs_accumulation(61, 4);
+        let fig = ext_stall_vs_accumulation(&test_run(61), 4);
         let pts = &fig.series[0].points;
         assert_eq!(pts.len(), 6);
         // Headroom helps: k = 1.5 suffers materially less stall time than
@@ -440,7 +442,7 @@ mod tests {
 
     #[test]
     fn sack_helps_under_bursty_loss() {
-        let t = ext_sack_ablation(63);
+        let t = ext_sack_ablation(&test_run(63));
         for row in &t.rows {
             let slowdown: f64 = row[3].trim_end_matches('x').parse().unwrap();
             assert!(slowdown >= 0.85, "SACK materially slower than NewReno: {row:?}");
@@ -452,7 +454,7 @@ mod tests {
 
     #[test]
     fn traffic_structure_survives_controller_swap() {
-        let t = ext_congestion_ablation(65);
+        let t = ext_congestion_ablation(&test_run(65));
         assert_eq!(t.rows.len(), 2);
         for row in &t.rows {
             let block: f64 = row[1].parse().unwrap();
@@ -469,7 +471,7 @@ mod tests {
 
     #[test]
     fn packet_level_aggregate_mean_matches_closed_form() {
-        let t = ext_aggregate_packet_level(71, 30, 900.0);
+        let t = ext_aggregate_packet_level(&test_run(71), 30, 900.0);
         let cf: f64 = t.rows[0][1].parse().unwrap();
         let measured: f64 = t.rows[0][2].parse().unwrap();
         let err = (measured - cf).abs() / cf;
@@ -482,7 +484,7 @@ mod tests {
 
     #[test]
     fn third_moment_agrees_across_strategies() {
-        let t = ext_third_moment(67);
+        let t = ext_third_moment(&test_run(67));
         let skews: Vec<f64> = t.rows.iter().map(|r| r[3].parse().unwrap()).collect();
         let base = skews[0];
         for s in &skews[1..] {

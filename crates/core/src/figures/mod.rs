@@ -6,11 +6,12 @@
 //! prints them all; `EXPERIMENTS.md` records how each compares with the
 //! published result.
 //!
-//! Functions take a `seed` (all randomness is derived from it) and, where
-//! the paper aggregated over many videos, a sample size `n` — the paper used
-//! thousands of sessions; the defaults here are sized so the full suite
-//! regenerates in minutes on a laptop, and the CDFs are already stable at
-//! these sizes.
+//! Functions take the [`Run`] — its root `seed` (all randomness is derived
+//! from it), its worker count and, when collected, its QoE table — and,
+//! where the paper aggregated over many videos, a sample size `n`: the
+//! paper used thousands of sessions; the defaults here are sized so the full
+//! suite regenerates in minutes on a laptop, and the CDFs are already stable
+//! at these sizes.
 
 mod blocks;
 mod buffering;
@@ -37,8 +38,58 @@ use vstream_sim::{derive_seed, SimDuration};
 use vstream_tcp::TcpConfig;
 use vstream_workload::{Client, Container, Dataset};
 
-use crate::query::SessionQuery;
-use crate::session::SessionSpec;
+use crate::qoe::{QoeRow, QoeTable};
+use crate::query::{SessionQuery, SessionReply};
+use crate::session::{batch_resolve, SessionSpec};
+
+/// One figure run: what every driver reads besides its own arguments.
+/// Sessions are pure functions of specs derived from `seed` alone, so the
+/// figures and the QoE table are byte-identical at any `jobs`, and two runs
+/// in one process share nothing.
+#[derive(Debug)]
+pub struct Run {
+    /// Root seed every driver derives its sessions from.
+    pub seed: u64,
+    /// Worker threads per batch (`0` and `1` both stay on the calling thread).
+    pub jobs: usize,
+    /// The per-session QoE table (`qoe_sessions.csv`), when collected.
+    pub qoe: Option<QoeTable>,
+}
+
+impl Run {
+    /// Resolves every spec into the queried features, ordered by spec index
+    /// (`None` marks inapplicable Table 1 cells), appending the batch's QoE
+    /// rows to the run's table.
+    pub fn query(&mut self, specs: &[SessionSpec], query: &SessionQuery) -> Vec<Option<SessionReply>> {
+        self.resolve(specs, query, |_, reply| reply)
+    }
+
+    /// [`Run::query`] reducing each reply to `f(index, reply)` in the worker.
+    /// The QoE row is read off the reply there, before `f` consumes it, and
+    /// appended in spec order after the workers join.
+    pub(crate) fn resolve<T: Send>(
+        &mut self,
+        specs: &[SessionSpec],
+        query: &SessionQuery,
+        f: impl Fn(usize, SessionReply) -> T + Sync,
+    ) -> Vec<Option<T>> {
+        let rows = self.qoe.is_some();
+        let resolved = batch_resolve(specs, self.jobs, query, |i, reply| {
+            (rows.then(|| QoeRow::of(&specs[i], &reply.logic)), f(i, reply))
+        });
+        let table = &mut self.qoe;
+        resolved
+            .into_iter()
+            .map(|r| {
+                let (row, t) = r?;
+                if let (Some(table), Some(row)) = (table.as_mut(), row) {
+                    table.push(row);
+                }
+                Some(t)
+            })
+            .collect()
+    }
+}
 
 /// The paper's capture duration per video (§4.2).
 pub const CAPTURE: SimDuration = SimDuration::from_secs(180);
@@ -160,5 +211,15 @@ impl SessionLogic for CustomPaced {
     }
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         self.inner.on_app_timer(eng, id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Run;
+
+    /// A run of the unit tests: `seed`, every core, no QoE table.
+    pub(crate) fn test_run(seed: u64) -> Run {
+        Run { seed, jobs: vstream_sim::default_jobs(), qoe: None }
     }
 }

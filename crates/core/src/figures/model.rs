@@ -8,7 +8,7 @@ use vstream_model::{
 };
 use vstream_sim::{par_indexed, SimRng};
 
-use crate::figures::MC_HORIZON_SECS;
+use crate::figures::{Run, MC_HORIZON_SECS};
 use crate::report::{FigureData, Series, TableData};
 
 fn population(lambda: f64) -> PopulationModel {
@@ -23,7 +23,7 @@ fn population(lambda: f64) -> PopulationModel {
 /// §6.1: closed-form vs Monte-Carlo moments of the aggregate rate, per
 /// strategy, over a λ sweep, each Monte Carlo over 4 000 s (`MC_HORIZON_SECS`).
 /// Demonstrates Eq. (3)/(4) and the strategy-independence result.
-pub fn model_aggregate_moments(seed: u64) -> TableData {
+pub fn model_aggregate_moments(run: &Run) -> TableData {
     const LAMBDAS: [f64; 3] = [0.5, 1.0, 2.0];
     let strategies = [
         ("no ON-OFF", FluidStrategy::Bulk),
@@ -35,7 +35,7 @@ pub fn model_aggregate_moments(seed: u64) -> TableData {
     // batch and are collected in sweep order.
     let rows = par_indexed(
         LAMBDAS.len() * strategies.len(),
-        crate::session::default_jobs(),
+        run.jobs,
         |j| {
             let lambda = LAMBDAS[j / strategies.len()];
             let (name, strategy) = strategies[j % strategies.len()];
@@ -43,7 +43,7 @@ pub fn model_aggregate_moments(seed: u64) -> TableData {
             let mean_cf = pop.expected_mean_bps();
             let var_cf = pop.expected_variance();
             let sim = FluidSim::new(pop, strategy);
-            let (mean, var) = sim.moments(seed, MC_HORIZON_SECS, 0.5);
+            let (mean, var) = sim.moments(run.seed, MC_HORIZON_SECS, 0.5);
             vec![
                 format!("{lambda:.1}"),
                 name.to_string(),
@@ -95,7 +95,7 @@ pub fn model_smoothing() -> FigureData {
 /// 1. the Eq. (7) numeric example (the 53.3 s threshold),
 /// 2. wasted bytes vs watched fraction β for the three strategies'
 ///    buffering/accumulation parameters.
-pub fn model_interruption_waste(seed: u64) -> (f64, FigureData) {
+pub fn model_interruption_waste(run: &Run) -> (f64, FigureData) {
     let threshold = full_download_duration_threshold(40.0, 1.25, 0.2);
 
     // Strategy parameter sets: (label, buffered playback seconds,
@@ -106,7 +106,7 @@ pub fn model_interruption_waste(seed: u64) -> (f64, FigureData) {
         ("Short ON-OFF (Flash: 40 s, k=1.25)", 40.0, 1.25),
         ("Long ON-OFF (Chrome: ~80 s, k=1.25)", 80.0, 1.25),
     ];
-    let mut rng = SimRng::new(seed);
+    let mut rng = SimRng::new(run.seed);
     // A fixed sampled video population, shared across strategies.
     let videos: Vec<(f64, f64)> = (0..2000)
         .map(|_| {
@@ -148,10 +148,11 @@ pub fn model_interruption_waste(seed: u64) -> (f64, FigureData) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::test_run;
 
     #[test]
     fn aggregate_table_mc_matches_closed_form() {
-        let t = model_aggregate_moments(51);
+        let t = model_aggregate_moments(&test_run(51));
         assert_eq!(t.rows.len(), 9);
         for row in &t.rows {
             let mean_cf: f64 = row[2].parse().unwrap();
@@ -177,7 +178,7 @@ mod tests {
 
     #[test]
     fn interruption_threshold_and_ordering() {
-        let (threshold, fig) = model_interruption_waste(53);
+        let (threshold, fig) = model_interruption_waste(&test_run(53));
         assert!((threshold - 53.333).abs() < 0.01);
         // At beta = 0.2 (index 3), bulk wastes the most, short the least.
         let waste_at = |idx: usize| fig.series[idx].points[3].1;
@@ -190,7 +191,7 @@ mod tests {
 
     #[test]
     fn waste_decreases_as_people_watch_more() {
-        let (_, fig) = model_interruption_waste(55);
+        let (_, fig) = model_interruption_waste(&test_run(55));
         for s in &fig.series {
             let first = s.points.first().unwrap().1;
             let last = s.points.last().unwrap().1;

@@ -6,29 +6,29 @@ use vstream_net::NetworkProfile;
 use vstream_sim::derive_seed;
 use vstream_workload::{Client, Container, Dataset};
 
-use crate::figures::{long_video, CustomPaced, CAPTURE};
-use crate::query::{query_many, SessionQuery};
+use crate::figures::{long_video, CustomPaced, Run, CAPTURE};
+use crate::query::SessionQuery;
 use crate::report::{FigureData, Series};
 use crate::session::SessionSpec;
 
 /// Fig. 8: for bulk (no ON-OFF) sessions the download rate is set by the
 /// available bandwidth, not the encoding rate. Returns the scatter plus the
 /// rate/download-rate correlation (the paper reports none visible).
-pub fn fig8_bulk_rates(seed: u64, n: usize) -> (FigureData, f64) {
+pub fn fig8_bulk_rates(run: &mut Run, n: usize) -> (FigureData, f64) {
     let specs: Vec<SessionSpec> = (0..n)
         .map(|i| {
             SessionSpec::new(
                 Client::Firefox, // any browser: Flash HD is browser-independent
                 Container::FlashHd,
-                Dataset::YouHd.sample_indexed(seed, i as u64),
+                Dataset::YouHd.sample_indexed(run.seed, i as u64),
                 NetworkProfile::Research,
-                derive_seed(seed, &[0xF16, i as u64]),
+                derive_seed(run.seed, &[0xF16, i as u64]),
                 CAPTURE,
             )
         })
         .collect();
     let query = SessionQuery::default().totals();
-    let points: Vec<(f64, f64)> = query_many(&specs, &query)
+    let points: Vec<(f64, f64)> = run.query(&specs, &query)
         .into_iter()
         .enumerate()
         .filter_map(|(i, reply)| {
@@ -59,7 +59,7 @@ pub fn fig8_bulk_rates(seed: u64, n: usize) -> (FigureData, f64) {
 /// within the first RTT of each steady-state ON period, per application.
 /// Entire blocks arriving within one RTT mean the congestion window was not
 /// reset across the OFF period.
-pub fn fig9_ack_clock(seed: u64) -> FigureData {
+pub fn fig9_ack_clock(run: &mut Run) -> FigureData {
     let cases: [(&str, Client, Container, u64); 5] = [
         ("Flash", Client::Firefox, Container::Flash, 1_000_000),
         ("Int. Explorer", Client::InternetExplorer, Container::Html5, 1_000_000),
@@ -78,13 +78,13 @@ pub fn fig9_ack_clock(seed: u64) -> FigureData {
                 container,
                 long_video(i as u64, rate),
                 NetworkProfile::Research,
-                seed.wrapping_add(i as u64),
+                run.seed.wrapping_add(i as u64),
                 CAPTURE,
             )
         })
         .collect();
     let query = SessionQuery::default().ack_clock();
-    let per_case = query_many(&specs, &query);
+    let per_case = run.query(&specs, &query);
     let mut series = Vec::new();
     for (case, reply) in cases.iter().zip(per_case) {
         let samples = reply
@@ -112,16 +112,17 @@ pub fn fig9_ack_clock(seed: u64) -> FigureData {
 /// (RFC 5681 §4.1). Returns `(median first-RTT kB without reset, with
 /// reset)` for the Flash strategy — quantifying how much burstiness the
 /// missing ack clock adds.
-pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
+pub fn fig9_idle_reset_ablation(run: &Run) -> (f64, f64) {
     use vstream_app::strategies::{ServerPacedConfig, ServerPacedLogic};
     use vstream_sim::SimDuration;
     use vstream_tcp::TcpConfig;
 
-    use crate::session::{default_jobs, par_sessions, run_engine};
+    use crate::session::{par_sessions, run_engine};
 
+    let seed = run.seed;
     let cfg = AnalysisConfig::default();
     // Both runs share the seed (identical network conditions).
-    let medians = par_sessions(2, default_jobs(), |scratch, i| {
+    let medians = par_sessions(2, run.jobs, |scratch, i| {
         let idle_reset = i == 1;
         let path = NetworkProfile::Research.build_path();
         let capture = SimDuration::from_secs(120);
@@ -152,10 +153,11 @@ pub fn fig9_idle_reset_ablation(seed: u64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::test_run;
 
     #[test]
     fn fig8_download_rate_uncorrelated_with_encoding() {
-        let (fig, corr) = fig8_bulk_rates(31, 8);
+        let (fig, corr) = fig8_bulk_rates(&mut test_run(31), 8);
         let pts = &fig.series[0].points;
         assert!(pts.len() >= 6);
         // All downloads run at tens of Mbps regardless of encoding rate.
@@ -170,7 +172,7 @@ mod tests {
 
     #[test]
     fn fig9_flash_blocks_arrive_back_to_back() {
-        let fig = fig9_ack_clock(33);
+        let fig = fig9_ack_clock(&mut test_run(33));
         let flash = fig
             .series
             .iter()
@@ -187,7 +189,7 @@ mod tests {
 
     #[test]
     fn fig9_applications_differ() {
-        let fig = fig9_ack_clock(35);
+        let fig = fig9_ack_clock(&mut test_run(35));
         assert!(fig.series.len() >= 4);
         // Long-cycle clients (Chrome/Android) receive far more in the first
         // RTT than Flash's 64 kB blocks.
@@ -203,7 +205,7 @@ mod tests {
 
     #[test]
     fn idle_reset_ablation_restores_ack_clock() {
-        let (no_reset, with_reset) = fig9_idle_reset_ablation(37);
+        let (no_reset, with_reset) = fig9_idle_reset_ablation(&test_run(37));
         // Without reset the whole 64 kB block is back-to-back; with reset
         // only the restart window (4 MSS ≈ 5.8 kB) arrives in the first RTT.
         assert!(no_reset > 50.0, "no-reset median {no_reset:.1} kB");

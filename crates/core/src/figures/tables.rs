@@ -5,8 +5,8 @@ use vstream_net::NetworkProfile;
 use vstream_sim::SimDuration;
 use vstream_workload::{table1_expected, valid_profiles, Client, Container};
 
-use crate::figures::{long_video, CAPTURE};
-use crate::query::{query_many, SessionQuery};
+use crate::figures::{long_video, Run, CAPTURE};
+use crate::query::SessionQuery;
 use crate::report::TableData;
 use crate::session::SessionSpec;
 
@@ -33,7 +33,7 @@ impl MatrixCell {
 /// Reproduces Table 1: runs every applicable application × container cell,
 /// classifies the capture, and compares with the paper. Returns the table
 /// plus the raw cells for programmatic checks.
-pub fn table1_strategy_matrix(seed: u64) -> (TableData, Vec<MatrixCell>) {
+pub fn table1_strategy_matrix(run: &mut Run) -> (TableData, Vec<MatrixCell>) {
     let cfg = AnalysisConfig::default();
     // First pass: enumerate the applicable cells. The seed formula indexes
     // cells by their enumeration position, so it is already
@@ -63,14 +63,14 @@ pub fn table1_strategy_matrix(seed: u64) -> (TableData, Vec<MatrixCell>) {
                 container,
                 long_video(1, rate),
                 profile,
-                seed ^ (specs.len() as u64) << 8,
+                run.seed ^ (specs.len() as u64) << 8,
                 CAPTURE,
             ));
             expectations.push(expected);
         }
     }
     let query = SessionQuery::default().onoff();
-    let measured: Vec<Option<Strategy>> = query_many(&specs, &query)
+    let measured: Vec<Option<Strategy>> = run.query(&specs, &query)
         .into_iter()
         .map(|reply| {
             reply.map(|r| classify_analysis(r.answer.onoff.as_ref().expect("onoff queried"), &cfg))
@@ -122,7 +122,7 @@ const TABLE2_WATCH_SECS: u64 = 60;
 /// Quantified Table 2: for each strategy, measures what the paper describes
 /// qualitatively — receive-side buffer occupancy and unused bytes when the
 /// viewer quits after 60 s (`TABLE2_WATCH_SECS`).
-pub fn table2_strategy_comparison(seed: u64) -> TableData {
+pub fn table2_strategy_comparison(run: &mut Run) -> TableData {
     let video = long_video(1, 1_200_000);
     let watch = SimDuration::from_secs(TABLE2_WATCH_SECS);
     let cases: [(&str, Client, Container, &str); 3] = [
@@ -135,12 +135,12 @@ pub fn table2_strategy_comparison(seed: u64) -> TableData {
     let specs: Vec<SessionSpec> = cases
         .iter()
         .map(|&(_, client, container, _)| {
-            SessionSpec::new(client, container, video, NetworkProfile::Research, seed, CAPTURE)
+            SessionSpec::new(client, container, video, NetworkProfile::Research, run.seed, CAPTURE)
                 .interrupted(watch)
         })
         .collect();
     let query = SessionQuery::default().totals();
-    let outs = query_many(&specs, &query);
+    let outs = run.query(&specs, &query);
     let mut rows = Vec::new();
     for ((name, _, _, engineering), out) in cases.into_iter().zip(outs) {
         let out = out.expect("applicable cell");
@@ -173,10 +173,11 @@ pub fn table2_strategy_comparison(seed: u64) -> TableData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::test_run;
 
     #[test]
     fn table1_reproduces_the_paper() {
-        let (table, cells) = table1_strategy_matrix(41);
+        let (table, cells) = table1_strategy_matrix(&mut test_run(41));
         assert_eq!(cells.len(), 16);
         let mismatches: Vec<String> = cells
             .iter()
@@ -201,7 +202,7 @@ mod tests {
 
     #[test]
     fn table2_orders_buffer_occupancy_and_waste() {
-        let t = table2_strategy_comparison(43);
+        let t = table2_strategy_comparison(&mut test_run(43));
         assert_eq!(t.rows.len(), 3);
         let col = |row: usize, col: usize| -> f64 { t.rows[row][col].parse().unwrap() };
         // Buffer occupancy: No > Long > Short (Table 2's Large/Moderate/

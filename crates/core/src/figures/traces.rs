@@ -4,8 +4,8 @@ use vstream_net::NetworkProfile;
 use vstream_sim::{SimDuration, SimTime};
 use vstream_workload::{Client, Container};
 
-use crate::figures::{long_video, CAPTURE};
-use crate::query::{query_many, SessionQuery, SessionReply};
+use crate::figures::{long_video, Run, CAPTURE};
+use crate::query::{SessionQuery, SessionReply};
 use crate::report::{FigureData, Series};
 use crate::session::SessionSpec;
 
@@ -28,15 +28,15 @@ fn window_scaled(reply: &SessionReply, div: f64) -> Vec<(f64, f64)> {
 
 /// Fig. 1: the phases of a video download — buffering phase, then ON-OFF
 /// cycles in the steady state. One server-paced (Flash) session.
-pub fn fig1_phases(seed: u64) -> FigureData {
+pub fn fig1_phases(run: &mut Run) -> FigureData {
     let query = SessionQuery::default().download(SimDuration::from_millis(50));
-    let mut outs = query_many(
+    let mut outs = run.query(
         &[SessionSpec::new(
             Client::Firefox,
             Container::Flash,
             long_video(1, 1_000_000),
             NetworkProfile::Research,
-            seed,
+            run.seed,
             SimDuration::from_secs(60),
         )],
         &query,
@@ -55,21 +55,21 @@ pub fn fig1_phases(seed: u64) -> FigureData {
 /// advertised receive window (b) for one Flash and one HTML5-on-IE session.
 /// The Flash window never empties (server-side pacing); the HTML5 window
 /// periodically collapses to zero (client-side pacing).
-pub fn fig2_short_onoff(seed: u64) -> (FigureData, FigureData) {
+pub fn fig2_short_onoff(run: &mut Run) -> (FigureData, FigureData) {
     let window = SimDuration::from_secs(10);
     let query = SessionQuery::default()
         .download(SimDuration::from_millis(20))
         .window(0);
     // Identity-indexed seeds (seed, seed + 1): the two sessions run as one
     // parallel batch.
-    let mut outs = query_many(
+    let mut outs = run.query(
         &[
             SessionSpec::new(
                 Client::InternetExplorer,
                 Container::Flash,
                 long_video(1, 1_500_000),
                 NetworkProfile::Research,
-                seed,
+                run.seed,
                 window,
             ),
             SessionSpec::new(
@@ -77,7 +77,7 @@ pub fn fig2_short_onoff(seed: u64) -> (FigureData, FigureData) {
                 Container::Html5,
                 long_video(2, 1_500_000),
                 NetworkProfile::Research,
-                seed.wrapping_add(1),
+                run.seed.wrapping_add(1),
                 window,
             ),
         ],
@@ -113,17 +113,17 @@ pub fn fig2_short_onoff(seed: u64) -> (FigureData, FigureData) {
 /// Fig. 6(a): long ON-OFF cycles — download amount and receive window for a
 /// Chrome HTML5 session. OFF periods last tens of seconds and the window
 /// empties between pulls.
-pub fn fig6a_long_onoff(seed: u64) -> FigureData {
+pub fn fig6a_long_onoff(run: &mut Run) -> FigureData {
     let query = SessionQuery::default()
         .download(SimDuration::from_millis(200))
         .window(0);
-    let mut outs = query_many(
+    let mut outs = run.query(
         &[SessionSpec::new(
             Client::Chrome,
             Container::Html5,
             long_video(1, 1_200_000),
             NetworkProfile::Research,
-            seed,
+            run.seed,
             CAPTURE,
         )],
         &query,
@@ -144,17 +144,17 @@ pub fn fig6a_long_onoff(seed: u64) -> FigureData {
 /// Fig. 7(a): the iPad's mixture of strategies — two videos with different
 /// encoding rates produce different patterns (many-connection periodic
 /// buffering vs short cycles).
-pub fn fig7a_ipad_traces(seed: u64) -> FigureData {
+pub fn fig7a_ipad_traces(run: &mut Run) -> FigureData {
     let window = SimDuration::from_secs(50);
     let query = SessionQuery::default().download(SimDuration::from_millis(100));
-    let mut outs = query_many(
+    let mut outs = run.query(
         &[
             SessionSpec::new(
                 Client::Ipad,
                 Container::Html5,
                 long_video(1, 2_500_000),
                 NetworkProfile::Research,
-                seed,
+                run.seed,
                 window,
             ),
             SessionSpec::new(
@@ -162,7 +162,7 @@ pub fn fig7a_ipad_traces(seed: u64) -> FigureData {
                 Container::Html5,
                 long_video(2, 400_000),
                 NetworkProfile::Research,
-                seed.wrapping_add(1),
+                run.seed.wrapping_add(1),
                 window,
             ),
         ],
@@ -184,16 +184,16 @@ pub fn fig7a_ipad_traces(seed: u64) -> FigureData {
 
 /// Fig. 10: Netflix traces — short ON-OFF cycles for PC and iPad (a), long
 /// cycles for Android (b). All on the Academic network, as measured.
-pub fn fig10_netflix_traces(seed: u64) -> (FigureData, FigureData) {
+pub fn fig10_netflix_traces(run: &mut Run) -> (FigureData, FigureData) {
     let query = SessionQuery::default().download(SimDuration::from_millis(200));
-    let mut outs = query_many(
+    let mut outs = run.query(
         &[
             SessionSpec::new(
                 Client::Firefox,
                 Container::Silverlight,
                 long_video(1, 3_000_000),
                 NetworkProfile::Academic,
-                seed,
+                run.seed,
                 SimDuration::from_secs(100),
             ),
             SessionSpec::new(
@@ -201,7 +201,7 @@ pub fn fig10_netflix_traces(seed: u64) -> (FigureData, FigureData) {
                 Container::Silverlight,
                 long_video(2, 1_600_000),
                 NetworkProfile::Academic,
-                seed.wrapping_add(1),
+                run.seed.wrapping_add(1),
                 SimDuration::from_secs(100),
             ),
             SessionSpec::new(
@@ -209,7 +209,7 @@ pub fn fig10_netflix_traces(seed: u64) -> (FigureData, FigureData) {
                 Container::Silverlight,
                 long_video(3, 1_600_000),
                 NetworkProfile::Academic,
-                seed.wrapping_add(2),
+                run.seed.wrapping_add(2),
                 SimDuration::from_secs(150),
             ),
         ],
@@ -242,11 +242,12 @@ pub fn fig10_netflix_traces(seed: u64) -> (FigureData, FigureData) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::tests::test_run;
     use vstream_analysis::{AnalysisConfig, OnOffAnalysis};
 
     #[test]
     fn fig1_shows_buffering_then_steps() {
-        let fig = fig1_phases(1);
+        let fig = fig1_phases(&mut test_run(1));
         let s = &fig.series[0];
         assert!(s.points.len() > 10);
         // Monotone non-decreasing cumulative download.
@@ -258,7 +259,7 @@ mod tests {
 
     #[test]
     fn fig2_flash_window_stays_open_html5_hits_zero() {
-        let (_, windows) = fig2_short_onoff(2);
+        let (_, windows) = fig2_short_onoff(&mut test_run(2));
         let html5 = &windows.series[0];
         let flash = &windows.series[1];
         assert!(
@@ -271,7 +272,7 @@ mod tests {
 
     #[test]
     fn fig6a_has_long_off_periods() {
-        let fig = fig6a_long_onoff(3);
+        let fig = fig6a_long_onoff(&mut test_run(3));
         // Reconstruct gaps from the download series: at least one OFF gap
         // beyond 20 s.
         let s = &fig.series[0];
@@ -285,7 +286,7 @@ mod tests {
 
     #[test]
     fn fig10_netflix_shapes() {
-        let (short, long) = fig10_netflix_traces(4);
+        let (short, long) = fig10_netflix_traces(&mut test_run(4));
         assert_eq!(short.series.len(), 2);
         // PC downloads much more than iPad in the same window (50 vs 10 MB
         // buffering).

@@ -49,9 +49,11 @@
 //! | `vstream` (this crate) | experiment runner: one function per figure/table |
 //!
 //! The [`figures`] module regenerates every figure and table of the paper's
-//! evaluation, fanning each figure's independent sessions out across cores
-//! through [`query_many`] (see `--jobs` on the `repro` binary; output
-//! is byte-identical for any worker count): analysis folds ride each
+//! evaluation. Each driver takes a [`figures::Run`] — the root seed, the
+//! worker count (`--jobs` on the `repro` binary) and, with `--csv`, the
+//! per-session [QoE table](qoe::QoeTable) — and fans its independent
+//! sessions out across that many workers through [`figures::Run::query`];
+//! output is byte-identical for any worker count. Analysis folds ride each
 //! session's live packet tap, so no figure retains a packet trace. Because
 //! figures revisit the same (client, container, video, profile) cells, the
 //! [`cache`] module memoizes finished replies across figures within a run —
@@ -71,7 +73,7 @@ pub mod report;
 mod session;
 
 pub use query::{
-    query_many, query_many_jobs, reply_from_outcome, SessionAnswer, SessionQuery, SessionReply,
+    query_many_jobs, reply_from_outcome, SessionAnswer, SessionQuery, SessionReply,
 };
-pub use session::{default_jobs, set_default_jobs, CellOutcome, SessionSpec};
+pub use session::{CellOutcome, SessionSpec};
 pub use vstream_app::engine::SessionScratch;

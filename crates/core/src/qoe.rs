@@ -7,15 +7,14 @@
 //! figure and spec identity.
 //!
 //! Determinism is the design constraint. A row is a pure function of the
-//! session's [`SessionSpec`] and its post-run [`StrategyLogic`], which
-//! every [`SessionReply`](crate::SessionReply) carries whether it
-//! was just computed or cloned from the cache, so the table is
-//! byte-identical across `--jobs` and cache on/off. Rows are
-//! computed inside the batch fan-out but pushed to the collector in
-//! ascending spec order after the scatter, so worker completion order
-//! never shows. All numeric formatting is integer-only (microsecond-based
-//! fixed decimals, parts-per-million ratios): no float rounding is ever
-//! involved.
+//! session's [`SessionSpec`] and its post-run [`StrategyLogic`], which every
+//! [`SessionReply`](crate::SessionReply) carries whether it was just
+//! computed or cloned from the cache, so the table is byte-identical across
+//! `--jobs` and cache on/off. Rows are computed inside the batch fan-out but
+//! appended to the run's [`QoeTable`] in ascending spec order after the
+//! scatter, so worker completion order never shows, and no two runs share a
+//! table. All numeric formatting is integer-only (microsecond-based fixed
+//! decimals, parts-per-million ratios): no float rounding is ever involved.
 //!
 //! The player's counters are the one source of these numbers: the ledger's
 //! `app_*` slots and the flight recorder's dump footer read the same
@@ -24,7 +23,7 @@
 //! table must not depend on tracing being enabled. The flight-recorder test
 //! suite holds a reduction of full event streams equal to [`QoeSummary`].
 
-use std::sync::Mutex;
+use std::fmt::Write as _;
 
 use vstream_workload::StrategyLogic;
 
@@ -139,72 +138,39 @@ impl QoeRow {
 }
 
 /// The table header.
-pub(crate) const CSV_HEADER: &str = "figure,index,client,container,profile,video,seed,startup_ms,\
+const CSV_HEADER: &str = "figure,index,client,container,profile,video,seed,startup_ms,\
 stalls,stalls_completed,stall_total_ms,stall_mean_ms,stall_max_ms,stall_ratio,blocks,\
 block_rate_per_min,switches,switch_rate_per_min";
 
-struct State {
-    /// Figure id rows are currently attributed to.
+/// The QoE table of one figure run: one CSV line per spec-driven session,
+/// keyed by figure and per-figure index. A [`Run`](crate::figures::Run)
+/// owns it and appends each batch's rows in spec order after the batch.
+#[derive(Debug, Default)]
+pub struct QoeTable {
+    /// Figure id, and index of its next row.
     figure: String,
-    /// Per-figure running row index (sessions within a figure are pushed
-    /// in deterministic batch order).
     next_index: u64,
-    /// Fully formatted CSV lines, in emission order.
-    lines: Vec<String>,
+    /// The CSV rows, one line each, in emission order.
+    rows: String,
 }
 
-/// The installed collector; `None` when no table is being collected.
-static STATE: Mutex<Option<State>> = Mutex::new(None);
-
-/// Installs the QoE collector (idempotent; clears any previous rows).
-pub fn install() {
-    let mut g = STATE.lock().expect("qoe state poisoned");
-    *g = Some(State { figure: String::new(), next_index: 0, lines: Vec::new() });
-}
-
-/// Whether a collector is installed. The batch layer reads it once per
-/// batch, so a lock is no cost.
-pub(crate) fn is_active() -> bool {
-    STATE.lock().expect("qoe state poisoned").is_some()
-}
-
-/// Attributes subsequent rows to `figure` and resets its row index.
-pub fn begin_figure(figure: &str) {
-    let mut g = STATE.lock().expect("qoe state poisoned");
-    if let Some(state) = g.as_mut() {
-        state.figure = figure.to_string();
-        state.next_index = 0;
+impl QoeTable {
+    /// Attributes the rows that follow to `figure`, indexed from 0.
+    pub fn start_figure(&mut self, figure: &str) {
+        self.figure = figure.to_string();
+        self.next_index = 0;
     }
-}
 
-/// Appends one batch's rows, already in ascending spec order (`None` marks
-/// inapplicable cells, which occupy no row). Called once per batch from the
-/// session layer, after the parallel scatter — so the table's order is the
-/// deterministic batch order, independent of worker interleaving.
-pub(crate) fn push_batch(rows: Vec<Option<QoeRow>>) {
-    let mut g = STATE.lock().expect("qoe state poisoned");
-    if let Some(state) = g.as_mut() {
-        for row in rows.into_iter().flatten() {
-            let line = format!("{},{},{}", state.figure, state.next_index, row.csv_cells());
-            state.next_index += 1;
-            state.lines.push(line);
-        }
+    /// Appends the next row of the current figure.
+    pub(crate) fn push(&mut self, row: QoeRow) {
+        let _ = writeln!(self.rows, "{},{},{}", self.figure, self.next_index, row.csv_cells());
+        self.next_index += 1;
     }
-}
 
-/// Takes the accumulated table as CSV text and uninstalls the collector.
-/// `None` if no collector was installed.
-pub fn take_csv() -> Option<String> {
-    let mut g = STATE.lock().expect("qoe state poisoned");
-    let state = g.take()?;
-    let mut out = String::with_capacity(64 + state.lines.len() * 96);
-    out.push_str(CSV_HEADER);
-    out.push('\n');
-    for line in &state.lines {
-        out.push_str(line);
-        out.push('\n');
+    /// The table as CSV text: the header, then every row in order.
+    pub fn csv(&self) -> String {
+        format!("{CSV_HEADER}\n{}", self.rows)
     }
-    Some(out)
 }
 
 #[cfg(test)]

@@ -2,8 +2,11 @@
 //!
 //! A [`SessionQuery`] names the reductions a driver needs — download
 //! series, receive-window series, ON/OFF analysis, phase decomposition,
-//! ack-clock samples, capture totals — and [`query_many`] resolves a batch
-//! of specs into [`SessionReply`]s carrying exactly those features.
+//! ack-clock samples, capture totals — and a batch of specs resolves into
+//! [`SessionReply`]s carrying exactly those features: through
+//! [`Run::query`](crate::figures::Run::query) in the figure drivers, which
+//! also feeds the run's QoE table, or [`query_many_jobs`] with an explicit
+//! worker count.
 //!
 //! There is one resolution path: the query's incremental folds
 //! ([`vstream_analysis::fold`]) ride the engine's live packet tap
@@ -31,7 +34,7 @@ use vstream_sim::{SimDuration, SimTime};
 use vstream_tcp::EndpointStats;
 use vstream_workload::StrategyLogic;
 
-use crate::session::{default_jobs, CellOutcome, SessionSpec};
+use crate::session::{CellOutcome, SessionSpec};
 
 /// The features a figure driver wants from each session.
 ///
@@ -170,7 +173,7 @@ pub struct SessionAnswer {
     pub switch_counts: Option<SwitchCounts>,
 }
 
-/// Everything [`query_many`] returns per session: the computed features
+/// Everything [`query_many_jobs`] returns per session: the computed features
 /// plus the non-trace outcome fields
 /// ([`CellOutcome`] minus the capture).
 #[derive(Clone)]
@@ -354,7 +357,7 @@ impl PacketSink for CompositeFold {
     }
 }
 
-/// The oracle the test suites hold [`query_many`] against: replays the
+/// The oracle the test suites hold [`query_many_jobs`] against: replays the
 /// trace a [`SessionSpec::run`] retained through the same folds the
 /// production path runs on the live tap. Nothing in the figure drivers
 /// calls this — the live tap never has a trace to replay.
@@ -364,17 +367,12 @@ pub fn reply_from_outcome(out: CellOutcome, query: &SessionQuery) -> SessionRepl
     SessionReply::assemble(fold, query, out)
 }
 
-/// Resolves every spec into the queried features, up to
-/// [`default_jobs`] sessions in parallel,
+/// Resolves every spec into the queried features on up to `jobs` workers,
 /// ordered by spec index. `None` marks inapplicable Table 1 cells.
 ///
 /// The reply carries features and the small outcome fields only, so peak
-/// memory per worker is the fold state, never a trace.
-pub fn query_many(specs: &[SessionSpec], query: &SessionQuery) -> Vec<Option<SessionReply>> {
-    query_many_jobs(specs, default_jobs(), query)
-}
-
-/// [`query_many`] with an explicit worker count.
+/// memory per worker is the fold state, never a trace. It fills no QoE
+/// table; [`Run::query`](crate::figures::Run::query) does.
 pub fn query_many_jobs(
     specs: &[SessionSpec],
     jobs: usize,

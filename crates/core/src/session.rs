@@ -9,15 +9,14 @@
 //! function of the session's identity (use [`vstream_sim::derive_seed`]),
 //! never drawn from a shared RNG while iterating.
 //!
-//! [`query_many`](crate::query::query_many) (through `batch_resolve`) is
-//! the one batch entrance and what the figure drivers use: analysis folds on
+//! `batch_resolve` is the one batch entrance — the figure drivers reach it
+//! through [`Run::query`](crate::figures::Run::query), the campaign and
+//! [`query_many_jobs`](crate::query_many_jobs) directly: analysis folds on
 //! the live packet tap, no trace, replies memoized by the
 //! [session cache](crate::cache). [`SessionSpec::run`] runs one session
 //! with a [`Trace`] as its packet sink, retaining the capture for consumers
 //! of raw packets (pcap export, trace inspection, test oracles); it always
 //! simulates and never touches the cache.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vstream_app::engine::{Engine, SessionLogic, SessionScratch};
 use vstream_app::strategies::InterruptAfter;
@@ -32,27 +31,7 @@ use vstream_workload::{logic_for, Client, Container, StrategyLogic};
 
 use crate::cache;
 use crate::query::{CompositeFold, SessionQuery, SessionReply};
-use crate::{flight, qoe};
-
-/// Worker count used by the figure/table drivers; `0` selects the host's
-/// available parallelism.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the worker count used by batch runs that do not pass an explicit
-/// count (the figure and table drivers). `0` restores the default: one
-/// worker per available core. Results do not depend on this value — only
-/// wall-clock time does.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The worker count batch runs use when not given one explicitly.
-pub fn default_jobs() -> usize {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => vstream_sim::default_jobs(),
-        n => n,
-    }
-}
+use crate::flight;
 
 /// A complete, self-contained description of one streaming session.
 ///
@@ -362,10 +341,8 @@ pub(crate) fn par_sessions<T: Send>(
 /// index sees the reply it would have computed itself, so output is
 /// bit-identical to the uncached path at any worker count.
 ///
-/// When the [QoE collector](crate::qoe) is installed, each worker also
-/// derives a [`qoe::QoeRow`] per applicable spec during the fan-out; the
-/// rows come back by index and are pushed to the collector in ascending
-/// spec order, so the table never sees worker interleaving.
+/// It collects no QoE rows: a figure run's `Run::resolve` reads them off
+/// the replies in its reducer and appends them to the run's own table.
 pub(crate) fn batch_resolve<T, F>(
     specs: &[SessionSpec],
     jobs: usize,
@@ -376,23 +353,9 @@ where
     T: Send,
     F: Fn(usize, SessionReply) -> T + Sync,
 {
-    let collect_qoe = qoe::is_active();
-    let (results, rows): (Vec<Option<T>>, Vec<Option<qoe::QoeRow>>) =
-        par_sessions(specs.len(), jobs, |scratch, i| {
-            let reply = specs[i].obtain_reply(scratch, query);
-            let row = if collect_qoe {
-                reply.as_ref().map(|r| qoe::QoeRow::of(&specs[i], &r.logic))
-            } else {
-                None
-            };
-            (reply.map(|r| f(i, r)), row)
-        })
-        .into_iter()
-        .unzip();
-    if collect_qoe {
-        qoe::push_batch(rows);
-    }
-    results
+    par_sessions(specs.len(), jobs, |scratch, i| {
+        specs[i].obtain_reply(scratch, query).map(|reply| f(i, reply))
+    })
 }
 
 /// Everything measured from one simulated streaming session.

@@ -4,7 +4,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use vstream::campaign::{run_campaign, CampaignOptions, CampaignSpec, CampaignStrategy};
+use vstream::campaign::{
+    run_campaign, CampaignOptions, CampaignReport, CampaignSpec, CampaignStrategy,
+};
 use vstream_net::NetworkProfile;
 
 /// A campaign small enough for debug-mode CI but with several shards, all
@@ -30,6 +32,12 @@ fn small_spec(seed: u64) -> CampaignSpec {
     }
 }
 
+/// [`run_campaign`] over a valid spec and a writable ledger: `None` when
+/// `max_shards` interrupted it.
+fn campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Option<CampaignReport> {
+    run_campaign(spec, opts).expect("valid spec, writable ledger")
+}
+
 /// Fresh scratch directory for one test's ledger.
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vstream-campaign-{tag}-{}", std::process::id()));
@@ -41,7 +49,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// Renders everything `repro campaign` emits for a finished report — the
 /// key and gate lines, every table as it prints it, and every CSV — so
 /// equality means byte-identical user-visible output.
-fn render(report: &vstream::campaign::CampaignReport) -> String {
+fn render(report: &CampaignReport) -> String {
     let mut s = format!("campaign {:016x}\n{}\n", report.key, report.validation.gate_line());
     for t in &report.tables {
         s.push_str(&t.to_text());
@@ -58,7 +66,7 @@ fn resume_is_byte_identical_across_interrupts_and_jobs() {
     for seed in [11, 71] {
         let spec = small_spec(seed);
         let baseline = render(
-            &run_campaign(
+            &campaign(
                 &spec,
                 &CampaignOptions { jobs: 1, ..CampaignOptions::default() },
             )
@@ -67,7 +75,7 @@ fn resume_is_byte_identical_across_interrupts_and_jobs() {
 
         // Same campaign, eight workers, no ledger.
         let wide = render(
-            &run_campaign(
+            &campaign(
                 &spec,
                 &CampaignOptions { jobs: 8, ..CampaignOptions::default() },
             )
@@ -84,14 +92,14 @@ fn resume_is_byte_identical_across_interrupts_and_jobs() {
             max_shards: Some(1),
             ..CampaignOptions::default()
         };
-        assert!(run_campaign(&spec, &interrupted).is_none(), "first shard-budget run must stop early");
-        assert!(run_campaign(&spec, &interrupted).is_none(), "second shard-budget run must stop early");
-        let resumed = run_campaign(&spec, &interrupted)
+        assert!(campaign(&spec, &interrupted).is_none(), "first shard-budget run must stop early");
+        assert!(campaign(&spec, &interrupted).is_none(), "second shard-budget run must stop early");
+        let resumed = campaign(&spec, &interrupted)
             .expect("third run holds the final shard and completes");
         assert_eq!(baseline, render(&resumed), "seed {seed}: resumed output differs");
 
         // A fourth run finds every shard checkpointed and recomputes none.
-        let replay = run_campaign(
+        let replay = campaign(
             &spec,
             &CampaignOptions {
                 jobs: 1,
@@ -122,7 +130,7 @@ fn corrupt_or_foreign_checkpoints_are_recomputed() {
         ledger_dir: Some(dir.clone()),
         ..CampaignOptions::default()
     };
-    let baseline = render(&run_campaign(&spec, &opts).expect("first run"));
+    let baseline = render(&campaign(&spec, &opts).expect("first run"));
 
     let key = spec.key();
     let campaign_dir = dir.join(format!("campaign-{key:016x}"));
@@ -132,7 +140,7 @@ fn corrupt_or_foreign_checkpoints_are_recomputed() {
     let text = fs::read_to_string(&shard0).expect("shard 0 exists");
     fs::write(&shard0, &text[..text.len() / 2]).expect("truncate shard 0");
     fs::write(campaign_dir.join("shard-0001.ckpt"), "not a checkpoint\n").expect("corrupt shard 1");
-    let recovered = render(&run_campaign(&spec, &opts).expect("recovery run"));
+    let recovered = render(&campaign(&spec, &opts).expect("recovery run"));
     assert_eq!(baseline, recovered, "corrupted checkpoints changed the output");
     // The recovery run rewrote valid checkpoints in place.
     let rewritten = fs::read_to_string(&shard0).expect("shard 0 rewritten");
@@ -142,7 +150,7 @@ fn corrupt_or_foreign_checkpoints_are_recomputed() {
     // content-addressed directory and shares nothing.
     let other = CampaignSpec { seed: 24, ..spec.clone() };
     assert_ne!(spec.key(), other.key());
-    let _ = run_campaign(&other, &opts).expect("foreign campaign");
+    let _ = campaign(&other, &opts).expect("foreign campaign");
     assert!(dir.join(format!("campaign-{:016x}", other.key())).is_dir());
     let _ = fs::remove_dir_all(&dir);
 }
@@ -164,14 +172,14 @@ fn flip_digit(text: &str, prefix: &str, next_line: bool) -> String {
 #[test]
 fn bit_flipped_checkpoints_are_recomputed() {
     let spec = small_spec(29);
-    let one_shot = render(&run_campaign(&spec, &CampaignOptions::default()).expect("one-shot run"));
+    let one_shot = render(&campaign(&spec, &CampaignOptions::default()).expect("one-shot run"));
     let dir = scratch_dir("bitflip");
     let opts = CampaignOptions {
         jobs: 2,
         ledger_dir: Some(dir.clone()),
         ..CampaignOptions::default()
     };
-    let _ = run_campaign(&spec, &opts).expect("checkpointing run");
+    let _ = campaign(&spec, &opts).expect("checkpointing run");
 
     // One digit of the timeline in shard 0 and one of a tally in shard 1:
     // each file still parses line by line, so only the checksum catches it.
@@ -187,7 +195,7 @@ fn bit_flipped_checkpoints_are_recomputed() {
         fs::write(&path, &flipped).expect("corrupt checkpoint");
         originals.push((path, text));
     }
-    let resumed = render(&run_campaign(&spec, &opts).expect("resume over the corrupted ledger"));
+    let resumed = render(&campaign(&spec, &opts).expect("resume over the corrupted ledger"));
     assert_eq!(one_shot, resumed, "a bit-flipped checkpoint changed the output");
     for (path, text) in originals {
         assert_eq!(fs::read_to_string(&path).expect("rewritten"), text, "{path:?} not recomputed");
@@ -247,14 +255,14 @@ fn as_v2_checkpoint(v3: &str) -> String {
 #[test]
 fn previous_format_checkpoints_are_recomputed() {
     let spec = small_spec(31);
-    let one_shot = render(&run_campaign(&spec, &CampaignOptions::default()).expect("one-shot run"));
+    let one_shot = render(&campaign(&spec, &CampaignOptions::default()).expect("one-shot run"));
     let dir = scratch_dir("v2");
     let opts = CampaignOptions {
         jobs: 2,
         ledger_dir: Some(dir.clone()),
         ..CampaignOptions::default()
     };
-    let _ = run_campaign(&spec, &opts).expect("checkpointing run");
+    let _ = campaign(&spec, &opts).expect("checkpointing run");
 
     let campaign_dir = dir.join(format!("campaign-{:016x}", spec.key()));
     let mut originals = Vec::new();
@@ -268,8 +276,8 @@ fn previous_format_checkpoints_are_recomputed() {
     // Only a recomputing run may finish: a zero shard budget stops at the
     // first checkpoint it does not trust.
     let budget = CampaignOptions { max_shards: Some(0), ..opts.clone() };
-    assert!(run_campaign(&spec, &budget).is_none(), "a v2 checkpoint was trusted");
-    let resumed = render(&run_campaign(&spec, &opts).expect("resume over the v2 ledger"));
+    assert!(campaign(&spec, &budget).is_none(), "a v2 checkpoint was trusted");
+    let resumed = render(&campaign(&spec, &opts).expect("resume over the v2 ledger"));
     assert_eq!(one_shot, resumed, "a v2 checkpoint changed the output");
     for (path, text) in originals {
         assert_eq!(fs::read_to_string(&path).expect("rewritten"), text, "{path:?} not recomputed");
@@ -289,7 +297,7 @@ fn cross_validation_gate_holds_on_the_default_population() {
         duration_secs: (60.0, 120.0),
         ..CampaignSpec::for_viewers(100_000)
     };
-    let report = run_campaign(&spec, &CampaignOptions::default()).expect("uninterrupted");
+    let report = campaign(&spec, &CampaignOptions::default()).expect("uninterrupted");
     let v = &report.validation;
     assert!(
         v.pass(),
@@ -306,4 +314,21 @@ fn cross_validation_gate_holds_on_the_default_population() {
     // The report carries the verdict and the capacity curve.
     assert!(render(&report).contains("cross-validation gate: PASS"));
     assert!(report.tables.iter().any(|t| t.id == "campaign-capacity"));
+}
+
+/// A spec that fails `CampaignSpec::validate` is an error before any shard
+/// runs or the ledger directory is created, not a panic.
+#[test]
+fn invalid_spec_is_an_error_before_any_shard() {
+    let mut spec = small_spec(5);
+    spec.packet_sessions = 0;
+    let dir = std::env::temp_dir().join(format!("vstream-campaign-invalid-{}", std::process::id()));
+    let opts = CampaignOptions { ledger_dir: Some(dir.clone()), ..CampaignOptions::default() };
+    match run_campaign(&spec, &opts) {
+        Err(vstream::campaign::CampaignError::Spec(why)) => {
+            assert!(why.contains("packet shard"), "{why}")
+        }
+        other => panic!("expected a spec error, got {:?}", other.map(|r| r.is_some())),
+    }
+    assert!(!dir.exists(), "a rejected campaign must not create its ledger directory");
 }

@@ -4,19 +4,20 @@
 //!
 //! Run with: `cargo run --release --example strategy_comparison`
 
-use vstream::figures::table1_strategy_matrix;
+use vstream::figures::{table1_strategy_matrix, Run};
 use vstream::SessionSpec;
 use vstream_analysis::TotalsFold;
 use vstream_app::Video;
 use vstream_net::NetworkProfile;
-use vstream_sim::SimDuration;
+use vstream_sim::{default_jobs, SimDuration};
 use vstream_workload::{table1_expected, Client, Container};
 
 fn main() {
     println!("Running every application x container combination (this streams");
     println!("16 sessions of 180 simulated seconds each)...\n");
 
-    let (table, cells) = table1_strategy_matrix(2026);
+    let mut run = Run { seed: 2026, jobs: default_jobs(), qoe: None };
+    let (table, cells) = table1_strategy_matrix(&mut run);
     println!("{}", table.to_text());
 
     println!("Paper's Table 1 for comparison:");

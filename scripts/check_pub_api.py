@@ -17,7 +17,14 @@ text up to its `#[cfg(test)] mod tests`, skipping items that are themselves
   - a `pub fn`, a `pub struct/enum/const/type/trait/static`, or a `pub`
     field whose name appears as a word in no file outside its crate;
   - an allow-list entry that no longer excuses anything: its item is gone,
-    or it has gained an outside user.
+    or it has gained an outside user;
+  - a process global: a `static` (of any crate, the `repro` binary's too)
+    whose type holds a `Mutex`, `RwLock`, `Atomic*`, `OnceLock` or
+    `LazyLock`, unless the `STATICS` list names it with a reason — and a
+    `STATICS` entry that names no such static. State a run needs is passed
+    as a value (`figures::Run`); the five globals left are pinned by the
+    benchmark driver, which calls the functions behind them, until ROADMAP
+    item 1 releases them.
 
 "Outside" is:
 
@@ -34,7 +41,8 @@ Usage: python3 scripts/check_pub_api.py [--list]
   exit 0 when every rule holds, exit 1 (and one `crate path:line kind name`
   line per finding) otherwise.
   --list prints one count per kind (modules, root re-exports, fns,
-  types/consts, fields) and the non-test source line count.
+  types/consts, fields), the process statics and the non-test source line
+  count.
 """
 
 import os
@@ -55,7 +63,7 @@ SIGNATURE = "named by a public signature: "
 ALLOW = {
     ("reexport", "core", "SessionScratch"): DRIVER_PINNED,
     ("reexport", "core", "collector"):
-        "repro depends only on vstream, and the driver names vstream_obs::collector",
+        "repro does not depend on vstream-obs, and the driver names vstream_obs::collector",
     ("item", "obs", "SpanRecord"): SIGNATURE + "collector::end_span and Ledger::spans",
     ("item", "obs", "ProfileMetrics"): SIGNATURE + "Metrics::profile_mut",
     ("item", "net", "LinkStats"): SIGNATURE + "Link::stats",
@@ -65,6 +73,17 @@ ALLOW = {
     ("item", "app", "NetflixMode"): SIGNATURE + "the field NetflixConfig::mode",
     ("item", "core", "SwitchRateQuery"): SIGNATURE + "the field SessionQuery::switch_rate",
     ("item", "core", "Series"): SIGNATURE + "the field FigureData::series",
+}
+
+PINNED_STATIC = "driver-pinned: benchmark/driver calls {}; ROADMAP item 1 releases it"
+
+# (crate directory, module path, name) -> why this process global stands.
+STATICS = {
+    ("core", "cache", "ACTIVE"): PINNED_STATIC.format("cache::install"),
+    ("core", "cache", "STORE"): PINNED_STATIC.format("cache::install and cache::len"),
+    ("core", "flight", "CONFIG"): PINNED_STATIC.format("flight::{install, uninstall}"),
+    ("obs", "collector", "ACTIVE"): PINNED_STATIC.format("collector::{install, take}"),
+    ("obs", "collector", "STATE"): PINNED_STATIC.format("collector::{install, take}"),
 }
 
 KINDS = ("mod", "reexport", "fn", "item", "field")
@@ -78,6 +97,8 @@ PUB_FIELD = re.compile(rf"^\s*pub\s+({IDENT})\s*:")
 PUB_USE = re.compile(r"^\s*pub\s+use\s+([^;]+);", re.M)
 USE = re.compile(r"\buse\s+([^;{}]*(?:\{[^;]*\})?)\s*;")
 TEST_MOD = re.compile(r"^#\[cfg\(test\)\]\s*(?:mod\s+\w+)?")
+STATIC = re.compile(rf"^\s*(?:pub(?:\([^)]*\))?\s+)?static\s+(?:mut\s+)?({IDENT})\s*:([^=]*)")
+GLOBAL_TYPE = re.compile(r"\b(?:Mutex|RwLock|Atomic\w+|OnceLock|LazyLock)\b")
 
 
 def rust_files(path):
@@ -298,6 +319,25 @@ def findings(root, allow):
     return counts, flagged, stale
 
 
+def process_statics(root, allow):
+    """(count, flagged, stale) of the non-test process globals under crates/*/src.
+
+    flagged is [(crate, file, line, name)] for a global `allow` does not
+    name; stale is the `allow` keys that name none.
+    """
+    found = []
+    for c, crate in load(root).items():
+        for rel, mpath, lines in crate.files:
+            for i, line in enumerate(lines):
+                m = STATIC.match(line)
+                if m and GLOBAL_TYPE.search(m.group(2)) and not test_gated(lines, i):
+                    found.append((c, "::".join(mpath), m.group(1), rel, i + 1))
+    flagged = [(c, rel, line, name) for c, mod, name, rel, line in found
+               if (c, mod, name) not in allow]
+    named = {(c, mod, name) for c, mod, name, _, _ in found}
+    return len(found), flagged, sorted(k for k in allow if k not in named)
+
+
 MESSAGES = {
     "mod": "pub mod that no outside path names: make it private",
     "reexport": "second public path: re-export only from private modules of the same crate",
@@ -309,17 +349,26 @@ MESSAGES = {
 
 def main(argv):
     counts, flagged, stale = findings(ROOT, ALLOW)
+    n_statics, globals_flagged, globals_stale = process_statics(ROOT, STATICS)
     if "--list" in argv:
         print(f"pub mods: {counts['mod']}")
         print(f"root re-exports: {counts['reexport']}")
         print(f"non-test pub fns: {counts['fn']}")
         print(f"non-test pub types/consts: {counts['item']}")
         print(f"non-test pub fields: {counts['field']}")
+        print(f"non-test process statics: {n_statics}")
         print(f"non-test lines of crates/*/src: {counts['lines']}")
     for c, rel, line, kind, name in flagged:
         print(f"{c} {rel}:{line} {kind} {name}: {MESSAGES[kind]}")
     for kind, c, name in stale:
         print(f"{c} ALLOW {kind} {name}: stale allow-list entry (gone, or no longer needs it)")
+    for c, rel, line, name in globals_flagged:
+        print(f"{c} {rel}:{line} static {name}: process global: pass the state as a value, "
+              "or add a STATICS entry with a reason")
+    for c, mod, name in globals_stale:
+        print(f"{c} STATICS {mod}::{name}: stale entry (no such process global)")
+    flagged += globals_flagged
+    stale += globals_stale
     if flagged or stale:
         print(f"check_pub_api: {len(flagged)} finding(s), {len(stale)} stale allow-list "
               "entr(y/ies); fix the item, or add an allow-list entry with a reason",

@@ -12,7 +12,10 @@
 #      must be named by a file outside its crate (another crate's src, a
 #      crate's tests/, the root tests/ and examples/, benchmark/driver); the
 #      exceptions are allow-list entries that say why, and an entry that
-#      excuses nothing fails too; then the layering check: `vstream-net` has no
+#      excuses nothing fails too; the same script fails on a process global
+#      (a `static` holding a Mutex, RwLock, Atomic*, OnceLock or LazyLock)
+#      that its STATICS list does not name with a reason, and on a STATICS
+#      entry that names none; then the layering check: `vstream-net` has no
 #      `vstream-obs` dependency (its links record nothing; the engine reads
 #      drops off their send verdicts, DESIGN §12.1)
 #   2. the determinism invariant: byte-identical CSVs and metrics ledger

@@ -34,22 +34,23 @@ def workspace(root, files):
 
 
 class CheckPubApi(unittest.TestCase):
-    def run_check(self, files, allow=None):
+    def run_check(self, files, allow=None, statics=None):
         """(exit code, stdout) of the check over a workspace of `files`."""
         with tempfile.TemporaryDirectory() as root:
             workspace(root, files)
-            saved = check_pub_api.ROOT, check_pub_api.ALLOW
+            saved = check_pub_api.ROOT, check_pub_api.ALLOW, check_pub_api.STATICS
             check_pub_api.ROOT, check_pub_api.ALLOW = root, allow or {}
+            check_pub_api.STATICS = statics or {}
             out = io.StringIO()
             try:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     code = check_pub_api.main([])
             finally:
-                check_pub_api.ROOT, check_pub_api.ALLOW = saved
+                check_pub_api.ROOT, check_pub_api.ALLOW, check_pub_api.STATICS = saved
         return code, out.getvalue()
 
-    def assert_clean(self, files, allow=None):
-        code, out = self.run_check(files, allow)
+    def assert_clean(self, files, allow=None, statics=None):
+        code, out = self.run_check(files, allow, statics)
         self.assertEqual((code, out), (0, ""))
 
     def test_pub_mod_without_an_outside_path(self):
@@ -130,6 +131,38 @@ class CheckPubApi(unittest.TestCase):
 
         # An entry that excuses a public, outside-unused field holds.
         self.assert_clean(public, {spare: "a reason"})
+
+    def test_process_globals(self):
+        lib = {"crates/a/src/lib.rs": "mod state;\n"}
+        state = (
+            "use std::sync::{atomic::AtomicUsize, Mutex, OnceLock};\n"
+            "static JOBS: AtomicUsize = AtomicUsize::new(0);\n"
+            "pub(crate) static TABLE: Mutex<Vec<u8>> = Mutex::new(Vec::new());\n"
+            "fn store() {\n    static STORE: OnceLock<u8> = OnceLock::new();\n}\n"
+            "static NAME: &str = \"plain data is no global state\";\n"
+            "#[cfg(test)]\nstatic SEEN: AtomicUsize = AtomicUsize::new(0);\n"
+        )
+        code, out = self.run_check({**lib, "crates/a/src/state.rs": state})
+        self.assertEqual(code, 1)
+        self.assertIn("crates/a/src/state.rs:2 static JOBS: process global", out)
+        self.assertIn("crates/a/src/state.rs:3 static TABLE: process global", out)
+        self.assertIn("crates/a/src/state.rs:5 static STORE: process global", out)
+        self.assertNotIn("NAME", out)
+        self.assertNotIn("SEEN", out)
+
+        # Each global named with a reason passes, keyed by module path.
+        pinned = {("a", "state", name): "a reason" for name in ("JOBS", "TABLE", "STORE")}
+        self.assert_clean({**lib, "crates/a/src/state.rs": state}, statics=pinned)
+
+        # An entry whose global is gone is stale, as is one under the wrong module.
+        code, out = self.run_check({**lib, "crates/a/src/state.rs": "\n"},
+                                   statics={("a", "state", "JOBS"): "a reason"})
+        self.assertEqual(code, 1)
+        self.assertIn("a STATICS state::JOBS: stale", out)
+        code, out = self.run_check({**lib, "crates/a/src/state.rs": state},
+                                   statics={**pinned, ("a", "other", "JOBS"): "a reason"})
+        self.assertEqual(code, 1)
+        self.assertIn("a STATICS other::JOBS: stale", out)
 
     def test_list_counts_each_kind(self):
         with tempfile.TemporaryDirectory() as root:

@@ -15,13 +15,16 @@
 //!    exactly those 76 re-read replies (under 2.5 MiB), nothing a later
 //!    figure does not read.
 //!
-//! The cache and collector are process-global, so everything runs from one
-//! `#[test]`. Metered passes install the collector with wall timing *on*:
+//! The cache and collector are still process-global (both wait on ROADMAP
+//! item 1, which releases the benchmark driver's calls into them), so
+//! everything runs from one `#[test]`: a second test would fill the store
+//! and the ledgers this one counts. The worker count is a field of each
+//! [`Run`]. Metered passes install the collector with wall timing *on*:
 //! the `cache_*` counters are `Counter::EXECUTION_DEPENDENT` and a
 //! byte-comparable (wall-off) ledger deliberately zeroes them.
 
-use vstream::figures as f;
-use vstream::{cache, query_many_jobs, set_default_jobs, SessionQuery, SessionReply, SessionSpec};
+use vstream::figures::{self as f, Run};
+use vstream::{cache, query_many_jobs, SessionQuery, SessionReply, SessionSpec};
 use vstream_app::Video;
 use vstream_net::NetworkProfile;
 use vstream_obs::{collector, Counter};
@@ -42,10 +45,9 @@ fn spec(seed: u64) -> SessionSpec {
 /// Two figures that sample the *same* Table 1 cells (Firefox/Flash over all
 /// four networks), so the second one can be served entirely from the cache.
 fn figure_suite(jobs: usize) -> Vec<String> {
-    set_default_jobs(jobs);
-    let (fig3a, _corr) = f::fig3a_flash_buffering(97, 2);
-    let (fig4a, fig4b) = f::fig4_flash_steady_state(97, 2);
-    set_default_jobs(0);
+    let mut run = Run { seed: 97, jobs, qoe: None };
+    let (fig3a, _corr) = f::fig3a_flash_buffering(&mut run, 2);
+    let (fig4a, fig4b) = f::fig4_flash_steady_state(&mut run, 2);
     vec![fig3a.to_csv(), fig4a.to_csv(), fig4b.to_csv()]
 }
 
@@ -58,16 +60,16 @@ fn same_answer(a: &SessionReply, b: &SessionReply) -> bool {
 /// Every driver of `repro all` that samples the cell stream, in the
 /// binary's order and at its default seed and sample clamps (the other
 /// drivers build one-off specs and never reach the store).
-fn repro_all_cell_drivers() {
-    let (seed, n) = (2026, 12);
-    f::fig3a_flash_buffering(seed, n);
-    f::fig3b_html5_buffering(seed, n);
-    f::fig4_flash_steady_state(seed, n);
-    f::fig5_html5_steady_state(seed, n);
-    f::fig6b_long_blocks(seed, n.min(8));
-    f::fig7b_ipad_block_vs_rate(seed, n);
-    f::fig11_netflix_buffering(seed, n.min(6));
-    f::fig12_netflix_blocks(seed, n.min(f::NETFLIX_BLOCK_SESSIONS));
+fn repro_all_cell_drivers(run: &mut Run) {
+    let n = 12;
+    f::fig3a_flash_buffering(run, n);
+    f::fig3b_html5_buffering(run, n);
+    f::fig4_flash_steady_state(run, n);
+    f::fig5_html5_steady_state(run, n);
+    f::fig6b_long_blocks(run, n.min(8));
+    f::fig7b_ipad_block_vs_rate(run, n);
+    f::fig11_netflix_buffering(run, n.min(6));
+    f::fig12_netflix_blocks(run, n.min(f::NETFLIX_BLOCK_SESSIONS));
 }
 
 #[test]
@@ -190,15 +192,14 @@ fn cache_is_transparent_selective_and_single_execution() {
     // they leave behind is replies, not captures (the packed-trace store
     // this replaced held 69 MB here). The DASH load sweep runs last and is
     // read once, so it adds nothing to the store.
-    set_default_jobs(1);
+    let mut run = Run { seed: 2026, jobs: 1, qoe: None };
     collector::install(true);
     cache::install();
-    repro_all_cell_drivers();
+    repro_all_cell_drivers(&mut run);
     let cell_entries = cache::len();
-    f::ext_qoe_load_sweep(2026, 6);
+    f::ext_qoe_load_sweep(&mut run, 6);
     assert_eq!(cache::len(), cell_entries, "ext-qoe must retain nothing");
     let ledger = collector::take().expect("metered run");
-    set_default_jobs(0);
     assert_eq!(ledger.totals.counter(Counter::CacheHits), 76);
     assert_eq!(ledger.totals.counter(Counter::CacheMisses), 76);
     assert_eq!(cache::len(), 76);

@@ -1,10 +1,15 @@
 //! The Table 1 matrix, verified cell by cell through the public API.
 
-use vstream::figures::table1_strategy_matrix;
+use vstream::figures::{table1_strategy_matrix, Run};
+
+/// A run at `seed` on every core, collecting no QoE table.
+fn run(seed: u64) -> Run {
+    Run { seed, jobs: vstream_sim::default_jobs(), qoe: None }
+}
 
 #[test]
 fn table1_matches_the_paper_exactly() {
-    let (table, cells) = table1_strategy_matrix(2026);
+    let (table, cells) = table1_strategy_matrix(&mut run(2026));
     let mismatches: Vec<String> = cells
         .iter()
         .filter(|c| !c.matches())
@@ -30,8 +35,8 @@ fn table1_matches_the_paper_exactly() {
 fn table1_is_stable_across_seeds() {
     // The strategy classification is a structural property, not a lucky
     // seed: a different seed yields the same matrix.
-    let (_, a) = table1_strategy_matrix(1);
-    let (_, b) = table1_strategy_matrix(99);
+    let (_, a) = table1_strategy_matrix(&mut run(1));
+    let (_, b) = table1_strategy_matrix(&mut run(99));
     for (ca, cb) in a.iter().zip(&b) {
         assert_eq!(
             ca.measured,

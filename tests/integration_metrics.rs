@@ -7,11 +7,14 @@
 //!    ledger is byte-identical at any worker count: per-worker registries
 //!    merge commutatively and associatively, so scheduling cannot leak in.
 //!
-//! The collector is process-global, so everything runs from one `#[test]`.
+//! The metrics collector is still process-global (it waits on ROADMAP item
+//! 1, which releases the benchmark driver's calls into it), so everything
+//! runs from one `#[test]`: a second test would record into the ledgers
+//! this one takes. The worker count is a field of each [`Run`].
 
-use vstream::figures as f;
+use vstream::figures::{self as f, Run};
 use vstream::obs::{collector, ledger_json};
-use vstream::{query_many, set_default_jobs, SessionQuery, SessionSpec};
+use vstream::{query_many_jobs, SessionQuery, SessionSpec};
 use vstream_app::Video;
 use vstream_net::{LrdCrossConfig, NetworkProfile};
 use vstream_obs::{Counter, Gauge, HistId, Metrics};
@@ -21,15 +24,14 @@ use vstream_workload::{Client, Container};
 /// A small figure slice touching both steady-state strategies and the
 /// single-session traces, at a given worker count.
 fn figure_suite(jobs: usize) -> Vec<String> {
-    set_default_jobs(jobs);
     let mut out = Vec::new();
     collector::begin_span("fig4"); // no-op when the collector is inactive
-    let (fig4a, fig4b) = f::fig4_flash_steady_state(97, 2);
+    let (fig4a, fig4b) = f::fig4_flash_steady_state(&mut Run { seed: 97, jobs, qoe: None }, 2);
     collector::end_span();
     out.push(fig4a.to_csv());
     out.push(fig4b.to_csv());
     collector::begin_span("fig2");
-    let (fig2a, fig2b) = f::fig2_short_onoff(100);
+    let (fig2a, fig2b) = f::fig2_short_onoff(&mut Run { seed: 100, jobs, qoe: None });
     collector::end_span();
     out.push(fig2a.to_csv());
     out.push(fig2b.to_csv());
@@ -49,7 +51,7 @@ fn lrd_cell() {
         SimDuration::from_secs(45),
     )
     .with_lrd_cross(LrdCrossConfig::for_load(NetworkProfile::Home.down_bps(), 500));
-    let replies = query_many(&[spec], &SessionQuery::default().qoe());
+    let replies = query_many_jobs(&[spec], 1, &SessionQuery::default().qoe());
     assert!(replies[0].is_some(), "Dash x Html5 is applicable");
 }
 
@@ -90,7 +92,6 @@ fn metrics_are_output_neutral_and_ledgers_jobs_invariant() {
     collector::install(false);
     let metered_parallel = figure_suite(8);
     let ledger_parallel = collector::take().expect("ledger from parallel run");
-    set_default_jobs(0); // restore the all-cores default for other binaries
 
     // 1. Output neutrality: metering changed nothing the figures emit.
     assert_eq!(baseline, metered_serial, "metrics-on vs metrics-off differ");
@@ -136,8 +137,9 @@ fn metrics_are_output_neutral_and_ledgers_jobs_invariant() {
     // engine-level ones: twelve ext-stalls sessions and the Reno/CUBIC pair,
     // every one a paced player that starts and writes blocks.
     collector::install(false);
-    f::ext_stall_vs_accumulation(61, 2);
-    f::ext_congestion_ablation(65);
+    let jobs = vstream_sim::default_jobs();
+    f::ext_stall_vs_accumulation(&Run { seed: 61, jobs, qoe: None }, 2);
+    f::ext_congestion_ablation(&Run { seed: 65, jobs, qoe: None });
     let ledger_harness = collector::take().expect("ledger from the harness runs");
     let m = &ledger_harness.totals;
     assert_eq!(m.counter(Counter::SimSessions), 14);
