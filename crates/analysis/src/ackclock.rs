@@ -59,21 +59,21 @@ mod tests {
         for _ in 0..100 {
             t.push(now, TapDirection::Incoming, seg(seq, 1000));
             seq += 1000;
-            now = now + SimDuration::from_micros(50);
+            now += SimDuration::from_micros(50);
         }
         for _ in 0..cycles {
-            now = now + SimDuration::from_secs(2);
+            now += SimDuration::from_secs(2);
             for _ in 0..head {
                 t.push(now, TapDirection::Incoming, seg(seq, 1000));
                 seq += 1000;
-                now = now + SimDuration::from_micros(50);
+                now += SimDuration::from_micros(50);
             }
             // Remaining packets arrive after one RTT (ack-clocked).
-            now = now + SimDuration::from_millis(rtt_ms);
+            now += SimDuration::from_millis(rtt_ms);
             for _ in 0..tail {
                 t.push(now, TapDirection::Incoming, seg(seq, 1000));
                 seq += 1000;
-                now = now + SimDuration::from_micros(50);
+                now += SimDuration::from_micros(50);
             }
         }
         t

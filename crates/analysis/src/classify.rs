@@ -112,17 +112,17 @@ mod tests {
         for _ in 0..2000 {
             t.push(now, TapDirection::Incoming, seg(seq, 1000));
             seq += 1000;
-            now = now + SimDuration::from_micros(80);
+            now += SimDuration::from_micros(80);
         }
         for &b in block_sizes {
-            now = now + SimDuration::from_secs(1);
+            now += SimDuration::from_secs(1);
             let mut remaining = b;
             while remaining > 0 {
                 let chunk = remaining.min(1460) as u32;
                 t.push(now, TapDirection::Incoming, seg(seq, chunk));
                 seq += chunk as u64;
                 remaining -= chunk as u64;
-                now = now + SimDuration::from_micros(120);
+                now += SimDuration::from_micros(120);
             }
         }
         t

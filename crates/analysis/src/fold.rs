@@ -679,21 +679,21 @@ mod tests {
             t.push(now, TapDirection::Incoming, seg(0, seq, 1000));
             t.push(now + SimDuration::from_micros(10), TapDirection::Outgoing, seg(0, 0, 0));
             seq += 1000;
-            now = now + SimDuration::from_millis(1);
+            now += SimDuration::from_millis(1);
         }
         for cycle in 0..4u64 {
-            now = now + SimDuration::from_secs(1);
+            now += SimDuration::from_secs(1);
             for i in 0..10u64 {
                 let conn = (cycle % 2) as u32;
                 t.push(now, TapDirection::Incoming, seg(conn, seq, 1200));
                 if cycle == 1 && i == 3 {
                     let mut rx = seg(conn, seq, 1200);
                     rx.retx = true;
-                    now = now + SimDuration::from_micros(30);
+                    now += SimDuration::from_micros(30);
                     t.push(now, TapDirection::Incoming, rx);
                 }
                 seq += 1200;
-                now = now + SimDuration::from_millis(1);
+                now += SimDuration::from_millis(1);
             }
         }
         t
@@ -981,9 +981,9 @@ mod tests {
                 let payload = 1448.min(size as u64 - seq) as u32;
                 t.push(now, TapDirection::Incoming, seg(conn as u32, seq, payload));
                 seq += payload as u64;
-                now = now + SimDuration::from_micros(400);
+                now += SimDuration::from_micros(400);
             }
-            now = now + SimDuration::from_secs(2);
+            now += SimDuration::from_secs(2);
         }
         assert_eq!(switch_counts(&t, &ladder, seg_ms), SwitchCounts { segments: 3, switches: 1 });
         // A retransmission-riddled final segment still lands on its rung:

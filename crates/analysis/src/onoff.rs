@@ -246,9 +246,9 @@ mod tests {
             for _ in 0..packets_per_burst {
                 t.push(now, TapDirection::Incoming, seg(seq, 1000));
                 seq += 1000;
-                now = now + SimDuration::from_millis(gap_ms);
+                now += SimDuration::from_millis(gap_ms);
             }
-            now = now + SimDuration::from_millis(off_ms);
+            now += SimDuration::from_millis(off_ms);
         }
         t
     }
@@ -290,14 +290,14 @@ mod tests {
         for _ in 0..50 {
             t.push(now, TapDirection::Incoming, seg(seq, 1000));
             seq += 1000;
-            now = now + SimDuration::from_millis(1);
+            now += SimDuration::from_millis(1);
         }
         for _ in 0..3 {
-            now = now + SimDuration::from_secs(1);
+            now += SimDuration::from_secs(1);
             for _ in 0..10 {
                 t.push(now, TapDirection::Incoming, seg(seq, 1000));
                 seq += 1000;
-                now = now + SimDuration::from_millis(1);
+                now += SimDuration::from_millis(1);
             }
         }
         let a = OnOffAnalysis::from_trace(&t, &AnalysisConfig::default());
@@ -335,13 +335,13 @@ mod tests {
             for _ in 0..10 {
                 t.push(now, TapDirection::Incoming, seg(seq, 1000));
                 seq += 1000;
-                now = now + SimDuration::from_millis(1);
+                now += SimDuration::from_millis(1);
             }
             // Probe mid-gap.
-            now = now + SimDuration::from_millis(400);
+            now += SimDuration::from_millis(400);
             t.push(now, TapDirection::Incoming, seg(seq, 1));
             seq += 1;
-            now = now + SimDuration::from_millis(400);
+            now += SimDuration::from_millis(400);
         }
         let a = OnOffAnalysis::from_trace(&t, &AnalysisConfig::default());
         assert_eq!(a.cycles.len(), 3, "probes must not count as cycles");

@@ -92,14 +92,14 @@ mod tests {
         for _ in 0..buffer_kb {
             t.push(now, TapDirection::Incoming, seg(seq, 1000));
             seq += 1000;
-            now = now + SimDuration::from_micros(100);
+            now += SimDuration::from_micros(100);
         }
         for _ in 0..cycles {
-            now = now + SimDuration::from_millis(period_ms);
+            now += SimDuration::from_millis(period_ms);
             for _ in 0..block_kb {
                 t.push(now, TapDirection::Incoming, seg(seq, 1000));
                 seq += 1000;
-                now = now + SimDuration::from_micros(100);
+                now += SimDuration::from_micros(100);
             }
         }
         t

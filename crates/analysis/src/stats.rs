@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn correlation_bounded_random_pairs() {
         for seed in 0..64u64 {
-            let mut rng = SimRng::new(0xC0__0000 + seed);
+            let mut rng = SimRng::new(0x00C0_0000 + seed);
             let n = 2 + rng.choose_index(98);
             let xs: Vec<f64> = (0..n).map(|_| rng.uniform_range(-1e3, 1e3)).collect();
             let ys: Vec<f64> = (0..n).map(|_| rng.uniform_range(-1e3, 1e3)).collect();

@@ -24,6 +24,8 @@ use vstream_sim::{EventQueue, QueueStats, SimDuration, SimRng, SimTime};
 use vstream_tcp::SackBlocks;
 use vstream_tcp::{Endpoint, EndpointStats, Output, Role, Segment, TcpConfig};
 
+use crate::viewer::Viewer;
+
 /// Which endpoint of a connection pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Side {
@@ -301,6 +303,35 @@ pub trait SessionLogic {
     /// An application timer armed with `Engine::schedule_app_timer` fired.
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         let _ = (eng, id);
+    }
+    /// The session's player and counters; `None` for a logic without a
+    /// player. A wrapper forwards its inner logic's: the session bracket
+    /// reads the ledger's `app_*` slots, the dump footer and the QoE row
+    /// from here.
+    fn viewer(&self) -> Option<&Viewer> {
+        None
+    }
+}
+
+/// A boxed logic is the logic it holds: `logic_for` hands out boxes.
+impl<L: SessionLogic + ?Sized> SessionLogic for Box<L> {
+    fn on_start(&mut self, eng: &mut Engine) {
+        (**self).on_start(eng);
+    }
+    fn on_established(&mut self, eng: &mut Engine, conn: usize) {
+        (**self).on_established(eng, conn);
+    }
+    fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
+        (**self).on_data_available(eng, conn);
+    }
+    fn on_eof(&mut self, eng: &mut Engine, conn: usize) {
+        (**self).on_eof(eng, conn);
+    }
+    fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
+        (**self).on_app_timer(eng, id);
+    }
+    fn viewer(&self) -> Option<&Viewer> {
+        (**self).viewer()
     }
 }
 

@@ -24,12 +24,16 @@
 //!
 //! The [`engine::Engine`] couples these behaviours to real TCP endpoints
 //! over a simulated path and captures every packet at the client, exactly
-//! like the paper's tcpdump-based testbed.
+//! like the paper's tcpdump-based testbed. Each strategy owns one
+//! [`Viewer`] — its player and the bytes, blocks and switches counted
+//! beside it — which is everything the paper reads off the client.
 
 pub mod engine;
 mod player;
 pub mod strategies;
 mod video;
+mod viewer;
 
 pub use player::{Player, PlayerStats};
 pub use video::Video;
+pub use viewer::Viewer;

@@ -15,17 +15,17 @@
 //! Above a target buffer level the client idles between requests, so the
 //! wire pattern is the familiar ON-OFF cycle structure of §5.1 with the
 //! block size now *varying* with the selected rung. Every rung change is
-//! recorded as an [`EventKind::AppBitrateSwitch`] flight-recorder event and
-//! counted for the QoE table's switch-rate column.
+//! recorded as an
+//! [`AppBitrateSwitch`](vstream_obs::trace::EventKind::AppBitrateSwitch)
+//! flight-recorder event and counted for the QoE table's switch-rate column.
 
-use vstream_obs::trace::EventKind;
 use vstream_sim::{SimDuration, SimTime};
 use vstream_tcp::TcpConfig;
 
 use crate::engine::{Engine, SessionLogic};
-use crate::player::Player;
 use crate::strategies::{rate_delay, server_tcp, startup_threshold};
 use crate::video::{rate_bytes_ms, Video};
+use crate::viewer::Viewer;
 
 /// Available encoding rates in bits per second, ascending.
 pub const ABR_LADDER: [u64; 6] = [350_000, 600_000, 1_000_000, 1_600_000, 2_500_000, 3_800_000];
@@ -64,9 +64,12 @@ const REQUEST_TIMER: u32 = 1;
 #[derive(Clone)]
 pub struct AbrLogic {
     video: Video,
-    /// The playback model, fed in *nominal-rate* bytes so buffer occupancy
-    /// measures playback time regardless of which rung each segment used.
-    pub player: Player,
+    /// The player and counters. The player is fed in *nominal-rate* bytes
+    /// so buffer occupancy measures playback time regardless of which rung
+    /// each segment used; `read_total` counts wire bytes (across all
+    /// rungs); a block is one segment (an ON period on a fresh
+    /// connection); a switch is a rung change after the initial selection.
+    viewer: Viewer,
     /// Per-connection segment bookkeeping.
     conns: Vec<Segment>,
     /// The in-flight segment's connection, if any.
@@ -78,12 +81,6 @@ pub struct AbrLogic {
     /// EWMA delivery-rate estimate in bits per second (0 until the first
     /// sample lands; the first segment always uses the lowest rung).
     estimate_bps: f64,
-    /// Total wire bytes read (across all rungs).
-    pub read_total: u64,
-    /// Segments fetched (each one an ON period on a fresh connection).
-    pub blocks: u64,
-    /// Rung changes after the initial selection.
-    pub switches: u64,
     timer_armed: bool,
 }
 
@@ -92,18 +89,14 @@ impl AbrLogic {
     /// *nominal* media rate used for buffer accounting; the wire rate of
     /// each segment comes from the ladder.
     pub fn new(video: Video) -> Self {
-        let player = Player::new(video.encoding_bps, startup_threshold(&video), video.size_bytes());
         AbrLogic {
             video,
-            player,
+            viewer: Viewer::new(&video, startup_threshold(&video)),
             conns: Vec::new(),
             inflight: None,
             media_offset_ms: 0,
             rung: 0,
             estimate_bps: 0.0,
-            read_total: 0,
-            blocks: 0,
-            switches: 0,
             timer_armed: false,
         }
     }
@@ -122,7 +115,7 @@ impl AbrLogic {
     fn buffer_ms(&self) -> u64 {
         // The player holds nominal-rate bytes, so bytes → ms is exact
         // integer math at the nominal rate.
-        (self.player.buffer_bytes() as u128 * 8_000 / self.video.encoding_bps as u128) as u64
+        (self.viewer.player().buffer_bytes() as u128 * 8_000 / self.video.encoding_bps as u128) as u64
     }
 
     /// Picks the rung for the next segment and records any switch.
@@ -140,9 +133,8 @@ impl AbrLogic {
         } else {
             0
         };
-        if next != self.rung && self.blocks > 0 {
-            self.switches += 1;
-            eng.record(EventKind::AppBitrateSwitch, ABR_LADDER[next], ABR_LADDER[self.rung]);
+        if next != self.rung && self.viewer.blocks() > 0 {
+            self.viewer.count_switch(eng, ABR_LADDER[next], ABR_LADDER[self.rung]);
         }
         self.rung = next;
     }
@@ -153,7 +145,7 @@ impl AbrLogic {
         if self.inflight.is_some() || self.media_offset_ms >= self.duration_ms() {
             return;
         }
-        self.player.advance(eng.now(), eng.recorder());
+        self.viewer.advance(eng);
         let buffered = self.buffer_ms();
         if buffered > TARGET_BUFFER_MS && !self.timer_armed {
             // Idle (the OFF period) until playback drains to the target.
@@ -180,8 +172,7 @@ impl AbrLogic {
         });
         self.inflight = Some(conn);
         self.media_offset_ms += media_ms;
-        self.blocks += 1;
-        eng.record(EventKind::AppBlockRequest, self.blocks, 0);
+        self.viewer.count_block(eng);
     }
 }
 
@@ -201,7 +192,7 @@ impl SessionLogic for AbrLogic {
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
         // Read greedily; the player is fed whole segments at EOF (players
         // buffer complete segments before handing them to the decoder).
-        self.read_total += eng.client_read(conn, u64::MAX);
+        self.viewer.read_unplayed(eng, conn, u64::MAX);
     }
 
     fn on_eof(&mut self, eng: &mut Engine, conn: usize) {
@@ -223,7 +214,7 @@ impl SessionLogic for AbrLogic {
         // Credit the player with the segment's playback time in
         // nominal-rate bytes, whatever rung carried it.
         let bytes = self.video.playback_bytes_ms(seg.media_ms);
-        self.player.feed(eng.now(), bytes, eng.recorder());
+        self.viewer.feed(eng, bytes);
         self.maybe_request_next(eng);
     }
 
@@ -231,6 +222,10 @@ impl SessionLogic for AbrLogic {
         debug_assert_eq!(id, REQUEST_TIMER);
         self.timer_armed = false;
         self.maybe_request_next(eng);
+    }
+
+    fn viewer(&self) -> Option<&Viewer> {
+        Some(&self.viewer)
     }
 }
 
@@ -262,9 +257,9 @@ mod tests {
         // 100 Mbps research path: the estimate dwarfs the ladder top.
         let (_, logic) = run_on(NetworkProfile::Research, None, 120, 41);
         assert_eq!(logic.current_rate(), 3_800_000, "estimate {}", logic.estimate_bps);
-        assert!(logic.switches >= 1, "must have climbed from the lowest rung");
-        assert!(logic.player.has_started());
-        assert_eq!(logic.player.stats().stalls, 0);
+        assert!(logic.viewer.switches() >= 1, "must have climbed from the lowest rung");
+        assert!(logic.viewer.player().has_started());
+        assert_eq!(logic.viewer.player().stats().stalls, 0);
     }
 
     #[test]
@@ -278,16 +273,16 @@ mod tests {
             "picked {} under contention",
             logic.current_rate()
         );
-        assert!(logic.blocks > 5);
+        assert!(logic.viewer.blocks() > 5);
     }
 
     #[test]
     fn switches_are_counted_and_bounded_by_blocks() {
         let lrd = LrdCrossConfig::for_load(20_000_000, 600);
         let (_, logic) = run_on(NetworkProfile::Home, Some(lrd), 180, 43);
-        assert!(logic.switches <= logic.blocks);
+        assert!(logic.viewer.switches() <= logic.viewer.blocks());
         // The first segment's rung choice is not a switch.
-        assert!(logic.blocks >= 1);
+        assert!(logic.viewer.blocks() >= 1);
     }
 
     #[test]
@@ -303,8 +298,8 @@ mod tests {
         let a = run_on(NetworkProfile::Home, Some(lrd), 120, 47);
         let b = run_on(NetworkProfile::Home, Some(lrd), 120, 47);
         assert_eq!(a.0.len(), b.0.len());
-        assert_eq!(a.1.read_total, b.1.read_total);
-        assert_eq!(a.1.switches, b.1.switches);
+        assert_eq!(a.1.viewer.read_total(), b.1.viewer.read_total());
+        assert_eq!(a.1.viewer.switches(), b.1.viewer.switches());
     }
 
     #[test]
@@ -312,7 +307,7 @@ mod tests {
         let (_, logic) = run_on(NetworkProfile::Research, None, 180, 53);
         // Target 30 s + one 4 s segment of slack, in nominal bytes.
         let bound = logic.video.playback_bytes_ms(34_000);
-        let peak = logic.player.stats().peak_buffer_bytes;
+        let peak = logic.viewer.player().stats().peak_buffer_bytes;
         assert!(peak <= bound, "peak {peak} > bound {bound}");
     }
 }

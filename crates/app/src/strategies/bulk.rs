@@ -9,18 +9,16 @@
 use vstream_tcp::TcpConfig;
 
 use crate::engine::{Engine, SessionLogic};
-use crate::player::Player;
 use crate::strategies::{server_tcp, startup_threshold};
 use crate::video::Video;
+use crate::viewer::Viewer;
 
 /// Session logic for bulk (unpaced) streaming.
 #[derive(Clone)]
 pub struct BulkLogic {
     video: Video,
-    /// The playback model (public so experiments can read its statistics).
-    pub player: Player,
-    /// Total unique bytes the client has read.
-    pub read_total: u64,
+    /// The player and counters; bulk transfers pace no blocks.
+    viewer: Viewer,
     /// Time the download completed, if it did.
     pub(crate) completed_at: Option<vstream_sim::SimTime>,
 }
@@ -28,11 +26,9 @@ pub struct BulkLogic {
 impl BulkLogic {
     /// Creates the logic for one video.
     pub fn new(video: Video) -> Self {
-        let player = Player::new(video.encoding_bps, startup_threshold(&video), video.size_bytes());
         BulkLogic {
             video,
-            player,
-            read_total: 0,
+            viewer: Viewer::new(&video, startup_threshold(&video)),
             completed_at: None,
         }
     }
@@ -52,13 +48,15 @@ impl SessionLogic for BulkLogic {
     }
 
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
-        let n = eng.client_read(conn, u64::MAX);
-        self.read_total += n;
-        self.player.feed(eng.now(), n, eng.recorder());
+        self.viewer.read(eng, conn, u64::MAX);
     }
 
     fn on_eof(&mut self, eng: &mut Engine, _conn: usize) {
         self.completed_at = Some(eng.now());
+    }
+
+    fn viewer(&self) -> Option<&Viewer> {
+        Some(&self.viewer)
     }
 }
 
@@ -82,7 +80,7 @@ mod tests {
         let video = Video::new(1, 2_000_000, SimDuration::from_secs(300));
         let (trace, logic) = run(video, NetworkProfile::Research, 180);
         assert_eq!(classify(&trace, &AnalysisConfig::default()), Strategy::NoOnOff);
-        assert_eq!(logic.read_total, video.size_bytes());
+        assert_eq!(logic.viewer.read_total(), video.size_bytes());
     }
 
     #[test]
@@ -116,8 +114,8 @@ mod tests {
     fn completes_even_on_slow_lossy_path() {
         let video = Video::new(1, 700_000, SimDuration::from_secs(120));
         let (_, logic) = run(video, NetworkProfile::Residence, 180);
-        assert_eq!(logic.read_total, video.size_bytes());
-        assert!(logic.player.has_started());
+        assert_eq!(logic.viewer.read_total(), video.size_bytes());
+        assert!(logic.viewer.player().has_started());
     }
 
     #[test]
@@ -127,9 +125,9 @@ mod tests {
         let (_, logic) = run(video, NetworkProfile::Research, 180);
         // Nearly the whole video sits in the buffer shortly after start.
         assert!(
-            logic.player.stats().peak_buffer_bytes > video.size_bytes() * 9 / 10,
+            logic.viewer.player().stats().peak_buffer_bytes > video.size_bytes() * 9 / 10,
             "peak buffer = {}",
-            logic.player.stats().peak_buffer_bytes
+            logic.viewer.player().stats().peak_buffer_bytes
         );
     }
 }

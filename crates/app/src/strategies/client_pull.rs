@@ -12,14 +12,13 @@
 //! (*short cycles*, Fig. 5); Chrome and the Android application pull
 //! multi-megabyte blocks (*long cycles*, Fig. 6).
 
-use vstream_obs::trace::EventKind;
 use vstream_sim::SimDuration;
 use vstream_tcp::TcpConfig;
 
 use crate::engine::{Engine, SessionLogic};
-use crate::player::Player;
 use crate::strategies::{rate_delay, server_tcp, startup_threshold};
 use crate::video::Video;
+use crate::viewer::Viewer;
 
 /// Parameters of the client-pull strategy.
 #[derive(Clone, Debug)]
@@ -77,14 +76,11 @@ enum Phase {
 pub struct ClientPullLogic {
     cfg: ClientPullConfig,
     video: Video,
-    /// The playback model (public so experiments can read its statistics).
-    pub player: Player,
+    /// The player and counters; a block is one steady-state pull (an ON
+    /// period after buffering).
+    viewer: Viewer,
     conn: usize,
     phase: Phase,
-    /// Total unique bytes the client has read.
-    pub read_total: u64,
-    /// Steady-state blocks pulled (ON periods after buffering).
-    pub blocks: u64,
     pull_timer_armed: bool,
 }
 
@@ -93,15 +89,12 @@ const PULL_TIMER: u32 = 1;
 impl ClientPullLogic {
     /// Creates the logic for one video.
     pub fn new(cfg: ClientPullConfig, video: Video) -> Self {
-        let player = Player::new(video.encoding_bps, startup_threshold(&video), video.size_bytes());
         ClientPullLogic {
             cfg,
             video,
-            player,
+            viewer: Viewer::new(&video, startup_threshold(&video)),
             conn: 0,
             phase: Phase::Buffering,
-            read_total: 0,
-            blocks: 0,
             pull_timer_armed: false,
         }
     }
@@ -117,7 +110,7 @@ impl ClientPullLogic {
 
     /// The player-buffer room needed before the next pull.
     fn room(&self) -> u64 {
-        self.steady_target().saturating_sub(self.player.buffer_bytes())
+        self.steady_target().saturating_sub(self.viewer.player().buffer_bytes())
     }
 
     fn arm_pull_timer(&mut self, eng: &mut Engine) {
@@ -132,12 +125,9 @@ impl ClientPullLogic {
     }
 
     fn pull(&mut self, eng: &mut Engine) {
-        self.blocks += 1;
-        eng.record(EventKind::AppBlockRequest, self.blocks, 0);
-        let n = eng.client_read(self.conn, self.cfg.block_bytes);
-        self.read_total += n;
-        self.player.feed(eng.now(), n, eng.recorder());
-        if self.read_total >= self.video.size_bytes() {
+        self.viewer.count_block(eng);
+        self.viewer.read(eng, self.conn, self.cfg.block_bytes);
+        if self.viewer.read_total() >= self.video.size_bytes() {
             self.phase = Phase::Done;
         } else {
             self.arm_pull_timer(eng);
@@ -162,11 +152,10 @@ impl SessionLogic for ClientPullLogic {
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
         match self.phase {
             Phase::Buffering => {
-                let n = eng.client_read(conn, u64::MAX);
-                self.read_total += n;
-                self.player.feed(eng.now(), n, eng.recorder());
-                if self.read_total >= self.cfg.initial_target_bytes.min(self.video.size_bytes()) {
-                    self.phase = if self.read_total >= self.video.size_bytes() {
+                self.viewer.read(eng, conn, u64::MAX);
+                let read = self.viewer.read_total();
+                if read >= self.cfg.initial_target_bytes.min(self.video.size_bytes()) {
+                    self.phase = if read >= self.video.size_bytes() {
                         Phase::Done
                     } else {
                         Phase::Steady
@@ -183,12 +172,16 @@ impl SessionLogic for ClientPullLogic {
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         debug_assert_eq!(id, PULL_TIMER);
         self.pull_timer_armed = false;
-        self.player.advance(eng.now(), eng.recorder());
+        self.viewer.advance(eng);
         if self.room() >= self.cfg.block_bytes {
             self.pull(eng);
         } else {
             self.arm_pull_timer(eng);
         }
+    }
+
+    fn viewer(&self) -> Option<&Viewer> {
+        Some(&self.viewer)
     }
 }
 
@@ -306,7 +299,7 @@ mod tests {
     fn short_video_downloads_fully() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(60));
         let (_, logic) = run(ClientPullConfig::internet_explorer(), video, 180);
-        assert_eq!(logic.read_total, video.size_bytes());
+        assert_eq!(logic.viewer.read_total(), video.size_bytes());
     }
 
     #[test]
@@ -337,7 +330,7 @@ mod tests {
         let phases = SessionPhases::from_trace(&trace, &AnalysisConfig::default());
         assert!(phases.accumulation_ratio(1_500_000.0).is_none());
         assert_eq!(phases.total_bytes, 0);
-        assert_eq!(logic.read_total, 0);
+        assert_eq!(logic.viewer.read_total(), 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use vstream_sim::SimDuration;
 
 use crate::engine::{Engine, SessionLogic};
+use crate::viewer::Viewer;
 
 /// Timer id reserved for the interruption (strategies use small ids).
 const INTERRUPT_ID: u32 = u32::MAX;
@@ -61,6 +62,10 @@ impl<L: SessionLogic> SessionLogic for InterruptAfter<L> {
             self.inner.on_app_timer(eng, id);
         }
     }
+
+    fn viewer(&self) -> Option<&Viewer> {
+        self.inner.viewer()
+    }
 }
 
 #[cfg(test)]
@@ -90,8 +95,9 @@ mod tests {
         assert!(eng.now() <= SimTime::from_secs(30));
         // Downloaded roughly the buffering phase plus a little steady state,
         // far less than the whole video.
-        assert!(logic.inner.read_total < video.size_bytes() / 2);
-        assert!(logic.inner.read_total > 0);
+        let read = logic.viewer().expect("the wrapper forwards the viewer").read_total();
+        assert!(read < video.size_bytes() / 2);
+        assert!(read > 0);
     }
 
     #[test]
@@ -120,8 +126,8 @@ mod tests {
         );
         eng_paced.run_observed(&mut paced, &mut NullSink, false);
 
-        let waste_bulk = bulk.inner.player.buffer_bytes();
-        let waste_paced = paced.inner.player.buffer_bytes();
+        let waste_bulk = bulk.viewer().expect("bulk has a player").player().buffer_bytes();
+        let waste_paced = paced.viewer().expect("paced has a player").player().buffer_bytes();
         assert!(
             waste_bulk > 2 * waste_paced,
             "bulk waste {waste_bulk} not >> paced waste {waste_paced}"
@@ -140,6 +146,6 @@ mod tests {
         let mut logic = InterruptAfter::new(BulkLogic::new(video), SimDuration::from_secs(300));
         eng.run_observed(&mut logic, &mut NullSink, false);
         assert!(!logic.interrupted);
-        assert_eq!(logic.inner.read_total, video.size_bytes());
+        assert_eq!(logic.viewer().expect("bulk has a player").read_total(), video.size_bytes());
     }
 }

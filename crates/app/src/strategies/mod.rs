@@ -22,8 +22,9 @@ use vstream_sim::SimDuration;
 use crate::video::Video;
 
 /// Default player startup threshold: two seconds of content (clamped to the
-/// video size). All strategies share it; it only affects player statistics,
-/// not the traffic shape.
+/// video size). Every strategy's viewer starts playback here except
+/// Netflix's, which waits for 4 s (`NetflixLogic::new`); the client-pull and
+/// range-request buffer targets are sized above it.
 pub(crate) fn startup_threshold(video: &Video) -> u64 {
     video.playback_bytes(2.0).min(video.size_bytes()).max(1)
 }

@@ -14,14 +14,13 @@
 //! 3. **Android pulls a single connection** with multi-megabyte blocks —
 //!    long ON-OFF cycles (Fig. 10b) and an ≈40 MB buffering phase.
 
-use vstream_obs::trace::EventKind;
 use vstream_sim::SimDuration;
 use vstream_tcp::TcpConfig;
 
 use crate::engine::{Engine, SessionLogic};
-use crate::player::Player;
 use crate::strategies::{rate_delay, server_tcp};
 use crate::video::{rate_bytes_ms, Video};
+use crate::viewer::Viewer;
 
 /// Playback milliseconds of each non-selected rate prefetched during
 /// buffering, on every client.
@@ -139,22 +138,19 @@ enum ConnKind {
 pub struct NetflixLogic {
     cfg: NetflixConfig,
     video: Video,
-    /// The playback model, fed by selected-rate bytes only.
-    pub player: Player,
+    /// The player and counters, fed and counted by selected-rate content
+    /// only (probe bytes go to `probe_read`). A block is one steady-state
+    /// content block (a fresh connection on PC/iPad, a paced drain on
+    /// Android); probes and the buffering burst are excluded.
+    viewer: Viewer,
     /// Per-connection bookkeeping: what each open connection carries.
     conns: Vec<(ConnKind, u64)>,
     /// Selected-rate bytes requested so far.
     content_offset: u64,
     /// The single Android connection, once opened.
     android_conn: Option<usize>,
-    /// Selected-rate content bytes read; probe bytes go to
-    /// `probe_read` only.
-    pub read_total: u64,
     /// Probe (non-selected-rate) bytes read — pure overhead.
     pub(crate) probe_read: u64,
-    /// Steady-state content blocks (fresh connections on PC/iPad, paced
-    /// drains on Android); probes and the buffering burst are excluded.
-    pub blocks: u64,
     pull_armed: bool,
 }
 
@@ -165,18 +161,17 @@ impl NetflixLogic {
     /// selected rate; its `encoding_bps` is overridden by the selected rate.
     pub fn new(cfg: NetflixConfig, duration: SimDuration) -> Self {
         let video = Video::new(0, cfg.selected_rate, duration);
+        // Netflix starts playback at 4 s of content, not at the
+        // `startup_threshold` (2 s) every other strategy's viewer uses.
         let startup = video.playback_bytes(4.0).min(video.size_bytes()).max(1);
-        let player = Player::new(cfg.selected_rate, startup, video.size_bytes());
         NetflixLogic {
             cfg,
             video,
-            player,
+            viewer: Viewer::new(&video, startup),
             conns: Vec::new(),
             content_offset: 0,
             android_conn: None,
-            read_total: 0,
             probe_read: 0,
-            blocks: 0,
             pull_armed: false,
         }
     }
@@ -208,8 +203,7 @@ impl NetflixLogic {
         }
         let chunk = self.cfg.block_bytes().min(remaining);
         self.content_offset += chunk;
-        self.blocks += 1;
-        eng.record(EventKind::AppBlockRequest, self.blocks, 0);
+        self.viewer.count_block(eng);
         self.open_transfer(eng, ConnKind::Content, chunk);
     }
 
@@ -218,7 +212,7 @@ impl NetflixLogic {
     fn content_remaining(&self) -> bool {
         match self.cfg.mode {
             NetflixMode::Pc | NetflixMode::Ipad => self.content_offset < self.video.size_bytes(),
-            NetflixMode::Android => self.read_total < self.video.size_bytes(),
+            NetflixMode::Android => self.viewer.read_total() < self.video.size_bytes(),
         }
     }
 
@@ -227,11 +221,8 @@ impl NetflixLogic {
         if self.pull_armed || !self.content_remaining() {
             return;
         }
-        self.player.advance(eng.now(), eng.recorder());
-        let room = self
-            .cfg
-            .buffer_bytes()
-            .saturating_sub(self.player.buffer_bytes());
+        self.viewer.advance(eng);
+        let room = self.cfg.buffer_bytes().saturating_sub(self.viewer.player().buffer_bytes());
         let needed = self.cfg.block_bytes().saturating_sub(room);
         let delay = rate_delay(needed, self.cfg.selected_rate).max(SimDuration::from_millis(5));
         eng.schedule_app_timer(delay, PULL_TIMER);
@@ -292,18 +283,14 @@ impl SessionLogic for NetflixLogic {
                 self.probe_read += eng.client_read(conn, u64::MAX);
             }
             (NetflixMode::Pc | NetflixMode::Ipad, ConnKind::Content) => {
-                let n = eng.client_read(conn, u64::MAX);
-                self.read_total += n;
-                self.player.feed(eng.now(), n, eng.recorder());
+                self.viewer.read(eng, conn, u64::MAX);
             }
             (NetflixMode::Android, ConnKind::Content) => {
                 // Greedy only during the buffering phase; once the pull
                 // timer paces the session, arrivals wait in the socket.
-                if self.player.buffer_bytes() < self.cfg.buffer_bytes() && !self.pull_armed {
-                    let n = eng.client_read(conn, u64::MAX);
-                    self.read_total += n;
-                    self.player.feed(eng.now(), n, eng.recorder());
-                    if self.player.buffer_bytes() >= self.cfg.buffer_bytes() {
+                if self.viewer.player().buffer_bytes() < self.cfg.buffer_bytes() && !self.pull_armed {
+                    self.viewer.read(eng, conn, u64::MAX);
+                    if self.viewer.player().buffer_bytes() >= self.cfg.buffer_bytes() {
                         self.arm_pull(eng);
                     }
                 }
@@ -322,11 +309,8 @@ impl SessionLogic for NetflixLogic {
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         debug_assert_eq!(id, PULL_TIMER);
         self.pull_armed = false;
-        self.player.advance(eng.now(), eng.recorder());
-        let room = self
-            .cfg
-            .buffer_bytes()
-            .saturating_sub(self.player.buffer_bytes());
+        self.viewer.advance(eng);
+        let room = self.cfg.buffer_bytes().saturating_sub(self.viewer.player().buffer_bytes());
         match self.cfg.mode {
             NetflixMode::Pc | NetflixMode::Ipad => {
                 if room >= self.cfg.block_bytes() {
@@ -338,15 +322,16 @@ impl SessionLogic for NetflixLogic {
             NetflixMode::Android => {
                 let conn = self.android_conn.expect("android connection open");
                 if room >= self.cfg.block_bytes() {
-                    self.blocks += 1;
-                    eng.record(EventKind::AppBlockRequest, self.blocks, 0);
-                    let n = eng.client_read(conn, self.cfg.block_bytes());
-                    self.read_total += n;
-                    self.player.feed(eng.now(), n, eng.recorder());
+                    self.viewer.count_block(eng);
+                    self.viewer.read(eng, conn, self.cfg.block_bytes());
                 }
                 self.arm_pull(eng);
             }
         }
+    }
+
+    fn viewer(&self) -> Option<&Viewer> {
+        Some(&self.viewer)
     }
 }
 
@@ -453,14 +438,14 @@ mod tests {
         assert_eq!(logic.probe_read, expected);
         // Probe bytes never reach the player: it buffers no more than the
         // playback reads delivered.
-        assert!(logic.player.buffer_bytes() <= logic.read_total);
+        assert!(logic.viewer.player().buffer_bytes() <= logic.viewer.read_total());
     }
 
     #[test]
     fn player_sustains_playback() {
         let (_, _, logic) = run(NetflixConfig::pc(), 180);
-        assert!(logic.player.has_started());
-        assert_eq!(logic.player.stats().stalls, 0);
+        assert!(logic.viewer.player().has_started());
+        assert_eq!(logic.viewer.player().stats().stalls, 0);
     }
 
     #[test]

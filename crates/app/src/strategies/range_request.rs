@@ -7,17 +7,18 @@
 //! while high-rate videos show periodic re-buffering with multi-megabyte
 //! transfers — the "combination of ON-OFF strategies".
 
-use vstream_obs::trace::EventKind;
 use vstream_sim::SimDuration;
 use vstream_tcp::TcpConfig;
 
 use crate::engine::{Engine, SessionLogic};
-use crate::player::Player;
 use crate::strategies::{server_tcp, startup_threshold};
 use crate::video::Video;
+use crate::viewer::Viewer;
 
 /// Player buffer target in bytes; a new range is requested whenever the
-/// buffer has room for a full chunk below this.
+/// buffer has room for a full chunk below this. Above ≈ 2.8 Mbps a deep
+/// refill no longer fits under it, and the target grows to hold one
+/// (`RangeRequestLogic::target`).
 const TARGET_BYTES: u64 = 6 << 20;
 
 /// Seconds of playback per range request; the chunk size is this times the
@@ -43,16 +44,13 @@ const DEEP_REFILL_CHUNKS: u64 = 4;
 #[derive(Clone)]
 pub struct RangeRequestLogic {
     video: Video,
-    /// The playback model (public so experiments can read its statistics).
-    pub player: Player,
+    /// The player and counters; a block is one range request (an ON period
+    /// on a fresh connection).
+    viewer: Viewer,
     /// Next byte offset to request.
     offset: u64,
     /// Bytes expected on the currently open connection, if any.
     inflight: Option<(usize, u64)>,
-    /// Total unique bytes the client has read.
-    pub read_total: u64,
-    /// Range requests issued (each one an ON period on a fresh connection).
-    pub blocks: u64,
     retry_armed: bool,
     /// Ranges requested so far (drives the deep-refill schedule).
     requests_made: u32,
@@ -63,14 +61,11 @@ const RETRY_TIMER: u32 = 1;
 impl RangeRequestLogic {
     /// Creates the logic for one video.
     pub fn new(video: Video) -> Self {
-        let player = Player::new(video.encoding_bps, startup_threshold(&video), video.size_bytes());
         RangeRequestLogic {
             video,
-            player,
+            viewer: Viewer::new(&video, startup_threshold(&video)),
             offset: 0,
             inflight: None,
-            read_total: 0,
-            blocks: 0,
             retry_armed: false,
             requests_made: 0,
         }
@@ -83,8 +78,17 @@ impl RangeRequestLogic {
             .max(MIN_CHUNK_BYTES)
     }
 
+    /// The player-buffer target: [`TARGET_BYTES`], or one deep refill above
+    /// the startup threshold where that is more (above ≈ 2.8 Mbps, where 16 s
+    /// of playback outgrows 6 MiB), so every scheduled range eventually
+    /// fits — as `ClientPullLogic::steady_target` sizes its pulls.
+    fn target(&self) -> u64 {
+        let deep = self.chunk_bytes() * DEEP_REFILL_CHUNKS;
+        TARGET_BYTES.max(deep + startup_threshold(&self.video))
+    }
+
     fn room(&self) -> u64 {
-        TARGET_BYTES.saturating_sub(self.player.buffer_bytes())
+        self.target().saturating_sub(self.viewer.player().buffer_bytes())
     }
 
     /// Size of the next range request, honouring the deep-refill schedule.
@@ -101,7 +105,7 @@ impl RangeRequestLogic {
         if self.inflight.is_some() || self.offset >= self.video.size_bytes() {
             return;
         }
-        self.player.advance(eng.now(), eng.recorder());
+        self.viewer.advance(eng);
         let chunk = self
             .next_request_bytes()
             .min(self.video.size_bytes() - self.offset);
@@ -111,8 +115,7 @@ impl RangeRequestLogic {
             let conn = eng.open_connection(client_cfg, server_tcp());
             self.inflight = Some((conn, chunk));
             self.requests_made += 1;
-            self.blocks += 1;
-            eng.record(EventKind::AppBlockRequest, self.blocks, 0);
+            self.viewer.count_block(eng);
         } else if !self.retry_armed {
             // Wait until playback frees enough room.
             let needed = chunk - self.room();
@@ -139,9 +142,7 @@ impl SessionLogic for RangeRequestLogic {
     }
 
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
-        let n = eng.client_read(conn, u64::MAX);
-        self.read_total += n;
-        self.player.feed(eng.now(), n, eng.recorder());
+        self.viewer.read(eng, conn, u64::MAX);
     }
 
     fn on_eof(&mut self, eng: &mut Engine, conn: usize) {
@@ -158,6 +159,10 @@ impl SessionLogic for RangeRequestLogic {
         debug_assert_eq!(id, RETRY_TIMER);
         self.retry_armed = false;
         self.maybe_request_next(eng);
+    }
+
+    fn viewer(&self) -> Option<&Viewer> {
+        Some(&self.viewer)
     }
 }
 
@@ -215,7 +220,7 @@ mod tests {
     fn downloads_are_sequential_and_complete() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(60));
         let (eng, _, logic) = run(video, 180);
-        assert_eq!(logic.read_total, video.size_bytes());
+        assert_eq!(logic.viewer.read_total(), video.size_bytes());
         // Every connection carried data.
         for conn in 0..eng.connection_count() {
             let (_, server) = eng.connection_stats(conn);
@@ -224,11 +229,22 @@ mod tests {
     }
 
     #[test]
+    fn high_rate_sessions_request_past_the_first_deep_refill() {
+        // At 4 Mbps the fifth range (a deep refill, 16 s = 8 MB) is larger
+        // than the 6 MiB target; the target grows to hold it, so the
+        // session keeps requesting ranges until the video is read.
+        let video = Video::new(1, 4_000_000, SimDuration::from_secs(60));
+        let (_, _, logic) = run(video, 180);
+        assert_eq!(logic.viewer.read_total(), video.size_bytes());
+        assert!(logic.viewer.blocks() > 5, "{} range requests", logic.viewer.blocks());
+    }
+
+    #[test]
     fn respects_player_buffer_target() {
         let video = Video::new(1, 2_000_000, SimDuration::from_secs(900));
         let (_, _, logic) = run(video, 120);
         // The buffer never wildly exceeds the target (one chunk of slack).
-        let peak = logic.player.stats().peak_buffer_bytes;
+        let peak = logic.viewer.player().stats().peak_buffer_bytes;
         let bound = TARGET_BYTES + logic.chunk_bytes();
         assert!(peak <= bound, "peak {peak} > bound {bound}");
     }

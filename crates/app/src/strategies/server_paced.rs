@@ -8,14 +8,13 @@
 //! reads greedily — the pacing is entirely server-side, which is why the
 //! receive window never empties in Fig. 2(b)'s Flash curve.
 
-use vstream_obs::trace::EventKind;
 use vstream_sim::SimDuration;
 use vstream_tcp::TcpConfig;
 
 use crate::engine::{Engine, SessionLogic};
-use crate::player::Player;
 use crate::strategies::{server_tcp, startup_threshold};
 use crate::video::Video;
+use crate::viewer::Viewer;
 
 /// Steady-state block size in bytes (YouTube Flash: 64 kB).
 const BLOCK_BYTES: u64 = 64 * 1024;
@@ -46,15 +45,12 @@ impl Default for ServerPacedConfig {
 pub struct ServerPacedLogic {
     cfg: ServerPacedConfig,
     video: Video,
-    /// The playback model (public so experiments can read its statistics).
-    pub player: Player,
+    /// The player and counters; a block is one steady-state write (an ON
+    /// period after the startup burst).
+    viewer: Viewer,
     conn: usize,
     /// Bytes queued to TCP so far.
     sent: u64,
-    /// Total unique bytes the client has read.
-    pub read_total: u64,
-    /// Steady-state blocks written (ON periods after the startup burst).
-    pub blocks: u64,
 }
 
 const BLOCK_TIMER: u32 = 1;
@@ -62,15 +58,12 @@ const BLOCK_TIMER: u32 = 1;
 impl ServerPacedLogic {
     /// Creates the logic for one video.
     pub fn new(cfg: ServerPacedConfig, video: Video) -> Self {
-        let player = Player::new(video.encoding_bps, startup_threshold(&video), video.size_bytes());
         ServerPacedLogic {
             cfg,
             video,
-            player,
+            viewer: Viewer::new(&video, startup_threshold(&video)),
             conn: 0,
             sent: 0,
-            read_total: 0,
-            blocks: 0,
         }
     }
 
@@ -113,15 +106,16 @@ impl SessionLogic for ServerPacedLogic {
 
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         debug_assert_eq!(id, BLOCK_TIMER);
-        self.blocks += 1;
-        eng.record(EventKind::AppBlockRequest, self.blocks, 0);
+        self.viewer.count_block(eng);
         self.write_next(eng, BLOCK_BYTES);
     }
 
     fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
-        let n = eng.client_read(conn, u64::MAX);
-        self.read_total += n;
-        self.player.feed(eng.now(), n, eng.recorder());
+        self.viewer.read(eng, conn, u64::MAX);
+    }
+
+    fn viewer(&self) -> Option<&Viewer> {
+        Some(&self.viewer)
     }
 }
 
@@ -214,7 +208,7 @@ mod tests {
         // 30 s video: fully pushed in the initial burst.
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(30));
         let (trace, logic) = run(video, 180);
-        assert_eq!(logic.read_total, video.size_bytes());
+        assert_eq!(logic.viewer.read_total(), video.size_bytes());
         assert!(trace
             .records()
             .any(|p| p.dir() == TapDirection::Incoming && p.flags & FLAG_FIN != 0));
@@ -224,7 +218,7 @@ mod tests {
     fn player_never_stalls_on_fast_network() {
         let video = Video::new(1, 1_000_000, SimDuration::from_secs(120));
         let (_, logic) = run(video, 180);
-        assert!(logic.player.has_started());
-        assert_eq!(logic.player.stats().stalls, 0);
+        assert!(logic.viewer.player().has_started());
+        assert_eq!(logic.viewer.player().stats().stalls, 0);
     }
 }

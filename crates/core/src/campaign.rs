@@ -472,8 +472,7 @@ impl Reduction {
                 self.timeline_bits[slot] += b;
             }
         }
-        if active > 0 {
-            let on_rate = bits / active;
+        if let Some(on_rate) = bits.checked_div(active) {
             self.on_rate_sum_bps += on_rate;
             self.sg_sum += bits as u128 * on_rate as u128;
         }

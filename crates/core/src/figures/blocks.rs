@@ -43,24 +43,23 @@ fn steady_state_samples(
     (blocks, ratios)
 }
 
+/// The two per-network CDF figures of one cell, ids `(block, ratio)`: block
+/// sizes in kB and accumulation ratios.
 fn per_profile_figures(
-    id_block: &'static str,
-    id_ratio: &'static str,
+    (id_block, id_ratio): (&'static str, &'static str),
     title: &str,
     client: Client,
     container: Container,
     dataset: Dataset,
     run: &mut Run,
     n: usize,
-    block_unit: f64,
-    block_unit_label: &'static str,
 ) -> (FigureData, FigureData) {
     let mut block_series = Vec::new();
     let mut ratio_series = Vec::new();
     for profile in NetworkProfile::ALL {
         let (blocks, ratios) =
             steady_state_samples(client, container, dataset, profile, run, n);
-        let blocks_scaled: Vec<f64> = blocks.iter().map(|b| b / block_unit).collect();
+        let blocks_scaled: Vec<f64> = blocks.iter().map(|b| b / 1e3).collect();
         block_series.push(Series::new(profile.label(), Cdf::new(blocks_scaled).points()));
         ratio_series.push(Series::new(profile.label(), Cdf::new(ratios).points()));
     }
@@ -68,7 +67,7 @@ fn per_profile_figures(
         FigureData {
             id: id_block,
             title: format!("{title}: block size (CDF per network)"),
-            x_label: block_unit_label,
+            x_label: "block_size_kb",
             y_label: "cdf",
             series: block_series,
         },
@@ -86,16 +85,13 @@ fn per_profile_figures(
 /// accumulation ratio of ≈1.25 (b), on all four networks.
 pub fn fig4_flash_steady_state(run: &mut Run, n: usize) -> (FigureData, FigureData) {
     per_profile_figures(
-        "fig4a",
-        "fig4b",
+        ("fig4a", "fig4b"),
         "Flash steady state",
         Client::Firefox,
         Container::Flash,
         Dataset::YouFlash,
         run,
         n,
-        1e3,
-        "block_size_kb",
     )
 }
 
@@ -103,16 +99,13 @@ pub fn fig4_flash_steady_state(run: &mut Run, n: usize) -> (FigureData, FigureDa
 /// accumulation ratio near one (b).
 pub fn fig5_html5_steady_state(run: &mut Run, n: usize) -> (FigureData, FigureData) {
     per_profile_figures(
-        "fig5a",
-        "fig5b",
+        ("fig5a", "fig5b"),
         "HTML5 on Internet Explorer steady state",
         Client::InternetExplorer,
         Container::Html5,
         Dataset::YouHtml,
         run,
         n,
-        1e3,
-        "block_size_kb",
     )
 }
 

@@ -59,10 +59,10 @@ pub fn ext_stall_vs_accumulation(run: &Run, n: usize) -> FigureData {
         let path = NetworkProfile::Home.build_path().with_cross_traffic(CrossTraffic::Bursts, engine_seed);
         let capture = SimDuration::from_secs(180);
         let mut logic = ServerPacedLogic::new(cfg, video);
-        let app = |l: &ServerPacedLogic| Some((l.player.stats(), l.blocks));
         let stem = || format!("ext-stalls-k{ki}-r{i}-s{engine_seed}");
-        run_engine(path, engine_seed, capture, scratch, &mut logic, &mut NullSink, app, stem);
-        logic.player.stats().stall_time.as_secs_f64()
+        run_engine(path, engine_seed, capture, scratch, &mut logic, &mut NullSink, stem);
+        let viewer = logic.viewer().expect("a server-paced session has a player");
+        viewer.player().stats().stall_time.as_secs_f64()
     });
     let points: Vec<(f64, f64)> = RATIOS
         .iter()
@@ -105,7 +105,7 @@ pub fn ext_sack_ablation(run: &Run) -> TableData {
     // the same seed), so the whole sweep runs as one parallel batch.
     let totals = par_sessions(cases.len() * 2 * RUNS, run.jobs, |scratch, j| {
         let case = j / (2 * RUNS);
-        let sack = (j / RUNS) % 2 == 0;
+        let sack = (j / RUNS).is_multiple_of(2);
         let i = (j % RUNS) as u64;
         let engine_seed = run.seed.wrapping_add(i * 7919);
         let switch = if sack { "sack" } else { "nosack" };
@@ -147,42 +147,53 @@ fn bulk_transfer_time(
     sack: bool,
     stem: impl FnOnce() -> String,
 ) -> f64 {
-    struct Bulk {
-        size: u64,
-        read: u64,
-        done_at: Option<f64>,
-        client_cfg: TcpConfig,
-        server_cfg: TcpConfig,
-    }
-    impl SessionLogic for Bulk {
-        fn on_start(&mut self, eng: &mut Engine) {
-            eng.open_connection(self.client_cfg.clone(), self.server_cfg.clone());
-        }
-        fn on_established(&mut self, eng: &mut Engine, conn: usize) {
-            eng.server_write(conn, self.size);
-            eng.server_close(conn);
-        }
-        fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
-            self.read += eng.client_read(conn, u64::MAX);
-            if self.read >= self.size && self.done_at.is_none() {
-                self.done_at = Some(eng.now().as_secs_f64());
-                eng.stop();
-            }
-        }
-    }
     let down = LinkConfig::new(50_000_000, SimDuration::from_millis(60)).with_loss(loss);
     let up = LinkConfig::new(50_000_000, SimDuration::from_millis(60));
     let path = DuplexPath::new(down, up);
-    let mut logic = Bulk {
-        size: 16 << 20,
-        read: 0,
-        done_at: None,
-        client_cfg: TcpConfig::default().with_recv_buffer(8 << 20).with_sack(sack),
-        server_cfg: TcpConfig::default().with_sack(sack),
-    };
+    let mut logic = Bulk::new(sack);
     let capture = SimDuration::from_secs(600);
-    run_engine(path, seed, capture, scratch, &mut logic, &mut NullSink, |_| None, stem);
+    run_engine(path, seed, capture, scratch, &mut logic, &mut NullSink, stem);
     logic.done_at.unwrap_or(600.0)
+}
+
+/// The `ext-sack` transfer: 16 MB downloaded with SACK on or off at both
+/// ends, stopped at the last byte. It has no player, so it reports no
+/// [`SessionLogic::viewer`].
+struct Bulk {
+    size: u64,
+    read: u64,
+    done_at: Option<f64>,
+    client_cfg: TcpConfig,
+    server_cfg: TcpConfig,
+}
+
+impl Bulk {
+    fn new(sack: bool) -> Self {
+        Bulk {
+            size: 16 << 20,
+            read: 0,
+            done_at: None,
+            client_cfg: TcpConfig::default().with_recv_buffer(8 << 20).with_sack(sack),
+            server_cfg: TcpConfig::default().with_sack(sack),
+        }
+    }
+}
+
+impl SessionLogic for Bulk {
+    fn on_start(&mut self, eng: &mut Engine) {
+        eng.open_connection(self.client_cfg.clone(), self.server_cfg.clone());
+    }
+    fn on_established(&mut self, eng: &mut Engine, conn: usize) {
+        eng.server_write(conn, self.size);
+        eng.server_close(conn);
+    }
+    fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
+        self.read += eng.client_read(conn, u64::MAX);
+        if self.read >= self.size && self.done_at.is_none() {
+            self.done_at = Some(eng.now().as_secs_f64());
+            eng.stop();
+        }
+    }
 }
 
 /// Extension 3: Reno vs CUBIC under the Flash streaming strategy.
@@ -213,9 +224,8 @@ pub fn ext_congestion_ablation(run: &Run) -> TableData {
                 .with_congestion(algo),
         };
         let mut fold = AnalysisFold::new(cfg.clone()).with_phases();
-        let app = |l: &CustomPaced| Some((l.inner.player.stats(), l.inner.blocks));
         let stem = || format!("ext-cc-{}-s{seed}", name.to_lowercase());
-        run_engine(path, seed, capture, scratch, &mut logic, &mut fold, app, stem);
+        run_engine(path, seed, capture, scratch, &mut logic, &mut fold, stem);
         let analysis = fold.finish();
         let blocks = analysis.onoff.steady_state_block_sizes();
         let median_block = if blocks.is_empty() {
@@ -338,10 +348,8 @@ pub fn ext_aggregate_packet_level(run: &Run, n_sessions: usize, window_secs: f64
             let capture = SimDuration::from_secs_f64(l + 60.0);
             let mut logic = BulkLogic::new(video);
             let mut fold = ThroughputFold::new(bin);
-            // Bulk transfers pace no blocks.
-            let app = |l: &BulkLogic| Some((l.player.stats(), 0));
             let stem = || format!("ext-agg-pkt-n{i}-s{engine_seed}");
-            run_engine(path, engine_seed, capture, scratch, &mut logic, &mut fold, app, stem);
+            run_engine(path, engine_seed, capture, scratch, &mut logic, &mut fold, stem);
             let series: Vec<(f64, f64)> = fold
                 .finish()
                 .into_iter()
@@ -424,6 +432,9 @@ pub fn ext_aggregate_packet_level(run: &Run, n_sessions: usize, window_secs: f64
 mod tests {
     use super::*;
     use crate::figures::tests::test_run;
+    use vstream_app::strategies::InterruptAfter;
+    use vstream_obs::trace::{Event, EventKind, Recorder};
+    use vstream_workload::{logic_for, Client, Container};
 
     #[test]
     fn stall_time_falls_with_accumulation() {
@@ -493,5 +504,75 @@ mod tests {
                 "skewness differs across strategies: {skews:?}"
             );
         }
+    }
+
+    /// Runs `logic` for `capture` on the Residence path with a ring that
+    /// keeps the whole session; returns the recorded events and the payload
+    /// bytes the servers put on the wire (`session::servers_sent`).
+    fn run_recorded(logic: &mut impl SessionLogic, capture: SimDuration) -> (Vec<Event>, u64) {
+        let mut scratch = SessionScratch::new();
+        scratch.attach_recorder(Recorder::new(1 << 17));
+        let path = NetworkProfile::Residence.build_path();
+        let mut eng = Engine::with_scratch(path, 77, capture, scratch);
+        eng.run_observed(logic, &mut NullSink, false);
+        let stats: Vec<_> = (0..eng.connection_count()).map(|c| eng.connection_stats(c)).collect();
+        let rec = eng.into_parts().1.take_recorder().expect("the engine hands the ring back");
+        assert_eq!(rec.dropped(), 0, "the ring kept the whole session");
+        (rec.events(), crate::session::servers_sent(&stats))
+    }
+
+    /// `logic` reports a viewer holding the numbers its run produced: the
+    /// blocks, switches, stalls and startup the session recorded as events,
+    /// and bytes read that the servers sent. Returns the switch count.
+    fn assert_reports_its_viewer(name: &str, logic: &mut impl SessionLogic) -> u64 {
+        let (events, sent) = run_recorded(logic, SimDuration::from_secs(6));
+        let v = logic.viewer().unwrap_or_else(|| panic!("{name}: no viewer"));
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+        assert_eq!(v.blocks(), count(EventKind::AppBlockRequest), "{name}: blocks");
+        assert_eq!(v.switches(), count(EventKind::AppBitrateSwitch), "{name}: switches");
+        let stats = v.player().stats();
+        assert_eq!(u64::from(stats.stalls), count(EventKind::AppStallStart), "{name}: stalls");
+        let startup = events.iter().find(|e| e.kind == EventKind::AppStartup).map(|e| e.a);
+        assert_eq!(stats.startup_delay.map(|d| d.as_nanos()), startup, "{name}: startup");
+        let read = v.read_total();
+        assert!(read > 0 && read <= sent, "{name}: read {read} B, servers sent {sent} B");
+        v.switches()
+    }
+
+    /// A logic that forgets to forward its viewer drops the session's
+    /// ledger `app_*` slots, dump footer and QoE row without an error, so
+    /// every logic the session bracket runs is held to reporting one: each
+    /// Table 1 cell and DASH, bare and interrupted, and the transport
+    /// ablations' `CustomPaced`. The `ext-sack` transfer has no player. Only
+    /// the DASH cell's logic adapts its rate: the one that switches.
+    #[test]
+    fn every_logic_with_a_player_reports_its_viewer() {
+        let video = long_video(1, 1_000_000);
+        let cells: Vec<(Client, Container)> = Client::ALL
+            .into_iter()
+            .chain([Client::Dash])
+            .flat_map(|client| Container::ALL.map(|container| (client, container)))
+            .filter(|&(client, container)| logic_for(client, container, video).is_some())
+            .collect();
+        assert_eq!(cells.len(), 17, "the 16 Table 1 cells and DASH");
+        for (client, container) in cells {
+            let name = format!("{} / {}", client.label(), container.label());
+            let logic = || logic_for(client, container, video).expect("an applicable cell");
+            let switches = assert_reports_its_viewer(&name, &mut logic());
+            assert_eq!(switches > 0, client == Client::Dash, "{name}: {switches} switches");
+            let mut wrapped = InterruptAfter::new(logic(), SimDuration::from_secs(4));
+            assert_reports_its_viewer(&format!("{name}, interrupted"), &mut wrapped);
+            assert!(wrapped.interrupted, "{name}: the interruption fired");
+        }
+        let mut paced = CustomPaced {
+            inner: ServerPacedLogic::new(ServerPacedConfig::default(), video),
+            client_cfg: TcpConfig::default().with_recv_buffer(4 << 20),
+            server_cfg: TcpConfig::default().with_recv_buffer(256 * 1024),
+        };
+        assert_reports_its_viewer("CustomPaced", &mut paced);
+        let mut bulk = Bulk::new(true);
+        run_recorded(&mut bulk, SimDuration::from_secs(2));
+        assert!(bulk.read > 0);
+        assert!(bulk.viewer().is_none(), "the ext-sack transfer has no player");
     }
 }

@@ -33,6 +33,7 @@ pub use traces::{fig10_netflix_traces, fig1_phases, fig2_short_onoff, fig6a_long
 
 use vstream_app::engine::{Engine, SessionLogic};
 use vstream_app::strategies::ServerPacedLogic;
+use vstream_app::Viewer;
 use vstream_net::NetworkProfile;
 use vstream_sim::{derive_seed, SimDuration};
 use vstream_tcp::TcpConfig;
@@ -211,6 +212,9 @@ impl SessionLogic for CustomPaced {
     }
     fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
         self.inner.on_app_timer(eng, id);
+    }
+    fn viewer(&self) -> Option<&Viewer> {
+        self.inner.viewer()
     }
 }
 

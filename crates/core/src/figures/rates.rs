@@ -136,10 +136,9 @@ pub fn fig9_idle_reset_ablation(run: &Run) -> (f64, f64) {
                 .with_idle_cwnd_reset(idle_reset),
         };
         let mut fold = AnalysisFold::new(cfg.clone()).with_ack_clock(path.base_rtt());
-        let app = |l: &CustomPaced| Some((l.inner.player.stats(), l.inner.blocks));
         let switch = if idle_reset { "on" } else { "off" };
         let stem = || format!("fig9-idle-reset-{switch}-s{seed}");
-        run_engine(path, seed, capture, scratch, &mut logic, &mut fold, app, stem);
+        run_engine(path, seed, capture, scratch, &mut logic, &mut fold, stem);
         let samples = fold.finish().first_rtt_bytes.expect("ack clock requested");
         let kb: Vec<f64> = samples.iter().map(|&b| b as f64 / 1e3).collect();
         if kb.is_empty() {

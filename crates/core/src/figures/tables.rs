@@ -144,7 +144,7 @@ pub fn table2_strategy_comparison(run: &mut Run) -> TableData {
     let mut rows = Vec::new();
     for ((name, _, _, engineering), out) in cases.into_iter().zip(outs) {
         let out = out.expect("applicable cell");
-        let peak_mb = out.player_stats().peak_buffer_bytes as f64 / 1e6;
+        let peak_mb = out.logic.player().stats().peak_buffer_bytes as f64 / 1e6;
         let downloaded = out.answer.totals.expect("totals queried").total_downloaded as f64;
         let watched = video.playback_bytes(TABLE2_WATCH_SECS as f64) as f64;
         let unused_mb = (downloaded - watched).max(0.0) / 1e6;

@@ -34,7 +34,7 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use vstream_app::PlayerStats;
+use vstream_app::Viewer;
 use vstream_obs::trace::{Event, EventKind, Recorder, SIDE_CLIENT, SIDE_SERVER};
 use vstream_tcp::EndpointStats;
 
@@ -88,23 +88,22 @@ pub(crate) fn policy() -> Option<TraceConfig> {
 }
 
 /// Closes a session bracket: writes the dump files of the session's ring
-/// `rec` named by `stem`, subject to `cfg`'s anomaly policy. `app` is the
-/// session's player statistics and block count, the pair the ledger's
-/// `app_*` slots read (`None` for a session without a player).
+/// `rec` named by `stem`, subject to `cfg`'s anomaly policy. `viewer` is the
+/// session's, the one the ledger's `app_*` slots read (`None` for a session
+/// without a player).
 pub(crate) fn session_end(
     cfg: &TraceConfig,
     rec: &Recorder,
     stem: impl FnOnce() -> String,
-    app: Option<&(PlayerStats, u64)>,
+    viewer: Option<&Viewer>,
     connection_stats: &[(EndpointStats, EndpointStats)],
 ) {
-    let player = app.map(|(stats, _)| stats);
-    if cfg.anomalies_only && !is_anomalous(player, connection_stats) {
+    if cfg.anomalies_only && !is_anomalous(viewer, connection_stats) {
         return;
     }
     let stem = stem();
     let json = chrome_trace_json(&stem, rec);
-    let text = text_timeline(&stem, rec, app, connection_stats);
+    let text = text_timeline(&stem, rec, viewer, connection_stats);
     for (ext, body) in [("trace.json", &json), ("txt", &text)] {
         let path = cfg.dir.join(format!("{stem}.{ext}"));
         if let Err(e) = std::fs::write(&path, body) {
@@ -117,15 +116,15 @@ pub(crate) fn session_end(
 /// [`ANOMALY_STALL_NS`], or at least [`ANOMALY_TIMEOUT_COUNT`] RTO fires
 /// summed over every endpoint (client and server, all connections).
 pub(crate) fn is_anomalous(
-    player: Option<&PlayerStats>,
+    viewer: Option<&Viewer>,
     connection_stats: &[(EndpointStats, EndpointStats)],
 ) -> bool {
-    stall_max_ns(player) >= ANOMALY_STALL_NS
+    stall_max_ns(viewer) >= ANOMALY_STALL_NS
         || total_timeouts(connection_stats) >= ANOMALY_TIMEOUT_COUNT
 }
 
-fn stall_max_ns(player: Option<&PlayerStats>) -> u64 {
-    player.map_or(0, |p| p.stall_max.as_nanos())
+fn stall_max_ns(viewer: Option<&Viewer>) -> u64 {
+    viewer.map_or(0, |v| v.player().stats().stall_max.as_nanos())
 }
 
 fn total_timeouts(connection_stats: &[(EndpointStats, EndpointStats)]) -> u64 {
@@ -286,18 +285,16 @@ fn chrome_event(ev: &Event) -> String {
     )
 }
 
-/// Renders the ring as a plain-text timeline. A session with a player
-/// (`app`: its statistics and block count) ends in a QoE footer read from
-/// those counters, not from the ring, which may have overwritten the
-/// session's start.
+/// Renders the ring as a plain-text timeline. A session with a `viewer`
+/// ends in a QoE footer read from its player statistics and block count,
+/// not from the ring, which may have overwritten the session's start.
 pub(crate) fn text_timeline(
     stem: &str,
     rec: &Recorder,
-    app: Option<&(PlayerStats, u64)>,
+    viewer: Option<&Viewer>,
     connection_stats: &[(EndpointStats, EndpointStats)],
 ) -> String {
     let events = rec.events();
-    let player = app.map(|(stats, _)| stats);
     let mut s = String::with_capacity(256 + events.len() * 96);
     s.push_str(&format!("# session {stem}\n"));
     s.push_str(&format!(
@@ -308,8 +305,8 @@ pub(crate) fn text_timeline(
     ));
     s.push_str(&format!(
         "# anomaly: {} (stall_max {} ms, timeouts {})\n",
-        if is_anomalous(player, connection_stats) { "YES" } else { "no" },
-        stall_max_ns(player) / 1_000_000,
+        if is_anomalous(viewer, connection_stats) { "YES" } else { "no" },
+        stall_max_ns(viewer) / 1_000_000,
         total_timeouts(connection_stats),
     ));
     s.push_str("#       ms  layer  event\n");
@@ -326,15 +323,17 @@ pub(crate) fn text_timeline(
             ev.b,
         ));
     }
-    if let Some((stats, blocks)) = app {
+    if let Some(v) = viewer {
+        let stats = v.player().stats();
         s.push_str(&format!(
             "# qoe: startup_ns={} stalls={} completed={} stall_total_ns={} stall_max_ns={} \
-             blocks={blocks}\n",
+             blocks={}\n",
             stats.startup_delay.map_or(-1i64, |d| d.as_nanos() as i64),
             stats.stalls,
             stats.stalls_completed,
             stats.stall_time.as_nanos(),
             stats.stall_max.as_nanos(),
+            v.blocks(),
         ));
     }
     s

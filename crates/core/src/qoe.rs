@@ -7,7 +7,7 @@
 //! figure and spec identity.
 //!
 //! Determinism is the design constraint. A row is a pure function of the
-//! session's [`SessionSpec`] and its post-run [`StrategyLogic`], which every
+//! session's [`SessionSpec`] and its post-run [`Viewer`], which every
 //! [`SessionReply`](crate::SessionReply) carries whether it was just
 //! computed or cloned from the cache, so the table is byte-identical across
 //! `--jobs` and cache on/off. Rows are computed inside the batch fan-out but
@@ -25,7 +25,7 @@
 
 use std::fmt::Write as _;
 
-use vstream_workload::StrategyLogic;
+use vstream_app::Viewer;
 
 use crate::report::{fixed3, fixed6};
 use crate::session::SessionSpec;
@@ -33,8 +33,8 @@ use crate::session::SessionSpec;
 /// The QoE quantities reduced from one session, before identity/formatting.
 ///
 /// Everything is derived from unconditional [`vstream_app::PlayerStats`]
-/// fields and the strategy's block counter, never from the metrics
-/// registry's stall histogram.
+/// fields and the viewer's block and switch counters, never from the
+/// metrics registry's stall histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QoeSummary {
     /// Startup delay in microseconds, `None` when playback never started.
@@ -55,17 +55,17 @@ pub struct QoeSummary {
 }
 
 impl QoeSummary {
-    /// Reduces a finished session's logic to its QoE quantities.
-    pub fn of(logic: &StrategyLogic) -> QoeSummary {
-        let stats = logic.player().stats();
+    /// Reduces a finished session's viewer to its QoE quantities.
+    pub fn of(viewer: &Viewer) -> QoeSummary {
+        let stats = viewer.player().stats();
         QoeSummary {
             startup_us: stats.startup_delay.map(|d| d.as_nanos() / 1_000),
             stalls: stats.stalls,
             stalls_completed: stats.stalls_completed,
             stall_total_us: stats.stall_time.as_nanos() / 1_000,
             stall_max_us: stats.stall_max.as_nanos() / 1_000,
-            blocks: logic.blocks(),
-            switches: logic.switches(),
+            blocks: viewer.blocks(),
+            switches: viewer.switches(),
         }
     }
 
@@ -96,7 +96,7 @@ pub(crate) struct QoeRow {
 
 impl QoeRow {
     /// Builds the row for one resolved session.
-    pub(crate) fn of(spec: &SessionSpec, logic: &StrategyLogic) -> QoeRow {
+    pub(crate) fn of(spec: &SessionSpec, viewer: &Viewer) -> QoeRow {
         QoeRow {
             client: spec.client.label(),
             container: spec.container.label(),
@@ -104,7 +104,7 @@ impl QoeRow {
             video: spec.video.id,
             seed: spec.seed,
             capture_us: spec.capture.as_nanos() / 1_000,
-            summary: QoeSummary::of(logic),
+            summary: QoeSummary::of(viewer),
         }
     }
 

@@ -28,11 +28,10 @@ use vstream_analysis::{
     switch_counts_of, AnalysisConfig, AnalysisFold, CaptureTotals, DownloadFold, OnOffAnalysis,
     SessionPhases, SummariesFold, SwitchCounts, ThroughputFold, TotalsFold, WindowFold,
 };
-use vstream_app::PlayerStats;
+use vstream_app::Viewer;
 use vstream_capture::{ConnectionSummary, PacketSink, TapPacket};
 use vstream_sim::{SimDuration, SimTime};
 use vstream_tcp::EndpointStats;
-use vstream_workload::StrategyLogic;
 
 use crate::session::{CellOutcome, SessionSpec};
 
@@ -180,8 +179,9 @@ pub struct SessionAnswer {
 pub struct SessionReply {
     /// The requested features.
     pub answer: SessionAnswer,
-    /// The strategy logic after the run (player stats, read counters).
-    pub logic: StrategyLogic,
+    /// The client application's outcome: player, bytes read, blocks and
+    /// switches.
+    pub logic: Viewer,
     /// Number of TCP connections the session opened.
     pub connections: usize,
     /// Per-connection endpoint statistics `(client, server)`.
@@ -191,11 +191,6 @@ pub struct SessionReply {
 }
 
 impl SessionReply {
-    /// The player statistics.
-    pub fn player_stats(&self) -> PlayerStats {
-        self.logic.player().stats()
-    }
-
     /// Approximate heap bytes behind the reply: the feature vectors and
     /// the per-connection statistics (what the session cache accounts per
     /// entry, on top of the entry itself).
@@ -300,7 +295,7 @@ impl CompositeFold {
 
     /// Closes every fold into the answer. `qoe` stays `None`: it is not a
     /// packet fold — [`SessionReply::assemble`] fills it from the session's
-    /// strategy logic when the query asks.
+    /// viewer when the query asks.
     fn finish(self) -> SessionAnswer {
         let analysis = self.analysis.map(AnalysisFold::finish);
         let (onoff, phases, first_rtt_bytes) = match analysis {

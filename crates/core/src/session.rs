@@ -20,14 +20,14 @@
 
 use vstream_app::engine::{Engine, SessionLogic, SessionScratch};
 use vstream_app::strategies::InterruptAfter;
-use vstream_app::{PlayerStats, Video};
+use vstream_app::{Video, Viewer};
 use vstream_capture::{PacketSink, Trace};
 use vstream_net::{CrossTraffic, DuplexPath, LrdCrossConfig, NetworkProfile};
 use vstream_obs::trace::Recorder;
 use vstream_obs::{collector, Counter, Gauge, HistId};
 use vstream_sim::{par_indexed_with_finish, SimDuration};
 use vstream_tcp::EndpointStats;
-use vstream_workload::{logic_for, Client, Container, StrategyLogic};
+use vstream_workload::{logic_for, Client, Container};
 
 use crate::cache;
 use crate::query::{CompositeFold, SessionQuery, SessionReply};
@@ -129,29 +129,22 @@ impl SessionSpec {
 
     /// [`run_engine`] for a spec: builds the Table 1 logic ([`InterruptAfter`]
     /// around it for an abandoned session), books the run under its vantage
-    /// point's `profiles/*` ledger row and packages the [`CellOutcome`]. The
-    /// packets stream into `sink`; the outcome carries an empty [`Trace`].
+    /// point's `profiles/*` ledger row and packages the [`CellOutcome`] with
+    /// the logic's [`Viewer`]. The packets stream into `sink`; the outcome
+    /// carries an empty [`Trace`].
     fn simulate(
         &self,
         scratch: &mut SessionScratch,
         sink: &mut dyn PacketSink,
     ) -> Option<CellOutcome> {
         let mut logic = logic_for(self.client, self.container, self.video)?;
+        if let Some(w) = self.watch_time {
+            logic = Box::new(InterruptAfter::new(logic, w));
+        }
         let path = self.path();
         let base_rtt = path.base_rtt();
-        let (seed, capture) = (self.seed, self.capture);
-        let app = |l: &StrategyLogic| Some((l.player().stats(), l.blocks()));
         let stem = || flight::file_stem(self);
-        let run = match self.watch_time {
-            Some(w) => {
-                let mut wrapped = InterruptAfter::new(logic, w);
-                let app = |w: &InterruptAfter<StrategyLogic>| app(&w.inner);
-                let run = run_engine(path, seed, capture, scratch, &mut wrapped, sink, app, stem);
-                logic = wrapped.inner;
-                run
-            }
-            None => run_engine(path, seed, capture, scratch, &mut logic, sink, app, stem),
-        };
+        let run = run_engine(path, self.seed, self.capture, scratch, &mut logic, sink, stem);
         if collector::is_active() {
             let p = scratch.metrics_mut().profile_mut(self.profile as usize);
             p.sessions += 1;
@@ -159,7 +152,7 @@ impl SessionSpec {
         }
         Some(CellOutcome {
             trace: Trace::new(),
-            logic,
+            logic: logic.viewer().expect("every Table 1 logic has a player").clone(),
             connections: run.connection_stats.len(),
             connection_stats: run.connection_stats,
             base_rtt,
@@ -270,11 +263,9 @@ pub(crate) struct EngineRun {
 /// record no events and never rewrite a dump — the miss that filled the
 /// entry wrote those bytes.
 ///
-/// `app` reads the player statistics and paced-block count off the finished
-/// logic (`None` without a player) for the ledger's `app_*` slots and the
-/// dump's anomaly header and QoE footer; [`Engine::into_parts`] harvests the
-/// layers below.
-#[allow(clippy::too_many_arguments)]
+/// The finished logic's [`SessionLogic::viewer`] (`None` without a player)
+/// fills the ledger's `app_*` slots and the dump's anomaly header and QoE
+/// footer; [`Engine::into_parts`] harvests the layers below.
 pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
     path: DuplexPath,
     seed: u64,
@@ -282,7 +273,6 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
     scratch: &mut SessionScratch,
     logic: &mut L,
     sink: &mut S,
-    app: impl FnOnce(&L) -> Option<(PlayerStats, u64)>,
     stem: impl FnOnce() -> String,
 ) -> EngineRun {
     let policy = flight::policy();
@@ -297,9 +287,13 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
     let events_scheduled = eng.queue_stats().scheduled;
     *scratch = eng.into_parts().1;
     let dump = policy.zip(scratch.take_recorder());
-    let obs_active = collector::is_active();
-    let app = (obs_active || dump.is_some()).then(|| app(logic)).flatten();
-    if let (true, Some((stats, blocks))) = (obs_active, &app) {
+    let viewer = logic.viewer();
+    debug_assert!(
+        viewer.is_none_or(|v| v.read_total() <= servers_sent(&connection_stats)),
+        "the application read more bytes than the servers sent"
+    );
+    if let (true, Some(v)) = (collector::is_active(), viewer) {
+        let stats = v.player().stats();
         let m = scratch.metrics_mut();
         m.add(Counter::AppPlayerStalls, stats.stalls as u64);
         m.merge_hist(HistId::AppStallMs, &stats.stall_hist);
@@ -308,12 +302,25 @@ pub(crate) fn run_engine<L: SessionLogic, S: PacketSink + ?Sized>(
             m.record(HistId::AppStartupDelayMs, delay.as_nanos() / 1_000_000);
         }
         m.gauge_max(Gauge::AppPeakBufferBytes, stats.peak_buffer_bytes);
-        m.add(Counter::AppBlocks, *blocks);
+        m.add(Counter::AppBlocks, v.blocks());
     }
     if let Some((cfg, ring)) = &dump {
-        flight::session_end(cfg, ring, stem, app.as_ref(), &connection_stats);
+        flight::session_end(cfg, ring, stem, viewer, &connection_stats);
     }
     EngineRun { connection_stats, events_scheduled }
+}
+
+/// Payload bytes the session's servers put on the wire — new, retransmitted
+/// and zero-window probes (one byte each at most) — an upper bound on what
+/// the client application can read. `data_bytes_sent` alone is not one: a
+/// segment resent across the highest byte sent so far (after a probe or a
+/// timeout rewinds the sender) counts wholly as a retransmission, so the
+/// new bytes it carries are missing from it.
+pub(crate) fn servers_sent(connection_stats: &[(EndpointStats, EndpointStats)]) -> u64 {
+    connection_stats
+        .iter()
+        .map(|(_, s)| s.data_bytes_sent + s.retx_bytes + s.probes_sent)
+        .sum()
 }
 
 /// The one session fan-out: `f(scratch, i)` for `i < n` on up to `jobs`
@@ -363,8 +370,9 @@ where
 pub struct CellOutcome {
     /// The packet capture taken at the client.
     pub trace: Trace,
-    /// The strategy logic after the run (player stats, read counters).
-    pub logic: StrategyLogic,
+    /// The client application's outcome: player, bytes read, blocks and
+    /// switches.
+    pub logic: Viewer,
     /// Number of TCP connections the session opened.
     pub connections: usize,
     /// Per-connection endpoint statistics `(client, server)`.
@@ -372,13 +380,6 @@ pub struct CellOutcome {
     /// The base round-trip time of the path (needed by the ack-clock
     /// analysis).
     pub base_rtt: SimDuration,
-}
-
-impl CellOutcome {
-    /// The player statistics.
-    pub fn player_stats(&self) -> PlayerStats {
-        self.logic.player().stats()
-    }
 }
 
 #[cfg(test)]
@@ -575,7 +576,7 @@ mod tests {
         let path = NetworkProfile::Research.build_path();
         let stem = "bracket-test-noplayer";
         let capture = SimDuration::from_secs(30);
-        let run = run_engine(path, 5, capture, &mut scratch, &mut logic, &mut NullSink, |_| None, || {
+        let run = run_engine(path, 5, capture, &mut scratch, &mut logic, &mut NullSink, || {
             stem.to_string()
         });
         let spec = SessionSpec::new(
@@ -621,7 +622,7 @@ mod tests {
             .map(|kv| kv.split_once('=').expect("key=value"))
             .map(|(k, v)| (k, v.parse().expect("a started player has nonnegative fields")))
             .collect();
-        let p = played.player_stats();
+        let p = played.logic.player().stats();
         assert_eq!(
             fields,
             [
@@ -655,7 +656,7 @@ mod tests {
         let query = SessionQuery::default().totals().qoe().summaries();
         let render = |s: &SessionSpec| {
             let r = crate::query::query_many_jobs(&[*s], 1, &query).remove(0).unwrap();
-            format!("{:?} {:?} {:?}", r.answer, r.player_stats(), r.connection_stats)
+            format!("{:?} {:?} {:?}", r.answer, r.logic.player().stats(), r.connection_stats)
         };
         assert_eq!(render(&spec), render(&lrd(0)));
         let events = |s: &SessionSpec| {
@@ -663,8 +664,7 @@ mod tests {
             let (mut scratch, sink) = (SessionScratch::new(), &mut NullSink);
             let stem = || "zero-load-lrd-test".to_string();
             let (path, seed, capture) = (s.path(), s.seed, s.capture);
-            run_engine(path, seed, capture, &mut scratch, &mut logic, sink, |_| None, stem)
-                .events_scheduled
+            run_engine(path, seed, capture, &mut scratch, &mut logic, sink, stem).events_scheduled
         };
         assert_eq!(events(&spec), events(&lrd(0)));
         assert_ne!(events(&spec), events(&lrd(250)), "a nonzero load schedules its sources");

@@ -27,7 +27,7 @@ mod support;
 
 use support::{spec_for, Shape, SHAPES};
 use vstream::{qoe, CellOutcome, SessionSpec};
-use vstream_app::engine::{Engine, SessionScratch};
+use vstream_app::engine::{Engine, SessionLogic, SessionScratch};
 use vstream_app::strategies::InterruptAfter;
 use vstream_capture::Trace;
 use vstream_obs::trace::{Event, EventKind, Recorder};
@@ -46,18 +46,15 @@ fn record(spec: &SessionSpec, cap: usize) -> (Recorder, CellOutcome) {
     let base_rtt = path.base_rtt();
     let mut eng = Engine::with_scratch(path, spec.seed, spec.capture, scratch);
     let mut trace = Trace::new();
-    match spec.watch_time {
-        Some(w) => {
-            let mut wrapped = InterruptAfter::new(logic, w);
-            eng.run_observed(&mut wrapped, &mut trace, false);
-            logic = wrapped.inner;
-        }
-        None => eng.run_observed(&mut logic, &mut trace, false),
+    if let Some(w) = spec.watch_time {
+        logic = Box::new(InterruptAfter::new(logic, w));
     }
+    eng.run_observed(&mut logic, &mut trace, false);
     let connection_stats: Vec<_> =
         (0..eng.connection_count()).map(|c| eng.connection_stats(c)).collect();
     let rec = eng.into_parts().1.take_recorder().expect("the engine hands the ring back");
     let connections = connection_stats.len();
+    let logic = logic.viewer().expect("every shape has a player").clone();
     (rec, CellOutcome { trace, logic, connections, connection_stats, base_rtt })
 }
 
@@ -242,5 +239,27 @@ fn recording_does_not_perturb_the_session() {
             "{shape:?}: bytes read"
         );
         assert_eq!(bare.connection_stats, recorded.connection_stats, "{shape:?}: counters");
+    }
+}
+
+/// The ledger identity the session bracket debug-asserts, held over every
+/// shape through the production path: the client application reads no more
+/// than the servers put on the wire — new, retransmitted and zero-window
+/// probe bytes. (New bytes alone are no bound: a segment resent across the
+/// highest byte sent so far counts wholly as a retransmission.)
+#[test]
+fn applications_read_at_most_what_the_servers_sent() {
+    for seed in 0..6 {
+        for shape in SHAPES {
+            let out = spec_for(seed, shape).run().expect("every shape is an applicable cell");
+            let sent: u64 = out
+                .connection_stats
+                .iter()
+                .map(|(_, s)| s.data_bytes_sent + s.retx_bytes + s.probes_sent)
+                .sum();
+            let read = out.logic.read_total();
+            assert!(read > 0, "seed {seed} {shape:?}: nothing read");
+            assert!(read <= sent, "seed {seed} {shape:?}: read {read} B, servers sent {sent} B");
+        }
     }
 }

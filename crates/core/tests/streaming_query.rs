@@ -92,8 +92,8 @@ fn assert_replies_eq(a: &[Option<SessionReply>], b: &[Option<SessionReply>], ctx
         );
         assert_eq!(ra.base_rtt, rb.base_rtt, "{ctx}: reply {i} base rtt");
         assert_eq!(
-            ra.player_stats(),
-            rb.player_stats(),
+            ra.logic.player().stats(),
+            rb.logic.player().stats(),
             "{ctx}: reply {i} player stats"
         );
     }

@@ -165,8 +165,9 @@ impl FluidSim {
             for (s, e_t, rate) in session.intervals {
                 let first = (s / dt_secs).ceil() as usize;
                 let last = (e_t / dt_secs).floor() as usize;
-                for slot in first..=last.min(n_samples.saturating_sub(1)) {
-                    rates[slot] += rate;
+                let end = last.min(n_samples.saturating_sub(1));
+                for r in rates.iter_mut().take(end + 1).skip(first) {
+                    *r += rate;
                 }
             }
         }

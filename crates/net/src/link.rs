@@ -313,7 +313,7 @@ mod tests {
             let mut now = SimTime::ZERO;
             let mut last_delivery: Option<SimTime> = None;
             for (size, gap) in sizes.iter().zip(gaps.iter()) {
-                now = now + SimDuration::from_nanos(*gap);
+                now += SimDuration::from_nanos(*gap);
                 if gen.choose_index(3) == 0 {
                     link.occupy(now, gen.uniform_u64(1, 20_000));
                 }

@@ -403,7 +403,7 @@ impl Metrics {
     /// Replaces `self` with an empty registry and returns the accumulated
     /// one (the per-worker flush operation).
     pub fn take(&mut self) -> Metrics {
-        std::mem::replace(self, Metrics::new())
+        std::mem::take(self)
     }
 
     /// Zeroes the [`Counter::EXECUTION_DEPENDENT`] and

@@ -1413,9 +1413,11 @@ mod tests {
 
     #[test]
     fn retx_rate_reflects_losses() {
-        let mut stats = EndpointStats::default();
-        stats.data_bytes_sent = 99_000;
-        stats.retx_bytes = 1_000;
+        let stats = EndpointStats {
+            data_bytes_sent: 99_000,
+            retx_bytes: 1_000,
+            ..EndpointStats::default()
+        };
         assert!((stats.retx_rate() - 0.01).abs() < 1e-9);
     }
 

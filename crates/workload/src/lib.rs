@@ -12,4 +12,4 @@ mod dataset;
 mod matrix;
 
 pub use dataset::Dataset;
-pub use matrix::{logic_for, table1_expected, valid_profiles, Client, Container, Service, StrategyLogic};
+pub use matrix::{logic_for, table1_expected, valid_profiles, Client, Container, Service};

@@ -8,12 +8,12 @@
 //! compare the classifier's verdict against the paper's.
 
 use vstream_analysis::Strategy;
-use vstream_app::engine::{Engine, SessionLogic};
+use vstream_app::engine::SessionLogic;
 use vstream_app::strategies::{
     AbrLogic, BulkLogic, ClientPullConfig, ClientPullLogic, NetflixConfig, NetflixLogic,
     RangeRequestLogic, ServerPacedConfig, ServerPacedLogic,
 };
-use vstream_app::{Player, Video};
+use vstream_app::Video;
 use vstream_net::NetworkProfile;
 
 /// The streaming service.
@@ -116,128 +116,10 @@ impl Container {
     }
 }
 
-/// A strategy logic for any Table 1 cell, with uniform access to the player
-/// and download counters.
-#[derive(Clone)]
-pub enum StrategyLogic {
-    /// YouTube over Flash (server-paced).
-    ServerPaced(ServerPacedLogic),
-    /// HTML5 client-pull (IE, Chrome, Android).
-    ClientPull(ClientPullLogic),
-    /// Bulk transfer (Firefox HTML5, Flash HD).
-    Bulk(BulkLogic),
-    /// iPad range requests.
-    Range(RangeRequestLogic),
-    /// Netflix (any device).
-    Netflix(NetflixLogic),
-    /// DASH-style adaptive bitrate (extension client).
-    Abr(AbrLogic),
-}
-
-impl StrategyLogic {
-    /// The playback model of the wrapped logic.
-    pub fn player(&self) -> &Player {
-        match self {
-            StrategyLogic::ServerPaced(l) => &l.player,
-            StrategyLogic::ClientPull(l) => &l.player,
-            StrategyLogic::Bulk(l) => &l.player,
-            StrategyLogic::Range(l) => &l.player,
-            StrategyLogic::Netflix(l) => &l.player,
-            StrategyLogic::Abr(l) => &l.player,
-        }
-    }
-
-    /// Unique bytes the client application has read.
-    pub fn read_total(&self) -> u64 {
-        match self {
-            StrategyLogic::ServerPaced(l) => l.read_total,
-            StrategyLogic::ClientPull(l) => l.read_total,
-            StrategyLogic::Bulk(l) => l.read_total,
-            StrategyLogic::Range(l) => l.read_total,
-            StrategyLogic::Netflix(l) => l.read_total,
-            StrategyLogic::Abr(l) => l.read_total,
-        }
-    }
-
-    /// Steady-state blocks the strategy paced out (ON periods). Bulk
-    /// transfers have no pacing, so they report zero.
-    pub fn blocks(&self) -> u64 {
-        match self {
-            StrategyLogic::ServerPaced(l) => l.blocks,
-            StrategyLogic::ClientPull(l) => l.blocks,
-            StrategyLogic::Bulk(_) => 0,
-            StrategyLogic::Range(l) => l.blocks,
-            StrategyLogic::Netflix(l) => l.blocks,
-            StrategyLogic::Abr(l) => l.blocks,
-        }
-    }
-
-    /// Bitrate switches the strategy performed. Only the adaptive-bitrate
-    /// client ever switches; every 2011 Table 1 strategy reports zero.
-    pub fn switches(&self) -> u64 {
-        match self {
-            StrategyLogic::Abr(l) => l.switches,
-            _ => 0,
-        }
-    }
-}
-
-impl SessionLogic for StrategyLogic {
-    fn on_start(&mut self, eng: &mut Engine) {
-        match self {
-            StrategyLogic::ServerPaced(l) => l.on_start(eng),
-            StrategyLogic::ClientPull(l) => l.on_start(eng),
-            StrategyLogic::Bulk(l) => l.on_start(eng),
-            StrategyLogic::Range(l) => l.on_start(eng),
-            StrategyLogic::Netflix(l) => l.on_start(eng),
-            StrategyLogic::Abr(l) => l.on_start(eng),
-        }
-    }
-    fn on_established(&mut self, eng: &mut Engine, conn: usize) {
-        match self {
-            StrategyLogic::ServerPaced(l) => l.on_established(eng, conn),
-            StrategyLogic::ClientPull(l) => l.on_established(eng, conn),
-            StrategyLogic::Bulk(l) => l.on_established(eng, conn),
-            StrategyLogic::Range(l) => l.on_established(eng, conn),
-            StrategyLogic::Netflix(l) => l.on_established(eng, conn),
-            StrategyLogic::Abr(l) => l.on_established(eng, conn),
-        }
-    }
-    fn on_data_available(&mut self, eng: &mut Engine, conn: usize) {
-        match self {
-            StrategyLogic::ServerPaced(l) => l.on_data_available(eng, conn),
-            StrategyLogic::ClientPull(l) => l.on_data_available(eng, conn),
-            StrategyLogic::Bulk(l) => l.on_data_available(eng, conn),
-            StrategyLogic::Range(l) => l.on_data_available(eng, conn),
-            StrategyLogic::Netflix(l) => l.on_data_available(eng, conn),
-            StrategyLogic::Abr(l) => l.on_data_available(eng, conn),
-        }
-    }
-    fn on_eof(&mut self, eng: &mut Engine, conn: usize) {
-        match self {
-            StrategyLogic::ServerPaced(l) => l.on_eof(eng, conn),
-            StrategyLogic::ClientPull(l) => l.on_eof(eng, conn),
-            StrategyLogic::Bulk(l) => l.on_eof(eng, conn),
-            StrategyLogic::Range(l) => l.on_eof(eng, conn),
-            StrategyLogic::Netflix(l) => l.on_eof(eng, conn),
-            StrategyLogic::Abr(l) => l.on_eof(eng, conn),
-        }
-    }
-    fn on_app_timer(&mut self, eng: &mut Engine, id: u32) {
-        match self {
-            StrategyLogic::ServerPaced(l) => l.on_app_timer(eng, id),
-            StrategyLogic::ClientPull(l) => l.on_app_timer(eng, id),
-            StrategyLogic::Bulk(l) => l.on_app_timer(eng, id),
-            StrategyLogic::Range(l) => l.on_app_timer(eng, id),
-            StrategyLogic::Netflix(l) => l.on_app_timer(eng, id),
-            StrategyLogic::Abr(l) => l.on_app_timer(eng, id),
-        }
-    }
-}
-
 /// Builds the session logic for a Table 1 cell, or `None` where the cell is
-/// not applicable (mobile applications do not play Flash).
-pub fn logic_for(client: Client, container: Container, video: Video) -> Option<StrategyLogic> {
+/// not applicable (mobile applications do not play Flash). Every logic it
+/// builds has a player: its [`SessionLogic::viewer`] is `Some`.
+pub fn logic_for(client: Client, container: Container, video: Video) -> Option<Box<dyn SessionLogic>> {
     // The DASH extension client exists only over HTML5 segments; giving it
     // any Table 1 plugin container would silently alias a paper cell.
     if client == Client::Dash && container != Container::Html5 {
@@ -248,28 +130,23 @@ pub fn logic_for(client: Client, container: Container, video: Video) -> Option<S
             if client.is_mobile() {
                 return None;
             }
-            StrategyLogic::ServerPaced(ServerPacedLogic::new(ServerPacedConfig::default(), video))
+            Box::new(ServerPacedLogic::new(ServerPacedConfig::default(), video))
         }
         Container::FlashHd => {
             if client.is_mobile() {
                 return None;
             }
-            StrategyLogic::Bulk(BulkLogic::new(video))
+            Box::new(BulkLogic::new(video))
         }
         Container::Html5 => match client {
-            Client::InternetExplorer => StrategyLogic::ClientPull(ClientPullLogic::new(
-                ClientPullConfig::internet_explorer(),
-                video,
-            )),
-            Client::Firefox => StrategyLogic::Bulk(BulkLogic::new(video)),
-            Client::Chrome => {
-                StrategyLogic::ClientPull(ClientPullLogic::new(ClientPullConfig::chrome(), video))
+            Client::InternetExplorer => {
+                Box::new(ClientPullLogic::new(ClientPullConfig::internet_explorer(), video))
             }
-            Client::Ipad => StrategyLogic::Range(RangeRequestLogic::new(video)),
-            Client::Android => {
-                StrategyLogic::ClientPull(ClientPullLogic::new(ClientPullConfig::android(), video))
-            }
-            Client::Dash => StrategyLogic::Abr(AbrLogic::new(video)),
+            Client::Firefox => Box::new(BulkLogic::new(video)),
+            Client::Chrome => Box::new(ClientPullLogic::new(ClientPullConfig::chrome(), video)),
+            Client::Ipad => Box::new(RangeRequestLogic::new(video)),
+            Client::Android => Box::new(ClientPullLogic::new(ClientPullConfig::android(), video)),
+            Client::Dash => Box::new(AbrLogic::new(video)),
         },
         Container::Silverlight => {
             let cfg = match client {
@@ -277,7 +154,7 @@ pub fn logic_for(client: Client, container: Container, video: Video) -> Option<S
                 Client::Android => NetflixConfig::android(),
                 _ => NetflixConfig::pc(),
             };
-            StrategyLogic::Netflix(NetflixLogic::new(cfg, video.duration))
+            Box::new(NetflixLogic::new(cfg, video.duration))
         }
     })
 }
@@ -395,17 +272,15 @@ mod tests {
     #[test]
     fn strategy_logic_exposes_uniform_accessors() {
         let logic = logic_for(Client::Firefox, Container::Html5, video()).unwrap();
-        assert_eq!(logic.read_total(), 0);
-        assert!(!logic.player().has_started());
-        assert_eq!(logic.switches(), 0);
+        let viewer = logic.viewer().expect("every matrix logic has a player");
+        assert_eq!(viewer.read_total(), 0);
+        assert!(!viewer.player().has_started());
+        assert_eq!(viewer.switches(), 0);
     }
 
     #[test]
     fn dash_client_is_html5_only_and_outside_table1() {
-        assert!(matches!(
-            logic_for(Client::Dash, Container::Html5, video()),
-            Some(StrategyLogic::Abr(_))
-        ));
+        assert!(logic_for(Client::Dash, Container::Html5, video()).is_some());
         for container in [Container::Flash, Container::FlashHd, Container::Silverlight] {
             assert!(logic_for(Client::Dash, container, video()).is_none());
             assert!(table1_expected(Client::Dash, container).is_none());

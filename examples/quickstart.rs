@@ -55,7 +55,7 @@ fn main() {
     println!("strategy: {strategy}");
 
     // And the player's side of the story.
-    let stats = outcome.player_stats();
+    let stats = outcome.logic.player().stats();
     println!(
         "player: started after {:?}, {} stalls",
         stats.startup_delay, stats.stalls

@@ -2,7 +2,8 @@
 # The full local gate, in the order a reviewer would want failures surfaced:
 #
 #   1. release build + the whole test suite (unit, integration, doc-adjacent),
-#      then the API docs with rustdoc warnings as errors, so a doc link to a
+#      then clippy over every target with warnings as errors, then the API
+#      docs with rustdoc warnings as errors, so a doc link to a
 #      deleted, renamed or private item fails here, then the public-API check
 #      (scripts/check_pub_api.py, after its own unit tests): one public path
 #      per item, each with an outside user. A `pub mod` must be named by
@@ -83,6 +84,9 @@ cargo build --release --offline
 
 echo "==> tests"
 cargo test --offline --quiet
+
+echo "==> clippy: no warnings, no allows"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> rustdoc: no broken, ambiguous or private intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace

@@ -142,7 +142,7 @@ fn batch_results_do_not_depend_on_submission_order() {
             totals.total_downloaded,
             r.answer.onoff.as_ref().expect("onoff queried").cycles.len(),
             r.connections,
-            r.player_stats().stalls,
+            r.logic.player().stats().stalls,
         )
     };
     let reference: Vec<_> = query_many_jobs(&specs, 1, &query)

@@ -42,7 +42,7 @@ fn flash_session_end_to_end() {
     assert!((20.0..=35.0).contains(&mb), "downloaded {mb:.1} MB");
 
     // The player saw smooth playback.
-    assert_eq!(out.player_stats().stalls, 0);
+    assert_eq!(out.logic.player().stats().stalls, 0);
 }
 
 #[test]
@@ -159,7 +159,7 @@ fn player_stalls_when_bandwidth_is_insufficient() {
     .run()
     .unwrap();
     assert!(
-        out.player_stats().stalls > 0,
+        out.logic.player().stats().stalls > 0,
         "player should stall on an underprovisioned path"
     );
 }
